@@ -8,7 +8,7 @@ one-form, and the flatness dichotomy of the underlying Veronese web.
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactDivisionError,
-                     PoleError, WebSpecError)
+                     InexactNumberError, PoleError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (CauchyInterpolant, WebSpec, build_system_matrix,
                             cauchy_interpolant, evaluate_interpolant,
@@ -33,7 +33,7 @@ __all__ = [
     "CauchyInterpolant", "Coframe", "DegenerateInterpolantError",
     "DegenerateRestrictionError", "DifferentialForm", "DimensionError",
     "FlatnessVerdict", "HirotaSolution", "HirotaWebError",
-    "InexactDivisionError", "LambdaForm", "Mobius", "MultiPoly",
+    "InexactDivisionError", "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",
     "PoleError", "PolyMatrix", "PropertyCheck", "RationalFunction",
     "TripleCheck", "VerificationReport", "WebSpec", "WebSpecError",
     "build_solution", "build_system_matrix", "cauchy_interpolant",

@@ -383,8 +383,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return code
     print(text)
     if config.out:
-        with open(config.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(config.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write --out file: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     return code
 
 

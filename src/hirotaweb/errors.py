@@ -3,7 +3,8 @@
 Every error raised on purpose derives from HirotaWebError, so callers can
 catch the library's failures without swallowing genuine bugs.  Arithmetic
 on mismatched rings raises DimensionError; invalid web parameters raise
-WebSpecError; the remaining types mark the mathematically degenerate
+WebSpecError; a float arriving where an exact number is required raises
+InexactNumberError; the remaining types mark the mathematically degenerate
 situations (non-generic data) that the construction excludes.
 """
 
@@ -20,6 +21,14 @@ class DimensionError(HirotaWebError, ValueError):
 
 class WebSpecError(HirotaWebError, ValueError):
     """Invalid web parameters: k + l + 1 != n, repeated nodes, bad degrees."""
+
+
+class InexactNumberError(HirotaWebError, TypeError):
+    """A float was passed where the library requires an exact number.
+
+    Floats carry binary approximations (0.1 is 3602879701896397/2^55), so
+    they are refused instead of silently converted.
+    """
 
 
 class DegenerateInterpolantError(HirotaWebError, ArithmeticError):

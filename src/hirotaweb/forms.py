@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
-from .polynomials import MultiPoly, Scalar, poly_to_json
+from .polynomials import MultiPoly, Scalar, _exact, poly_to_json
 from .ratfunc import RationalFunction
 
 Index = tuple[int, ...]
@@ -283,7 +283,7 @@ class LambdaForm:
 
     def at(self, value: Scalar) -> DifferentialForm:
         """Evaluate the parameter polynomial at an exact number."""
-        value = Fraction(value)
+        value = _exact(value)
         total = DifferentialForm.zero(self.n_vars, self.form_degree)
         power = Fraction(1)
         for form in self.coefficients:

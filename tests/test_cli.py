@@ -105,6 +105,17 @@ def test_main_exit_codes_and_out_file(tmp_path, capsys):
     assert out.read_text().strip() == captured.out.strip()
 
 
+def test_main_unwritable_out_path_is_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "dir" / "report.txt"
+    code = main(["generate", "--n", "3", "--k", "1", "--l", "1",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_main_rejects_bad_order(capsys):
     code = main(["generate", "--n", "3", "--k", "2", "--l", "2"])
     assert code == EXIT_CONFIG

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hirotaweb import (DifferentialForm, DimensionError, Mobius, MultiPoly,
-                       RationalFunction, WebSpec, WebSpecError,
+from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
+                       Mobius, MultiPoly, RationalFunction, WebSpec, WebSpecError,
                        build_solution, build_system_matrix, exact_div,
                        flatness_check, restrict, transform, verify_hirota,
                        veronese_form)
@@ -79,3 +79,27 @@ def test_web_level_error_paths():
         veronese_form(f, [1, 2, 3, 4])
     with pytest.raises(DimensionError):
         transform(f, Mobius.identity(), [Mobius.identity()] * 2)
+
+
+def test_floats_rejected_at_value_boundaries():
+    x1 = MultiPoly.variable(2, 0)
+    with pytest.raises(InexactNumberError):
+        WebSpec.numeric(3, 1, 1, [0.5, 1.5, 2.1])
+    with pytest.raises(InexactNumberError):
+        WebSpec(3, 1, 1, (Fraction(1, 2), 1, 2.0))
+    with pytest.raises(InexactNumberError):
+        MultiPoly.const(2, 0.5)
+    with pytest.raises(InexactNumberError):
+        MultiPoly(2, {(1, 0): 0.25})
+    with pytest.raises(InexactNumberError):
+        x1.evaluate([1, 0.5])
+    with pytest.raises(InexactNumberError):
+        x1.second_order_jet([1, 0.5], 2)
+    with pytest.raises(InexactNumberError):
+        Mobius(0.1, 0, 0, 1)
+    with pytest.raises(InexactNumberError):
+        restrict(build_solution(WebSpec.numeric(4, 2, 1)), 4, 0.5)
+    # exact values of every kind still pass, strings included
+    assert WebSpec.numeric(3, 1, 1, ["1/2", Fraction(3, 2), 2]).lambdas == (
+        Fraction(1, 2), Fraction(3, 2), Fraction(2))
+    assert x1.evaluate([Fraction(1, 3), 7]) == Fraction(1, 3)

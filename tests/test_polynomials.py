@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from hirotaweb import (DimensionError, InexactDivisionError, MultiPoly,
-                       PolyMatrix, determinant, determinant_cofactor_naive,
-                       exact_div, maximal_minors, poly_from_json, poly_text,
-                       poly_to_json)
+                       PolyMatrix, WebSpec, build_system_matrix, determinant,
+                       determinant_cofactor_naive, exact_div, maximal_minors,
+                       poly_from_json, poly_text, poly_to_json)
+from hirotaweb.polynomials import _det_bareiss
 
 
 def var(n, i):
@@ -192,13 +195,13 @@ def test_determinant_matches_naive_cofactor_oracle():
 
 
 def test_bareiss_path_matches_naive_on_seven_by_seven():
-    # Dimension 7 exceeds the cofactor threshold, forcing the fraction-free
-    # elimination path.
+    # Dimension 7 is still expanded by cofactors, so the fraction-free
+    # elimination path is called directly.
     rng = random.Random(99)
     entries = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-2, 2)
                 for _ in range(7)] for _ in range(7)]
     m = PolyMatrix.from_rows(entries)
-    assert determinant(m) == determinant_cofactor_naive(m)
+    assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
 def test_bareiss_path_multivariate_entries():
@@ -208,7 +211,22 @@ def test_bareiss_path_multivariate_entries():
                 + var(2, 1) * rng.randint(-2, 2)
                 for _ in range(7)] for _ in range(7)]
     m = PolyMatrix.from_rows(entries)
-    assert determinant(m) == determinant_cofactor_naive(m)
+    assert _det_bareiss(m) == determinant_cofactor_naive(m)
+
+
+def test_cofactor_matches_bareiss_on_seven_by_seven():
+    # The memoized cofactor path covers dimension 7; Bareiss stays the
+    # route above it and serves as the oracle here.
+    rng = random.Random(7)
+    for _ in range(3):
+        m = PolyMatrix.from_rows([[const(1, rng.randint(-9, 9)) for _ in range(7)]
+                                  for _ in range(7)])
+        assert determinant(m) == _det_bareiss(m)
+    for k in range(1, 6):
+        spec = WebSpec.numeric(7, k, 6 - k, [-3, -1, 2, 4, 5, 7, 8])
+        for which in ("P-top", "Q-top"):
+            m = build_system_matrix(spec, which)
+            assert determinant(m) == _det_bareiss(m)
 
 
 def test_bareiss_handles_zero_pivots():
@@ -219,7 +237,7 @@ def test_bareiss_handles_zero_pivots():
     for i in range(size):
         entries[i][size - 1 - i] = const(1, rng.randint(1, 5)) + var(1, 0)
     m = PolyMatrix.from_rows(entries)
-    assert determinant(m) == determinant_cofactor_naive(m)
+    assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
 def test_determinant_alternating_on_row_swap():
@@ -309,3 +327,47 @@ def test_mixed_integer_and_fractional_coefficients():
     half = exact_div(x1, x1 * 2)
     assert half == MultiPoly.const(2, Fraction(1, 2))
     assert poly_from_json(poly_to_json(p)) == p
+
+
+# -- second-order jets ---------------------------------------------------------------
+
+_coefficients = st.one_of(st.integers(-20, 20),
+                          st.fractions(min_value=-5, max_value=5, max_denominator=7))
+
+
+@st.composite
+def _poly_and_point(draw):
+    n_vars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    terms = draw(st.dictionaries(exponents, _coefficients, max_size=6))
+    coordinate = st.one_of(st.integers(-6, 6),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=5))
+    point = draw(st.lists(coordinate, min_size=n_vars, max_size=n_vars))
+    count = draw(st.integers(0, n_vars))
+    return MultiPoly(n_vars, terms), point, count
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_point())
+def test_second_order_jet_matches_derivatives(case):
+    p, point, count = case
+    value, grad, hess = p.second_order_jet(point, count)
+    assert value == p.evaluate(point)
+    assert len(grad) == count and len(hess) == count
+    for a in range(count):
+        pa = p.derivative(a)
+        assert grad[a] == pa.evaluate(point)
+        for b in range(count):
+            assert hess[a][b] == pa.derivative(b).evaluate(point)
+
+
+def test_second_order_jet_stays_integral_and_checks_sizes():
+    x, y, z = (var(3, i) for i in range(3))
+    p = x * x * y + 3 * y * z * z - z + 4
+    value, grad, hess = p.second_order_jet([2, -1, 0], 2)
+    assert (value, grad, hess) == (0, [-4, 4], [[-2, 4], [4, 0]])
+    assert all(type(v) is int for v in [value, *grad, *hess[0], *hess[1]])
+    with pytest.raises(DimensionError):
+        p.second_order_jet([1, 2], 1)
+    with pytest.raises(DimensionError):
+        p.second_order_jet([1, 2, 3], 4)

@@ -12,7 +12,9 @@ from hirotaweb import (DegenerateRestrictionError, DifferentialForm,
                        restrict, restricted_nodes, signed_minors,
                        structural_properties, transform, verify_hirota,
                        veronese_form, web_triples)
+from hirotaweb.webs import _ResidualFactors
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
+from reference_residuals import expanded_degree_bound, expanded_residual_value
 
 
 def nodes(*values):
@@ -118,6 +120,79 @@ def test_verify_sampled_catches_non_solution():
     report = verify_hirota(fake, nodes=nodes(1, 2, 3), mode="sampled",
                            trials=2, bound=10 ** 3, seed=5)
     assert not report.passed
+
+
+def _sampled_cases():
+    """Every order for n <= 5 with numeric and symbolic nodes, each as the
+    genuine solution and as the corrupted control P_k + x1^2."""
+    for n in range(3, 6):
+        for k in range(n):
+            for spec in (WebSpec.numeric(n, k, n - 1 - k),
+                         WebSpec.symbolic(n, k, n - 1 - k)):
+                for corrupt in (False, True):
+                    yield pytest.param(spec, corrupt, id=f"{spec.describe()}"
+                                       f"{' corrupted' if corrupt else ''}")
+
+
+def _residual_function(spec, corrupt):
+    sol = build_solution(spec)
+    if not corrupt:
+        return sol.f
+    x1 = MultiPoly.variable(spec.n_vars, 0)
+    return RationalFunction(sol.p_top + x1 * x1, sol.q_top)
+
+
+@pytest.mark.parametrize("spec,corrupt", list(_sampled_cases()))
+def test_jet_route_matches_expanded_oracle(spec, corrupt):
+    f = _residual_function(spec, corrupt)
+    node_list = [spec.node(i) for i in range(1, spec.n + 1)]
+    factors = _ResidualFactors(f)
+    triples = web_triples(spec.n)
+    assert factors.degree_bound(spec.n, spec.is_symbolic) == expanded_degree_bound(
+        factors, spec.is_symbolic, triples)
+    rng = random.Random(f"{spec.describe()} {corrupt}")
+    for _ in range(2):
+        point = [rng.randint(-50, 50) for _ in range(spec.n_vars)]
+        values = factors.point_values(node_list, point)
+        cache = {}
+        for triple in triples:
+            assert values.residual(triple) == expanded_residual_value(
+                factors, node_list, triple, point, cache)
+
+
+def test_jet_route_handles_zero_coordinates():
+    spec = WebSpec.numeric(4, 2, 1)
+    f = _residual_function(spec, corrupt=True)
+    factors = _ResidualFactors(f)
+    point = [0, 3, 0, -2]
+    values = factors.point_values(list(spec.lambdas), point)
+    for triple in web_triples(4):
+        assert values.residual(triple) == expanded_residual_value(
+            factors, list(spec.lambdas), triple, point, {})
+
+
+def test_sampled_bare_function_with_symbolic_nodes():
+    spec = WebSpec.symbolic(4, 1, 2)
+    sol = build_solution(spec)
+    genuine = verify_hirota(sol.f, nodes=sol.nodes(), mode="sampled", seed=3)
+    assert genuine.passed and len(genuine.checks) == 4
+    assert genuine.degree_bound == verify_hirota(sol, mode="sampled", seed=3).degree_bound
+    corrupted = verify_hirota(_residual_function(spec, True), nodes=sol.nodes(),
+                              mode="sampled", seed=3)
+    assert not corrupted.passed
+
+
+def test_sampled_rejects_too_few_variables():
+    from hirotaweb import DimensionError
+    f = RationalFunction(MultiPoly.variable(3, 0))
+    with pytest.raises(DimensionError):
+        verify_hirota(f, nodes=nodes(1, 2, 3, 4), mode="sampled")
+
+
+def test_sampled_symbolic_nodes_dimension_seven():
+    sol = build_solution(WebSpec.symbolic(7, 3, 3))
+    report = verify_hirota(sol, mode="sampled", trials=3, seed=42)
+    assert report.passed and len(report.checks) == 35
 
 
 def test_vacuous_two_node_verification():
