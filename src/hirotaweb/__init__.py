@@ -10,13 +10,12 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactDivisionError,
                      InexactNumberError, PoleError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (CauchyInterpolant, WebSpec, build_system_matrix,
-                            cauchy_interpolant, evaluate_interpolant,
-                            highest_coefficients, interpolant_matches_oracle,
-                            interpolation_check, random_numeric_instances,
-                            row_matrix, signed_minors, solve_oracle)
-from .polynomials import (MultiPoly, PolyMatrix, determinant,
-                          determinant_cofactor_naive, exact_div,
+from .interpolation import (CauchyInterpolant, WebSpec, cauchy_interpolant,
+                            evaluate_interpolant, highest_coefficients,
+                            interpolant_matches_oracle, interpolation_check,
+                            random_numeric_instances, row_matrix,
+                            signed_minors, solve_oracle)
+from .polynomials import (MultiPoly, PolyMatrix, determinant, exact_div,
                           maximal_minors, poly_from_json, poly_text,
                           poly_to_json)
 from .ratfunc import RationalFunction
@@ -36,8 +35,7 @@ __all__ = [
     "InexactDivisionError", "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",
     "PoleError", "PolyMatrix", "PropertyCheck", "RationalFunction",
     "TripleCheck", "VerificationReport", "WebSpec", "WebSpecError",
-    "build_solution", "build_system_matrix", "cauchy_interpolant",
-    "coframe", "determinant", "determinant_cofactor_naive",
+    "build_solution", "cauchy_interpolant", "coframe", "determinant",
     "evaluate_interpolant", "exact_div", "flatness_check",
     "frobenius_check", "highest_coefficients", "hirota_residual",
     "interpolant_matches_oracle", "interpolation_check", "maximal_minors",

@@ -4,16 +4,12 @@ Subcommands: generate, verify, flatness, restrict, properties, oracle.
 Output formats: text (default), json, latex.  Exit codes: 0 when every
 check passed, 1 when a mathematical check failed, 2 on input or
 configuration errors (including degenerate data).
-
-The environment variable HIROTA_SEEDS_THREADS caps the worker count used
-for independent per-triple checks; output is identical for any cap.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -24,15 +20,13 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .interpolation import (WebSpec, interpolant_matches_oracle,
                             interpolation_check, random_numeric_instances)
-from .polynomials import MultiPoly, poly_text, poly_to_json
-from .webs import (build_solution, flatness_check, restrict, restricted_nodes,
-                   structural_properties, verify_hirota)
+from .polynomials import poly_text, poly_to_json
+from .webs import (HirotaSolution, build_solution, flatness_check, restrict,
+                   restricted_nodes, structural_properties, verify_hirota)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-
-THREAD_ENV_VAR = "HIROTA_SEEDS_THREADS"
 
 
 @dataclass(frozen=True)
@@ -49,7 +43,6 @@ class RunConfig:
     fix: Optional[tuple[int, Fraction]] = None
     format: str = "text"
     out: Optional[str] = None
-    max_workers: int = 1
 
 
 @dataclass
@@ -60,6 +53,7 @@ class Report:
     objects: dict = field(default_factory=dict)
     lines: list[str] = field(default_factory=list)
     exit_code: int = EXIT_OK
+    solution: Optional[HirotaSolution] = None   # set by generate, for the LaTeX view
 
     def add_result(self, name: str, ok: bool, detail: str) -> None:
         self.results.append(
@@ -85,19 +79,6 @@ def _parse_fix(text: str) -> tuple[int, Fraction]:
     if not match:
         raise WebSpecError(f"cannot parse --fix {text!r}; expected e.g. x4=0 or x2=-3/2")
     return int(match.group(1)), Fraction(match.group(2))
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise WebSpecError(f"{THREAD_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise WebSpecError(f"{THREAD_ENV_VAR} must be at least 1")
-    return cap
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -162,7 +143,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         command=args.command, n=args.n, k=args.k, l=args.l, lambdas=lambdas,
         mode=getattr(args, "mode", "symbolic"), trials=trials, bound=bound,
         seed=getattr(args, "seed", 42), fix=fix, format=args.format,
-        out=args.out, max_workers=_thread_cap())
+        out=args.out)
 
 
 def _make_spec(config: RunConfig) -> WebSpec:
@@ -180,7 +161,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         return solution_override if solution_override is not None else build_solution(spec)
 
     if config.command == "generate":
-        sol = solution()
+        sol = report.solution = solution()
         report.objects["P_k"] = poly_to_json(sol.p_top)
         report.objects["Q_l"] = poly_to_json(sol.q_top)
         report.lines.append(f"P_k = {poly_text(sol.p_top, names)}")
@@ -194,8 +175,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
     if config.command == "verify":
         sol = solution()
         outcome = verify_hirota(sol, mode=config.mode, trials=config.trials,
-                                bound=config.bound, seed=config.seed,
-                                max_workers=config.max_workers)
+                                bound=config.bound, seed=config.seed)
         report.lines.append(
             f"f = ({poly_text(sol.p_top, names)})/({poly_text(sol.q_top, names)})")
         for check in outcome.checks:
@@ -242,8 +222,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         report.lines.append(
             f"f with x{coordinate} = {value}, remaining coordinates reindexed:")
         report.lines.append(f"  {restricted.text(reduced_names)}")
-        outcome = verify_hirota(restricted, nodes=nodes,
-                                max_workers=config.max_workers)
+        outcome = verify_hirota(restricted, nodes=nodes)
         for check in outcome.checks:
             report.add_result(f"triple {check.triple}", check.ok, check.detail)
         if not outcome.checks:
@@ -279,40 +258,11 @@ def execute(config: RunConfig, solution_override=None) -> Report:
 # -- rendering -----------------------------------------------------------------
 
 
-def _latex_coeff(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return f"{sign}\\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
 def _latex_names(spec: WebSpec) -> list[str]:
     out = [f"x_{{{i}}}" for i in range(1, spec.n + 1)]
     if spec.is_symbolic:
         out += [f"\\lambda_{{{i}}}" for i in range(1, spec.n + 1)]
     return out
-
-
-def poly_latex(p: MultiPoly, names: Sequence[str]) -> str:
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for position, (exps, coeff) in enumerate(p.sorted_terms()):
-        mono = "".join(
-            names[v] if e == 1 else f"{names[v]}^{{{e}}}"
-            for v, e in enumerate(exps) if e)
-        mag = abs(coeff)
-        if not mono:
-            body = _latex_coeff(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_latex_coeff(mag)}{mono}"
-        if position == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
 
 
 def render(report: Report, fmt: str, config: RunConfig) -> str:
@@ -333,12 +283,11 @@ def render(report: Report, fmt: str, config: RunConfig) -> str:
     if fmt == "latex":
         lines = [f"% {report.command} for {report.spec.describe()}"]
         if report.command == "generate":
-            spec = report.spec
-            sol = build_solution(spec)
-            names = _latex_names(spec)
+            sol = report.solution
+            names = _latex_names(report.spec)
             lines.append("\\[")
-            lines.append(f"f = \\frac{{{poly_latex(sol.p_top, names)}}}"
-                         f"{{{poly_latex(sol.q_top, names)}}}")
+            lines.append(f"f = \\frac{{{poly_text(sol.p_top, names, latex=True)}}}"
+                         f"{{{poly_text(sol.q_top, names, latex=True)}}}")
             lines.append("\\]")
         lines.append("\\begin{itemize}")
         for result in report.results:

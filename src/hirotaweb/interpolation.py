@@ -6,7 +6,9 @@ distinct exact numbers, or fully symbolic nodes carried as extra ring
 variables.  The interpolant F with F(node_i) = x_i is encoded by two
 coefficient matrices; its numerator and denominator coefficients are signed
 maximal minors of one n x (n+1) row matrix, extracted in a single memoized
-pass so all signs are consistent by construction.
+pass so all signs are consistent by construction.  The leading coefficients
+P_k and Q_l, whose quotient is the web solution, are the minors at columns
+k and n.
 
 Coefficient lists are kept unnormalized by default (they are polynomials in
 the value coordinates x); dividing by the denominator's constant term only
@@ -14,8 +16,7 @@ happens at a numeric evaluation point, where it either succeeds or raises a
 DegenerateInterpolantError.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
-variables n..2n-1 are the nodes l1..ln; matrix builders may append one extra
-trailing variable t for the interpolation parameter.
+variables n..2n-1 are the nodes l1..ln.
 """
 
 from __future__ import annotations
@@ -23,16 +24,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Literal, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import (MultiPoly, PolyMatrix, Scalar, _exact, determinant,
-                          maximal_minors)
+from .polynomials import MultiPoly, PolyMatrix, Scalar, _exact, maximal_minors
 from .ratfunc import RationalFunction
-
-MatrixKind = Literal["P-full", "Q-full", "P-top", "Q-top"]
-
-PARAM_NAME = "t"
 
 
 @dataclass(frozen=True)
@@ -101,12 +97,10 @@ class WebSpec:
             return self.lambdas[i - 1]
         return MultiPoly.variable(n_vars or self.n_vars, self.n + i - 1)
 
-    def names(self, extra_param: bool = False) -> list[str]:
+    def names(self) -> list[str]:
         out = [f"x{i}" for i in range(1, self.n + 1)]
         if self.lambdas is None:
             out += [f"l{i}" for i in range(1, self.n + 1)]
-        if extra_param:
-            out.append(PARAM_NAME)
         return out
 
     def describe(self) -> str:
@@ -129,85 +123,38 @@ def _node_powers(spec: WebSpec, i: int, top: int, n_vars: int) -> list[MultiPoly
     return powers
 
 
-def _data_rows(spec: WebSpec, p_top: int, q_top: int, n_vars: int) -> list[list[MultiPoly]]:
-    """Rows [1, l_i, ..., l_i^p_top, -x_i, ..., -x_i l_i^q_top] for i = 1..n.
-
-    A negative top degree produces an empty block (the k = 0 / l = 0 cases).
-    """
+def row_matrix(spec: WebSpec) -> PolyMatrix:
+    """The shared n x (n+1) data matrix of both full determinants: row i is
+    [1, l_i, ..., l_i^k, -x_i, -x_i l_i, ..., -x_i l_i^l]."""
+    n_vars = spec.n_vars
     rows = []
     for i in range(1, spec.n + 1):
-        powers = _node_powers(spec, i, max(p_top, q_top, 0), n_vars)
+        powers = _node_powers(spec, i, max(spec.k, spec.l), n_vars)
         x = spec.x_poly(i, n_vars)
-        row = [powers[j] for j in range(p_top + 1)]
-        row += [-(x * powers[j]) for j in range(q_top + 1)]
-        rows.append(row)
-    return rows
+        rows.append(powers[:spec.k + 1] + [-(x * p) for p in powers[:spec.l + 1]])
+    return PolyMatrix.from_rows(rows)
 
 
-def build_system_matrix(spec: WebSpec, which: MatrixKind,
-                        param: Optional[Scalar] = None) -> PolyMatrix:
-    """One of the four interpolation matrices.
-
-    The two "full" kinds are (n+1) x (n+1) with a final row in powers of the
-    interpolation parameter; by default that parameter is a fresh trailing
-    ring variable, or pass ``param`` to pin it to an exact number.  The two
-    "top" kinds are the n x n matrices whose signed determinants are the
-    leading coefficients.
-    """
-    n, k, l = spec.n, spec.k, spec.l
-    if which in ("P-full", "Q-full"):
-        symbolic_param = param is None
-        n_vars = spec.n_vars + (1 if symbolic_param else 0)
-        rows = _data_rows(spec, k, l, n_vars)
-        if symbolic_param:
-            t: Union[Fraction, MultiPoly] = MultiPoly.variable(n_vars, n_vars - 1)
-            t_power: Union[Fraction, MultiPoly] = MultiPoly.one(n_vars)
-        else:
-            t = _exact(param)
-            t_power = Fraction(1)
-        powers = []
-        for _ in range(max(k, l) + 1):
-            powers.append(t_power if isinstance(t_power, MultiPoly)
-                          else MultiPoly.const(n_vars, t_power))
-            t_power = t_power * t
-        zero = MultiPoly.zero(n_vars)
-        if which == "P-full":
-            last = [powers[j] for j in range(k + 1)] + [zero] * (l + 1)
-        else:
-            last = [zero] * (k + 1) + [powers[j] for j in range(l + 1)]
-        rows.append(last)
-        return PolyMatrix.from_rows(rows)
-    if which == "P-top":
-        return PolyMatrix.from_rows(_data_rows(spec, k - 1, l, spec.n_vars))
-    if which == "Q-top":
-        return PolyMatrix.from_rows(_data_rows(spec, k, l - 1, spec.n_vars))
-    raise WebSpecError(f"unknown matrix kind {which!r}")
-
-
-def row_matrix(spec: WebSpec) -> PolyMatrix:
-    """The shared n x (n+1) data matrix of both full determinants."""
-    return PolyMatrix.from_rows(_data_rows(spec, spec.k, spec.l, spec.n_vars))
-
-
-def signed_minors(spec: WebSpec) -> list[MultiPoly]:
-    """All n+1 coefficients of the interpolant's two determinants.
+def signed_minors(spec: WebSpec,
+                  columns: Optional[Sequence[int]] = None) -> list[MultiPoly]:
+    """Coefficients of the interpolant's two determinants.
 
     Entry c is (-1)^(n+c) det(row matrix without column c); entries 0..k are
     the numerator coefficients, entries k+1..n the denominator coefficients.
-    One elimination pass produces all of them, so the relative signs match
-    the leading-coefficient formulas by construction.
+    With ``columns`` only those entries are computed, in that order.  One
+    elimination pass produces all requested entries, so their relative
+    signs are consistent by construction.
     """
-    minors = maximal_minors(row_matrix(spec))
-    return [m if (spec.n + c) % 2 == 0 else -m for c, m in enumerate(minors)]
+    if columns is None:
+        columns = range(spec.n + 1)
+    minors = maximal_minors(row_matrix(spec), columns)
+    return [m if (spec.n + c) % 2 == 0 else -m for c, m in zip(columns, minors)]
 
 
 def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
     """The leading numerator and denominator coefficients (P_k, Q_l)."""
-    p_det = determinant(build_system_matrix(spec, "P-top"))
-    q_det = determinant(build_system_matrix(spec, "Q-top"))
-    p_sign = -1 if (spec.n + spec.k) % 2 else 1
-    q_sign = -1 if (spec.n + spec.k + spec.l + 1) % 2 else 1
-    return p_det * p_sign, q_det * q_sign
+    p_top, q_top = signed_minors(spec, (spec.k, spec.n))
+    return p_top, q_top
 
 
 @dataclass(frozen=True)

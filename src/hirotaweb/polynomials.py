@@ -8,8 +8,7 @@ lexicographic order fixes leading terms, text output, and JSON output.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
-half holds the interpolation nodes l1..ln; a ring with one extra trailing
-slot uses it for the interpolation parameter t.
+half holds the interpolation nodes l1..ln.
 
 Determinants of polynomial matrices are computed by cofactor expansion with
 minor memoization up to dimension 7 and by fraction-free Bareiss elimination
@@ -193,7 +192,7 @@ class MultiPoly:
                 f"mixed rings: {self.n_vars} vs {other.n_vars} variables")
 
     def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.n_vars, other)
         self._check_ring(other)
         out = dict(self.terms)
@@ -216,7 +215,7 @@ class MultiPoly:
                          _canonical=True)
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.n_vars, other)
         return self.__add__(other.__neg__())
 
@@ -224,8 +223,8 @@ class MultiPoly:
         return MultiPoly.const(self.n_vars, other).__sub__(self)
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            c = _tighten(Fraction(other))
+        if isinstance(other, (int, Fraction, float)):
+            c = _tighten(_exact(other))
             if not c:
                 return MultiPoly.zero(self.n_vars)
             return MultiPoly(self.n_vars,
@@ -471,35 +470,41 @@ def default_names(n_vars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_vars)]
 
 
-def _monomial_text(exps: Exponents, names: Sequence[str]) -> str:
+def _monomial_text(exps: Exponents, names: Sequence[str], latex: bool) -> str:
     parts = []
     for var, e in enumerate(exps):
         if e == 1:
             parts.append(names[var])
         elif e > 1:
-            parts.append(f"{names[var]}^{e}")
+            parts.append(f"{names[var]}^{{{e}}}" if latex else f"{names[var]}^{e}")
     return "".join(parts)
 
 
-def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None) -> str:
+def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
+              latex: bool = False) -> str:
     """Render with terms in descending graded-lex order.
 
     Coefficients print as ``a/b`` with ``/1`` omitted; unit coefficients are
-    dropped in front of a nonempty monomial.
+    dropped in front of a nonempty monomial.  With ``latex`` exponents are
+    braced and non-integral coefficients print as ``\\frac{a}{b}``.
     """
     if p.is_zero:
         return "0"
     names = default_names(p.n_vars) if names is None else list(names)
     pieces: list[str] = []
     for position, (exps, coeff) in enumerate(p.sorted_terms()):
-        mono = _monomial_text(exps, names)
+        mono = _monomial_text(exps, names, latex)
         mag = abs(coeff)
+        if latex and mag.denominator != 1:
+            mag_text = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            mag_text = str(mag)
         if not mono:
-            body = str(mag)
+            body = mag_text
         elif mag == 1:
             body = mono
         else:
-            body = f"{mag}{mono}"
+            body = f"{mag_text}{mono}"
         if position == 0:
             pieces.append(body if coeff > 0 else f"-{body}")
         else:
@@ -664,40 +669,26 @@ def _det_bareiss(m: PolyMatrix) -> MultiPoly:
     return result if sign > 0 else -result
 
 
-def determinant_cofactor_naive(m: PolyMatrix) -> MultiPoly:
-    """Plain unmemoized Laplace expansion; the independent test oracle."""
-    if m.rows != m.cols:
-        raise DimensionError("non-square matrix")
+def maximal_minors(m: PolyMatrix,
+                   columns: Optional[Iterable[int]] = None) -> list[MultiPoly]:
+    """Determinants of an r x (r+1) matrix with one column removed.
 
-    def expand(cols: tuple[int, ...], rows: tuple[int, ...]) -> MultiPoly:
-        if len(cols) == 1:
-            return m.entry(rows[0], cols[0])
-        total = MultiPoly.zero(m.n_vars)
-        for position, row in enumerate(rows):
-            piece = m.entry(row, cols[0]) * expand(cols[1:], rows[:position] + rows[position + 1:])
-            total = total + (piece if position % 2 == 0 else -piece)
-        return total
-
-    if m.rows == 0:
-        return MultiPoly.one(m.n_vars)
-    return expand(tuple(range(m.cols)), tuple(range(m.rows)))
-
-
-def maximal_minors(m: PolyMatrix) -> list[MultiPoly]:
-    """All determinants of an r x (r+1) matrix with one column removed.
-
-    Entry ``c`` of the result is det(m without column c), unsigned.  One
-    memo is shared across the column choices, so the common sub-minors of
+    Entry ``i`` of the result is det(m without column ``columns[i]``),
+    unsigned; ``columns`` defaults to every column in order.  One memo is
+    shared across the column choices, so the common sub-minors of
     neighbouring deletions are reused.
     """
     if m.cols != m.rows + 1:
         raise DimensionError("maximal minors need an r x (r+1) matrix")
     all_cols = tuple(range(m.cols))
+    skips = all_cols if columns is None else tuple(columns)
+    if any(not 0 <= skip < m.cols for skip in skips):
+        raise DimensionError(f"column index out of range 0..{m.cols - 1}")
     if m.rows == 0:
-        return [MultiPoly.one(m.n_vars) for _ in all_cols]
+        return [MultiPoly.one(m.n_vars) for _ in skips]
     out = []
     if m.rows > _COFACTOR_LIMIT:
-        for skip in all_cols:
+        for skip in skips:
             kept = [c for c in all_cols if c != skip]
             sub = PolyMatrix.from_rows(
                 [[m.entry(i, c) for c in kept] for i in range(m.rows)])
@@ -705,7 +696,7 @@ def maximal_minors(m: PolyMatrix) -> list[MultiPoly]:
         return out
     memo: dict[tuple, MultiPoly] = {}
     rows = tuple(range(m.rows))
-    for skip in all_cols:
+    for skip in skips:
         cols = tuple(c for c in all_cols if c != skip)
         out.append(_det_cofactor(m, cols, rows, memo))
     return out

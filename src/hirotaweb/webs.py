@@ -29,7 +29,6 @@ are ring variables and the identities hold in all of them at once.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -297,8 +296,7 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
                   mode: str = "symbolic",
                   trials: int = 3,
                   bound: int = 10 ** 6,
-                  seed: int = 42,
-                  max_workers: int = 1) -> VerificationReport:
+                  seed: int = 42) -> VerificationReport:
     """Check the full residual system for a solution (or any function).
 
     Symbolic mode proves every triple's residual numerator is the zero
@@ -328,26 +326,13 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     factors = _ResidualFactors(f)
 
     if mode == "symbolic":
-        # Warm the shared caches sequentially, then the per-triple products
-        # can run in any order (or in parallel) with identical results.
-        for v in range(n):
-            factors.n_poly(v)
-        for a, b in combinations(range(n), 2):
-            factors.m_poly(a, b)
-
-        def check_one(triple: tuple[int, int, int]) -> TripleCheck:
+        checks = []
+        for triple in triples:
             numerator = factors.residual_numerator(node_list, triple)
-            if numerator.is_zero:
-                return TripleCheck(triple, True, "residual numerator is 0")
-            return TripleCheck(triple, False,
-                               f"nonzero residual numerator with {len(numerator.terms)} term(s)")
-
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                checks = tuple(pool.map(check_one, triples))
-        else:
-            checks = tuple(check_one(t) for t in triples)
-        return VerificationReport("symbolic", all(c.ok for c in checks), checks)
+            detail = ("residual numerator is 0" if numerator.is_zero else
+                      f"nonzero residual numerator with {len(numerator.terms)} term(s)")
+            checks.append(TripleCheck(triple, numerator.is_zero, detail))
+        return VerificationReport("symbolic", all(c.ok for c in checks), tuple(checks))
 
     if mode != "sampled":
         raise WebSpecError(f"unknown verification mode {mode!r}")

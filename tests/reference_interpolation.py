@@ -1,0 +1,99 @@
+"""Independent routes to the interpolation determinants.
+
+The library reads every interpolation coefficient off the maximal minors of
+one n x (n+1) row matrix.  This module builds the four classical square
+matrices instead, each from the nodes and coordinates alone, and expands
+determinants by plain unmemoized Laplace expansion:
+
+* "P-full" and "Q-full" are (n+1) x (n+1): the data rows plus a final row in
+  powers of the interpolation parameter t, which is a fresh trailing ring
+  variable unless pinned to a number.  Their determinants are the numerator
+  and denominator of the interpolant as polynomials in t.
+* "P-top" and "Q-top" are n x n: the data rows with the top power of the
+  numerator block (resp. the denominator block) left out.  Their signed
+  determinants are the leading coefficients P_k and Q_l.
+
+Tests compare the library's minors against these.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional
+
+from hirotaweb import MultiPoly, PolyMatrix, WebSpec
+
+KINDS = ("P-full", "Q-full", "P-top", "Q-top")
+
+
+def _power(value, e: int, n_vars: int) -> MultiPoly:
+    """value**e as a polynomial; value is an exact number or a polynomial."""
+    if isinstance(value, MultiPoly):
+        return value ** e
+    return MultiPoly.const(n_vars, Fraction(value) ** e)
+
+
+def _data_rows(spec: WebSpec, p_top: int, q_top: int, n_vars: int) -> list[list[MultiPoly]]:
+    """Rows [1, l_i, ..., l_i^p_top, -x_i, ..., -x_i l_i^q_top]; a negative
+    top degree gives an empty block."""
+    rows = []
+    for i in range(1, spec.n + 1):
+        lam = spec.node(i, n_vars)
+        x = spec.x_poly(i, n_vars)
+        rows.append([_power(lam, j, n_vars) for j in range(p_top + 1)]
+                    + [-(x * _power(lam, j, n_vars)) for j in range(q_top + 1)])
+    return rows
+
+
+def build_system_matrix(spec: WebSpec, which: str,
+                        param: Optional[Fraction] = None) -> PolyMatrix:
+    """One of the four interpolation matrices named in ``KINDS``."""
+    if which not in KINDS:
+        raise ValueError(f"unknown matrix kind {which!r}")
+    n, k, l = spec.n, spec.k, spec.l
+    if which == "P-top":
+        return PolyMatrix.from_rows(_data_rows(spec, k - 1, l, spec.n_vars))
+    if which == "Q-top":
+        return PolyMatrix.from_rows(_data_rows(spec, k, l - 1, spec.n_vars))
+    n_vars = spec.n_vars + (1 if param is None else 0)
+    t = MultiPoly.variable(n_vars, n_vars - 1) if param is None else param
+    powers = [_power(t, j, n_vars) for j in range(max(k, l) + 1)]
+    zero = MultiPoly.zero(n_vars)
+    if which == "P-full":
+        last = powers[:k + 1] + [zero] * (l + 1)
+    else:
+        last = [zero] * (k + 1) + powers[:l + 1]
+    return PolyMatrix.from_rows(_data_rows(spec, k, l, n_vars) + [last])
+
+
+def determinant_cofactor_naive(m: PolyMatrix) -> MultiPoly:
+    """Plain unmemoized Laplace expansion along the first column."""
+    if m.rows != m.cols:
+        raise ValueError("non-square matrix")
+
+    def expand(cols: tuple[int, ...], rows: tuple[int, ...]) -> MultiPoly:
+        if len(cols) == 1:
+            return m.entry(rows[0], cols[0])
+        total = MultiPoly.zero(m.n_vars)
+        for position, row in enumerate(rows):
+            piece = m.entry(row, cols[0]) * expand(cols[1:], rows[:position] + rows[position + 1:])
+            total = total + (piece if position % 2 == 0 else -piece)
+        return total
+
+    if m.rows == 0:
+        return MultiPoly.one(m.n_vars)
+    return expand(tuple(range(m.cols)), tuple(range(m.rows)))
+
+
+def top_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
+    """(P_k, Q_l) as the signed P-top and Q-top determinants.
+
+    Expanding a full determinant along its parameter row (row n, 0-based)
+    gives the t^j entry in column c the cofactor sign (-1)^(n+c): c = k for
+    the numerator's top power, c = k+l+1 = n for the denominator's.
+    """
+    p_det = determinant_cofactor_naive(build_system_matrix(spec, "P-top"))
+    q_det = determinant_cofactor_naive(build_system_matrix(spec, "Q-top"))
+    p_sign = -1 if (spec.n + spec.k) % 2 else 1
+    q_sign = -1 if (spec.n + spec.k + spec.l + 1) % 2 else 1
+    return p_det * p_sign, q_det * q_sign

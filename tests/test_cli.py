@@ -153,18 +153,6 @@ def test_degenerate_geometry_request_is_config_error():
     assert "error" in text
 
 
-def test_thread_cap_env(monkeypatch, capsys):
-    monkeypatch.setenv("HIROTA_SEEDS_THREADS", "2")
-    code = main(["verify", "--n", "3", "--k", "1", "--l", "1"])
-    assert code == EXIT_OK
-    baseline = capsys.readouterr().out
-    monkeypatch.setenv("HIROTA_SEEDS_THREADS", "1")
-    assert main(["verify", "--n", "3", "--k", "1", "--l", "1"]) == EXIT_OK
-    assert capsys.readouterr().out == baseline
-    monkeypatch.setenv("HIROTA_SEEDS_THREADS", "zero")
-    assert main(["verify", "--n", "3", "--k", "1", "--l", "1"]) == EXIT_CONFIG
-
-
 def test_latex_output_is_balanced():
     code, text = run(config(format="latex"))
     assert code == EXIT_OK
@@ -175,3 +163,14 @@ def test_latex_output_is_balanced():
                             format="latex"))
     assert code == EXIT_OK
     assert text.count("{") == text.count("}")
+
+
+def test_latex_generate_renders_the_solution_under_test():
+    spec = WebSpec.numeric(3, 1, 1)
+    sol = build_solution(spec)
+    x1 = MultiPoly.variable(3, 0)
+    p = sol.p_top + x1 * x1
+    override = HirotaSolution(spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    code, text = run(config(format="latex"), solution_override=override)
+    assert code == EXIT_OK
+    assert "\\frac{x_{1}^{2} + x_{1}x_{2} - 2x_{1}x_{3} + x_{2}x_{3}}" in text

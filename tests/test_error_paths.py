@@ -6,9 +6,8 @@ import pytest
 
 from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        Mobius, MultiPoly, RationalFunction, WebSpec, WebSpecError,
-                       build_solution, build_system_matrix, exact_div,
-                       flatness_check, restrict, transform, verify_hirota,
-                       veronese_form)
+                       build_solution, exact_div, flatness_check, restrict,
+                       transform, verify_hirota, veronese_form)
 
 
 def test_polynomial_error_paths():
@@ -58,8 +57,6 @@ def test_form_validation():
 
 def test_web_level_error_paths():
     with pytest.raises(WebSpecError):
-        build_system_matrix(WebSpec.numeric(3, 1, 1), "Q-middle")
-    with pytest.raises(WebSpecError):
         verify_hirota(build_solution(WebSpec.numeric(3, 1, 1)), mode="guess")
     with pytest.raises(WebSpecError):
         verify_hirota(build_solution(WebSpec.numeric(3, 1, 1)),
@@ -95,6 +92,10 @@ def test_floats_rejected_at_value_boundaries():
         x1.evaluate([1, 0.5])
     with pytest.raises(InexactNumberError):
         x1.second_order_jet([1, 0.5], 2)
+    for combine in (lambda: x1 * 0.5, lambda: 0.5 * x1, lambda: x1 + 0.5,
+                    lambda: 0.5 + x1, lambda: x1 - 0.5, lambda: 0.5 - x1):
+        with pytest.raises(InexactNumberError):
+            combine()
     with pytest.raises(InexactNumberError):
         Mobius(0.1, 0, 0, 1)
     with pytest.raises(InexactNumberError):

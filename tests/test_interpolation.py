@@ -6,11 +6,12 @@ import pytest
 
 from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
-                       build_system_matrix, cauchy_interpolant,
-                       evaluate_interpolant, highest_coefficients,
-                       interpolant_matches_oracle, interpolation_check,
-                       random_numeric_instances, signed_minors, solve_oracle)
+                       cauchy_interpolant, evaluate_interpolant,
+                       highest_coefficients, interpolant_matches_oracle,
+                       interpolation_check, random_numeric_instances,
+                       signed_minors, solve_oracle)
 from reference_forms import closed_form_3d, common_scalar
+from reference_interpolation import build_system_matrix, top_coefficients
 
 
 def poly_rows(matrix):
@@ -78,6 +79,23 @@ def test_highest_coefficients_match_symbolic_closed_form():
     known_p, known_q = closed_form_3d()
     assert RationalFunction(p_top, q_top) == RationalFunction(known_p, known_q)
     assert common_scalar(p_top, q_top, known_p, known_q) == -1
+
+
+ALL_ORDERS = ([WebSpec.numeric(n, k, n - 1 - k)
+               for n in range(2, 7) for k in range(n)]
+              + [WebSpec.symbolic(n, k, n - 1 - k)
+                 for n in range(2, 6) for k in range(n)])
+
+
+@pytest.mark.parametrize("spec", ALL_ORDERS, ids=lambda s: s.describe())
+def test_highest_coefficients_are_signed_top_determinants(spec):
+    # The leading coefficients come from the row matrix's minors at columns
+    # k and n; the oracle expands the separate P-top and Q-top matrices.
+    p_top, q_top = highest_coefficients(spec)
+    assert (p_top, q_top) == top_coefficients(spec)
+    every = signed_minors(spec)
+    assert (p_top, q_top) == (every[spec.k], every[spec.n])
+    assert signed_minors(spec, (spec.n, 0)) == [every[spec.n], every[0]]
 
 
 def test_lagrange_degeneration():

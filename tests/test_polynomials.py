@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DimensionError, InexactDivisionError, MultiPoly,
-                       PolyMatrix, WebSpec, build_system_matrix, determinant,
-                       determinant_cofactor_naive, exact_div, maximal_minors,
-                       poly_from_json, poly_text, poly_to_json)
+                       PolyMatrix, WebSpec, determinant, exact_div,
+                       maximal_minors, poly_from_json, poly_text, poly_to_json)
 from hirotaweb.polynomials import _det_bareiss
+from reference_interpolation import build_system_matrix, determinant_cofactor_naive
 
 
 def var(n, i):
@@ -371,3 +371,45 @@ def test_second_order_jet_stays_integral_and_checks_sizes():
         p.second_order_jet([1, 2], 1)
     with pytest.raises(DimensionError):
         p.second_order_jet([1, 2, 3], 4)
+
+
+@st.composite
+def _poly_matrix(draw, extra_cols=0):
+    """A random r x (r + extra_cols) matrix, r in 1..5, whose entries have
+    int or Fraction coefficients in one or two variables."""
+    size = draw(st.integers(1, 5))
+    n_vars = draw(st.integers(1, 2))
+    exponents = st.tuples(*[st.integers(0, 2)] * n_vars)
+    entry = st.dictionaries(exponents, _coefficients, max_size=3).map(
+        lambda terms: MultiPoly(n_vars, terms))
+    rows = draw(st.lists(st.lists(entry, min_size=size + extra_cols,
+                                  max_size=size + extra_cols),
+                         min_size=size, max_size=size))
+    return PolyMatrix.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_matrix())
+def test_determinant_routes_agree(m):
+    expected = determinant_cofactor_naive(m)
+    assert determinant(m) == expected
+    assert _det_bareiss(m) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_matrix(extra_cols=1), st.data())
+def test_maximal_minors_column_subset_matches_full_list(m, data):
+    columns = data.draw(st.lists(st.integers(0, m.rows), max_size=m.cols))
+    every = maximal_minors(m)
+    assert maximal_minors(m, columns) == [every[c] for c in columns]
+
+
+def test_maximal_minors_column_subset_on_the_elimination_path():
+    # Above the cofactor limit each requested minor is its own determinant.
+    rng = random.Random(8)
+    m = PolyMatrix.from_rows([[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-1, 1)
+                               for _ in range(9)] for _ in range(8)])
+    every = maximal_minors(m)
+    assert maximal_minors(m, (8, 3)) == [every[8], every[3]]
+    with pytest.raises(DimensionError):
+        maximal_minors(m, (9,))
