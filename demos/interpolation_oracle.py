@@ -6,8 +6,7 @@ from fractions import Fraction
 
 from hirotaweb import (DegenerateInterpolantError, WebSpec,
                        cauchy_interpolant, evaluate_interpolant,
-                       interpolant_matches_oracle, random_numeric_instances,
-                       solve_oracle)
+                       random_numeric_instances, solve_oracle)
 
 spec = WebSpec.numeric(3, 1, 1)
 data = [Fraction(1), Fraction(2), Fraction(5)]
@@ -43,7 +42,6 @@ print()
 print("Agreement on random nondegenerate instances, all orders with n = 4:")
 for k in range(4):
     l = 3 - k
-    matched = sum(
-        interpolant_matches_oracle(s, xs)
-        for s, xs in random_numeric_instances(4, k, l, count=50, seed=77 + k))
+    matched = sum(ok for _, _, ok in
+                  random_numeric_instances(4, k, l, count=50, seed=77 + k))
     print(f"  [{k}/{l}]: {matched}/50 matched")

@@ -1,11 +1,14 @@
-"""Exterior algebra over rational-function coefficients.
+"""Exterior algebra with polynomial components over one denominator per form.
 
-A degree-g form is stored as a map from strictly increasing g-tuples of
-0-based variable indices to RationalFunction components (zero components are
-never stored; the degree-0 form has the single key ()).  Wedge products use
-merge-inversion signs, and the exterior derivative differentiates every ring
-variable, so forms should be built over rings whose variables are all
-genuine coordinates (numeric-node mode).
+A degree-g form maps strictly increasing g-tuples of 0-based variable indices
+to polynomial numerators (zero components are never stored; the degree-0
+form has the single key ()) and carries one nonzero polynomial denominator
+for all of them (1 for polynomial forms).  Nothing is normalized: equality
+cross-multiplies, and a component becomes a RationalFunction, whose
+normalization is canonical, only when it is read or rendered.  Wedge
+products use merge-inversion signs, and the exterior derivative
+differentiates every ring variable, so forms should be built over rings
+whose variables are all genuine coordinates (numeric-node mode).
 
 LambdaForm bundles a list of forms as the coefficients of a polynomial in a
 spectral parameter; its ``d`` and ``wedge`` act degree by degree, which is
@@ -22,7 +25,17 @@ from .polynomials import MultiPoly, Scalar, _exact, poly_to_json
 from .ratfunc import RationalFunction
 
 Index = tuple[int, ...]
+Numerator = Union[MultiPoly, Scalar]
 Coefficient = Union[RationalFunction, MultiPoly, Scalar]
+
+
+def _poly(value: Numerator, n_vars: int) -> MultiPoly:
+    return value if isinstance(value, MultiPoly) else MultiPoly.const(n_vars, value)
+
+
+def _accumulate(out: dict[Index, MultiPoly], idx: Index, piece: MultiPoly) -> None:
+    cur = out.get(idx)
+    out[idx] = piece if cur is None else cur + piece
 
 
 def _merge_indices(left: Index, right: Index) -> Optional[tuple[int, Index]]:
@@ -47,17 +60,24 @@ def _merge_indices(left: Index, right: Index) -> Optional[tuple[int, Index]]:
 
 
 class DifferentialForm:
-    """Alternating form of fixed degree with RationalFunction components."""
+    """Alternating form of fixed degree: polynomial numerators over one
+    denominator ``den``."""
 
-    __slots__ = ("n_vars", "degree", "components")
+    __slots__ = ("n_vars", "degree", "components", "den")
 
     def __init__(self, n_vars: int, degree: int,
-                 components: Optional[Mapping[Index, Coefficient]] = None):
+                 components: Optional[Mapping[Index, Numerator]] = None,
+                 den: Numerator = 1):
         if degree < 0:
             raise DimensionError("negative form degree")
         self.n_vars = n_vars
         self.degree = degree
-        clean: dict[Index, RationalFunction] = {}
+        self.den = _poly(den, n_vars)
+        if self.den.is_zero:
+            raise ZeroDivisionError("zero denominator polynomial")
+        if self.den.n_vars != n_vars:
+            raise DimensionError("form denominator from a different ring")
+        clean: dict[Index, MultiPoly] = {}
         for idx, value in (components or {}).items():
             idx = tuple(idx)
             if len(idx) != degree:
@@ -66,7 +86,7 @@ class DifferentialForm:
                 raise DimensionError(f"component index {idx} is not strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= n_vars):
                 raise DimensionError(f"component index {idx} out of range")
-            coeff = RationalFunction._coerce(value, n_vars)
+            coeff = _poly(value, n_vars)
             if coeff.is_zero:
                 continue
             if coeff.n_vars != n_vars:
@@ -83,7 +103,9 @@ class DifferentialForm:
     @classmethod
     def from_function(cls, value: Coefficient, n_vars: Optional[int] = None) -> "DifferentialForm":
         """Wrap a scalar/polynomial/rational function as a 0-form."""
-        if isinstance(value, (MultiPoly, RationalFunction)):
+        if isinstance(value, RationalFunction):
+            return cls(value.n_vars, 0, {(): value.num}, value.den)
+        if isinstance(value, MultiPoly):
             n_vars = value.n_vars
         elif n_vars is None:
             raise DimensionError("n_vars required for a scalar 0-form")
@@ -94,7 +116,7 @@ class DifferentialForm:
         """The coordinate 1-form for the 0-based variable ``var``."""
         if not 0 <= var < n_vars:
             raise DimensionError(f"variable index {var} out of range")
-        return cls(n_vars, 1, {(var,): Fraction(1)})
+        return cls(n_vars, 1, {(var,): 1})
 
     # -- predicates --------------------------------------------------------------
 
@@ -103,18 +125,20 @@ class DifferentialForm:
         return not self.components
 
     def component(self, idx: Iterable[int]) -> RationalFunction:
-        return self.components.get(tuple(idx),
-                                   RationalFunction.from_scalar(self.n_vars, 0))
+        num = self.components.get(tuple(idx), MultiPoly.zero(self.n_vars))
+        return RationalFunction(num, self.den)
 
     def __eq__(self, other: object) -> bool:
+        """Cross-multiplication, component by component."""
         if not isinstance(other, DifferentialForm):
             return NotImplemented
-        if self.n_vars != other.n_vars or self.degree != other.degree:
+        if (self.n_vars != other.n_vars or self.degree != other.degree
+                or self.components.keys() != other.components.keys()):
             return False
-        for idx in set(self.components) | set(other.components):
-            if self.component(idx) != other.component(idx):
-                return False
-        return True
+        if self.den == other.den:
+            return self.components == other.components
+        return all(coeff * other.den == other.components[idx] * self.den
+                   for idx, coeff in self.components.items())
 
     __hash__ = None
 
@@ -128,34 +152,38 @@ class DifferentialForm:
 
     def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
         self._check_compatible(other)
-        out = dict(self.components)
-        for idx, coeff in other.components.items():
-            cur = out.get(idx)
-            total = coeff if cur is None else cur + coeff
-            if total.is_zero:
-                out.pop(idx, None)
-            else:
-                out[idx] = total
-        result = DifferentialForm(self.n_vars, self.degree)
-        result.components = out
-        return result
+        if other.is_zero:
+            return self
+        if self.is_zero:
+            return other
+        if self.den == other.den:
+            out, den = dict(self.components), self.den
+            for idx, coeff in other.components.items():
+                _accumulate(out, idx, coeff)
+        else:
+            out = {idx: c * other.den for idx, c in self.components.items()}
+            for idx, coeff in other.components.items():
+                _accumulate(out, idx, coeff * self.den)
+            den = self.den * other.den
+        return DifferentialForm(self.n_vars, self.degree, out, den)
 
     def __neg__(self) -> "DifferentialForm":
-        result = DifferentialForm(self.n_vars, self.degree)
-        result.components = {idx: -c for idx, c in self.components.items()}
-        return result
+        return DifferentialForm(self.n_vars, self.degree,
+                                {idx: -c for idx, c in self.components.items()},
+                                self.den)
 
     def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
         return self.__add__(other.__neg__())
 
     def scale(self, factor: Coefficient) -> "DifferentialForm":
         """Multiply every component by a function (0-form scaling)."""
-        factor = RationalFunction._coerce(factor, self.n_vars)
-        if factor.is_zero:
-            return DifferentialForm.zero(self.n_vars, self.degree)
-        result = DifferentialForm(self.n_vars, self.degree)
-        result.components = {idx: c * factor for idx, c in self.components.items()}
-        return result
+        den = self.den
+        if isinstance(factor, RationalFunction):
+            factor, den = factor.num, den * factor.den
+        factor = _poly(factor, self.n_vars)
+        return DifferentialForm(self.n_vars, self.degree,
+                                {idx: c * factor for idx, c in self.components.items()},
+                                den)
 
     def __mul__(self, factor: Coefficient) -> "DifferentialForm":
         return self.scale(factor)
@@ -167,8 +195,7 @@ class DifferentialForm:
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
         if self.n_vars != other.n_vars:
             raise DimensionError("forms over different rings")
-        degree = self.degree + other.degree
-        out: dict[Index, RationalFunction] = {}
+        out: dict[Index, MultiPoly] = {}
         for idx_a, coeff_a in self.components.items():
             for idx_b, coeff_b in other.components.items():
                 merged = _merge_indices(idx_a, idx_b)
@@ -176,42 +203,34 @@ class DifferentialForm:
                     continue
                 sign, idx = merged
                 piece = coeff_a * coeff_b
-                if sign < 0:
-                    piece = -piece
-                cur = out.get(idx)
-                total = piece if cur is None else cur + piece
-                if total.is_zero:
-                    out.pop(idx, None)
-                else:
-                    out[idx] = total
-        result = DifferentialForm(self.n_vars, degree)
-        result.components = out
-        return result
+                _accumulate(out, idx, piece if sign > 0 else -piece)
+        return DifferentialForm(self.n_vars, self.degree + other.degree, out,
+                                self.den * other.den)
 
     def exterior_derivative(self) -> "DifferentialForm":
-        """d(f dx_I) summed over components: each variable differentiates f
-        and wedges in from the left with the appropriate shuffle sign."""
-        out: dict[Index, RationalFunction] = {}
+        """d(f dx_I) summed over the numerators: each variable differentiates
+        f and wedges in from the left with the appropriate shuffle sign.  A
+        nonconstant denominator h then takes the quotient rule
+        d(w/h) = (h dw - dh^w)/h^2."""
+        n, degree = self.n_vars, self.degree
+        out: dict[Index, MultiPoly] = {}
         for idx, coeff in self.components.items():
-            for var in range(self.n_vars):
+            for var in range(n):
                 if var in idx:
                     continue
                 partial = coeff.derivative(var)
                 if partial.is_zero:
                     continue
                 position = sum(1 for i in idx if i < var)
-                if position % 2:
-                    partial = -partial
-                key = tuple(sorted(idx + (var,)))
-                cur = out.get(key)
-                total = partial if cur is None else cur + partial
-                if total.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = total
-        result = DifferentialForm(self.n_vars, self.degree + 1)
-        result.components = out
-        return result
+                _accumulate(out, tuple(sorted(idx + (var,))),
+                            -partial if position % 2 else partial)
+        h = self.den
+        if h.is_constant:
+            return DifferentialForm(n, degree + 1, out, h)
+        dh = DifferentialForm.from_function(h).exterior_derivative()
+        top = (DifferentialForm(n, degree + 1, out).scale(h)
+               - dh.wedge(DifferentialForm(n, degree, self.components)))
+        return DifferentialForm(n, degree + 1, top.components, h * h)
 
     # -- output -----------------------------------------------------------------------
 
@@ -221,8 +240,7 @@ class DifferentialForm:
         names = names or [f"x{i + 1}" for i in range(self.n_vars)]
         pieces = []
         for idx in sorted(self.components):
-            coeff = self.components[idx]
-            body = coeff.text(names)
+            body = self.component(idx).text(names)
             if (" + " in body or " - " in body) and not body.startswith("("):
                 body = f"({body})"
             basis = "^".join(f"d{names[i]}" for i in idx)
@@ -236,17 +254,13 @@ class DifferentialForm:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "components": [
-                {
-                    "idx": [i + 1 for i in idx],
-                    "num": poly_to_json(self.components[idx].num),
-                    "den": poly_to_json(self.components[idx].den),
-                }
-                for idx in sorted(self.components)
-            ],
-        }
+        entries = []
+        for idx in sorted(self.components):
+            coeff = self.component(idx)
+            entries.append({"idx": [i + 1 for i in idx],
+                            "num": poly_to_json(coeff.num),
+                            "den": poly_to_json(coeff.den)})
+        return {"degree": self.degree, "components": entries}
 
 
 class LambdaForm:

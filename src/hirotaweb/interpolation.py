@@ -336,11 +336,14 @@ def interpolant_matches_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> boo
 
 
 def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
-                             bound: int = 20) -> Iterator[tuple[WebSpec, list[Fraction]]]:
+                             bound: int = 20
+                             ) -> Iterator[tuple[WebSpec, list[Fraction], bool]]:
     """Reproducible random nondegenerate instances for oracle comparisons.
 
     Integer nodes and data in [-bound, bound], rejection-sampled until the
-    nodes are distinct and the interpolation system is solvable.
+    nodes are distinct and the interpolation system is solvable.  Each
+    instance comes with its ``interpolant_matches_oracle`` verdict, so each
+    route runs once per accepted instance.
     """
     rng = random.Random(seed)
     produced = 0
@@ -351,9 +354,8 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
         xs = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
         spec = WebSpec.numeric(n, k, l, lambdas)
         try:
-            solve_oracle(spec, xs)
-            cauchy_interpolant(spec, normalize=True, x_values=xs)
+            matched = interpolant_matches_oracle(spec, xs)
         except DegenerateInterpolantError:
             continue
         produced += 1
-        yield spec, xs
+        yield spec, xs, matched

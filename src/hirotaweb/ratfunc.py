@@ -115,14 +115,7 @@ class RationalFunction:
 
     __hash__ = None  # unreduced representatives are not canonical
 
-    # -- calculus and evaluation ----------------------------------------------
-
-    def derivative(self, var: int) -> "RationalFunction":
-        """Quotient rule, no reduction: (num' den - num den') / den^2."""
-        num_d = self.num.derivative(var)
-        den_d = self.den.derivative(var)
-        return RationalFunction(num_d * self.den - self.num * den_d,
-                                self.den * self.den)
+    # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
         bottom = self.den.evaluate(values)

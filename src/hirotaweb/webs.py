@@ -390,6 +390,8 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     Coefficient m is sum_i e_im f_i dx_i where e_im is the lambda^m
     coefficient of prod_{j != i} (lambda - lambda_j); evaluating the result
     at node_i leaves a multiple of dx_i, and the leading coefficient is df.
+    With f = P/Q each f_i is N_i/Q^2, so every coefficient form is
+    sum_i e_im N_i dx_i over the one denominator Q^2.
     """
     values = [_exact(v) for v in lambdas]
     n = len(values)
@@ -398,8 +400,9 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     if f.n_vars != n:
         raise DimensionError(
             f"function has {f.n_vars} variables but {n} nodes were given")
-    partials = [f.derivative(v) for v in range(n)]
-    coefficient_forms = []
+    factors = _ResidualFactors(f)
+    numerators = [factors.n_poly(v) for v in range(n)]
+    den = f.den * f.den
     expansions = []
     for i in range(n):
         conv = [Fraction(1)]
@@ -412,54 +415,25 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
                 nxt[m] -= values[j] * c
             conv = nxt
         expansions.append(conv)
-    for m in range(n):
-        components = {}
-        for i in range(n):
-            coeff = partials[i] * expansions[i][m]
-            if not coeff.is_zero:
-                components[(i,)] = coeff
-        coefficient_forms.append(DifferentialForm(n, 1, components))
-    return LambdaForm(coefficient_forms)
+    return LambdaForm([
+        DifferentialForm(n, 1, {(i,): numerators[i] * expansions[i][m]
+                                for i in range(n)}, den)
+        for m in range(n)])
 
 
 def frobenius_check(alpha: LambdaForm) -> bool:
     """Whether d(alpha) wedge alpha vanishes for every parameter power.
 
-    If every component of every coefficient form shares one primitive
-    denominator h, the test runs on the cleared pencil h*alpha instead:
-    h is parameter-free, so d(h a) wedge (h a) = h^2 (d a wedge a) vanishes
-    coefficient-for-coefficient exactly when the original does, and the
-    cleared computation stays purely polynomial.
+    If the nonzero coefficient forms share one denominator h, the test runs
+    on their numerators h*alpha instead: h is parameter-free, so
+    d(h a) wedge (h a) = h^2 (d a wedge a) vanishes coefficient-for-coefficient
+    exactly when the original does, and the computation stays polynomial.
     """
-    cleared = _clear_common_denominator(alpha)
-    target = cleared if cleared is not None else alpha
-    return target.d().wedge(target).is_zero
-
-
-def _clear_common_denominator(alpha: LambdaForm) -> Optional[LambdaForm]:
-    """h*alpha with polynomial components, when all denominators agree up to
-    a scalar; None when they do not."""
-    common: Optional[MultiPoly] = None
-    for form in alpha.coefficients:
-        for coeff in form.components.values():
-            primitive = coeff.den * (1 / coeff.den.content())
-            if common is None:
-                common = primitive
-            elif common != primitive:
-                return None
-    if common is None:
-        return alpha  # no components at all: the zero pencil
-    one = MultiPoly.one(common.n_vars)
-    cleared = []
-    for form in alpha.coefficients:
-        components = {}
-        for idx, coeff in form.components.items():
-            scalar = 1 / coeff.den.content()
-            components[idx] = RationalFunction(coeff.num * scalar, one)
-        stripped = DifferentialForm(form.n_vars, form.degree)
-        stripped.components = components
-        cleared.append(stripped)
-    return LambdaForm(cleared)
+    dens = [form.den for form in alpha.coefficients if not form.is_zero]
+    if all(den == dens[0] for den in dens):
+        alpha = LambdaForm([DifferentialForm(form.n_vars, form.degree, form.components)
+                            for form in alpha.coefficients])
+    return alpha.d().wedge(alpha).is_zero
 
 
 @dataclass(frozen=True)
@@ -478,13 +452,7 @@ class Coframe:
 
 
 def _gradient_form(p: MultiPoly) -> DifferentialForm:
-    n = p.n_vars
-    components = {}
-    for v in range(n):
-        partial = p.derivative(v)
-        if not partial.is_zero:
-            components[(v,)] = RationalFunction(partial)
-    return DifferentialForm(n, 1, components)
+    return DifferentialForm.from_function(p).exterior_derivative()
 
 
 def _interpolant_polys(spec: WebSpec) -> tuple[list[MultiPoly], list[MultiPoly]]:
@@ -523,8 +491,9 @@ def coframe(spec: WebSpec, normalized: bool = True) -> Coframe:
         q0 = q_list[0]
         if q0.is_zero:
             raise DegenerateInterpolantError("denominator constant term vanishes")
-        scale = RationalFunction(MultiPoly.one(spec.n_vars), q0 * q0)
-        forms = [form.scale(scale) for form in forms]
+        # the raw forms are polynomial: q0^2 becomes their denominator
+        forms = [DifferentialForm(spec.n_vars, 1, form.components, q0 * q0)
+                 for form in forms]
     return Coframe(spec, tuple(forms), normalized)
 
 
@@ -586,14 +555,13 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
         gamma_p0 = _gradient_form(p_list[0]).scale(q0) - _gradient_form(q0).scale(p_list[0])
         gamma_p1 = _gradient_form(p_list[1]).scale(q0) - _gradient_form(q0).scale(p_list[1])
         gamma_q1 = _gradient_form(q_list[1]).scale(q0) - _gradient_form(q0).scale(q_list[1])
-        rhs = gamma_q1.wedge(gamma_p0).wedge(gamma_p1).scale(MultiPoly.const(spec.n_vars, 2))
+        rhs = gamma_q1.wedge(gamma_p0).wedge(gamma_p1).scale(2)
         if w1_poly.scale(q0 * q0) != rhs:
             raise HirotaWebError(
                 "internal inconsistency: the coframe witness identity failed")
         identity_checked = True
 
-    witness_scale = RationalFunction(MultiPoly.one(spec.n_vars), q0 ** 4)
-    witness = w1_poly.scale(witness_scale)
+    witness = DifferentialForm(spec.n_vars, 3, w1_poly.components, q0 ** 4)
     alpha1_ok = w1_poly.is_zero
     cross_ok = w2_poly.is_zero
     if not alpha1_ok:

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from hirotaweb import (Mobius, RationalFunction, WebSpec, build_solution,
                        coframe, flatness_check,
-                       frobenius_check, interpolant_matches_oracle,
-                       interpolation_check, random_numeric_instances,
+                       frobenius_check, interpolation_check,
+                       random_numeric_instances,
                        restrict, restricted_nodes, structural_properties,
                        transform, verify_hirota, veronese_form)
 from reference_forms import (closed_form_3d, closed_form_4d,
@@ -146,9 +146,9 @@ def test_criterion_08_interpolation_identities():
         for n in range(2, 6):
             for k, l in orders(n):
                 count = 0
-                for spec, xs in random_numeric_instances(
+                for _, xs, matched in random_numeric_instances(
                         n, k, l, count=100, seed=1000 + 10 * n + k):
-                    assert interpolant_matches_oracle(spec, xs), (n, k, l, xs)
+                    assert matched, (n, k, l, xs)
                     count += 1
                 assert count == 100
 

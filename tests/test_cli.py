@@ -78,6 +78,24 @@ def test_oracle_command():
     assert "20/20" in text
 
 
+def test_oracle_runs_each_route_once_per_instance(monkeypatch):
+    # Seed 42 rejects no instance at this order, so 10 trials are 10 calls.
+    import hirotaweb.interpolation as interpolation
+    calls = {"solve_oracle": 0, "cauchy_interpolant": 0}
+    for name in calls:
+        original = getattr(interpolation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(interpolation, name, counted)
+    code, text = run(config("oracle", n=4, k=1, l=2, lambdas=(1, 2, 3, 4),
+                            trials=10))
+    assert code == EXIT_OK and "10/10" in text
+    assert calls == {"solve_oracle": 10, "cauchy_interpolant": 10}
+
+
 def test_determinism_byte_identical():
     cfg = config("verify", n=4, k=2, l=1, lambdas=(1, 2, 3, 4),
                  mode="sampled", trials=3, seed=11)

@@ -37,8 +37,15 @@ INVOCATIONS = [
     f"properties {K2} --lambdas symbolic",
     f"oracle {K1} --trials 5 --seed 3",
 ]
-ARGVS = [f"{invocation} --format {fmt}"
-         for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
+# Nonflat witnesses at n = 5, with a zero node and with non-integer nodes.
+WITNESSES = [
+    "flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
+    "flatness --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5",
+]
+ARGVS = ([f"{invocation} --format {fmt}"
+          for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
+         + [f"{witness} --format {fmt}"
+            for fmt in ("text", "json") for witness in WITNESSES])
 
 
 def _capture(argv: str) -> dict:

@@ -51,6 +51,12 @@ def test_form_validation():
     with pytest.raises(DimensionError):
         DifferentialForm.dx(3, 0) + DifferentialForm.dx(3, 0).wedge(
             DifferentialForm.dx(3, 1))            # degree mismatch
+    with pytest.raises(ZeroDivisionError):
+        DifferentialForm(3, 1, {(0,): x1}, 0)     # zero denominator
+    with pytest.raises(DimensionError):
+        DifferentialForm(3, 1, {(0,): x1}, MultiPoly.variable(2, 0))
+    with pytest.raises(InexactNumberError):
+        DifferentialForm.dx(3, 0).scale(0.5)
     zero = DifferentialForm.zero(3, 1)
     assert zero.component((0,)).is_zero
 

@@ -15,8 +15,8 @@ def _assert_exact_poly(poly):
 
 def _assert_exact_form(form):
     for coeff in form.components.values():
-        _assert_exact_poly(coeff.num)
-        _assert_exact_poly(coeff.den)
+        _assert_exact_poly(coeff)
+    _assert_exact_poly(form.den)
 
 
 def test_pipeline_stays_exact():

@@ -1,10 +1,12 @@
 """Wedge products, exterior derivatives, and the graded-algebra laws."""
 
-import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from hirotaweb import (DifferentialForm, LambdaForm, MultiPoly,
-                       RationalFunction, WebSpec, signed_minors)
+                       RationalFunction, WebSpec, frobenius_check,
+                       signed_minors)
 
 
 def var(n, i):
@@ -55,63 +57,71 @@ def test_zero_form_checks():
     assert (dx1x2 - dx1x2).is_zero
 
 
-def _random_poly(rng, n_vars=3):
-    out = {}
-    for _ in range(4):
-        exps = [0] * n_vars
-        for _ in range(rng.randint(0, 3)):
-            exps[rng.randrange(n_vars)] += 1
-        key = tuple(exps)
-        out[key] = out.get(key, Fraction(0)) + Fraction(rng.randint(-3, 3))
-    return MultiPoly(n_vars, out)
+_coefficients = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-2, max_value=2, max_denominator=3))
+# Polynomials in three variables of degree at most 2 in each.
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _coefficients,
+                         max_size=4).map(lambda terms: MultiPoly(3, terms))
+_dens = _polys.filter(lambda p: not p.is_zero)
+_KEYS = {0: [()], 1: [(0,), (1,), (2,)], 2: [(0, 1), (0, 2), (1, 2)]}
 
 
-def _random_form(rng, degree, n_vars=3):
-    form = DifferentialForm.zero(n_vars, degree)
-    keys = {
-        0: [()],
-        1: [(0,), (1,), (2,)],
-        2: [(0, 1), (0, 2), (1, 2)],
-    }[degree]
-    comps = {}
-    for key in keys:
-        p = _random_poly(rng, n_vars)
-        if not p.is_zero:
-            comps[key] = RationalFunction(p)
-    form.components = comps
-    return form
+@st.composite
+def _random_form(draw, degree):
+    """A form of the given degree over three variables, with a random
+    nonzero polynomial denominator."""
+    components = {key: draw(_polys) for key in _KEYS[degree]}
+    return DifferentialForm(3, degree, components, draw(_dens))
 
 
-def test_d_squared_is_zero():
-    rng = random.Random(12)
-    for _ in range(15):
-        a = _random_form(rng, 1)
-        assert a.exterior_derivative().exterior_derivative().is_zero
+def _sign(parity):
+    return -1 if parity % 2 else 1
 
 
-def test_graded_anticommutativity():
-    rng = random.Random(13)
-    for da in (0, 1, 2):
-        for db in (0, 1, 2):
-            a = _random_form(rng, da)
-            b = _random_form(rng, db)
-            lhs = a.wedge(b)
-            rhs = b.wedge(a)
-            if (da * db) % 2:
-                rhs = -rhs
-            assert lhs == rhs
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 1).flatmap(_random_form))
+def test_d_squared_is_zero(a):
+    assert a.exterior_derivative().exterior_derivative().is_zero
 
 
-def test_leibniz_rule():
-    rng = random.Random(14)
-    for da, db in ((0, 0), (0, 1), (1, 0), (1, 1), (1, 2)):
-        a = _random_form(rng, da)
-        b = _random_form(rng, db)
-        lhs = a.wedge(b).exterior_derivative()
-        rhs = a.exterior_derivative().wedge(b)
-        signed = a.wedge(b.exterior_derivative())
-        rhs = rhs + (-signed if da % 2 else signed)
-        assert lhs == rhs
+_degree_pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_degree_pairs.flatmap(lambda d: st.tuples(_random_form(d[0]), _random_form(d[1]))))
+def test_graded_anticommutativity(pair):
+    a, b = pair
+    assert a.wedge(b) == b.wedge(a).scale(_sign(a.degree * b.degree))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_degree_pairs.filter(lambda d: sum(d) <= 2).flatmap(
+    lambda d: st.tuples(_random_form(d[0]), _random_form(d[1]))))
+def test_leibniz_rule(pair):
+    a, b = pair
+    lhs = a.wedge(b).exterior_derivative()
+    rhs = (a.exterior_derivative().wedge(b)
+           + a.wedge(b.exterior_derivative()).scale(_sign(a.degree)))
+    assert lhs == rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(lambda d: st.tuples(_random_form(d), _random_form(d))))
+def test_sum_then_difference_over_different_denominators(pair):
+    a, b = pair
+    assume(a.den != b.den)
+    assert (a + b) - b == a
+    assert (a + b) - a == b
+
+
+def test_quotient_rule_on_a_zero_form():
+    # d(x1/x2) = dx1/x2 - x1 dx2/x2^2 over the one denominator x2^2
+    x1, x2 = var(3, 0), var(3, 1)
+    form = DifferentialForm.from_function(RationalFunction(x1, x2))
+    d = form.exterior_derivative()
+    assert d.den == x2 * x2
+    assert d == DifferentialForm(3, 1, {(0,): x2, (1,): -x1}, x2 * x2)
+    assert d.component((0,)) == RationalFunction(MultiPoly.one(3), x2)
 
 
 def _normalized_weights(n=3):
@@ -154,30 +164,48 @@ def test_lambda_form_evaluation_and_convolution_degree():
 
 def test_form_text_rendering():
     x1 = var(3, 0)
-    form = DifferentialForm(3, 2, {(0, 2): RationalFunction(x1 * Fraction(2, 3))})
+    form = DifferentialForm(3, 2, {(0, 2): x1 * Fraction(2, 3)})
     assert form.text() == "2/3x1 dx1^dx3"
     assert DifferentialForm.zero(3, 1).text() == "0"
+    # each component is rendered as its own normalized quotient
+    over = DifferentialForm(3, 1, {(0,): x1, (2,): 2}, 2 * var(3, 1))
+    assert over.text() == "(x1)/(2x2) dx1 + (1)/(x2) dx3"
+    assert DifferentialForm(3, 1, {(0,): 3 * x1}, 6).text() == "1/2x1 dx1"
 
 
-def test_frobenius_invariant_under_function_scaling():
+@st.composite
+def _pencil(draw):
+    """Two-term pencils of 1-forms: g df_0 + t g df_1 is integrable for every
+    power of t, a pencil of random 1-forms in general is not."""
+    if draw(st.booleans()):
+        g = DifferentialForm.from_function(draw(_polys))
+        coefficients = [dform0(draw(_polys)).exterior_derivative().wedge(g)
+                        for _ in range(2)]
+    else:
+        coefficients = [draw(_random_form(1)) for _ in range(2)]
+    return LambdaForm(coefficients)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pencil(), _dens, st.booleans())
+def test_frobenius_invariant_under_function_scaling(pencil, h, divide):
     # d(h a) ^ (h a) = h^2 (d a ^ a) for a parameter-free scaling h, so the
     # verdict must not depend on clearing or introducing denominators.
-    from hirotaweb import frobenius_check
-    rng = random.Random(55)
-    for _ in range(8):
-        f0 = _random_poly(rng)
-        f1 = _random_poly(rng)
-        pencil = LambdaForm([dform0(f0).exterior_derivative(),
-                             dform0(f1).exterior_derivative()])
-        assert frobenius_check(pencil)  # closed coefficient forms
-        h = _random_poly(rng)
-        if h.is_zero:
-            continue
-        scaled = LambdaForm([c.scale(RationalFunction(MultiPoly.one(3), h))
-                             for c in pencil.coefficients])
-        assert frobenius_check(scaled)
-    x1 = var(3, 0)
+    factor = RationalFunction(MultiPoly.one(3), h) if divide else h
+    scaled = LambdaForm([c.scale(factor) for c in pencil.coefficients])
+    assert frobenius_check(scaled) == frobenius_check(pencil)
+
+
+def test_frobenius_of_closed_and_contact_pencils():
+    x1, x2, x3 = (var(3, i) for i in range(3))
+    closed = LambdaForm([dform0(x1 * x2).exterior_derivative(),
+                         dform0(x3 * x3).exterior_derivative()])
+    assert frobenius_check(closed)
     contact = DifferentialForm(3, 1, {(1,): x1, (2,): 1})
-    h = var(3, 2) + 5
-    scaled_contact = LambdaForm([contact.scale(h)])
-    assert not frobenius_check(scaled_contact)
+    assert not frobenius_check(LambdaForm([contact.scale(x3 + 5)]))
+    assert not frobenius_check(LambdaForm([contact.scale(RationalFunction(x1, x3 + 5))]))
+    # closed numerators over different denominators: dx1 + t dx2/x3 is not
+    # integrable, since the t^1 coefficient of d(alpha)^alpha is
+    # dx1^dx2^dx3/x3^2
+    split = LambdaForm([DifferentialForm.dx(3, 0), DifferentialForm(3, 1, {(1,): 1}, x3)])
+    assert not frobenius_check(split)

@@ -14,6 +14,7 @@ from hirotaweb import (DegenerateRestrictionError, DifferentialForm,
                        veronese_form, web_triples)
 from hirotaweb.webs import _ResidualFactors
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
+from reference_ratfunc import derivative
 from reference_residuals import expanded_degree_bound, expanded_residual_value
 
 
@@ -239,7 +240,7 @@ def test_veronese_at_node_collapses_to_coordinate_form():
         for j, other in enumerate(values):
             if j != i:
                 scale *= lam - other
-        assert at_node.component((i,)) == sol.f.derivative(i) * scale
+        assert at_node.component((i,)) == derivative(sol.f, i) * scale
 
 
 def test_veronese_leading_coefficient_is_df():
@@ -325,8 +326,7 @@ def test_unnormalized_coframe_is_polynomial_multiple():
     q0 = signed_minors(spec)[spec.k + 1]
     one = MultiPoly.one(spec.n_vars)
     for raw_alpha, alpha in zip(raw.alphas, frame.alphas):
-        for coeff in raw_alpha.components.values():
-            assert coeff.den.is_constant  # polynomial components
+        assert raw_alpha.den.is_constant  # polynomial components
         assert raw_alpha == alpha.scale(RationalFunction(q0 * q0, one))
 
 
@@ -340,7 +340,7 @@ def test_coframe_needs_numeric_nodes():
                                   WebSpec.numeric(4, 0, 3)])
 def test_coframe_proportional_to_veronese_pencil(spec):
     # The two annihilator candidates agree projectively: their wedge
-    # vanishes at random parameter values and random base points.
+    # vanishes identically at random parameter values.
     rng = random.Random(2718)
     sol = build_solution(spec)
     pencil = veronese_form(sol.f, spec.lambdas)
@@ -353,14 +353,8 @@ def test_coframe_proportional_to_veronese_pencil(spec):
         for alpha in frame.alphas:
             frame_form = frame_form + alpha.scale(power)
             power *= mu
-        wedge = pencil_form.wedge(frame_form)
-        for _ in range(5):
-            point = [Fraction(rng.randint(2, 40)) for _ in range(spec.n)]
-            try:
-                values = [c.evaluate(point) for c in wedge.components.values()]
-            except Exception:
-                continue  # pole of a component: pick another point
-            assert all(v == 0 for v in values)
+        assert not pencil_form.is_zero and not frame_form.is_zero
+        assert pencil_form.wedge(frame_form).is_zero
 
 
 # -- flatness --------------------------------------------------------------------------
