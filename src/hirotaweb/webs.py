@@ -491,8 +491,8 @@ def coframe(spec: WebSpec, normalized: bool = True) -> Coframe:
         q0 = q_list[0]
         if q0.is_zero:
             raise DegenerateInterpolantError("denominator constant term vanishes")
-        # the raw forms are polynomial: q0^2 becomes their denominator
-        forms = [DifferentialForm(spec.n_vars, 1, form.components, q0 * q0)
+        # dividing by q0^2 multiplies each form's denominator
+        forms = [DifferentialForm(spec.n_vars, 1, form.components, form.den * q0 * q0)
                  for form in forms]
     return Coframe(spec, tuple(forms), normalized)
 
@@ -561,7 +561,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
                 "internal inconsistency: the coframe witness identity failed")
         identity_checked = True
 
-    witness = DifferentialForm(spec.n_vars, 3, w1_poly.components, q0 ** 4)
+    witness = DifferentialForm(spec.n_vars, 3, w1_poly.components, w1_poly.den * q0 ** 4)
     alpha1_ok = w1_poly.is_zero
     cross_ok = w2_poly.is_zero
     if not alpha1_ok:

@@ -94,15 +94,18 @@ def test_graded_anticommutativity(pair):
     assert a.wedge(b) == b.wedge(a).scale(_sign(a.degree * b.degree))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_degree_pairs.filter(lambda d: sum(d) <= 2).flatmap(
-    lambda d: st.tuples(_random_form(d[0]), _random_form(d[1]))))
-def test_leibniz_rule(pair):
-    a, b = pair
-    lhs = a.wedge(b).exterior_derivative()
-    rhs = (a.exterior_derivative().wedge(b)
-           + a.wedge(b.exterior_derivative()).scale(_sign(a.degree)))
-    assert lhs == rhs
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_leibniz_rule(data):
+    # every degree pair up to (1, 2) and (2, 1) on every example: there d
+    # acts on a 3-form and its result lies past the top degree
+    for da, db in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (1, 2), (2, 1)]:
+        a = data.draw(_random_form(da))
+        b = data.draw(_random_form(db))
+        lhs = a.wedge(b).exterior_derivative()
+        rhs = (a.exterior_derivative().wedge(b)
+               + a.wedge(b.exterior_derivative()).scale(_sign(a.degree)))
+        assert lhs == rhs
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,25 +178,31 @@ def test_form_text_rendering():
 
 @st.composite
 def _pencil(draw):
-    """Two-term pencils of 1-forms: g df_0 + t g df_1 is integrable for every
-    power of t, a pencil of random 1-forms in general is not."""
-    if draw(st.booleans()):
+    """Two-term pencils of 1-forms with a flag saying whether the pencil is
+    known to be integrable: g df_0 + t g df_1 is integrable, a pencil of
+    random 1-forms in general is not."""
+    integrable = draw(st.booleans())
+    if integrable:
         g = DifferentialForm.from_function(draw(_polys))
         coefficients = [dform0(draw(_polys)).exterior_derivative().wedge(g)
                         for _ in range(2)]
     else:
         coefficients = [draw(_random_form(1)) for _ in range(2)]
-    return LambdaForm(coefficients)
+    return LambdaForm(coefficients), integrable
 
 
 @settings(max_examples=60, deadline=None)
 @given(_pencil(), _dens, st.booleans())
-def test_frobenius_invariant_under_function_scaling(pencil, h, divide):
+def test_frobenius_invariant_under_function_scaling(drawn, h, divide):
     # d(h a) ^ (h a) = h^2 (d a ^ a) for a parameter-free scaling h, so the
     # verdict must not depend on clearing or introducing denominators.
+    pencil, integrable = drawn
     factor = RationalFunction(MultiPoly.one(3), h) if divide else h
     scaled = LambdaForm([c.scale(factor) for c in pencil.coefficients])
-    assert frobenius_check(scaled) == frobenius_check(pencil)
+    verdict = frobenius_check(pencil)
+    if integrable:
+        assert verdict
+    assert frobenius_check(scaled) == verdict
 
 
 def test_frobenius_of_closed_and_contact_pencils():
