@@ -4,7 +4,8 @@ Multivariate gcd extraction is never performed: equality and zero tests go
 through cross-multiplication, which is all the certification work needs.
 The only normalization applied is cheap and canonical: the pair is scaled so
 numerator and denominator have integer coefficients with joint content 1,
-and the denominator's graded-lex leading coefficient is positive.
+and the denominator's graded-lex leading coefficient is positive.  The
+scaling divides integers exactly, so both parts hold plain ints.
 """
 
 from __future__ import annotations
@@ -17,14 +18,27 @@ from .errors import PoleError
 from .polynomials import MultiPoly, Scalar, poly_text
 
 
-def _joint_content(num: MultiPoly, den: MultiPoly) -> Fraction:
+def _joint_content(num: MultiPoly, den: MultiPoly) -> tuple[int, int]:
+    """(gcd of all numerators, lcm of all denominators) of both parts."""
     g = 0
     m = 1
     for poly in (num, den):
         for c in poly.terms.values():
             g = gcd(g, c.numerator)
             m = lcm(m, c.denominator)
-    return Fraction(g, m) if g else Fraction(1)
+    return g, m
+
+
+def _scaled(poly: MultiPoly, m: int, g: int) -> MultiPoly:
+    """poly * m / g, where m is a multiple of every coefficient's denominator
+    and g divides every coefficient times m: the result's coefficients are
+    ints, found by exact integer division."""
+    if m == 1:
+        terms = {e: c // g for e, c in poly.terms.items()}
+    else:
+        terms = {e: c.numerator * (m // c.denominator) // g
+                 for e, c in poly.terms.items()}
+    return MultiPoly(poly.n_vars, terms, _canonical=True)
 
 
 class RationalFunction:
@@ -38,11 +52,14 @@ class RationalFunction:
         num._check_ring(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
-        scale = 1 / _joint_content(num, den)
+        g, m = _joint_content(num, den)
         if den.leading_term()[1] < 0:
-            scale = -scale
-        self.num = num * scale
-        self.den = den * scale
+            g = -g
+        if m == 1 and g == 1:
+            self.num, self.den = num, den
+        else:
+            self.num = _scaled(num, m, g)
+            self.den = _scaled(den, m, g)
 
     @classmethod
     def from_scalar(cls, n_vars: int, value: Scalar) -> "RationalFunction":

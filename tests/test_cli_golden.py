@@ -42,10 +42,18 @@ WITNESSES = [
     "flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
     "flatness --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5",
 ]
+# Symbolic proofs at n = 5 with negative integer and with rational nodes, and
+# a restriction to a rational value (it goes through eliminate): these cover
+# coefficients that pass between ints and Fractions.
+EXACTNESS = [
+    "verify --n 5 --k 2 --l 2 --mode symbolic --lambdas=-1,-2,-3,-4,-5",
+    "verify --n 5 --k 2 --l 2 --mode symbolic --lambdas=1/2,-2/3,3/4,5/3,-7/5",
+    "restrict --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5 --fix x3=2/5",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
-         + [f"{witness} --format {fmt}"
-            for fmt in ("text", "json") for witness in WITNESSES])
+         + [f"{argv} --format {fmt}"
+            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS])
 
 
 def _capture(argv: str) -> dict:

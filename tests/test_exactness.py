@@ -47,3 +47,12 @@ def test_pipeline_stays_exact():
 
     report = verify_hirota(sol, mode="sampled", trials=2, bound=10 ** 3, seed=9)
     assert isinstance(report.per_trial_failure_bound, Fraction)
+
+
+def test_numeric_solution_has_only_int_coefficients():
+    # The content normalization divides integers exactly: no Fraction with
+    # denominator 1 survives into f, P_k or Q_l.
+    sol = build_solution(WebSpec.numeric(6, 2, 3))
+    for poly in (sol.f.num, sol.f.den, sol.p_top, sol.q_top):
+        assert poly.terms
+        assert all(type(c) is int for c in poly.terms.values())

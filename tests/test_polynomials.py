@@ -2,16 +2,20 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DimensionError, InexactDivisionError, MultiPoly,
-                       PolyMatrix, WebSpec, determinant, exact_div,
-                       maximal_minors, poly_from_json, poly_text, poly_to_json)
+                       PolyMatrix, RationalFunction, WebSpec, determinant,
+                       exact_div, maximal_minors, poly_from_json, poly_text,
+                       poly_to_json)
+from hirotaweb import polynomials
 from hirotaweb.polynomials import _det_bareiss
 from reference_interpolation import build_system_matrix, determinant_cofactor_naive
+from reference_polynomials import product_terms
 
 
 def var(n, i):
@@ -413,3 +417,115 @@ def test_maximal_minors_column_subset_on_the_elimination_path():
     assert maximal_minors(m, (8, 3)) == [every[8], every[3]]
     with pytest.raises(DimensionError):
         maximal_minors(m, (9,))
+
+
+# -- integer-exact coefficients --------------------------------------------------------
+
+
+def _is_tight(poly):
+    """Every stored coefficient is an int unless it is not integral."""
+    return all(type(c) is int or c.denominator != 1 for c in poly.terms.values())
+
+
+_scalars = st.one_of(st.integers(-6, 6),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _two_polys(draw):
+    n_vars = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    p, q = (MultiPoly(n_vars, draw(st.dictionaries(exponents, _coefficients, max_size=6)))
+            for _ in range(2))
+    return p, q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_polys(), _scalars, st.data())
+def test_every_operation_stores_integral_coefficients_as_ints(polys, scalar, data):
+    p, q = polys
+    var = data.draw(st.integers(0, p.n_vars - 1))
+    results = [p + q, p - q, p + scalar, scalar - p, p * scalar, scalar * p, p * q,
+               p ** 2, p.derivative(var), p.eliminate({var: scalar}),
+               p.substitute({var: q}), p.substitute({var: scalar})]
+    if not q.is_zero:
+        results += [exact_div(p * q, q), exact_div(p, MultiPoly.const(p.n_vars, 2))]
+        f = RationalFunction(p, q)
+        results += [f.num, f.den]
+        assert all(type(c) is int for c in [*f.num.terms.values(), *f.den.terms.values()])
+    for result in results:
+        assert _is_tight(result), result.terms
+
+
+def test_scaling_by_a_fraction_returns_to_ints():
+    x1, x2 = var(2, 0), var(2, 1)
+    p = (x1 * 4 + x2 * 6) * Fraction(1, 2)
+    assert p.terms == {(1, 0): 2, (0, 1): 3}
+    assert all(type(c) is int for c in p.terms.values())
+    half = x1 * Fraction(1, 2)
+    assert all(type(c) is int for c in (half + half).terms.values())
+    assert all(type(c) is int for c in (half * 2).terms.values())
+    assert type((half * half * 4).terms[(2, 0)]) is int
+    assert type((half * x1).derivative(0).terms[(1, 0)]) is int
+    assert type((x1 * x2).eliminate({1: Fraction(1, 2)}).terms[(1,)]) is Fraction
+    assert type((x1 * x2 * 2).eliminate({1: Fraction(1, 2)}).terms[(1,)]) is int
+
+
+def test_evaluate_sums_integral_points_exactly_and_returns_fractions():
+    x, y = var(2, 0), var(2, 1)
+    p = x * x * 3 - y * 2 + 1
+    for point, expected in (([2, 5], 3), ([Fraction(4, 2), 5], 3),
+                            ([Fraction(1, 2), 1], Fraction(-1, 4))):
+        value = p.evaluate(point)
+        assert value == expected and type(value) is Fraction
+    assert type((p * Fraction(1, 3)).evaluate([2, 5])) is Fraction
+    f = RationalFunction(p, y * 2)
+    assert f.evaluate([2, 5]) == Fraction(3, 10)
+    assert type(f.evaluate([2, 5])) is Fraction
+
+
+# -- packed products ----------------------------------------------------------------------
+
+
+@st.composite
+def _product_operands(draw):
+    """Two operands in 0..3 variables, up to 12 terms each, with int and
+    Fraction coefficients; exponents are small, or up to 2^20."""
+    n_vars = draw(st.integers(0, 3))
+    top = draw(st.sampled_from((3, 2 ** 20)))
+    exponents = st.tuples(*[st.integers(0, top)] * n_vars)
+    p, q = (MultiPoly(n_vars, draw(st.dictionaries(exponents, _coefficients, max_size=12)))
+            for _ in range(2))
+    return p, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_product_operands())
+def test_product_matches_the_tuple_reference_on_both_sides_of_the_cutoff(operands):
+    p, q = operands
+    expected = product_terms(p, q)
+    # The library's cutoff, then every product packed, then none packed.
+    for cutoff in (polynomials._PACKED_PRODUCT_MIN_TERMS, 0, 10 ** 9):
+        with mock.patch.object(polynomials, "_PACKED_PRODUCT_MIN_TERMS", cutoff):
+            product = p * q
+        assert product.terms == expected
+        assert _is_tight(product)
+
+
+def test_packed_product_edge_operands():
+    n = 3
+    x = [var(n, i) for i in range(n)]
+    wide = sum(((x[0] ** (2 ** 20)) * x[1] ** i * (i + 1) for i in range(9)),
+               MultiPoly.zero(n)) + x[2] ** (2 ** 19) * Fraction(1, 3)
+    assert len(wide.terms) >= polynomials._PACKED_PRODUCT_MIN_TERMS
+    for other in (wide, wide * Fraction(3, 2), MultiPoly.const(n, 5),
+                  MultiPoly.const(n, Fraction(-2, 7)), MultiPoly.zero(n)):
+        for a, b in ((wide, other), (other, wide)):
+            assert (a * b).terms == product_terms(a, b)
+    assert (wide * wide).leading_term() == ((2 ** 21, 16, 0), 81)
+    empty = MultiPoly.const(0, Fraction(3, 2))
+    with mock.patch.object(polynomials, "_PACKED_PRODUCT_MIN_TERMS", 0):
+        assert (empty * empty).terms == {(): Fraction(9, 4)}
+        assert (empty * MultiPoly.const(0, 2)).terms == {(): 3}
+        assert type((empty * MultiPoly.const(0, 2)).terms[()]) is int
+        assert (empty * MultiPoly.zero(0)).is_zero
