@@ -32,6 +32,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
@@ -326,6 +327,14 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     factors = _ResidualFactors(f)
 
     if mode == "symbolic":
+        if not symbolic:
+            # Each residual numerator is linear in the node differences, so
+            # scaling every node by the lcm of their denominators scales it by
+            # a nonzero int: the zero test and the term count are unchanged,
+            # and the products stay in int arithmetic.
+            node_list = [_exact(v) for v in node_list]
+            scale = _denominator_lcm(node_list)
+            node_list = [v * scale for v in node_list]
         checks = []
         for triple in triples:
             numerator = factors.residual_numerator(node_list, triple)
@@ -455,9 +464,16 @@ def _gradient_form(p: MultiPoly) -> DifferentialForm:
     return DifferentialForm.from_function(p).exterior_derivative()
 
 
-def _interpolant_polys(spec: WebSpec) -> tuple[list[MultiPoly], list[MultiPoly]]:
-    minors = signed_minors(spec)
-    return minors[:spec.k + 1], minors[spec.k + 1:]
+def _denominator_lcm(values) -> int:
+    """The lcm of the denominators of exact numbers (1 for ints)."""
+    return lcm(*(v.denominator for v in values))
+
+
+def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
+    """The polynomials times the lcm of all their coefficient denominators,
+    so that every coefficient is an int."""
+    scale = _denominator_lcm(c for poly in polys for c in poly.terms.values())
+    return polys if scale == 1 else [poly * scale for poly in polys]
 
 
 def _raw_coframe_forms(p_list: Sequence[MultiPoly],
@@ -476,6 +492,16 @@ def _raw_coframe_forms(p_list: Sequence[MultiPoly],
     return forms
 
 
+def _witness_identity_rhs(p0: MultiPoly, p1: MultiPoly,
+                          q0: MultiPoly, q1: MultiPoly) -> DifferentialForm:
+    """2R with R = (q0 dq1 - q1 dq0) wedge dp0 wedge dp1
+    - dq1 wedge dq0 wedge (p0 dp1 - p1 dp0); see flatness_check."""
+    dp0, dp1, dq0, dq1 = (_gradient_form(a) for a in (p0, p1, q0, q1))
+    reduced = ((dq1.scale(q0) - dq0.scale(q1)).wedge(dp0.wedge(dp1))
+               - dq1.wedge(dq0).wedge(dp1.scale(p0) - dp0.scale(p1)))
+    return reduced.scale(2)
+
+
 def coframe(spec: WebSpec, normalized: bool = True) -> Coframe:
     """Coefficient 1-forms of the annihilating form, from the determinant data.
 
@@ -485,7 +511,8 @@ def coframe(spec: WebSpec, normalized: bool = True) -> Coframe:
     """
     if spec.is_symbolic:
         raise WebSpecError("coframes need numeric nodes")
-    p_list, q_list = _interpolant_polys(spec)
+    minors = signed_minors(spec)
+    p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
     forms = _raw_coframe_forms(p_list, q_list, spec.n)
     if normalized:
         q0 = q_list[0]
@@ -523,21 +550,39 @@ class FlatnessVerdict:
 def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     """Certify the web flat or nonflat through coframe integrability.
 
-    Works with the polynomial multiples beta_m = Q0^2 alpha_m of the
-    normalized coframe elements: d(beta_m) wedge beta_m equals
-    Q0^4 (d(alpha_m) wedge alpha_m), so either side vanishes exactly when
-    the other does and the whole computation stays polynomial.  For
-    k, l >= 1 the closed-form witness identity
+    Works with polynomial multiples beta_m = c Q0^2 alpha_m of the
+    normalized coframe elements, where c is the lcm of the denominators of
+    the determinant minors' coefficients (1 for integer nodes): every minor
+    is multiplied by c first, so all the arithmetic runs on ints.  Then
+    d(beta_m) wedge beta_m equals (c Q0)^4 (d(alpha_m) wedge alpha_m), so
+    either side vanishes exactly when the other does, and the witness is
+    d(beta_1) wedge beta_1 over the denominator (c Q0)^4, which renders the
+    same as the unscaled quotient.
+
+    For k, l >= 1 the closed-form witness identity
 
         d(alpha_1) wedge alpha_1 = 2 dq_1 wedge dp_0 wedge dp_1
 
-    (normalized coefficients) is asserted as an exact identity of 3-forms.
+    (normalized coefficients q_1 = Q1/Q0, p_j = Pj/Q0) is checked as an exact
+    identity of polynomial 3-forms.  With gamma_a = Q0 dA - A dQ0 it reads
+    d(beta_1) wedge beta_1 Q0^2 = 2 gamma_Q1 wedge gamma_P0 wedge gamma_P1,
+    and since dQ0 wedge dQ0 = 0 the right side is Q0^2 times
+
+        R = (Q0 dQ1 - Q1 dQ0) wedge dP0 wedge dP1
+            - dQ1 wedge dQ0 wedge (P0 dP1 - P1 dP0).
+
+    Q0 is nonzero and polynomials have no zero divisors, so the identity
+    holds exactly when d(beta_1) wedge beta_1 = 2R, which is what is checked.
+    Both sides are built from the same P0, P1, Q0, Q1, and the identity holds
+    for any four polynomials: it cross-checks the exterior algebra (signs of
+    d and of the wedge), not the determinant data.
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
     if spec.n < 3:
         raise WebSpecError("flatness certification needs dimension at least 3")
-    p_list, q_list = _interpolant_polys(spec)
+    minors = _without_denominators(signed_minors(spec))
+    p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
     q0 = q_list[0]
     if q0.is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
@@ -552,11 +597,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
     identity_checked = False
     if spec.k >= 1 and spec.l >= 1:
-        gamma_p0 = _gradient_form(p_list[0]).scale(q0) - _gradient_form(q0).scale(p_list[0])
-        gamma_p1 = _gradient_form(p_list[1]).scale(q0) - _gradient_form(q0).scale(p_list[1])
-        gamma_q1 = _gradient_form(q_list[1]).scale(q0) - _gradient_form(q0).scale(q_list[1])
-        rhs = gamma_q1.wedge(gamma_p0).wedge(gamma_p1).scale(2)
-        if w1_poly.scale(q0 * q0) != rhs:
+        if w1_poly != _witness_identity_rhs(p_list[0], p_list[1], q0, q_list[1]):
             raise HirotaWebError(
                 "internal inconsistency: the coframe witness identity failed")
         identity_checked = True

@@ -42,6 +42,13 @@ WITNESSES = [
     "flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
     "flatness --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5",
 ]
+# Flatness with rational nodes at n = 4, at both orders that check the
+# witness identity: the certificate is computed on minors cleared of node
+# denominators, and its rendering is pinned here.
+RATIONAL_FLATNESS = [
+    f"flatness {K1} --lambdas=1/2,-2/3,3/4,5/3",
+    f"flatness {K2} --lambdas=-3/2,1/5,2/3,7/4",
+]
 # Symbolic proofs at n = 5 with negative integer and with rational nodes, and
 # a restriction to a rational value (it goes through eliminate): these cover
 # coefficients that pass between ints and Fractions.
@@ -53,7 +60,7 @@ EXACTNESS = [
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
-            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS])
+            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS])
 
 
 def _capture(argv: str) -> dict:

@@ -56,3 +56,15 @@ def test_numeric_solution_has_only_int_coefficients():
     for poly in (sol.f.num, sol.f.den, sol.p_top, sol.q_top):
         assert poly.terms
         assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_rational_node_flatness_witness_has_only_int_coefficients():
+    # The minors are cleared of node denominators before the coframe is
+    # built, so the witness numerators and its denominator hold ints only.
+    spec = WebSpec.numeric(5, 2, 2, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
+                                     Fraction(5, 3), Fraction(-7, 5)])
+    witness = flatness_check(spec).witness
+    assert witness.components
+    for poly in (*witness.components.values(), witness.den):
+        assert poly.terms
+        assert all(type(c) is int for c in poly.terms.values())

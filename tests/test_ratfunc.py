@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirotaweb import MultiPoly, PoleError, RationalFunction
 from reference_ratfunc import derivative
@@ -134,3 +135,21 @@ def test_equality_is_congruence_for_addition():
         assert a == b
         assert a + c == b + c
         assert a * c == b * c
+
+
+_coefficients = st.one_of(st.integers(-30, 30),
+                          st.fractions(min_value=-6, max_value=6, max_denominator=9))
+_polys = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), _coefficients,
+                         max_size=8).map(lambda terms: MultiPoly(3, terms))
+_factors = st.fractions(min_value=-50, max_value=50, max_denominator=60).filter(bool)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polys, _polys.filter(lambda p: not p.is_zero), _factors)
+def test_normal_form_ignores_a_common_scalar(num, den, c):
+    # Rendered witnesses rely on this: scaling both parts by any nonzero
+    # rational leaves the stored numerator and denominator term for term.
+    f, g = rf(num, den), rf(num * c, den * c)
+    for a, b in ((f.num, g.num), (f.den, g.den)):
+        assert list(a.terms.items()) == list(b.terms.items())
+        assert all(type(x) is int for x in b.terms.values())

@@ -4,18 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hirotaweb import (DegenerateRestrictionError, DifferentialForm,
-                       HirotaSolution, Mobius, MultiPoly, RationalFunction,
-                       WebSpec, WebSpecError, build_solution, coframe,
-                       flatness_check, frobenius_check, hirota_residual,
-                       restrict, restricted_nodes, signed_minors,
-                       structural_properties, transform, verify_hirota,
-                       veronese_form, web_triples)
-from hirotaweb.webs import _ResidualFactors
+from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
+                       DifferentialForm, HirotaSolution, HirotaWebError, Mobius,
+                       MultiPoly, RationalFunction, WebSpec, WebSpecError,
+                       build_solution, coframe, flatness_check, frobenius_check,
+                       hirota_residual, restrict, restricted_nodes,
+                       signed_minors, structural_properties, transform,
+                       verify_hirota, veronese_form, web_triples, webs)
+from hirotaweb.webs import _ResidualFactors, _witness_identity_rhs
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
 from reference_residuals import expanded_degree_bound, expanded_residual_value
+from reference_witness import (gamma_product, inflated_witness, raw_alpha1,
+                               self_wedge)
 
 
 def nodes(*values):
@@ -408,6 +411,85 @@ def test_flatness_dichotomy_dimension_six():
 def test_flatness_needs_dimension_three():
     with pytest.raises(WebSpecError):
         flatness_check(WebSpec.numeric(2, 1, 0, [0, 1]))
+
+
+_NODE_CLASSES = {
+    "integer": nodes(2, -1, 3, 5, -4),
+    "zero": nodes(0, 2, -3, 1, 4),
+    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5"),
+}
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5) for k in range(n)])
+def test_reduced_witness_identity_agrees_with_the_gamma_product(n, k, node_class):
+    spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
+    verdict = flatness_check(spec)
+    oracle = inflated_witness(spec)
+    assert verdict.witness_identity_checked == (oracle.holds is not None)
+    assert oracle.holds in (None, True)
+    if verdict.witness_identity_checked:
+        # on the minors as they come: w1 = 2R, and with the oracle's
+        # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
+        assert _witness_identity_rhs(*oracle.coefficients) == oracle.w1
+    # cleared denominators leave every rendered witness component unchanged
+    assert verdict.witness.to_json() == oracle.witness.to_json()
+
+
+_small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4),
+    st.one_of(st.integers(-4, 4),
+              st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+    max_size=4).map(lambda terms: MultiPoly(4, terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_small_polys, _small_polys, _small_polys, _small_polys))
+def test_reduced_witness_identity_holds_for_any_four_polynomials(polys):
+    # An identity of the exterior algebra: it pins every sign and term of R
+    # whatever the minors are, and corrupting a minor cannot break it.
+    p0, p1, q0, q1 = polys
+    rhs = _witness_identity_rhs(p0, p1, q0, q1)
+    assert self_wedge(raw_alpha1(p0, p1, q0, q1)) == rhs
+    assert rhs.scale(q0 * q0) == gamma_product(p0, p1, q0, q1)
+
+
+def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
+    genuine = webs.signed_minors
+
+    def zero_q0(spec):
+        minors = genuine(spec)
+        minors[spec.k + 1] = MultiPoly.zero(spec.n_vars)
+        return minors
+
+    monkeypatch.setattr(webs, "signed_minors", zero_q0)
+    with pytest.raises(DegenerateInterpolantError):
+        flatness_check(WebSpec.numeric(4, 2, 1, nodes("1/2", -1, 3, 5)))
+
+
+def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkeypatch):
+    # Small stand-in minors P0..P3, Q0..Q3 at n = 7 with P1 = Q1 = 0: alpha_1
+    # vanishes, so it is integrable, while the mirror element
+    # Q2 dP3 - P3 dQ2 + Q3 dP2 - P2 dQ3 is not.
+    x = [MultiPoly.variable(7, i) for i in range(7)]
+    zero = MultiPoly.zero(7)
+    monkeypatch.setattr(webs, "signed_minors", lambda spec: [
+        x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
+    with pytest.raises(HirotaWebError, match="inconsistent certificates"):
+        flatness_check(WebSpec.numeric(7, 3, 3))
+
+
+def test_flatness_witness_identity_catches_a_wrong_exterior_derivative(monkeypatch):
+    # d of a 1-form doubled: d(beta_1) wedge beta_1 doubles, 2R does not
+    genuine = DifferentialForm.exterior_derivative
+
+    def doubled(form):
+        result = genuine(form)
+        return result.scale(2) if form.degree == 1 else result
+
+    monkeypatch.setattr(DifferentialForm, "exterior_derivative", doubled)
+    with pytest.raises(HirotaWebError, match="witness identity failed"):
+        flatness_check(WebSpec.numeric(4, 1, 2, nodes("1/2", -1, 3, 5)))
 
 
 # -- restriction -----------------------------------------------------------------------
