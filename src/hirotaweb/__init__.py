@@ -15,7 +15,7 @@ from .interpolation import (CauchyInterpolant, WebSpec, cauchy_interpolant,
                             interpolant_matches_oracle, interpolation_check,
                             random_numeric_instances, row_matrix,
                             signed_minors, solve_oracle)
-from .polynomials import (MultiPoly, PolyMatrix, determinant, exact_div,
+from .polynomials import (MultiPoly, determinant, exact_div,
                           maximal_minors, poly_from_json, poly_text,
                           poly_to_json)
 from .ratfunc import RationalFunction
@@ -33,7 +33,7 @@ __all__ = [
     "DegenerateRestrictionError", "DifferentialForm", "DimensionError",
     "FlatnessVerdict", "HirotaSolution", "HirotaWebError",
     "InexactDivisionError", "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",
-    "PoleError", "PolyMatrix", "PropertyCheck", "RationalFunction",
+    "PoleError", "PropertyCheck", "RationalFunction",
     "TripleCheck", "VerificationReport", "WebSpec", "WebSpecError",
     "build_solution", "cauchy_interpolant", "coframe", "determinant",
     "evaluate_interpolant", "exact_div", "flatness_check",

@@ -11,9 +11,10 @@ P_k and Q_l, whose quotient is the web solution, are the minors at columns
 k and n.
 
 Coefficient lists are kept unnormalized by default (they are polynomials in
-the value coordinates x); dividing by the denominator's constant term only
-happens at a numeric evaluation point, where it either succeeds or raises a
-DegenerateInterpolantError.
+the value coordinates x).  At a numeric data point the point is substituted
+into the row matrix before any minor is taken, so the coefficients are
+numeric minors; dividing by the denominator's constant term only happens
+there, where it either succeeds or raises a DegenerateInterpolantError.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import MultiPoly, PolyMatrix, Scalar, _exact, maximal_minors
+from .polynomials import MultiPoly, Scalar, _exact, _tighten, maximal_minors
 from .ratfunc import RationalFunction
 
 
@@ -123,16 +124,41 @@ def _node_powers(spec: WebSpec, i: int, top: int, n_vars: int) -> list[MultiPoly
     return powers
 
 
-def row_matrix(spec: WebSpec) -> PolyMatrix:
+def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
+               ) -> list[list[Union[MultiPoly, Scalar]]]:
     """The shared n x (n+1) data matrix of both full determinants: row i is
-    [1, l_i, ..., l_i^k, -x_i, -x_i l_i, ..., -x_i l_i^l]."""
-    n_vars = spec.n_vars
+    [1, l_i, ..., l_i^k, -x_i, -x_i l_i, ..., -x_i l_i^l].
+
+    Entries are polynomials in the coordinates (and nodes, when symbolic).
+    With ``x_values`` (numeric nodes only) the data point is substituted
+    and every entry is an exact number, a plain int whenever it is integral.
+    """
     rows = []
-    for i in range(1, spec.n + 1):
-        powers = _node_powers(spec, i, max(spec.k, spec.l), n_vars)
-        x = spec.x_poly(i, n_vars)
-        rows.append(powers[:spec.k + 1] + [-(x * p) for p in powers[:spec.l + 1]])
-    return PolyMatrix.from_rows(rows)
+    if x_values is None:
+        n_vars = spec.n_vars
+        for i in range(1, spec.n + 1):
+            powers = _node_powers(spec, i, max(spec.k, spec.l), n_vars)
+            x = spec.x_poly(i, n_vars)
+            rows.append(powers[:spec.k + 1] + [-(x * p) for p in powers[:spec.l + 1]])
+        return rows
+    if spec.is_symbolic:
+        raise WebSpecError("numeric data needs numeric nodes")
+    if len(x_values) != spec.n:
+        raise WebSpecError(f"expected {spec.n} data values")
+    for lam, value in zip(spec.lambdas, x_values):
+        x = _exact(value)
+        powers = [Fraction(1)]
+        for _ in range(max(spec.k, spec.l)):
+            powers.append(powers[-1] * lam)
+        row = powers[:spec.k + 1] + [-x * p for p in powers[:spec.l + 1]]
+        rows.append([_tighten(v) for v in row])
+    return rows
+
+
+def _signed(spec: WebSpec, columns: Sequence[int], minors: list) -> list:
+    """Entry c of the coefficient list is (-1)^(n+c) times the minor
+    without column c."""
+    return [m if (spec.n + c) % 2 == 0 else -m for c, m in zip(columns, minors)]
 
 
 def signed_minors(spec: WebSpec,
@@ -147,8 +173,7 @@ def signed_minors(spec: WebSpec,
     """
     if columns is None:
         columns = range(spec.n + 1)
-    minors = maximal_minors(row_matrix(spec), columns)
-    return [m if (spec.n + c) % 2 == 0 else -m for c, m in zip(columns, minors)]
+    return _signed(spec, columns, maximal_minors(row_matrix(spec), columns))
 
 
 def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
@@ -195,44 +220,52 @@ def cauchy_interpolant(spec: WebSpec, normalize: bool = False,
                        x_values: Optional[Sequence[Scalar]] = None) -> CauchyInterpolant:
     """Extract the interpolant's coefficient lists from the determinants.
 
-    With ``x_values`` the coefficients are instantiated at that data point
-    (numeric nodes only); ``normalize`` then divides through by the
-    denominator's constant term, raising DegenerateInterpolantError when
-    that term vanishes (an unattainable-point configuration).
+    Without ``x_values`` the coefficients are the signed minors as
+    polynomials in the coordinates.  With ``x_values`` (numeric nodes only)
+    the data point is substituted into the row matrix first, so each
+    coefficient is one numeric minor and no polynomial is expanded;
+    ``normalize`` then divides through by the denominator's constant term,
+    raising DegenerateInterpolantError when that term vanishes or when the
+    normalized denominator has a root at a node (an unattainable point).
     """
     if normalize and x_values is None:
         raise WebSpecError("normalization needs a numeric data point; "
                            "symbolic coefficients stay unnormalized")
-    minors = signed_minors(spec)
-    p = minors[:spec.k + 1]
-    q = minors[spec.k + 1:]
-    if x_values is not None:
-        if spec.is_symbolic:
-            raise WebSpecError("numeric data needs numeric nodes")
-        if len(x_values) != spec.n:
-            raise WebSpecError(f"expected {spec.n} data values")
-        point = [_exact(v) for v in x_values]
-        p = [MultiPoly.const(spec.n_vars, c.evaluate(point)) for c in p]
-        q = [MultiPoly.const(spec.n_vars, c.evaluate(point)) for c in q]
-        if normalize:
-            q0 = q[0].constant_value()
-            if not q0:
-                raise DegenerateInterpolantError(
-                    "denominator constant term vanishes at this data point")
-            p = [c * (1 / q0) for c in p]
-            q = [c * (1 / q0) for c in q]
-            # Attainability: a denominator root at a node means the numerator
-            # shares it and the interpolation condition silently fails there.
-            q_values = [c.constant_value() for c in q]
-            for i in range(1, spec.n + 1):
-                lam = spec.lambdas[i - 1]
-                if sum(c * lam ** j for j, c in enumerate(q_values)) == 0:
-                    raise DegenerateInterpolantError(
-                        f"numerator and denominator share a root at node {i}: "
-                        "unattainable data point")
-    pad = [MultiPoly.zero(spec.n_vars)] * (spec.n - len(p))
-    return CauchyInterpolant(spec, tuple(p) + tuple(pad), tuple(q),
-                             normalized=bool(normalize))
+    k, n_vars = spec.k, spec.n_vars
+    if x_values is None:
+        minors = signed_minors(spec)
+    else:
+        minors = [MultiPoly.const(n_vars, c)
+                  for c in _point_coefficients(spec, x_values, normalize)]
+    pad = [MultiPoly.zero(n_vars)] * (spec.n - k - 1)
+    return CauchyInterpolant(spec, tuple(minors[:k + 1] + pad),
+                             tuple(minors[k + 1:]), normalized=bool(normalize))
+
+
+def _point_coefficients(spec: WebSpec, x_values: Sequence[Scalar],
+                        normalize: bool) -> list[Scalar]:
+    """The signed minors of the row matrix at a numeric data point, divided
+    by the denominator's constant term under ``normalize``."""
+    minors = _signed(spec, range(spec.n + 1), maximal_minors(row_matrix(spec, x_values)))
+    if not normalize:
+        return minors
+    q0 = minors[spec.k + 1]
+    if not q0:
+        raise DegenerateInterpolantError(
+            "denominator constant term vanishes at this data point")
+    minors = [Fraction(c, q0) for c in minors]
+    # Attainability: a denominator root at a node means the numerator
+    # shares it and the interpolation condition silently fails there.
+    q_top_down = minors[:spec.k:-1]
+    for i, lam in enumerate(spec.lambdas, 1):
+        value = 0
+        for c in q_top_down:
+            value = value * lam + c
+        if not value:
+            raise DegenerateInterpolantError(
+                f"numerator and denominator share a root at node {i}: "
+                "unattainable data point")
+    return minors
 
 
 def interpolation_check(spec: WebSpec) -> bool:

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials over exact rationals, and polynomial matrices.
+"""Sparse multivariate polynomials over exact rationals, and their determinants.
 
 A polynomial in ``n_vars`` variables is a map from exponent tuples (length
 ``n_vars``, nonnegative ints) to nonzero exact rational coefficients; the
@@ -24,9 +24,11 @@ Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
 half holds the interpolation nodes l1..ln.
 
-Determinants of polynomial matrices are computed by cofactor expansion with
-minor memoization up to dimension 7 and by fraction-free Bareiss elimination
-(exact division in the ring) above that, so intermediate swell stays bounded.
+A matrix is a list of rows whose entries are all polynomials or all exact
+numbers.  Determinants and maximal minors of either kind go through one
+memoized cofactor expansion; only polynomial matrices above dimension 7
+switch to fraction-free Bareiss elimination (exact division in the ring),
+so intermediate swell stays bounded.
 
 Values entering from callers (coefficients, constants, evaluation points)
 must be exact: a float raises InexactNumberError instead of being converted.
@@ -35,7 +37,6 @@ must be exact: a float raises InexactNumberError instead of being converted.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -624,91 +625,89 @@ def exact_div(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     return MultiPoly(n, quotient, _canonical=True)
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Dense row-major matrix of polynomials from one ring."""
+# A matrix is a sequence of equal-length rows.  Its entries are either all
+# polynomials from one ring or all exact numbers (int or Fraction).
+Entry = Union[MultiPoly, Scalar]
+Matrix = Sequence[Sequence[Entry]]
 
-    rows: int
-    cols: int
-    entries: tuple[MultiPoly, ...]
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise DimensionError("entry count does not match rows*cols")
-        if self.entries:
-            n = self.entries[0].n_vars
-            if any(e.n_vars != n for e in self.entries):
-                raise DimensionError("matrix entries live in different rings")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[MultiPoly]]) -> "PolyMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise DimensionError("ragged rows")
-        return cls(r, c, tuple(p for row in rows for p in row))
-
-    def entry(self, i: int, j: int) -> MultiPoly:
-        return self.entries[i * self.cols + j]
-
-    @property
-    def n_vars(self) -> int:
-        return self.entries[0].n_vars if self.entries else 0
+def _shape(m: Matrix) -> tuple[int, int]:
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    if any(len(row) != cols for row in m):
+        raise DimensionError("ragged rows")
+    return rows, cols
 
 
 # Cofactor expansion beats fraction-free elimination while the minors stay
-# small; above this dimension Bareiss controls intermediate swell.  At 7,
-# memoized cofactor still wins clearly: it builds the 5040-term determinant
-# of a symbolic-node 7 x 7 interpolation matrix in 0.04 s, where Bareiss's
-# exact divisions do not finish within 150 s.
+# small; above this dimension Bareiss controls the swell of polynomial
+# entries.  At 7, memoized cofactor still wins clearly: it builds the
+# 5040-term determinant of a symbolic-node 7 x 7 interpolation matrix in
+# 0.04 s, where Bareiss's exact divisions do not finish within 150 s.
+# Numeric matrices always take the cofactor route: their minors are single
+# numbers, and the elimination's exact_div is a polynomial division.
 _COFACTOR_LIMIT = 7
 
 
-def determinant(m: PolyMatrix) -> MultiPoly:
-    """Exact determinant of a square polynomial matrix."""
-    if m.rows != m.cols:
-        raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    if m.rows == 0:
-        return MultiPoly.one(m.n_vars)
-    if m.rows <= _COFACTOR_LIMIT:
-        memo: dict[tuple, MultiPoly] = {}
-        return _det_cofactor(m, tuple(range(m.cols)), tuple(range(m.rows)), memo)
-    return _det_bareiss(m)
+def _bareiss_route(m: Matrix, size: int) -> bool:
+    return size > _COFACTOR_LIMIT and isinstance(m[0][0], MultiPoly)
 
 
-def _det_cofactor(m: PolyMatrix, cols: tuple[int, ...], rows: tuple[int, ...],
-                  memo: dict) -> MultiPoly:
+def determinant(m: Matrix) -> Entry:
+    """Exact determinant of a square matrix of polynomials or of numbers."""
+    rows, cols = _shape(m)
+    if rows != cols:
+        raise DimensionError(f"determinant of a {rows}x{cols} matrix")
+    if rows == 0:
+        return MultiPoly.one(0)
+    if _bareiss_route(m, rows):
+        return _det_bareiss(m)
+    return _det_cofactor(m, tuple(range(cols)), tuple(range(rows)), {})
+
+
+def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
+                  memo: dict) -> Entry:
     """Laplace expansion along the first listed column, memoized on the
-    (columns, rows) submatrix so shared minors are computed once."""
+    (columns, rows) submatrix so shared minors are computed once.
+
+    Entries may be polynomials or numbers: zeros are skipped by truthiness,
+    and the sum starts from the first nonzero term, not from a typed zero.
+    """
     if len(cols) == 1:
-        return m.entry(rows[0], cols[0])
+        return m[rows[0]][cols[0]]
     key = (cols, rows)
     cached = memo.get(key)
     if cached is not None:
         return cached
     first = cols[0]
     rest = cols[1:]
-    total = MultiPoly.zero(m.n_vars)
+    total = None
     for position, row in enumerate(rows):
-        coeff = m.entry(row, first)
-        if coeff.is_zero:
+        coeff = m[row][first]
+        if not coeff:
             continue
-        sub_rows = rows[:position] + rows[position + 1:]
-        minor = _det_cofactor(m, rest, sub_rows, memo)
-        if minor.is_zero:
+        minor = _det_cofactor(m, rest, rows[:position] + rows[position + 1:], memo)
+        if not minor:
             continue
         piece = coeff * minor
-        total = total + (piece if position % 2 == 0 else -piece)
+        if total is None:
+            total = piece if position % 2 == 0 else -piece
+        else:
+            total = total + piece if position % 2 == 0 else total - piece
+    if total is None:
+        total = m[rows[0]][first] * 0
     memo[key] = total
     return total
 
 
-def _det_bareiss(m: PolyMatrix) -> MultiPoly:
-    """Fraction-free elimination: every division is exact in the ring."""
-    n = m.rows
-    a = [[m.entry(i, j) for j in range(n)] for i in range(n)]
+def _det_bareiss(m: Matrix) -> MultiPoly:
+    """Fraction-free elimination of a polynomial matrix: every division is
+    exact in the ring."""
+    n = len(m)
+    a = [list(row) for row in m]
+    n_vars = a[0][0].n_vars
     sign = 1
-    prev = MultiPoly.one(m.n_vars)
+    prev = MultiPoly.one(n_vars)
     for k in range(n - 1):
         if a[k][k].is_zero:
             for i in range(k + 1, n):
@@ -717,20 +716,19 @@ def _det_bareiss(m: PolyMatrix) -> MultiPoly:
                     sign = -sign
                     break
             else:
-                return MultiPoly.zero(m.n_vars)
+                return MultiPoly.zero(n_vars)
         pivot = a[k][k]
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 numerator = pivot * a[i][j] - a[i][k] * a[k][j]
                 a[i][j] = exact_div(numerator, prev)
-            a[i][k] = MultiPoly.zero(m.n_vars)
+            a[i][k] = MultiPoly.zero(n_vars)
         prev = pivot
     result = a[n - 1][n - 1]
     return result if sign > 0 else -result
 
 
-def maximal_minors(m: PolyMatrix,
-                   columns: Optional[Iterable[int]] = None) -> list[MultiPoly]:
+def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[Entry]:
     """Determinants of an r x (r+1) matrix with one column removed.
 
     Entry ``i`` of the result is det(m without column ``columns[i]``),
@@ -738,25 +736,17 @@ def maximal_minors(m: PolyMatrix,
     shared across the column choices, so the common sub-minors of
     neighbouring deletions are reused.
     """
-    if m.cols != m.rows + 1:
+    rows, cols = _shape(m)
+    if cols != rows + 1:
         raise DimensionError("maximal minors need an r x (r+1) matrix")
-    all_cols = tuple(range(m.cols))
+    all_cols = tuple(range(cols))
     skips = all_cols if columns is None else tuple(columns)
-    if any(not 0 <= skip < m.cols for skip in skips):
-        raise DimensionError(f"column index out of range 0..{m.cols - 1}")
-    if m.rows == 0:
-        return [MultiPoly.one(m.n_vars) for _ in skips]
-    out = []
-    if m.rows > _COFACTOR_LIMIT:
-        for skip in skips:
-            kept = [c for c in all_cols if c != skip]
-            sub = PolyMatrix.from_rows(
-                [[m.entry(i, c) for c in kept] for i in range(m.rows)])
-            out.append(determinant(sub))
-        return out
-    memo: dict[tuple, MultiPoly] = {}
-    rows = tuple(range(m.rows))
-    for skip in skips:
-        cols = tuple(c for c in all_cols if c != skip)
-        out.append(_det_cofactor(m, cols, rows, memo))
-    return out
+    if any(not 0 <= skip < cols for skip in skips):
+        raise DimensionError(f"column index out of range 0..{cols - 1}")
+    if _bareiss_route(m, rows):
+        return [_det_bareiss([[row[c] for c in all_cols if c != skip] for row in m])
+                for skip in skips]
+    memo: dict[tuple, Entry] = {}
+    row_ids = tuple(range(rows))
+    return [_det_cofactor(m, tuple(c for c in all_cols if c != skip), row_ids, memo)
+            for skip in skips]

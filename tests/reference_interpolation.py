@@ -13,15 +13,18 @@ determinants by plain unmemoized Laplace expansion:
   numerator block (resp. the denominator block) left out.  Their signed
   determinants are the leading coefficients P_k and Q_l.
 
-Tests compare the library's minors against these.
+Tests compare the library's minors against these.  ``point_coefficients``
+is the symbolic route to the interpolant at a data point: every signed minor
+expanded as a polynomial in x1..xn and only then evaluated, against which
+the library's numeric minors of the substituted row matrix are checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from hirotaweb import MultiPoly, PolyMatrix, WebSpec
+from hirotaweb import DegenerateInterpolantError, MultiPoly, WebSpec, signed_minors
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
 
@@ -46,15 +49,15 @@ def _data_rows(spec: WebSpec, p_top: int, q_top: int, n_vars: int) -> list[list[
 
 
 def build_system_matrix(spec: WebSpec, which: str,
-                        param: Optional[Fraction] = None) -> PolyMatrix:
+                        param: Optional[Fraction] = None) -> list[list[MultiPoly]]:
     """One of the four interpolation matrices named in ``KINDS``."""
     if which not in KINDS:
         raise ValueError(f"unknown matrix kind {which!r}")
     n, k, l = spec.n, spec.k, spec.l
     if which == "P-top":
-        return PolyMatrix.from_rows(_data_rows(spec, k - 1, l, spec.n_vars))
+        return _data_rows(spec, k - 1, l, spec.n_vars)
     if which == "Q-top":
-        return PolyMatrix.from_rows(_data_rows(spec, k, l - 1, spec.n_vars))
+        return _data_rows(spec, k, l - 1, spec.n_vars)
     n_vars = spec.n_vars + (1 if param is None else 0)
     t = MultiPoly.variable(n_vars, n_vars - 1) if param is None else param
     powers = [_power(t, j, n_vars) for j in range(max(k, l) + 1)]
@@ -63,26 +66,28 @@ def build_system_matrix(spec: WebSpec, which: str,
         last = powers[:k + 1] + [zero] * (l + 1)
     else:
         last = [zero] * (k + 1) + powers[:l + 1]
-    return PolyMatrix.from_rows(_data_rows(spec, k, l, n_vars) + [last])
+    return _data_rows(spec, k, l, n_vars) + [last]
 
 
-def determinant_cofactor_naive(m: PolyMatrix) -> MultiPoly:
-    """Plain unmemoized Laplace expansion along the first column."""
-    if m.rows != m.cols:
+def determinant_cofactor_naive(m: list[list[MultiPoly]]) -> MultiPoly:
+    """Plain unmemoized Laplace expansion along the first column of a square
+    polynomial matrix, given as a list of rows."""
+    if any(len(row) != len(m) for row in m):
         raise ValueError("non-square matrix")
+    if not m:
+        return MultiPoly.one(0)
+    n_vars = m[0][0].n_vars
 
     def expand(cols: tuple[int, ...], rows: tuple[int, ...]) -> MultiPoly:
         if len(cols) == 1:
-            return m.entry(rows[0], cols[0])
-        total = MultiPoly.zero(m.n_vars)
+            return m[rows[0]][cols[0]]
+        total = MultiPoly.zero(n_vars)
         for position, row in enumerate(rows):
-            piece = m.entry(row, cols[0]) * expand(cols[1:], rows[:position] + rows[position + 1:])
+            piece = m[row][cols[0]] * expand(cols[1:], rows[:position] + rows[position + 1:])
             total = total + (piece if position % 2 == 0 else -piece)
         return total
 
-    if m.rows == 0:
-        return MultiPoly.one(m.n_vars)
-    return expand(tuple(range(m.cols)), tuple(range(m.rows)))
+    return expand(tuple(range(len(m))), tuple(range(len(m))))
 
 
 def top_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
@@ -97,3 +102,27 @@ def top_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
     p_sign = -1 if (spec.n + spec.k) % 2 else 1
     q_sign = -1 if (spec.n + spec.k + spec.l + 1) % 2 else 1
     return p_det * p_sign, q_det * q_sign
+
+
+def point_coefficients(spec: WebSpec, x_values: Sequence[Fraction],
+                       normalize: bool = False) -> list[Fraction]:
+    """The signed minors at a data point, expanded symbolically first.
+
+    Under ``normalize`` they are divided by the denominator's constant term;
+    DegenerateInterpolantError is raised when that term vanishes ("constant
+    term" in the message) or when the normalized denominator vanishes at a
+    node ("unattainable").
+    """
+    point = [Fraction(v) for v in x_values]
+    values = [m.evaluate(point) for m in signed_minors(spec)]
+    if not normalize:
+        return values
+    q0 = values[spec.k + 1]
+    if not q0:
+        raise DegenerateInterpolantError("denominator constant term vanishes")
+    values = [v / q0 for v in values]
+    q = values[spec.k + 1:]
+    for lam in spec.lambdas:
+        if sum(c * lam ** j for j, c in enumerate(q)) == 0:
+            raise DegenerateInterpolantError("unattainable data point")
+    return values

@@ -57,10 +57,17 @@ EXACTNESS = [
     "verify --n 5 --k 2 --l 2 --mode symbolic --lambdas=1/2,-2/3,3/4,5/3,-7/5",
     "restrict --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5 --fix x3=2/5",
 ]
+# The oracle at n = 5, at two orders: each accepted instance compares the
+# determinant interpolant at a data point with Gaussian elimination, and the
+# rejection sampling must accept the same instances in the same order.
+ORACLE = [
+    "oracle --n 5 --k 2 --l 2 --trials 20 --seed 3",
+    "oracle --n 5 --k 0 --l 4 --trials 20 --seed 7",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
-            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS])
+            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE])
 
 
 def _capture(argv: str) -> dict:

@@ -1,22 +1,21 @@
 """Interpolation matrices, coefficient extraction, and the elimination oracle."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
                        cauchy_interpolant, evaluate_interpolant,
-                       highest_coefficients, interpolation_check,
-                       random_numeric_instances,
-                       signed_minors, solve_oracle)
+                       highest_coefficients, interpolant_matches_oracle,
+                       interpolation_check, random_numeric_instances,
+                       row_matrix, signed_minors, solve_oracle)
 from reference_forms import closed_form_3d, common_scalar
-from reference_interpolation import build_system_matrix, top_coefficients
-
-
-def poly_rows(matrix):
-    return [[matrix.entry(i, j) for j in range(matrix.cols)]
-            for i in range(matrix.rows)]
+from reference_interpolation import (build_system_matrix, point_coefficients,
+                                     top_coefficients)
 
 
 def test_spec_validation():
@@ -33,7 +32,7 @@ def test_denominator_top_matrix_three_nodes():
     m = build_system_matrix(spec, "Q-top")
     x = [MultiPoly.variable(3, i) for i in range(3)]
     one = MultiPoly.one(3)
-    assert poly_rows(m) == [
+    assert m == [
         [one, one, -x[0]],
         [one, 2 * one, -x[1]],
         [one, 3 * one, -x[2]],
@@ -45,7 +44,7 @@ def test_numerator_top_matrix_three_nodes():
     m = build_system_matrix(spec, "P-top")
     x = [MultiPoly.variable(3, i) for i in range(3)]
     one = MultiPoly.one(3)
-    assert poly_rows(m) == [
+    assert m == [
         [one, -x[0], -x[0]],
         [one, -x[1], -2 * x[1]],
         [one, -x[2], -3 * x[2]],
@@ -58,7 +57,7 @@ def test_full_numerator_matrix_two_nodes_with_parameter_row():
     # ring gains one trailing parameter variable
     x1, x2, t = (MultiPoly.variable(3, i) for i in range(3))
     one, zero = MultiPoly.one(3), MultiPoly.zero(3)
-    assert poly_rows(m) == [
+    assert m == [
         [one, zero, -x1],
         [one, one, -x2],
         [one, t, zero],
@@ -268,3 +267,131 @@ def test_evaluate_symbolic_interpolant_at_data_point():
     value = evaluate_interpolant(interp, Fraction(0), x_values=[1, 2, 5])
     normalized = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
     assert value == evaluate_interpolant(normalized, Fraction(0))
+
+
+# -- the interpolant at a data point ---------------------------------------------
+
+
+def _library_coefficients(spec, xs, normalize):
+    """The coefficients of ``cauchy_interpolant`` at a data point, or the
+    kind of DegenerateInterpolantError it raises."""
+    try:
+        interp = cauchy_interpolant(spec, normalize=normalize, x_values=xs)
+    except DegenerateInterpolantError as exc:
+        return _degeneracy(exc)
+    assert all(c.is_constant for c in interp.p_coeffs + interp.q_coeffs)
+    assert all(c.is_zero for c in interp.p_coeffs[spec.k + 1:])
+    return ([c.constant_value() for c in interp.p_coeffs[:spec.k + 1]]
+            + [c.constant_value() for c in interp.q_coeffs])
+
+
+def _reference_coefficients(spec, xs, normalize):
+    try:
+        return point_coefficients(spec, xs, normalize)
+    except DegenerateInterpolantError as exc:
+        return _degeneracy(exc)
+
+
+def _degeneracy(exc):
+    text = str(exc)
+    assert ("constant term" in text) != ("unattainable" in text), text
+    return "q0 = 0" if "constant term" in text else "unattainable"
+
+
+_numbers = st.one_of(st.integers(-4, 4), st.just(0),
+                     st.fractions(min_value=-3, max_value=3, max_denominator=4))
+ORDERS = [(n, k) for n in range(2, 6) for k in range(n)]
+
+
+@pytest.mark.parametrize("n,k", ORDERS, ids=[f"n{n}k{k}" for n, k in ORDERS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_point_coefficients_match_the_symbolic_route(n, k, data):
+    # Nodes and data are integers, contain zeros, or are non-integer
+    # rationals; small ranges make both degenerate cases frequent.
+    lambdas = data.draw(st.lists(_numbers, min_size=n, max_size=n, unique=True))
+    xs = data.draw(st.lists(_numbers, min_size=n, max_size=n))
+    spec = WebSpec.numeric(n, k, n - k - 1, lambdas)
+    for normalize in (False, True):
+        assert (_library_coefficients(spec, xs, normalize)
+                == _reference_coefficients(spec, xs, normalize))
+
+
+def test_point_coefficients_degenerate_in_the_same_cases():
+    # Every data point in {-1, 0, 1, 2}^n at two node sets, every order for
+    # n = 2..4: both degeneracies occur, and exactly where the symbolic
+    # route has them.
+    seen = set()
+    for n in (2, 3, 4):
+        for lambdas in (range(n), [Fraction(1, 2), -3, Fraction(5, 3), 2][:n]):
+            for k in range(n):
+                spec = WebSpec.numeric(n, k, n - k - 1, lambdas)
+                for xs in itertools.product((-1, 0, 1, 2), repeat=n):
+                    ours = _library_coefficients(spec, xs, True)
+                    assert ours == _reference_coefficients(spec, xs, True)
+                    if isinstance(ours, str):
+                        seen.add(ours)
+    assert seen == {"q0 = 0", "unattainable"}
+
+
+def test_numeric_row_matrix_holds_ints_where_integral():
+    spec = WebSpec.numeric(3, 1, 1, [2, Fraction(1, 2), -1])
+    rows = row_matrix(spec, [Fraction(4), Fraction(-6, 3), Fraction(1, 3)])
+    assert rows == [[1, 2, -4, -8],
+                    [1, Fraction(1, 2), 2, 1],
+                    [1, -1, Fraction(-1, 3), Fraction(1, 3)]]
+    assert all(type(v) is int for row in rows for v in row if v.denominator == 1)
+
+
+def test_oracle_comparison_expands_no_polynomial(monkeypatch):
+    # At a data point the minors are numbers: a polynomial product or any
+    # nonconstant polynomial means the symbolic route came back.
+    products, nonconstant = [0], []
+    multiply, initialize = MultiPoly.__mul__, MultiPoly.__init__
+
+    def counted(self, other):
+        products[0] += 1
+        return multiply(self, other)
+
+    def watched(self, *args, **kwargs):
+        initialize(self, *args, **kwargs)
+        if not self.is_constant:
+            nonconstant.append(self)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    monkeypatch.setattr(MultiPoly, "__init__", watched)
+    n = 5
+    for k in range(n):
+        spec = WebSpec.numeric(n, k, n - k - 1, [3, -1, 4, 7, -5])
+        products[0] = 0
+        assert interpolant_matches_oracle(spec, [2, -3, 5, 1, 9])
+        assert products[0] <= n
+    assert not nonconstant
+
+
+def test_random_instances_accept_what_the_symbolic_route_accepts():
+    # The rejection sampling keeps exactly the instances whose symbolic
+    # normalization and elimination succeed, in the order they are drawn;
+    # data in [-2, 2] makes rejections frequent.
+    rejected = 0
+    for n, k, seed, bound in ((3, 1, 3, 2), (4, 1, 3, 2), (4, 0, 7, 2), (5, 2, 11, 20)):
+        l = n - k - 1
+        rng = random.Random(seed)
+        expected = []
+        while len(expected) < 12:
+            lambdas = [rng.randint(-bound, bound) for _ in range(n)]
+            if len(set(lambdas)) != n:
+                continue
+            xs = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+            spec = WebSpec.numeric(n, k, l, lambdas)
+            try:
+                point_coefficients(spec, xs, normalize=True)
+                solve_oracle(spec, xs)
+            except DegenerateInterpolantError:
+                rejected += 1
+                continue
+            expected.append((spec, xs))
+        drawn = random_numeric_instances(n, k, l, 12, seed, bound=bound)
+        assert [(spec, xs) for spec, xs, _ in drawn] == expected
+    assert rejected > 0

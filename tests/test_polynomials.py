@@ -6,10 +6,10 @@ from unittest import mock
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirotaweb import (DimensionError, InexactDivisionError, MultiPoly,
-                       PolyMatrix, RationalFunction, WebSpec, determinant,
+                       RationalFunction, WebSpec, determinant,
                        exact_div, maximal_minors, poly_from_json, poly_text,
                        poly_to_json)
 from hirotaweb import polynomials
@@ -148,30 +148,30 @@ def test_zero_polynomial_degree_convention():
 
 def test_identity_determinant():
     one, zero = const(1, 1), const(1, 0)
-    m = PolyMatrix.from_rows([[one, zero], [zero, one]])
+    m = [[one, zero], [zero, one]]
     assert determinant(m) == one
 
 
 def test_two_node_vandermonde():
-    m = PolyMatrix.from_rows([[const(1, 1), const(1, 1)],
-                              [const(1, 1), const(1, 2)]])
+    m = [[const(1, 1), const(1, 1)],
+         [const(1, 1), const(1, 2)]]
     assert determinant(m) == const(1, 1)
 
 
 def test_three_by_three_with_coordinates():
     x1, x2, x3 = (var(3, i) for i in range(3))
     one = MultiPoly.one(3)
-    m = PolyMatrix.from_rows([
+    m = [
         [one, one, -x1],
         [one, 2 * one, -x2],
         [one, 3 * one, -x3],
-    ])
+    ]
     assert determinant(m) == -x1 + 2 * x2 - x3
 
 
 def test_non_square_rejected():
     with pytest.raises(DimensionError):
-        determinant(PolyMatrix.from_rows([[const(1, 1), const(1, 2)]]))
+        determinant([[const(1, 1), const(1, 2)]])
 
 
 def _random_poly(rng, n_vars, max_deg, terms):
@@ -185,9 +185,8 @@ def _random_poly(rng, n_vars, max_deg, terms):
 
 
 def _random_matrix(rng, size, n_vars=2):
-    entries = [[_random_poly(rng, n_vars, 2, 2) for _ in range(size)]
-               for _ in range(size)]
-    return PolyMatrix.from_rows(entries)
+    return [[_random_poly(rng, n_vars, 2, 2) for _ in range(size)]
+            for _ in range(size)]
 
 
 def test_determinant_matches_naive_cofactor_oracle():
@@ -202,19 +201,17 @@ def test_bareiss_path_matches_naive_on_seven_by_seven():
     # Dimension 7 is still expanded by cofactors, so the fraction-free
     # elimination path is called directly.
     rng = random.Random(99)
-    entries = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-2, 2)
-                for _ in range(7)] for _ in range(7)]
-    m = PolyMatrix.from_rows(entries)
+    m = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-2, 2)
+          for _ in range(7)] for _ in range(7)]
     assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
 def test_bareiss_path_multivariate_entries():
     rng = random.Random(77)
-    entries = [[const(2, rng.randint(-4, 4))
-                + var(2, 0) * rng.randint(-2, 2)
-                + var(2, 1) * rng.randint(-2, 2)
-                for _ in range(7)] for _ in range(7)]
-    m = PolyMatrix.from_rows(entries)
+    m = [[const(2, rng.randint(-4, 4))
+          + var(2, 0) * rng.randint(-2, 2)
+          + var(2, 1) * rng.randint(-2, 2)
+          for _ in range(7)] for _ in range(7)]
     assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
@@ -223,8 +220,7 @@ def test_cofactor_matches_bareiss_on_seven_by_seven():
     # route above it and serves as the oracle here.
     rng = random.Random(7)
     for _ in range(3):
-        m = PolyMatrix.from_rows([[const(1, rng.randint(-9, 9)) for _ in range(7)]
-                                  for _ in range(7)])
+        m = [[const(1, rng.randint(-9, 9)) for _ in range(7)] for _ in range(7)]
         assert determinant(m) == _det_bareiss(m)
     for k in range(1, 6):
         spec = WebSpec.numeric(7, k, 6 - k, [-3, -1, 2, 4, 5, 7, 8])
@@ -237,10 +233,9 @@ def test_bareiss_handles_zero_pivots():
     # leading principal minors vanish, forcing row swaps inside elimination
     rng = random.Random(13)
     size = 7
-    entries = [[const(1, 0)] * size for _ in range(size)]
+    m = [[const(1, 0)] * size for _ in range(size)]
     for i in range(size):
-        entries[i][size - 1 - i] = const(1, rng.randint(1, 5)) + var(1, 0)
-    m = PolyMatrix.from_rows(entries)
+        m[i][size - 1 - i] = const(1, rng.randint(1, 5)) + var(1, 0)
     assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
@@ -248,10 +243,9 @@ def test_determinant_alternating_on_row_swap():
     rng = random.Random(5)
     for _ in range(10):
         m = _random_matrix(rng, 3)
-        rows = [[m.entry(i, j) for j in range(3)] for i in range(3)]
-        swapped = PolyMatrix.from_rows([rows[1], rows[0], rows[2]])
+        swapped = [m[1], m[0], m[2]]
         assert determinant(swapped) == -determinant(m)
-        repeated = PolyMatrix.from_rows([rows[0], rows[0], rows[2]])
+        repeated = [m[0], m[0], m[2]]
         assert determinant(repeated).is_zero
 
 
@@ -263,34 +257,19 @@ def test_determinant_multilinear_in_rows():
         r2 = [_random_poly(rng, 2, 2, 2) for _ in range(3)]
         a = Fraction(rng.randint(-3, 3))
         combo = [p * a + q for p, q in zip(r1, r2)]
-        det_combo = determinant(PolyMatrix.from_rows([combo, base[1], base[2]]))
-        det_1 = determinant(PolyMatrix.from_rows([r1, base[1], base[2]]))
-        det_2 = determinant(PolyMatrix.from_rows([r2, base[1], base[2]]))
+        det_combo = determinant([combo, base[1], base[2]])
+        det_1 = determinant([r1, base[1], base[2]])
+        det_2 = determinant([r2, base[1], base[2]])
         assert det_combo == det_1 * a + det_2
 
 
 def test_maximal_minors_agree_with_column_deletion():
     rng = random.Random(17)
     rows = [[_random_poly(rng, 2, 2, 2) for _ in range(4)] for _ in range(3)]
-    m = PolyMatrix.from_rows(rows)
-    minors = maximal_minors(m)
+    minors = maximal_minors(rows)
     for skip in range(4):
-        sub = PolyMatrix.from_rows(
-            [[rows[i][j] for j in range(4) if j != skip] for i in range(3)])
+        sub = [[rows[i][j] for j in range(4) if j != skip] for i in range(3)]
         assert minors[skip] == determinant_cofactor_naive(sub)
-
-
-def test_exact_division_round_trip_and_failure():
-    rng = random.Random(31)
-    for _ in range(15):
-        a = _random_poly(rng, 2, 3, 4)
-        b = _random_poly(rng, 2, 2, 3)
-        if b.is_zero:
-            continue
-        assert exact_div(a * b, b) == a
-    x1, x2 = var(2, 0), var(2, 1)
-    with pytest.raises(InexactDivisionError):
-        exact_div(x1 * x1 + x2, x1 + x2)
 
 
 # -- rendering and JSON ----------------------------------------------------------------
@@ -304,16 +283,6 @@ def test_text_rendering_graded_lex_descending():
     assert poly_text(MultiPoly.zero(3)) == "0"
     assert poly_text(x1 * Fraction(2, 3)) == "2/3x1"
     assert poly_text(x1 ** 2 * x2 + const(3, 5)) == "x1^2x2 + 5"
-
-
-def test_json_round_trip():
-    rng = random.Random(8)
-    for _ in range(20):
-        p = _random_poly(rng, 4, 3, 6)
-        data = poly_to_json(p)
-        assert poly_from_json(data) == p
-        degrees = [sum(term["e"]) for term in data["terms"]]
-        assert degrees == sorted(degrees, reverse=True)
 
 
 def test_mixed_integer_and_fractional_coefficients():
@@ -386,10 +355,9 @@ def _poly_matrix(draw, extra_cols=0):
     exponents = st.tuples(*[st.integers(0, 2)] * n_vars)
     entry = st.dictionaries(exponents, _coefficients, max_size=3).map(
         lambda terms: MultiPoly(n_vars, terms))
-    rows = draw(st.lists(st.lists(entry, min_size=size + extra_cols,
+    return draw(st.lists(st.lists(entry, min_size=size + extra_cols,
                                   max_size=size + extra_cols),
                          min_size=size, max_size=size))
-    return PolyMatrix.from_rows(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -403,7 +371,7 @@ def test_determinant_routes_agree(m):
 @settings(max_examples=60, deadline=None)
 @given(_poly_matrix(extra_cols=1), st.data())
 def test_maximal_minors_column_subset_matches_full_list(m, data):
-    columns = data.draw(st.lists(st.integers(0, m.rows), max_size=m.cols))
+    columns = data.draw(st.lists(st.integers(0, len(m)), max_size=len(m) + 1))
     every = maximal_minors(m)
     assert maximal_minors(m, columns) == [every[c] for c in columns]
 
@@ -411,8 +379,8 @@ def test_maximal_minors_column_subset_matches_full_list(m, data):
 def test_maximal_minors_column_subset_on_the_elimination_path():
     # Above the cofactor limit each requested minor is its own determinant.
     rng = random.Random(8)
-    m = PolyMatrix.from_rows([[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-1, 1)
-                               for _ in range(9)] for _ in range(8)])
+    m = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-1, 1)
+          for _ in range(9)] for _ in range(8)]
     every = maximal_minors(m)
     assert maximal_minors(m, (8, 3)) == [every[8], every[3]]
     with pytest.raises(DimensionError):
@@ -529,3 +497,93 @@ def test_packed_product_edge_operands():
         assert (empty * MultiPoly.const(0, 2)).terms == {(): 3}
         assert type((empty * MultiPoly.const(0, 2)).terms[()]) is int
         assert (empty * MultiPoly.zero(0)).is_zero
+
+
+# -- ring axioms, JSON and exact division --------------------------------------------
+
+
+@st.composite
+def _polys_in_one_ring(draw, count, min_vars=0):
+    """``count`` polynomials in one ring of 0..3 variables with int and
+    Fraction coefficients."""
+    n_vars = draw(st.integers(min_vars, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    return [MultiPoly(n_vars, draw(st.dictionaries(exponents, _coefficients, max_size=5)))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_in_one_ring(3))
+def test_ring_axioms(polys):
+    a, b, c = polys
+    zero, one = MultiPoly.zero(a.n_vars), MultiPoly.one(a.n_vars)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert a + zero == a and zero + a == a
+    assert a * one == a and one * a == a
+    assert (a * zero).is_zero and (a - a).is_zero
+    assert a + (-a) == zero
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_in_one_ring(1))
+@example([MultiPoly.const(0, Fraction(-3, 4))])
+@example([MultiPoly.zero(0)])
+def test_json_round_trip(polys):
+    (p,) = polys
+    data = poly_to_json(p)
+    back = poly_from_json(data)
+    assert back == p and back.n_vars == p.n_vars
+    assert _is_tight(back)
+    degrees = [sum(term["e"]) for term in data["terms"]]
+    assert degrees == sorted(degrees, reverse=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys_in_one_ring(2))
+def test_exact_division_round_trip_and_failure(polys):
+    a, b = polys
+    if not b.is_zero:
+        assert exact_div(a * b, b) == a
+    x1, x2 = var(2, 0), var(2, 1)
+    with pytest.raises(InexactDivisionError):
+        exact_div(x1 * x1 + x2, x1 + x2)
+
+
+# -- numeric matrices ---------------------------------------------------------------
+
+
+_numbers = st.one_of(st.integers(-9, 9),
+                     st.fractions(min_value=-4, max_value=4, max_denominator=5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda r: st.lists(st.lists(_numbers, min_size=r + 1, max_size=r + 1),
+                       min_size=r, max_size=r)))
+def test_numeric_minors_match_constant_polynomial_minors(rows):
+    # One cofactor routine serves both entry kinds; numbers in, numbers out.
+    wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
+    numeric = maximal_minors(rows)
+    assert numeric == [m.constant_value() for m in maximal_minors(wrapped)]
+    assert all(isinstance(m, (int, Fraction)) for m in numeric)
+    square = determinant([row[1:] for row in rows])
+    assert square == determinant([row[1:] for row in wrapped]).constant_value()
+
+
+def test_numeric_matrices_never_eliminate(monkeypatch):
+    # Above the cofactor limit polynomial matrices go to Bareiss; numeric
+    # ones stay on the cofactor route, whose zero tests and sums need no ring.
+    rng = random.Random(12)
+    rows = [[rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
+             for _ in range(10)] for _ in range(9)]
+    wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
+    expected = [m.constant_value() for m in maximal_minors(wrapped)]
+    monkeypatch.setattr(polynomials, "exact_div", None)
+    assert maximal_minors(rows) == expected
+    assert determinant([row[1:] for row in rows]) == expected[0]
+    assert determinant([[0, 0], [1, 2]]) == 0
