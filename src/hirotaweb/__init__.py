@@ -7,17 +7,16 @@ one-form, and the flatness dichotomy of the underlying Veronese web.
 """
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
-                     DimensionError, HirotaWebError, InexactDivisionError,
-                     InexactNumberError, PoleError, WebSpecError)
+                     DimensionError, HirotaWebError, InexactNumberError,
+                     PoleError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (CauchyInterpolant, WebSpec, cauchy_interpolant,
                             evaluate_interpolant, highest_coefficients,
                             interpolant_matches_oracle, interpolation_check,
                             random_numeric_instances, row_matrix,
                             signed_minors, solve_oracle)
-from .polynomials import (MultiPoly, determinant, exact_div,
-                          maximal_minors, poly_from_json, poly_text,
-                          poly_to_json)
+from .polynomials import (MultiPoly, determinant, maximal_minors,
+                          poly_from_json, poly_text, poly_to_json)
 from .ratfunc import RationalFunction
 from .webs import (Coframe, FlatnessVerdict, HirotaSolution, Mobius,
                    PropertyCheck, TripleCheck, VerificationReport,
@@ -32,11 +31,11 @@ __all__ = [
     "CauchyInterpolant", "Coframe", "DegenerateInterpolantError",
     "DegenerateRestrictionError", "DifferentialForm", "DimensionError",
     "FlatnessVerdict", "HirotaSolution", "HirotaWebError",
-    "InexactDivisionError", "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",
+    "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",
     "PoleError", "PropertyCheck", "RationalFunction",
     "TripleCheck", "VerificationReport", "WebSpec", "WebSpecError",
     "build_solution", "cauchy_interpolant", "coframe", "determinant",
-    "evaluate_interpolant", "exact_div", "flatness_check",
+    "evaluate_interpolant", "flatness_check",
     "frobenius_check", "highest_coefficients", "hirota_residual",
     "interpolant_matches_oracle", "interpolation_check", "maximal_minors",
     "poly_from_json", "poly_text", "poly_to_json",

@@ -45,7 +45,3 @@ class PoleError(HirotaWebError, ZeroDivisionError):
 
 class DegenerateRestrictionError(HirotaWebError, ArithmeticError):
     """Fixing a coordinate made the solution's denominator vanish identically."""
-
-
-class InexactDivisionError(HirotaWebError, ArithmeticError):
-    """Polynomial division was expected to be exact but left a remainder."""

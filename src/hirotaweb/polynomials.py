@@ -25,10 +25,8 @@ the variables are the coordinates x1..xn; in a ring of size 2n the second
 half holds the interpolation nodes l1..ln.
 
 A matrix is a list of rows whose entries are all polynomials or all exact
-numbers.  Determinants and maximal minors of either kind go through one
-memoized cofactor expansion; only polynomial matrices above dimension 7
-switch to fraction-free Bareiss elimination (exact division in the ring),
-so intermediate swell stays bounded.
+numbers.  Determinants and maximal minors of either kind, at every size, go
+through one memoized cofactor expansion.
 
 Values entering from callers (coefficients, constants, evaluation points)
 must be exact: a float raises InexactNumberError instead of being converted.
@@ -40,7 +38,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, InexactDivisionError, InexactNumberError
+from .errors import DimensionError, InexactNumberError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -589,42 +587,6 @@ def poly_from_json(data: Mapping) -> MultiPoly:
     return MultiPoly(n_vars, terms)
 
 
-def exact_div(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:
-    """Divide in the polynomial ring, requiring a zero remainder.
-
-    Because the quotient is known to exist, long division against the
-    divisor's graded-lex leading term alone succeeds; a failed exponent or
-    a leftover remainder means the division was not exact.
-    """
-    dividend._check_ring(divisor)
-    if divisor.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if dividend.is_zero:
-        return MultiPoly.zero(dividend.n_vars)
-    if divisor.is_constant:
-        return dividend * (1 / divisor.constant_value())
-    lead_exps, lead_coeff = divisor.leading_term()
-    remainder = dict(dividend.terms)
-    quotient: dict[Exponents, Scalar] = {}
-    n = dividend.n_vars
-    while remainder:
-        exps = max(remainder, key=grlex_key)
-        coeff = remainder[exps]
-        q_exps = tuple(map(operator.sub, exps, lead_exps))
-        if any(e < 0 for e in q_exps):
-            raise InexactDivisionError("leading term does not divide remainder")
-        q_coeff = _tighten(Fraction(coeff) / lead_coeff)
-        quotient[q_exps] = q_coeff
-        for d_exps, d_coeff in divisor.terms.items():
-            key = tuple(map(operator.add, q_exps, d_exps))
-            cur = remainder.get(key, 0) - q_coeff * d_coeff
-            if cur:
-                remainder[key] = cur
-            else:
-                remainder.pop(key, None)
-    return MultiPoly(n, quotient, _canonical=True)
-
-
 # A matrix is a sequence of equal-length rows.  Its entries are either all
 # polynomials from one ring or all exact numbers (int or Fraction).
 Entry = Union[MultiPoly, Scalar]
@@ -639,20 +601,6 @@ def _shape(m: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-# Cofactor expansion beats fraction-free elimination while the minors stay
-# small; above this dimension Bareiss controls the swell of polynomial
-# entries.  At 7, memoized cofactor still wins clearly: it builds the
-# 5040-term determinant of a symbolic-node 7 x 7 interpolation matrix in
-# 0.04 s, where Bareiss's exact divisions do not finish within 150 s.
-# Numeric matrices always take the cofactor route: their minors are single
-# numbers, and the elimination's exact_div is a polynomial division.
-_COFACTOR_LIMIT = 7
-
-
-def _bareiss_route(m: Matrix, size: int) -> bool:
-    return size > _COFACTOR_LIMIT and isinstance(m[0][0], MultiPoly)
-
-
 def determinant(m: Matrix) -> Entry:
     """Exact determinant of a square matrix of polynomials or of numbers."""
     rows, cols = _shape(m)
@@ -660,8 +608,6 @@ def determinant(m: Matrix) -> Entry:
         raise DimensionError(f"determinant of a {rows}x{cols} matrix")
     if rows == 0:
         return MultiPoly.one(0)
-    if _bareiss_route(m, rows):
-        return _det_bareiss(m)
     return _det_cofactor(m, tuple(range(cols)), tuple(range(rows)), {})
 
 
@@ -700,34 +646,6 @@ def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
     return total
 
 
-def _det_bareiss(m: Matrix) -> MultiPoly:
-    """Fraction-free elimination of a polynomial matrix: every division is
-    exact in the ring."""
-    n = len(m)
-    a = [list(row) for row in m]
-    n_vars = a[0][0].n_vars
-    sign = 1
-    prev = MultiPoly.one(n_vars)
-    for k in range(n - 1):
-        if a[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return MultiPoly.zero(n_vars)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = pivot * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(numerator, prev)
-            a[i][k] = MultiPoly.zero(n_vars)
-        prev = pivot
-    result = a[n - 1][n - 1]
-    return result if sign > 0 else -result
-
-
 def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[Entry]:
     """Determinants of an r x (r+1) matrix with one column removed.
 
@@ -743,9 +661,6 @@ def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[E
     skips = all_cols if columns is None else tuple(columns)
     if any(not 0 <= skip < cols for skip in skips):
         raise DimensionError(f"column index out of range 0..{cols - 1}")
-    if _bareiss_route(m, rows):
-        return [_det_bareiss([[row[c] for c in all_cols if c != skip] for row in m])
-                for skip in skips]
     memo: dict[tuple, Entry] = {}
     row_ids = tuple(range(rows))
     return [_det_cofactor(m, tuple(c for c in all_cols if c != skip), row_ids, memo)

@@ -64,10 +64,18 @@ ORACLE = [
     "oracle --n 5 --k 2 --l 2 --trials 20 --seed 3",
     "oracle --n 5 --k 0 --l 4 --trials 20 --seed 7",
 ]
+# Dimension 8 at default nodes 1..8: the 8 x 9 row matrix is larger than
+# any other entry's, and its minors were checked against fraction-free
+# elimination when these outputs were recorded.
+DIMENSION_8 = [
+    "generate --n 8 --k 3 --l 4",
+    "properties --n 8 --k 3 --l 4",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
-            for fmt in ("text", "json") for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE])
+            for fmt in ("text", "json")
+            for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE + DIMENSION_8])
 
 
 def _capture(argv: str) -> dict:

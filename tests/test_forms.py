@@ -1,12 +1,13 @@
 """Wedge products, exterior derivatives, and the graded-algebra laws."""
 
+import json
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
 from hirotaweb import (DifferentialForm, LambdaForm, MultiPoly,
                        RationalFunction, WebSpec, frobenius_check,
-                       signed_minors)
+                       poly_from_json, signed_minors)
 
 
 def var(n, i):
@@ -115,6 +116,31 @@ def test_sum_then_difference_over_different_denominators(pair):
     assume(a.den != b.den)
     assert (a + b) - b == a
     assert (a + b) - a == b
+
+
+def _form_from_json(n_vars, data):
+    """A DifferentialForm rebuilt from ``to_json`` output: each component's
+    num/den parsed, then all of them put over the product of the dens."""
+    parsed = [(tuple(i - 1 for i in entry["idx"]), poly_from_json(entry["num"]),
+               poly_from_json(entry["den"])) for entry in data["components"]]
+    den = MultiPoly.one(n_vars)
+    for _, _, d in parsed:
+        den = den * d
+    components = {}
+    for idx, num, d in parsed:
+        for other_idx, _, other in parsed:
+            if other_idx != idx:
+                num = num * other
+        components[idx] = num
+    return DifferentialForm(n_vars, data["degree"], components, den)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2).flatmap(_random_form))
+def test_json_round_trip(form):
+    data = json.loads(json.dumps(form.to_json()))
+    assert data["degree"] == form.degree
+    assert _form_from_json(form.n_vars, data) == form
 
 
 def test_quotient_rule_on_a_zero_form():

@@ -11,8 +11,9 @@ from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
                        cauchy_interpolant, evaluate_interpolant,
                        highest_coefficients, interpolant_matches_oracle,
-                       interpolation_check, random_numeric_instances,
-                       row_matrix, signed_minors, solve_oracle)
+                       interpolation_check, maximal_minors,
+                       random_numeric_instances, row_matrix, signed_minors,
+                       solve_oracle)
 from reference_forms import closed_form_3d, common_scalar
 from reference_interpolation import (build_system_matrix, point_coefficients,
                                      top_coefficients)
@@ -267,6 +268,40 @@ def test_evaluate_symbolic_interpolant_at_data_point():
     value = evaluate_interpolant(interp, Fraction(0), x_values=[1, 2, 5])
     normalized = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
     assert value == evaluate_interpolant(normalized, Fraction(0))
+
+
+# -- sympy as an independent oracle ------------------------------------------------
+
+
+def _to_sympy(sympy, poly, symbols):
+    return sympy.Add(*[sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[s ** e for s, e in zip(symbols, exps)])
+                       for exps, c in poly.terms.items()])
+
+
+def _sympy_terms(sympy, expr, symbols):
+    """The exponent-tuple map of a sympy expression, Fraction coefficients."""
+    terms = sympy.Poly(expr, *symbols).as_dict()
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in terms.items() if c}
+
+
+_SYMPY_SPECS = ([WebSpec(n, k, n - 1 - k) for n in (2, 3, 4) for k in range(n)]
+                + [WebSpec.numeric(8, 3, 4, [-3, -1, 0, Fraction(1, 2), 2, 4, 5, 7])])
+
+
+@pytest.mark.parametrize("spec", _SYMPY_SPECS, ids=str)
+def test_maximal_minors_match_sympy(spec):
+    # sympy is a test-only dependency: each column deletion of the row
+    # matrix is converted to a sympy matrix and its determinant taken over
+    # sympy's own polynomial domain.
+    sympy = pytest.importorskip("sympy")
+    m = row_matrix(spec)
+    symbols = sympy.symbols(f"v0:{spec.n_vars}")
+    rows = [[_to_sympy(sympy, entry, symbols) for entry in row] for row in m]
+    for c, minor in enumerate(maximal_minors(m)):
+        dm = sympy.Matrix([row[:c] + row[c + 1:] for row in rows]).to_DM()
+        det = dm.domain.to_sympy(dm.det())
+        assert _sympy_terms(sympy, det, symbols) == minor.terms, c
 
 
 # -- the interpolant at a data point ---------------------------------------------

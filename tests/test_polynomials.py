@@ -8,14 +8,13 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from hirotaweb import (DimensionError, InexactDivisionError, MultiPoly,
-                       RationalFunction, WebSpec, determinant,
-                       exact_div, maximal_minors, poly_from_json, poly_text,
+import hirotaweb
+from hirotaweb import (DimensionError, MultiPoly, RationalFunction, WebSpec,
+                       determinant, maximal_minors, poly_from_json, poly_text,
                        poly_to_json)
 from hirotaweb import polynomials
-from hirotaweb.polynomials import _det_bareiss
 from reference_interpolation import build_system_matrix, determinant_cofactor_naive
-from reference_polynomials import product_terms
+from reference_polynomials import _det_bareiss, exact_div, product_terms
 
 
 def var(n, i):
@@ -198,8 +197,8 @@ def test_determinant_matches_naive_cofactor_oracle():
 
 
 def test_bareiss_path_matches_naive_on_seven_by_seven():
-    # Dimension 7 is still expanded by cofactors, so the fraction-free
-    # elimination path is called directly.
+    # The fraction-free elimination is the oracle of the tests below; here
+    # it is itself checked against plain Laplace expansion.
     rng = random.Random(99)
     m = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-2, 2)
           for _ in range(7)] for _ in range(7)]
@@ -215,18 +214,21 @@ def test_bareiss_path_multivariate_entries():
     assert _det_bareiss(m) == determinant_cofactor_naive(m)
 
 
-def test_cofactor_matches_bareiss_on_seven_by_seven():
-    # The memoized cofactor path covers dimension 7; Bareiss stays the
-    # route above it and serves as the oracle here.
+def test_cofactor_matches_bareiss_to_dimension_nine():
+    # The memoized cofactor expansion is the one route at every size;
+    # Bareiss elimination is the oracle, on the leading-coefficient
+    # interpolation matrices at every order for n = 7, 8 and 9.
     rng = random.Random(7)
     for _ in range(3):
         m = [[const(1, rng.randint(-9, 9)) for _ in range(7)] for _ in range(7)]
         assert determinant(m) == _det_bareiss(m)
-    for k in range(1, 6):
-        spec = WebSpec.numeric(7, k, 6 - k, [-3, -1, 2, 4, 5, 7, 8])
-        for which in ("P-top", "Q-top"):
-            m = build_system_matrix(spec, which)
-            assert determinant(m) == _det_bareiss(m)
+    nodes = [-3, -1, 2, 4, 5, 7, 8, 10, 11]
+    for n in (7, 8, 9):
+        for k in range(1, n - 1):
+            spec = WebSpec.numeric(n, k, n - 1 - k, nodes[:n])
+            for which in ("P-top", "Q-top"):
+                m = build_system_matrix(spec, which)
+                assert determinant(m) == _det_bareiss(m)
 
 
 def test_bareiss_handles_zero_pivots():
@@ -376,12 +378,13 @@ def test_maximal_minors_column_subset_matches_full_list(m, data):
     assert maximal_minors(m, columns) == [every[c] for c in columns]
 
 
-def test_maximal_minors_column_subset_on_the_elimination_path():
-    # Above the cofactor limit each requested minor is its own determinant.
+def test_maximal_minors_at_eight_by_nine_match_bareiss():
     rng = random.Random(8)
     m = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-1, 1)
           for _ in range(9)] for _ in range(8)]
     every = maximal_minors(m)
+    assert every == [_det_bareiss([row[:c] + row[c + 1:] for row in m])
+                     for c in range(9)]
     assert maximal_minors(m, (8, 3)) == [every[8], every[3]]
     with pytest.raises(DimensionError):
         maximal_minors(m, (9,))
@@ -550,7 +553,7 @@ def test_exact_division_round_trip_and_failure(polys):
     if not b.is_zero:
         assert exact_div(a * b, b) == a
     x1, x2 = var(2, 0), var(2, 1)
-    with pytest.raises(InexactDivisionError):
+    with pytest.raises(ArithmeticError):
         exact_div(x1 * x1 + x2, x1 + x2)
 
 
@@ -575,15 +578,24 @@ def test_numeric_minors_match_constant_polynomial_minors(rows):
     assert square == determinant([row[1:] for row in wrapped]).constant_value()
 
 
-def test_numeric_matrices_never_eliminate(monkeypatch):
-    # Above the cofactor limit polynomial matrices go to Bareiss; numeric
-    # ones stay on the cofactor route, whose zero tests and sums need no ring.
+def test_nine_by_ten_numeric_minors_match_constant_polynomial_minors():
+    # Numbers and constant polynomials take the same cofactor route, whose
+    # zero tests and sums need no ring.
     rng = random.Random(12)
     rows = [[rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
              for _ in range(10)] for _ in range(9)]
     wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
     expected = [m.constant_value() for m in maximal_minors(wrapped)]
-    monkeypatch.setattr(polynomials, "exact_div", None)
     assert maximal_minors(rows) == expected
     assert determinant([row[1:] for row in rows]) == expected[0]
     assert determinant([[0, 0], [1, 2]]) == 0
+
+
+def test_public_names_resolve_and_leave_out_ring_division():
+    for name in hirotaweb.__all__:
+        assert getattr(hirotaweb, name) is not None, name
+    assert "determinant" in hirotaweb.__all__
+    for gone in ("exact_div", "InexactDivisionError"):
+        assert gone not in hirotaweb.__all__
+        assert not hasattr(hirotaweb, gone)
+        assert not hasattr(polynomials, gone)

@@ -54,6 +54,17 @@ def test_symbolic_4d_solution_matches_closed_form_up_to_scalar():
     assert common_scalar(sol.p_top, sol.q_top, known_p, known_q) is not None
 
 
+def test_symbolic_node_solution_dimension_eight():
+    # The 8 x 8 leading minors of the symbolic-node row matrix expand to
+    # 8! terms each, past the sizes any other test builds.
+    sol = build_solution(WebSpec(8, 3, 4, None))
+    coordinates = range(8)
+    for minor, degree in ((sol.p_top, 5), (sol.q_top, 4)):
+        assert minor.n_vars == 16
+        assert len(minor.terms) == 40320
+        assert minor.homogeneous_degree(coordinates) == degree
+
+
 # -- residuals ------------------------------------------------------------------------
 
 
