@@ -18,7 +18,7 @@ from .interpolation import (CauchyInterpolant, WebSpec, cauchy_interpolant,
 from .polynomials import (MultiPoly, determinant, maximal_minors,
                           poly_from_json, poly_text, poly_to_json)
 from .ratfunc import RationalFunction
-from .webs import (Coframe, FlatnessVerdict, HirotaSolution, Mobius,
+from .webs import (FlatnessVerdict, HirotaSolution, Mobius,
                    PropertyCheck, TripleCheck, VerificationReport,
                    build_solution, coframe, flatness_check, frobenius_check,
                    hirota_residual, restrict, restricted_nodes,
@@ -28,7 +28,7 @@ from .webs import (Coframe, FlatnessVerdict, HirotaSolution, Mobius,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CauchyInterpolant", "Coframe", "DegenerateInterpolantError",
+    "CauchyInterpolant", "DegenerateInterpolantError",
     "DegenerateRestrictionError", "DifferentialForm", "DimensionError",
     "FlatnessVerdict", "HirotaSolution", "HirotaWebError",
     "InexactNumberError", "LambdaForm", "Mobius", "MultiPoly",

@@ -21,8 +21,9 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
 from .interpolation import (WebSpec, interpolation_check,
                             random_numeric_instances)
 from .polynomials import poly_text, poly_to_json
-from .webs import (HirotaSolution, build_solution, flatness_check, restrict,
-                   restricted_nodes, structural_properties, verify_hirota)
+from .webs import (HirotaSolution, VerificationReport, build_solution,
+                   flatness_check, restrict, restricted_nodes,
+                   structural_properties, verify_hirota)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -150,6 +151,24 @@ def _make_spec(config: RunConfig) -> WebSpec:
     return WebSpec(config.n, config.k, config.l, config.lambdas)
 
 
+def _add_verification(report: Report, outcome: VerificationReport) -> None:
+    """One result per triple (or one vacuous result in dimension 2), the
+    sampling budget in sampled mode, and the summary line."""
+    for check in outcome.checks:
+        report.add_result(f"triple {check.triple}", check.ok, check.detail)
+    if not outcome.checks:
+        report.add_result("residual system", True,
+                          "no triples in dimension 2: vacuously verified")
+    if outcome.mode == "sampled":
+        report.add_result(
+            "schwartz-zippel budget", True,
+            f"degree bound {outcome.degree_bound}, per-trial failure bound "
+            f"{outcome.per_trial_failure_bound} "
+            f"(= {float(outcome.per_trial_failure_bound):.3e}), "
+            f"trials={outcome.trials}, bound={outcome.bound}, seed={outcome.seed}")
+    report.lines.append(outcome.summary())
+
+
 def execute(config: RunConfig, solution_override=None) -> Report:
     """Run one command; ``solution_override`` substitutes the solution under
     test (used by the exit-code contract tests)."""
@@ -178,19 +197,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
                                 bound=config.bound, seed=config.seed)
         report.lines.append(
             f"f = ({poly_text(sol.p_top, names)})/({poly_text(sol.q_top, names)})")
-        for check in outcome.checks:
-            report.add_result(f"triple {check.triple}", check.ok, check.detail)
-        if not outcome.checks:
-            report.add_result("residual system", True,
-                              "no triples in dimension 2: vacuously verified")
-        if outcome.mode == "sampled":
-            report.add_result(
-                "schwartz-zippel budget", True,
-                f"degree bound {outcome.degree_bound}, per-trial failure bound "
-                f"{outcome.per_trial_failure_bound} "
-                f"(= {float(outcome.per_trial_failure_bound):.3e}), "
-                f"trials={outcome.trials}, bound={outcome.bound}, seed={outcome.seed}")
-        report.lines.append(outcome.summary())
+        _add_verification(report, outcome)
         return report
 
     if config.command == "flatness":
@@ -226,13 +233,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         report.lines.append(
             f"f with x{coordinate} = {value}, remaining coordinates reindexed:")
         report.lines.append(f"  {restricted.text(reduced_names)}")
-        outcome = verify_hirota(restricted, nodes=nodes)
-        for check in outcome.checks:
-            report.add_result(f"triple {check.triple}", check.ok, check.detail)
-        if not outcome.checks:
-            report.add_result("residual system", True,
-                              "no triples in dimension 2: vacuously verified")
-        report.lines.append(outcome.summary())
+        _add_verification(report, verify_hirota(restricted, nodes=nodes))
         return report
 
     if config.command == "properties":

@@ -8,7 +8,10 @@ coefficient matrices; its numerator and denominator coefficients are signed
 maximal minors of one n x (n+1) row matrix, extracted in a single memoized
 pass so all signs are consistent by construction.  The leading coefficients
 P_k and Q_l, whose quotient is the web solution, are the minors at columns
-k and n.
+k and n.  Row i of the matrix dotted with the signed minors is
+P(node_i) - x_i Q(node_i) term for term; it is also the Laplace expansion of
+the square matrix with row i repeated, hence zero.  That is why the minors
+interpolate, and it is the identity ``interpolation_check`` tests.
 
 Coefficient lists are kept unnormalized by default (they are polynomials in
 the value coordinates x).  At a numeric data point the point is substituted
@@ -110,20 +113,6 @@ class WebSpec:
         return f"n={self.n} k={self.k} l={self.l} nodes={nodes}"
 
 
-def _node_powers(spec: WebSpec, i: int, top: int, n_vars: int) -> list[MultiPoly]:
-    """[node_i^0, ..., node_i^top] as polynomials in the given ring."""
-    lam = spec.node(i, n_vars) if spec.is_symbolic else spec.lambdas[i - 1]
-    powers = []
-    current: Union[Fraction, MultiPoly] = Fraction(1) if not spec.is_symbolic else MultiPoly.one(n_vars)
-    for _ in range(top + 1):
-        if isinstance(current, Fraction):
-            powers.append(MultiPoly.const(n_vars, current))
-        else:
-            powers.append(current)
-        current = current * lam
-    return powers
-
-
 def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
                ) -> list[list[Union[MultiPoly, Scalar]]]:
     """The shared n x (n+1) data matrix of both full determinants: row i is
@@ -133,21 +122,20 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
     With ``x_values`` (numeric nodes only) the data point is substituted
     and every entry is an exact number, a plain int whenever it is integral.
     """
-    rows = []
     if x_values is None:
         n_vars = spec.n_vars
-        for i in range(1, spec.n + 1):
-            powers = _node_powers(spec, i, max(spec.k, spec.l), n_vars)
-            x = spec.x_poly(i, n_vars)
-            rows.append(powers[:spec.k + 1] + [-(x * p) for p in powers[:spec.l + 1]])
-        return rows
-    if spec.is_symbolic:
-        raise WebSpecError("numeric data needs numeric nodes")
-    if len(x_values) != spec.n:
-        raise WebSpecError(f"expected {spec.n} data values")
-    for lam, value in zip(spec.lambdas, x_values):
-        x = _exact(value)
-        powers = [Fraction(1)]
+        unit: Union[MultiPoly, Scalar] = MultiPoly.one(n_vars)
+        xs = [spec.x_poly(i, n_vars) for i in range(1, spec.n + 1)]
+        nodes = [spec.node(i, n_vars) for i in range(1, spec.n + 1)]
+    else:
+        if spec.is_symbolic:
+            raise WebSpecError("numeric data needs numeric nodes")
+        if len(x_values) != spec.n:
+            raise WebSpecError(f"expected {spec.n} data values")
+        unit, xs, nodes = 1, [_exact(v) for v in x_values], spec.lambdas
+    rows = []
+    for lam, x in zip(nodes, xs):
+        powers = [unit]
         for _ in range(max(spec.k, spec.l)):
             powers.append(powers[-1] * lam)
         row = powers[:spec.k + 1] + [-x * p for p in powers[:spec.l + 1]]
@@ -272,21 +260,14 @@ def interpolation_check(spec: WebSpec) -> bool:
     """Whether P(node_i) - x_i Q(node_i) vanishes identically for every i.
 
     This is the defining interpolation property, checked as an exact
-    polynomial identity in the coordinates (and nodes, when symbolic).
+    polynomial identity in the coordinates (and nodes, when symbolic): for
+    row i of the row matrix, sum_c row_i[c] * signed_minor_c is that
+    difference term for term.
     """
     minors = signed_minors(spec)
-    n_vars = spec.n_vars
-    for i in range(1, spec.n + 1):
-        powers = _node_powers(spec, i, spec.n, n_vars)
-        p_val = MultiPoly.zero(n_vars)
-        for j in range(spec.k + 1):
-            p_val = p_val + minors[j] * powers[j]
-        q_val = MultiPoly.zero(n_vars)
-        for j in range(spec.l + 1):
-            q_val = q_val + minors[spec.k + 1 + j] * powers[j]
-        if not (p_val - spec.x_poly(i) * q_val).is_zero:
-            return False
-    return True
+    zero = MultiPoly.zero(spec.n_vars)
+    return all(sum((entry * minor for entry, minor in zip(row, minors)), zero).is_zero
+               for row in row_matrix(spec))
 
 
 def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, ...]:

@@ -320,7 +320,7 @@ class MultiPoly:
                 base = base * base
         return result
 
-    # -- calculus and substitution ------------------------------------------
+    # -- calculus and elimination -------------------------------------------
 
     def derivative(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to the 0-based variable ``var``."""
@@ -333,54 +333,6 @@ class MultiPoly:
                 lowered = exps[:var] + (e - 1,) + exps[var + 1:]
                 out[lowered] = out.get(lowered, 0) + coeff * e
         return MultiPoly(self.n_vars, _tightened(out), _canonical=True)
-
-    def substitute(self, mapping: Mapping[int, Union["MultiPoly", Scalar]],
-                   n_vars: Optional[int] = None) -> "MultiPoly":
-        """Substitute polynomials or scalars for variables (0-based indices).
-
-        Unmapped variables are carried over as themselves, so the target ring
-        (``n_vars``, defaulting to the current one) must be at least as large
-        as the highest unmapped index in use.  Substitution is a ring
-        homomorphism: term by term, coefficient times the product of images.
-        """
-        target_n = self.n_vars if n_vars is None else n_vars
-        images: dict[int, MultiPoly] = {}
-        for var, value in mapping.items():
-            if not 0 <= var < self.n_vars:
-                raise DimensionError(f"substituted variable {var} out of range")
-            if isinstance(value, MultiPoly):
-                if value.n_vars != target_n:
-                    raise DimensionError(
-                        f"substituted value for variable {var} lives in a "
-                        f"{value.n_vars}-variable ring, expected {target_n}")
-                images[var] = value
-            else:
-                images[var] = MultiPoly.const(target_n, value)
-        result = MultiPoly.zero(target_n)
-        power_cache: dict[tuple[int, int], MultiPoly] = {}
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.const(target_n, coeff)
-            for var, e in enumerate(exps):
-                if not e:
-                    continue
-                if var in images:
-                    key = (var, e)
-                    powed = power_cache.get(key)
-                    if powed is None:
-                        powed = images[var] ** e
-                        power_cache[key] = powed
-                    term = term * powed
-                else:
-                    if var >= target_n:
-                        raise DimensionError(
-                            f"unmapped variable {var} does not fit in a "
-                            f"{target_n}-variable ring")
-                    lifted = [0] * target_n
-                    lifted[var] = e
-                    term = term * MultiPoly(target_n, {tuple(lifted): 1},
-                                            _canonical=True)
-            result = result + term
-        return result
 
     def eliminate(self, assignments: Mapping[int, Scalar]) -> "MultiPoly":
         """Fix variables to exact numbers and drop their slots.

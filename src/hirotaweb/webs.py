@@ -91,6 +91,11 @@ def _top(*degrees: Degree) -> Degree:
     return max(present) if present else None
 
 
+def _lowered(d: int, by: int) -> Degree:
+    """A degree maximum (-1 when no term had it) lowered by ``by``."""
+    return None if d < 0 else d - by
+
+
 def _derivative_degrees(poly: MultiPoly, n: int
                         ) -> tuple[Degree, list[Degree], list[list[Degree]]]:
     """Total degrees of poly, of its first partials and of its mixed second
@@ -99,21 +104,28 @@ def _derivative_degrees(poly: MultiPoly, n: int
     Differentiation sends distinct monomials to distinct monomials with
     nonzero coefficients, so the degree of a partial is the largest degree
     among the terms containing its variables, lowered by their number; no
-    derivative is built.  Diagonal entries of the second table stay None:
-    the residual factors never use them.
+    derivative is built.  The pass keeps the largest term degree per support
+    in variables 0..n-1 (at most 2^n of them), and the tables are read off
+    those maxima.  Diagonal entries of the second table stay None: the
+    residual factors never use them.
     """
-    top: Degree = None
-    first: list[Degree] = [None] * n
-    mixed: list[list[Degree]] = [[None] * n for _ in range(n)]
+    best: dict[tuple[bool, ...], int] = {}
     for exps in poly.terms:
+        support = tuple(map(bool, exps[:n]))
         d = sum(exps)
-        top = _top(top, d)
-        support = [v for v in range(n) if exps[v]]
-        for v in support:
-            first[v] = _top(first[v], d - 1)
-        for a, b in combinations(support, 2):
-            mixed[a][b] = mixed[b][a] = _top(mixed[a][b], d - 2)
-    return top, first, mixed
+        if d > best.get(support, -1):
+            best[support] = d
+    first = [-1] * n
+    mixed = [[-1] * n for _ in range(n)]
+    for support, d in best.items():
+        present = [v for v in range(n) if support[v]]
+        for v in present:
+            first[v] = max(first[v], d)
+        for a, b in combinations(present, 2):
+            mixed[a][b] = mixed[b][a] = max(mixed[a][b], d)
+    return (_lowered(max(best.values(), default=-1), 0),
+            [_lowered(d, 1) for d in first],
+            [[_lowered(d, 2) for d in row] for row in mixed])
 
 
 class _ResidualFactors:
@@ -147,16 +159,12 @@ class _ResidualFactors:
         self.num = f.num
         self.den = f.den
         self.n_vars = f.n_vars
-        self._num_partials: dict[int, MultiPoly] = {}
         self._den_partials: dict[int, MultiPoly] = {}
         self._n: dict[int, MultiPoly] = {}
-        self._dn: dict[tuple[int, int], MultiPoly] = {}
         self._m: dict[tuple[int, int], MultiPoly] = {}
 
     def num_partial(self, v: int) -> MultiPoly:
-        if v not in self._num_partials:
-            self._num_partials[v] = self.num.derivative(v)
-        return self._num_partials[v]
+        return self.num.derivative(v)
 
     def den_partial(self, v: int) -> MultiPoly:
         if v not in self._den_partials:
@@ -171,10 +179,7 @@ class _ResidualFactors:
 
     def dn_poly(self, j: int, k: int) -> MultiPoly:
         """Partial of N_j with respect to variable k (both 0-based)."""
-        key = (j, k)
-        if key not in self._dn:
-            self._dn[key] = self.n_poly(j).derivative(k)
-        return self._dn[key]
+        return self.n_poly(j).derivative(k)
 
     def m_poly(self, j: int, k: int) -> MultiPoly:
         """Numerator of the mixed second derivative; cached per unordered pair."""
@@ -445,21 +450,6 @@ def frobenius_check(alpha: LambdaForm) -> bool:
     return alpha.d().wedge(alpha).is_zero
 
 
-@dataclass(frozen=True)
-class Coframe:
-    """The n coefficient 1-forms of the annihilating parameter polynomial.
-
-    Unnormalized coframes have polynomial components built straight from the
-    determinant coefficients; normalized ones divide by the square of the
-    denominator's constant term, which makes the three-term expression for
-    the degree-1 element hold on the nose.
-    """
-
-    spec: WebSpec
-    alphas: tuple[DifferentialForm, ...]
-    normalized: bool
-
-
 def _gradient_form(p: MultiPoly) -> DifferentialForm:
     return DifferentialForm.from_function(p).exterior_derivative()
 
@@ -502,26 +492,24 @@ def _witness_identity_rhs(p0: MultiPoly, p1: MultiPoly,
     return reduced.scale(2)
 
 
-def coframe(spec: WebSpec, normalized: bool = True) -> Coframe:
-    """Coefficient 1-forms of the annihilating form, from the determinant data.
+def coframe(spec: WebSpec) -> LambdaForm:
+    """The annihilating parameter polynomial of coefficient 1-forms, built
+    from the determinant data.
 
     Requires numeric nodes (the forms live on the coordinate space).  The
-    normalized coframe equals the unnormalized one divided by the square of
-    the denominator's constant term; both annihilate the same web.
+    coefficients are normalized: the polynomial forms of the minors are
+    divided by the square of the denominator's constant term Q0, which makes
+    the three-term expression for the degree-1 element hold on the nose.
     """
     if spec.is_symbolic:
         raise WebSpecError("coframes need numeric nodes")
     minors = signed_minors(spec)
     p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
-    forms = _raw_coframe_forms(p_list, q_list, spec.n)
-    if normalized:
-        q0 = q_list[0]
-        if q0.is_zero:
-            raise DegenerateInterpolantError("denominator constant term vanishes")
-        # dividing by q0^2 multiplies each form's denominator
-        forms = [DifferentialForm(spec.n_vars, 1, form.components, form.den * q0 * q0)
-                 for form in forms]
-    return Coframe(spec, tuple(forms), normalized)
+    q0 = q_list[0]
+    if q0.is_zero:
+        raise DegenerateInterpolantError("denominator constant term vanishes")
+    return LambdaForm([DifferentialForm(spec.n_vars, 1, form.components, form.den * q0 * q0)
+                       for form in _raw_coframe_forms(p_list, q_list, spec.n)])
 
 
 @dataclass(frozen=True)
@@ -775,27 +763,18 @@ def structural_properties(spec: WebSpec) -> list[PropertyCheck]:
     checks.append(PropertyCheck(
         "degree-gap", ok2, f"deg num - deg den = {gap} (expected 1)"))
 
-    ones = [Fraction(1)] * spec.n
-    p_sum = p_top.eliminate(dict(enumerate(ones))) if spec.is_symbolic else None
-    if spec.is_symbolic:
-        q_sum = q_top.eliminate(dict(enumerate(ones)))
-        p_sum_zero = p_sum.is_zero
-        q_sum_zero = q_sum.is_zero
-        p_detail = p_sum.text([f"l{i}" for i in range(1, spec.n + 1)])
-        q_detail = q_sum.text([f"l{i}" for i in range(1, spec.n + 1)])
-    else:
-        p_value = p_top.evaluate(ones)
-        q_value = q_top.evaluate(ones)
-        p_sum_zero = p_value == 0
-        q_sum_zero = q_value == 0
-        p_detail = str(p_value)
-        q_detail = str(q_value)
-    p_ok = p_sum_zero if spec.k >= 1 else not p_sum_zero
-    q_ok = q_sum_zero if spec.l >= 1 else not q_sum_zero
+    # Setting every coordinate to 1 leaves a polynomial in the nodes l1..ln
+    # (a constant, for numeric nodes).
+    ones = dict.fromkeys(range(spec.n), 1)
+    node_names = spec.names()[spec.n:]
+    p_sum = p_top.eliminate(ones)
+    q_sum = q_top.eliminate(ones)
+    p_ok = p_sum.is_zero if spec.k >= 1 else not p_sum.is_zero
+    q_ok = q_sum.is_zero if spec.l >= 1 else not q_sum.is_zero
     p_claim = "zero" if spec.k >= 1 else "nonzero (order 0)"
     q_claim = "zero" if spec.l >= 1 else "nonzero (order 0)"
     checks.append(PropertyCheck(
         "coefficient-sums", p_ok and q_ok,
-        f"numerator sum {p_detail} (expected {p_claim}), "
-        f"denominator sum {q_detail} (expected {q_claim})"))
+        f"numerator sum {p_sum.text(node_names)} (expected {p_claim}), "
+        f"denominator sum {q_sum.text(node_names)} (expected {q_claim})"))
     return checks

@@ -32,7 +32,7 @@ def test_pipeline_stays_exact():
     for value in solve_oracle(spec, [Fraction(1, 3), 2, -5, Fraction(7, 2)]):
         assert isinstance(value, Fraction)
 
-    for alpha in coframe(spec).alphas:
+    for alpha in coframe(spec).coefficients:
         _assert_exact_form(alpha)
     for form in veronese_form(sol.f, spec.lambdas).coefficients:
         _assert_exact_form(form)

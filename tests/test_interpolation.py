@@ -14,6 +14,7 @@ from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        interpolation_check, maximal_minors,
                        random_numeric_instances, row_matrix, signed_minors,
                        solve_oracle)
+from hirotaweb import interpolation
 from reference_forms import closed_form_3d, common_scalar
 from reference_interpolation import (build_system_matrix, point_coefficients,
                                      top_coefficients)
@@ -162,6 +163,21 @@ def test_normalization_without_data_rejected():
 ])
 def test_interpolation_identity(spec):
     assert interpolation_check(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [WebSpec.numeric(n, k, n - 1 - k) for n in (3, 4, 5) for k in range(n)]
+    + [WebSpec.symbolic(3, k, 2 - k) for k in range(3)],
+    ids=WebSpec.describe)
+def test_interpolation_check_rejects_a_perturbed_minor(spec, monkeypatch):
+    minors = signed_minors(spec)
+    for column in range(spec.n + 1):
+        perturbed = list(minors)
+        perturbed[column] = perturbed[column] + MultiPoly.one(spec.n_vars)
+        monkeypatch.setattr(interpolation, "signed_minors",
+                            lambda _spec, minors=perturbed: minors)
+        assert not interpolation_check(spec), column
 
 
 def test_solve_oracle_examples():

@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic, substitution, and determinants."""
+"""Exact polynomial arithmetic, elimination, and determinants."""
 
 import random
 from fractions import Fraction
@@ -82,12 +82,7 @@ def test_mixed_partials_commute():
         assert p.derivative(i).derivative(j) == p.derivative(j).derivative(i)
 
 
-# -- substitution ------------------------------------------------------------------
-
-
-def test_substitute_single_variable():
-    x1, x2, x3 = (var(3, i) for i in range(3))
-    assert (x1 * x2 + x3).substitute({2: 0}) == x1 * x2
+# -- elimination -------------------------------------------------------------------
 
 
 def test_substitute_numeric_nodes_into_symbolic_display():
@@ -108,19 +103,10 @@ def test_substitution_is_ring_homomorphism():
     for _ in range(20):
         p = _random_poly(rng, 3, 3, 5)
         q = _random_poly(rng, 3, 3, 5)
-        sub = {0: _random_poly(rng, 3, 2, 3), 2: Fraction(rng.randint(-4, 4))}
-        assert (p * q).substitute(sub) == p.substitute(sub) * q.substitute(sub)
-
-
-def test_euler_scaling_of_homogeneous_polynomial():
-    # Homogeneous p of degree d scales as t^d under x -> t x, with t carried
-    # as one extra ring variable.
-    x1, x2, x3 = (var(3, i) for i in range(3))
-    p = x1 * x2 + x3 * x3
-    t = var(4, 3)
-    scaled = p.substitute({i: var(4, i) * t for i in range(3)}, n_vars=4)
-    lifted = p.substitute({}, n_vars=4)
-    assert scaled == lifted * t * t
+        sub = {0: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+               2: Fraction(rng.randint(-4, 4))}
+        assert (p * q).eliminate(sub) == p.eliminate(sub) * q.eliminate(sub)
+        assert (p + q).eliminate(sub) == p.eliminate(sub) + q.eliminate(sub)
 
 
 # -- homogeneity -------------------------------------------------------------------
@@ -417,8 +403,7 @@ def test_every_operation_stores_integral_coefficients_as_ints(polys, scalar, dat
     p, q = polys
     var = data.draw(st.integers(0, p.n_vars - 1))
     results = [p + q, p - q, p + scalar, scalar - p, p * scalar, scalar * p, p * q,
-               p ** 2, p.derivative(var), p.eliminate({var: scalar}),
-               p.substitute({var: q}), p.substitute({var: scalar})]
+               p ** 2, p.derivative(var), p.eliminate({var: scalar})]
     if not q.is_zero:
         results += [exact_div(p * q, q), exact_div(p, MultiPoly.const(p.n_vars, 2))]
         f = RationalFunction(p, q)
@@ -599,3 +584,7 @@ def test_public_names_resolve_and_leave_out_ring_division():
         assert gone not in hirotaweb.__all__
         assert not hasattr(hirotaweb, gone)
         assert not hasattr(polynomials, gone)
+    # One substitution route (eliminate) and one parameter-polynomial type.
+    assert not hasattr(MultiPoly, "substitute")
+    assert "Coframe" not in hirotaweb.__all__
+    assert isinstance(hirotaweb.coframe(WebSpec.numeric(3, 1, 1)), hirotaweb.LambdaForm)

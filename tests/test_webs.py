@@ -13,7 +13,8 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
-from hirotaweb.webs import _ResidualFactors, _witness_identity_rhs
+from hirotaweb.webs import (_ResidualFactors, _raw_coframe_forms,
+                            _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
 from reference_residuals import expanded_degree_bound, expanded_residual_value
@@ -217,17 +218,16 @@ def test_vacuous_two_node_verification():
 
 
 def test_solution_homogeneity_degree_one():
-    # p_top(t x) q_top(x) = t p_top(x) q_top(t x), with t one extra variable.
+    # p_top(t x) q_top(x) = t p_top(x) q_top(t x) at seeded integer x and t.
+    rng = random.Random(1618)
     for spec in (WebSpec.numeric(3, 1, 1), WebSpec.numeric(4, 2, 1)):
         sol = build_solution(spec)
-        n = spec.n
-        t = MultiPoly.variable(n + 1, n)
-        scaling = {i: MultiPoly.variable(n + 1, i) * t for i in range(n)}
-        p_scaled = sol.p_top.substitute(scaling, n_vars=n + 1)
-        q_scaled = sol.q_top.substitute(scaling, n_vars=n + 1)
-        p_plain = sol.p_top.substitute({}, n_vars=n + 1)
-        q_plain = sol.q_top.substitute({}, n_vars=n + 1)
-        assert p_scaled * q_plain == t * p_plain * q_scaled
+        for _ in range(10):
+            x = [rng.randint(-50, 50) for _ in range(spec.n)]
+            t = rng.randint(-9, 9)
+            tx = [t * v for v in x]
+            assert (sol.p_top.evaluate(tx) * sol.q_top.evaluate(x)
+                    == t * sol.p_top.evaluate(x) * sol.q_top.evaluate(tx))
 
 
 # -- annihilating form and Frobenius integrability -------------------------------------
@@ -313,7 +313,7 @@ def test_coframe_degree_one_element_three_terms():
     frame = coframe(spec)
     p, q = _normalized_coefficients(spec)
     expected = d0(p[1]) + d0(p[0]).scale(q[1]) - d0(q[1]).scale(p[0])
-    assert frame.alphas[1] == expected
+    assert frame.coefficient(1) == expected
 
 
 def test_coframe_lagrange_case_is_exact_gradient_frame():
@@ -321,7 +321,7 @@ def test_coframe_lagrange_case_is_exact_gradient_frame():
     frame = coframe(spec)
     p, _ = _normalized_coefficients(spec)
     for m in range(3):
-        assert frame.alphas[m] == d0(p[m])
+        assert frame.coefficient(m) == d0(p[m])
 
 
 def test_coframe_two_nodes_line_case():
@@ -329,19 +329,28 @@ def test_coframe_two_nodes_line_case():
     spec = WebSpec.numeric(2, 1, 0, [0, 1])
     frame = coframe(spec)
     x1, x2 = (MultiPoly.variable(2, i) for i in range(2))
-    assert frame.alphas[0] == d0(RationalFunction(x1))
-    assert frame.alphas[1] == d0(RationalFunction(x2 - x1))
+    assert frame.coefficient(0) == d0(RationalFunction(x1))
+    assert frame.coefficient(1) == d0(RationalFunction(x2 - x1))
 
 
 def test_unnormalized_coframe_is_polynomial_multiple():
     spec = WebSpec.numeric(4, 2, 1)
-    raw = coframe(spec, normalized=False)
+    minors = signed_minors(spec)
+    raw = _raw_coframe_forms(minors[:spec.k + 1], minors[spec.k + 1:], spec.n)
     frame = coframe(spec)
-    q0 = signed_minors(spec)[spec.k + 1]
+    q0 = minors[spec.k + 1]
     one = MultiPoly.one(spec.n_vars)
-    for raw_alpha, alpha in zip(raw.alphas, frame.alphas):
+    assert len(raw) == len(frame.coefficients) == spec.n
+    for raw_alpha, alpha in zip(raw, frame.coefficients):
         assert raw_alpha.den.is_constant  # polynomial components
         assert raw_alpha == alpha.scale(RationalFunction(q0 * q0, one))
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in (3, 4) for k in range(n)])
+def test_coframe_is_frobenius_integrable(n, k):
+    # The coframe is a multiple of the annihilating pencil, so it passes the
+    # same per-coefficient integrability test.
+    assert frobenius_check(coframe(WebSpec.numeric(n, k, n - 1 - k)))
 
 
 def test_coframe_needs_numeric_nodes():
@@ -362,11 +371,7 @@ def test_coframe_proportional_to_veronese_pencil(spec):
     for _ in range(5):
         mu = Fraction(rng.randint(-8, 8))
         pencil_form = pencil.at(mu)
-        frame_form = DifferentialForm.zero(spec.n, 1)
-        power = Fraction(1)
-        for alpha in frame.alphas:
-            frame_form = frame_form + alpha.scale(power)
-            power *= mu
+        frame_form = frame.at(mu)
         assert not pencil_form.is_zero and not frame_form.is_zero
         assert pencil_form.wedge(frame_form).is_zero
 
