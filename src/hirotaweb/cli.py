@@ -18,11 +18,10 @@ from typing import Optional, Sequence
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
-from .interpolation import (WebSpec, interpolation_check,
-                            random_numeric_instances)
+from .interpolation import WebSpec, random_numeric_instances
 from .polynomials import poly_text, poly_to_json
-from .webs import (HirotaSolution, VerificationReport, build_solution,
-                   flatness_check, restrict, restricted_nodes,
+from .webs import (HirotaSolution, VerificationReport, _bound_text,
+                   build_solution, flatness_check, restrict, restricted_nodes,
                    structural_properties, verify_hirota)
 
 EXIT_OK = 0
@@ -163,8 +162,7 @@ def _add_verification(report: Report, outcome: VerificationReport) -> None:
         report.add_result(
             "schwartz-zippel budget", True,
             f"degree bound {outcome.degree_bound}, per-trial failure bound "
-            f"{outcome.per_trial_failure_bound} "
-            f"(= {float(outcome.per_trial_failure_bound):.3e}), "
+            f"{_bound_text(outcome.per_trial_failure_bound)}, "
             f"trials={outcome.trials}, bound={outcome.bound}, seed={outcome.seed}")
     report.lines.append(outcome.summary())
 
@@ -183,10 +181,10 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         sol = report.solution = solution()
         report.objects["P_k"] = poly_to_json(sol.p_top)
         report.objects["Q_l"] = poly_to_json(sol.q_top)
-        report.lines.append(f"P_k = {poly_text(sol.p_top, names)}")
-        report.lines.append(f"Q_l = {poly_text(sol.q_top, names)}")
-        report.lines.append(
-            f"f = ({poly_text(sol.p_top, names)})/({poly_text(sol.q_top, names)})")
+        p_text, q_text = poly_text(sol.p_top, names), poly_text(sol.q_top, names)
+        report.lines.append(f"P_k = {p_text}")
+        report.lines.append(f"Q_l = {q_text}")
+        report.lines.append(f"f = ({p_text})/({q_text})")
         report.add_result("generate", True,
                           f"leading coefficients built for {spec.describe()}")
         return report
@@ -239,8 +237,6 @@ def execute(config: RunConfig, solution_override=None) -> Report:
     if config.command == "properties":
         for check in structural_properties(spec):
             report.add_result(check.name, check.ok, check.detail)
-        report.add_result("interpolation-identity", interpolation_check(spec),
-                          "P(node_i) - x_i Q(node_i) = 0 for all i")
         return report
 
     if config.command == "oracle":

@@ -185,13 +185,6 @@ class CauchyInterpolant:
     q_coeffs: tuple[MultiPoly, ...]
     normalized: bool = False
 
-    def p_at(self, value: Scalar) -> MultiPoly:
-        """Numerator polynomial evaluated at a numeric parameter value."""
-        return _poly_in_param(self.p_coeffs, value)
-
-    def q_at(self, value: Scalar) -> MultiPoly:
-        return _poly_in_param(self.q_coeffs, value)
-
 
 def _poly_in_param(coeffs: Sequence[MultiPoly], value: Scalar) -> MultiPoly:
     value = _exact(value)
@@ -260,11 +253,15 @@ def interpolation_check(spec: WebSpec) -> bool:
     """Whether P(node_i) - x_i Q(node_i) vanishes identically for every i.
 
     This is the defining interpolation property, checked as an exact
-    polynomial identity in the coordinates (and nodes, when symbolic): for
-    row i of the row matrix, sum_c row_i[c] * signed_minor_c is that
-    difference term for term.
+    polynomial identity in the coordinates (and nodes, when symbolic).
     """
-    minors = signed_minors(spec)
+    return _interpolation_identity(spec, signed_minors(spec))
+
+
+def _interpolation_identity(spec: WebSpec, minors: Sequence[MultiPoly]) -> bool:
+    """The interpolation property for all n+1 signed minors: for row i of the
+    row matrix, sum_c row_i[c] * minors[c] is P(node_i) - x_i Q(node_i) term
+    for term."""
     zero = MultiPoly.zero(spec.n_vars)
     return all(sum((entry * minor for entry, minor in zip(row, minors)), zero).is_zero
                for row in row_matrix(spec))
@@ -317,27 +314,20 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
     return tuple(solution)
 
 
-def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar,
-                         x_values: Optional[Sequence[Scalar]] = None
+def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar
                          ) -> Union[Fraction, RationalFunction]:
-    """F(at) = p(at)/q(at): an exact number when the coefficients are (or are
-    made) numeric, otherwise a rational function of the coordinates."""
-    p_val = interp.p_at(at)
-    q_val = interp.q_at(at)
-    if x_values is not None:
-        point = [_exact(v) for v in x_values]
-        p_num = p_val.evaluate(point)
-        q_num = q_val.evaluate(point)
-    elif p_val.is_constant and q_val.is_constant:
-        p_num = p_val.constant_value()
-        q_num = q_val.constant_value()
-    else:
+    """F(at) = p(at)/q(at): an exact number when the coefficients are
+    numeric, otherwise a rational function of the coordinates."""
+    p_val = _poly_in_param(interp.p_coeffs, at)
+    q_val = _poly_in_param(interp.q_coeffs, at)
+    if not (p_val.is_constant and q_val.is_constant):
         if q_val.is_zero:
             raise PoleError(f"denominator vanishes identically at {at}")
         return RationalFunction(p_val, q_val)
+    q_num = q_val.constant_value()
     if not q_num:
         raise PoleError(f"denominator vanishes at parameter value {at}")
-    return p_num / q_num
+    return p_val.constant_value() / q_num
 
 
 def interpolant_matches_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> bool:

@@ -1,7 +1,10 @@
-"""Quotients of multivariate polynomials, kept deliberately unreduced.
+"""Quotients of multivariate polynomials as values, kept deliberately unreduced.
 
-Multivariate gcd extraction is never performed: equality and zero tests go
-through cross-multiplication, which is all the certification work needs.
+A RationalFunction is read, compared, evaluated and rendered; it has no
+field arithmetic.  Code that builds a new quotient works on the numerator
+and denominator polynomials and wraps the result.  Multivariate gcd
+extraction is never performed: equality and zero tests go through
+cross-multiplication, which is all the certification work needs.
 The only normalization applied is cheap and canonical: the pair is scaled so
 numerator and denominator have integer coefficients with joint content 1,
 and the denominator's graded-lex leading coefficient is positive.  The
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import PoleError
 from .polynomials import MultiPoly, Scalar, poly_text
@@ -61,10 +64,6 @@ class RationalFunction:
             self.num = _scaled(num, m, g)
             self.den = _scaled(den, m, g)
 
-    @classmethod
-    def from_scalar(cls, n_vars: int, value: Scalar) -> "RationalFunction":
-        return cls(MultiPoly.const(n_vars, value))
-
     @property
     def n_vars(self) -> int:
         return self.num.n_vars
@@ -76,54 +75,12 @@ class RationalFunction:
     def __bool__(self) -> bool:
         return not self.num.is_zero
 
-    # -- field arithmetic ----------------------------------------------------
-
-    @staticmethod
-    def _coerce(value: Union["RationalFunction", MultiPoly, Scalar],
-                n_vars: int) -> "RationalFunction":
-        if isinstance(value, RationalFunction):
-            return value
-        if isinstance(value, MultiPoly):
-            return RationalFunction(value)
-        return RationalFunction.from_scalar(n_vars, value)
-
-    def __add__(self, other) -> "RationalFunction":
-        other = self._coerce(other, self.n_vars)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other) -> "RationalFunction":
-        return self.__add__(self._coerce(other, self.n_vars).__neg__())
-
-    def __rsub__(self, other) -> "RationalFunction":
-        return self._coerce(other, self.n_vars).__sub__(self)
-
-    def __mul__(self, other) -> "RationalFunction":
-        other = self._coerce(other, self.n_vars)
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunction":
-        other = self._coerce(other, self.n_vars)
-        if other.num.is_zero:
-            raise ZeroDivisionError("division by the zero function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other) -> "RationalFunction":
-        return self._coerce(other, self.n_vars).__truediv__(self)
-
     def __eq__(self, other: object) -> bool:
         """Cross-multiplication equality: a/b == c/d iff a*d - c*b == 0."""
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            other = self._coerce(other, self.n_vars)
+        if isinstance(other, (int, Fraction)):
+            other = MultiPoly.const(self.n_vars, other)
+        if isinstance(other, MultiPoly):
+            other = RationalFunction(other)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         if self.den == other.den:
@@ -139,11 +96,6 @@ class RationalFunction:
         if not bottom:
             raise PoleError(f"denominator vanishes at {list(values)}")
         return self.num.evaluate(values) / bottom
-
-    def eliminate(self, assignments) -> "RationalFunction":
-        """Fix variables to numbers in both parts, dropping their slots."""
-        return RationalFunction(self.num.eliminate(assignments),
-                                self.den.eliminate(assignments))
 
     # -- output ----------------------------------------------------------------
 

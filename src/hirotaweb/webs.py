@@ -38,7 +38,8 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import WebSpec, highest_coefficients, signed_minors
+from .interpolation import (WebSpec, _interpolation_identity,
+                            highest_coefficients, signed_minors)
 from .polynomials import MultiPoly, Scalar, _exact
 from .ratfunc import RationalFunction
 
@@ -274,6 +275,12 @@ class TripleCheck:
     detail: str
 
 
+def _bound_text(bound: Fraction) -> str:
+    """``<fraction> (= <x.xxxe-yy>)``.  The decimal view is for reading only:
+    this is the one place the library makes a float."""
+    return f"{bound} (= {float(bound):.3e})"
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Per-triple residual verdicts plus, in sampled mode, the soundness
@@ -292,8 +299,7 @@ class VerificationReport:
         state = "verified" if self.passed else "FAILED"
         head = f"{state}, {len(self.checks)} triple(s), mode={self.mode}"
         if self.mode == "sampled" and self.per_trial_failure_bound is not None:
-            head += (f", per-trial failure bound {self.per_trial_failure_bound}"
-                     f" (= {float(self.per_trial_failure_bound):.3e})")
+            head += f", per-trial failure bound {_bound_text(self.per_trial_failure_bound)}"
         return head
 
 
@@ -466,20 +472,18 @@ def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
     return polys if scale == 1 else [poly * scale for poly in polys]
 
 
-def _raw_coframe_forms(p_list: Sequence[MultiPoly],
-                       q_list: Sequence[MultiPoly], n: int) -> list[DifferentialForm]:
-    n_vars = p_list[0].n_vars
-    dp = [_gradient_form(p) for p in p_list]
-    dq = [_gradient_form(q) for q in q_list]
-    forms = []
-    for m in range(n):
-        total = DifferentialForm.zero(n_vars, 1)
-        for i, q in enumerate(q_list):
-            j = m - i
-            if 0 <= j < len(p_list):
-                total = total + dp[j].scale(q) - dq[i].scale(p_list[j])
-        forms.append(total)
-    return forms
+def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
+                     m: int) -> DifferentialForm:
+    """The polynomial 1-form beta_m = sum over i + j = m of
+    (Q_i dP_j - P_j dQ_i), from the gradients of the minors it uses; it is
+    Q0^2 times the normalized coframe element alpha_m."""
+    total = DifferentialForm.zero(p_list[0].n_vars, 1)
+    for i, q in enumerate(q_list):
+        j = m - i
+        if 0 <= j < len(p_list):
+            total = (total + _gradient_form(p_list[j]).scale(q)
+                     - _gradient_form(q).scale(p_list[j]))
+    return total
 
 
 def _witness_identity_rhs(p0: MultiPoly, p1: MultiPoly,
@@ -508,8 +512,9 @@ def coframe(spec: WebSpec) -> LambdaForm:
     q0 = q_list[0]
     if q0.is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
+    forms = (_coframe_element(p_list, q_list, m) for m in range(spec.n))
     return LambdaForm([DifferentialForm(spec.n_vars, 1, form.components, form.den * q0 * q0)
-                       for form in _raw_coframe_forms(p_list, q_list, spec.n)])
+                       for form in forms])
 
 
 @dataclass(frozen=True)
@@ -574,14 +579,14 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     q0 = q_list[0]
     if q0.is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
-    raw = _raw_coframe_forms(p_list, q_list, spec.n)
 
-    def wedge_self(form: DifferentialForm) -> DifferentialForm:
+    def wedge_self(m: int) -> DifferentialForm:
+        form = _coframe_element(p_list, q_list, m)
         return form.exterior_derivative().wedge(form)
 
-    w1_poly = wedge_self(raw[1])
+    w1_poly = wedge_self(1)
     second = spec.n - 2
-    w2_poly = w1_poly if second == 1 else wedge_self(raw[second])
+    w2_poly = w1_poly if second == 1 else wedge_self(second)
 
     identity_checked = False
     if spec.k >= 1 and spec.l >= 1:
@@ -663,8 +668,10 @@ class Mobius:
         return self.b == 0 and self.c == 0 and self.a == self.d
 
 
-def _substitute_mobius(poly: MultiPoly, maps: Sequence[Mobius]) -> RationalFunction:
-    """Compose a polynomial with per-variable fractional-linear maps.
+def _substitute_mobius(poly: MultiPoly, maps: Sequence[Mobius]
+                       ) -> tuple[MultiPoly, MultiPoly]:
+    """Compose a polynomial with per-variable fractional-linear maps, as a
+    (numerator, denominator) pair.
 
     Clearing denominators: with D_v the degree of variable v, each term
     c prod x_v^e_v becomes c prod (a_v x_v + b_v)^e_v (c_v x_v + d_v)^(D_v - e_v)
@@ -672,7 +679,7 @@ def _substitute_mobius(poly: MultiPoly, maps: Sequence[Mobius]) -> RationalFunct
     """
     n = poly.n_vars
     if all(m.is_identity for m in maps):
-        return RationalFunction(poly)
+        return poly, MultiPoly.one(n)
     max_deg = [0] * n
     for exps in poly.terms:
         for v, e in enumerate(exps):
@@ -702,7 +709,7 @@ def _substitute_mobius(poly: MultiPoly, maps: Sequence[Mobius]) -> RationalFunct
     for v in range(n):
         if max_deg[v]:
             denominator = denominator * power("den", v, max_deg[v])
-    return RationalFunction(numerator, denominator)
+    return numerator, denominator
 
 
 def transform(f: RationalFunction, outer: Mobius,
@@ -715,11 +722,12 @@ def transform(f: RationalFunction, outer: Mobius,
     if len(inner) != f.n_vars:
         raise DimensionError(
             f"expected {f.n_vars} coordinate maps, got {len(inner)}")
-    top = _substitute_mobius(f.num, inner)
-    bottom = _substitute_mobius(f.den, inner)
-    composed = top / bottom
-    numerator = composed.num * outer.a + composed.den * outer.b
-    denominator = composed.num * outer.c + composed.den * outer.d
+    # f.num and f.den compose to A/B and C/D, so f composes to (A D)/(B C).
+    num_top, num_bottom = _substitute_mobius(f.num, inner)
+    den_top, den_bottom = _substitute_mobius(f.den, inner)
+    top, bottom = num_top * den_bottom, num_bottom * den_top
+    numerator = top * outer.a + bottom * outer.b
+    denominator = top * outer.c + bottom * outer.d
     if denominator.is_zero:
         raise ZeroDivisionError("outer map sends the function to infinity")
     return RationalFunction(numerator, denominator)
@@ -736,15 +744,20 @@ class PropertyCheck:
 
 
 def structural_properties(spec: WebSpec) -> list[PropertyCheck]:
-    """The three structural facts about the leading coefficients.
+    """The structural facts about the leading coefficients, and the
+    interpolation identity of the minors they come from.
 
     1. both are homogeneous in the coordinates, of degrees l+1 and l;
     2. the numerator's degree exceeds the denominator's by one;
     3. each coefficient sum vanishes -- for the numerator when k >= 1 and
        for the denominator when l >= 1 (below those orders the defining
-       column dependence does not exist and the sums are nonzero).
+       column dependence does not exist and the sums are nonzero);
+    4. the signed minors interpolate (``interpolation_check``).
+
+    One pass takes all n+1 signed minors; P_k and Q_l are two of them.
     """
-    p_top, q_top = highest_coefficients(spec)
+    minors = signed_minors(spec)
+    p_top, q_top = minors[spec.k], minors[spec.n]
     x_vars = range(spec.n)
     checks = []
 
@@ -777,4 +790,7 @@ def structural_properties(spec: WebSpec) -> list[PropertyCheck]:
         "coefficient-sums", p_ok and q_ok,
         f"numerator sum {p_sum.text(node_names)} (expected {p_claim}), "
         f"denominator sum {q_sum.text(node_names)} (expected {q_claim})"))
+    checks.append(PropertyCheck(
+        "interpolation-identity", _interpolation_identity(spec, minors),
+        "P(node_i) - x_i Q(node_i) = 0 for all i"))
     return checks

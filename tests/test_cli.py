@@ -32,6 +32,25 @@ def test_generate_json_round_trips_polynomials():
     assert poly_from_json(payload["objects"]["Q_l"]) == q_top
 
 
+def test_generate_renders_each_leading_coefficient_once(monkeypatch):
+    # The f = (...)/(...) line reuses the P_k and Q_l strings.
+    import hirotaweb.cli as cli
+    rendered = []
+    original = cli.poly_text
+
+    def counted(poly, *args, **kwargs):
+        rendered.append(poly)
+        return original(poly, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "poly_text", counted)
+    code, text = run(config(n=4, k=1, l=2, lambdas=(1, 2, 3, 4)))
+    assert code == EXIT_OK
+    assert rendered == list(highest_coefficients(WebSpec.numeric(4, 1, 2)))
+    p_line, q_line, f_line = (line for line in text.splitlines()
+                              if line.startswith(("P_k = ", "Q_l = ", "f = ")))
+    assert f_line == f"f = ({p_line[6:]})/({q_line[6:]})"
+
+
 def test_verify_symbolic_four_nodes():
     code, text = run(config("verify", n=4, k=2, l=1, lambdas=None))
     assert code == EXIT_OK

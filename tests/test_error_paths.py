@@ -34,11 +34,16 @@ def test_polynomial_error_paths():
 
 
 def test_rational_function_conveniences():
+    # Equality accepts polynomials and exact scalars on either side.
     x1, x2 = (MultiPoly.variable(2, i) for i in range(2))
-    f = RationalFunction(x1 + x2, x2)
-    assert (1 / RationalFunction(x1)) == RationalFunction(MultiPoly.one(2), x1)
-    assert f.eliminate({1: 1}) == RationalFunction(MultiPoly.variable(1, 0) + 1)
-    assert (2 - RationalFunction(x1)) == RationalFunction(2 - x1)
+    f = RationalFunction(x1 * x2 + x2, x2)
+    assert f == x1 + 1 and x1 + 1 == f
+    assert f != x1
+    assert RationalFunction(2 * x1, x1) == 2
+    assert RationalFunction(x1, 3 * x1) == Fraction(1, 3)
+    assert RationalFunction(MultiPoly.zero(2), x2) == 0
+    with pytest.raises(DimensionError):
+        f == MultiPoly.variable(3, 0)  # a polynomial from another ring
 
 
 def test_form_validation():

@@ -1,7 +1,10 @@
 """No value anywhere in the pipeline may silently become a float."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import hirotaweb
 from hirotaweb import (Mobius, WebSpec, build_solution, cauchy_interpolant,
                        coframe, flatness_check, restrict, solve_oracle,
                        transform, verify_hirota, veronese_form)
@@ -68,3 +71,24 @@ def test_rational_node_flatness_witness_has_only_int_coefficients():
     for poly in (*witness.components.values(), witness.den):
         assert poly.terms
         assert all(type(c) is int for c in poly.terms.values())
+
+
+def test_library_source_makes_one_float():
+    # The only float in the library is the decimal view of a failure bound,
+    # made in webs._bound_text: any float literal, or a float() call
+    # anywhere else, fails.
+    offenders = []
+    for path in sorted(Path(hirotaweb.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (path.name == "webs.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "_bound_text"):
+                allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offenders.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float" and id(node) not in allowed):
+                offenders.append(f"{path.name}:{node.lineno}: float() call")
+    assert not offenders, offenders

@@ -279,11 +279,12 @@ def test_full_matrix_with_numeric_parameter():
 
 
 def test_evaluate_symbolic_interpolant_at_data_point():
+    # F(0) = p_0/q_0 from the symbolic minors evaluated at the data point
+    # matches the interpolant built at that point.
     spec = WebSpec.numeric(3, 1, 1)
-    interp = cauchy_interpolant(spec)  # symbolic coefficients
-    value = evaluate_interpolant(interp, Fraction(0), x_values=[1, 2, 5])
+    values = point_coefficients(spec, [1, 2, 5])
     normalized = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
-    assert value == evaluate_interpolant(normalized, Fraction(0))
+    assert values[0] / values[spec.k + 1] == evaluate_interpolant(normalized, Fraction(0))
 
 
 # -- sympy as an independent oracle ------------------------------------------------

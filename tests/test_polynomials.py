@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, elimination, and determinants."""
 
+import inspect
 import random
 from fractions import Fraction
 from unittest import mock
@@ -588,3 +589,9 @@ def test_public_names_resolve_and_leave_out_ring_division():
     assert not hasattr(MultiPoly, "substitute")
     assert "Coframe" not in hirotaweb.__all__
     assert isinstance(hirotaweb.coframe(WebSpec.numeric(3, 1, 1)), hirotaweb.LambdaForm)
+    # A quotient is a value: no field arithmetic, no second restriction route,
+    # and a data point reaches the interpolant only through cauchy_interpolant.
+    for gone in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "eliminate", "from_scalar"):
+        assert not hasattr(RationalFunction, gone), gone
+    assert "x_values" not in inspect.signature(hirotaweb.evaluate_interpolant).parameters

@@ -1,6 +1,7 @@
 """Solutions, residual verification, web geometry, restriction, transforms."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        DifferentialForm, HirotaSolution, HirotaWebError, Mobius,
-                       MultiPoly, RationalFunction, WebSpec, WebSpecError,
+                       MultiPoly, PoleError, RationalFunction, WebSpec, WebSpecError,
                        build_solution, coframe, flatness_check, frobenius_check,
                        hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
-from hirotaweb.webs import (_ResidualFactors, _raw_coframe_forms,
+from hirotaweb.webs import (_ResidualFactors, _coframe_element,
                             _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
@@ -82,7 +83,7 @@ def test_product_plus_coordinate_residual_is_constant():
     x = [MultiPoly.variable(n, i) for i in range(n)]
     f = RationalFunction(x[0] * x[1] + x[2])
     residual = hirota_residual(f, nodes(1, 2, 3), (1, 2, 3))
-    assert residual == RationalFunction.from_scalar(n, -1)
+    assert residual == -1
 
 
 def test_solution_residual_vanishes():
@@ -127,6 +128,21 @@ def test_verify_sampled_five_nodes():
     assert report.passed and len(report.checks) == 10
     assert report.per_trial_failure_bound <= Fraction(1, 10 ** 4)
     assert report.degree_bound == report.per_trial_failure_bound * (2 * 10 ** 6 + 1)
+
+
+def test_bound_text_shows_the_exact_fraction_and_its_decimal():
+    report = verify_hirota(build_solution(WebSpec.numeric(4, 1, 2)), mode="sampled",
+                           trials=2, bound=10 ** 6, seed=3)
+    bound = report.per_trial_failure_bound
+    text = webs._bound_text(bound)
+    assert text in report.summary()
+    exact, decimal = re.fullmatch(r"(\S+) \(= (\d\.\d{3}e[-+]\d{2})\)", text).groups()
+    assert Fraction(exact) == bound
+    # the decimal view is the fraction rounded to four significant digits
+    mantissa, exponent = decimal.split("e")
+    assert abs(Fraction(mantissa) * Fraction(10) ** int(exponent) - bound) \
+        <= Fraction(5, 10 ** 4) * Fraction(10) ** int(exponent)
+    assert webs._bound_text(Fraction(1, 3)) == "1/3 (= 3.333e-01)"
 
 
 def test_verify_sampled_catches_non_solution():
@@ -254,7 +270,8 @@ def test_veronese_at_node_collapses_to_coordinate_form():
         for j, other in enumerate(values):
             if j != i:
                 scale *= lam - other
-        assert at_node.component((i,)) == derivative(sol.f, i) * scale
+        d = derivative(sol.f, i)
+        assert at_node.component((i,)) == RationalFunction(d.num * scale, d.den)
 
 
 def test_veronese_leading_coefficient_is_df():
@@ -336,12 +353,13 @@ def test_coframe_two_nodes_line_case():
 def test_unnormalized_coframe_is_polynomial_multiple():
     spec = WebSpec.numeric(4, 2, 1)
     minors = signed_minors(spec)
-    raw = _raw_coframe_forms(minors[:spec.k + 1], minors[spec.k + 1:], spec.n)
+    p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
     frame = coframe(spec)
     q0 = minors[spec.k + 1]
     one = MultiPoly.one(spec.n_vars)
-    assert len(raw) == len(frame.coefficients) == spec.n
-    for raw_alpha, alpha in zip(raw, frame.coefficients):
+    assert len(frame.coefficients) == spec.n
+    for m, alpha in enumerate(frame.coefficients):
+        raw_alpha = _coframe_element(p_list, q_list, m)
         assert raw_alpha.den.is_constant  # polynomial components
         assert raw_alpha == alpha.scale(RationalFunction(q0 * q0, one))
 
@@ -377,6 +395,19 @@ def test_coframe_proportional_to_veronese_pencil(spec):
 
 
 # -- flatness --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 2)])
+def test_flatness_check_builds_only_the_two_coframe_elements_it_tests(n, k, monkeypatch):
+    built = []
+
+    def counted(p_list, q_list, m):
+        built.append(m)
+        return _coframe_element(p_list, q_list, m)
+
+    monkeypatch.setattr(webs, "_coframe_element", counted)
+    flatness_check(WebSpec.numeric(n, k, n - 1 - k))
+    assert sorted(built) == sorted({1, n - 2})
 
 
 def test_flatness_three_nodes_nonflat_with_witness_identity():
@@ -606,12 +637,70 @@ def test_transform_closure_on_random_maps():
         assert verify_hirota(moved, nodes=sol.nodes()).passed
 
 
+def _apply(m, t):
+    """The value of a fractional-linear map at a number; PoleError at its pole."""
+    den = m.c * t + m.d
+    if not den:
+        raise PoleError(f"map pole at {t}")
+    return (m.a * t + m.b) / den
+
+
+_maps = st.tuples(*[st.integers(-4, 4)] * 4).filter(
+    lambda t: t[0] * t[3] != t[1] * t[2]).map(lambda t: Mobius(*t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(3, 1, 1), (4, 2, 1), (4, 0, 3)]), _maps,
+       st.lists(_maps, min_size=4, max_size=4), st.integers(0, 2 ** 32))
+def test_transform_evaluates_as_the_composition(order, outer, inner, seed):
+    # transform(f, outer, inner) at x is outer(f(inner_1(x_1), ..., inner_n(x_n)));
+    # points where either side meets a pole are skipped.
+    n, k, l = order
+    f = build_solution(WebSpec.numeric(n, k, l)).f
+    moved = transform(f, outer, inner[:n])
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(100):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+        try:
+            expected = _apply(outer, f.evaluate([_apply(m, t) for m, t in zip(inner, x)]))
+            got = moved.evaluate(x)
+        except PoleError:
+            continue
+        assert got == expected, x
+        checked += 1
+        if checked == 3:
+            break
+    assert checked == 3
+
+
 # -- structural properties ------------------------------------------------------------------
 
 
 def test_structural_properties_nondegenerate():
     checks = structural_properties(WebSpec.numeric(4, 2, 1))
     assert all(c.ok for c in checks)
+    assert [c.name for c in checks] == ["homogeneous", "degree-gap", "coefficient-sums",
+                                        "interpolation-identity"]
+
+
+def test_structural_properties_take_the_minors_once(monkeypatch):
+    # The leading pair and the interpolation identity read one list of minors,
+    # so a perturbed minor shows in the fourth check.
+    spec = WebSpec.numeric(4, 1, 2)
+    minors = signed_minors(spec)
+    perturbed = list(minors)
+    perturbed[0] = perturbed[0] + MultiPoly.one(spec.n_vars)
+    calls = []
+
+    def counted(_spec, *args):
+        calls.append(args)
+        return perturbed
+
+    monkeypatch.setattr(webs, "signed_minors", counted)
+    checks = structural_properties(spec)
+    assert calls == [()]
+    assert [c.ok for c in checks] == [True, True, True, False]
 
 
 def test_structural_properties_degenerate_orders():
