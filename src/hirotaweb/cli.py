@@ -9,11 +9,12 @@ configuration errors (including degenerate data).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
@@ -177,14 +178,20 @@ def execute(config: RunConfig, solution_override=None) -> Report:
     def solution():
         return solution_override if solution_override is not None else build_solution(spec)
 
+    # Each view is built only under the format that prints it: at n >= 6 the
+    # polynomials in it are large.
+    json_view, text_view = config.format == "json", config.format == "text"
+
     if config.command == "generate":
         sol = report.solution = solution()
-        report.objects["P_k"] = poly_to_json(sol.p_top)
-        report.objects["Q_l"] = poly_to_json(sol.q_top)
-        p_text, q_text = poly_text(sol.p_top, names), poly_text(sol.q_top, names)
-        report.lines.append(f"P_k = {p_text}")
-        report.lines.append(f"Q_l = {q_text}")
-        report.lines.append(f"f = ({p_text})/({q_text})")
+        if json_view:
+            report.objects["P_k"] = poly_to_json(sol.p_top)
+            report.objects["Q_l"] = poly_to_json(sol.q_top)
+        elif text_view:
+            p_text, q_text = poly_text(sol.p_top, names), poly_text(sol.q_top, names)
+            report.lines.append(f"P_k = {p_text}")
+            report.lines.append(f"Q_l = {q_text}")
+            report.lines.append(f"f = ({p_text})/({q_text})")
         report.add_result("generate", True,
                           f"leading coefficients built for {spec.describe()}")
         return report
@@ -193,8 +200,9 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         sol = solution()
         outcome = verify_hirota(sol, mode=config.mode, trials=config.trials,
                                 bound=config.bound, seed=config.seed)
-        report.lines.append(
-            f"f = ({poly_text(sol.p_top, names)})/({poly_text(sol.q_top, names)})")
+        if text_view:
+            report.lines.append(
+                f"f = ({poly_text(sol.p_top, names)})/({poly_text(sol.q_top, names)})")
         _add_verification(report, outcome)
         return report
 
@@ -209,10 +217,9 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         if verdict.witness_identity_checked:
             report.add_result("witness identity", True,
                               "d(alpha_1)^alpha_1 = 2 dq1^dp0^dp1 verified")
-        # The witness is large at n >= 6: render only the view that prints.
-        if config.format == "json":
+        if json_view:
             report.objects["witness"] = verdict.witness.to_json()
-        elif config.format == "text":
+        elif text_view:
             report.lines.append(f"verdict: {verdict.status}")
             report.lines.append(
                 f"witness d(alpha_1)^alpha_1 = {verdict.witness.text(names)}")
@@ -225,12 +232,14 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         sol = solution()
         restricted = restrict(sol, coordinate, value)
         nodes = restricted_nodes(spec, coordinate)
-        reduced_names = [f"x{i}" for i in range(1, spec.n)]
-        report.objects["restricted_num"] = poly_to_json(restricted.num)
-        report.objects["restricted_den"] = poly_to_json(restricted.den)
-        report.lines.append(
-            f"f with x{coordinate} = {value}, remaining coordinates reindexed:")
-        report.lines.append(f"  {restricted.text(reduced_names)}")
+        if json_view:
+            report.objects["restricted_num"] = poly_to_json(restricted.num)
+            report.objects["restricted_den"] = poly_to_json(restricted.den)
+        elif text_view:
+            report.lines.append(
+                f"f with x{coordinate} = {value}, remaining coordinates reindexed:")
+            reduced_names = [f"x{i}" for i in range(1, spec.n)]
+            report.lines.append(f"  {restricted.text(reduced_names)}")
         _add_verification(report, verify_hirota(restricted, nodes=nodes))
         return report
 
@@ -263,6 +272,85 @@ def _latex_names(spec: WebSpec) -> list[str]:
     return out
 
 
+_TERM_KEYS = frozenset(("c", "e"))
+
+
+def _is_term(item) -> bool:
+    """A polynomial term as ``poly_to_json`` makes it: ``{"c": str, "e":
+    [int, ...]}`` with a non-empty exponent list (its ints checked apart)."""
+    return (type(item) is dict and item.keys() == _TERM_KEYS
+            and type(item["c"]) is str and type(item["e"]) is list and bool(item["e"]))
+
+
+def _json_list(value: list, nl: str, out: list[str]) -> None:
+    """A non-empty list; a list of polynomial terms is written with one join
+    over a per-depth template, every item and exponent checked first."""
+    inner = nl + "  "
+    sep = "," + inner
+    if all(map(_is_term, value)) and {int}.issuperset(
+            map(type, chain.from_iterable(item["e"] for item in value))):
+        entry = inner + "  "
+        template = ("{" + entry + '"c": %s,' + entry + '"e": [' + entry + "  %s"
+                    + entry + "]" + inner + "}")
+        exponent_sep = "," + entry + "  "
+        out.append("[" + inner + sep.join(
+            template % (encode_basestring_ascii(item["c"]),
+                        exponent_sep.join(map(int.__repr__, item["e"])))
+            for item in value) + nl + "]")
+        return
+    out.append("[" + inner)
+    for position, item in enumerate(value):
+        if position:
+            out.append(sep)
+        _json_value(item, inner, out)
+    out.append(nl + "]")
+
+
+def _json_value(value, nl: str, out: list[str]) -> None:
+    """Append ``value`` as the stdlib's JSON encoder writes it with
+    ``indent=2, sort_keys=True``, continuing lines with ``nl`` (a newline
+    plus the indent of the line ``value`` starts on).  Only str, int, bool,
+    None, list and dict with str keys are accepted: anything else, floats
+    included, is a TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, list):
+        if value:
+            _json_list(value, nl, out)
+        else:
+            out.append("[]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        out.append("{" + inner)
+        for position, key in enumerate(sorted(value)):
+            if position:
+                out.append("," + inner)
+            out.append(encode_basestring_ascii(key) + ": ")
+            _json_value(value[key], inner, out)
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_text(payload) -> str:
+    """The report exactly as the stdlib's JSON encoder writes it with
+    ``indent=2, sort_keys=True``, without that encoder's per-token generators."""
+    out: list[str] = []
+    _json_value(payload, "\n", out)
+    return "".join(out)
+
+
 def render(report: Report, fmt: str) -> str:
     if fmt == "json":
         payload = {
@@ -277,7 +365,7 @@ def render(report: Report, fmt: str) -> str:
             "results": report.results,
             "objects": report.objects,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _json_text(payload)
     if fmt == "latex":
         lines = [f"% {report.command} for {report.spec.describe()}"]
         if report.command == "generate":

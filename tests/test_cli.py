@@ -51,6 +51,44 @@ def test_generate_renders_each_leading_coefficient_once(monkeypatch):
     assert f_line == f"f = ({p_line[6:]})/({q_line[6:]})"
 
 
+def _count_poly_text(monkeypatch):
+    # Records the latex flag of each poly_text call, from the CLI or from
+    # RationalFunction.text.
+    import hirotaweb.cli as cli
+    import hirotaweb.ratfunc as ratfunc
+    calls = []
+    original = cli.poly_text
+
+    def counted(poly, *args, **kwargs):
+        calls.append(kwargs.get("latex", False))
+        return original(poly, *args, **kwargs)
+
+    for module in (cli, ratfunc):
+        monkeypatch.setattr(module, "poly_text", counted)
+    return calls
+
+
+def test_json_view_renders_no_polynomial_text(monkeypatch):
+    # The text lines are built only under --format text.
+    from fractions import Fraction
+    calls = _count_poly_text(monkeypatch)
+    nodes = (1, 2, 3, 4)
+    for cfg in (config(n=4, k=1, l=2, lambdas=nodes, format="json"),
+                config("verify", n=4, k=2, l=1, lambdas=nodes, format="json"),
+                config("restrict", n=4, k=2, l=1, lambdas=nodes,
+                       fix=(4, Fraction(0)), format="json")):
+        code, text = run(cfg)
+        assert code == EXIT_OK and json.loads(text)["command"] == cfg.command
+    assert calls == []
+
+
+def test_latex_view_renders_each_leading_coefficient_once(monkeypatch):
+    calls = _count_poly_text(monkeypatch)
+    code, text = run(config(n=4, k=1, l=2, lambdas=(1, 2, 3, 4), format="latex"))
+    assert code == EXIT_OK and "\\frac" in text
+    assert calls == [True, True]
+
+
 def test_verify_symbolic_four_nodes():
     code, text = run(config("verify", n=4, k=2, l=1, lambdas=None))
     assert code == EXIT_OK
