@@ -18,7 +18,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
-                     DimensionError, HirotaWebError, WebSpecError)
+                     DimensionError, HirotaWebError, InexactNumberError,
+                     WebSpecError)
 from .interpolation import WebSpec, random_numeric_instances
 from .polynomials import poly_text, poly_to_json
 from .webs import (HirotaSolution, VerificationReport, _bound_text,
@@ -396,8 +397,8 @@ def run(config: RunConfig, solution_override=None) -> tuple[int, str]:
     """Execute a command and render its report; returns (exit code, text)."""
     try:
         report = execute(config, solution_override=solution_override)
-    except (WebSpecError, DimensionError, DegenerateInterpolantError,
-            DegenerateRestrictionError) as exc:
+    except (WebSpecError, DimensionError, InexactNumberError,
+            DegenerateInterpolantError, DegenerateRestrictionError) as exc:
         return EXIT_CONFIG, f"error: {exc}"
     except HirotaWebError as exc:
         return EXIT_CHECK_FAILED, f"mathematical check failed: {exc}"

@@ -86,20 +86,19 @@ class WebSpec:
         """Ring size: n for numeric nodes, 2n when the nodes are symbolic."""
         return self.n if self.lambdas is not None else 2 * self.n
 
-    def x_poly(self, i: int, n_vars: Optional[int] = None) -> MultiPoly:
-        """The coordinate x_i (1-based) as a polynomial, optionally embedded
-        in a larger ring sharing the same leading layout."""
+    def x_poly(self, i: int) -> MultiPoly:
+        """The coordinate x_i (1-based) as a polynomial."""
         if not 1 <= i <= self.n:
             raise DimensionError(f"coordinate index {i} out of range 1..{self.n}")
-        return MultiPoly.variable(n_vars or self.n_vars, i - 1)
+        return MultiPoly.variable(self.n_vars, i - 1)
 
-    def node(self, i: int, n_vars: Optional[int] = None) -> Union[Fraction, MultiPoly]:
+    def node(self, i: int) -> Union[Fraction, MultiPoly]:
         """Node value lambda_i (1-based): a number, or a variable when symbolic."""
         if not 1 <= i <= self.n:
             raise DimensionError(f"node index {i} out of range 1..{self.n}")
         if self.lambdas is not None:
             return self.lambdas[i - 1]
-        return MultiPoly.variable(n_vars or self.n_vars, self.n + i - 1)
+        return MultiPoly.variable(self.n_vars, self.n + i - 1)
 
     def names(self) -> list[str]:
         out = [f"x{i}" for i in range(1, self.n + 1)]
@@ -125,8 +124,8 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
     if x_values is None:
         n_vars = spec.n_vars
         unit: Union[MultiPoly, Scalar] = MultiPoly.one(n_vars)
-        xs = [spec.x_poly(i, n_vars) for i in range(1, spec.n + 1)]
-        nodes = [spec.node(i, n_vars) for i in range(1, spec.n + 1)]
+        xs = [spec.x_poly(i) for i in range(1, spec.n + 1)]
+        nodes = [spec.node(i) for i in range(1, spec.n + 1)]
     else:
         if spec.is_symbolic:
             raise WebSpecError("numeric data needs numeric nodes")

@@ -7,10 +7,11 @@ certifies everything checkable about it in exact arithmetic:
 
 * residual checks of the second-order system over all index triples, either
   as polynomial identities or by seeded exact evaluation at random integer
-  points (with the Schwartz-Zippel failure bound reported).  Sampling never
-  expands a residual factor: one pass over the terms of each of P and Q per
-  point gives their second-order jets (value, x-gradient, x-Hessian), and
-  every factor value is a few products of jet entries.  The degree bound
+  points (with the Schwartz-Zippel failure bound reported).  The residual
+  factors are written once, on second-order jets (value, x-gradient,
+  x-Hessian) of P and Q: the proof applies them to polynomial jets, and
+  sampling to the integer jets that one pass over the terms of each of P
+  and Q gives per point, so it never expands a factor.  The degree bound
   comes from the degrees of P, Q and their first and second x-partials,
   read off the terms without building any derivative;
 * the one-parameter annihilating 1-form and its per-coefficient Frobenius
@@ -129,131 +130,85 @@ def _derivative_degrees(poly: MultiPoly, n: int
             [[_lowered(d, 2) for d in row] for row in mixed])
 
 
-class _ResidualFactors:
-    """Shared polynomial factors of the residual numerators of one function.
+def _degree_bound(f: RationalFunction, n: int, nodes_symbolic: bool) -> int:
+    """Upper bound on the total degree of every triple's residual numerator,
+    from the degrees of P, Q and their x-partials.
 
-    Writing f = P/Q, the first derivatives are N_i/Q^2 with
-    N_i = P_i Q - P Q_i, and the mixed second derivatives are M_jk/Q^3 with
-    M_jk = (N_j)_k Q - 2 N_j Q_k (symmetric in j, k).  The residual of a
-    triple then has numerator
-
-        sum over cyclic (i,j,k) of (node_j - node_k) N_i M_jk
-
-    over the common denominator Q^5, so the zero test and the sampled
-    evaluation never need to touch the denominator at all.
-
-    The symbolic proof expands these factors as polynomials.  Sampling does
-    not: at a point, the second-order jets of P and Q give every factor as a
-    few products,
-
-        N_i       = P_i Q - P Q_i
-        (N_j)_k   = P_jk Q + P_j Q_k - P_k Q_j - P Q_jk
-        M_jk      = (N_j)_k Q - 2 N_j Q_k,
-
-    and the degree bound applies the same formulas to degrees (sum for a
+    Per cyclic rotation (i, j, k) of a triple it is
+    [node difference] + deg N_i + max(deg (N_j)_k + deg Q, deg N_j + deg Q_k),
+    where a zero factor counts as degree 0.  The factor degrees follow the
+    formulas of ``_first_factors`` and ``_residual_factors`` (sum for a
     product, maximum for a sum, zero polynomials dropped), which equals the
     degrees of the expanded factors unless the leading forms of two summands
     cancel, and exceeds them, staying sound, when they do.
     """
-
-    def __init__(self, f: RationalFunction):
-        self.num = f.num
-        self.den = f.den
-        self.n_vars = f.n_vars
-        self._den_partials: dict[int, MultiPoly] = {}
-        self._n: dict[int, MultiPoly] = {}
-        self._m: dict[tuple[int, int], MultiPoly] = {}
-
-    def num_partial(self, v: int) -> MultiPoly:
-        return self.num.derivative(v)
-
-    def den_partial(self, v: int) -> MultiPoly:
-        if v not in self._den_partials:
-            self._den_partials[v] = self.den.derivative(v)
-        return self._den_partials[v]
-
-    def n_poly(self, v: int) -> MultiPoly:
-        """Numerator of the first derivative in 0-based variable v."""
-        if v not in self._n:
-            self._n[v] = self.num_partial(v) * self.den - self.num * self.den_partial(v)
-        return self._n[v]
-
-    def dn_poly(self, j: int, k: int) -> MultiPoly:
-        """Partial of N_j with respect to variable k (both 0-based)."""
-        return self.n_poly(j).derivative(k)
-
-    def m_poly(self, j: int, k: int) -> MultiPoly:
-        """Numerator of the mixed second derivative; cached per unordered pair."""
-        a, b = (j, k) if j <= k else (k, j)
-        key = (a, b)
-        if key not in self._m:
-            self._m[key] = self.dn_poly(a, b) * self.den - 2 * self.n_poly(a) * self.den_partial(b)
-        return self._m[key]
-
-    def residual_numerator(self, nodes: Sequence[NodeValue],
-                           triple: tuple[int, int, int]) -> MultiPoly:
-        i, j, k = (t - 1 for t in triple)
-        li, lj, lk = nodes[i], nodes[j], nodes[k]
-        total = (self.n_poly(i) * self.m_poly(j, k)) * (lj - lk)
-        total = total + (self.n_poly(j) * self.m_poly(k, i)) * (lk - li)
-        total = total + (self.n_poly(k) * self.m_poly(i, j)) * (li - lj)
-        return total
-
-    def point_values(self, nodes: Sequence[NodeValue],
-                     point: Sequence[int]) -> "_PointValues":
-        """Node values, every N_i and every M_jk at one point, from one jet
-        pass over each of P and Q."""
-        n = len(nodes)
-        p, dp, ddp = self.num.second_order_jet(point, n)
-        q, dq, ddq = self.den.second_order_jet(point, n)
-        n_vals = [dp[v] * q - p * dq[v] for v in range(n)]
-        m_vals = {}
-        for j, k in combinations(range(n), 2):
-            dn = ddp[j][k] * q + dp[j] * dq[k] - dp[k] * dq[j] - p * ddq[j][k]
-            m_vals[j, k] = m_vals[k, j] = dn * q - 2 * n_vals[j] * dq[k]
-        node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v
-                     for v in nodes]
-        return _PointValues(node_vals, n_vals, m_vals)
-
-    def degree_bound(self, n: int, nodes_symbolic: bool) -> int:
-        """Upper bound on the total degree of every triple's residual
-        numerator, from the degrees of P, Q and their x-partials.
-
-        Per cyclic rotation (i, j, k) of a triple it is
-        [node difference] + deg N_i + max(deg (N_j)_k + deg Q, deg N_j + deg Q_k),
-        where a zero factor counts as degree 0.
-        """
-        p, dp, ddp = _derivative_degrees(self.num, n)
-        q, dq, ddq = _derivative_degrees(self.den, n)
-        n_deg = [_top(_plus(dp[v], q), _plus(p, dq[v])) or 0 for v in range(n)]
-        q_deg = q or 0
-        diff_deg = 1 if nodes_symbolic else 0
-        best = 0
-        for triple in web_triples(n):
-            for i, j, k in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
-                vi, vj, vk = i - 1, j - 1, k - 1
-                dn_deg = _top(_plus(ddp[vj][vk], q), _plus(dp[vj], dq[vk]),
-                              _plus(dp[vk], dq[vj]), _plus(p, ddq[vj][vk])) or 0
-                m_deg = max(dn_deg + q_deg, n_deg[vj] + (dq[vk] or 0))
-                best = max(best, diff_deg + n_deg[vi] + m_deg)
-        return best
+    p, dp, ddp = _derivative_degrees(f.num, n)
+    q, dq, ddq = _derivative_degrees(f.den, n)
+    n_deg = [_top(_plus(dp[v], q), _plus(p, dq[v])) or 0 for v in range(n)]
+    q_deg = q or 0
+    diff_deg = 1 if nodes_symbolic else 0
+    best = 0
+    for triple in web_triples(n):
+        for i, j, k in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            vi, vj, vk = i - 1, j - 1, k - 1
+            dn_deg = _top(_plus(ddp[vj][vk], q), _plus(dp[vj], dq[vk]),
+                          _plus(dp[vk], dq[vj]), _plus(p, ddq[vj][vk])) or 0
+            m_deg = max(dn_deg + q_deg, n_deg[vj] + (dq[vk] or 0))
+            best = max(best, diff_deg + n_deg[vi] + m_deg)
+    return best
 
 
-@dataclass(frozen=True)
-class _PointValues:
-    """The residual factors of one function evaluated at one sample point."""
+# -- residual factors ---------------------------------------------------------------
+#
+# Writing f = P/Q, the first derivatives are N_i/Q^2 and the mixed second
+# derivatives are M_jk/Q^3, so the residual of a triple has numerator
+#
+#     sum over cyclic (i,j,k) of (node_j - node_k) N_i M_jk
+#
+# over the common denominator Q^5.  The factors are written once, on
+# second-order jets (value, x-gradient, x-Hessian) of P and Q: polynomial
+# jets for the symbolic proof, the integer jets of MultiPoly.second_order_jet
+# for sampling, where no factor is ever expanded.
 
-    nodes: list
-    n: list
-    m: dict
+_Jet = tuple   # (value, gradient, Hessian) in x_1..x_n
 
-    def residual(self, triple: tuple[int, int, int]) -> Scalar:
-        """Residual numerator of a 1-based triple at this point."""
-        i, j, k = (t - 1 for t in triple)
-        li, lj, lk = self.nodes[i], self.nodes[j], self.nodes[k]
-        return (self.n[i] * self.m[j, k] * (lj - lk)
-                + self.n[j] * self.m[k, i] * (lk - li)
-                + self.n[k] * self.m[i, j] * (li - lj))
+
+def _polynomial_jet(poly: MultiPoly, n: int) -> _Jet:
+    """poly with its first and second partials in variables 0..n-1, as
+    polynomials: the symbolic counterpart of ``MultiPoly.second_order_jet``."""
+    grad = [poly.derivative(v) for v in range(n)]
+    return poly, grad, [[g.derivative(v) for v in range(n)] for g in grad]
+
+
+def _first_factors(p_jet: _Jet, q_jet: _Jet) -> list:
+    """N_i = P_i Q - P Q_i for every i."""
+    p, dp, _ = p_jet
+    q, dq, _ = q_jet
+    return [p_i * q - p * q_i for p_i, q_i in zip(dp, dq)]
+
+
+def _residual_factors(p_jet: _Jet, q_jet: _Jet) -> tuple[list, dict]:
+    """Every N_i, and M_jk = (N_j)_k Q - 2 N_j Q_k for every pair j != k,
+    keyed both ways (it is symmetric), with
+    (N_j)_k = P_jk Q + P_j Q_k - P_k Q_j - P Q_jk."""
+    p, dp, ddp = p_jet
+    q, dq, ddq = q_jet
+    first = _first_factors(p_jet, q_jet)
+    second = {}
+    for j, k in combinations(range(len(dp)), 2):
+        dn = ddp[j][k] * q + dp[j] * dq[k] - dp[k] * dq[j] - p * ddq[j][k]
+        second[j, k] = second[k, j] = dn * q - 2 * first[j] * dq[k]
+    return first, second
+
+
+def _residual(nodes: Sequence, first: list, second: dict,
+              triple: tuple[int, int, int]):
+    """Residual numerator of a 1-based triple from its factors."""
+    i, j, k = (t - 1 for t in triple)
+    li, lj, lk = nodes[i], nodes[j], nodes[k]
+    return (first[i] * second[j, k] * (lj - lk)
+            + first[j] * second[k, i] * (lk - li)
+            + first[k] * second[i, j] * (li - lj))
 
 
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
@@ -263,9 +218,9 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
     i, j, k = triple
     if len({i, j, k}) != 3 or not all(1 <= t <= len(nodes) for t in (i, j, k)):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
-    factors = _ResidualFactors(f)
-    numerator = factors.residual_numerator(nodes, triple)
-    return RationalFunction(numerator, factors.den ** 5)
+    n = len(nodes)
+    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    return RationalFunction(_residual(nodes, first, second, triple), f.den ** 5)
 
 
 @dataclass(frozen=True)
@@ -335,7 +290,6 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
         raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
 
     triples = web_triples(n)
-    factors = _ResidualFactors(f)
 
     if mode == "symbolic":
         if not symbolic:
@@ -346,9 +300,11 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
             node_list = [_exact(v) for v in node_list]
             scale = _denominator_lcm(node_list)
             node_list = [v * scale for v in node_list]
+        first, second = _residual_factors(_polynomial_jet(f.num, n),
+                                          _polynomial_jet(f.den, n))
         checks = []
         for triple in triples:
-            numerator = factors.residual_numerator(node_list, triple)
+            numerator = _residual(node_list, first, second, triple)
             detail = ("residual numerator is 0" if numerator.is_zero else
                       f"nonzero residual numerator with {len(numerator.terms)} term(s)")
             checks.append(TripleCheck(triple, numerator.is_zero, detail))
@@ -372,20 +328,23 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
                 continue
         points.append(point)
 
-    degree_bound = factors.degree_bound(n, symbolic)
+    degree_bound = _degree_bound(f, n, symbolic)
     failure_bound = Fraction(degree_bound, 2 * bound + 1)
 
-    # A point's factor values are computed when a triple first reaches it:
-    # a triple stops at its first nonzero value, so later points may never
-    # be needed.
-    sampled: list[Optional[_PointValues]] = [None] * len(points)
+    # A point's node and factor values are computed when a triple first
+    # reaches it: a triple stops at its first nonzero value, so later points
+    # may never be needed.
+    sampled: list[Optional[tuple]] = [None] * len(points)
     checks = []
     for triple in triples:
         bad = None
         for t, point in enumerate(points):
             if sampled[t] is None:
-                sampled[t] = factors.point_values(node_list, point)
-            value = sampled[t].residual(triple)
+                node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v
+                             for v in node_list]
+                sampled[t] = (node_vals, *_residual_factors(
+                    f.num.second_order_jet(point, n), f.den.second_order_jet(point, n)))
+            value = _residual(*sampled[t], triple)
             if value:
                 bad = value
                 break
@@ -420,8 +379,7 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     if f.n_vars != n:
         raise DimensionError(
             f"function has {f.n_vars} variables but {n} nodes were given")
-    factors = _ResidualFactors(f)
-    numerators = [factors.n_poly(v) for v in range(n)]
+    numerators = _first_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
     den = f.den * f.den
     expansions = []
     for i in range(n):
@@ -612,6 +570,13 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 # -- restriction and transformation -----------------------------------------------
 
 
+def _check_restriction(spec: WebSpec, coordinate: int) -> None:
+    if spec.is_symbolic:
+        raise WebSpecError("restriction needs numeric nodes")
+    if not 1 <= coordinate <= spec.n:
+        raise DimensionError(f"coordinate {coordinate} out of range 1..{spec.n}")
+
+
 def restrict(solution: HirotaSolution, coordinate: int,
              value: Scalar) -> RationalFunction:
     """Fix coordinate x_coordinate (1-based) to a constant.
@@ -619,11 +584,7 @@ def restrict(solution: HirotaSolution, coordinate: int,
     The result lives in n-1 densely reindexed variables and solves the
     lower-dimensional system whose node list omits the matching node.
     """
-    spec = solution.spec
-    if spec.is_symbolic:
-        raise WebSpecError("restriction needs numeric nodes")
-    if not 1 <= coordinate <= spec.n:
-        raise DimensionError(f"coordinate {coordinate} out of range 1..{spec.n}")
+    _check_restriction(solution.spec, coordinate)
     assignments = {coordinate - 1: _exact(value)}
     denominator = solution.f.den.eliminate(assignments)
     if denominator.is_zero:
@@ -634,8 +595,7 @@ def restrict(solution: HirotaSolution, coordinate: int,
 
 def restricted_nodes(spec: WebSpec, coordinate: int) -> list[Fraction]:
     """Node list of the lower-dimensional system after fixing x_coordinate."""
-    if spec.is_symbolic:
-        raise WebSpecError("restriction needs numeric nodes")
+    _check_restriction(spec, coordinate)
     return [v for i, v in enumerate(spec.lambdas, start=1) if i != coordinate]
 
 

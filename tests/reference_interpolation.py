@@ -41,8 +41,9 @@ def _data_rows(spec: WebSpec, p_top: int, q_top: int, n_vars: int) -> list[list[
     top degree gives an empty block."""
     rows = []
     for i in range(1, spec.n + 1):
-        lam = spec.node(i, n_vars)
-        x = spec.x_poly(i, n_vars)
+        lam = (spec.lambdas[i - 1] if not spec.is_symbolic
+               else MultiPoly.variable(n_vars, spec.n + i - 1))
+        x = MultiPoly.variable(n_vars, i - 1)
         rows.append([_power(lam, j, n_vars) for j in range(p_top + 1)]
                     + [-(x * _power(lam, j, n_vars)) for j in range(q_top + 1)])
     return rows

@@ -1,7 +1,7 @@
 """The quotient rule on a RationalFunction: an independent first-derivative route.
 
 The library differentiates only polynomials.  First derivatives of f = P/Q
-have the one numerator N_i = P_i Q - P Q_i (``webs._ResidualFactors``), and
+have the one numerator N_i = P_i Q - P Q_i (``webs._first_factors``), and
 forms differentiate their numerators and apply the quotient rule once per
 form.  This route differentiates a quotient directly and is the oracle
 the tests compare those against.

@@ -1,69 +1,73 @@
-"""The expanded route to sampled residual values and the degree bound.
+"""The derivative route to the residual factors, sampled values and degree bound.
 
-This is the route sampled verification used before it moved to jets: every
-factor N_i, (N_j)_k and M_jk is expanded as a polynomial and evaluated at the
-point, and the degree bound reads the degrees of the expanded factors.  It
-shares only the polynomial arithmetic with the library's jet route, so the
-tests use it as the oracle for both.
+Every factor is expanded as a polynomial straight from f = P/Q with
+``MultiPoly.derivative``: N_i = P_i Q - P Q_i, (N_j)_k as the derivative of
+the expanded N_j, and M_jk = (N_j)_k Q - 2 N_j Q_k.  The library writes
+(N_j)_k by the product rule on jets instead, and sampling never expands a
+factor; this route shares only the polynomial arithmetic with it and
+imports no factor code from the library, so the tests use it as the oracle
+for the factors, the sampled residual values and the degree bound.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from hirotaweb import MultiPoly
+from hirotaweb import MultiPoly, RationalFunction
 
 
-def expanded_residual_value(factors, nodes: Sequence, triple: tuple[int, int, int],
-                            point: Sequence, cache: dict) -> Fraction:
-    """Residual numerator of a 1-based triple at a point, from the expanded
-    factors of a ``_ResidualFactors``; ``cache`` is shared per point."""
+def expanded_factors(f: RationalFunction, n: int
+                     ) -> tuple[list[MultiPoly], dict, dict, list[MultiPoly]]:
+    """(N, dN, M, Q') for variables 0..n-1: N[i], dN[j, k] = (N_j)_k for
+    every ordered pair j != k, M[j, k] keyed both ways (it is symmetric, so
+    it is expanded once per pair) and Q'[k] = Q_k."""
+    num, den = f.num, f.den
+    den_partials = [den.derivative(v) for v in range(n)]
+    first = [num.derivative(v) * den - num * den_partials[v] for v in range(n)]
+    dn = {(j, k): first[j].derivative(k) for j in range(n) for k in range(n) if j != k}
+    second = {}
+    for j, k in combinations(range(n), 2):
+        second[j, k] = second[k, j] = dn[j, k] * den - 2 * first[j] * den_partials[k]
+    return first, dn, second, den_partials
+
+
+def expanded_residual_values(nodes: Sequence, triples: Sequence[tuple[int, int, int]],
+                             point: Sequence, factors: tuple) -> list[Fraction]:
+    """Residual numerators of 1-based triples at a point, from the expanded
+    factors (``expanded_factors(f, len(nodes))``) evaluated there."""
+    first, _, second, _ = factors
     point = [Fraction(v) for v in point]
-    q_val = cache.get("den")
-    if q_val is None:
-        q_val = cache["den"] = factors.den.evaluate(point)
-
-    def n_val(v: int) -> Fraction:
-        key = ("n", v)
-        if key not in cache:
-            cache[key] = factors.n_poly(v).evaluate(point)
-        return cache[key]
-
-    def m_val(j: int, k: int) -> Fraction:
-        a, b = (j, k) if j <= k else (k, j)
-        key = ("m", a, b)
-        if key not in cache:
-            qk_key = ("dq", b)
-            if qk_key not in cache:
-                cache[qk_key] = factors.den_partial(b).evaluate(point)
-            cache[key] = (factors.dn_poly(a, b).evaluate(point) * q_val
-                          - 2 * n_val(a) * cache[qk_key])
-        return cache[key]
-
-    def node_val(v: int) -> Fraction:
-        node = nodes[v]
-        return node.evaluate(point) if isinstance(node, MultiPoly) else node
-
-    i, j, k = (t - 1 for t in triple)
-    return (n_val(i) * m_val(j, k) * (node_val(j) - node_val(k))
-            + n_val(j) * m_val(k, i) * (node_val(k) - node_val(i))
-            + n_val(k) * m_val(i, j) * (node_val(i) - node_val(j)))
+    node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v for v in nodes]
+    n_vals = [poly.evaluate(point) for poly in first]
+    m_vals = {}
+    for (j, k), poly in second.items():
+        if (j, k) not in m_vals:
+            m_vals[j, k] = m_vals[k, j] = poly.evaluate(point)
+    values = []
+    for triple in triples:
+        i, j, k = (t - 1 for t in triple)
+        values.append(n_vals[i] * m_vals[j, k] * (node_vals[j] - node_vals[k])
+                      + n_vals[j] * m_vals[k, i] * (node_vals[k] - node_vals[i])
+                      + n_vals[k] * m_vals[i, j] * (node_vals[i] - node_vals[j]))
+    return values
 
 
-def expanded_degree_bound(factors, nodes_symbolic: bool,
+def expanded_degree_bound(f: RationalFunction, factors: tuple, nodes_symbolic: bool,
                           triples: Sequence[tuple[int, int, int]]) -> int:
     """Degree bound from the expanded factors; a zero polynomial counts as
     degree 0, as ``MultiPoly.degree`` reports it."""
+    first, dn, _, den_partials = factors
     diff_deg = 1 if nodes_symbolic else 0
-    q_deg = factors.den.degree()
+    q_deg = f.den.degree()
     best = 0
     for triple in triples:
         for i, j, k in ((triple[0], triple[1], triple[2]),
                         (triple[1], triple[2], triple[0]),
                         (triple[2], triple[0], triple[1])):
             vi, vj, vk = i - 1, j - 1, k - 1
-            m_deg = max(factors.dn_poly(vj, vk).degree() + q_deg,
-                        factors.n_poly(vj).degree() + factors.den_partial(vk).degree())
-            best = max(best, diff_deg + factors.n_poly(vi).degree() + m_deg)
+            m_deg = max(dn[vj, vk].degree() + q_deg,
+                        first[vj].degree() + den_partials[vk].degree())
+            best = max(best, diff_deg + first[vi].degree() + m_deg)
     return best

@@ -221,6 +221,16 @@ def test_main_rejects_small_bound(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_float_in_a_programmatic_config_is_config_error():
+    # floats bypass the CLI's Fraction parsing; they are input errors, not
+    # failed mathematical checks
+    for cfg in (RunConfig("verify", 3, 1, 1, (0.5, 1, 2)),
+                config("restrict", n=4, k=2, l=1, lambdas=(1, 2, 3, 4), fix=(1, 0.5))):
+        code, text = run(cfg)
+        assert code == EXIT_CONFIG
+        assert text.startswith("error: ") and "float" in text
+
+
 def test_degenerate_geometry_request_is_config_error():
     # symbolic nodes cannot feed the flatness certifier
     code, text = run(config("flatness", n=3, k=1, l=1, lambdas=None))

@@ -14,11 +14,12 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
-from hirotaweb.webs import (_ResidualFactors, _coframe_element,
-                            _witness_identity_rhs)
+from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
+                            _residual, _residual_factors, _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
-from reference_residuals import expanded_degree_bound, expanded_residual_value
+from reference_residuals import (expanded_degree_bound, expanded_factors,
+                                 expanded_residual_values)
 from reference_witness import (gamma_product, inflated_witness, raw_alpha1,
                                self_wedge)
 
@@ -174,33 +175,42 @@ def _residual_function(spec, corrupt):
     return RationalFunction(sol.p_top + x1 * x1, sol.q_top)
 
 
+def _sampled_residuals(f, node_list, point, triples):
+    """The library's residual values at a point, from integer jets."""
+    n = len(node_list)
+    node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v for v in node_list]
+    first, second = _residual_factors(f.num.second_order_jet(point, n),
+                                      f.den.second_order_jet(point, n))
+    return [_residual(node_vals, first, second, triple) for triple in triples]
+
+
 @pytest.mark.parametrize("spec,corrupt", list(_sampled_cases()))
 def test_jet_route_matches_expanded_oracle(spec, corrupt):
     f = _residual_function(spec, corrupt)
-    node_list = [spec.node(i) for i in range(1, spec.n + 1)]
-    factors = _ResidualFactors(f)
-    triples = web_triples(spec.n)
-    assert factors.degree_bound(spec.n, spec.is_symbolic) == expanded_degree_bound(
-        factors, spec.is_symbolic, triples)
+    n = spec.n
+    node_list = [spec.node(i) for i in range(1, n + 1)]
+    oracle = expanded_factors(f, n)
+    triples = web_triples(n)
+    # the polynomial factors, with (N_j)_k by the product rule on jets
+    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    assert first == oracle[0] and second == oracle[2]
+    assert _degree_bound(f, n, spec.is_symbolic) == expanded_degree_bound(
+        f, oracle, spec.is_symbolic, triples)
     rng = random.Random(f"{spec.describe()} {corrupt}")
     for _ in range(2):
         point = [rng.randint(-50, 50) for _ in range(spec.n_vars)]
-        values = factors.point_values(node_list, point)
-        cache = {}
-        for triple in triples:
-            assert values.residual(triple) == expanded_residual_value(
-                factors, node_list, triple, point, cache)
+        assert _sampled_residuals(f, node_list, point, triples) == \
+            expanded_residual_values(node_list, triples, point, oracle)
 
 
 def test_jet_route_handles_zero_coordinates():
     spec = WebSpec.numeric(4, 2, 1)
     f = _residual_function(spec, corrupt=True)
-    factors = _ResidualFactors(f)
+    oracle = expanded_factors(f, 4)
     point = [0, 3, 0, -2]
-    values = factors.point_values(list(spec.lambdas), point)
-    for triple in web_triples(4):
-        assert values.residual(triple) == expanded_residual_value(
-            factors, list(spec.lambdas), triple, point, {})
+    triples = web_triples(4)
+    assert _sampled_residuals(f, list(spec.lambdas), point, triples) == \
+        expanded_residual_values(list(spec.lambdas), triples, point, oracle)
 
 
 def test_sampled_bare_function_with_symbolic_nodes():
@@ -554,6 +564,15 @@ def test_restriction_to_zero_keeps_homogeneity_breaks_sums():
     # denominator's sum is a Vandermonde-type product, never zero
     ones = [Fraction(1)] * 3
     assert restricted.den.evaluate(ones) != 0
+
+
+def test_restricted_nodes_rejects_out_of_range_coordinate():
+    from hirotaweb import DimensionError
+    spec = WebSpec.numeric(4, 2, 1)
+    for coordinate in (0, 5, 9):
+        with pytest.raises(DimensionError):
+            restricted_nodes(spec, coordinate)
+    assert restricted_nodes(spec, 1) == nodes(2, 3, 4)
 
 
 def test_restriction_to_nonzero_loses_homogeneity():
