@@ -13,10 +13,9 @@ data = [Fraction(1), Fraction(2), Fraction(5)]
 print("nodes 1, 2, 3 and data (1, 2, 5): find F = (p0 + p1 t)/(1 + q1 t)")
 print()
 
-interp = cauchy_interpolant(spec, normalize=True, x_values=data)
-p = [c.constant_value() for c in interp.p_coeffs[:2]]
-q1 = interp.q_coeffs[1].constant_value()
-print(f"determinant route:  p0 = {p[0]}, p1 = {p[1]}, q1 = {q1}")
+interp = cauchy_interpolant(spec, x_values=data)
+(p0, p1), (_, q1) = interp.p_coeffs, interp.q_coeffs
+print(f"determinant route:  p0 = {p0}, p1 = {p1}, q1 = {q1}")
 oracle = solve_oracle(spec, data)
 print(f"elimination route:  p0 = {oracle[0]}, p1 = {oracle[1]}, q1 = {oracle[2]}")
 print(f"F(0) = {evaluate_interpolant(interp, 0)}")
@@ -30,7 +29,7 @@ print()
 print("Unattainable data: (1, 1, 2) forces numerator and denominator to")
 print("share the root at the third node, so the interpolant cannot exist.")
 try:
-    cauchy_interpolant(spec, normalize=True, x_values=[1, 1, 2])
+    cauchy_interpolant(spec, x_values=[1, 1, 2])
 except DegenerateInterpolantError as exc:
     print(f"  -> {exc}")
 print()

@@ -17,11 +17,10 @@ what the per-coefficient Frobenius test needs.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
-from .polynomials import MultiPoly, Scalar, _exact, poly_to_json
+from .polynomials import MultiPoly, Scalar, _exact, _horner, poly_to_json
 from .ratfunc import RationalFunction
 
 Index = tuple[int, ...]
@@ -297,13 +296,7 @@ class LambdaForm:
 
     def at(self, value: Scalar) -> DifferentialForm:
         """Evaluate the parameter polynomial at an exact number."""
-        value = _exact(value)
-        total = DifferentialForm.zero(self.n_vars, self.form_degree)
-        power = Fraction(1)
-        for form in self.coefficients:
-            total = total + form.scale(power)
-            power *= value
-        return total
+        return _horner(self.coefficients, _exact(value))
 
     def d(self) -> "LambdaForm":
         return LambdaForm([c.exterior_derivative() for c in self.coefficients])

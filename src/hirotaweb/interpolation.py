@@ -13,11 +13,12 @@ P(node_i) - x_i Q(node_i) term for term; it is also the Laplace expansion of
 the square matrix with row i repeated, hence zero.  That is why the minors
 interpolate, and it is the identity ``interpolation_check`` tests.
 
-Coefficient lists are kept unnormalized by default (they are polynomials in
-the value coordinates x).  At a numeric data point the point is substituted
-into the row matrix before any minor is taken, so the coefficients are
-numeric minors; dividing by the denominator's constant term only happens
-there, where it either succeeds or raises a DegenerateInterpolantError.
+Without a data point the coefficient lists are the signed minors, kept
+unnormalized (they are polynomials in the value coordinates x).  At a
+numeric data point the point is substituted into the row matrix before any
+minor is taken, so the coefficients are plain exact numbers; they are
+always divided by the denominator's constant term, which either succeeds
+or raises a DegenerateInterpolantError.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import MultiPoly, Scalar, _exact, _tighten, maximal_minors
+from .polynomials import MultiPoly, Scalar, _exact, _horner, _tighten, maximal_minors
 from .ratfunc import RationalFunction
 
 
@@ -171,81 +172,49 @@ def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
 
 @dataclass(frozen=True)
 class CauchyInterpolant:
-    """Coefficient lists of the rational interpolant.
+    """Coefficient lists of the rational interpolant F = p/q: ``p_coeffs``
+    holds p_0..p_k and ``q_coeffs`` holds q_0..q_l.
 
-    ``p_coeffs`` has length n (parameter powers 0..k, zero-padded above k);
-    ``q_coeffs`` has length l+1.  Unnormalized lists are the raw signed
-    determinant minors; normalized lists (numeric data only) are scaled so
-    the denominator's constant term is 1.
+    Without a data point they are the signed minors, polynomials in the
+    coordinates.  At a data point they are exact numbers scaled so that
+    q_0 = 1.
     """
 
-    spec: WebSpec
-    p_coeffs: tuple[MultiPoly, ...]
-    q_coeffs: tuple[MultiPoly, ...]
-    normalized: bool = False
+    p_coeffs: tuple[Union[MultiPoly, Scalar], ...]
+    q_coeffs: tuple[Union[MultiPoly, Scalar], ...]
 
 
-def _poly_in_param(coeffs: Sequence[MultiPoly], value: Scalar) -> MultiPoly:
-    value = _exact(value)
-    total = MultiPoly.zero(coeffs[0].n_vars)
-    power = Fraction(1)
-    for c in coeffs:
-        if not c.is_zero and power:
-            total = total + c * power
-        power *= value
-    return total
-
-
-def cauchy_interpolant(spec: WebSpec, normalize: bool = False,
+def cauchy_interpolant(spec: WebSpec,
                        x_values: Optional[Sequence[Scalar]] = None) -> CauchyInterpolant:
     """Extract the interpolant's coefficient lists from the determinants.
 
     Without ``x_values`` the coefficients are the signed minors as
     polynomials in the coordinates.  With ``x_values`` (numeric nodes only)
     the data point is substituted into the row matrix first, so each
-    coefficient is one numeric minor and no polynomial is expanded;
-    ``normalize`` then divides through by the denominator's constant term,
-    raising DegenerateInterpolantError when that term vanishes or when the
+    coefficient is one numeric minor and no polynomial is expanded; the
+    minors are then divided by the denominator's constant term, raising
+    DegenerateInterpolantError when that term vanishes or when the
     normalized denominator has a root at a node (an unattainable point).
     """
-    if normalize and x_values is None:
-        raise WebSpecError("normalization needs a numeric data point; "
-                           "symbolic coefficients stay unnormalized")
-    k, n_vars = spec.k, spec.n_vars
+    k = spec.k
     if x_values is None:
-        minors = signed_minors(spec)
+        coeffs = signed_minors(spec)
     else:
-        minors = [MultiPoly.const(n_vars, c)
-                  for c in _point_coefficients(spec, x_values, normalize)]
-    pad = [MultiPoly.zero(n_vars)] * (spec.n - k - 1)
-    return CauchyInterpolant(spec, tuple(minors[:k + 1] + pad),
-                             tuple(minors[k + 1:]), normalized=bool(normalize))
-
-
-def _point_coefficients(spec: WebSpec, x_values: Sequence[Scalar],
-                        normalize: bool) -> list[Scalar]:
-    """The signed minors of the row matrix at a numeric data point, divided
-    by the denominator's constant term under ``normalize``."""
-    minors = _signed(spec, range(spec.n + 1), maximal_minors(row_matrix(spec, x_values)))
-    if not normalize:
-        return minors
-    q0 = minors[spec.k + 1]
-    if not q0:
-        raise DegenerateInterpolantError(
-            "denominator constant term vanishes at this data point")
-    minors = [Fraction(c, q0) for c in minors]
-    # Attainability: a denominator root at a node means the numerator
-    # shares it and the interpolation condition silently fails there.
-    q_top_down = minors[:spec.k:-1]
-    for i, lam in enumerate(spec.lambdas, 1):
-        value = 0
-        for c in q_top_down:
-            value = value * lam + c
-        if not value:
+        minors = _signed(spec, range(spec.n + 1), maximal_minors(row_matrix(spec, x_values)))
+        q0 = minors[k + 1]
+        if not q0:
             raise DegenerateInterpolantError(
-                f"numerator and denominator share a root at node {i}: "
-                "unattainable data point")
-    return minors
+                "denominator constant term vanishes at this data point")
+        coeffs = [Fraction(c, q0) for c in minors]
+        q_coeffs = coeffs[k + 1:]
+        # Attainability: a denominator root at a node means the numerator
+        # shares it and the interpolation condition silently fails there.
+        for i, lam in enumerate(spec.lambdas, 1):
+            if not _horner(q_coeffs, lam):
+                raise DegenerateInterpolantError(
+                    f"numerator and denominator share a root at node {i}: "
+                    "unattainable data point")
+    return CauchyInterpolant(tuple(coeffs[:k + 1]), tuple(coeffs[k + 1:]))
 
 
 def interpolation_check(spec: WebSpec) -> bool:
@@ -316,26 +285,23 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
 def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar
                          ) -> Union[Fraction, RationalFunction]:
     """F(at) = p(at)/q(at): an exact number when the coefficients are
-    numeric, otherwise a rational function of the coordinates."""
-    p_val = _poly_in_param(interp.p_coeffs, at)
-    q_val = _poly_in_param(interp.q_coeffs, at)
-    if not (p_val.is_constant and q_val.is_constant):
+    numbers, otherwise a rational function of the coordinates."""
+    value = _exact(at)
+    p_val = _horner(interp.p_coeffs, value)
+    q_val = _horner(interp.q_coeffs, value)
+    if isinstance(q_val, MultiPoly):
         if q_val.is_zero:
             raise PoleError(f"denominator vanishes identically at {at}")
         return RationalFunction(p_val, q_val)
-    q_num = q_val.constant_value()
-    if not q_num:
+    if not q_val:
         raise PoleError(f"denominator vanishes at parameter value {at}")
-    return p_val.constant_value() / q_num
+    return p_val / q_val
 
 
 def interpolant_matches_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> bool:
     """Determinant route vs elimination route on one numeric instance."""
-    interp = cauchy_interpolant(spec, normalize=True, x_values=x_values)
-    oracle = solve_oracle(spec, x_values)
-    ours = [c.constant_value() for c in interp.p_coeffs[:spec.k + 1]]
-    ours += [c.constant_value() for c in interp.q_coeffs[1:]]
-    return tuple(ours) == tuple(oracle)
+    interp = cauchy_interpolant(spec, x_values=x_values)
+    return interp.p_coeffs + interp.q_coeffs[1:] == solve_oracle(spec, x_values)
 
 
 def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,

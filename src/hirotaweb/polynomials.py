@@ -67,6 +67,16 @@ def _tighten(value: Scalar) -> Scalar:
     return value
 
 
+def _horner(coeffs: Sequence, value: Scalar):
+    """sum_j coeffs[j] * value**j by Horner's rule.  The coefficients may be
+    numbers, polynomials or forms alike; callers pass ``value`` through
+    ``_exact`` first, since a single coefficient is never multiplied."""
+    total = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        total = total * value + c
+    return total
+
+
 def _has_fraction(terms: Mapping[Exponents, Scalar]) -> bool:
     """Whether any coefficient is a Fraction (a scan at C speed)."""
     return Fraction in map(type, terms.values())

@@ -37,7 +37,8 @@ from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
-                     DimensionError, HirotaWebError, WebSpecError)
+                     DimensionError, HirotaWebError, InexactNumberError,
+                     WebSpecError)
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (WebSpec, _interpolation_identity,
                             highest_coefficients, signed_minors)
@@ -272,7 +273,8 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     requires exact zeros; a nonzero numerator would survive one trial with
     probability at most degree/(2*bound + 1).  The points stay Python ints,
     and each is turned into factor values by one jet pass over P and one
-    over Q, without expanding any residual factor.
+    over Q, without expanding any residual factor.  A float node, trial
+    count or bound raises InexactNumberError.
     """
     if isinstance(solution_or_f, HirotaSolution):
         f = solution_or_f.f
@@ -288,6 +290,7 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
         symbolic = any(isinstance(v, MultiPoly) for v in node_list)
     if f.n_vars < n:
         raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
+    node_list = [v if isinstance(v, MultiPoly) else _exact(v) for v in node_list]
 
     triples = web_triples(n)
 
@@ -297,7 +300,6 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
             # scaling every node by the lcm of their denominators scales it by
             # a nonzero int: the zero test and the term count are unchanged,
             # and the products stay in int arithmetic.
-            node_list = [_exact(v) for v in node_list]
             scale = _denominator_lcm(node_list)
             node_list = [v * scale for v in node_list]
         first, second = _residual_factors(_polynomial_jet(f.num, n),
@@ -312,6 +314,11 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
 
     if mode != "sampled":
         raise WebSpecError(f"unknown verification mode {mode!r}")
+    for name, value in (("trials", trials), ("bound", bound)):
+        if isinstance(value, float):
+            raise InexactNumberError(f"float {name} {value!r}; pass an int")
+        if not isinstance(value, int):
+            raise WebSpecError(f"{name} must be an int, got {value!r}")
     if trials < 1:
         raise WebSpecError("sampled mode needs at least one trial")
     if bound < 10 ** 3:
@@ -487,7 +494,6 @@ class FlatnessVerdict:
 
     status: str                       # "nonflat-certified" | "flat-certified"
     witness: DifferentialForm
-    witness_index: int                # which coframe element certified (1)
     cross_check_index: int            # the mirror element n-2
     alpha1_integrable: bool
     cross_check_integrable: bool
@@ -563,7 +569,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     else:
         raise HirotaWebError(
             "inconsistent certificates: alpha_1 integrable but the mirror element is not")
-    return FlatnessVerdict(status, witness, 1, second, alpha1_ok, cross_ok,
+    return FlatnessVerdict(status, witness, second, alpha1_ok, cross_ok,
                            identity_checked)
 
 

@@ -1,6 +1,7 @@
 """Command-line contract: output formats, determinism, exit codes."""
 
 import json
+from fractions import Fraction
 
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, poly_from_json)
@@ -229,6 +230,16 @@ def test_float_in_a_programmatic_config_is_config_error():
         code, text = run(cfg)
         assert code == EXIT_CONFIG
         assert text.startswith("error: ") and "float" in text
+
+
+def test_non_int_trials_or_bound_in_a_programmatic_config_is_config_error():
+    # Sampled verification refuses a float trial count or bound before it
+    # samples anything, and any other non-int as a spec error.
+    for kw, word in ((dict(bound=10.0 ** 6), "float"), (dict(trials=2.0), "float"),
+                     (dict(trials="2"), "int"), (dict(bound=Fraction(10 ** 6)), "int")):
+        code, text = run(RunConfig("verify", 3, 1, 1, None, mode="sampled", **kw))
+        assert code == EXIT_CONFIG, kw
+        assert text.startswith("error: ") and word in text, (kw, text)
 
 
 def test_degenerate_geometry_request_is_config_error():

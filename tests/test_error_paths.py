@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
-                       Mobius, MultiPoly, RationalFunction, WebSpec, WebSpecError,
-                       build_solution, flatness_check, restrict,
+                       LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
+                       WebSpecError, build_solution, cauchy_interpolant,
+                       evaluate_interpolant, flatness_check, restrict,
                        transform, verify_hirota, veronese_form)
 from reference_polynomials import exact_div
 
@@ -112,6 +113,14 @@ def test_floats_rejected_at_value_boundaries():
         Mobius(0.1, 0, 0, 1)
     with pytest.raises(InexactNumberError):
         restrict(build_solution(WebSpec.numeric(4, 2, 1)), 4, 0.5)
+    # Horner's rule evaluates parameter polynomials; each entry point checks
+    # the value, since a single coefficient is never multiplied by it.
+    spec = WebSpec.numeric(3, 1, 1)
+    for interp in (cauchy_interpolant(spec, x_values=[1, 2, 5]), cauchy_interpolant(spec)):
+        with pytest.raises(InexactNumberError):
+            evaluate_interpolant(interp, 0.5)
+    with pytest.raises(InexactNumberError):
+        LambdaForm([DifferentialForm.dx(3, 0)]).at(0.5)
     # exact values of every kind still pass, strings included
     assert WebSpec.numeric(3, 1, 1, ["1/2", Fraction(3, 2), 2]).lambdas == (
         Fraction(1, 2), Fraction(3, 2), Fraction(2))

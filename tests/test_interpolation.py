@@ -122,20 +122,16 @@ def test_lagrange_denominator_is_vandermonde_symbolically():
 
 def test_interpolant_normalized_at_data_point():
     spec = WebSpec.numeric(3, 1, 1)
-    interp = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
-    values = [c.constant_value() for c in interp.p_coeffs[:2]]
-    values.append(interp.q_coeffs[1].constant_value())
-    assert values == [Fraction(1, 2), Fraction(1, 4), Fraction(-1, 4)]
-    assert interp.q_coeffs[0].constant_value() == 1
-    assert interp.normalized
+    interp = cauchy_interpolant(spec, x_values=[1, 2, 5])
+    assert interp.p_coeffs == (Fraction(1, 2), Fraction(1, 4))
+    assert interp.q_coeffs == (1, Fraction(-1, 4))
+    assert all(type(c) in (int, Fraction) for c in interp.p_coeffs + interp.q_coeffs)
 
 
 def test_interpolant_identity_data():
     spec = WebSpec.numeric(3, 1, 1)
-    interp = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 3])
-    p = [c.constant_value() for c in interp.p_coeffs]
-    q = [c.constant_value() for c in interp.q_coeffs]
-    assert p == [0, 1, 0] and q == [1, 0]
+    interp = cauchy_interpolant(spec, x_values=[1, 2, 3])
+    assert interp.p_coeffs == (0, 1) and interp.q_coeffs == (1, 0)
 
 
 def test_interpolant_unattainable_point():
@@ -143,15 +139,18 @@ def test_interpolant_unattainable_point():
     # root at node 3, so the normalized interpolant does not exist.
     spec = WebSpec.numeric(3, 1, 1)
     with pytest.raises(DegenerateInterpolantError):
-        cauchy_interpolant(spec, normalize=True, x_values=[1, 1, 2])
+        cauchy_interpolant(spec, x_values=[1, 1, 2])
     p0, p1, q1 = solve_oracle(spec, [1, 1, 2])
     assert (p0, p1, q1) == (1, Fraction(-1, 3), Fraction(-1, 3))
     assert 1 + q1 * 3 == 0  # the shared root at node 3
 
 
-def test_normalization_without_data_rejected():
-    with pytest.raises(WebSpecError):
-        cauchy_interpolant(WebSpec.numeric(3, 1, 1), normalize=True)
+@pytest.mark.parametrize("spec", [WebSpec.numeric(3, 1, 1), WebSpec.numeric(4, 0, 3),
+                                  WebSpec.symbolic(3, 2, 0)], ids=WebSpec.describe)
+def test_interpolant_without_data_holds_the_signed_minors(spec):
+    interp = cauchy_interpolant(spec)
+    assert len(interp.p_coeffs) == spec.k + 1 and len(interp.q_coeffs) == spec.l + 1
+    assert list(interp.p_coeffs + interp.q_coeffs) == signed_minors(spec)
 
 
 @pytest.mark.parametrize("spec", [
@@ -190,7 +189,7 @@ def test_solve_oracle_examples():
 
 def test_evaluate_interpolant():
     spec = WebSpec.numeric(3, 1, 1)
-    interp = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
+    interp = cauchy_interpolant(spec, x_values=[1, 2, 5])
     assert evaluate_interpolant(interp, 0) == Fraction(1, 2)
     assert evaluate_interpolant(interp, 2) == 2
     with pytest.raises(PoleError):
@@ -283,7 +282,7 @@ def test_evaluate_symbolic_interpolant_at_data_point():
     # matches the interpolant built at that point.
     spec = WebSpec.numeric(3, 1, 1)
     values = point_coefficients(spec, [1, 2, 5])
-    normalized = cauchy_interpolant(spec, normalize=True, x_values=[1, 2, 5])
+    normalized = cauchy_interpolant(spec, x_values=[1, 2, 5])
     assert values[0] / values[spec.k + 1] == evaluate_interpolant(normalized, Fraction(0))
 
 
@@ -324,24 +323,31 @@ def test_maximal_minors_match_sympy(spec):
 # -- the interpolant at a data point ---------------------------------------------
 
 
-def _library_coefficients(spec, xs, normalize):
+def _library_coefficients(spec, xs):
     """The coefficients of ``cauchy_interpolant`` at a data point, or the
     kind of DegenerateInterpolantError it raises."""
     try:
-        interp = cauchy_interpolant(spec, normalize=normalize, x_values=xs)
+        interp = cauchy_interpolant(spec, x_values=xs)
     except DegenerateInterpolantError as exc:
         return _degeneracy(exc)
-    assert all(c.is_constant for c in interp.p_coeffs + interp.q_coeffs)
-    assert all(c.is_zero for c in interp.p_coeffs[spec.k + 1:])
-    return ([c.constant_value() for c in interp.p_coeffs[:spec.k + 1]]
-            + [c.constant_value() for c in interp.q_coeffs])
+    assert len(interp.p_coeffs) == spec.k + 1 and len(interp.q_coeffs) == spec.l + 1
+    assert all(type(c) in (int, Fraction) for c in interp.p_coeffs + interp.q_coeffs)
+    assert interp.q_coeffs[0] == 1
+    return list(interp.p_coeffs + interp.q_coeffs)
 
 
-def _reference_coefficients(spec, xs, normalize):
+def _reference_coefficients(spec, xs):
     try:
-        return point_coefficients(spec, xs, normalize)
+        return point_coefficients(spec, xs, normalize=True)
     except DegenerateInterpolantError as exc:
         return _degeneracy(exc)
+
+
+def _point_minors(spec, xs):
+    """The signed maximal minors of the row matrix at a data point: entry c
+    is (-1)^(n+c) times the minor without column c."""
+    minors = maximal_minors(row_matrix(spec, xs))
+    return [m if (spec.n + c) % 2 == 0 else -m for c, m in enumerate(minors)]
 
 
 def _degeneracy(exc):
@@ -364,9 +370,10 @@ def test_point_coefficients_match_the_symbolic_route(n, k, data):
     lambdas = data.draw(st.lists(_numbers, min_size=n, max_size=n, unique=True))
     xs = data.draw(st.lists(_numbers, min_size=n, max_size=n))
     spec = WebSpec.numeric(n, k, n - k - 1, lambdas)
-    for normalize in (False, True):
-        assert (_library_coefficients(spec, xs, normalize)
-                == _reference_coefficients(spec, xs, normalize))
+    # The unnormalized minors agree on every instance, including those
+    # where q_0 vanishes and the normalized route raises.
+    assert _point_minors(spec, xs) == point_coefficients(spec, xs, normalize=False)
+    assert _library_coefficients(spec, xs) == _reference_coefficients(spec, xs)
 
 
 def test_point_coefficients_degenerate_in_the_same_cases():
@@ -379,8 +386,8 @@ def test_point_coefficients_degenerate_in_the_same_cases():
             for k in range(n):
                 spec = WebSpec.numeric(n, k, n - k - 1, lambdas)
                 for xs in itertools.product((-1, 0, 1, 2), repeat=n):
-                    ours = _library_coefficients(spec, xs, True)
-                    assert ours == _reference_coefficients(spec, xs, True)
+                    ours = _library_coefficients(spec, xs)
+                    assert ours == _reference_coefficients(spec, xs)
                     if isinstance(ours, str):
                         seen.add(ours)
     assert seen == {"q0 = 0", "unattainable"}

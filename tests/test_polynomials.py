@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic, elimination, and determinants."""
 
+import dataclasses
 import inspect
 import random
 from fractions import Fraction
@@ -595,3 +596,9 @@ def test_public_names_resolve_and_leave_out_ring_division():
                  "__truediv__", "__rtruediv__", "__neg__", "eliminate", "from_scalar"):
         assert not hasattr(RationalFunction, gone), gone
     assert "x_values" not in inspect.signature(hirotaweb.evaluate_interpolant).parameters
+    # The interpolant is two coefficient lists, always normalized at a data
+    # point, and Horner's rule is the one evaluation of a parameter polynomial.
+    assert "normalize" not in inspect.signature(hirotaweb.cauchy_interpolant).parameters
+    assert ([f.name for f in dataclasses.fields(hirotaweb.CauchyInterpolant)]
+            == ["p_coeffs", "q_coeffs"])
+    assert not hasattr(hirotaweb.interpolation, "_poly_in_param")

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
-                       DifferentialForm, HirotaSolution, HirotaWebError, Mobius,
+                       DifferentialForm, HirotaSolution, HirotaWebError,
+                       InexactNumberError, Mobius,
                        MultiPoly, PoleError, RationalFunction, WebSpec, WebSpecError,
                        build_solution, coframe, flatness_check, frobenius_check,
                        hirota_residual, restrict, restricted_nodes,
@@ -229,6 +230,24 @@ def test_sampled_rejects_too_few_variables():
     f = RationalFunction(MultiPoly.variable(3, 0))
     with pytest.raises(DimensionError):
         verify_hirota(f, nodes=nodes(1, 2, 3, 4), mode="sampled")
+
+
+def test_verify_refuses_inexact_nodes_trials_and_bound():
+    # Float nodes would turn the residual values into floating point in
+    # either mode, and a float trial count or bound is refused before any
+    # point is drawn; other non-ints are spec errors.
+    f = build_solution(WebSpec.numeric(3, 1, 1)).f
+    for mode in ("symbolic", "sampled"):
+        with pytest.raises(InexactNumberError):
+            verify_hirota(f, nodes=[1.0, 2.0, 3.0], mode=mode)
+    for kw in (dict(trials=2.0), dict(bound=10.0 ** 6)):
+        with pytest.raises(InexactNumberError):
+            verify_hirota(f, nodes=nodes(1, 2, 3), mode="sampled", **kw)
+    for kw in (dict(trials="2"), dict(bound=Fraction(10 ** 6)), dict(trials=None)):
+        with pytest.raises(WebSpecError):
+            verify_hirota(f, nodes=nodes(1, 2, 3), mode="sampled", **kw)
+    # exact nodes of every kind still pass
+    assert verify_hirota(f, nodes=[1, Fraction(2), "3"], mode="sampled").passed
 
 
 def test_sampled_symbolic_nodes_dimension_seven():
