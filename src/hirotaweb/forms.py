@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
-from .polynomials import MultiPoly, Scalar, _exact, _horner, poly_to_json
+from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products,
+                          poly_to_json)
 from .ratfunc import RationalFunction
 
 Index = tuple[int, ...]
@@ -194,15 +195,15 @@ class DifferentialForm:
     def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
         if self.n_vars != other.n_vars:
             raise DimensionError("forms over different rings")
-        out: dict[Index, MultiPoly] = {}
+        parts: dict[Index, list] = {}
         for idx_a, coeff_a in self.components.items():
             for idx_b, coeff_b in other.components.items():
                 merged = _merge_indices(idx_a, idx_b)
                 if merged is None:
                     continue
                 sign, idx = merged
-                piece = coeff_a * coeff_b
-                _accumulate(out, idx, piece if sign > 0 else -piece)
+                parts.setdefault(idx, []).append((coeff_a, coeff_b, sign))
+        out = {idx: _sum_of_products(self.n_vars, group) for idx, group in parts.items()}
         return DifferentialForm(self.n_vars, self.degree + other.degree, out,
                                 self.den * other.den)
 

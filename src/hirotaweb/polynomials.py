@@ -13,12 +13,17 @@ scalar holding one can leave an integral ``Fraction`` behind) and tighten
 only then.  The graded lexicographic order fixes leading terms, text
 output, and JSON output.
 
-Large products key monomials by one packed int instead of an exponent
-tuple (Kronecker substitution): each variable gets a bit field wide enough
-for the sum of the two operands' largest exponents in it, so adding two
-packed keys multiplies the monomials without carries.  Below
-``_PACKED_PRODUCT_MIN_TERMS`` terms in the smaller operand the tuple loop
-is kept, since packing and unpacking cost more than they save there.
+One packed route, ``_sum_of_products``, computes sums of scaled products
+sum scale * a * b, keying monomials by one packed int instead of an
+exponent tuple (Kronecker substitution): each variable gets a bit field wide
+enough for the largest sum of the two operands' largest exponents in it, so
+adding two packed keys multiplies the monomials without carries.  All the
+products of one sum collect in one map and only the surviving terms are
+unpacked, so a sum that cancels builds no intermediate product.  A single
+product is a sum of one; it goes packed from ``_PACKED_PRODUCT_MIN_TERMS``
+terms in the smaller operand up, and below that cutoff the tuple loop is
+kept, since packing and unpacking cost more than they save there.  The
+cutoff applies to single products only.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -88,47 +93,74 @@ def _tightened(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
             for e, c in terms.items() if c}
 
 
-# Products whose smaller operand has at least this many terms key monomials
-# by packed ints; smaller ones keep the tuple loop.  Packing costs one pass
+# Products whose smaller operand has at least this many terms go through the
+# packed kernel; smaller ones keep the tuple loop.  Packing costs one pass
 # over each operand and one over the result, and the pair loop must be long
 # enough to repay it.  Timed per call on the operands of the benchmark's
 # workloads (2 vCPUs, Python 3.11), packed over tuple time: 1.6-3.4x with a
 # one-term operand at any size, 1.0-1.7x with 3-6 terms, 0.6-1.1x with 8,
 # 0.6-0.8x with 12, and 0.35-0.6x once both operands have 32 or more.  Most
 # products of the oracle, properties and LaTeX jobs have 1 to 4 term pairs.
+# The cutoff is for single products: a sum of products always goes packed,
+# since it saves the intermediate results along with the tuple keys.
 _PACKED_PRODUCT_MIN_TERMS = 8
 
 
-def _product_packed(a: Mapping[Exponents, Scalar],
-                    b: Mapping[Exponents, Scalar]) -> dict[Exponents, Scalar]:
-    """The nonzero coefficients of the product of two nonempty term maps,
-    computed with each monomial packed into one int.
+def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
+                     ) -> "MultiPoly":
+    """sum of scale * a * b over the (a, b, scale) parts, collected in one map.
 
-    Variable i occupies a bit field as wide as the bit length of
-    max_a(e_i) + max_b(e_i), so no exponent of the product overflows its
-    field and the sum of two packed keys is the packed key of the product.
+    Every monomial is packed into one int (Kronecker substitution) under a
+    layout shared by all the parts: variable v occupies a bit field as wide
+    as the bit length of the largest max_a(e_v) + max_b(e_v) over the parts,
+    so no exponent of any product overflows its field and the sum of two
+    packed keys is the packed key of the product.  Each scale is folded into
+    the smaller operand's coefficients once, every term pair adds into the
+    one map, and only the keys whose coefficients survive are unpacked and
+    tightened: a sum that cancels, such as a residual of a genuine solution,
+    unpacks nothing.
     """
+    work = []
+    tops = [0] * n_vars
+    for a, b, scale in parts:
+        if a.n_vars != n_vars or b.n_vars != n_vars:
+            raise DimensionError(f"mixed rings: {a.n_vars} and {b.n_vars} variables "
+                                 f"in a sum over {n_vars}")
+        if scale.__class__ is not int:
+            scale = _tighten(_exact(scale))
+        if not scale or not a.terms or not b.terms:
+            continue
+        a, b = a.terms, b.terms
+        if len(a) > len(b):
+            a, b = b, a
+        tops = list(map(max, tops, map(operator.add, map(max, zip(*a)), map(max, zip(*b)))))
+        work.append((a, b, scale))
     shifts: list[int] = []
     masks: list[int] = []
     width = 0
-    for top_a, top_b in zip(map(max, zip(*a)), map(max, zip(*b))):
-        bits = (top_a + top_b).bit_length()
+    for top in tops:
+        bits = top.bit_length()
         shifts.append(width)
         masks.append((1 << bits) - 1)
         width += bits
     lshift = operator.lshift
-    packed_b = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
     sums: dict[int, Scalar] = {}
     get = sums.get
-    for ea, ca in a.items():
-        ka = sum(map(lshift, ea, shifts))
-        for kb, cb in packed_b:
-            key = ka + kb
-            cur = get(key)
-            sums[key] = ca * cb if cur is None else cur + ca * cb
+    for a, b, scale in work:
+        packed_b = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
+        for ea, ca in a.items():
+            ka = sum(map(lshift, ea, shifts))
+            if scale != 1:
+                ca = ca * scale
+            for kb, cb in packed_b:
+                key = ka + kb
+                cur = get(key)
+                sums[key] = ca * cb if cur is None else cur + ca * cb
     fields = list(zip(shifts, masks))
-    return {tuple([(key >> shift) & mask for shift, mask in fields]): c
-            for key, c in sums.items() if c}
+    return MultiPoly(n_vars, {
+        tuple([(key >> shift) & mask for shift, mask in fields]):
+            c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for key, c in sums.items() if c}, _canonical=True)
 
 
 class MultiPoly:
@@ -303,8 +335,7 @@ class MultiPoly:
         if len(a) > len(b):
             a, b = b, a
         if len(a) >= _PACKED_PRODUCT_MIN_TERMS:
-            return MultiPoly(self.n_vars, _tightened(_product_packed(a, b)),
-                             _canonical=True)
+            return _sum_of_products(self.n_vars, ((self, other, 1),))
         out: dict[Exponents, Scalar] = {}
         add = operator.add
         for ea, ca in a.items():

@@ -42,7 +42,7 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (WebSpec, _interpolation_identity,
                             highest_coefficients, signed_minors)
-from .polynomials import MultiPoly, Scalar, _exact
+from .polynomials import MultiPoly, Scalar, _exact, _sum_of_products
 from .ratfunc import RationalFunction
 
 NodeValue = Union[Fraction, MultiPoly]
@@ -169,7 +169,12 @@ def _degree_bound(f: RationalFunction, n: int, nodes_symbolic: bool) -> int:
 # over the common denominator Q^5.  The factors are written once, on
 # second-order jets (value, x-gradient, x-Hessian) of P and Q: polynomial
 # jets for the symbolic proof, the integer jets of MultiPoly.second_order_jet
-# for sampling, where no factor is ever expanded.
+# for sampling, where no factor is ever expanded.  Each factor and each
+# residual is a short sum of scaled products, so it is written as one list of
+# (a, b, scale) parts: polynomial parts collect in one packed map
+# (``_sum_of_products``) and are unpacked once, so the residual of a genuine
+# solution, which cancels to zero, never builds its three products; numbers
+# are summed directly.
 
 _Jet = tuple   # (value, gradient, Hessian) in x_1..x_n
 
@@ -181,11 +186,28 @@ def _polynomial_jet(poly: MultiPoly, n: int) -> _Jet:
     return poly, grad, [[g.derivative(v) for v in range(n)] for g in grad]
 
 
+def _combine(parts: list):
+    """sum of scale * a * b over the (a, b, scale) parts, for jet values of
+    either kind.  A polynomial scale (a difference of symbolic nodes) is
+    multiplied into the smaller factor first, so the kernel sees numbers."""
+    if not isinstance(parts[0][0], MultiPoly):
+        total = 0
+        for a, b, s in parts:
+            total += a * b * s
+        return total
+    numeric = []
+    for a, b, s in parts:
+        if isinstance(s, MultiPoly):
+            a, b, s = (a * s, b, 1) if len(a.terms) <= len(b.terms) else (a, b * s, 1)
+        numeric.append((a, b, s))
+    return _sum_of_products(parts[0][0].n_vars, numeric)
+
+
 def _first_factors(p_jet: _Jet, q_jet: _Jet) -> list:
     """N_i = P_i Q - P Q_i for every i."""
     p, dp, _ = p_jet
     q, dq, _ = q_jet
-    return [p_i * q - p * q_i for p_i, q_i in zip(dp, dq)]
+    return [_combine([(p_i, q, 1), (p, q_i, -1)]) for p_i, q_i in zip(dp, dq)]
 
 
 def _residual_factors(p_jet: _Jet, q_jet: _Jet) -> tuple[list, dict]:
@@ -197,8 +219,9 @@ def _residual_factors(p_jet: _Jet, q_jet: _Jet) -> tuple[list, dict]:
     first = _first_factors(p_jet, q_jet)
     second = {}
     for j, k in combinations(range(len(dp)), 2):
-        dn = ddp[j][k] * q + dp[j] * dq[k] - dp[k] * dq[j] - p * ddq[j][k]
-        second[j, k] = second[k, j] = dn * q - 2 * first[j] * dq[k]
+        dn = _combine([(ddp[j][k], q, 1), (dp[j], dq[k], 1),
+                       (dp[k], dq[j], -1), (p, ddq[j][k], -1)])
+        second[j, k] = second[k, j] = _combine([(dn, q, 1), (first[j], dq[k], -2)])
     return first, second
 
 
@@ -207,9 +230,9 @@ def _residual(nodes: Sequence, first: list, second: dict,
     """Residual numerator of a 1-based triple from its factors."""
     i, j, k = (t - 1 for t in triple)
     li, lj, lk = nodes[i], nodes[j], nodes[k]
-    return (first[i] * second[j, k] * (lj - lk)
-            + first[j] * second[k, i] * (lk - li)
-            + first[k] * second[i, j] * (li - lj))
+    return _combine([(first[i], second[j, k], lj - lk),
+                     (first[j], second[k, i], lk - li),
+                     (first[k], second[i, j], li - lj)])
 
 
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
@@ -257,6 +280,18 @@ class VerificationReport:
         if self.mode == "sampled" and self.per_trial_failure_bound is not None:
             head += f", per-trial failure bound {_bound_text(self.per_trial_failure_bound)}"
         return head
+
+
+def _check_count(name: str, value, least: int, too_small: str) -> None:
+    """Refuse a count that is not an int of at least ``least``: a float as
+    inexact, any other non-int (a bool included) or a smaller int as a spec
+    error with the message ``too_small``."""
+    if isinstance(value, float):
+        raise InexactNumberError(f"float {name} {value!r}; pass an int")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WebSpecError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise WebSpecError(too_small)
 
 
 def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
@@ -314,15 +349,8 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
 
     if mode != "sampled":
         raise WebSpecError(f"unknown verification mode {mode!r}")
-    for name, value in (("trials", trials), ("bound", bound)):
-        if isinstance(value, float):
-            raise InexactNumberError(f"float {name} {value!r}; pass an int")
-        if not isinstance(value, int):
-            raise WebSpecError(f"{name} must be an int, got {value!r}")
-    if trials < 1:
-        raise WebSpecError("sampled mode needs at least one trial")
-    if bound < 10 ** 3:
-        raise WebSpecError("sampling bound must be at least 10^3")
+    _check_count("trials", trials, 1, "sampled mode needs at least one trial")
+    _check_count("bound", bound, 10 ** 3, "sampling bound must be at least 10^3")
 
     rng = random.Random(seed)
     n_vars = f.n_vars

@@ -242,6 +242,23 @@ def test_non_int_trials_or_bound_in_a_programmatic_config_is_config_error():
         assert text.startswith("error: ") and word in text, (kw, text)
 
 
+def test_oracle_refuses_a_trial_count_that_is_not_a_positive_int():
+    # The oracle checks its trial count the way sampled verification does:
+    # a float is inexact, and a non-int, a bool or a count below 1 is a spec
+    # error; none of them reaches the comparison.
+    for trials, word in ((2.5, "float"), (2.0, "float"), ("3", "int"), (True, "int"),
+                         (Fraction(3), "int"), (0, "at least one trial"),
+                         (-4, "at least one trial")):
+        code, text = run(RunConfig("oracle", 3, 1, 1, (1, 2, 3), trials=trials))
+        assert code == EXIT_CONFIG, trials
+        assert text.startswith("error: ") and word in text, (trials, text)
+    code, text = run(RunConfig("oracle", 3, 1, 1, (1, 2, 3), trials=1))
+    assert code == EXIT_OK and "1/1 random instances matched" in text
+    # A bool is not a trial count in sampled verification either.
+    code, text = run(RunConfig("verify", 3, 1, 1, None, mode="sampled", trials=True))
+    assert code == EXIT_CONFIG and "int" in text
+
+
 def test_degenerate_geometry_request_is_config_error():
     # symbolic nodes cannot feed the flatness certifier
     code, text = run(config("flatness", n=3, k=1, l=1, lambdas=None))

@@ -3,9 +3,10 @@
 ``golden/cli_outputs.json`` maps each argv, written as one shell-style string, to
 the stdout and exit code that ``hirotaweb.cli.main`` produced for it.  Any
 change to rendering, signs or term order of the printed objects shows up
-here byte for byte.  To record the file again from the current code, run
-``PYTHONPATH=src python tests/test_cli_golden.py``; do that only when an
-output change is intended.
+here byte for byte.  ``PYTHONPATH=src python tests/test_cli_golden.py``
+records the argvs that the file lacks and prints how many it added; it never
+rewrites an entry that is already there.  To re-record an entry after an
+intended output change, delete it from the file and run the recorder.
 """
 
 import io
@@ -64,6 +65,13 @@ ORACLE = [
     "oracle --n 5 --k 2 --l 2 --trials 20 --seed 3",
     "oracle --n 5 --k 0 --l 4 --trials 20 --seed 7",
 ]
+# Symbolic proofs at n = 6, where every triple residual is a large sum of
+# products: two orders with default integer nodes and one with rational nodes.
+PROOFS_6 = [
+    "verify --n 6 --k 2 --l 3 --mode symbolic",
+    "verify --n 6 --k 3 --l 2 --mode symbolic",
+    "verify --n 6 --k 2 --l 3 --mode symbolic --lambdas=1/2,-2/3,3/4,5/3,-7/5,2/7",
+]
 # Dimension 8 at default nodes 1..8: the 8 x 9 row matrix is larger than
 # any other entry's, and its minors were checked against fraction-free
 # elimination when these outputs were recorded.
@@ -75,7 +83,8 @@ ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
             for fmt in ("text", "json")
-            for argv in WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE + DIMENSION_8])
+            for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
+                         + DIMENSION_8 + PROOFS_6)])
 
 
 def _capture(argv: str) -> dict:
@@ -100,8 +109,10 @@ def test_cli_output_matches_golden(argv, golden):
 
 
 if __name__ == "__main__":
-    record = {argv: _capture(argv) for argv in ARGVS}
+    record = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    missing = [argv for argv in ARGVS if argv not in record]
+    record.update((argv, _capture(argv)) for argv in missing)
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")
-    print(f"recorded {len(record)} invocations in {GOLDEN}")
+    print(f"added {len(missing)} invocations to {GOLDEN}")

@@ -489,6 +489,67 @@ def test_packed_product_edge_operands():
         assert (empty * MultiPoly.zero(0)).is_zero
 
 
+# -- sums of products ---------------------------------------------------------------------
+
+_part_scales = st.one_of(st.integers(-4, 4),
+                         st.sampled_from((Fraction(0), Fraction(-3), Fraction(2, 1))),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def _sum_parts(draw):
+    """1 to 4 (a, b, scale) parts in one ring of 0..3 variables: int and
+    Fraction coefficients and scales, empty operands, exponents small or up
+    to 2^20.  Half the draws repeat their first parts with swapped operands
+    and negated scales, so that the sum cancels to exactly zero."""
+    n_vars = draw(st.integers(0, 3))
+    top = draw(st.sampled_from((3, 2 ** 20)))
+    exponents = st.tuples(*[st.integers(0, top)] * n_vars)
+    polys = st.dictionaries(exponents, _coefficients, max_size=10).map(
+        lambda terms: MultiPoly(n_vars, terms))
+    parts = draw(st.lists(st.tuples(polys, polys, _part_scales), min_size=1, max_size=4))
+    cancel = draw(st.booleans())
+    if cancel:
+        parts = parts[:2] + [(b, a, -s) for a, b, s in parts[:2]]
+    return n_vars, parts, cancel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sum_parts())
+def test_sum_of_products_matches_the_scaled_tuple_references(case):
+    n_vars, parts, cancel = case
+    expected = {}
+    for a, b, scale in parts:
+        for e, c in product_terms(a, b).items():
+            expected[e] = expected.get(e, Fraction(0)) + c * scale
+    expected = {e: c for e, c in expected.items() if c}
+    result = polynomials._sum_of_products(n_vars, parts)
+    assert result.n_vars == n_vars
+    assert result.terms == expected
+    assert _is_tight(result)
+    if cancel:
+        assert result.is_zero
+
+
+def test_sum_of_products_scales_rings_and_edges():
+    x, y = var(2, 0), var(2, 1)
+    p = x * 2 + y * Fraction(1, 3)
+    # An integral Fraction scale acts as the int it equals.
+    total = polynomials._sum_of_products(2, [(p, x, Fraction(-3)), (y, y, 1)])
+    assert total == x * x * -6 - x * y + y * y
+    assert all(type(c) is int for c in total.terms.values())
+    assert polynomials._sum_of_products(2, []).is_zero
+    assert polynomials._sum_of_products(2, [(p, p, 0), (p, MultiPoly.zero(2), 5)]).is_zero
+    assert polynomials._sum_of_products(0, [(const(0, 3), const(0, Fraction(1, 2)), 2)]
+                                        ).terms == {(): 3}
+    with pytest.raises(DimensionError):
+        polynomials._sum_of_products(2, [(p, var(3, 0), 1)])
+    with pytest.raises(DimensionError):
+        polynomials._sum_of_products(3, [(p, p, 1)])
+    with pytest.raises(hirotaweb.InexactNumberError):
+        polynomials._sum_of_products(2, [(p, p, 0.5)])
+
+
 # -- ring axioms, JSON and exact division --------------------------------------------
 
 

@@ -204,6 +204,52 @@ def test_jet_route_matches_expanded_oracle(spec, corrupt):
             expanded_residual_values(node_list, triples, point, oracle)
 
 
+_NODE_KINDS = {
+    "integer": lambda n: WebSpec.numeric(n, 0, n - 1),
+    "zero": lambda n: WebSpec.numeric(n, 0, n - 1, nodes(0, -2, 1, 3, 5)[:n]),
+    "rational": lambda n: WebSpec.numeric(n, 0, n - 1,
+                                          nodes("1/2", "-2/3", "3/4", "5/3", "-7/5")[:n]),
+    "symbolic": lambda n: WebSpec.symbolic(n, 0, n - 1),
+}
+
+
+# Symbolic nodes at n = 4 only: at n = 5 a corrupted residual in ten variables
+# multiplies factors of about 2,000 and 22,000 terms, minutes per triple.
+@pytest.mark.parametrize("n,k,kind", [(n, k, kind) for n in (4, 5) for k in range(n)
+                                      for kind in _NODE_KINDS
+                                      if n == 4 or kind != "symbolic"])
+def test_fused_residual_matches_the_written_out_sum(n, k, kind):
+    # On corrupted solutions with l >= 1 the residuals are nonzero, so the
+    # kernel's sum over the three products must keep exactly the terms that
+    # the written-out products and sums keep, and verify_hirota must count
+    # them.
+    # hirota_residual rebuilds the factors on every call, so it is
+    # compared on the first triple.
+    base = _NODE_KINDS[kind](n)
+    spec = WebSpec(n, k, n - 1 - k, base.lambdas)
+    f = _residual_function(spec, corrupt=True)
+    node_list = [spec.node(i) for i in range(1, n + 1)]
+    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    details = []
+    for triple in web_triples(n):
+        a, b, c = (t - 1 for t in triple)
+        la, lb, lc = node_list[a], node_list[b], node_list[c]
+        written = (first[a] * second[b, c] * (lb - lc) + first[b] * second[c, a] * (lc - la)
+                   + first[c] * second[a, b] * (la - lb))
+        assert _residual(node_list, first, second, triple) == written
+        if triple == (1, 2, 3):
+            assert hirota_residual(f, node_list, triple) == RationalFunction(
+                written, f.den ** 5)
+        details.append("residual numerator is 0" if written.is_zero else
+                       f"nonzero residual numerator with {len(written.terms)} term(s)")
+    report = verify_hirota(f, nodes=node_list, mode="symbolic")
+    assert [check.detail for check in report.checks] == details
+    # At l = 0 the solution is linear, and adding x1^2, which has no mixed
+    # second partial, leaves it a solution; at every other order every
+    # triple fails.
+    assert sum(not check.ok for check in report.checks) == (0 if k == n - 1 else len(details))
+
+
 def test_jet_route_handles_zero_coordinates():
     spec = WebSpec.numeric(4, 2, 1)
     f = _residual_function(spec, corrupt=True)
