@@ -80,7 +80,11 @@ def _parse_fix(text: str) -> tuple[int, Fraction]:
     match = re.fullmatch(r"x(\d+)=(-?\d+(?:/\d+)?)", text.strip())
     if not match:
         raise WebSpecError(f"cannot parse --fix {text!r}; expected e.g. x4=0 or x2=-3/2")
-    return int(match.group(1)), Fraction(match.group(2))
+    try:
+        value = Fraction(match.group(2))
+    except ZeroDivisionError as exc:
+        raise WebSpecError(f"cannot parse --fix {text!r}: {exc}") from exc
+    return int(match.group(1)), value
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -379,8 +379,9 @@ class MultiPoly:
         """Fix variables to exact numbers and drop their slots.
 
         Remaining variables are reindexed densely, preserving order.  This is
-        the fast path for instantiating symbolic nodes and for restricting a
-        coordinate to a constant.
+        the one route that fixes variables to numbers: it instantiates
+        symbolic nodes, restricts a coordinate to a constant, fixes the node
+        coordinates before a jet is read, and evaluates.
         """
         fixed = {var: _tighten(_exact(v)) for var, v in assignments.items()}
         for var in fixed:
@@ -411,39 +412,21 @@ class MultiPoly:
         return MultiPoly(len(keep), out, _canonical=True)
 
     def evaluate(self, values: Sequence[Scalar]) -> Fraction:
-        """Exact value at a point given as one number per variable.
-
-        An integral point with integral coefficients is summed in plain
-        ints; the value is returned as a Fraction either way, so dividing
-        two values stays exact."""
+        """Exact value at a point given as one number per variable: the
+        constant left by ``eliminate`` of every variable, as a Fraction, so
+        dividing two values stays exact."""
         if len(values) != self.n_vars:
             raise DimensionError(
                 f"expected {self.n_vars} coordinates, got {len(values)}")
-        vals = [_tighten(_exact(v)) for v in values]
-        # Per-variable power tables; exponents repeat heavily across terms.
-        powers: list[dict[int, Scalar]] = [{} for _ in range(self.n_vars)]
-        total: Scalar = 0
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for var, e in enumerate(exps):
-                if not e:
-                    continue
-                table = powers[var]
-                p = table.get(e)
-                if p is None:
-                    p = vals[var] ** e
-                    table[e] = p
-                prod *= p
-            total += prod
-        return Fraction(total)
+        return self.eliminate(dict(enumerate(values))).constant_value()
 
-    def second_order_jet(self, values: Sequence[Scalar], count: int
+    def second_order_jet(self, values: Sequence[Scalar]
                          ) -> tuple[Scalar, list[Scalar], list[list[Scalar]]]:
         """Value, gradient and Hessian at a point, in one pass over the terms.
 
-        The gradient and the (symmetric) Hessian are taken in the first
-        ``count`` variables, diagonal entries included; the remaining
-        variables are only evaluated.  Integer points with integral
+        The gradient and the (symmetric) Hessian are taken in every variable,
+        diagonal entries included; to read them in some variables only, fix
+        the others first with ``eliminate``.  Integer points with integral
         coefficients give plain ints throughout.  Per term, prefix and
         suffix products of the variable powers give every partial without
         dividing by a coordinate, so zero coordinates need no special case.
@@ -451,9 +434,6 @@ class MultiPoly:
         if len(values) != self.n_vars:
             raise DimensionError(
                 f"expected {self.n_vars} coordinates, got {len(values)}")
-        if not 0 <= count <= self.n_vars:
-            raise DimensionError(f"cannot differentiate in {count} of "
-                                 f"{self.n_vars} variables")
         vals = [_tighten(_exact(v)) for v in values]
         powers: list[list[Scalar]] = [[1, v] for v in vals]
 
@@ -464,16 +444,11 @@ class MultiPoly:
             return table[e]
 
         value: Scalar = 0
-        grad: list[Scalar] = [0] * count
-        hess: list[list[Scalar]] = [[0] * count for _ in range(count)]
+        n = self.n_vars
+        grad: list[Scalar] = [0] * n
+        hess: list[list[Scalar]] = [[0] * n for _ in range(n)]
         for exps, coeff in self.terms.items():
-            support = []
-            for var, e in enumerate(exps):
-                if e:
-                    if var < count:
-                        support.append(var)
-                    else:
-                        coeff *= power(var, e)
+            support = [var for var, e in enumerate(exps) if e]
             # suffix[a] is the product of the powers of support[a:].
             suffix = [1] * (len(support) + 1)
             for a in range(len(support) - 1, -1, -1):
@@ -495,7 +470,7 @@ class MultiPoly:
                                          * suffix[b + 1])
                     left *= power(other, e_other)
                 prefix *= power(var, e)
-        for a in range(count):
+        for a in range(n):
             for b in range(a):
                 hess[a][b] = hess[b][a]
         return value, grad, hess

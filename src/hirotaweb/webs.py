@@ -10,8 +10,9 @@ certifies everything checkable about it in exact arithmetic:
   points (with the Schwartz-Zippel failure bound reported).  The residual
   factors are written once, on second-order jets (value, x-gradient,
   x-Hessian) of P and Q: the proof applies them to polynomial jets, and
-  sampling to the integer jets that one pass over the terms of each of P
-  and Q gives per point, so it never expands a factor.  The degree bound
+  sampling to integer jets, so it never expands a factor.  Per point,
+  ``eliminate`` fixes the node coordinates and one pass over the few terms
+  left of each of P and Q reads the jet in x_1..x_n.  The degree bound
   comes from the degrees of P, Q and their first and second x-partials,
   read off the terms without building any derivative;
 * the one-parameter annihilating 1-form and its per-coefficient Frobenius
@@ -168,22 +169,22 @@ def _degree_bound(f: RationalFunction, n: int, nodes_symbolic: bool) -> int:
 #
 # over the common denominator Q^5.  The factors are written once, on
 # second-order jets (value, x-gradient, x-Hessian) of P and Q: polynomial
-# jets for the symbolic proof, the integer jets of MultiPoly.second_order_jet
-# for sampling, where no factor is ever expanded.  Each factor and each
-# residual is a short sum of scaled products, so it is written as one list of
-# (a, b, scale) parts: polynomial parts collect in one packed map
-# (``_sum_of_products``) and are unpacked once, so the residual of a genuine
-# solution, which cancels to zero, never builds its three products; numbers
-# are summed directly.
+# jets for the symbolic proof, integer jets read after ``eliminate`` has fixed
+# the node coordinates for sampling, where no factor is ever expanded.  Each
+# factor and each residual is a short sum of scaled products, so it is written
+# as one list of (a, b, scale) parts: polynomial parts collect in one packed
+# map (``_sum_of_products``) and are unpacked once, so the residual of a
+# genuine solution, which cancels to zero, never builds its three products;
+# numbers are summed directly.
 
-_Jet = tuple   # (value, gradient, Hessian) in x_1..x_n
+_Jet = tuple   # (value, gradient, Hessian) in some of x_1..x_n
 
 
-def _polynomial_jet(poly: MultiPoly, n: int) -> _Jet:
-    """poly with its first and second partials in variables 0..n-1, as
-    polynomials: the symbolic counterpart of ``MultiPoly.second_order_jet``."""
-    grad = [poly.derivative(v) for v in range(n)]
-    return poly, grad, [[g.derivative(v) for v in range(n)] for g in grad]
+def _polynomial_jet(poly: MultiPoly, variables: Sequence[int]) -> _Jet:
+    """poly with its first and second partials in the given 0-based variables,
+    as polynomials: the symbolic counterpart of ``MultiPoly.second_order_jet``."""
+    grad = [poly.derivative(v) for v in variables]
+    return poly, grad, [[g.derivative(v) for v in variables] for g in grad]
 
 
 def _combine(parts: list):
@@ -235,6 +236,18 @@ def _residual(nodes: Sequence, first: list, second: dict,
                      (first[k], second[i, j], li - lj)])
 
 
+def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
+                     point: Sequence[int]) -> tuple:
+    """Node values, N_i and M_jk at one integer point, as ``_residual`` takes
+    them: ``eliminate`` fixes the variables past x_n (symbolic node
+    coordinates), leaving few terms, and the jets are read in x_1..x_n."""
+    n = len(nodes)
+    rest = {v: point[v] for v in range(n, f.n_vars)}
+    node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v for v in nodes]
+    return (node_vals, *_residual_factors(f.num.eliminate(rest).second_order_jet(point[:n]),
+                                          f.den.eliminate(rest).second_order_jet(point[:n])))
+
+
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
                     triple: tuple[int, int, int]) -> RationalFunction:
     """The residual of one triple of the second-order system, as an exact
@@ -242,9 +255,11 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
     i, j, k = triple
     if len({i, j, k}) != 3 or not all(1 <= t <= len(nodes) for t in (i, j, k)):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
-    n = len(nodes)
-    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
-    return RationalFunction(_residual(nodes, first, second, triple), f.den ** 5)
+    variables = [t - 1 for t in triple]
+    first, second = _residual_factors(_polynomial_jet(f.num, variables),
+                                      _polynomial_jet(f.den, variables))
+    return RationalFunction(_residual([nodes[v] for v in variables], first, second,
+                                      (1, 2, 3)), f.den ** 5)
 
 
 @dataclass(frozen=True)
@@ -306,10 +321,11 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     polynomial.  Sampled mode evaluates each numerator exactly at ``trials``
     seeded random integer points with coordinates in [-bound, bound] and
     requires exact zeros; a nonzero numerator would survive one trial with
-    probability at most degree/(2*bound + 1).  The points stay Python ints,
-    and each is turned into factor values by one jet pass over P and one
-    over Q, without expanding any residual factor.  A float node, trial
-    count or bound raises InexactNumberError.
+    probability at most degree/(2*bound + 1).  The points stay Python ints:
+    at each, ``eliminate`` fixes the node coordinates and one jet pass over
+    what is left of P and one of Q give the factor values, without expanding
+    any residual factor.  A float node, trial count or bound raises
+    InexactNumberError.
     """
     if isinstance(solution_or_f, HirotaSolution):
         f = solution_or_f.f
@@ -337,8 +353,8 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
             # and the products stay in int arithmetic.
             scale = _denominator_lcm(node_list)
             node_list = [v * scale for v in node_list]
-        first, second = _residual_factors(_polynomial_jet(f.num, n),
-                                          _polynomial_jet(f.den, n))
+        first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
+                                          _polynomial_jet(f.den, range(n)))
         checks = []
         for triple in triples:
             numerator = _residual(node_list, first, second, triple)
@@ -375,10 +391,7 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
         bad = None
         for t, point in enumerate(points):
             if sampled[t] is None:
-                node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v
-                             for v in node_list]
-                sampled[t] = (node_vals, *_residual_factors(
-                    f.num.second_order_jet(point, n), f.den.second_order_jet(point, n)))
+                sampled[t] = _sampled_factors(f, node_list, point)
             value = _residual(*sampled[t], triple)
             if value:
                 bad = value
@@ -414,7 +427,8 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     if f.n_vars != n:
         raise DimensionError(
             f"function has {f.n_vars} variables but {n} nodes were given")
-    numerators = _first_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    numerators = _first_factors(_polynomial_jet(f.num, range(n)),
+                                _polynomial_jet(f.den, range(n)))
     den = f.den * f.den
     expansions = []
     for i in range(n):

@@ -205,9 +205,12 @@ def test_main_rejects_repeated_nodes(capsys):
 
 
 def test_main_rejects_bad_fix(capsys):
-    code = main(["restrict", "--n", "4", "--k", "2", "--l", "1",
-                 "--fix", "y4=0"])
-    assert code == EXIT_CONFIG
+    # a malformed assignment and a zero denominator are both bad input,
+    # reported in one line without a traceback
+    for fix in ("y4=0", "x2=3/0"):
+        code = main(["restrict", "--n", "4", "--k", "2", "--l", "1", "--fix", fix])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot parse --fix {fix!r}")
 
 
 def test_main_rejects_out_of_range_coordinate(capsys):

@@ -79,12 +79,22 @@ DIMENSION_8 = [
     "generate --n 8 --k 3 --l 4",
     "properties --n 8 --k 3 --l 4",
 ]
+# Sampled checks with symbolic nodes at n = 5 and n = 7, where the node
+# coordinates are fixed to numbers before the jets are read: the extreme orders
+# (Q without x at l = 0, P without the l's at k = 0) and a middle one.  With
+# numeric nodes the elimination fixes nothing.
+SAMPLED = [
+    "verify --n 7 --k 3 --l 3 --lambdas symbolic --mode sampled --trials 3 --seed 1",
+    "verify --n 5 --k 4 --l 0 --lambdas symbolic --mode sampled",
+    "verify --n 5 --k 0 --l 4 --lambdas symbolic --mode sampled",
+    "verify --n 5 --k 2 --l 2 --mode sampled --lambdas=1/2,-2/3,3/4,5/3,-7/5",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
             for fmt in ("text", "json")
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
-                         + DIMENSION_8 + PROOFS_6)])
+                         + DIMENSION_8 + PROOFS_6 + SAMPLED)])
 
 
 def _capture(argv: str) -> dict:

@@ -104,7 +104,7 @@ def test_floats_rejected_at_value_boundaries():
     with pytest.raises(InexactNumberError):
         x1.evaluate([1, 0.5])
     with pytest.raises(InexactNumberError):
-        x1.second_order_jet([1, 0.5], 2)
+        x1.second_order_jet([1, 0.5])
     for combine in (lambda: x1 * 0.5, lambda: 0.5 * x1, lambda: x1 + 0.5,
                     lambda: 0.5 + x1, lambda: x1 - 0.5, lambda: 0.5 - x1):
         with pytest.raises(InexactNumberError):

@@ -16,7 +16,8 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
-                            _residual, _residual_factors, _witness_identity_rhs)
+                            _residual, _residual_factors, _sampled_factors,
+                            _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
@@ -178,11 +179,8 @@ def _residual_function(spec, corrupt):
 
 def _sampled_residuals(f, node_list, point, triples):
     """The library's residual values at a point, from integer jets."""
-    n = len(node_list)
-    node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v for v in node_list]
-    first, second = _residual_factors(f.num.second_order_jet(point, n),
-                                      f.den.second_order_jet(point, n))
-    return [_residual(node_vals, first, second, triple) for triple in triples]
+    factors = _sampled_factors(f, node_list, point)
+    return [_residual(*factors, triple) for triple in triples]
 
 
 @pytest.mark.parametrize("spec,corrupt", list(_sampled_cases()))
@@ -193,7 +191,8 @@ def test_jet_route_matches_expanded_oracle(spec, corrupt):
     oracle = expanded_factors(f, n)
     triples = web_triples(n)
     # the polynomial factors, with (N_j)_k by the product rule on jets
-    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
+                                      _polynomial_jet(f.den, range(n)))
     assert first == oracle[0] and second == oracle[2]
     assert _degree_bound(f, n, spec.is_symbolic) == expanded_degree_bound(
         f, oracle, spec.is_symbolic, triples)
@@ -223,13 +222,14 @@ def test_fused_residual_matches_the_written_out_sum(n, k, kind):
     # kernel's sum over the three products must keep exactly the terms that
     # the written-out products and sums keep, and verify_hirota must count
     # them.
-    # hirota_residual rebuilds the factors on every call, so it is
-    # compared on the first triple.
+    # hirota_residual builds the jets of its own triple's three variables
+    # only, so it is compared on every triple.
     base = _NODE_KINDS[kind](n)
     spec = WebSpec(n, k, n - 1 - k, base.lambdas)
     f = _residual_function(spec, corrupt=True)
     node_list = [spec.node(i) for i in range(1, n + 1)]
-    first, second = _residual_factors(_polynomial_jet(f.num, n), _polynomial_jet(f.den, n))
+    first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
+                                      _polynomial_jet(f.den, range(n)))
     details = []
     for triple in web_triples(n):
         a, b, c = (t - 1 for t in triple)
@@ -237,9 +237,7 @@ def test_fused_residual_matches_the_written_out_sum(n, k, kind):
         written = (first[a] * second[b, c] * (lb - lc) + first[b] * second[c, a] * (lc - la)
                    + first[c] * second[a, b] * (la - lb))
         assert _residual(node_list, first, second, triple) == written
-        if triple == (1, 2, 3):
-            assert hirota_residual(f, node_list, triple) == RationalFunction(
-                written, f.den ** 5)
+        assert hirota_residual(f, node_list, triple) == RationalFunction(written, f.den ** 5)
         details.append("residual numerator is 0" if written.is_zero else
                        f"nonzero residual numerator with {len(written.terms)} term(s)")
     report = verify_hirota(f, nodes=node_list, mode="symbolic")
