@@ -5,10 +5,11 @@ k and l with k + l + 1 = n, and the interpolation nodes: either n pairwise
 distinct exact numbers, or fully symbolic nodes carried as extra ring
 variables.  The interpolant F with F(node_i) = x_i is encoded by two
 coefficient matrices; its numerator and denominator coefficients are signed
-maximal minors of one n x (n+1) row matrix, extracted in a single memoized
-pass so all signs are consistent by construction.  The leading coefficients
-P_k and Q_l, whose quotient is the web solution, are the minors at columns
-k and n.  Row i of the matrix dotted with the signed minors is
+maximal minors of one n x (n+1) row matrix, extracted in a single pass
+(a memoized cofactor expansion for polynomial entries, one fraction-free
+elimination for numeric ones) so all signs are consistent by construction.
+The leading coefficients P_k and Q_l, whose quotient is the web solution,
+are the minors at columns k and n.  Row i of the matrix dotted with the signed minors is
 P(node_i) - x_i Q(node_i) term for term; it is also the Laplace expansion of
 the square matrix with row i repeated, hence zero.  That is why the minors
 interpolate, and it is the identity ``interpolation_check`` tests.
@@ -16,9 +17,12 @@ interpolate, and it is the identity ``interpolation_check`` tests.
 Without a data point the coefficient lists are the signed minors, kept
 unnormalized (they are polynomials in the value coordinates x).  At a
 numeric data point the point is substituted into the row matrix before any
-minor is taken, so the coefficients are plain exact numbers; they are
+minor is taken, so the coefficients are plain exact numbers, all n+1 read
+off one fraction-free Gauss-Jordan pass in O(n^3) int operations; they are
 always divided by the denominator's constant term, which either succeeds
-or raises a DegenerateInterpolantError.
+or raises a DegenerateInterpolantError.  ``solve_oracle`` reaches the same
+numbers by an independent integer Gauss-Jordan solve of the interpolation
+conditions.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -26,6 +30,7 @@ variables n..2n-1 are the nodes l1..ln.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +125,9 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
 
     Entries are polynomials in the coordinates (and nodes, when symbolic).
     With ``x_values`` (numeric nodes only) the data point is substituted
-    and every entry is an exact number, a plain int whenever it is integral.
+    and every entry is an exact number, a plain int whenever it is integral:
+    integral data values and nodes are turned into ints before any power is
+    formed, so integer data builds no Fraction at all.
     """
     if x_values is None:
         n_vars = spec.n_vars
@@ -132,7 +139,9 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
             raise WebSpecError("numeric data needs numeric nodes")
         if len(x_values) != spec.n:
             raise WebSpecError(f"expected {spec.n} data values")
-        unit, xs, nodes = 1, [_exact(v) for v in x_values], spec.lambdas
+        unit = 1
+        xs = [_tighten(_exact(v)) for v in x_values]
+        nodes = [_tighten(lam) for lam in spec.lambdas]
     rows = []
     for lam, x in zip(nodes, xs):
         powers = [unit]
@@ -191,7 +200,8 @@ def cauchy_interpolant(spec: WebSpec,
     Without ``x_values`` the coefficients are the signed minors as
     polynomials in the coordinates.  With ``x_values`` (numeric nodes only)
     the data point is substituted into the row matrix first, so each
-    coefficient is one numeric minor and no polynomial is expanded; the
+    coefficient is one numeric minor, all read off one fraction-free
+    elimination of the numeric matrix, and no polynomial is expanded; the
     minors are then divided by the denominator's constant term, raising
     DegenerateInterpolantError when that term vanishes or when the
     normalized denominator has a root at a node (an unattainable point).
@@ -237,26 +247,29 @@ def _interpolation_identity(spec: WebSpec, minors: Sequence[MultiPoly]) -> bool:
 
 def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, ...]:
     """Independent route: solve the interpolation conditions by exact
-    Gaussian elimination, returning (p_0..p_k, q_1..q_l) with q_0 = 1.
+    Gauss-Jordan elimination, returning (p_0..p_k, q_1..q_l) with q_0 = 1.
 
-    A rank-deficient but consistent system (constant data, say) resolves by
-    setting the free unknowns to zero; an inconsistent one raises.
+    Each row is scaled to ints by the lcm of its denominators.  A row update
+    cross-multiplies, r <- p r - r_c s for pivot row s with pivot p, and
+    divides the result by its gcd; no division by an earlier pivot is used,
+    so this route shares nothing with the fraction-free minors of
+    ``maximal_minors``.  A rank-deficient but consistent system (constant
+    data, say) resolves by setting the free unknowns to zero; an
+    inconsistent one raises.
     """
     if spec.is_symbolic:
         raise WebSpecError("the elimination oracle needs numeric nodes")
     if len(x_values) != spec.n:
         raise WebSpecError(f"expected {spec.n} data values")
-    xs = [_exact(v) for v in x_values]
+    xs = [_tighten(_exact(v)) for v in x_values]
     n, k, l = spec.n, spec.k, spec.l
     rows = []
-    for i in range(n):
-        lam = spec.lambdas[i]
+    for lam, x in zip(map(_tighten, spec.lambdas), xs):
         powers = [lam ** j for j in range(max(k, l) + 1)]
-        row = [powers[j] for j in range(k + 1)]
-        row += [-xs[i] * powers[j] for j in range(1, l + 1)]
-        row.append(xs[i])
-        rows.append(row)
-    # Forward elimination with first-nonzero pivoting; all exact.
+        row = powers[:k + 1] + [-x * p for p in powers[1:l + 1]] + [x]
+        d = math.lcm(*[v.denominator for v in row])
+        rows.append([v.numerator * (d // v.denominator) for v in row])
+    # Gauss-Jordan with first-nonzero pivoting, on ints only.
     pivot_cols: list[int] = []
     rank = 0
     for col in range(n):
@@ -264,21 +277,21 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        pivot = rows[rank][col]
-        for r in range(rank + 1, n):
-            factor = rows[r][col] / pivot
-            if factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        top = rows[rank]
+        pivot = top[col]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != rank and factor:
+                row = [pivot * a - factor * b for a, b in zip(rows[r], top)]
+                g = math.gcd(*row)
+                rows[r] = [a // g for a in row] if g > 1 else row
         pivot_cols.append(col)
         rank += 1
-    for r in range(rank, n):
-        if rows[r][n]:
-            raise DegenerateInterpolantError("singular interpolation system")
+    if any(rows[r][n] for r in range(rank, n)):
+        raise DegenerateInterpolantError("singular interpolation system")
     solution = [Fraction(0)] * n
-    for r in range(rank - 1, -1, -1):
-        col = pivot_cols[r]
-        acc = rows[r][n] - sum(rows[r][j] * solution[j] for j in range(col + 1, n))
-        solution[col] = acc / rows[r][col]
+    for r, col in enumerate(pivot_cols):
+        solution[col] = Fraction(rows[r][n], rows[r][col])
     return tuple(solution)
 
 
@@ -314,6 +327,9 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
     instance comes with its ``interpolant_matches_oracle`` verdict, so each
     route runs once per accepted instance.
     """
+    if n > 2 * bound + 1:
+        raise WebSpecError(f"cannot draw {n} distinct nodes from the "
+                           f"{2 * bound + 1} integers in [-{bound}, {bound}]")
     rng = random.Random(seed)
     produced = 0
     while produced < count:

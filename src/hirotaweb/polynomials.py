@@ -30,8 +30,12 @@ the variables are the coordinates x1..xn; in a ring of size 2n the second
 half holds the interpolation nodes l1..ln.
 
 A matrix is a list of rows whose entries are all polynomials or all exact
-numbers.  Determinants and maximal minors of either kind, at every size, go
-through one memoized cofactor expansion.
+numbers.  Determinants and maximal minors of a polynomial matrix go through
+one memoized cofactor expansion, whose memo holds up to r 2^r sub-minors.
+Those of a numeric matrix go through one fraction-free Gauss-Jordan pass
+(Bareiss's exact division) on rows cleared of denominators, in O(r^3) int
+operations: a determinant is the minor of the matrix bordered by a zero
+column.
 
 Values entering from callers (coefficients, constants, evaluation points)
 must be exact: a float raises InexactNumberError instead of being converted.
@@ -39,6 +43,7 @@ must be exact: a float raises InexactNumberError instead of being converted.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -576,17 +581,17 @@ def determinant(m: Matrix) -> Entry:
         raise DimensionError(f"determinant of a {rows}x{cols} matrix")
     if rows == 0:
         return MultiPoly.one(0)
+    if not isinstance(m[0][0], MultiPoly):
+        return _numeric_minors([[*row, 0] for row in m], (rows,))[0]
     return _det_cofactor(m, tuple(range(cols)), tuple(range(rows)), {})
 
 
 def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
-                  memo: dict) -> Entry:
-    """Laplace expansion along the first listed column, memoized on the
-    (columns, rows) submatrix so shared minors are computed once.
-
-    Entries may be polynomials or numbers: zeros are skipped by truthiness,
-    and the sum starts from the first nonzero term, not from a typed zero.
-    """
+                  memo: dict) -> MultiPoly:
+    """Laplace expansion of a polynomial matrix along the first listed
+    column, memoized on the (columns, rows) submatrix so shared minors are
+    computed once.  Zeros are skipped, and the sum starts from the first
+    nonzero term."""
     if len(cols) == 1:
         return m[rows[0]][cols[0]]
     key = (cols, rows)
@@ -614,13 +619,74 @@ def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
     return total
 
 
+def _numeric_minors(m: Matrix, skips: Sequence[int]) -> list[Scalar]:
+    """Maximal minors of an r x (r+1) matrix of exact numbers, by one
+    fraction-free Gauss-Jordan pass (Bareiss's exact division).
+
+    Each row is first scaled by the lcm of its denominators, so the pass
+    runs on ints; the minors are divided by the product of those scales at
+    the end.  The pass pivots on the first nonzero entry of each column.
+    Every update a_ij <- (p a_ij - a_ic a_kj) / p' divides exactly by the
+    previous pivot p', and every row but the pivot row is updated, so after
+    the last pivot the matrix is p [I | A^-1 a_f] in the pivot columns:
+    p is the minor without the free column f (up to the row permutation's
+    sign), and by Cramer's rule the free-column entry of pivot row i is the
+    minor without that row's pivot column c, up to the sign (-1)^(c+f+1) of
+    moving column f into place.  A second column without a pivot means rank
+    below r, and every minor is 0.
+    """
+    scale = 1
+    a = []
+    for row in m:
+        if all(v.__class__ is int for v in row):
+            a.append(list(row))
+            continue
+        row = [_exact(v) for v in row]
+        d = math.lcm(*[v.denominator for v in row])
+        scale *= d
+        a.append([v.numerator * (d // v.denominator) for v in row])
+    size = len(a)
+    sign, prev, rank, free = 1, 1, 0, None
+    for col in range(size + 1):
+        found = next((i for i in range(rank, size) if a[i][col]), None)
+        if found is None:
+            if free is not None:
+                return [0] * len(skips)
+            free = col
+            continue
+        if found != rank:
+            a[rank], a[found] = a[found], a[rank]
+            sign = -sign
+        top = a[rank]
+        pivot = top[col]
+        for i in range(size):
+            if i != rank:
+                line = a[i]
+                factor = line[col]
+                a[i] = [(pivot * x - factor * y) // prev for x, y in zip(line, top)]
+        prev = pivot
+        rank += 1
+    every = []
+    for c in range(size + 1):
+        if c == free:
+            every.append(sign * prev)
+            continue
+        # Column c < f is the pivot of row c, column c > f that of row c - 1.
+        entry = a[c if c < free else c - 1][free]
+        every.append(sign * entry if (c + free) % 2 else -sign * entry)
+    if scale == 1:
+        return [every[c] for c in skips]
+    return [_tighten(Fraction(every[c], scale)) for c in skips]
+
+
 def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[Entry]:
     """Determinants of an r x (r+1) matrix with one column removed.
 
     Entry ``i`` of the result is det(m without column ``columns[i]``),
-    unsigned; ``columns`` defaults to every column in order.  One memo is
-    shared across the column choices, so the common sub-minors of
-    neighbouring deletions are reused.
+    unsigned; ``columns`` defaults to every column in order.  Numeric
+    matrices go through one fraction-free elimination, which yields every
+    minor at once; polynomial ones share one cofactor memo across the column
+    choices, so the common sub-minors of neighbouring deletions are reused.
     """
     rows, cols = _shape(m)
     if cols != rows + 1:
@@ -629,6 +695,8 @@ def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[E
     skips = all_cols if columns is None else tuple(columns)
     if any(not 0 <= skip < cols for skip in skips):
         raise DimensionError(f"column index out of range 0..{cols - 1}")
+    if not isinstance(m[0][0], MultiPoly):
+        return _numeric_minors(m, skips)
     memo: dict[tuple, Entry] = {}
     row_ids = tuple(range(rows))
     return [_det_cofactor(m, tuple(c for c in all_cols if c != skip), row_ids, memo)

@@ -17,6 +17,9 @@ Tests compare the library's minors against these.  ``point_coefficients``
 is the symbolic route to the interpolant at a data point: every signed minor
 expanded as a polynomial in x1..xn and only then evaluated, against which
 the library's numeric minors of the substituted row matrix are checked.
+``solve_oracle_fractions`` is the oracle of the library's elimination
+oracle: forward elimination and back substitution in Fraction arithmetic,
+where ``solve_oracle`` runs Gauss-Jordan on integer rows.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hirotaweb import DegenerateInterpolantError, MultiPoly, WebSpec, signed_minors
+from hirotaweb import (DegenerateInterpolantError, MultiPoly, WebSpec, WebSpecError,
+                       signed_minors)
+from hirotaweb.polynomials import Scalar, _exact
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
 
@@ -127,3 +132,50 @@ def point_coefficients(spec: WebSpec, x_values: Sequence[Fraction],
         if sum(c * lam ** j for j, c in enumerate(q)) == 0:
             raise DegenerateInterpolantError("unattainable data point")
     return values
+
+
+def solve_oracle_fractions(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, ...]:
+    """Independent route: solve the interpolation conditions by exact
+    Gaussian elimination, returning (p_0..p_k, q_1..q_l) with q_0 = 1.
+
+    A rank-deficient but consistent system (constant data, say) resolves by
+    setting the free unknowns to zero; an inconsistent one raises.
+    """
+    if spec.is_symbolic:
+        raise WebSpecError("the elimination oracle needs numeric nodes")
+    if len(x_values) != spec.n:
+        raise WebSpecError(f"expected {spec.n} data values")
+    xs = [_exact(v) for v in x_values]
+    n, k, l = spec.n, spec.k, spec.l
+    rows = []
+    for i in range(n):
+        lam = spec.lambdas[i]
+        powers = [lam ** j for j in range(max(k, l) + 1)]
+        row = [powers[j] for j in range(k + 1)]
+        row += [-xs[i] * powers[j] for j in range(1, l + 1)]
+        row.append(xs[i])
+        rows.append(row)
+    # Forward elimination with first-nonzero pivoting; all exact.
+    pivot_cols: list[int] = []
+    rank = 0
+    for col in range(n):
+        pivot_row = next((r for r in range(rank, n) if rows[r][col]), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        pivot = rows[rank][col]
+        for r in range(rank + 1, n):
+            factor = rows[r][col] / pivot
+            if factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        pivot_cols.append(col)
+        rank += 1
+    for r in range(rank, n):
+        if rows[r][n]:
+            raise DegenerateInterpolantError("singular interpolation system")
+    solution = [Fraction(0)] * n
+    for r in range(rank - 1, -1, -1):
+        col = pivot_cols[r]
+        acc = rows[r][n] - sum(rows[r][j] * solution[j] for j in range(col + 1, n))
+        solution[col] = acc / rows[r][col]
+    return tuple(solution)

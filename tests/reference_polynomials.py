@@ -7,10 +7,12 @@ coefficient as a Fraction under the componentwise sum of the exponent
 tuples, written without any of the library's helpers.
 
 ``_det_bareiss`` is the oracle for ``determinant`` and ``maximal_minors``,
-which expand memoized cofactors at every size.  It eliminates fraction-free
-instead, dividing each 2 x 2 update exactly by the previous pivot with
-``exact_div``, ring long division.  This is the one place where polynomial
-division lives.
+which expand memoized cofactors of a polynomial matrix at every size.  It
+eliminates fraction-free instead, dividing each 2 x 2 update exactly by the
+previous pivot with ``exact_div``, ring long division.  This is the one
+place where polynomial division lives.  On constant polynomials it is also
+an oracle for the library's numeric minors, which eliminate fraction-free
+over the ints but share no code with it.
 """
 
 import operator

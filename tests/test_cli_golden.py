@@ -89,12 +89,20 @@ SAMPLED = [
     "verify --n 5 --k 0 --l 4 --lambdas symbolic --mode sampled",
     "verify --n 5 --k 2 --l 2 --mode sampled --lambdas=1/2,-2/3,3/4,5/3,-7/5",
 ]
+# The oracle at n = 12 and n = 16, where each numeric point minor is an
+# r x r determinant with r up to 9 and the elimination oracle solves a
+# 16 x 16 system: text only, since the JSON carries the same instances.
+ORACLE_LARGE = [
+    "oracle --n 12 --k 6 --l 5 --trials 10 --seed 1",
+    "oracle --n 16 --k 8 --l 7 --trials 10 --seed 1",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
             for fmt in ("text", "json")
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
-                         + DIMENSION_8 + PROOFS_6 + SAMPLED)])
+                         + DIMENSION_8 + PROOFS_6 + SAMPLED)]
+         + [f"{argv} --format text" for argv in ORACLE_LARGE])
 
 
 def _capture(argv: str) -> dict:

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
@@ -14,10 +15,11 @@ from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
                        interpolation_check, maximal_minors,
                        random_numeric_instances, row_matrix, signed_minors,
                        solve_oracle)
-from hirotaweb import interpolation
+from hirotaweb import interpolation, polynomials
+from hirotaweb.cli import EXIT_CONFIG, EXIT_OK, main
 from reference_forms import closed_form_3d, common_scalar
 from reference_interpolation import (build_system_matrix, point_coefficients,
-                                     top_coefficients)
+                                     solve_oracle_fractions, top_coefficients)
 
 
 def test_spec_validation():
@@ -185,6 +187,94 @@ def test_solve_oracle_examples():
     assert solve_oracle(spec, [1, 2, 3]) == (0, 1, 0)
     c = Fraction(7, 3)
     assert solve_oracle(spec, [c, c, c]) == (c, 0, 0)
+
+
+_oracle_numbers = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-2, max_value=2, max_denominator=4))
+
+
+@st.composite
+def _oracle_instance(draw):
+    """A spec with n in 2..6 and distinct integer, zero or rational nodes,
+    with data that is arbitrary or constant (a rank-deficient but consistent
+    system); small values make singular systems frequent."""
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(0, n - 1))
+    nodes = draw(st.lists(_oracle_numbers, min_size=n, max_size=n, unique=True))
+    data = draw(st.one_of(st.lists(_oracle_numbers, min_size=n, max_size=n),
+                          _oracle_numbers.map(lambda c: [c] * n)))
+    return WebSpec.numeric(n, k, n - 1 - k, nodes), data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_instance())
+@example((WebSpec.numeric(2, 0, 1, [1, 2]), [2, 1]))       # inconsistent
+@example((WebSpec.numeric(3, 1, 1, [0, Fraction(1, 2), -1]),
+          [Fraction(5, 3)] * 3))                           # rank deficient
+def test_integer_oracle_matches_fraction_elimination(instance):
+    # The integer Gauss-Jordan oracle returns the same Fractions as the
+    # Fraction elimination, free unknowns at zero, and raises the same error
+    # on an inconsistent system.
+    spec, xs = instance
+    try:
+        expected = solve_oracle_fractions(spec, xs)
+    except DegenerateInterpolantError as exc:
+        with pytest.raises(DegenerateInterpolantError, match=str(exc)):
+            solve_oracle(spec, xs)
+        return
+    solution = solve_oracle(spec, xs)
+    assert solution == expected
+    assert all(type(v) is Fraction for v in solution)
+
+
+def test_integer_oracle_covers_consistent_and_inconsistent_singular_systems():
+    # Nodes 1, 2 with data 2, 1: the rows [1, -2 | 2] and [1, -2 | 1] clash.
+    with pytest.raises(DegenerateInterpolantError, match="singular"):
+        solve_oracle(WebSpec.numeric(2, 0, 1, [1, 2]), [2, 1])
+    # Constant data leaves the q unknowns free; they are set to zero.
+    spec = WebSpec.numeric(4, 1, 2, [0, Fraction(1, 2), -3, 5])
+    c = Fraction(-7, 4)
+    assert solve_oracle(spec, [c] * 4) == (c, 0, 0, 0)
+    assert solve_oracle_fractions(spec, [c] * 4) == (c, 0, 0, 0)
+
+
+def test_point_minors_never_expand_cofactors(monkeypatch):
+    # Numeric minors go through the fraction-free elimination: with the
+    # cofactor expansion refusing numbers, the point interpolant and the
+    # oracle at n = 16 still finish.
+    original = polynomials._det_cofactor
+    calls = []
+
+    def polynomial_only(m, cols, rows, memo):
+        if any(not isinstance(v, MultiPoly) for row in m for v in row):
+            raise AssertionError("numeric matrix in the cofactor expansion")
+        calls.append(cols)
+        return original(m, cols, rows, memo)
+
+    monkeypatch.setattr(polynomials, "_det_cofactor", polynomial_only)
+    spec = WebSpec.numeric(4, 1, 2, [3, -1, Fraction(1, 2), 0])
+    interp = cauchy_interpolant(spec, x_values=[2, Fraction(-3, 5), 7, 1])
+    assert list(interp.p_coeffs + interp.q_coeffs[1:]) == list(
+        solve_oracle(spec, [2, Fraction(-3, 5), 7, 1]))
+    assert main(["oracle", "--n", "16", "--k", "8", "--l", "7",
+                 "--trials", "10", "--seed", "1"]) == EXIT_OK
+    assert not calls
+    # The guard is live: polynomial minors still expand through it.
+    signed_minors(WebSpec.numeric(3, 1, 1))
+    assert calls
+
+
+def test_oracle_refuses_more_nodes_than_the_sampling_range_holds(capsys):
+    # Distinct nodes are drawn from the 2 * bound + 1 integers in
+    # [-bound, bound]; more nodes than that could never be drawn.
+    with pytest.raises(WebSpecError, match="41 integers"):
+        next(random_numeric_instances(42, 20, 21, 1, seed=0))
+    with pytest.raises(WebSpecError, match="5 integers"):
+        next(random_numeric_instances(6, 2, 3, 1, seed=0, bound=2))
+    start = time.perf_counter()
+    assert main(["oracle", "--n", "42", "--k", "20", "--l", "21"]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 0.5
+    assert "41 integers" in capsys.readouterr().err
 
 
 def test_evaluate_interpolant():

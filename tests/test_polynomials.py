@@ -203,9 +203,10 @@ def test_bareiss_path_multivariate_entries():
 
 
 def test_cofactor_matches_bareiss_to_dimension_nine():
-    # The memoized cofactor expansion is the one route at every size;
-    # Bareiss elimination is the oracle, on the leading-coefficient
-    # interpolation matrices at every order for n = 7, 8 and 9.
+    # The memoized cofactor expansion is the one polynomial route at every
+    # size; Bareiss elimination is the oracle, on constant matrices and on
+    # the leading-coefficient interpolation matrices at every order for
+    # n = 7, 8 and 9.
     rng = random.Random(7)
     for _ in range(3):
         m = [[const(1, rng.randint(-9, 9)) for _ in range(7)] for _ in range(7)]
@@ -613,23 +614,49 @@ _numbers = st.one_of(st.integers(-9, 9),
                      st.fractions(min_value=-4, max_value=4, max_denominator=5))
 
 
+@st.composite
+def _numeric_minor_matrix(draw):
+    """An r x (r+1) matrix of ints and rationals, r in 1..9, often made rank
+    deficient: a row repeated or scaled into another, or zero columns."""
+    r = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.lists(_numbers, min_size=r + 1, max_size=r + 1),
+                         min_size=r, max_size=r))
+    damage = draw(st.sampled_from(("none", "repeat", "scale", "zero column",
+                                   "two zero columns")))
+    if damage in ("repeat", "scale") and r > 1:
+        source, target = draw(st.permutations(range(r)))[:2]
+        factor = 1 if damage == "repeat" else draw(_numbers.filter(bool))
+        rows[target] = [factor * v for v in rows[source]]
+    elif damage != "none":
+        count = 1 if damage == "zero column" else 2
+        for col in draw(st.permutations(range(r + 1)))[:count]:
+            for row in rows:
+                row[col] = 0
+    return rows
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 5).flatmap(
-    lambda r: st.lists(st.lists(_numbers, min_size=r + 1, max_size=r + 1),
-                       min_size=r, max_size=r)))
+@given(_numeric_minor_matrix())
+@example([[0, 0, 1], [0, 0, 2]])
+@example([[Fraction(1, 2), Fraction(1, 3)]])
 def test_numeric_minors_match_constant_polynomial_minors(rows):
-    # One cofactor routine serves both entry kinds; numbers in, numbers out.
+    # Numeric matrices take the fraction-free elimination, polynomial ones
+    # the cofactor expansion and the test's own Bareiss route: numbers in,
+    # numbers out, and a plain int wherever a minor is integral.
     wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
     numeric = maximal_minors(rows)
     assert numeric == [m.constant_value() for m in maximal_minors(wrapped)]
-    assert all(isinstance(m, (int, Fraction)) for m in numeric)
+    assert numeric == [_det_bareiss([row[:c] + row[c + 1:] for row in wrapped])
+                       .constant_value() for c in range(len(rows) + 1)]
+    assert all(type(m) is int or m.denominator > 1 for m in numeric)
     square = determinant([row[1:] for row in rows])
-    assert square == determinant([row[1:] for row in wrapped]).constant_value()
+    assert square == numeric[0]
+    assert type(square) is int or square.denominator > 1
 
 
 def test_nine_by_ten_numeric_minors_match_constant_polynomial_minors():
-    # Numbers and constant polynomials take the same cofactor route, whose
-    # zero tests and sums need no ring.
+    # Numbers take the fraction-free elimination and constant polynomials
+    # the cofactor expansion; both give the same minors.
     rng = random.Random(12)
     rows = [[rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
              for _ in range(10)] for _ in range(9)]
