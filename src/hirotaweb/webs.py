@@ -7,14 +7,21 @@ certifies everything checkable about it in exact arithmetic:
 
 * residual checks of the second-order system over all index triples, either
   as polynomial identities or by seeded exact evaluation at random integer
-  points (with the Schwartz-Zippel failure bound reported).  The residual
-  factors are written once, on second-order jets (value, x-gradient,
-  x-Hessian) of P and Q: the proof applies them to polynomial jets, and
-  sampling to integer jets, so it never expands a factor.  Per point,
-  ``eliminate`` fixes the node coordinates and one pass over the few terms
-  left of each of P and Q reads the jet in x_1..x_n.  The degree bound
-  comes from the degrees of P, Q and their first and second x-partials,
-  read off the terms without building any derivative;
+  points (with the Schwartz-Zippel failure bound reported).  With f = P/Q
+  and N_i = P_i Q - P Q_i, f_i = N_i/Q^2 and a triple's residual is R/Q^5,
+  R = sum over cyclic (i,j,k) of (node_j - node_k) N_i Q^3 f_jk.  For any P,
+  Q and nodes, R = Q B with B = N_i G_jk + N_j G_ki + N_k G_ij and
+  G_jk = node_j d_j N_k - node_k d_k N_j.  Proof: Q^3 f_jk = Q d_k N_j
+  - 2 N_j Q_k is symmetric in j, k, so (node_j - node_k) Q^3 f_jk = Q G_jk
+  - 2 (node_j Q_j N_k - node_k Q_k N_j), and times N_i the second part sums
+  over the rotations to zero.  So no second derivative of f is formed: N_i
+  and G_jk are written once, on second-order jets (value, x-gradient,
+  x-Hessian) of P and Q; the proof zero-tests B on polynomial jets, and
+  sampling takes q B from integer jets, never expanding a factor.  Per
+  point, ``eliminate`` fixes the node coordinates and one pass over the few
+  terms left of each of P and Q reads the jet in x_1..x_n.  The degree
+  bound comes from the degrees of P, Q and their first and second
+  x-partials, read off the terms without building any derivative;
 * the one-parameter annihilating 1-form and its per-coefficient Frobenius
   integrability test;
 * the coframe of parameter-power coefficient 1-forms and the flatness
@@ -33,6 +40,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence, Union
@@ -43,7 +51,7 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (WebSpec, _interpolation_identity,
                             highest_coefficients, signed_minors)
-from .polynomials import MultiPoly, Scalar, _exact, _sum_of_products
+from .polynomials import MultiPoly, Scalar, _exact, _sum_of_products, _tighten
 from .ratfunc import RationalFunction
 
 NodeValue = Union[Fraction, MultiPoly]
@@ -133,49 +141,43 @@ def _derivative_degrees(poly: MultiPoly, n: int
 
 
 def _degree_bound(f: RationalFunction, n: int, nodes_symbolic: bool) -> int:
-    """Upper bound on the total degree of every triple's residual numerator,
-    from the degrees of P, Q and their x-partials.
+    """Upper bound on the total degree of every triple's residual numerator
+    Q B, from the degrees of P, Q and their x-partials.
 
-    Per cyclic rotation (i, j, k) of a triple it is
-    [node difference] + deg N_i + max(deg (N_j)_k + deg Q, deg N_j + deg Q_k),
-    where a zero factor counts as degree 0.  The factor degrees follow the
-    formulas of ``_first_factors`` and ``_residual_factors`` (sum for a
-    product, maximum for a sum, zero polynomials dropped), which equals the
-    degrees of the expanded factors unless the leading forms of two summands
-    cancel, and exceeds them, staying sound, when they do.
-    """
+    Q B sums N_i Q G_jk over the rotations (i, j, k), where (module
+    docstring) Q G_jk = (node_j - node_k) Q d_k N_j + 2 node_j (N_k Q_j
+    - N_j Q_k), and N_i N_k Q_j recurs as N_j N_i Q_k in the next rotation.
+    So the bound is the largest over the rotations of [node] + deg N_i +
+    max(deg d_k N_j + deg Q, deg N_j + deg Q_k), [node] being 1 for
+    symbolic nodes and a zero factor degree 0.  Factor degrees follow the
+    formulas (sum for a product, maximum for a sum): exact unless two
+    leading forms cancel, and sound if so."""
     p, dp, ddp = _derivative_degrees(f.num, n)
     q, dq, ddq = _derivative_degrees(f.den, n)
     n_deg = [_top(_plus(dp[v], q), _plus(p, dq[v])) or 0 for v in range(n)]
     q_deg = q or 0
-    diff_deg = 1 if nodes_symbolic else 0
+    node_deg = 1 if nodes_symbolic else 0
     best = 0
     for triple in web_triples(n):
         for i, j, k in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
             vi, vj, vk = i - 1, j - 1, k - 1
             dn_deg = _top(_plus(ddp[vj][vk], q), _plus(dp[vj], dq[vk]),
                           _plus(dp[vk], dq[vj]), _plus(p, ddq[vj][vk])) or 0
-            m_deg = max(dn_deg + q_deg, n_deg[vj] + (dq[vk] or 0))
-            best = max(best, diff_deg + n_deg[vi] + m_deg)
+            qg_deg = max(dn_deg + q_deg, n_deg[vj] + (dq[vk] or 0))
+            best = max(best, node_deg + n_deg[vi] + qg_deg)
     return best
 
 
 # -- residual factors ---------------------------------------------------------------
 #
-# Writing f = P/Q, the first derivatives are N_i/Q^2 and the mixed second
-# derivatives are M_jk/Q^3, so the residual of a triple has numerator
-#
-#     sum over cyclic (i,j,k) of (node_j - node_k) N_i M_jk
-#
-# over the common denominator Q^5.  The factors are written once, on
-# second-order jets (value, x-gradient, x-Hessian) of P and Q: polynomial
-# jets for the symbolic proof, integer jets read after ``eliminate`` has fixed
-# the node coordinates for sampling, where no factor is ever expanded.  Each
-# factor and each residual is a short sum of scaled products, so it is written
-# as one list of (a, b, scale) parts: polynomial parts collect in one packed
-# map (``_sum_of_products``) and are unpacked once, so the residual of a
-# genuine solution, which cancels to zero, never builds its three products;
-# numbers are summed directly.
+# N_i and G_jk (module docstring) are written once, on second-order jets of P
+# and Q: polynomial jets for the symbolic proof, integer jets read after
+# ``eliminate`` has fixed the node coordinates for sampling.  Each factor and
+# each B is a short sum of scaled products, written as one list of
+# (a, b, scale) parts: polynomial parts collect in one packed map
+# (``_sum_of_products``) and are unpacked once, so the B of a genuine
+# solution, which cancels to zero, never builds its three products; numbers
+# are summed directly.
 
 _Jet = tuple   # (value, gradient, Hessian) in some of x_1..x_n
 
@@ -189,7 +191,7 @@ def _polynomial_jet(poly: MultiPoly, variables: Sequence[int]) -> _Jet:
 
 def _combine(parts: list):
     """sum of scale * a * b over the (a, b, scale) parts, for jet values of
-    either kind.  A polynomial scale (a difference of symbolic nodes) is
+    either kind.  A polynomial scale (an expression in symbolic nodes) is
     multiplied into the smaller factor first, so the kernel sees numbers."""
     if not isinstance(parts[0][0], MultiPoly):
         total = 0
@@ -211,55 +213,59 @@ def _first_factors(p_jet: _Jet, q_jet: _Jet) -> list:
     return [_combine([(p_i, q, 1), (p, q_i, -1)]) for p_i, q_i in zip(dp, dq)]
 
 
-def _residual_factors(p_jet: _Jet, q_jet: _Jet) -> tuple[list, dict]:
-    """Every N_i, and M_jk = (N_j)_k Q - 2 N_j Q_k for every pair j != k,
-    keyed both ways (it is symmetric), with
-    (N_j)_k = P_jk Q + P_j Q_k - P_k Q_j - P Q_jk."""
+def _residual_factors(nodes: Sequence, p_jet: _Jet, q_jet: _Jet) -> tuple[list, dict]:
+    """Every N_i, and for every pair j < k, keyed (j, k),
+    G_jk = (node_j - node_k)(P_jk Q - P Q_jk) + (node_j + node_k)(P_k Q_j - P_j Q_k),
+    which is node_j d_j N_k - node_k d_k N_j by the product rule."""
     p, dp, ddp = p_jet
     q, dq, ddq = q_jet
-    first = _first_factors(p_jet, q_jet)
-    second = {}
+    brackets = {}
     for j, k in combinations(range(len(dp)), 2):
-        dn = _combine([(ddp[j][k], q, 1), (dp[j], dq[k], 1),
-                       (dp[k], dq[j], -1), (p, ddq[j][k], -1)])
-        second[j, k] = second[k, j] = _combine([(dn, q, 1), (first[j], dq[k], -2)])
-    return first, second
+        diff, total = nodes[j] - nodes[k], nodes[j] + nodes[k]
+        brackets[j, k] = _combine([(ddp[j][k], q, diff), (p, ddq[j][k], -diff),
+                                   (dp[k], dq[j], total), (dp[j], dq[k], -total)])
+    return _first_factors(p_jet, q_jet), brackets
 
 
-def _residual(nodes: Sequence, first: list, second: dict,
-              triple: tuple[int, int, int]):
-    """Residual numerator of a 1-based triple from its factors."""
+def _residual(first: list, brackets: dict, triple: tuple[int, int, int]):
+    """B of a 1-based triple i < j < k from its factors; G_ki = -G_ik."""
     i, j, k = (t - 1 for t in triple)
-    li, lj, lk = nodes[i], nodes[j], nodes[k]
-    return _combine([(first[i], second[j, k], lj - lk),
-                     (first[j], second[k, i], lk - li),
-                     (first[k], second[i, j], li - lj)])
+    return _combine([(first[i], brackets[j, k], 1), (first[j], brackets[i, k], -1),
+                     (first[k], brackets[i, j], 1)])
 
 
 def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
                      point: Sequence[int]) -> tuple:
-    """Node values, N_i and M_jk at one integer point, as ``_residual`` takes
-    them: ``eliminate`` fixes the variables past x_n (symbolic node
-    coordinates), leaving few terms, and the jets are read in x_1..x_n."""
+    """Q, the N_i and the G_jk at one integer point, in int arithmetic where
+    the nodes are integral: ``eliminate`` fixes the variables past x_n (symbolic
+    node coordinates), leaving few terms, and the jets are read in x_1..x_n."""
     n = len(nodes)
     rest = {v: point[v] for v in range(n, f.n_vars)}
-    node_vals = [v.evaluate(point) if isinstance(v, MultiPoly) else v for v in nodes]
-    return (node_vals, *_residual_factors(f.num.eliminate(rest).second_order_jet(point[:n]),
-                                          f.den.eliminate(rest).second_order_jet(point[:n])))
+    node_vals = [_tighten(v.evaluate(point) if isinstance(v, MultiPoly) else v)
+                 for v in nodes]
+    q_jet = f.den.eliminate(rest).second_order_jet(point[:n])
+    return (q_jet[0], *_residual_factors(
+        node_vals, f.num.eliminate(rest).second_order_jet(point[:n]), q_jet))
+
+
+def _check_variables(f: RationalFunction, n: int) -> None:
+    if f.n_vars < n:
+        raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
 
 
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
                     triple: tuple[int, int, int]) -> RationalFunction:
-    """The residual of one triple of the second-order system, as an exact
-    rational function.  Triples are 1-based and must be pairwise distinct."""
-    i, j, k = triple
-    if len({i, j, k}) != 3 or not all(1 <= t <= len(nodes) for t in (i, j, k)):
+    """The residual of one triple of the second-order system, as the exact
+    rational function Q B / Q^5 with B = N_i G_jk + N_j G_ki + N_k G_ij
+    (module docstring).  Triples are 1-based and must be pairwise distinct."""
+    _check_variables(f, len(nodes))
+    if len(set(triple)) != 3 or not all(1 <= t <= len(nodes) for t in triple):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
     variables = [t - 1 for t in triple]
-    first, second = _residual_factors(_polynomial_jet(f.num, variables),
-                                      _polynomial_jet(f.den, variables))
-    return RationalFunction(_residual([nodes[v] for v in variables], first, second,
-                                      (1, 2, 3)), f.den ** 5)
+    first, brackets = _residual_factors([nodes[v] for v in variables],
+                                        _polynomial_jet(f.num, variables),
+                                        _polynomial_jet(f.den, variables))
+    return RationalFunction(f.den * _residual(first, brackets, (1, 2, 3)), f.den ** 5)
 
 
 @dataclass(frozen=True)
@@ -317,17 +323,20 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
                   seed: int = 42) -> VerificationReport:
     """Check the full residual system for a solution (or any function).
 
-    Symbolic mode proves every triple's residual numerator is the zero
-    polynomial.  Sampled mode evaluates each numerator exactly at ``trials``
-    seeded random integer points with coordinates in [-bound, bound] and
-    requires exact zeros; a nonzero numerator would survive one trial with
-    probability at most degree/(2*bound + 1).  The points stay Python ints:
-    at each, ``eliminate`` fixes the node coordinates and one jet pass over
-    what is left of P and one of Q give the factor values, without expanding
-    any residual factor.  A float node, trial count or bound raises
-    InexactNumberError.
+    Each triple's residual numerator is Q B, B = N_i G_jk + N_j G_ki + N_k G_ij
+    (module docstring).  Symbolic mode proves every B is the zero polynomial,
+    exact since Q is nonzero; a failing triple reports the terms of Q B.
+    Sampled mode evaluates each q B exactly at ``trials`` seeded random
+    integer points with coordinates in [-bound, bound] and requires exact
+    zeros; a nonzero numerator would survive one trial with probability at
+    most degree/(2*bound + 1).  The points stay Python ints; at each, the
+    jets of what ``eliminate`` leaves of P and Q give the factor values.
+    Passing ``nodes`` with a solution raises WebSpecError (it carries its
+    own); a float node, trial count or bound raises InexactNumberError.
     """
     if isinstance(solution_or_f, HirotaSolution):
+        if nodes is not None:
+            raise WebSpecError("a solution carries its own nodes; pass no nodes")
         f = solution_or_f.f
         node_list = solution_or_f.nodes()
         n = solution_or_f.spec.n
@@ -339,28 +348,27 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
         node_list = list(nodes)
         n = len(node_list)
         symbolic = any(isinstance(v, MultiPoly) for v in node_list)
-    if f.n_vars < n:
-        raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
+    _check_variables(f, n)
     node_list = [v if isinstance(v, MultiPoly) else _exact(v) for v in node_list]
 
     triples = web_triples(n)
 
     if mode == "symbolic":
         if not symbolic:
-            # Each residual numerator is linear in the node differences, so
-            # scaling every node by the lcm of their denominators scales it by
-            # a nonzero int: the zero test and the term count are unchanged,
-            # and the products stay in int arithmetic.
+            # Each B is linear in the nodes, so scaling every node by the lcm
+            # of their denominators scales it by a nonzero int: the zero test
+            # and the term count are unchanged, and the products stay in int
+            # arithmetic.
             scale = _denominator_lcm(node_list)
             node_list = [v * scale for v in node_list]
-        first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
-                                          _polynomial_jet(f.den, range(n)))
+        first, brackets = _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
+                                            _polynomial_jet(f.den, range(n)))
         checks = []
         for triple in triples:
-            numerator = _residual(node_list, first, second, triple)
-            detail = ("residual numerator is 0" if numerator.is_zero else
-                      f"nonzero residual numerator with {len(numerator.terms)} term(s)")
-            checks.append(TripleCheck(triple, numerator.is_zero, detail))
+            bracket = _residual(first, brackets, triple)
+            detail = ("residual numerator is 0" if bracket.is_zero else "nonzero residual "
+                      f"numerator with {len((f.den * bracket).terms)} term(s)")
+            checks.append(TripleCheck(triple, bracket.is_zero, detail))
         return VerificationReport("symbolic", all(c.ok for c in checks), tuple(checks))
 
     if mode != "sampled":
@@ -382,26 +390,18 @@ def verify_hirota(solution_or_f: Union[HirotaSolution, RationalFunction],
     degree_bound = _degree_bound(f, n, symbolic)
     failure_bound = Fraction(degree_bound, 2 * bound + 1)
 
-    # A point's node and factor values are computed when a triple first
-    # reaches it: a triple stops at its first nonzero value, so later points
-    # may never be needed.
-    sampled: list[Optional[tuple]] = [None] * len(points)
+    # A point's factor values are computed when a triple first reaches it: a
+    # triple stops at its first nonzero value, so later points may never be
+    # needed.
+    factors = cache(lambda t: _sampled_factors(f, node_list, points[t]))
     checks = []
     for triple in triples:
-        bad = None
-        for t, point in enumerate(points):
-            if sampled[t] is None:
-                sampled[t] = _sampled_factors(f, node_list, point)
-            value = _residual(*sampled[t], triple)
-            if value:
-                bad = value
-                break
-        if bad is None:
-            checks.append(TripleCheck(
-                triple, True, f"exact zero at {trials} sampled point(s)"))
-        else:
-            checks.append(TripleCheck(
-                triple, False, f"nonzero residual value {bad} at a sampled point"))
+        values = (q * _residual(first, brackets, triple)
+                  for q, first, brackets in map(factors, range(trials)))
+        bad = next(filter(None, values), None)
+        checks.append(TripleCheck(triple, bad is None, (
+            f"exact zero at {trials} sampled point(s)" if bad is None
+            else f"nonzero residual value {bad} at a sampled point")))
     return VerificationReport("sampled", all(c.ok for c in checks), tuple(checks),
                               trials=trials, bound=bound, seed=seed,
                               degree_bound=degree_bound,

@@ -1,12 +1,15 @@
-"""The derivative route to the residual factors, sampled values and degree bound.
+"""The written-out residual: factors, residual numerators, sampled values and
+degree bound by the second-derivative route.
 
 Every factor is expanded as a polynomial straight from f = P/Q with
 ``MultiPoly.derivative``: N_i = P_i Q - P Q_i, (N_j)_k as the derivative of
-the expanded N_j, and M_jk = (N_j)_k Q - 2 N_j Q_k.  The library writes
-(N_j)_k by the product rule on jets instead, and sampling never expands a
-factor; this route shares only the polynomial arithmetic with it and
-imports no factor code from the library, so the tests use it as the oracle
-for the factors, the sampled residual values and the degree bound.
+the expanded N_j, and M_jk = (N_j)_k Q - 2 N_j Q_k = Q^3 f_jk, and a triple's
+residual numerator is the cyclic sum of (node_j - node_k) N_i M_jk.  The
+library never forms M_jk: it writes the numerator as Q B with brackets of
+first partials of the N_i, on jets, and sampling never expands a factor.
+This route shares only the polynomial arithmetic with it and imports no
+factor code from the library, so the tests use it as the oracle for the
+factors, the residual numerators, the sampled values and the degree bound.
 """
 
 from __future__ import annotations
@@ -31,6 +34,21 @@ def expanded_factors(f: RationalFunction, n: int
     for j, k in combinations(range(n), 2):
         second[j, k] = second[k, j] = dn[j, k] * den - 2 * first[j] * den_partials[k]
     return first, dn, second, den_partials
+
+
+def expanded_residuals(nodes: Sequence, triples: Sequence[tuple[int, int, int]],
+                       factors: tuple) -> list[MultiPoly]:
+    """Residual numerators of 1-based triples as polynomials, written out as
+    (node_j - node_k) N_i M_jk + (node_k - node_i) N_j M_ki + (node_i - node_j) N_k M_ij
+    from the expanded factors (``expanded_factors(f, len(nodes))``)."""
+    first, _, second, _ = factors
+    residuals = []
+    for triple in triples:
+        i, j, k = (t - 1 for t in triple)
+        residuals.append(first[i] * second[j, k] * (nodes[j] - nodes[k])
+                         + first[j] * second[k, i] * (nodes[k] - nodes[i])
+                         + first[k] * second[i, j] * (nodes[i] - nodes[j]))
+    return residuals
 
 
 def expanded_residual_values(nodes: Sequence, triples: Sequence[tuple[int, int, int]],

@@ -72,6 +72,13 @@ PROOFS_6 = [
     "verify --n 6 --k 3 --l 2 --mode symbolic",
     "verify --n 6 --k 2 --l 3 --mode symbolic --lambdas=1/2,-2/3,3/4,5/3,-7/5,2/7",
 ]
+# Symbolic proofs at n = 7, the frontier of the proof: default integer nodes
+# and rational nodes, at two orders.  Text only: the JSON carries the same
+# per-triple details.
+PROOFS_7 = [
+    "verify --n 7 --k 3 --l 3 --mode symbolic",
+    "verify --n 7 --k 2 --l 4 --mode symbolic --lambdas=1/2,-2/3,3/4,5/3,-7/5,2/7,-9/4",
+]
 # Dimension 8 at default nodes 1..8: the 8 x 9 row matrix is larger than
 # any other entry's, and its minors were checked against fraction-free
 # elimination when these outputs were recorded.
@@ -102,7 +109,7 @@ ARGVS = ([f"{invocation} --format {fmt}"
             for fmt in ("text", "json")
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
                          + DIMENSION_8 + PROOFS_6 + SAMPLED)]
-         + [f"{argv} --format text" for argv in ORACLE_LARGE])
+         + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7])
 
 
 def _capture(argv: str) -> dict:

@@ -3,12 +3,13 @@
 import random
 import re
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
-                       DifferentialForm, HirotaSolution, HirotaWebError,
+                       DifferentialForm, DimensionError, HirotaSolution, HirotaWebError,
                        InexactNumberError, Mobius,
                        MultiPoly, PoleError, RationalFunction, WebSpec, WebSpecError,
                        build_solution, coframe, flatness_check, frobenius_check,
@@ -21,7 +22,7 @@ from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
-                                 expanded_residual_values)
+                                 expanded_residual_values, expanded_residuals)
 from reference_witness import (gamma_product, inflated_witness, raw_alpha1,
                                self_wedge)
 
@@ -103,6 +104,27 @@ def test_bad_triple_rejected():
         hirota_residual(sol.f, sol.nodes(), (1, 2, 4))
 
 
+def test_hirota_residual_refuses_more_nodes_than_variables():
+    # Refused before any derivative is taken, whichever triple is asked for.
+    f = RationalFunction(MultiPoly.variable(3, 0) * MultiPoly.variable(3, 1))
+    for triple in ((1, 2, 3), (1, 2, 4)):
+        with pytest.raises(DimensionError,
+                           match="function has 3 variables but 4 nodes were given"):
+            hirota_residual(f, nodes(1, 2, 3, 4), triple)
+
+
+def test_verify_refuses_nodes_beside_a_solution():
+    # A solution carries its own nodes, so nodes passed beside it are refused,
+    # even its own: at other nodes its function fails the system.
+    sol = build_solution(WebSpec.numeric(4, 2, 1))
+    other = nodes(5, -1, 7, 2)
+    assert not verify_hirota(sol.f, nodes=other).passed
+    for node_list in (other, sol.nodes()):
+        for mode in ("symbolic", "sampled"):
+            with pytest.raises(WebSpecError, match="carries its own nodes"):
+                verify_hirota(sol, nodes=node_list, mode=mode)
+
+
 def test_verify_three_nodes_symbolic_mode():
     report = verify_hirota(build_solution(WebSpec.numeric(3, 1, 1)))
     assert report.passed and len(report.checks) == 1
@@ -178,9 +200,16 @@ def _residual_function(spec, corrupt):
 
 
 def _sampled_residuals(f, node_list, point, triples):
-    """The library's residual values at a point, from integer jets."""
-    factors = _sampled_factors(f, node_list, point)
-    return [_residual(*factors, triple) for triple in triples]
+    """The library's residual values q B at a point, from integer jets."""
+    q, first, brackets = _sampled_factors(f, node_list, point)
+    return [q * _residual(first, brackets, triple) for triple in triples]
+
+
+def _library_factors(f, node_list):
+    """The N_i and G_jk on polynomial jets in x_1..x_n."""
+    n = len(node_list)
+    return _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
+                             _polynomial_jet(f.den, range(n)))
 
 
 @pytest.mark.parametrize("spec,corrupt", list(_sampled_cases()))
@@ -190,10 +219,13 @@ def test_jet_route_matches_expanded_oracle(spec, corrupt):
     node_list = [spec.node(i) for i in range(1, n + 1)]
     oracle = expanded_factors(f, n)
     triples = web_triples(n)
-    # the polynomial factors, with (N_j)_k by the product rule on jets
-    first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
-                                      _polynomial_jet(f.den, range(n)))
-    assert first == oracle[0] and second == oracle[2]
+    # the polynomial factors: N_i, and G_jk = node_j d_j N_k - node_k d_k N_j
+    # by the product rule on jets, against the derivatives of the expanded N_i
+    first, brackets = _library_factors(f, node_list)
+    dn = oracle[1]
+    assert first == oracle[0]
+    assert brackets == {(j, k): dn[k, j] * node_list[j] - dn[j, k] * node_list[k]
+                        for j, k in combinations(range(n), 2)}
     assert _degree_bound(f, n, spec.is_symbolic) == expanded_degree_bound(
         f, oracle, spec.is_symbolic, triples)
     rng = random.Random(f"{spec.describe()} {corrupt}")
@@ -220,23 +252,25 @@ _NODE_KINDS = {
 def test_fused_residual_matches_the_written_out_sum(n, k, kind):
     # On corrupted solutions with l >= 1 the residuals are nonzero, so the
     # kernel's sum over the three products must keep exactly the terms that
-    # the written-out products and sums keep, and verify_hirota must count
-    # them.
+    # the written-out products and sums keep, Q times it must be the
+    # written-out residual of the second-derivative route, and verify_hirota
+    # must count that residual's terms.
     # hirota_residual builds the jets of its own triple's three variables
     # only, so it is compared on every triple.
     base = _NODE_KINDS[kind](n)
     spec = WebSpec(n, k, n - 1 - k, base.lambdas)
     f = _residual_function(spec, corrupt=True)
     node_list = [spec.node(i) for i in range(1, n + 1)]
-    first, second = _residual_factors(_polynomial_jet(f.num, range(n)),
-                                      _polynomial_jet(f.den, range(n)))
+    first, brackets = _library_factors(f, node_list)
+    triples = web_triples(n)
     details = []
-    for triple in web_triples(n):
+    for triple, written in zip(triples, expanded_residuals(node_list, triples,
+                                                           expanded_factors(f, n))):
         a, b, c = (t - 1 for t in triple)
-        la, lb, lc = node_list[a], node_list[b], node_list[c]
-        written = (first[a] * second[b, c] * (lb - lc) + first[b] * second[c, a] * (lc - la)
-                   + first[c] * second[a, b] * (la - lb))
-        assert _residual(node_list, first, second, triple) == written
+        bracket = (first[a] * brackets[b, c] - first[b] * brackets[a, c]
+                   + first[c] * brackets[a, b])
+        assert _residual(first, brackets, triple) == bracket
+        assert f.den * bracket == written
         assert hirota_residual(f, node_list, triple) == RationalFunction(written, f.den ** 5)
         details.append("residual numerator is 0" if written.is_zero else
                        f"nonzero residual numerator with {len(written.terms)} term(s)")
@@ -256,6 +290,58 @@ def test_jet_route_handles_zero_coordinates():
     triples = web_triples(4)
     assert _sampled_residuals(f, list(spec.lambdas), point, triples) == \
         expanded_residual_values(list(spec.lambdas), triples, point, oracle)
+
+
+@st.composite
+def _residual_instances(draw):
+    """Sparse P, Q that are not solutions, n = 3..5, and nodes that are
+    integers, integers with a zero, rationals or ring variables (then P and
+    Q live in 2n variables, the last n being the nodes)."""
+    n = draw(st.integers(3, 5))
+    kind = draw(st.sampled_from(["integer", "zero", "rational", "symbolic"]))
+    n_vars = 2 * n if kind == "symbolic" else n
+    polys = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * n_vars),
+        st.sampled_from([-3, -2, -1, 1, 2, 4, Fraction(1, 2), Fraction(-2, 3)]),
+        min_size=1, max_size=5).map(lambda terms: MultiPoly(n_vars, terms))
+    f = RationalFunction(draw(polys), draw(polys))
+    if kind == "symbolic":
+        node_list = [MultiPoly.variable(n_vars, n + i) for i in range(n)]
+    elif kind == "rational":
+        node_list = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                  min_size=n, max_size=n, unique=True))
+    else:
+        nonzero = st.integers(-6, 6).filter(bool)
+        node_list = draw(st.lists(nonzero, min_size=n, max_size=n, unique=True))
+        if kind == "zero":
+            node_list[draw(st.integers(0, n - 1))] = 0
+    points = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n_vars, max_size=n_vars),
+                           min_size=2, max_size=2))
+    return f, node_list, kind == "symbolic", points
+
+
+@settings(max_examples=100, deadline=None)
+@given(_residual_instances())
+def test_bracket_route_matches_the_second_derivative_route(instance):
+    # R = Q B holds for any P, Q and nodes: the written-out residual
+    # sum (node_j - node_k) N_i M_jk equals Q B on every triple, as
+    # polynomials and as sampled values.  The degree bound, read off the
+    # factor formulas, is at least the oracle's, read off the expanded
+    # factors (they differ when leading forms cancel, as they may here),
+    # which bounds every written-out residual.
+    f, node_list, symbolic, points = instance
+    n = len(node_list)
+    triples = web_triples(n)
+    oracle = expanded_factors(f, n)
+    written = expanded_residuals(node_list, triples, oracle)
+    first, brackets = _library_factors(f, node_list)
+    assert [f.den * _residual(first, brackets, triple) for triple in triples] == written
+    expanded_bound = expanded_degree_bound(f, oracle, symbolic, triples)
+    assert _degree_bound(f, n, symbolic) >= expanded_bound
+    assert max(residual.degree() for residual in written) <= expanded_bound
+    for point in points:
+        assert _sampled_residuals(f, node_list, point, triples) == \
+            expanded_residual_values(node_list, triples, point, oracle)
 
 
 def test_sampled_bare_function_with_symbolic_nodes():
