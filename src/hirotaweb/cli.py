@@ -288,9 +288,15 @@ def _is_term(item) -> bool:
             and type(item["c"]) is str and type(item["e"]) is list and bool(item["e"]))
 
 
-def _json_list(value: list, nl: str, out: list[str]) -> None:
+def _json_list(value: list, nl: str, out: list[str], written: dict) -> None:
     """A non-empty list; a list of polynomial terms is written with one join
-    over a per-depth template, every item and exponent checked first."""
+    over a per-depth template, every item and exponent checked first.  That
+    string is kept in ``written`` under ``(id(value), nl)``, so a term list
+    that recurs at the same depth is appended again, not rewritten."""
+    known = written.get((id(value), nl))
+    if known is not None:
+        out.append(known)
+        return
     inner = nl + "  "
     sep = "," + inner
     if all(map(_is_term, value)) and {int}.issuperset(
@@ -299,25 +305,28 @@ def _json_list(value: list, nl: str, out: list[str]) -> None:
         template = ("{" + entry + '"c": %s,' + entry + '"e": [' + entry + "  %s"
                     + entry + "]" + inner + "}")
         exponent_sep = "," + entry + "  "
-        out.append("[" + inner + sep.join(
+        text = written[id(value), nl] = "[" + inner + sep.join(
             template % (encode_basestring_ascii(item["c"]),
                         exponent_sep.join(map(int.__repr__, item["e"])))
-            for item in value) + nl + "]")
+            for item in value) + nl + "]"
+        out.append(text)
         return
     out.append("[" + inner)
     for position, item in enumerate(value):
         if position:
             out.append(sep)
-        _json_value(item, inner, out)
+        _json_value(item, inner, out, written)
     out.append(nl + "]")
 
 
-def _json_value(value, nl: str, out: list[str]) -> None:
+def _json_value(value, nl: str, out: list[str], written: dict) -> None:
     """Append ``value`` as the stdlib's JSON encoder writes it with
     ``indent=2, sort_keys=True``, continuing lines with ``nl`` (a newline
     plus the indent of the line ``value`` starts on).  Only str, int, bool,
     None, list and dict with str keys are accepted: anything else, floats
-    included, is a TypeError."""
+    included, is a TypeError.  ``written`` holds the term lists already
+    written in this call (see ``_json_list``); the payload keeps their ids
+    alive until the call ends."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -330,7 +339,7 @@ def _json_value(value, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, list):
         if value:
-            _json_list(value, nl, out)
+            _json_list(value, nl, out, written)
         else:
             out.append("[]")
     elif isinstance(value, dict):
@@ -343,7 +352,7 @@ def _json_value(value, nl: str, out: list[str]) -> None:
             if position:
                 out.append("," + inner)
             out.append(encode_basestring_ascii(key) + ": ")
-            _json_value(value[key], inner, out)
+            _json_value(value[key], inner, out, written)
         out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -353,7 +362,7 @@ def _json_text(payload) -> str:
     """The report exactly as the stdlib's JSON encoder writes it with
     ``indent=2, sort_keys=True``, without that encoder's per-token generators."""
     out: list[str] = []
-    _json_value(payload, "\n", out)
+    _json_value(payload, "\n", out, {})
     return "".join(out)
 
 

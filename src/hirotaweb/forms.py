@@ -192,7 +192,9 @@ class DifferentialForm:
 
     # -- exterior algebra --------------------------------------------------------------
 
-    def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
+    def _wedge_parts(self, other: "DifferentialForm") -> dict[Index, list]:
+        """The numerator products of ``self ^ other``, grouped by output
+        index: each group's ``_sum_of_products`` is that component."""
         if self.n_vars != other.n_vars:
             raise DimensionError("forms over different rings")
         parts: dict[Index, list] = {}
@@ -203,7 +205,11 @@ class DifferentialForm:
                     continue
                 sign, idx = merged
                 parts.setdefault(idx, []).append((coeff_a, coeff_b, sign))
-        out = {idx: _sum_of_products(self.n_vars, group) for idx, group in parts.items()}
+        return parts
+
+    def wedge(self, other: "DifferentialForm") -> "DifferentialForm":
+        out = {idx: _sum_of_products(self.n_vars, group)
+               for idx, group in self._wedge_parts(other).items()}
         return DifferentialForm(self.n_vars, self.degree + other.degree, out,
                                 self.den * other.den)
 
@@ -254,12 +260,22 @@ class DifferentialForm:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
     def to_json(self) -> dict:
+        """Each component as its normalized quotient.  Normalizing scales
+        ``den`` by one number per component, so the normalized denominator's
+        coefficient at one fixed term tells the scales apart: each distinct
+        denominator is converted once, and its dict is shared by every
+        component that has it."""
         entries = []
+        probe = next(iter(self.den.terms))
+        dens: dict[Scalar, dict] = {}
         for idx in sorted(self.components):
             coeff = self.component(idx)
+            scale = coeff.den.terms[probe]
+            den = dens.get(scale)
+            if den is None:
+                den = dens[scale] = poly_to_json(coeff.den)
             entries.append({"idx": [i + 1 for i in idx],
-                            "num": poly_to_json(coeff.num),
-                            "den": poly_to_json(coeff.den)})
+                            "num": poly_to_json(coeff.num), "den": den})
         return {"degree": self.degree, "components": entries}
 
 

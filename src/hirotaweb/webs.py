@@ -531,7 +531,10 @@ class FlatnessVerdict:
     ``witness`` is the 3-form d(alpha_1) wedge alpha_1 of the normalized
     coframe; nonflat certification means it has a nonzero component, hence
     is nonvanishing on a dense open set.  The integrability of the mirror
-    element alpha_(n-2) is recorded alongside as a cross-check.
+    element alpha_(n-2) is recorded alongside as a cross-check: an exact
+    zero test of d(beta_(n-2)) wedge beta_(n-2) that ends at its first
+    nonzero component, so a "flat" verdict has computed every component and
+    found each one zero.
     """
 
     status: str                       # "nonflat-certified" | "flat-certified"
@@ -575,6 +578,16 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     Both sides are built from the same P0, P1, Q0, Q1, and the identity holds
     for any four polynomials: it cross-checks the exterior algebra (signs of
     d and of the wedge), not the determinant data.
+
+    Expanding R term by term shows that its (a, b, c) component is a 4 x 4
+    jet determinant: the rows are Q0, Q1, P0, P1 and the columns are the
+    value, d_a, d_b and d_c of each.  Along the value column,
+
+        R = Q0 J(Q1, P0, P1) - Q1 J(Q0, P0, P1) + P0 J(Q0, Q1, P1)
+            - P1 J(Q0, Q1, P0),   J(A, B, C) = dA wedge dB wedge dC,
+
+    so each component of the witness at a point needs only the values and
+    gradients of the four minors there.
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
@@ -586,13 +599,15 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     if q0.is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
 
-    def wedge_self(m: int) -> DifferentialForm:
-        form = _coframe_element(p_list, q_list, m)
-        return form.exterior_derivative().wedge(form)
-
-    w1_poly = wedge_self(1)
+    beta1 = _coframe_element(p_list, q_list, 1)
+    w1_poly = beta1.exterior_derivative().wedge(beta1)
     second = spec.n - 2
-    w2_poly = w1_poly if second == 1 else wedge_self(second)
+    if second == 1:
+        cross_ok = w1_poly.is_zero
+    else:
+        mirror = _coframe_element(p_list, q_list, second)
+        groups = mirror.exterior_derivative()._wedge_parts(mirror).values()
+        cross_ok = not any(_sum_of_products(spec.n_vars, group) for group in groups)
 
     identity_checked = False
     if spec.k >= 1 and spec.l >= 1:
@@ -603,7 +618,6 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
     witness = DifferentialForm(spec.n_vars, 3, w1_poly.components, w1_poly.den * q0 ** 4)
     alpha1_ok = w1_poly.is_zero
-    cross_ok = w2_poly.is_zero
     if not alpha1_ok:
         status = "nonflat-certified"
     elif cross_ok:

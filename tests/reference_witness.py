@@ -9,12 +9,14 @@ where beta_1 = Q0 dP1 - P1 dQ0 + Q1 dP0 - P0 dQ1 is built here from the
 signed minors exactly as they come (Fraction coefficients for rational
 nodes, no denominators cleared).  It shares only the forms layer and the
 minors with the library, so the tests use it as the oracle for the reduced
-check and for the witness.
+check and for the witness.  ``jet_determinant`` writes R out as one 4 x 4
+determinant of values and partials per component, with no wedge product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Optional
 
 from hirotaweb import DifferentialForm, MultiPoly, WebSpec, signed_minors
@@ -40,6 +42,26 @@ def raw_alpha1(p0: MultiPoly, p1: MultiPoly,
     """The degree-1 element of the unnormalized coframe."""
     return (gradient(p1).scale(q0) - gradient(q0).scale(p1)
             + gradient(p0).scale(q1) - gradient(q1).scale(p0))
+
+
+def jet_determinant(p0: MultiPoly, p1: MultiPoly,
+                    q0: MultiPoly, q1: MultiPoly) -> DifferentialForm:
+    """R as a 4 x 4 determinant per component: for each (a, b, c) the rows
+    are Q0, Q1, P0, P1 and the columns (value, d_a, d_b, d_c), expanded by
+    Leibniz's formula with no wedge product."""
+    n = q0.n_vars
+    components = {}
+    for idx in combinations(range(n), 3):
+        jets = [[a] + [a.derivative(v) for v in idx] for a in (q0, q1, p0, p1)]
+        total = MultiPoly.zero(n)
+        for perm in permutations(range(4)):
+            product = MultiPoly.one(n)
+            for row, column in enumerate(perm):
+                product = product * jets[row][column]
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
+            total = total - product if inversions % 2 else total + product
+        components[idx] = total
+    return DifferentialForm(n, 3, components)
 
 
 def self_wedge(form: DifferentialForm) -> DifferentialForm:

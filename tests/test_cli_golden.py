@@ -103,13 +103,20 @@ ORACLE_LARGE = [
     "oracle --n 12 --k 6 --l 5 --trials 10 --seed 1",
     "oracle --n 16 --k 8 --l 7 --trials 10 --seed 1",
 ]
+# A nonflat witness whose components normalize to two distinct multiples of
+# the common denominator (c Q0)^4: JSON only, since the text carries the same
+# quotients.
+WITNESS_SCALES = [
+    "flatness --n 5 --k 3 --l 1 --lambdas=5,4,6,1,3",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
             for fmt in ("text", "json")
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
                          + DIMENSION_8 + PROOFS_6 + SAMPLED)]
-         + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7])
+         + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7]
+         + [f"{argv} --format json" for argv in WITNESS_SCALES])
 
 
 def _capture(argv: str) -> dict:

@@ -50,6 +50,28 @@ def test_writer_matches_json_dumps(tree):
     assert _json_text(tree) == dumps(tree)
 
 
+def _reused(tree, times: int):
+    """The same objects twice at one depth and once a level deeper, nested."""
+    for _ in range(times):
+        tree = [tree, {"k": tree}, tree]
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(_reused, _trees, st.integers(1, 3)))
+def test_writer_matches_json_dumps_on_shared_subtrees(tree):
+    assert _json_text(tree) == dumps(tree)
+
+
+# One term-list object twice at one depth and once at another, as a shared
+# denominator recurs in a witness, next to an equal but distinct list.
+_TERMS = [{"c": "-3/4", "e": [2, 0, 1]}, {"c": "5", "e": [0, 1, 1]}]
+_SHARED = {"components": [{"den": {"nvars": 3, "terms": _TERMS},
+                           "num": {"nvars": 3, "terms": list(_TERMS)}},
+                          {"den": {"nvars": 3, "terms": _TERMS}}],
+           "outer": _TERMS}
+
+
 @pytest.mark.parametrize("tree", [
     [[], {}, [[]], [{}], {"a": {}, "b": [[], []]}],
     [True, 1, False, 0, None, -1],
@@ -59,6 +81,7 @@ def test_writer_matches_json_dumps(tree):
     [{"c": "1", "e": [1]}, {"c": 1, "e": [1]}],
     [{"c": "1", "e": [1]}, 7],
     [-(10 ** 50), 10 ** 50],
+    _SHARED,
 ])
 def test_writer_edge_cases(tree):
     assert _json_text(tree) == dumps(tree)
@@ -82,7 +105,7 @@ def test_golden_json_reports_are_json_dumps_output():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     reports = [entry["stdout"] for argv, entry in golden.items()
                if argv.endswith("--format json")]
-    assert len(reports) == 31
+    assert len(reports) == 32
     for stdout in reports:
         text = stdout.removesuffix("\n")
         assert dumps(json.loads(text)) == text

@@ -16,15 +16,16 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
+from hirotaweb.polynomials import poly_to_json
 from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
                             _residual, _residual_factors, _sampled_factors,
-                            _witness_identity_rhs)
+                            _without_denominators, _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
-from reference_witness import (gamma_product, inflated_witness, raw_alpha1,
-                               self_wedge)
+from reference_witness import (gamma_product, inflated_witness, jet_determinant,
+                               raw_alpha1, self_wedge)
 
 
 def nodes(*values):
@@ -607,11 +608,21 @@ def test_flatness_dichotomy_small_dimensions():
             assert verdict.is_flat == expected_flat, (n, k, l)
 
 
+def _mirror_is_integrable(spec):
+    """d(beta_(n-2)) wedge beta_(n-2) == 0, from the whole 3-form, where
+    flatness_check stops at the first nonzero component."""
+    minors = _without_denominators(signed_minors(spec))
+    form = _coframe_element(minors[:spec.k + 1], minors[spec.k + 1:], spec.n - 2)
+    return form.exterior_derivative().wedge(form).is_zero
+
+
 def test_flatness_dichotomy_dimension_six():
     # the cheap corners of n = 6; the remaining orders run in acceptance
     for k, l in ((1, 4), (4, 1), (5, 0), (0, 5)):
-        verdict = flatness_check(WebSpec.numeric(6, k, l))
+        spec = WebSpec.numeric(6, k, l)
+        verdict = flatness_check(spec)
         assert verdict.is_flat == (k == 0 or l == 0), (k, l)
+        assert verdict.cross_check_integrable == _mirror_is_integrable(spec), (k, l)
 
 
 def test_flatness_needs_dimension_three():
@@ -638,8 +649,17 @@ def test_reduced_witness_identity_agrees_with_the_gamma_product(n, k, node_class
         # on the minors as they come: w1 = 2R, and with the oracle's
         # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
         assert _witness_identity_rhs(*oracle.coefficients) == oracle.w1
+        assert jet_determinant(*oracle.coefficients).scale(2) == oracle.w1
     # cleared denominators leave every rendered witness component unchanged
-    assert verdict.witness.to_json() == oracle.witness.to_json()
+    witness = verdict.witness
+    assert witness.to_json() == oracle.witness.to_json()
+    # and the shared denominator dicts render as each component's own quotient
+    assert witness.to_json() == {"degree": 3, "components": [
+        {"idx": [i + 1 for i in idx],
+         "num": poly_to_json(witness.component(idx).num),
+         "den": poly_to_json(witness.component(idx).den)}
+        for idx in sorted(witness.components)]}
+    assert verdict.cross_check_integrable == _mirror_is_integrable(spec)
 
 
 _small_polys = st.dictionaries(
@@ -658,6 +678,29 @@ def test_reduced_witness_identity_holds_for_any_four_polynomials(polys):
     rhs = _witness_identity_rhs(p0, p1, q0, q1)
     assert self_wedge(raw_alpha1(p0, p1, q0, q1)) == rhs
     assert rhs.scale(q0 * q0) == gamma_product(p0, p1, q0, q1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(_small_polys, _small_polys, _small_polys, _small_polys))
+def test_witness_right_side_is_twice_the_jet_determinant(polys):
+    # R_abc = det of the rows Q0, Q1, P0, P1 over the columns (value, d_a,
+    # d_b, d_c).  Adding a multiple of one row to another leaves R as it is,
+    # so the check that the oracle sees a change scales a row instead.
+    p0, p1, q0, q1 = polys
+    r = jet_determinant(p0, p1, q0, q1)
+    assert _witness_identity_rhs(p0, p1, q0, q1) == r.scale(2)
+    if not r.is_zero:
+        assert _witness_identity_rhs(p0 * 3, p1, q0, q1) != r.scale(2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_polys, _small_polys)
+def test_flat_elements_have_zero_self_wedge(a, b):
+    # d(A dB - B dA) = 2 dA wedge dB, and its wedge with A dB - B dA is zero
+    # for any polynomials A and B: the structural reason k = 0 or l = 0 is flat.
+    beta = d0(b).scale(a) - d0(a).scale(b)
+    assert beta.exterior_derivative() == d0(a).wedge(d0(b)).scale(2)
+    assert beta.exterior_derivative().wedge(beta).is_zero
 
 
 def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
