@@ -2,8 +2,9 @@
 
 The library builds the solutions from Cauchy-interpolation determinants and
 certifies their properties in exact rational arithmetic: residual vanishing
-over all index triples, Frobenius integrability of the annihilating
-one-form, and the flatness dichotomy of the underlying Veronese web.
+over all index triples, which is also the Frobenius integrability of the
+annihilating one-form pencil (``veronese_form`` states the identity), and
+the flatness dichotomy of the underlying Veronese web.
 """
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
@@ -18,10 +19,9 @@ from .interpolation import (CauchyInterpolant, WebSpec, cauchy_interpolant,
 from .polynomials import (MultiPoly, determinant, maximal_minors,
                           poly_from_json, poly_text, poly_to_json)
 from .ratfunc import RationalFunction
-from .webs import (FlatnessVerdict, HirotaSolution, Mobius,
-                   PropertyCheck, TripleCheck, VerificationReport,
-                   build_solution, coframe, flatness_check, frobenius_check,
-                   hirota_residual, restrict, restricted_nodes,
+from .webs import (FlatnessVerdict, HirotaSolution, Mobius, PropertyCheck,
+                   TripleCheck, VerificationReport, build_solution, coframe,
+                   flatness_check, hirota_residual, restrict, restricted_nodes,
                    structural_properties, transform, verify_hirota,
                    veronese_form, web_triples)
 
@@ -35,10 +35,9 @@ __all__ = [
     "PoleError", "PropertyCheck", "RationalFunction",
     "TripleCheck", "VerificationReport", "WebSpec", "WebSpecError",
     "build_solution", "cauchy_interpolant", "coframe", "determinant",
-    "evaluate_interpolant", "flatness_check",
-    "frobenius_check", "highest_coefficients", "hirota_residual",
-    "interpolant_matches_oracle", "interpolation_check", "maximal_minors",
-    "poly_from_json", "poly_text", "poly_to_json",
+    "evaluate_interpolant", "flatness_check", "highest_coefficients",
+    "hirota_residual", "interpolant_matches_oracle", "interpolation_check",
+    "maximal_minors", "poly_from_json", "poly_text", "poly_to_json",
     "random_numeric_instances", "restrict", "restricted_nodes",
     "row_matrix", "signed_minors", "solve_oracle", "structural_properties",
     "transform", "verify_hirota", "veronese_form", "web_triples",

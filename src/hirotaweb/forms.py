@@ -10,9 +10,9 @@ products use merge-inversion signs, and the exterior derivative
 differentiates every ring variable, so forms should be built over rings
 whose variables are all genuine coordinates (numeric-node mode).
 
-LambdaForm bundles a list of forms as the coefficients of a polynomial in a
-spectral parameter; its ``d`` and ``wedge`` act degree by degree, which is
-what the per-coefficient Frobenius test needs.
+LambdaForm holds forms of one ring and degree as the coefficients of a
+polynomial in a spectral parameter, pencil and coframe alike, and evaluates
+it at a number; the pencil's integrability is the residual verdict.
 """
 
 from __future__ import annotations
@@ -287,49 +287,11 @@ class LambdaForm:
     def __init__(self, coefficients: Sequence[DifferentialForm]):
         if not coefficients:
             raise DimensionError("a LambdaForm needs at least one coefficient")
-        n_vars = coefficients[0].n_vars
-        degree = coefficients[0].degree
-        for form in coefficients:
-            if form.n_vars != n_vars or form.degree != degree:
-                raise DimensionError("LambdaForm coefficients must match in ring and degree")
+        shape = (coefficients[0].n_vars, coefficients[0].degree)
+        if any((form.n_vars, form.degree) != shape for form in coefficients):
+            raise DimensionError("LambdaForm coefficients must match in ring and degree")
         self.coefficients = tuple(coefficients)
-
-    @property
-    def n_vars(self) -> int:
-        return self.coefficients[0].n_vars
-
-    @property
-    def form_degree(self) -> int:
-        return self.coefficients[0].degree
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coefficients)
-
-    def coefficient(self, m: int) -> DifferentialForm:
-        if 0 <= m < len(self.coefficients):
-            return self.coefficients[m]
-        return DifferentialForm.zero(self.n_vars, self.form_degree)
 
     def at(self, value: Scalar) -> DifferentialForm:
         """Evaluate the parameter polynomial at an exact number."""
         return _horner(self.coefficients, _exact(value))
-
-    def d(self) -> "LambdaForm":
-        return LambdaForm([c.exterior_derivative() for c in self.coefficients])
-
-    def wedge(self, other: "LambdaForm") -> "LambdaForm":
-        """Coefficient-wise convolution of the two parameter polynomials."""
-        if self.n_vars != other.n_vars:
-            raise DimensionError("LambdaForms over different rings")
-        degree = self.form_degree + other.form_degree
-        size = len(self.coefficients) + len(other.coefficients) - 1
-        out = [DifferentialForm.zero(self.n_vars, degree) for _ in range(size)]
-        for i, a in enumerate(self.coefficients):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coefficients):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a.wedge(b)
-        return LambdaForm(out)

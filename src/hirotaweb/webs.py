@@ -22,8 +22,8 @@ certifies everything checkable about it in exact arithmetic:
   terms left of each of P and Q reads the jet in x_1..x_n.  The degree
   bound comes from the degrees of P, Q and their first and second
   x-partials, read off the terms without building any derivative;
-* the one-parameter annihilating 1-form and its per-coefficient Frobenius
-  integrability test;
+* the one-parameter annihilating 1-form, whose Frobenius integrability for
+  every parameter value is the residual verdict (``veronese_form``);
 * the coframe of parameter-power coefficient 1-forms and the flatness
   dichotomy, certified through the integrability of the degree-1 coframe
   element with the closed-form witness identity checked alongside;
@@ -257,7 +257,8 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
                     triple: tuple[int, int, int]) -> RationalFunction:
     """The residual of one triple of the second-order system, as the exact
     rational function Q B / Q^5 with B = N_i G_jk + N_j G_ki + N_k G_ij
-    (module docstring).  Triples are 1-based and must be pairwise distinct."""
+    (module docstring), or 0/1 when B is zero, so a genuine solution's
+    triple never builds Q^5.  Triples are 1-based and pairwise distinct."""
     _check_variables(f, len(nodes))
     if len(set(triple)) != 3 or not all(1 <= t <= len(nodes) for t in triple):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
@@ -265,7 +266,10 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
     first, brackets = _residual_factors([nodes[v] for v in variables],
                                         _polynomial_jet(f.num, variables),
                                         _polynomial_jet(f.den, variables))
-    return RationalFunction(f.den * _residual(first, brackets, (1, 2, 3)), f.den ** 5)
+    bracket = _residual(first, brackets, (1, 2, 3))
+    if bracket.is_zero:
+        return RationalFunction(bracket)
+    return RationalFunction(f.den * bracket, f.den ** 5)
 
 
 @dataclass(frozen=True)
@@ -415,10 +419,20 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     """The degree-(n-1) parameter polynomial of 1-forms annihilating the web.
 
     Coefficient m is sum_i e_im f_i dx_i where e_im is the lambda^m
-    coefficient of prod_{j != i} (lambda - lambda_j); evaluating the result
-    at node_i leaves a multiple of dx_i, and the leading coefficient is df.
-    With f = P/Q each f_i is N_i/Q^2, so every coefficient form is
-    sum_i e_im N_i dx_i over the one denominator Q^2.
+    coefficient of c_i(lambda) = prod_{j != i} (lambda - lambda_j);
+    evaluating the result at node_i leaves a multiple of dx_i, and the
+    leading coefficient is df.  With f = P/Q each f_i is N_i/Q^2, so every
+    coefficient form is sum_i e_im N_i dx_i over the one denominator Q^2.
+
+    The pencil is Frobenius integrable for every t exactly when f solves the
+    system (Zakharevich 2000, Dunajski-Krynski 2014), and explicitly so: for
+    any P, Q and distinct nodes, with beta^t = Q^2 alpha^t and C(t) =
+    prod_m (t - node_m), each component a < b < c at each power of t obeys
+
+        (d beta^t ^ beta^t)_abc = -C(t) prod_{m not in {a,b,c}} (t - node_m) B_abc,
+
+    B_abc = N_a G_bc + N_b G_ca + N_c G_ab being the bracket that
+    ``verify_hirota`` zero-tests.  So its verdict is the pencil's.
     """
     values = [_exact(v) for v in lambdas]
     n = len(values)
@@ -446,21 +460,6 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
         DifferentialForm(n, 1, {(i,): numerators[i] * expansions[i][m]
                                 for i in range(n)}, den)
         for m in range(n)])
-
-
-def frobenius_check(alpha: LambdaForm) -> bool:
-    """Whether d(alpha) wedge alpha vanishes for every parameter power.
-
-    If the nonzero coefficient forms share one denominator h, the test runs
-    on their numerators h*alpha instead: h is parameter-free, so
-    d(h a) wedge (h a) = h^2 (d a wedge a) vanishes coefficient-for-coefficient
-    exactly when the original does, and the computation stays polynomial.
-    """
-    dens = [form.den for form in alpha.coefficients if not form.is_zero]
-    if all(den == dens[0] for den in dens):
-        alpha = LambdaForm([DifferentialForm(form.n_vars, form.degree, form.components)
-                            for form in alpha.coefficients])
-    return alpha.d().wedge(alpha).is_zero
 
 
 def _gradient_form(p: MultiPoly) -> DifferentialForm:

@@ -12,14 +12,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from hirotaweb import (Mobius, PoleError, RationalFunction, WebSpec, build_solution,
-                       coframe, flatness_check,
-                       frobenius_check, interpolation_check,
+                       coframe, flatness_check, interpolation_check,
                        random_numeric_instances,
                        restrict, restricted_nodes, structural_properties,
                        transform, verify_hirota, veronese_form)
 from reference_forms import (closed_form_3d, closed_form_4d,
                              closed_form_5d_22, closed_form_5d_31,
                              common_scalar)
+from reference_frobenius import frobenius_check
 
 
 @contextmanager
@@ -133,7 +133,9 @@ def test_criterion_07_frobenius_integrability():
             for k, l in orders(n):
                 spec = WebSpec.numeric(n, k, l)
                 sol = build_solution(spec)
-                assert frobenius_check(veronese_form(sol.f, spec.lambdas)), (n, k, l)
+                pencil = veronese_form(sol.f, spec.lambdas).coefficients
+                assert frobenius_check(pencil), (n, k, l)
+                assert verify_hirota(sol).passed, (n, k, l)
 
 
 def test_criterion_08_interpolation_identities():

@@ -66,6 +66,11 @@ def test_form_validation():
         DifferentialForm.dx(3, 0).scale(0.5)
     zero = DifferentialForm.zero(3, 1)
     assert zero.component((0,)).is_zero
+    with pytest.raises(DimensionError):
+        LambdaForm([])                            # no coefficient
+    for other in (DifferentialForm.dx(2, 0), DifferentialForm.zero(3, 2)):
+        with pytest.raises(DimensionError):       # another ring or degree
+            LambdaForm([zero, other])
 
 
 def test_web_level_error_paths():

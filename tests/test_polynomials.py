@@ -695,3 +695,9 @@ def test_public_names_resolve_and_leave_out_ring_division():
     # read in every variable, and fixing some first is eliminate's job.
     assert list(inspect.signature(MultiPoly.second_order_jet).parameters) == [
         "self", "values"]
+    # The pencil's Frobenius verdict is the residual verdict: the exterior
+    # algebra of whole parameter polynomials lives in the tests as an oracle.
+    assert "frobenius_check" not in hirotaweb.__all__
+    assert not hasattr(hirotaweb.webs, "frobenius_check")
+    for gone in ("d", "wedge", "coefficient", "is_zero", "form_degree", "n_vars"):
+        assert not hasattr(hirotaweb.LambdaForm, gone), gone

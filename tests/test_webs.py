@@ -12,8 +12,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        DifferentialForm, DimensionError, HirotaSolution, HirotaWebError,
                        InexactNumberError, Mobius,
                        MultiPoly, PoleError, RationalFunction, WebSpec, WebSpecError,
-                       build_solution, coframe, flatness_check, frobenius_check,
-                       hirota_residual, restrict, restricted_nodes,
+                       build_solution, coframe, flatness_check, hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
@@ -21,6 +20,7 @@ from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
                             _residual, _residual_factors, _sampled_factors,
                             _without_denominators, _witness_identity_rhs)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
+from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
@@ -94,6 +94,17 @@ def test_product_plus_coordinate_residual_is_constant():
 def test_solution_residual_vanishes():
     sol = build_solution(WebSpec.numeric(3, 1, 1))
     assert hirota_residual(sol.f, sol.nodes(), (1, 2, 3)).is_zero
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(4, 1, 2), WebSpec.symbolic(4, 1, 2)])
+def test_genuine_residual_is_zero_over_one(spec):
+    # B is zero on a genuine triple, so the residual is 0/1 and Q^5, which
+    # with symbolic nodes is by far the largest polynomial, is never built.
+    sol = build_solution(spec)
+    for triple in web_triples(spec.n):
+        residual = hirota_residual(sol.f, sol.nodes(), triple)
+        assert residual.num.is_zero
+        assert residual.den == MultiPoly.one(spec.n_vars)
 
 
 def test_bad_triple_rejected():
@@ -294,12 +305,12 @@ def test_jet_route_handles_zero_coordinates():
 
 
 @st.composite
-def _residual_instances(draw):
-    """Sparse P, Q that are not solutions, n = 3..5, and nodes that are
-    integers, integers with a zero, rationals or ring variables (then P and
-    Q live in 2n variables, the last n being the nodes)."""
+def _residual_instances(draw, kinds=("integer", "zero", "rational", "symbolic")):
+    """Sparse P, Q that are not solutions, n = 3..5, and nodes of one of the
+    ``kinds``: integers, integers with a zero, rationals or ring variables
+    (then P and Q live in 2n variables, the last n being the nodes)."""
     n = draw(st.integers(3, 5))
-    kind = draw(st.sampled_from(["integer", "zero", "rational", "symbolic"]))
+    kind = draw(st.sampled_from(kinds))
     n_vars = 2 * n if kind == "symbolic" else n
     polys = st.dictionaries(
         st.tuples(*[st.integers(0, 2)] * n_vars),
@@ -413,8 +424,8 @@ def test_veronese_two_nodes_direct_expansion():
     f = RationalFunction(MultiPoly.variable(2, 0) + MultiPoly.variable(2, 1))
     pencil = veronese_form(f, [0, 1])
     dx1, dx2 = DifferentialForm.dx(2, 0), DifferentialForm.dx(2, 1)
-    assert pencil.coefficient(0) == -dx1
-    assert pencil.coefficient(1) == dx1 + dx2
+    assert pencil.coefficients[0] == -dx1
+    assert pencil.coefficients[1] == dx1 + dx2
 
 
 def test_veronese_at_node_collapses_to_coordinate_form():
@@ -437,7 +448,7 @@ def test_veronese_at_node_collapses_to_coordinate_form():
 def test_veronese_leading_coefficient_is_df():
     sol = build_solution(WebSpec.numeric(4, 2, 1))
     pencil = veronese_form(sol.f, [1, 2, 3, 4])
-    assert pencil.coefficient(3) == d0(sol.f)
+    assert pencil.coefficients[3] == d0(sol.f)
 
 
 def test_veronese_rejects_repeated_nodes():
@@ -447,15 +458,13 @@ def test_veronese_rejects_repeated_nodes():
 
 
 def test_frobenius_constant_coordinate_form():
-    from hirotaweb import LambdaForm
-    assert frobenius_check(LambdaForm([DifferentialForm.dx(3, 0)]))
+    assert frobenius_check([DifferentialForm.dx(3, 0)])
 
 
 def test_frobenius_contact_form_fails():
-    from hirotaweb import LambdaForm
     x1 = MultiPoly.variable(3, 0)
     contact = DifferentialForm(3, 1, {(1,): x1, (2,): 1})
-    assert not frobenius_check(LambdaForm([contact]))
+    assert not frobenius_check([contact])
 
 
 @pytest.mark.parametrize("spec", [WebSpec.numeric(3, 1, 1),
@@ -463,7 +472,8 @@ def test_frobenius_contact_form_fails():
                                   WebSpec.numeric(4, 1, 2)])
 def test_frobenius_for_web_solutions(spec):
     sol = build_solution(spec)
-    assert frobenius_check(veronese_form(sol.f, spec.lambdas))
+    assert frobenius_check(veronese_form(sol.f, spec.lambdas).coefficients)
+    assert verify_hirota(sol).passed
 
 
 def test_frobenius_rejects_non_solution_pencil():
@@ -471,7 +481,60 @@ def test_frobenius_rejects_non_solution_pencil():
     # cannot be integrable for every parameter power
     x = [MultiPoly.variable(3, i) for i in range(3)]
     fake = RationalFunction(x[0] * x[1] + x[2])
-    assert not frobenius_check(veronese_form(fake, [1, 2, 3]))
+    assert not frobenius_check(veronese_form(fake, [1, 2, 3]).coefficients)
+    assert not verify_hirota(fake, nodes=nodes(1, 2, 3)).passed
+
+
+_NODE_CLASSES = {
+    "integer": nodes(2, -1, 3, 5, -4),
+    "zero": nodes(0, 2, -3, 1, 4),
+    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5"),
+}
+
+
+def _linear_product(roots):
+    """The coefficients of prod (t - r) over the roots, lowest power first."""
+    coefficients = [Fraction(1)]
+    for r in roots:
+        coefficients = [a - r * b for a, b in zip([0] + coefficients, coefficients + [0])]
+    return coefficients
+
+
+def _check_pencil_identity(f, node_list):
+    """(d beta^t ^ beta^t)_abc = -C(t) prod_{m not in {a,b,c}} (t - node_m) B_abc
+    at every power of t, beta^t = Q^2 alpha^t being the pencil's numerators,
+    C(t) = prod_m (t - node_m) and B_abc the library's residual bracket; the
+    left side comes from the oracle's exterior algebra."""
+    n = len(node_list)
+    pencil = veronese_form(f, node_list).coefficients
+    lhs = pencil_self_wedge(pencil)
+    assert all(form.den == MultiPoly.one(n) for form in lhs)
+    first, brackets = _library_factors(f, node_list)
+    for triple in web_triples(n):
+        idx = tuple(t - 1 for t in triple)
+        factor = _linear_product(list(node_list) + [node_list[m] for m in range(n)
+                                                    if m not in idx])
+        factor += [0] * (len(lhs) - len(factor))
+        bracket = _residual(first, brackets, triple)
+        for form, c in zip(lhs, factor):
+            assert form.components.get(idx, MultiPoly.zero(n)) == bracket * -c, (triple, c)
+    assert frobenius_check(pencil) == verify_hirota(f, nodes=node_list).passed
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5) for k in range(n)])
+def test_pencil_integrability_is_the_residual_bracket(n, k, node_class):
+    # Every (component, power) pair, for the genuine solution and for P + x1^2.
+    spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
+    for corrupt in (False, True):
+        _check_pencil_identity(_residual_function(spec, corrupt), list(spec.lambdas))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_residual_instances(kinds=("integer", "zero", "rational")))
+def test_pencil_identity_holds_for_any_p_q_and_nodes(instance):
+    f, node_list, _, _ = instance
+    _check_pencil_identity(f, node_list)
 
 
 # -- coframe ------------------------------------------------------------------------------
@@ -490,7 +553,7 @@ def test_coframe_degree_one_element_three_terms():
     frame = coframe(spec)
     p, q = _normalized_coefficients(spec)
     expected = d0(p[1]) + d0(p[0]).scale(q[1]) - d0(q[1]).scale(p[0])
-    assert frame.coefficient(1) == expected
+    assert frame.coefficients[1] == expected
 
 
 def test_coframe_lagrange_case_is_exact_gradient_frame():
@@ -498,7 +561,7 @@ def test_coframe_lagrange_case_is_exact_gradient_frame():
     frame = coframe(spec)
     p, _ = _normalized_coefficients(spec)
     for m in range(3):
-        assert frame.coefficient(m) == d0(p[m])
+        assert frame.coefficients[m] == d0(p[m])
 
 
 def test_coframe_two_nodes_line_case():
@@ -506,8 +569,8 @@ def test_coframe_two_nodes_line_case():
     spec = WebSpec.numeric(2, 1, 0, [0, 1])
     frame = coframe(spec)
     x1, x2 = (MultiPoly.variable(2, i) for i in range(2))
-    assert frame.coefficient(0) == d0(RationalFunction(x1))
-    assert frame.coefficient(1) == d0(RationalFunction(x2 - x1))
+    assert frame.coefficients[0] == d0(RationalFunction(x1))
+    assert frame.coefficients[1] == d0(RationalFunction(x2 - x1))
 
 
 def test_unnormalized_coframe_is_polynomial_multiple():
@@ -528,7 +591,7 @@ def test_unnormalized_coframe_is_polynomial_multiple():
 def test_coframe_is_frobenius_integrable(n, k):
     # The coframe is a multiple of the annihilating pencil, so it passes the
     # same per-coefficient integrability test.
-    assert frobenius_check(coframe(WebSpec.numeric(n, k, n - 1 - k)))
+    assert frobenius_check(coframe(WebSpec.numeric(n, k, n - 1 - k)).coefficients)
 
 
 def test_coframe_needs_numeric_nodes():
@@ -628,13 +691,6 @@ def test_flatness_dichotomy_dimension_six():
 def test_flatness_needs_dimension_three():
     with pytest.raises(WebSpecError):
         flatness_check(WebSpec.numeric(2, 1, 0, [0, 1]))
-
-
-_NODE_CLASSES = {
-    "integer": nodes(2, -1, 3, 5, -4),
-    "zero": nodes(0, 2, -3, 1, 4),
-    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5"),
-}
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
