@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .errors import DimensionError
 from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products,
                           poly_to_json)
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _content, _normalizer, _scaled
 
 Index = tuple[int, ...]
 Numerator = Union[MultiPoly, Scalar]
@@ -260,22 +260,23 @@ class DifferentialForm:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
     def to_json(self) -> dict:
-        """Each component as its normalized quotient.  Normalizing scales
-        ``den`` by one number per component, so the normalized denominator's
-        coefficient at one fixed term tells the scales apart: each distinct
-        denominator is converted once, and its dict is shared by every
-        component that has it."""
+        """Each component as its normalized quotient, scaled as
+        RationalFunction scales it.  The shared denominator's content and
+        leading sign are read once; per component only the numerator's
+        content is, and each distinct scaling of the denominator is
+        converted once, its dict shared by every component that has it."""
+        den_content = _content(self.den)
+        den_negative = self.den.leading_term()[1] < 0
+        dens: dict[tuple[int, int], dict] = {}
         entries = []
-        probe = next(iter(self.den.terms))
-        dens: dict[Scalar, dict] = {}
         for idx in sorted(self.components):
-            coeff = self.component(idx)
-            scale = coeff.den.terms[probe]
-            den = dens.get(scale)
+            num = self.components[idx]
+            g, m = _normalizer(num, den_content, den_negative)
+            den = dens.get((g, m))
             if den is None:
-                den = dens[scale] = poly_to_json(coeff.den)
+                den = dens[g, m] = poly_to_json(_scaled(self.den, m, g))
             entries.append({"idx": [i + 1 for i in idx],
-                            "num": poly_to_json(coeff.num), "den": den})
+                            "num": poly_to_json(_scaled(num, m, g)), "den": den})
         return {"degree": self.degree, "components": entries}
 
 

@@ -5,24 +5,44 @@ k and l with k + l + 1 = n, and the interpolation nodes: either n pairwise
 distinct exact numbers, or fully symbolic nodes carried as extra ring
 variables.  The interpolant F with F(node_i) = x_i is encoded by two
 coefficient matrices; its numerator and denominator coefficients are signed
-maximal minors of one n x (n+1) row matrix, extracted in a single pass
-(a memoized cofactor expansion for polynomial entries, one fraction-free
-elimination for numeric ones) so all signs are consistent by construction.
-The leading coefficients P_k and Q_l, whose quotient is the web solution,
-are the minors at columns k and n.  Row i of the matrix dotted with the signed minors is
-P(node_i) - x_i Q(node_i) term for term; it is also the Laplace expansion of
-the square matrix with row i repeated, hence zero.  That is why the minors
-interpolate, and it is the identity ``interpolation_check`` tests.
+maximal minors of one n x (n+1) row matrix, whose row i is
+[1, l_i, ..., l_i^k, -x_i, -x_i l_i, ..., -x_i l_i^l].  The leading
+coefficients P_k and Q_l, whose quotient is the web solution, are the
+minors at columns k and n.  Row i of the matrix dotted with the signed
+minors is P(node_i) - x_i Q(node_i) term for term; it is also the Laplace
+expansion of the square matrix with row i repeated, hence zero.  That is
+why the minors interpolate, and it is the identity ``interpolation_check``
+tests.
 
-Without a data point the coefficient lists are the signed minors, kept
-unnormalized (they are polynomials in the value coordinates x).  At a
-numeric data point the point is substituted into the row matrix before any
-minor is taken, so the coefficients are plain exact numbers, all n+1 read
-off one fraction-free Gauss-Jordan pass in O(n^3) int operations; they are
-always divided by the denominator's constant term, which either succeeds
-or raises a DegenerateInterpolantError.  ``solve_oracle`` reaches the same
-numbers by an independent integer Gauss-Jordan solve of the interpolation
-conditions.
+Without a data point the signed minors are polynomials, and each one is
+written down in closed form; no polynomial determinant is expanded.  The
+generalized Laplace expansion of the minor without column c along the
+x-columns left after the deletion gives
+
+    minor_c = sum over |S| = g of  eps x^S alt(l_S; qe) alt(l_S'; pe),
+    eps = (-1)^(n + c + g + sum_{p=n-g}^{n-1} p + sum S),
+
+with S a set of 0-based rows, S' the other rows, x^S the product of the
+x_i with i in S, and alt(l; mu) = det[l_i^mu_j] an alternant (Jacobi 1841,
+"De functionibus alternantibus").  For a numerator column c <= k the
+exponents are qe = {0..l} and pe = {0..k} minus c, so g = l + 1; for a
+denominator column c = k + 1 + d they are qe = {0..l} minus d and
+pe = {0..k}, so g = l.  An alternant with no missing power is the
+Vandermonde product V(l) = prod_{a<b} (l_b - l_a); with the power d of
+{0..m} missing it is V(l) e_{m-d}(l), an elementary symmetric value.  So
+with numeric nodes every coefficient is a product of numbers, and P_k and
+Q_l have exactly C(n, l+1) and C(n, l) terms.  With symbolic nodes each
+alternant is written out as its Leibniz monomials, all distinct with
+coefficients +-1, in node variables disjoint from the other alternant's:
+each minor is its n! terms, assembled without a product or a cancellation.
+
+At a numeric data point the point is substituted into the row matrix
+before any minor is taken, so the coefficients are plain exact numbers, all
+n+1 read off one fraction-free Gauss-Jordan pass in O(n^3) int operations;
+they are always divided by the denominator's constant term, which either
+succeeds or raises a DegenerateInterpolantError.  ``solve_oracle`` reaches
+the same numbers by an independent integer Gauss-Jordan solve of the
+interpolation conditions.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -34,6 +54,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
@@ -152,10 +173,118 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
     return rows
 
 
-def _signed(spec: WebSpec, columns: Sequence[int], minors: list) -> list:
-    """Entry c of the coefficient list is (-1)^(n+c) times the minor
-    without column c."""
-    return [m if (spec.n + c) % 2 == 0 else -m for c, m in zip(columns, minors)]
+def _elementary(values: Sequence[Scalar]) -> list[Scalar]:
+    """e_0, ..., e_m of m numbers: the coefficients of prod (1 + v t)."""
+    e: list[Scalar] = [1]
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def _vandermonde(values: Sequence[Scalar]) -> Scalar:
+    """prod over a < b of (values[b] - values[a])."""
+    out: Scalar = 1
+    for b, high in enumerate(values):
+        for low in values[:b]:
+            out *= high - low
+    return out
+
+
+def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
+                     cache: dict) -> list[tuple[int, int]]:
+    """The Leibniz terms of det[l_r^e] over these rows and exponents, each
+    as (packed monomial, +-1).  A monomial packs the exponent of ring
+    variable v into byte v, so adding two keys with disjoint variables
+    multiplies the monomials; every exponent is below n, and n! terms keep n
+    far below 256.  The expansion runs along the first row, and
+    every sub-alternant is cached on (rows, exponents)."""
+    key = (rows, exponents)
+    terms = cache.get(key)
+    if terms is not None:
+        return terms
+    if not rows:
+        terms = [(0, 1)]
+    else:
+        shift = 8 * (n + rows[0])
+        terms = []
+        for j, e in enumerate(exponents):
+            head = e << shift
+            rest = _alternant_terms(n, rows[1:], exponents[:j] + exponents[j + 1:], cache)
+            terms += ([(head + sub, -sign) for sub, sign in rest] if j % 2
+                      else [(head + sub, sign) for sub, sign in rest])
+    cache[key] = terms
+    return terms
+
+
+def _laplace_parity(n: int, size: int) -> int:
+    """n + g + (n-g) + ... + (n-1) for row subsets of size g: the part of
+    the sign exponent of eps that does not depend on S or c."""
+    return n + size + size * (2 * n - size - 1) // 2
+
+
+def _numeric_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
+    """The terms of the signed minors at the columns of one block, the
+    numerator columns c <= k (row subsets of size l + 1) or the denominator
+    columns c > k (size l), at numeric nodes: per row subset S, the product
+    V(l_S) V(l_S') and the elementary symmetric values are computed once
+    and serve every column of the block."""
+    n, k = spec.n, spec.k
+    numerator = block[0] <= k
+    parity = _laplace_parity(n, size)
+    nodes = [_tighten(v) for v in spec.lambdas]
+    out: dict[int, dict] = {c: {} for c in block}
+    for rows in combinations(range(n), size):
+        chosen = [nodes[i] for i in rows]
+        others = [nodes[i] for i in range(n) if i not in rows]
+        common = _vandermonde(chosen) * _vandermonde(others)
+        if (parity + sum(rows)) % 2:
+            common = -common
+        # The alternant that misses a power: e_(k-c) of the other rows'
+        # nodes for a numerator column, e_(n-c) of the chosen ones else.
+        e = _elementary(others if numerator else chosen)
+        monomial = tuple(1 if i in rows else 0 for i in range(n))
+        for c in block:
+            coeff = common * e[k - c if numerator else n - c]
+            if coeff:
+                out[c][monomial] = _tighten(-coeff if c % 2 else coeff)
+    return out
+
+
+def _symbolic_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
+    """The terms of the signed minors at the columns of one block, as in
+    ``_numeric_block``, at symbolic nodes: per row subset S and column, every
+    Leibniz term of one alternant times every term of the other, x^S
+    included, is one distinct monomial of the minor."""
+    n, k, l = spec.n, spec.k, spec.l
+    numerator = block[0] <= k
+    parity = _laplace_parity(n, size)
+    n_vars = spec.n_vars
+    cache: dict = {}
+    full_q, full_p = tuple(range(l + 1)), tuple(range(k + 1))
+    out: dict[int, dict] = {c: {} for c in block}
+    for rows in combinations(range(n), size):
+        others = tuple(i for i in range(n) if i not in rows)
+        x_key = sum(1 << 8 * i for i in rows)
+        flip = (parity + sum(rows)) % 2
+        for c in block:
+            if numerator:
+                left = _alternant_terms(n, rows, full_q, cache)
+                right = _alternant_terms(n, others, full_p[:c] + full_p[c + 1:], cache)
+            else:
+                d = c - k - 1
+                left = _alternant_terms(n, rows, full_q[:d] + full_q[d + 1:], cache)
+                right = _alternant_terms(n, others, full_p, cache)
+            sign = -1 if (flip + c) % 2 else 1
+            terms = out[c]
+            for key_a, sign_a in left:
+                key_a += x_key
+                if sign_a == sign:
+                    for key_b, sign_b in right:
+                        terms[tuple((key_a + key_b).to_bytes(n_vars, "little"))] = sign_b
+                else:
+                    for key_b, sign_b in right:
+                        terms[tuple((key_a + key_b).to_bytes(n_vars, "little"))] = -sign_b
+    return out
 
 
 def signed_minors(spec: WebSpec,
@@ -164,13 +293,21 @@ def signed_minors(spec: WebSpec,
 
     Entry c is (-1)^(n+c) det(row matrix without column c); entries 0..k are
     the numerator coefficients, entries k+1..n the denominator coefficients.
-    With ``columns`` only those entries are computed, in that order.  One
-    elimination pass produces all requested entries, so their relative
-    signs are consistent by construction.
+    With ``columns`` only those entries are computed, in that order.  Every
+    entry is built term by term from its closed form (see the module
+    docstring), with no matrix and no determinant expansion.
     """
-    if columns is None:
-        columns = range(spec.n + 1)
-    return _signed(spec, columns, maximal_minors(row_matrix(spec), columns))
+    n, k = spec.n, spec.k
+    columns = tuple(range(n + 1)) if columns is None else tuple(columns)
+    if any(not 0 <= c <= n for c in columns):
+        raise DimensionError(f"column index out of range 0..{n}")
+    build = _symbolic_block if spec.is_symbolic else _numeric_block
+    terms: dict[int, dict] = {}
+    for block, size in ((tuple(dict.fromkeys(c for c in columns if c <= k)), spec.l + 1),
+                        (tuple(dict.fromkeys(c for c in columns if c > k)), spec.l)):
+        if block:
+            terms.update(build(spec, block, size))
+    return [MultiPoly(spec.n_vars, terms[c], _canonical=True) for c in columns]
 
 
 def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
@@ -210,7 +347,9 @@ def cauchy_interpolant(spec: WebSpec,
     if x_values is None:
         coeffs = signed_minors(spec)
     else:
-        minors = _signed(spec, range(spec.n + 1), maximal_minors(row_matrix(spec, x_values)))
+        # Entry c is (-1)^(n+c) times the minor without column c.
+        minors = [m if (spec.n + c) % 2 == 0 else -m
+                  for c, m in enumerate(maximal_minors(row_matrix(spec, x_values)))]
         q0 = minors[k + 1]
         if not q0:
             raise DegenerateInterpolantError(

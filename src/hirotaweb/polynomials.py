@@ -29,13 +29,13 @@ Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
 half holds the interpolation nodes l1..ln.
 
-A matrix is a list of rows whose entries are all polynomials or all exact
-numbers.  Determinants and maximal minors of a polynomial matrix go through
-one memoized cofactor expansion, whose memo holds up to r 2^r sub-minors.
-Those of a numeric matrix go through one fraction-free Gauss-Jordan pass
-(Bareiss's exact division) on rows cleared of denominators, in O(r^3) int
-operations: a determinant is the minor of the matrix bordered by a zero
-column.
+A matrix is a list of rows of exact numbers.  Its determinant and maximal
+minors go through one fraction-free Gauss-Jordan pass (Bareiss's exact
+division) on rows cleared of denominators, in O(r^3) int operations: a
+determinant is the minor of the matrix bordered by a zero column.  A
+matrix of polynomials is refused: the one polynomial matrix the library
+has, the interpolation row matrix, has its minors in closed form
+(``interpolation.signed_minors``).
 
 Values entering from callers (coefficients, constants, evaluation points)
 must be exact: a float raises InexactNumberError instead of being converted.
@@ -48,7 +48,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, InexactNumberError
+from .errors import DimensionError, HirotaWebError, InexactNumberError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -560,10 +560,9 @@ def poly_from_json(data: Mapping) -> MultiPoly:
     return MultiPoly(n_vars, terms)
 
 
-# A matrix is a sequence of equal-length rows.  Its entries are either all
-# polynomials from one ring or all exact numbers (int or Fraction).
-Entry = Union[MultiPoly, Scalar]
-Matrix = Sequence[Sequence[Entry]]
+# A matrix is a sequence of equal-length rows of exact numbers (int or
+# Fraction).
+Matrix = Sequence[Sequence[Scalar]]
 
 
 def _shape(m: Matrix) -> tuple[int, int]:
@@ -574,49 +573,23 @@ def _shape(m: Matrix) -> tuple[int, int]:
     return rows, cols
 
 
-def determinant(m: Matrix) -> Entry:
-    """Exact determinant of a square matrix of polynomials or of numbers."""
+def _refuse_polynomials(m: Matrix) -> None:
+    if any(isinstance(v, MultiPoly) for row in m for v in row):
+        raise HirotaWebError(
+            "determinant and maximal_minors take matrices of numbers; the "
+            "polynomial minors of the interpolation row matrix come from "
+            "signed_minors")
+
+
+def determinant(m: Matrix) -> Scalar:
+    """Exact determinant of a square matrix of numbers."""
     rows, cols = _shape(m)
     if rows != cols:
         raise DimensionError(f"determinant of a {rows}x{cols} matrix")
+    _refuse_polynomials(m)
     if rows == 0:
-        return MultiPoly.one(0)
-    if not isinstance(m[0][0], MultiPoly):
-        return _numeric_minors([[*row, 0] for row in m], (rows,))[0]
-    return _det_cofactor(m, tuple(range(cols)), tuple(range(rows)), {})
-
-
-def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
-                  memo: dict) -> MultiPoly:
-    """Laplace expansion of a polynomial matrix along the first listed
-    column, memoized on the (columns, rows) submatrix so shared minors are
-    computed once.  Zeros are skipped, and the sum starts from the first
-    nonzero term."""
-    if len(cols) == 1:
-        return m[rows[0]][cols[0]]
-    key = (cols, rows)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    first = cols[0]
-    rest = cols[1:]
-    total = None
-    for position, row in enumerate(rows):
-        coeff = m[row][first]
-        if not coeff:
-            continue
-        minor = _det_cofactor(m, rest, rows[:position] + rows[position + 1:], memo)
-        if not minor:
-            continue
-        piece = coeff * minor
-        if total is None:
-            total = piece if position % 2 == 0 else -piece
-        else:
-            total = total + piece if position % 2 == 0 else total - piece
-    if total is None:
-        total = m[rows[0]][first] * 0
-    memo[key] = total
-    return total
+        return 1
+    return _numeric_minors([[*row, 0] for row in m], (rows,))[0]
 
 
 def _numeric_minors(m: Matrix, skips: Sequence[int]) -> list[Scalar]:
@@ -679,25 +652,18 @@ def _numeric_minors(m: Matrix, skips: Sequence[int]) -> list[Scalar]:
     return [_tighten(Fraction(every[c], scale)) for c in skips]
 
 
-def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[Entry]:
-    """Determinants of an r x (r+1) matrix with one column removed.
+def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[Scalar]:
+    """Determinants of an r x (r+1) matrix of numbers with one column removed.
 
     Entry ``i`` of the result is det(m without column ``columns[i]``),
-    unsigned; ``columns`` defaults to every column in order.  Numeric
-    matrices go through one fraction-free elimination, which yields every
-    minor at once; polynomial ones share one cofactor memo across the column
-    choices, so the common sub-minors of neighbouring deletions are reused.
+    unsigned; ``columns`` defaults to every column in order.  One
+    fraction-free elimination yields every minor at once.
     """
     rows, cols = _shape(m)
     if cols != rows + 1:
         raise DimensionError("maximal minors need an r x (r+1) matrix")
-    all_cols = tuple(range(cols))
-    skips = all_cols if columns is None else tuple(columns)
+    skips = tuple(range(cols)) if columns is None else tuple(columns)
     if any(not 0 <= skip < cols for skip in skips):
         raise DimensionError(f"column index out of range 0..{cols - 1}")
-    if not isinstance(m[0][0], MultiPoly):
-        return _numeric_minors(m, skips)
-    memo: dict[tuple, Entry] = {}
-    row_ids = tuple(range(rows))
-    return [_det_cofactor(m, tuple(c for c in all_cols if c != skip), row_ids, memo)
-            for skip in skips]
+    _refuse_polynomials(m)
+    return _numeric_minors(m, skips)

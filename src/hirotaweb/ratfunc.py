@@ -21,15 +21,22 @@ from .errors import PoleError
 from .polynomials import MultiPoly, Scalar, poly_text
 
 
-def _joint_content(num: MultiPoly, den: MultiPoly) -> tuple[int, int]:
-    """(gcd of all numerators, lcm of all denominators) of both parts."""
-    g = 0
-    m = 1
-    for poly in (num, den):
-        for c in poly.terms.values():
-            g = gcd(g, c.numerator)
-            m = lcm(m, c.denominator)
-    return g, m
+def _content(poly: MultiPoly) -> tuple[int, int]:
+    """(gcd of the coefficients' numerators, lcm of their denominators)."""
+    values = poly.terms.values()
+    return gcd(*[c.numerator for c in values]), lcm(*[c.denominator for c in values])
+
+
+def _normalizer(num: MultiPoly, den_content: tuple[int, int],
+                den_negative: bool) -> tuple[int, int]:
+    """(g, m) with num * m / g and den * m / g the normalized pair: m the lcm
+    and g the gcd of both parts' contents, g negated when the denominator's
+    leading coefficient is negative.  The denominator enters by its content
+    and sign, so a caller with one denominator for many numerators reads
+    them once."""
+    num_gcd, num_lcm = _content(num)
+    g, m = gcd(num_gcd, den_content[0]), lcm(num_lcm, den_content[1])
+    return (-g if den_negative else g), m
 
 
 def _scaled(poly: MultiPoly, m: int, g: int) -> MultiPoly:
@@ -55,9 +62,7 @@ class RationalFunction:
         num._check_ring(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
-        g, m = _joint_content(num, den)
-        if den.leading_term()[1] < 0:
-            g = -g
+        g, m = _normalizer(num, _content(den), den.leading_term()[1] < 0)
         if m == 1 and g == 1:
             self.num, self.den = num, den
         else:

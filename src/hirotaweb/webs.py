@@ -492,14 +492,38 @@ def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
     return total
 
 
-def _witness_identity_rhs(p0: MultiPoly, p1: MultiPoly,
-                          q0: MultiPoly, q1: MultiPoly) -> DifferentialForm:
-    """2R with R = (q0 dq1 - q1 dq0) wedge dp0 wedge dp1
-    - dq1 wedge dq0 wedge (p0 dp1 - p1 dp0); see flatness_check."""
+def _witness_identity_holds(w1: DifferentialForm, p0: MultiPoly, p1: MultiPoly,
+                            q0: MultiPoly, q1: MultiPoly) -> bool:
+    """Whether the polynomial 3-form w1 (denominator 1) equals 2R, see
+    flatness_check.
+
+    R_abc is the 4 x 4 jet determinant of the rows Q0, Q1, P0, P1 over the
+    columns (value, d_a, d_b, d_c).  Its Laplace expansion along the rows
+    (Q0, Q1 | P0, P1) has six 2 x 2 parts,
+
+        R_abc = g_a w_bc - g_b w_ac + g_c w_ab - k_ab p_c + k_ac p_b - k_bc p_a,
+
+    with g = Q0 dQ1 - Q1 dQ0, p = P0 dP1 - P1 dP0, w = dP0 wedge dP1 and
+    k = dQ1 wedge dQ0.  For every a < b < c the six parts of -2R and the
+    w1 component go into one sum of products, which must vanish; no 3-form
+    is built.
+    """
     dp0, dp1, dq0, dq1 = (_gradient_form(a) for a in (p0, p1, q0, q1))
-    reduced = ((dq1.scale(q0) - dq0.scale(q1)).wedge(dp0.wedge(dp1))
-               - dq1.wedge(dq0).wedge(dp1.scale(p0) - dp0.scale(p1)))
-    return reduced.scale(2)
+    g = (dq1.scale(q0) - dq0.scale(q1)).components
+    p = (dp1.scale(p0) - dp0.scale(p1)).components
+    w = dp0.wedge(dp1).components
+    k = dq1.wedge(dq0).components
+    n = w1.n_vars
+    one = MultiPoly.one(n)
+    for a, b, c in combinations(range(n), 3):
+        parts = [(g.get((a,)), w.get((b, c)), -2), (g.get((b,)), w.get((a, c)), 2),
+                 (g.get((c,)), w.get((a, b)), -2), (k.get((a, b)), p.get((c,)), 2),
+                 (k.get((a, c)), p.get((b,)), -2), (k.get((b, c)), p.get((a,)), 2),
+                 (w1.components.get((a, b, c)), one, 1)]
+        if _sum_of_products(n, [part for part in parts
+                                if part[0] is not None and part[1] is not None]):
+            return False
+    return True
 
 
 def coframe(spec: WebSpec) -> LambdaForm:
@@ -586,7 +610,9 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
             - P1 J(Q0, Q1, P0),   J(A, B, C) = dA wedge dB wedge dC,
 
     so each component of the witness at a point needs only the values and
-    gradients of the four minors there.
+    gradients of the four minors there.  The check expands it along the
+    rows (Q0, Q1 | P0, P1) instead and zero-tests each component of
+    d(beta_1) wedge beta_1 - 2R as one sum of products.
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
@@ -610,7 +636,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
     identity_checked = False
     if spec.k >= 1 and spec.l >= 1:
-        if w1_poly != _witness_identity_rhs(p_list[0], p_list[1], q0, q_list[1]):
+        if not _witness_identity_holds(w1_poly, p_list[0], p_list[1], q0, q_list[1]):
             raise HirotaWebError(
                 "internal inconsistency: the coframe witness identity failed")
         identity_checked = True

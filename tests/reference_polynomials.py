@@ -6,20 +6,26 @@ packed-int keys.  This route uses neither: it sums every term pair's
 coefficient as a Fraction under the componentwise sum of the exponent
 tuples, written without any of the library's helpers.
 
-``_det_bareiss`` is the oracle for ``determinant`` and ``maximal_minors``,
-which expand memoized cofactors of a polynomial matrix at every size.  It
-eliminates fraction-free instead, dividing each 2 x 2 update exactly by the
-previous pivot with ``exact_div``, ring long division.  This is the one
-place where polynomial division lives.  On constant polynomials it is also
-an oracle for the library's numeric minors, which eliminate fraction-free
-over the ints but share no code with it.
+``cofactor_determinant`` and ``cofactor_minors`` are the polynomial
+determinant and maximal minors by memoized cofactor expansion; the library
+takes no polynomial matrix, and the tests use them as the oracle for the
+closed-form ``signed_minors``.  ``_det_bareiss`` is the oracle for the
+cofactor expansion: it eliminates fraction-free instead, dividing each
+2 x 2 update exactly by the previous pivot with ``exact_div``, ring long
+division.  This is the one place where polynomial division lives.  On
+constant polynomials both are also oracles for the library's numeric
+minors, which eliminate fraction-free over the ints but share no code with
+them.
 """
 
 import operator
 from fractions import Fraction
+from typing import Iterable, Optional, Sequence
 
-from hirotaweb import MultiPoly
-from hirotaweb.polynomials import Exponents, Matrix, Scalar, _tighten, grlex_key
+from hirotaweb import MultiPoly, WebSpec, row_matrix
+from hirotaweb.polynomials import Exponents, Scalar, _tighten, grlex_key
+
+Matrix = Sequence[Sequence[MultiPoly]]
 
 
 def product_terms(p: MultiPoly, q: MultiPoly) -> dict:
@@ -94,3 +100,66 @@ def _det_bareiss(m: Matrix) -> MultiPoly:
         prev = pivot
     result = a[n - 1][n - 1]
     return result if sign > 0 else -result
+
+
+def _det_cofactor(m: Matrix, cols: tuple[int, ...], rows: tuple[int, ...],
+                  memo: dict) -> MultiPoly:
+    """Laplace expansion of a polynomial matrix along the first listed
+    column, memoized on the (columns, rows) submatrix so shared minors are
+    computed once.  Zeros are skipped, and the sum starts from the first
+    nonzero term."""
+    if len(cols) == 1:
+        return m[rows[0]][cols[0]]
+    key = (cols, rows)
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
+    first = cols[0]
+    rest = cols[1:]
+    total = None
+    for position, row in enumerate(rows):
+        coeff = m[row][first]
+        if not coeff:
+            continue
+        minor = _det_cofactor(m, rest, rows[:position] + rows[position + 1:], memo)
+        if not minor:
+            continue
+        piece = coeff * minor
+        if total is None:
+            total = piece if position % 2 == 0 else -piece
+        else:
+            total = total + piece if position % 2 == 0 else total - piece
+    if total is None:
+        total = m[rows[0]][first] * 0
+    memo[key] = total
+    return total
+
+
+def cofactor_determinant(m: Matrix) -> MultiPoly:
+    """The determinant of a square polynomial matrix."""
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("non-square matrix")
+    if not m:
+        return MultiPoly.one(0)
+    return _det_cofactor(m, tuple(range(len(m))), tuple(range(len(m))), {})
+
+
+def cofactor_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[MultiPoly]:
+    """det(m without column c) for each c of ``columns`` (default: every
+    column) of an r x (r+1) polynomial matrix, unsigned; one memo serves
+    every deletion, so neighbouring deletions share their sub-minors."""
+    width = len(m) + 1
+    if any(len(row) != width for row in m):
+        raise ValueError("maximal minors need an r x (r+1) matrix")
+    memo: dict = {}
+    rows = tuple(range(len(m)))
+    skips = range(width) if columns is None else columns
+    return [_det_cofactor(m, tuple(c for c in range(width) if c != skip), rows, memo)
+            for skip in skips]
+
+
+def cofactor_signed_minors(spec: WebSpec) -> list[MultiPoly]:
+    """Entry c is (-1)^(n+c) times the cofactor minor of the row matrix
+    without column c: the oracle of ``signed_minors``."""
+    minors = cofactor_minors(row_matrix(spec))
+    return [m if (spec.n + c) % 2 == 0 else -m for c, m in enumerate(minors)]

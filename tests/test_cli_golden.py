@@ -109,6 +109,13 @@ ORACLE_LARGE = [
 WITNESS_SCALES = [
     "flatness --n 5 --k 3 --l 1 --lambdas=5,4,6,1,3",
 ]
+# Symbolic minors at n = 6 and n = 5: every one of the n + 1 signed minors is
+# printed with all its terms, and LaTeX renders P_k and Q_l in full, so the
+# sign and term order of the closed-form minors are pinned here.
+SYMBOLIC_MINORS = [
+    ("properties --n 6 --k 2 --l 3 --lambdas symbolic", "text"),
+    ("generate --n 5 --k 1 --l 3 --lambdas symbolic", "latex"),
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
@@ -116,7 +123,8 @@ ARGVS = ([f"{invocation} --format {fmt}"
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
                          + DIMENSION_8 + PROOFS_6 + SAMPLED)]
          + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7]
-         + [f"{argv} --format json" for argv in WITNESS_SCALES])
+         + [f"{argv} --format json" for argv in WITNESS_SCALES]
+         + [f"{argv} --format {fmt}" for argv, fmt in SYMBOLIC_MINORS])
 
 
 def _capture(argv: str) -> dict:

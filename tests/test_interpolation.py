@@ -1,25 +1,29 @@
 """Interpolation matrices, coefficient extraction, and the elimination oracle."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hirotaweb import (DegenerateInterpolantError, MultiPoly, PoleError,
+from hirotaweb import (DegenerateInterpolantError, DimensionError, MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
                        cauchy_interpolant, evaluate_interpolant,
                        highest_coefficients, interpolant_matches_oracle,
                        interpolation_check, maximal_minors,
                        random_numeric_instances, row_matrix, signed_minors,
                        solve_oracle)
-from hirotaweb import interpolation, polynomials
+from hirotaweb import interpolation
 from hirotaweb.cli import EXIT_CONFIG, EXIT_OK, main
 from reference_forms import closed_form_3d, common_scalar
 from reference_interpolation import (build_system_matrix, point_coefficients,
                                      solve_oracle_fractions, top_coefficients)
+import reference_polynomials
+from reference_polynomials import cofactor_determinant, cofactor_signed_minors
 
 
 def test_spec_validation():
@@ -99,6 +103,81 @@ def test_highest_coefficients_are_signed_top_determinants(spec):
     every = signed_minors(spec)
     assert (p_top, q_top) == (every[spec.k], every[spec.n])
     assert signed_minors(spec, (spec.n, 0)) == [every[spec.n], every[0]]
+
+
+# -- the closed form of the signed minors -------------------------------------------
+
+
+_node_numbers = st.one_of(st.integers(-4, 4), st.just(0),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
+CLOSED_FORM_ORDERS = [(n, k) for n in range(2, 8) for k in range(n)]
+
+
+@pytest.mark.parametrize("n,k", CLOSED_FORM_ORDERS,
+                         ids=[f"n{n}k{k}" for n, k in CLOSED_FORM_ORDERS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_closed_form_minors_match_the_cofactor_oracle(n, k, data):
+    # Integer nodes, nodes with zero, mixed signs and non-integer rationals:
+    # symmetric pairs such as -1, 1 make some e_m of a row subset vanish.
+    lambdas = data.draw(st.one_of(
+        st.lists(_node_numbers, min_size=n, max_size=n, unique=True),
+        st.just([(-1) ** i * (i // 2) for i in range(1, n + 1)])), label="nodes")
+    spec = WebSpec.numeric(n, k, n - 1 - k, lambdas)
+    minors = signed_minors(spec)
+    assert minors == cofactor_signed_minors(spec)
+    assert all(type(c) is int or c.denominator > 1
+               for minor in minors for c in minor.terms.values())
+    assert interpolation_check(spec)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in CLOSED_FORM_ORDERS if n <= 6],
+                         ids=[f"n{n}k{k}" for n, k in CLOSED_FORM_ORDERS if n <= 6])
+def test_closed_form_symbolic_minors_match_the_cofactor_oracle(n, k):
+    spec = WebSpec.symbolic(n, k, n - 1 - k)
+    assert signed_minors(spec) == cofactor_signed_minors(spec)
+    assert interpolation_check(spec)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_closed_form_structure(n):
+    # Symbolic minors are exactly n! monomials with coefficients +-1.  With
+    # numeric nodes P_k has C(n, l+1) terms and Q_l has C(n, l); a lower
+    # coefficient can only lose terms, and does where an e_m of the nodes
+    # vanishes (the zero node alone, or the pair 1, -1).  Every minor is
+    # multilinear in x, of x-degree l + 1 in the numerator and l in the
+    # denominator.
+    lost = 0
+    for k in range(n):
+        l = n - 1 - k
+        for spec in (WebSpec.symbolic(n, k, l),
+                     WebSpec.numeric(n, k, l, [0, 1, -1, Fraction(1, 2), 3, -5][:n])):
+            minors = signed_minors(spec)
+            for c, minor in enumerate(minors):
+                size = l + 1 if c <= k else l
+                x_parts = [exps[:n] for exps in minor.terms]
+                assert all(set(x) <= {0, 1} and sum(x) == size for x in x_parts), c
+                if spec.is_symbolic:
+                    assert len(minor.terms) == math.factorial(n), c
+                    assert set(minor.terms.values()) <= {1, -1}, c
+                else:
+                    assert len(set(x_parts)) == len(x_parts) <= math.comb(n, size), c
+                    lost += math.comb(n, size) - len(x_parts)
+            if not spec.is_symbolic:
+                assert len(minors[k].terms) == math.comb(n, l + 1)
+                assert len(minors[n].terms) == math.comb(n, l)
+    assert lost > 0
+
+
+def test_closed_form_column_choices():
+    # Any column list, repeats included, reads the same entries as the full
+    # list; a column outside 0..n is refused.
+    for spec in (WebSpec.numeric(5, 2, 2), WebSpec.symbolic(4, 1, 2)):
+        every = signed_minors(spec)
+        for columns in ((spec.n, 0), (2, 2, 4), ()):
+            assert signed_minors(spec, columns) == [every[c] for c in columns]
+        with pytest.raises(DimensionError):
+            signed_minors(spec, (spec.n + 1,))
 
 
 def test_lagrange_degeneration():
@@ -239,29 +318,30 @@ def test_integer_oracle_covers_consistent_and_inconsistent_singular_systems():
 
 
 def test_point_minors_never_expand_cofactors(monkeypatch):
-    # Numeric minors go through the fraction-free elimination: with the
-    # cofactor expansion refusing numbers, the point interpolant and the
-    # oracle at n = 16 still finish.
-    original = polynomials._det_cofactor
-    calls = []
+    # No library module expands cofactors: the cofactor expansion lives in
+    # the tests as an oracle, and the library refuses polynomial matrices.
+    # With that oracle patched to raise and every polynomial product, sum
+    # and difference refused, the numeric minors (the point interpolant and
+    # the oracle at n = 16) and the closed-form signed_minors still finish.
+    for path in Path(interpolation.__file__).parent.glob("*.py"):
+        assert "_det_cofactor" not in path.read_text(encoding="utf-8"), path.name
 
-    def polynomial_only(m, cols, rows, memo):
-        if any(not isinstance(v, MultiPoly) for row in m for v in row):
-            raise AssertionError("numeric matrix in the cofactor expansion")
-        calls.append(cols)
-        return original(m, cols, rows, memo)
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial arithmetic in a minor")
 
-    monkeypatch.setattr(polynomials, "_det_cofactor", polynomial_only)
+    monkeypatch.setattr(reference_polynomials, "_det_cofactor", refuse)
     spec = WebSpec.numeric(4, 1, 2, [3, -1, Fraction(1, 2), 0])
     interp = cauchy_interpolant(spec, x_values=[2, Fraction(-3, 5), 7, 1])
     assert list(interp.p_coeffs + interp.q_coeffs[1:]) == list(
         solve_oracle(spec, [2, Fraction(-3, 5), 7, 1]))
     assert main(["oracle", "--n", "16", "--k", "8", "--l", "7",
                  "--trials", "10", "--seed", "1"]) == EXIT_OK
-    assert not calls
-    # The guard is live: polynomial minors still expand through it.
-    signed_minors(WebSpec.numeric(3, 1, 1))
-    assert calls
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
+    for spec in (WebSpec.numeric(5, 2, 2), WebSpec.symbolic(5, 2, 2)):
+        assert len(signed_minors(spec)) == 6
+    with pytest.raises(AssertionError, match="polynomial arithmetic"):
+        reference_polynomials.cofactor_signed_minors(WebSpec.numeric(3, 1, 1))
 
 
 def test_oracle_refuses_more_nodes_than_the_sampling_range_holds(capsys):
@@ -340,10 +420,9 @@ def _coefficients_in_last_variable(poly):
 def test_minor_extraction_agrees_with_full_determinants(spec):
     # The coefficient lists must equal the full (n+1) x (n+1) determinants
     # expanded in powers of the trailing parameter variable.
-    from hirotaweb import determinant
     minors = signed_minors(spec)
-    p_det = determinant(build_system_matrix(spec, "P-full"))
-    q_det = determinant(build_system_matrix(spec, "Q-full"))
+    p_det = cofactor_determinant(build_system_matrix(spec, "P-full"))
+    q_det = cofactor_determinant(build_system_matrix(spec, "Q-full"))
     p_coeffs = _coefficients_in_last_variable(p_det)
     q_coeffs = _coefficients_in_last_variable(q_det)
     for j, expected in enumerate(minors[:spec.k + 1]):
@@ -357,10 +436,9 @@ def test_full_matrix_with_numeric_parameter():
     # vanish after the data row substitution P(node_i) = x_i Q(node_i);
     # check instead at a fresh value against the coefficient lists.
     spec = WebSpec.numeric(3, 1, 1)
-    from hirotaweb import determinant
     minors = signed_minors(spec)
     at = Fraction(7, 2)
-    p_det = determinant(build_system_matrix(spec, "P-full", param=at))
+    p_det = cofactor_determinant(build_system_matrix(spec, "P-full", param=at))
     expected = MultiPoly.zero(3)
     for j in range(spec.k + 1):
         expected = expected + minors[j] * at ** j
@@ -399,14 +477,13 @@ _SYMPY_SPECS = ([WebSpec(n, k, n - 1 - k) for n in (2, 3, 4) for k in range(n)]
 def test_maximal_minors_match_sympy(spec):
     # sympy is a test-only dependency: each column deletion of the row
     # matrix is converted to a sympy matrix and its determinant taken over
-    # sympy's own polynomial domain.
+    # sympy's own polynomial domain; signed, it is the closed-form minor.
     sympy = pytest.importorskip("sympy")
-    m = row_matrix(spec)
     symbols = sympy.symbols(f"v0:{spec.n_vars}")
-    rows = [[_to_sympy(sympy, entry, symbols) for entry in row] for row in m]
-    for c, minor in enumerate(maximal_minors(m)):
+    rows = [[_to_sympy(sympy, entry, symbols) for entry in row] for row in row_matrix(spec)]
+    for c, minor in enumerate(signed_minors(spec)):
         dm = sympy.Matrix([row[:c] + row[c + 1:] for row in rows]).to_DM()
-        det = dm.domain.to_sympy(dm.det())
+        det = dm.domain.to_sympy(dm.det()) * (-1) ** (spec.n + c)
         assert _sympy_terms(sympy, det, symbols) == minor.terms, c
 
 

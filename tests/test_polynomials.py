@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hirotaweb
-from hirotaweb import (DimensionError, MultiPoly, RationalFunction, WebSpec,
+from hirotaweb import (DimensionError, HirotaWebError, MultiPoly, RationalFunction, WebSpec,
                        determinant, maximal_minors, poly_from_json, poly_text,
                        poly_to_json)
 from hirotaweb import polynomials
 from reference_interpolation import build_system_matrix, determinant_cofactor_naive
-from reference_polynomials import _det_bareiss, exact_div, product_terms
+from reference_polynomials import (_det_bareiss, cofactor_determinant, cofactor_minors,
+                                   exact_div, product_terms)
 
 
 def var(n, i):
@@ -131,18 +132,21 @@ def test_zero_polynomial_degree_convention():
 
 
 # -- determinants -------------------------------------------------------------------
+# The library takes the determinants of numeric matrices only; the tests of
+# polynomial matrices below pin the cofactor oracle that the closed-form
+# signed_minors is checked against.
 
 
 def test_identity_determinant():
     one, zero = const(1, 1), const(1, 0)
     m = [[one, zero], [zero, one]]
-    assert determinant(m) == one
+    assert cofactor_determinant(m) == one
 
 
 def test_two_node_vandermonde():
     m = [[const(1, 1), const(1, 1)],
          [const(1, 1), const(1, 2)]]
-    assert determinant(m) == const(1, 1)
+    assert cofactor_determinant(m) == const(1, 1)
 
 
 def test_three_by_three_with_coordinates():
@@ -153,12 +157,23 @@ def test_three_by_three_with_coordinates():
         [one, 2 * one, -x2],
         [one, 3 * one, -x3],
     ]
-    assert determinant(m) == -x1 + 2 * x2 - x3
+    assert cofactor_determinant(m) == -x1 + 2 * x2 - x3
 
 
 def test_non_square_rejected():
     with pytest.raises(DimensionError):
         determinant([[const(1, 1), const(1, 2)]])
+
+
+def test_polynomial_matrices_are_refused():
+    # The library's minors of polynomials are the closed-form signed_minors;
+    # determinant and maximal_minors take numbers only.
+    x = var(2, 0)
+    with pytest.raises(HirotaWebError, match="signed_minors"):
+        determinant([[x, const(2, 1)], [const(2, 2), x]])
+    with pytest.raises(HirotaWebError, match="signed_minors"):
+        maximal_minors([[x, const(2, 1)]])
+    assert determinant([[0, 1], [2, 3]]) == -2
 
 
 def _random_poly(rng, n_vars, max_deg, terms):
@@ -181,7 +196,7 @@ def test_determinant_matches_naive_cofactor_oracle():
     for size in range(1, 6):
         for _ in range(6):
             m = _random_matrix(rng, size)
-            assert determinant(m) == determinant_cofactor_naive(m)
+            assert cofactor_determinant(m) == determinant_cofactor_naive(m)
 
 
 def test_bareiss_path_matches_naive_on_seven_by_seven():
@@ -203,21 +218,21 @@ def test_bareiss_path_multivariate_entries():
 
 
 def test_cofactor_matches_bareiss_to_dimension_nine():
-    # The memoized cofactor expansion is the one polynomial route at every
-    # size; Bareiss elimination is the oracle, on constant matrices and on
+    # The memoized cofactor expansion is the oracle of the closed-form
+    # minors; Bareiss elimination is its own oracle, on constant matrices and on
     # the leading-coefficient interpolation matrices at every order for
     # n = 7, 8 and 9.
     rng = random.Random(7)
     for _ in range(3):
         m = [[const(1, rng.randint(-9, 9)) for _ in range(7)] for _ in range(7)]
-        assert determinant(m) == _det_bareiss(m)
+        assert cofactor_determinant(m) == _det_bareiss(m)
     nodes = [-3, -1, 2, 4, 5, 7, 8, 10, 11]
     for n in (7, 8, 9):
         for k in range(1, n - 1):
             spec = WebSpec.numeric(n, k, n - 1 - k, nodes[:n])
             for which in ("P-top", "Q-top"):
                 m = build_system_matrix(spec, which)
-                assert determinant(m) == _det_bareiss(m)
+                assert cofactor_determinant(m) == _det_bareiss(m)
 
 
 def test_bareiss_handles_zero_pivots():
@@ -235,9 +250,9 @@ def test_determinant_alternating_on_row_swap():
     for _ in range(10):
         m = _random_matrix(rng, 3)
         swapped = [m[1], m[0], m[2]]
-        assert determinant(swapped) == -determinant(m)
+        assert cofactor_determinant(swapped) == -cofactor_determinant(m)
         repeated = [m[0], m[0], m[2]]
-        assert determinant(repeated).is_zero
+        assert cofactor_determinant(repeated).is_zero
 
 
 def test_determinant_multilinear_in_rows():
@@ -248,16 +263,16 @@ def test_determinant_multilinear_in_rows():
         r2 = [_random_poly(rng, 2, 2, 2) for _ in range(3)]
         a = Fraction(rng.randint(-3, 3))
         combo = [p * a + q for p, q in zip(r1, r2)]
-        det_combo = determinant([combo, base[1], base[2]])
-        det_1 = determinant([r1, base[1], base[2]])
-        det_2 = determinant([r2, base[1], base[2]])
+        det_combo = cofactor_determinant([combo, base[1], base[2]])
+        det_1 = cofactor_determinant([r1, base[1], base[2]])
+        det_2 = cofactor_determinant([r2, base[1], base[2]])
         assert det_combo == det_1 * a + det_2
 
 
 def test_maximal_minors_agree_with_column_deletion():
     rng = random.Random(17)
     rows = [[_random_poly(rng, 2, 2, 2) for _ in range(4)] for _ in range(3)]
-    minors = maximal_minors(rows)
+    minors = cofactor_minors(rows)
     for skip in range(4):
         sub = [[rows[i][j] for j in range(4) if j != skip] for i in range(3)]
         assert minors[skip] == determinant_cofactor_naive(sub)
@@ -356,7 +371,7 @@ def _poly_matrix(draw, extra_cols=0):
 @given(_poly_matrix())
 def test_determinant_routes_agree(m):
     expected = determinant_cofactor_naive(m)
-    assert determinant(m) == expected
+    assert cofactor_determinant(m) == expected
     assert _det_bareiss(m) == expected
 
 
@@ -364,18 +379,18 @@ def test_determinant_routes_agree(m):
 @given(_poly_matrix(extra_cols=1), st.data())
 def test_maximal_minors_column_subset_matches_full_list(m, data):
     columns = data.draw(st.lists(st.integers(0, len(m)), max_size=len(m) + 1))
-    every = maximal_minors(m)
-    assert maximal_minors(m, columns) == [every[c] for c in columns]
+    every = cofactor_minors(m)
+    assert cofactor_minors(m, columns) == [every[c] for c in columns]
 
 
 def test_maximal_minors_at_eight_by_nine_match_bareiss():
     rng = random.Random(8)
     m = [[const(1, rng.randint(-9, 9)) + var(1, 0) * rng.randint(-1, 1)
           for _ in range(9)] for _ in range(8)]
-    every = maximal_minors(m)
+    every = cofactor_minors(m)
     assert every == [_det_bareiss([row[:c] + row[c + 1:] for row in m])
                      for c in range(9)]
-    assert maximal_minors(m, (8, 3)) == [every[8], every[3]]
+    assert cofactor_minors(m, (8, 3)) == [every[8], every[3]]
     with pytest.raises(DimensionError):
         maximal_minors(m, (9,))
 
@@ -640,12 +655,12 @@ def _numeric_minor_matrix(draw):
 @example([[0, 0, 1], [0, 0, 2]])
 @example([[Fraction(1, 2), Fraction(1, 3)]])
 def test_numeric_minors_match_constant_polynomial_minors(rows):
-    # Numeric matrices take the fraction-free elimination, polynomial ones
-    # the cofactor expansion and the test's own Bareiss route: numbers in,
+    # Numeric matrices take the library's fraction-free elimination, constant
+    # polynomial ones the cofactor oracle and the test's own Bareiss route: numbers in,
     # numbers out, and a plain int wherever a minor is integral.
     wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
     numeric = maximal_minors(rows)
-    assert numeric == [m.constant_value() for m in maximal_minors(wrapped)]
+    assert numeric == [m.constant_value() for m in cofactor_minors(wrapped)]
     assert numeric == [_det_bareiss([row[:c] + row[c + 1:] for row in wrapped])
                        .constant_value() for c in range(len(rows) + 1)]
     assert all(type(m) is int or m.denominator > 1 for m in numeric)
@@ -656,12 +671,12 @@ def test_numeric_minors_match_constant_polynomial_minors(rows):
 
 def test_nine_by_ten_numeric_minors_match_constant_polynomial_minors():
     # Numbers take the fraction-free elimination and constant polynomials
-    # the cofactor expansion; both give the same minors.
+    # the cofactor oracle; both give the same minors.
     rng = random.Random(12)
     rows = [[rng.choice((0, rng.randint(-9, 9), Fraction(rng.randint(-9, 9), 7)))
              for _ in range(10)] for _ in range(9)]
     wrapped = [[MultiPoly.const(1, v) for v in row] for row in rows]
-    expected = [m.constant_value() for m in maximal_minors(wrapped)]
+    expected = [m.constant_value() for m in cofactor_minors(wrapped)]
     assert maximal_minors(rows) == expected
     assert determinant([row[1:] for row in rows]) == expected[0]
     assert determinant([[0, 0], [1, 2]]) == 0

@@ -18,7 +18,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
 from hirotaweb.polynomials import poly_to_json
 from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
                             _residual, _residual_factors, _sampled_factors,
-                            _without_denominators, _witness_identity_rhs)
+                            _without_denominators, _witness_identity_holds)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_ratfunc import derivative
@@ -704,7 +704,7 @@ def test_reduced_witness_identity_agrees_with_the_gamma_product(n, k, node_class
     if verdict.witness_identity_checked:
         # on the minors as they come: w1 = 2R, and with the oracle's
         # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
-        assert _witness_identity_rhs(*oracle.coefficients) == oracle.w1
+        assert _witness_identity_holds(oracle.w1, *oracle.coefficients)
         assert jet_determinant(*oracle.coefficients).scale(2) == oracle.w1
     # cleared denominators leave every rendered witness component unchanged
     witness = verdict.witness
@@ -731,9 +731,9 @@ def test_reduced_witness_identity_holds_for_any_four_polynomials(polys):
     # An identity of the exterior algebra: it pins every sign and term of R
     # whatever the minors are, and corrupting a minor cannot break it.
     p0, p1, q0, q1 = polys
-    rhs = _witness_identity_rhs(p0, p1, q0, q1)
-    assert self_wedge(raw_alpha1(p0, p1, q0, q1)) == rhs
-    assert rhs.scale(q0 * q0) == gamma_product(p0, p1, q0, q1)
+    w1 = self_wedge(raw_alpha1(p0, p1, q0, q1))
+    assert _witness_identity_holds(w1, p0, p1, q0, q1)
+    assert w1.scale(q0 * q0) == gamma_product(p0, p1, q0, q1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -744,9 +744,39 @@ def test_witness_right_side_is_twice_the_jet_determinant(polys):
     # so the check that the oracle sees a change scales a row instead.
     p0, p1, q0, q1 = polys
     r = jet_determinant(p0, p1, q0, q1)
-    assert _witness_identity_rhs(p0, p1, q0, q1) == r.scale(2)
+    assert _witness_identity_holds(r.scale(2), p0, p1, q0, q1)
     if not r.is_zero:
-        assert _witness_identity_rhs(p0 * 3, p1, q0, q1) != r.scale(2)
+        assert not _witness_identity_holds(r.scale(2), p0 * 3, p1, q0, q1)
+
+
+def _four_minors(n, k):
+    spec = WebSpec.numeric(n, k, n - 1 - k, nodes("1/2", -1, 3, 5, -4)[:n])
+    minors = _without_denominators(signed_minors(spec))
+    return minors[0], minors[1], minors[k + 1], minors[k + 2]
+
+
+def _two_variable_polys():
+    # Polynomials in x1 and x2 of a ring of four: every 3-form built from
+    # their differentials is zero, w1 and R alike.
+    x1, x2 = MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)
+    return x1 * x2 + 3, x1 - x2 * x2, x2 + 2, x1 * x1 * x2 - 1
+
+
+@pytest.mark.parametrize("polys", [_four_minors(4, 1), _four_minors(4, 2),
+                                   _four_minors(5, 2), _two_variable_polys()],
+                         ids=["n4k1", "n4k2", "n5k2", "w1-zero"])
+def test_witness_identity_fails_on_one_perturbed_component(polys):
+    # Adding x1 to any single component of d(beta_1) wedge beta_1, a zero
+    # one included, breaks the identity at that component.
+    n = polys[0].n_vars
+    w1 = self_wedge(raw_alpha1(*polys))
+    assert _witness_identity_holds(w1, *polys)
+    x1 = MultiPoly.variable(n, 0)
+    for idx in combinations(range(n), 3):
+        components = dict(w1.components)
+        components[idx] = components.get(idx, MultiPoly.zero(n)) + x1
+        perturbed = DifferentialForm(n, 3, components)
+        assert not _witness_identity_holds(perturbed, *polys), idx
 
 
 @settings(max_examples=60, deadline=None)
