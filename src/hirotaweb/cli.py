@@ -202,8 +202,15 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         return report
 
     if config.command == "verify":
-        sol = solution()
-        outcome = verify_hirota(sol, mode=config.mode, trials=config.trials,
+        # Only the text view prints f, so only it builds f.  Without an
+        # override the spec itself is verified, and verify_hirota builds f
+        # only where it is not sampling symbolic nodes; f already built for
+        # the text view is passed instead, so it is built at most once.
+        sol = solution() if text_view or solution_override is not None else None
+        samples_spec = (solution_override is None and spec.is_symbolic
+                        and config.mode == "sampled")
+        outcome = verify_hirota(spec if sol is None or samples_spec else sol,
+                                mode=config.mode, trials=config.trials,
                                 bound=config.bound, seed=config.seed)
         if text_view:
             report.lines.append(

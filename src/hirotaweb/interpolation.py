@@ -58,7 +58,8 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import MultiPoly, Scalar, _exact, _horner, _tighten, maximal_minors
+from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products, _tighten,
+                          maximal_minors)
 from .ratfunc import RationalFunction
 
 
@@ -378,9 +379,9 @@ def interpolation_check(spec: WebSpec) -> bool:
 def _interpolation_identity(spec: WebSpec, minors: Sequence[MultiPoly]) -> bool:
     """The interpolation property for all n+1 signed minors: for row i of the
     row matrix, sum_c row_i[c] * minors[c] is P(node_i) - x_i Q(node_i) term
-    for term."""
-    zero = MultiPoly.zero(spec.n_vars)
-    return all(sum((entry * minor for entry, minor in zip(row, minors)), zero).is_zero
+    for term, collected as one sum of products per row."""
+    return all(_sum_of_products(spec.n_vars, [(entry, minor, 1)
+                                              for entry, minor in zip(row, minors)]).is_zero
                for row in row_matrix(spec))
 
 

@@ -1,10 +1,13 @@
 """Command-line contract: output formats, determinism, exit codes."""
 
 import json
+import re
 from fractions import Fraction
 
+import pytest
+
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
-                       highest_coefficients, poly_from_json)
+                       highest_coefficients, interpolation, poly_from_json, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
                            main, run)
 from hirotaweb.webs import HirotaSolution
@@ -170,6 +173,64 @@ def test_corrupted_solution_fails_with_exit_one():
     code, text = run(config("verify"), solution_override=corrupted)
     assert code == EXIT_CHECK_FAILED
     assert "[FAIL]" in text and "nonzero residual" in text
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_corrupted_symbolic_node_solution_fails_when_sampled(fmt):
+    # An override is verified as given, through eliminate at each point, not
+    # through the spec's own minors: the corrupted numerator must fail.
+    spec = WebSpec.symbolic(5, 2, 2)
+    sol = build_solution(spec)
+    x1 = MultiPoly.variable(spec.n_vars, 0)
+    p = sol.p_top + x1 * x1
+    corrupted = HirotaSolution(spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    code, text = run(config("verify", 5, 2, 2, None, mode="sampled", format=fmt),
+                     solution_override=corrupted)
+    assert code == EXIT_CHECK_FAILED
+    if fmt == "text":
+        assert "[FAIL]" in text and "nonzero residual value" in text
+    else:
+        assert "fail" in {result["status"] for result in json.loads(text)["results"]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex"])
+def test_symbolic_node_sampling_at_n10_builds_no_symbolic_minor(fmt, monkeypatch):
+    # The json and latex views print no polynomial, so the symbolic f, with
+    # 10! terms in each of P and Q, is never built.
+    def refuse(*args):
+        raise AssertionError("a symbolic-node minor was built")
+
+    monkeypatch.setattr(interpolation, "_symbolic_block", refuse)
+    code, text = run(config("verify", 10, 4, 5, None, mode="sampled", format=fmt))
+    assert code == EXIT_OK
+    if fmt == "json":
+        statuses = [result["status"] for result in json.loads(text)["results"]
+                    if result["name"].startswith("triple")]
+    else:
+        statuses = re.findall(r"\\item triple \(\d+, \d+, \d+\): (\w+)", text)
+    assert statuses == ["pass"] * 120
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+@pytest.mark.parametrize("lambdas,mode", [(None, "sampled"), (None, "symbolic"),
+                                          ((1, 2, 3, 4), "sampled"),
+                                          ((1, 2, 3, 4), "symbolic")])
+def test_verify_builds_the_solution_at_most_once(lambdas, mode, fmt, monkeypatch):
+    # Only a symbolic-node spec sampled outside the text view skips it.
+    spec = WebSpec(4, 2, 1, None if lambdas is None else tuple(map(Fraction, lambdas)))
+    built = []
+    original = webs.highest_coefficients
+
+    def counting(asked):
+        if asked == spec:
+            built.append(asked)
+        return original(asked)
+
+    monkeypatch.setattr(webs, "highest_coefficients", counting)
+    code, _ = run(config("verify", 4, 2, 1, lambdas, mode=mode, format=fmt))
+    assert code == EXIT_OK
+    skips = lambdas is None and mode == "sampled" and fmt != "text"
+    assert len(built) == (0 if skips else 1)
 
 
 def test_main_exit_codes_and_out_file(tmp_path, capsys):

@@ -116,6 +116,14 @@ SYMBOLIC_MINORS = [
     ("properties --n 6 --k 2 --l 3 --lambdas symbolic", "text"),
     ("generate --n 5 --k 1 --l 3 --lambdas symbolic", "latex"),
 ]
+# Sampled checks with symbolic nodes at n = 7 and n = 8, JSON only: these
+# views print no polynomial, so the symbolic f is never built and the degree
+# bound comes from (k, l).  At l = 0 the bound is looser than the residual's
+# true degree, and its value is pinned here.
+SAMPLED_FRONTIER = [
+    "verify --n 7 --k 6 --l 0 --lambdas symbolic --mode sampled",
+    "verify --n 8 --k 3 --l 4 --lambdas symbolic --mode sampled",
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
@@ -123,7 +131,7 @@ ARGVS = ([f"{invocation} --format {fmt}"
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
                          + DIMENSION_8 + PROOFS_6 + SAMPLED)]
          + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7]
-         + [f"{argv} --format json" for argv in WITNESS_SCALES]
+         + [f"{argv} --format json" for argv in WITNESS_SCALES + SAMPLED_FRONTIER]
          + [f"{argv} --format {fmt}" for argv, fmt in SYMBOLIC_MINORS])
 
 

@@ -245,6 +245,30 @@ def test_interpolation_identity(spec):
     assert interpolation_check(spec)
 
 
+@pytest.mark.parametrize("spec", [
+    WebSpec.numeric(4, 1, 2),
+    WebSpec.numeric(5, 2, 2, [0, -1, 2, Fraction(1, 2), 3]),
+    WebSpec.symbolic(4, 2, 1),
+    WebSpec.symbolic(5, 0, 4),
+], ids=WebSpec.describe)
+def test_interpolation_identity_fails_on_a_minor_off_by_one_term(spec):
+    # Each row is one sum of products over all n + 1 minors: dropping one
+    # term of one minor, doubling it, or adding a term it lacks leaves that
+    # term times a nonzero row entry uncancelled.
+    minors = signed_minors(spec)
+    assert interpolation._interpolation_identity(spec, minors)
+    rng = random.Random(spec.describe())
+    for column, minor in enumerate(minors):
+        exps, coeff = rng.choice(sorted(minor.terms.items()))
+        term = MultiPoly(spec.n_vars, {exps: coeff})
+        absent = next(e for e in itertools.product(range(3), repeat=spec.n_vars)
+                      if e not in minor.terms)
+        for perturbed_minor in (minor - term, minor + term,
+                                minor + MultiPoly(spec.n_vars, {absent: 1})):
+            perturbed = minors[:column] + [perturbed_minor] + minors[column + 1:]
+            assert not interpolation._interpolation_identity(spec, perturbed), column
+
+
 @pytest.mark.parametrize(
     "spec",
     [WebSpec.numeric(n, k, n - 1 - k) for n in (3, 4, 5) for k in range(n)]

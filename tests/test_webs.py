@@ -3,10 +3,11 @@
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        DifferentialForm, DimensionError, HirotaSolution, HirotaWebError,
@@ -16,8 +17,10 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
-from hirotaweb.webs import (_coframe_element, _degree_bound, _polynomial_jet,
-                            _residual, _residual_factors, _sampled_factors,
+from hirotaweb.interpolation import _numeric_block, _symbolic_block
+from hirotaweb.webs import (_coframe_element, _degree_bound, _derivative_degrees,
+                            _minor_degrees, _polynomial_jet, _residual,
+                            _residual_factors, _sampled_factors, _spec_factors,
                             _without_denominators, _witness_identity_holds)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
@@ -211,6 +214,12 @@ def _residual_function(spec, corrupt):
     return RationalFunction(sol.p_top + x1 * x1, sol.q_top)
 
 
+def _function_bound(f, n, symbolic):
+    """The degree bound of a function, from the degrees read off its terms."""
+    return _degree_bound(_derivative_degrees(f.num, n), _derivative_degrees(f.den, n),
+                         n, symbolic)
+
+
 def _sampled_residuals(f, node_list, point, triples):
     """The library's residual values q B at a point, from integer jets."""
     q, first, brackets = _sampled_factors(f, node_list, point)
@@ -238,7 +247,7 @@ def test_jet_route_matches_expanded_oracle(spec, corrupt):
     assert first == oracle[0]
     assert brackets == {(j, k): dn[k, j] * node_list[j] - dn[j, k] * node_list[k]
                         for j, k in combinations(range(n), 2)}
-    assert _degree_bound(f, n, spec.is_symbolic) == expanded_degree_bound(
+    assert _function_bound(f, n, spec.is_symbolic) == expanded_degree_bound(
         f, oracle, spec.is_symbolic, triples)
     rng = random.Random(f"{spec.describe()} {corrupt}")
     for _ in range(2):
@@ -349,7 +358,7 @@ def test_bracket_route_matches_the_second_derivative_route(instance):
     first, brackets = _library_factors(f, node_list)
     assert [f.den * _residual(first, brackets, triple) for triple in triples] == written
     expanded_bound = expanded_degree_bound(f, oracle, symbolic, triples)
-    assert _degree_bound(f, n, symbolic) >= expanded_bound
+    assert _function_bound(f, n, symbolic) >= expanded_bound
     assert max(residual.degree() for residual in written) <= expanded_bound
     for point in points:
         assert _sampled_residuals(f, node_list, point, triples) == \
@@ -396,6 +405,99 @@ def test_sampled_symbolic_nodes_dimension_seven():
     sol = build_solution(WebSpec.symbolic(7, 3, 3))
     report = verify_hirota(sol, mode="sampled", trials=3, seed=42)
     assert report.passed and len(report.checks) == 35
+
+
+# -- sampling a symbolic-node spec through the numeric-node closed form ------------
+
+
+_SYMBOLIC_ORDERS = [(n, k) for n in range(2, 8) for k in range(n)]
+
+
+def _block_terms(build, spec):
+    """The terms of all n + 1 signed minors from one block builder
+    (``_symbolic_block`` or ``_numeric_block``), keyed by column."""
+    k, n = spec.k, spec.n
+    return {**build(spec, tuple(range(k + 1)), spec.l + 1),
+            **build(spec, tuple(range(k + 1, n + 1)), spec.l)}
+
+
+@lru_cache(maxsize=1)   # the examples of one order run in a row
+def _symbolic_minors(n, k):
+    spec = WebSpec.symbolic(n, k, n - 1 - k)
+    return {c: MultiPoly(spec.n_vars, terms)
+            for c, terms in _block_terms(_symbolic_block, spec).items()}
+
+
+def _point_with_distinct_nodes(rng, n, bound):
+    while True:
+        point = [rng.randint(-bound, bound) for _ in range(2 * n)]
+        if len(set(point[n:])) == n:
+            return point
+
+
+@pytest.mark.parametrize("n,k", _SYMBOLIC_ORDERS)
+@settings(max_examples=4, deadline=None)
+@given(st.lists(st.one_of(st.integers(-9, 9),
+                          st.fractions(min_value=-9, max_value=9, max_denominator=4)),
+                min_size=7, max_size=7, unique=True))
+@example([0, -1, 2, -3, 4, -5, 6])
+def test_symbolic_minors_at_fixed_nodes_are_the_numeric_minors(n, k, values):
+    # The identity that makes the printed f the certified one: the closed
+    # form with node variables, fixed to numbers by eliminate, is the closed
+    # form at those numbers, column by column and term by term.
+    lambdas = values[:n]
+    numeric = _block_terms(_numeric_block, WebSpec(n, k, n - 1 - k, lambdas))
+    fixed = dict(enumerate(lambdas, start=n))
+    for c, minor in _symbolic_minors(n, k).items():
+        assert minor.eliminate(fixed) == MultiPoly(n, numeric[c]), c
+
+
+@pytest.mark.parametrize("n,k", _SYMBOLIC_ORDERS)
+def test_spec_factors_are_the_built_solutions_up_to_its_scalar(n, k):
+    # RationalFunction scales P_k and Q_l by one rational c, so Q takes c and
+    # every N_i and G_jk takes c^2.
+    spec = WebSpec.symbolic(n, k, n - 1 - k)
+    sol = build_solution(spec)
+    exps, coeff = next(iter(sol.q_top.terms.items()))
+    c = Fraction(sol.f.den.terms[exps], coeff)
+    rng = random.Random(f"spec factors {n} {k}")
+    for _ in range(3):
+        point = _point_with_distinct_nodes(rng, n, 10 ** 3)
+        q, first, brackets = _spec_factors(spec, point)
+        built_q, built_first, built_brackets = _sampled_factors(sol.f, sol.nodes(), point)
+        assert q and built_q == c * q
+        assert built_first == [c * c * v for v in first]
+        assert built_brackets == {key: c * c * v for key, v in brackets.items()}
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n, k in _SYMBOLIC_ORDERS if n <= 6])
+def test_spec_and_built_solution_give_one_sampled_report(n, k):
+    spec = WebSpec.symbolic(n, k, n - 1 - k)
+    sol = build_solution(spec)
+    for seed in (42, 5):
+        assert verify_hirota(spec, mode="sampled", seed=seed) == \
+            verify_hirota(sol, mode="sampled", seed=seed)
+
+
+@pytest.mark.parametrize("n,k", _SYMBOLIC_ORDERS + [(8, 0), (8, 3), (8, 7)])
+def test_closed_form_degree_tables_match_the_terms(n, k):
+    # Both tables equal the ones read off the built f, so the degree bound
+    # of a sampled spec is the one of its built solution, including the
+    # loose bound at l = 0.
+    spec = WebSpec.symbolic(n, k, n - 1 - k)
+    sol = build_solution(spec)
+    assert _minor_degrees(spec, spec.l + 1, spec.k) == _derivative_degrees(sol.f.num, n)
+    assert _minor_degrees(spec, spec.l, spec.l) == _derivative_degrees(sol.f.den, n)
+
+
+@pytest.mark.parametrize("spec,mode", [(WebSpec.numeric(4, 1, 2), "symbolic"),
+                                       (WebSpec.numeric(4, 1, 2), "sampled"),
+                                       (WebSpec.symbolic(4, 1, 2), "symbolic")])
+def test_any_other_spec_is_verified_through_its_built_solution(spec, mode):
+    sol = build_solution(spec)
+    assert verify_hirota(spec, mode=mode) == verify_hirota(sol, mode=mode)
+    with pytest.raises(WebSpecError, match="spec carries its own nodes"):
+        verify_hirota(spec, nodes=sol.nodes(), mode=mode)
 
 
 def test_vacuous_two_node_verification():
