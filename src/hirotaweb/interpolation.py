@@ -251,6 +251,32 @@ def _numeric_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, 
     return out
 
 
+def _leading_minor(nodes: Sequence[Scalar], rows: Sequence[int], size: int) -> MultiPoly:
+    """det of the row matrix's rows ``rows`` (0-based, increasing) over the
+    leading columns of each block, 1, l, ..., l^(r-size-1) and -x, -x l, ...,
+    -x l^(size-1) with r = len(rows), at numeric nodes, as a polynomial in
+    x_1..x_n for n = len(nodes).  Both alternants of its Laplace expansion
+    along the x-columns have full exponent sets, so the closed form of the
+    module docstring carries no elementary symmetric value:
+
+        sum over S in rows, |S| = size, of  eps x^S V(l_S) V(l_S'),
+        eps = (-1)^(size + sum_{c=r-size}^{r-1} c + sum of S's positions in rows),
+
+    one term per row subset, with a nonzero coefficient.  Q_l is the minor
+    over all rows with size l."""
+    r, n = len(rows), len(nodes)
+    parity = size + size * (2 * r - size - 1) // 2
+    terms = {}
+    for chosen in combinations(range(r), size):
+        picked = [rows[p] for p in chosen]
+        coeff = (_vandermonde([nodes[i] for i in picked])
+                 * _vandermonde([nodes[rows[p]] for p in range(r) if p not in chosen]))
+        if (parity + sum(chosen)) % 2:
+            coeff = -coeff
+        terms[tuple(1 if i in picked else 0 for i in range(n))] = _tighten(coeff)
+    return MultiPoly(n, terms, _canonical=True)
+
+
 def _symbolic_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
     """The terms of the signed minors at the columns of one block, as in
     ``_numeric_block``, at symbolic nodes: per row subset S and column, every

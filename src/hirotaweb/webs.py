@@ -17,11 +17,20 @@ certifies everything checkable about it in exact arithmetic:
   over the rotations to zero.  So no second derivative of f is formed: N_i
   and G_jk are written once, on second-order jets (value, x-gradient,
   x-Hessian) of P and Q; the proof zero-tests B on polynomial jets, and
-  sampling takes q B from integer jets, never expanding a factor.  A spec
-  with symbolic nodes is sampled without building f: a point's node
-  coordinates make it a numeric-node spec, whose P_k and Q_l have C(n, l+1)
-  and C(n, l) terms in closed form, and one pass over each reads the jet at
-  the point's x_1..x_n.  These are the symbolic minors with the node
+  sampling takes q B from integer jets, never expanding a factor.  A
+  solution with numeric nodes and k, l >= 1 (a spec too, once built) is
+  proved without forming B: with D_i and E_jk the minors of size n-1 and
+  n-2 of the row matrix (rows without i, or without j and k, over the
+  leading columns of each block), the identities (A) N_i = a_i D_i^2 and
+  (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk, with node-only constants a_i and
+  b_jk, give Q B = 2 D_i D_j D_k T for a three-term sum T of products
+  D_p E_qr, a Grassmann-Pluecker relation (Dodgson 1866; Sato 1981 reads
+  Hirota bilinear equations as Pluecker relations).  Every identity is
+  zero-tested in full (``verify_hirota``).  A spec with symbolic nodes is
+  sampled without building f: a point's node coordinates make it a
+  numeric-node spec, whose P_k and Q_l have C(n, l+1) and C(n, l) terms in
+  closed form, and one pass over each reads the jet at the point's
+  x_1..x_n.  These are the symbolic minors with the node
   variables fixed, since both come from one closed form.  A given solution
   or function is sampled as given: ``eliminate`` fixes its node coordinates
   and the jet is read off what is left.  The degree bound comes from the
@@ -49,13 +58,14 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from math import lcm
+from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactNumberError,
                      WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (WebSpec, _interpolation_identity,
+from .interpolation import (WebSpec, _interpolation_identity, _leading_minor,
                             highest_coefficients, signed_minors)
 from .polynomials import MultiPoly, Scalar, _exact, _sum_of_products, _tighten
 from .ratfunc import RationalFunction
@@ -262,6 +272,75 @@ def _residual(first: list, brackets: dict, triple: tuple[int, int, int]):
                      (first[k], brackets[i, j], 1)])
 
 
+# -- the factored proof ----------------------------------------------------------------
+#
+# For numeric nodes and k, l >= 1 each triple's Q B is 2 D_i D_j D_k T, with
+# D and E minors of size n-1 and n-2 of the row matrix and T a three-term
+# sum of products D_p E_qr (verify_hirota's docstring).  Every identity
+# behind that is zero-tested in full here; nothing is assumed.
+
+
+def _coefficient(parts: list, monomial: tuple) -> int:
+    """The coefficient at one monomial of sum of scale * a * b over the
+    (a, b, scale) parts, read without forming any product."""
+    total = 0
+    for a, b, scale in parts:
+        terms = b.terms
+        for exps, c in a.terms.items():
+            other = terms.get(tuple(map(sub, monomial, exps)))
+            if other is not None:
+                total += scale * c * other
+    return total
+
+
+def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
+    """The constant c with sum of the (x, y, scale) parts = c a b, for nonzero
+    int polynomials: c is read off the coefficient at the leading monomial of
+    a b, then the identity is zero-tested in full as one sum of products.
+    None when it does not hold."""
+    (ea, ca), (eb, cb) = a.leading_term(), b.leading_term()
+    c = Fraction(_coefficient(parts, tuple(map(add, ea, eb))), ca * cb)
+    num, den = c.numerator, c.denominator
+    if _sum_of_products(a.n_vars, [(x, y, s * den) for x, y, s in parts] + [(a, b, -num)]):
+        return None
+    return c
+
+
+def _factored_proof(f: RationalFunction, nodes: Sequence[int],
+                    l: int) -> set[tuple[int, int, int]]:
+    """The 1-based triples whose Q B the factored identities prove zero, for
+    f = P/Q with int nodes and orders k, l >= 1; empty when (A) or (B) fails
+    for some index, since then the factors do not describe f."""
+    num, den = f.num, f.den
+    n = len(nodes)
+    others = [[r for r in range(n) if r != i] for i in range(n)]
+    d = [_leading_minor(nodes, rows, l) for rows in others]
+    d_num = [num.derivative(v) for v in range(n)]
+    d_den = [den.derivative(v) for v in range(n)]
+    a = []
+    for i in range(n):                                         # (A)
+        a.append(_proportion([(d_num[i], den, 1), (num, d_den[i], -1)], d[i], d[i]))
+        if a[i] is None:
+            return set()
+    e, b = {}, {}
+    for j, k in combinations(range(n), 2):                     # (B)
+        e[j, k] = _leading_minor(nodes, [r for r in others[j] if r != k], l - 1)
+        b[j, k] = _proportion([(den, d[j].derivative(k), 1), (d[j], d_den[k], -1)],
+                              d[k], e[j, k])
+        if b[j, k] is None:
+            return set()
+    proved = set()
+    for triple in combinations(range(n), 3):                   # (C)
+        parts = []
+        for p, q, r in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            lo, hi = min(q, r), max(q, r)
+            parts.append((d[p], e[lo, hi], (nodes[q] - nodes[r]) * a[p] * a[lo] * b[lo, hi]))
+        scale = lcm(*(w.denominator for _, _, w in parts))
+        if not _sum_of_products(n, [(x, y, int(w * scale)) for x, y, w in parts]):
+            proved.add(tuple(t + 1 for t in triple))
+    return proved
+
+
 def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
                      point: Sequence[int]) -> tuple:
     """Q, the N_i and the G_jk at one integer point, in int arithmetic where
@@ -391,6 +470,30 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     each point the jets of what ``eliminate`` leaves of P and Q give the
     factor values.
 
+    In symbolic mode a solution with numeric nodes and k, l >= 1, and so
+    a numeric-node spec, is proved through factors of size n-1 and n-2
+    (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk are
+    the row matrix's minors over its leading columns 1, l, ..., -x,
+    -x l, ... on the rows without i, or without j and k, written in closed
+    form with C(n-1, l) and C(n-2, l-1) terms (``_leading_minor``).  Three
+    families of identities are each zero-tested in full as one sum of
+    products, the constants read off one coefficient first:
+    (A) N_i = a_i D_i^2 for every i;
+    (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k;
+    (C) T = sum over the rotations (p, q, r) of (i, j, k) of w D_p E_lo,hi
+    = 0, w = (node_q - node_r) a_p a_lo b_lo,hi, (lo, hi) the pair {q, r}
+    in order.  Why T = 0 proves the triple: Q^3 f_jk = Q d_k N_j - 2 N_j Q_k,
+    which by (A) is 2 a_j D_j (Q d_k D_j - D_j Q_k) and by (B)
+    2 a_j b_jk D_j D_k E_jk; f_jk is symmetric, so one ordering per pair
+    serves.  So R = Q B = 2 D_i D_j D_k T, and Q is nonzero.  If (A) or (B)
+    fails for any index, the factors do not describe f (a given solution
+    need not be its spec's) and every triple is checked through B, as is
+    a triple with T nonzero, so its detail is B's.  Bare functions,
+    symbolic nodes and k = 0 or l = 0 take the B route.  With nodes 1..n
+    and k = (n-1)//2 the proof takes 0.037 s at n = 7, 0.12 s at n = 8,
+    0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against 0.64 s
+    and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
+
     Passing ``nodes`` with a spec or a solution raises WebSpecError (each
     carries its own); a float node, trial count or bound raises
     InexactNumberError.
@@ -436,11 +539,18 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
             # arithmetic.
             scale = _denominator_lcm(node_list)
             node_list = [v * scale for v in node_list]
-        first, brackets = _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
-                                            _polynomial_jet(f.den, range(n)))
+        proved = set()
+        if (isinstance(subject, HirotaSolution) and not symbolic and f.n_vars == n
+                and subject.spec.k >= 1 and subject.spec.l >= 1):
+            proved = _factored_proof(f, [_tighten(v) for v in node_list], subject.spec.l)
+        factors = cache(lambda: _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
+                                                  _polynomial_jet(f.den, range(n))))
         checks = []
         for triple in triples:
-            bracket = _residual(first, brackets, triple)
+            if triple in proved:
+                checks.append(TripleCheck(triple, True, "residual numerator is 0"))
+                continue
+            bracket = _residual(*factors(), triple)
             detail = ("residual numerator is 0" if bracket.is_zero else "nonzero residual "
                       f"numerator with {len((f.den * bracket).terms)} term(s)")
             checks.append(TripleCheck(triple, bracket.is_zero, detail))

@@ -176,6 +176,26 @@ def test_corrupted_solution_fails_with_exit_one():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
+def test_corrupted_override_prints_the_expanded_routes_details(fmt, monkeypatch):
+    # The override breaks the factored identities, so every triple is
+    # checked on the expanded route: these term counts were printed before
+    # the factored proof existed, and forcing that route changes no byte.
+    lambdas = (3, 1, 7, 2, 9)
+    spec = WebSpec.numeric(5, 2, 2, lambdas)
+    sol = build_solution(spec)
+    x1 = MultiPoly.variable(5, 0)
+    p = sol.p_top + x1 * x1
+    corrupted = HirotaSolution(spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    cfg = config("verify", 5, 2, 2, lambdas, mode="symbolic", format=fmt)
+    code, text = run(cfg, solution_override=corrupted)
+    assert code == EXIT_CHECK_FAILED
+    counts = [int(c) for c in re.findall(r"nonzero residual numerator with (\d+) term", text)]
+    assert counts == [259, 258, 259, 258, 253, 259, 183, 183, 183, 183]
+    monkeypatch.setattr(webs, "_factored_proof", lambda *args: set())
+    assert run(cfg, solution_override=corrupted) == (code, text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
 def test_corrupted_symbolic_node_solution_fails_when_sampled(fmt):
     # An override is verified as given, through eliminate at each point, not
     # through the spec's own minors: the corrupted numerator must fail.

@@ -124,6 +124,13 @@ SAMPLED_FRONTIER = [
     "verify --n 7 --k 6 --l 0 --lambdas symbolic --mode sampled",
     "verify --n 8 --k 3 --l 4 --lambdas symbolic --mode sampled",
 ]
+# Symbolic proofs at n = 8, past the frontier of expanding each triple's
+# residual: default integer nodes, and mixed-sign nodes with a zero and a
+# non-integer node, whose minors lose terms.
+PROOFS_8 = [
+    ("verify --n 8 --k 3 --l 4 --mode symbolic", "text"),
+    ("verify --n 8 --k 3 --l 4 --mode symbolic --lambdas=0,-2,3,1/2,5,7,-1,4", "json"),
+]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
@@ -132,7 +139,7 @@ ARGVS = ([f"{invocation} --format {fmt}"
                          + DIMENSION_8 + PROOFS_6 + SAMPLED)]
          + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7]
          + [f"{argv} --format json" for argv in WITNESS_SCALES + SAMPLED_FRONTIER]
-         + [f"{argv} --format {fmt}" for argv, fmt in SYMBOLIC_MINORS])
+         + [f"{argv} --format {fmt}" for argv, fmt in SYMBOLIC_MINORS + PROOFS_8])
 
 
 def _capture(argv: str) -> dict:

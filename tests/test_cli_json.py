@@ -105,7 +105,7 @@ def test_golden_json_reports_are_json_dumps_output():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     reports = [entry["stdout"] for argv, entry in golden.items()
                if argv.endswith("--format json")]
-    assert len(reports) == 34
+    assert len(reports) == 35
     for stdout in reports:
         text = stdout.removesuffix("\n")
         assert dumps(json.loads(text)) == text

@@ -5,6 +5,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,13 +18,14 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
-from hirotaweb.interpolation import _numeric_block, _symbolic_block
+from hirotaweb.interpolation import _leading_minor, _numeric_block, _symbolic_block
 from hirotaweb.webs import (_coframe_element, _degree_bound, _derivative_degrees,
                             _minor_degrees, _polynomial_jet, _residual,
                             _residual_factors, _sampled_factors, _spec_factors,
                             _without_denominators, _witness_identity_holds)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
+from reference_polynomials import cofactor_determinant
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
@@ -498,6 +500,125 @@ def test_any_other_spec_is_verified_through_its_built_solution(spec, mode):
     assert verify_hirota(spec, mode=mode) == verify_hirota(sol, mode=mode)
     with pytest.raises(WebSpecError, match="spec carries its own nodes"):
         verify_hirota(spec, nodes=sol.nodes(), mode=mode)
+
+
+# -- the factored proof ----------------------------------------------------------
+
+
+# Seven nodes per class: positive integers out of order, mixed signs, a zero
+# node, and non-integer rationals (their lcm scales them to ints).
+_PLUCKER_NODES = {
+    "integer": nodes(2, 5, 1, 7, 3, 6, 4),
+    "negative": nodes(-3, 5, -1, 2, -7, 4, -6),
+    "zero": nodes(0, -2, 3, 1, 5, 7, -1),
+    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5", "2/7", "-9/4"),
+}
+_PLUCKER_ORDERS = [(n, k) for n in range(3, 8) for k in range(1, n - 1)]
+
+
+def _refuse_brackets(monkeypatch):
+    """Make the expanded route raise, so that a report can only come from
+    the factored proof."""
+    def refuse(*args):
+        raise AssertionError("the expanded residual route ran")
+    monkeypatch.setattr(webs, "_residual_factors", refuse)
+
+
+def _corrupted(sol):
+    """The solution with x1^2 added to its numerator, as the benchmark does."""
+    x1 = MultiPoly.variable(sol.spec.n_vars, 0)
+    p = sol.p_top + x1 * x1
+    return HirotaSolution(sol.spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+
+
+def _row_matrix_minor(node_list, rows, size):
+    """The rows' matrix over 1, l, ..., l^(r-size-1), -x, ..., -x l^(size-1)."""
+    n = len(node_list)
+    return [[MultiPoly.const(n, node_list[i] ** e) for e in range(len(rows) - size)]
+            + [MultiPoly.variable(n, i) * -node_list[i] ** e for e in range(size)]
+            for i in rows]
+
+
+@pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
+@pytest.mark.parametrize("n", range(3, 7))
+def test_leading_minors_are_the_cofactor_determinants(n, node_class):
+    # Every D_i (rows without i, size l) and E_jk (rows without j and k,
+    # size l - 1) at every order with k, l >= 1, and Q_l as the minor over
+    # all rows, against the cofactor expansion.
+    node_list = _PLUCKER_NODES[node_class][:n]
+    for k in range(1, n - 1):
+        l = n - 1 - k
+        q_top = signed_minors(WebSpec.numeric(n, k, l, node_list), (n,))[0]
+        assert _leading_minor(node_list, range(n), l) == q_top
+        for drop, size in ([((i,), l) for i in range(n)]
+                           + [(pair, l - 1) for pair in combinations(range(n), 2)]):
+            rows = [r for r in range(n) if r not in drop]
+            minor = _leading_minor(node_list, rows, size)
+            assert minor == cofactor_determinant(_row_matrix_minor(node_list, rows, size))
+            assert len(minor.terms) == comb(len(rows), size)
+
+
+@pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
+@pytest.mark.parametrize("n,k", _PLUCKER_ORDERS)
+def test_factored_proof_certifies_every_triple(n, k, node_class, monkeypatch):
+    # With the expanded route refused, the factored identities alone pass
+    # every triple; a wrong weight or sign would fail the triple there
+    # instead of falling back.  The report is the expanded route's, which a
+    # bare function with the same nodes still takes.
+    spec = WebSpec.numeric(n, k, n - 1 - k, _PLUCKER_NODES[node_class][:n])
+    sol = build_solution(spec)
+    expanded = verify_hirota(sol.f, nodes=sol.nodes())
+    _refuse_brackets(monkeypatch)
+    report = verify_hirota(sol)
+    assert report.passed and len(report.checks) == comb(n, 3)
+    assert report == expanded
+    assert verify_hirota(spec) == expanded
+
+
+def test_factored_proof_at_n9_expands_no_bracket(monkeypatch):
+    _refuse_brackets(monkeypatch)
+    report = verify_hirota(WebSpec.numeric(9, 4, 4))
+    assert report.passed and len(report.checks) == 84
+    assert {c.detail for c in report.checks} == {"residual numerator is 0"}
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(6, 2, 3, [3, 1, 7, 2, 9, 5]),
+                                  WebSpec.numeric(4, 1, 2, nodes(0, "1/2", -3, 2)),
+                                  WebSpec.numeric(3, 1, 1)])
+def test_a_corrupted_solution_falls_back_to_the_expanded_route(spec, monkeypatch):
+    # x1^2 added to P breaks (A), so no triple is proved by factors and the
+    # whole report, failing details included, is the expanded route's.
+    corrupted = _corrupted(build_solution(spec))
+    proved = []
+    factored = webs._factored_proof
+    monkeypatch.setattr(webs, "_factored_proof",
+                        lambda *args: proved.append(factored(*args)) or proved[-1])
+    report = verify_hirota(corrupted)
+    assert proved == [set()]
+    assert report == verify_hirota(corrupted.f, nodes=corrupted.nodes())
+    assert not report.passed
+    assert all(c.detail.startswith("nonzero residual numerator with ")
+               for c in report.checks if not c.ok)
+
+
+def test_triples_the_factors_leave_open_take_the_expanded_route(monkeypatch):
+    # Triples missing from the factored result are checked on the expanded
+    # route, built once, and give its details.
+    sol = build_solution(WebSpec.numeric(5, 2, 2))
+    monkeypatch.setattr(webs, "_factored_proof", lambda *args: {(1, 2, 3), (2, 4, 5)})
+    built = []
+    expanded = webs._residual_factors
+    monkeypatch.setattr(webs, "_residual_factors",
+                        lambda *args: built.append(1) or expanded(*args))
+    assert verify_hirota(sol) == verify_hirota(sol.f, nodes=sol.nodes())
+    assert len(built) == 2    # once for the solution, once for the bare function
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0),
+                                  WebSpec.symbolic(4, 1, 2)])
+def test_orders_without_factors_keep_the_expanded_route(spec, monkeypatch):
+    monkeypatch.setattr(webs, "_factored_proof", lambda *args: pytest.fail("factored"))
+    assert verify_hirota(spec).passed
 
 
 def test_vacuous_two_node_verification():
