@@ -21,10 +21,10 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactNumberError,
                      WebSpecError)
 from .interpolation import WebSpec, random_numeric_instances
-from .polynomials import poly_text, poly_to_json
-from .webs import (HirotaSolution, VerificationReport, _bound_text,
-                   _check_count, build_solution, flatness_check, restrict, restricted_nodes,
-                   structural_properties, verify_hirota)
+from .polynomials import _check_count, poly_text, poly_to_json
+from .webs import (HirotaSolution, VerificationReport, _bound_text, build_solution,
+                   flatness_check, restrict, restricted_nodes, structural_properties,
+                   verify_hirota)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -262,6 +262,7 @@ def execute(config: RunConfig, solution_override=None) -> Report:
 
     if config.command == "oracle":
         _check_count("trials", config.trials, 1, "the oracle needs at least one trial")
+        _check_count("seed", config.seed)
         if spec.is_symbolic:
             raise WebSpecError("the oracle comparison needs numeric nodes")
         matched = sum(ok for _, _, ok in random_numeric_instances(

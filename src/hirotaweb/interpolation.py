@@ -15,23 +15,28 @@ why the minors interpolate, and it is the identity ``interpolation_check``
 tests.
 
 Without a data point the signed minors are polynomials, and each one is
-written down in closed form; no polynomial determinant is expanded.  The
-generalized Laplace expansion of the minor without column c along the
-x-columns left after the deletion gives
+written down in closed form; no polynomial determinant is expanded.  Take
+r of the rows, R, and r columns: the columns l^p for p in pe, then the
+x-columns -x l^q for q in qe, s = |qe| of them.  The generalized Laplace
+expansion along the x-columns gives
 
-    minor_c = sum over |S| = g of  eps x^S alt(l_S; qe) alt(l_S'; pe),
-    eps = (-1)^(n + c + g + sum_{p=n-g}^{n-1} p + sum S),
+    det = sum over S in R, |S| = s, of  eps x^S alt(l_S; qe) alt(l_S'; pe),
+    eps = (-1)^(s + sum_{p=r-s}^{r-1} p + sum of S's positions in R),
 
-with S a set of 0-based rows, S' the other rows, x^S the product of the
-x_i with i in S, and alt(l; mu) = det[l_i^mu_j] an alternant (Jacobi 1841,
-"De functionibus alternantibus").  For a numerator column c <= k the
-exponents are qe = {0..l} and pe = {0..k} minus c, so g = l + 1; for a
-denominator column c = k + 1 + d they are qe = {0..l} minus d and
-pe = {0..k}, so g = l.  An alternant with no missing power is the
-Vandermonde product V(l) = prod_{a<b} (l_b - l_a); with the power d of
-{0..m} missing it is V(l) e_{m-d}(l), an elementary symmetric value.  So
-with numeric nodes every coefficient is a product of numbers, and P_k and
-Q_l have exactly C(n, l+1) and C(n, l) terms.  With symbolic nodes each
+with S' = R minus S, x^S the product of the x_i with i in S, and
+alt(l; mu) = det[l_i^mu_j] an alternant (Jacobi 1841, "De functionibus
+alternantibus").  An alternant with no missing power is the Vandermonde
+product V(l) = prod_{a<b} (l_b - l_a); with the power m - g of {0..m}
+missing it is V(l) e_g(l), an elementary symmetric value.  Signed minor c
+is (-1)^(n+c) times the minor over all n rows without column c: for a
+numerator column c <= k, qe = {0..l} and pe = {0..k} minus c, so s = l + 1
+and g = k - c, over S'; for a denominator column c = k + 1 + d,
+qe = {0..l} minus d and pe = {0..k}, so s = l and g = n - c, over S.  P_k
+and Q_l are the case g = 0, the leading columns of each block, and so are
+the minors of size n-1 and n-2 on fewer rows that the factored residual
+proof uses (``webs``).  At numeric nodes one writer, ``_numeric_block``,
+produces all of them, each coefficient a product of numbers, so P_k and Q_l
+have exactly C(n, l+1) and C(n, l) terms.  With symbolic nodes each
 alternant is written out as its Leibniz monomials, all distinct with
 coefficients +-1, in node variables disjoint from the other alternant's:
 each minor is its n! terms, assembled without a product or a cancellation.
@@ -58,8 +63,8 @@ from itertools import combinations
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products, _tighten,
-                          maximal_minors)
+from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _horner, _sum_of_products,
+                          _tighten, maximal_minors)
 from .ratfunc import RationalFunction
 
 
@@ -78,10 +83,9 @@ class WebSpec:
     lambdas: Optional[tuple[Fraction, ...]] = None
 
     def __post_init__(self):
-        if self.n < 2:
-            raise WebSpecError(f"dimension must be at least 2, got {self.n}")
-        if self.k < 0 or self.l < 0:
-            raise WebSpecError("negative interpolation order")
+        _check_count("n", self.n, 2, f"dimension must be at least 2, got {self.n}")
+        _check_count("k", self.k, 0, "negative interpolation order")
+        _check_count("l", self.l, 0, "negative interpolation order")
         if self.k + self.l + 1 != self.n:
             raise WebSpecError(
                 f"order mismatch: k + l + 1 = {self.k + self.l + 1} != n = {self.n}")
@@ -217,74 +221,59 @@ def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
     return terms
 
 
-def _laplace_parity(n: int, size: int) -> int:
-    """n + g + (n-g) + ... + (n-1) for row subsets of size g: the part of
-    the sign exponent of eps that does not depend on S or c."""
-    return n + size + size * (2 * n - size - 1) // 2
+def _laplace_parity(rows: int, size: int) -> int:
+    """size + (r-size) + ... + (r-1) for x-row subsets S of that size among
+    r rows: the part of the Laplace sign exponent that does not depend on S."""
+    return size + size * (2 * rows - size - 1) // 2
 
 
-def _numeric_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
-    """The terms of the signed minors at the columns of one block, the
-    numerator columns c <= k (row subsets of size l + 1) or the denominator
-    columns c > k (size l), at numeric nodes: per row subset S, the product
-    V(l_S) V(l_S') and the elementary symmetric values are computed once
-    and serve every column of the block."""
-    n, k = spec.n, spec.k
-    numerator = block[0] <= k
-    parity = _laplace_parity(n, size)
-    nodes = [_tighten(v) for v in spec.lambdas]
-    out: dict[int, dict] = {c: {} for c in block}
-    for rows in combinations(range(n), size):
-        chosen = [nodes[i] for i in rows]
-        others = [nodes[i] for i in range(n) if i not in rows]
-        common = _vandermonde(chosen) * _vandermonde(others)
-        if (parity + sum(rows)) % 2:
+def _numeric_block(nodes: Sequence[Scalar], rows: Sequence[int], size: int,
+                   gs: Sequence[int], x_missing: bool) -> dict[int, dict]:
+    """Minors of the row matrix at numeric nodes, as term maps in x_1..x_n
+    for n = len(nodes), keyed by g in ``gs``: over the r rows ``rows``
+    (0-based, increasing), the x-block has ``size`` columns and the
+    l-block r - size.  One block spares a column: with ``x_missing`` the
+    x-block -x, -x l, ..., -x l^size omits -x l^(size-g) and the l-block is
+    1, l, ..., l^(r-size-1); otherwise the l-block 1, l, ..., l^(r-size)
+    omits l^(r-size-g) and the x-block is -x, ..., -x l^(size-1).  g = 0
+    omits the top power, leaving the leading columns of each block.  By the
+    module docstring the minor is
+
+        sum over S in rows, |S| = size, of  eps x^S V(l_S) V(l_S') e_g,
+        eps = (-1)^(size + sum_{p=r-size}^{r-1} p + sum of S's positions in rows),
+
+    with e_g taken over S with ``x_missing`` and over S' otherwise.  Per row
+    subset, V(l_S) V(l_S') and the e values are computed once and serve
+    every g; no e value is computed when ``gs`` is (0,)."""
+    n, r = len(nodes), len(rows)
+    parity = _laplace_parity(r, size)
+    top = max(gs)
+    out: dict[int, dict] = {g: {} for g in gs}
+    for chosen in combinations(range(r), size):
+        picked = [rows[p] for p in chosen]
+        inside = [nodes[i] for i in picked]
+        outside = [nodes[rows[p]] for p in range(r) if p not in chosen]
+        common = _vandermonde(inside) * _vandermonde(outside)
+        if (parity + sum(chosen)) % 2:
             common = -common
-        # The alternant that misses a power: e_(k-c) of the other rows'
-        # nodes for a numerator column, e_(n-c) of the chosen ones else.
-        e = _elementary(others if numerator else chosen)
-        monomial = tuple(1 if i in rows else 0 for i in range(n))
-        for c in block:
-            coeff = common * e[k - c if numerator else n - c]
+        e = _elementary(inside if x_missing else outside) if top else (1,)
+        monomial = tuple(1 if i in picked else 0 for i in range(n))
+        for g in gs:
+            coeff = common * e[g]
             if coeff:
-                out[c][monomial] = _tighten(-coeff if c % 2 else coeff)
+                out[g][monomial] = _tighten(coeff)
     return out
 
 
-def _leading_minor(nodes: Sequence[Scalar], rows: Sequence[int], size: int) -> MultiPoly:
-    """det of the row matrix's rows ``rows`` (0-based, increasing) over the
-    leading columns of each block, 1, l, ..., l^(r-size-1) and -x, -x l, ...,
-    -x l^(size-1) with r = len(rows), at numeric nodes, as a polynomial in
-    x_1..x_n for n = len(nodes).  Both alternants of its Laplace expansion
-    along the x-columns have full exponent sets, so the closed form of the
-    module docstring carries no elementary symmetric value:
-
-        sum over S in rows, |S| = size, of  eps x^S V(l_S) V(l_S'),
-        eps = (-1)^(size + sum_{c=r-size}^{r-1} c + sum of S's positions in rows),
-
-    one term per row subset, with a nonzero coefficient.  Q_l is the minor
-    over all rows with size l."""
-    r, n = len(rows), len(nodes)
-    parity = size + size * (2 * r - size - 1) // 2
-    terms = {}
-    for chosen in combinations(range(r), size):
-        picked = [rows[p] for p in chosen]
-        coeff = (_vandermonde([nodes[i] for i in picked])
-                 * _vandermonde([nodes[rows[p]] for p in range(r) if p not in chosen]))
-        if (parity + sum(chosen)) % 2:
-            coeff = -coeff
-        terms[tuple(1 if i in picked else 0 for i in range(n))] = _tighten(coeff)
-    return MultiPoly(n, terms, _canonical=True)
-
-
 def _symbolic_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
-    """The terms of the signed minors at the columns of one block, as in
-    ``_numeric_block``, at symbolic nodes: per row subset S and column, every
-    Leibniz term of one alternant times every term of the other, x^S
+    """The terms of the signed minors at the columns of one block, the
+    numerator columns c <= k (row subsets of size l + 1) or the denominator
+    columns c > k (size l), at symbolic nodes: per row subset S and column,
+    every Leibniz term of one alternant times every term of the other, x^S
     included, is one distinct monomial of the minor."""
     n, k, l = spec.n, spec.k, spec.l
     numerator = block[0] <= k
-    parity = _laplace_parity(n, size)
+    parity = n + _laplace_parity(n, size)
     n_vars = spec.n_vars
     cache: dict = {}
     full_q, full_p = tuple(range(l + 1)), tuple(range(k + 1))
@@ -324,16 +313,27 @@ def signed_minors(spec: WebSpec,
     entry is built term by term from its closed form (see the module
     docstring), with no matrix and no determinant expansion.
     """
-    n, k = spec.n, spec.k
+    n, k, l = spec.n, spec.k, spec.l
     columns = tuple(range(n + 1)) if columns is None else tuple(columns)
     if any(not 0 <= c <= n for c in columns):
         raise DimensionError(f"column index out of range 0..{n}")
-    build = _symbolic_block if spec.is_symbolic else _numeric_block
+    nodes = None if spec.is_symbolic else [_tighten(v) for v in spec.lambdas]
     terms: dict[int, dict] = {}
-    for block, size in ((tuple(dict.fromkeys(c for c in columns if c <= k)), spec.l + 1),
-                        (tuple(dict.fromkeys(c for c in columns if c > k)), spec.l)):
-        if block:
-            terms.update(build(spec, block, size))
+    # A numerator column c omits the power l^c = l^(k-g), a denominator
+    # column the power -x l^(c-k-1) = -x l^(l-g): g = top - c in both blocks.
+    for block, size, x_missing, top in (
+            (tuple(dict.fromkeys(c for c in columns if c <= k)), l + 1, False, k),
+            (tuple(dict.fromkeys(c for c in columns if c > k)), l, True, n)):
+        if not block:
+            continue
+        if spec.is_symbolic:
+            terms.update(_symbolic_block(spec, block, size))
+        else:
+            minors = _numeric_block(nodes, range(n), size, [top - c for c in block],
+                                    x_missing)
+            for c in block:
+                minor = minors[top - c]
+                terms[c] = {e: -v for e, v in minor.items()} if (n + c) % 2 else minor
     return [MultiPoly(spec.n_vars, terms[c], _canonical=True) for c in columns]
 
 

@@ -20,10 +20,9 @@ enough for the largest sum of the two operands' largest exponents in it, so
 adding two packed keys multiplies the monomials without carries.  All the
 products of one sum collect in one map and only the surviving terms are
 unpacked, so a sum that cancels builds no intermediate product.  A single
-product is a sum of one; it goes packed from ``_PACKED_PRODUCT_MIN_TERMS``
-terms in the smaller operand up, and below that cutoff the tuple loop is
-kept, since packing and unpacking cost more than they save there.  The
-cutoff applies to single products only.
+product of two polynomials is a sum of one, except when an operand has one
+term: that product only shifts the other operand's monomials, which stay
+distinct, so it is one pass over them with nothing to collect.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -48,7 +47,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .errors import DimensionError, HirotaWebError, InexactNumberError
+from .errors import DimensionError, HirotaWebError, InexactNumberError, WebSpecError
 
 Scalar = Union[int, Fraction]
 Exponents = tuple[int, ...]
@@ -66,6 +65,18 @@ def _exact(value: Scalar) -> Fraction:
         raise InexactNumberError(f"float {value!r} given where an exact number "
                                  "is required; pass an int, a Fraction or a string")
     return Fraction(value)
+
+
+def _check_count(name: str, value, least: Optional[int] = None, too_small: str = "") -> None:
+    """Refuse a count that is not an int: a float as inexact, any other
+    non-int (a bool included) as a spec error; with ``least``, a smaller
+    int too, as a spec error with the message ``too_small``."""
+    if isinstance(value, float):
+        raise InexactNumberError(f"float {name} {value!r}; pass an int")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise WebSpecError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise WebSpecError(too_small)
 
 
 def _tighten(value: Scalar) -> Scalar:
@@ -96,19 +107,6 @@ def _tightened(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     """The nonzero terms, with every integral Fraction turned into an int."""
     return {e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
             for e, c in terms.items() if c}
-
-
-# Products whose smaller operand has at least this many terms go through the
-# packed kernel; smaller ones keep the tuple loop.  Packing costs one pass
-# over each operand and one over the result, and the pair loop must be long
-# enough to repay it.  Timed per call on the operands of the benchmark's
-# workloads (2 vCPUs, Python 3.11), packed over tuple time: 1.6-3.4x with a
-# one-term operand at any size, 1.0-1.7x with 3-6 terms, 0.6-1.1x with 8,
-# 0.6-0.8x with 12, and 0.35-0.6x once both operands have 32 or more.  Most
-# products of the oracle, properties and LaTeX jobs have 1 to 4 term pairs.
-# The cutoff is for single products: a sum of products always goes packed,
-# since it saves the intermediate results along with the tuple keys.
-_PACKED_PRODUCT_MIN_TERMS = 8
 
 
 def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
@@ -332,29 +330,24 @@ class MultiPoly:
                 out = _tightened(out)
             return MultiPoly(self.n_vars, out, _canonical=True)
         self._check_ring(other)
-        if not self.terms or not other.terms:
-            return MultiPoly.zero(self.n_vars)
-        # a is the smaller operand: the packing cutoff is on its size, and the
-        # outer loop runs fewer times.
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) >= _PACKED_PRODUCT_MIN_TERMS:
+        if len(a) != 1:
             return _sum_of_products(self.n_vars, ((self, other, 1),))
-        out: dict[Exponents, Scalar] = {}
+        # One term shifts the other operand's monomials: distinct monomials
+        # stay distinct, so nothing accumulates.
+        (ea, ca), = a.items()
         add = operator.add
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(map(add, ea, eb))
-                cur = out.get(key)
-                out[key] = ca * cb if cur is None else cur + ca * cb
-        return MultiPoly(self.n_vars, _tightened(out), _canonical=True)
+        out = {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
+        if _has_fraction(out):
+            out = _tightened(out)
+        return MultiPoly(self.n_vars, out, _canonical=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
+        _check_count("exponent", exponent, 0, "negative power of a polynomial")
         result = MultiPoly.one(self.n_vars)
         base = self
         e = exponent

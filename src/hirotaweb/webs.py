@@ -62,12 +62,12 @@ from operator import add, sub
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
-                     DimensionError, HirotaWebError, InexactNumberError,
-                     WebSpecError)
+                     DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (WebSpec, _interpolation_identity, _leading_minor,
+from .interpolation import (WebSpec, _elementary, _interpolation_identity, _numeric_block,
                             highest_coefficients, signed_minors)
-from .polynomials import MultiPoly, Scalar, _exact, _sum_of_products, _tighten
+from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _sum_of_products,
+                          _tighten)
 from .ratfunc import RationalFunction
 
 NodeValue = Union[Fraction, MultiPoly]
@@ -190,7 +190,13 @@ def _degree_bound(p_degrees: _Degrees, q_degrees: _Degrees, n: int,
     max(deg d_k N_j + deg Q, deg N_j + deg Q_k), [node] being 1 for
     symbolic nodes and a zero factor degree 0.  Factor degrees follow the
     formulas (sum for a product, maximum for a sum): exact unless two
-    leading forms cancel, and sound if so."""
+    leading forms cancel, and sound if so.
+
+    At l = 0 with symbolic nodes P is linear in x and Q has no x, so every
+    G_jk, and with it B, is the zero polynomial structurally.  Counting the
+    zero factors as degree 0, the bound printed there (9, 19, 33, 51, 73 at
+    k = n - 1 for n = 3..7) is a sound bound on a zero polynomial: no trial
+    can fail, and the closed form is kept so the bound has one rule."""
     p, dp, ddp = p_degrees
     q, dq, ddq = q_degrees
     n_deg = [_top(_plus(dp[v], q), _plus(p, dq[v])) or 0 for v in range(n)]
@@ -313,8 +319,13 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     for some index, since then the factors do not describe f."""
     num, den = f.num, f.den
     n = len(nodes)
+
+    def minor(rows, size):
+        """The rows' minor over the leading columns of each block (g = 0)."""
+        return MultiPoly(n, _numeric_block(nodes, rows, size, (0,), False)[0], _canonical=True)
+
     others = [[r for r in range(n) if r != i] for i in range(n)]
-    d = [_leading_minor(nodes, rows, l) for rows in others]
+    d = [minor(rows, l) for rows in others]
     d_num = [num.derivative(v) for v in range(n)]
     d_den = [den.derivative(v) for v in range(n)]
     a = []
@@ -324,7 +335,7 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
             return set()
     e, b = {}, {}
     for j, k in combinations(range(n), 2):                     # (B)
-        e[j, k] = _leading_minor(nodes, [r for r in others[j] if r != k], l - 1)
+        e[j, k] = minor([r for r in others[j] if r != k], l - 1)
         b[j, k] = _proportion([(den, d[j].derivative(k), 1), (d[j], d_den[k], -1)],
                               d[k], e[j, k])
         if b[j, k] is None:
@@ -430,18 +441,6 @@ class VerificationReport:
         return head
 
 
-def _check_count(name: str, value, least: int, too_small: str) -> None:
-    """Refuse a count that is not an int of at least ``least``: a float as
-    inexact, any other non-int (a bool included) or a smaller int as a spec
-    error with the message ``too_small``."""
-    if isinstance(value, float):
-        raise InexactNumberError(f"float {name} {value!r}; pass an int")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise WebSpecError(f"{name} must be an int, got {value!r}")
-    if value < least:
-        raise WebSpecError(too_small)
-
-
 def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
                   nodes: Optional[Sequence[NodeValue]] = None,
                   mode: str = "symbolic",
@@ -475,9 +474,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk are
     the row matrix's minors over its leading columns 1, l, ..., -x,
     -x l, ... on the rows without i, or without j and k, written in closed
-    form with C(n-1, l) and C(n-2, l-1) terms (``_leading_minor``).  Three
-    families of identities are each zero-tested in full as one sum of
-    products, the constants read off one coefficient first:
+    form with C(n-1, l) and C(n-2, l-1) terms by ``_numeric_block``, the
+    writer of every numeric-node minor, at g = 0.  Three families of
+    identities are each zero-tested in full as one sum of products, the
+    constants read off one coefficient first:
     (A) N_i = a_i D_i^2 for every i;
     (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k;
     (C) T = sum over the rotations (p, q, r) of (i, j, k) of w D_p E_lo,hi
@@ -495,8 +495,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
 
     Passing ``nodes`` with a spec or a solution raises WebSpecError (each
-    carries its own); a float node, trial count or bound raises
-    InexactNumberError.
+    carries its own); a float node, trial count, bound or seed raises
+    InexactNumberError, and any other non-int count or seed WebSpecError.
     """
     if mode not in ("symbolic", "sampled"):
         raise WebSpecError(f"unknown verification mode {mode!r}")
@@ -558,6 +558,7 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
 
     _check_count("trials", trials, 1, "sampled mode needs at least one trial")
     _check_count("bound", bound, 10 ** 3, "sampling bound must be at least 10^3")
+    _check_count("seed", seed)
 
     rng = random.Random(seed)
     points: list[list[int]] = []
@@ -629,18 +630,9 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     numerators = _first_factors(_polynomial_jet(f.num, range(n)),
                                 _polynomial_jet(f.den, range(n)))
     den = f.den * f.den
-    expansions = []
-    for i in range(n):
-        conv = [Fraction(1)]
-        for j in range(n):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(conv) + 1)
-            for m, c in enumerate(conv):
-                nxt[m + 1] += c
-                nxt[m] -= values[j] * c
-            conv = nxt
-        expansions.append(conv)
+    # The t^m coefficient of prod_{j != i} (t - node_j) is e_(n-1-m) of the -node_j.
+    expansions = [_elementary([-v for j, v in enumerate(values) if j != i])[::-1]
+                  for i in range(n)]
     return LambdaForm([
         DifferentialForm(n, 1, {(i,): numerators[i] * expansions[i][m]
                                 for i in range(n)}, den)

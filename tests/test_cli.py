@@ -326,6 +326,20 @@ def test_non_int_trials_or_bound_in_a_programmatic_config_is_config_error():
         assert text.startswith("error: ") and word in text, (kw, text)
 
 
+def test_non_int_seed_or_order_in_a_programmatic_config_is_config_error():
+    # A seed, a dimension or an order follows the trial count's rule: a float
+    # is inexact, any other non-int (a bool included) a spec error.
+    for cfg, word in ((RunConfig("verify", 3, 1, 1, None, mode="sampled", seed=1.5), "float"),
+                      (RunConfig("verify", 3, 1, 1, None, mode="sampled", seed=True), "int"),
+                      (RunConfig("oracle", 3, 1, 1, (1, 2, 3), seed=2.0), "float"),
+                      (RunConfig("oracle", 3, 1, 1, (1, 2, 3), seed="7"), "int"),
+                      (RunConfig("generate", 3.0, 1, 1, None), "float"),
+                      (RunConfig("generate", 3, 1, False, None), "int")):
+        code, text = run(cfg)
+        assert code == EXIT_CONFIG, cfg
+        assert text.startswith("error: ") and word in text, (cfg, text)
+
+
 def test_oracle_refuses_a_trial_count_that_is_not_a_positive_int():
     # The oracle checks its trial count the way sampled verification does:
     # a float is inexact, and a non-int, a bool or a count below 1 is a spec

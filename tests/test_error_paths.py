@@ -126,6 +126,26 @@ def test_floats_rejected_at_value_boundaries():
             evaluate_interpolant(interp, 0.5)
     with pytest.raises(InexactNumberError):
         LambdaForm([DifferentialForm.dx(3, 0)]).at(0.5)
+    # Dimensions, orders, seeds and exponents are ints: a float is inexact,
+    # any other non-int (a bool included) a spec error.
+    for bad in ((4.0, 1, 2), (3, 1.0, 1), (3, 1, 1.0)):
+        with pytest.raises(InexactNumberError):
+            WebSpec(*bad, None)
+    for bad in ((3, True, 1), (True, 0, 0), (3, 1, Fraction(1)), ("3", 1, 1)):
+        with pytest.raises(WebSpecError):
+            WebSpec(*bad, None)
+    sampled = WebSpec.numeric(3, 1, 1)
+    with pytest.raises(InexactNumberError):
+        verify_hirota(sampled, mode="sampled", seed=1.5)
+    for seed in (True, "1", Fraction(1), None):
+        with pytest.raises(WebSpecError):
+            verify_hirota(sampled, mode="sampled", seed=seed)
+    with pytest.raises(InexactNumberError):
+        x1 ** 2.0
+    for exponent in (True, Fraction(2)):
+        with pytest.raises(WebSpecError):
+            x1 ** exponent
+    assert x1 ** 2 == x1 * x1 and WebSpec(3, 1, 1, None).n_vars == 6
     # exact values of every kind still pass, strings included
     assert WebSpec.numeric(3, 1, 1, ["1/2", Fraction(3, 2), 2]).lambdas == (
         Fraction(1, 2), Fraction(3, 2), Fraction(2))

@@ -4,7 +4,6 @@ import dataclasses
 import inspect
 import random
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 
@@ -476,15 +475,13 @@ def _product_operands(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_product_operands())
-def test_product_matches_the_tuple_reference_on_both_sides_of_the_cutoff(operands):
+def test_product_matches_the_tuple_reference(operands):
+    # Empty, one-term, small and wide operands alike, the 0-variable ring
+    # included.
     p, q = operands
-    expected = product_terms(p, q)
-    # The library's cutoff, then every product packed, then none packed.
-    for cutoff in (polynomials._PACKED_PRODUCT_MIN_TERMS, 0, 10 ** 9):
-        with mock.patch.object(polynomials, "_PACKED_PRODUCT_MIN_TERMS", cutoff):
-            product = p * q
-        assert product.terms == expected
-        assert _is_tight(product)
+    product = p * q
+    assert product.terms == product_terms(p, q)
+    assert _is_tight(product)
 
 
 def test_packed_product_edge_operands():
@@ -492,18 +489,23 @@ def test_packed_product_edge_operands():
     x = [var(n, i) for i in range(n)]
     wide = sum(((x[0] ** (2 ** 20)) * x[1] ** i * (i + 1) for i in range(9)),
                MultiPoly.zero(n)) + x[2] ** (2 ** 19) * Fraction(1, 3)
-    assert len(wide.terms) >= polynomials._PACKED_PRODUCT_MIN_TERMS
     for other in (wide, wide * Fraction(3, 2), MultiPoly.const(n, 5),
-                  MultiPoly.const(n, Fraction(-2, 7)), MultiPoly.zero(n)):
+                  MultiPoly.const(n, Fraction(-2, 7)), MultiPoly.zero(n),
+                  x[1] ** (2 ** 20) * Fraction(3, 1)):
         for a, b in ((wide, other), (other, wide)):
             assert (a * b).terms == product_terms(a, b)
+            assert _is_tight(a * b)
     assert (wide * wide).leading_term() == ((2 ** 21, 16, 0), 81)
+    # A one-term operand with a Fraction coefficient can make every
+    # coefficient integral: the shifted terms are tightened to ints.
+    half = MultiPoly.const(n, Fraction(1, 2)) * x[0]
+    assert (half * (2 * x[1] + 4 * x[2])).terms == {(1, 1, 0): 1, (1, 0, 1): 2}
+    assert _is_tight(half * (2 * x[1] + 4 * x[2]))
     empty = MultiPoly.const(0, Fraction(3, 2))
-    with mock.patch.object(polynomials, "_PACKED_PRODUCT_MIN_TERMS", 0):
-        assert (empty * empty).terms == {(): Fraction(9, 4)}
-        assert (empty * MultiPoly.const(0, 2)).terms == {(): 3}
-        assert type((empty * MultiPoly.const(0, 2)).terms[()]) is int
-        assert (empty * MultiPoly.zero(0)).is_zero
+    assert (empty * empty).terms == {(): Fraction(9, 4)}
+    assert (empty * MultiPoly.const(0, 2)).terms == {(): 3}
+    assert type((empty * MultiPoly.const(0, 2)).terms[()]) is int
+    assert (empty * MultiPoly.zero(0)).is_zero
 
 
 # -- sums of products ---------------------------------------------------------------------

@@ -18,7 +18,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
-from hirotaweb.interpolation import _leading_minor, _numeric_block, _symbolic_block
+from hirotaweb.interpolation import _numeric_block
 from hirotaweb.webs import (_coframe_element, _degree_bound, _derivative_degrees,
                             _minor_degrees, _polynomial_jet, _residual,
                             _residual_factors, _sampled_factors, _spec_factors,
@@ -415,19 +415,9 @@ def test_sampled_symbolic_nodes_dimension_seven():
 _SYMBOLIC_ORDERS = [(n, k) for n in range(2, 8) for k in range(n)]
 
 
-def _block_terms(build, spec):
-    """The terms of all n + 1 signed minors from one block builder
-    (``_symbolic_block`` or ``_numeric_block``), keyed by column."""
-    k, n = spec.k, spec.n
-    return {**build(spec, tuple(range(k + 1)), spec.l + 1),
-            **build(spec, tuple(range(k + 1, n + 1)), spec.l)}
-
-
 @lru_cache(maxsize=1)   # the examples of one order run in a row
 def _symbolic_minors(n, k):
-    spec = WebSpec.symbolic(n, k, n - 1 - k)
-    return {c: MultiPoly(spec.n_vars, terms)
-            for c, terms in _block_terms(_symbolic_block, spec).items()}
+    return signed_minors(WebSpec.symbolic(n, k, n - 1 - k))
 
 
 def _point_with_distinct_nodes(rng, n, bound):
@@ -448,10 +438,10 @@ def test_symbolic_minors_at_fixed_nodes_are_the_numeric_minors(n, k, values):
     # form with node variables, fixed to numbers by eliminate, is the closed
     # form at those numbers, column by column and term by term.
     lambdas = values[:n]
-    numeric = _block_terms(_numeric_block, WebSpec(n, k, n - 1 - k, lambdas))
+    numeric = signed_minors(WebSpec(n, k, n - 1 - k, lambdas))
     fixed = dict(enumerate(lambdas, start=n))
-    for c, minor in _symbolic_minors(n, k).items():
-        assert minor.eliminate(fixed) == MultiPoly(n, numeric[c]), c
+    for c, (minor, expected) in enumerate(zip(_symbolic_minors(n, k), numeric)):
+        assert minor.eliminate(fixed) == expected, c
 
 
 @pytest.mark.parametrize("n,k", _SYMBOLIC_ORDERS)
@@ -531,31 +521,42 @@ def _corrupted(sol):
     return HirotaSolution(sol.spec, RationalFunction(p, sol.q_top), p, sol.q_top)
 
 
-def _row_matrix_minor(node_list, rows, size):
-    """The rows' matrix over 1, l, ..., l^(r-size-1), -x, ..., -x l^(size-1)."""
-    n = len(node_list)
-    return [[MultiPoly.const(n, node_list[i] ** e) for e in range(len(rows) - size)]
-            + [MultiPoly.variable(n, i) * -node_list[i] ** e for e in range(size)]
+def _row_matrix_minor(node_list, rows, size, g, x_missing):
+    """The rows' matrix over the columns of ``_numeric_block``'s minor g: the
+    block that spares a column, l^0..l^(r-size) or, with ``x_missing``,
+    -x l^0..-x l^size, omits its power top - g; the other block is
+    l^0..l^(r-size-1) or -x l^0..-x l^(size-1)."""
+    n, r = len(node_list), len(rows)
+    p_top, q_top = (r - size - 1, size) if x_missing else (r - size, size - 1)
+    pe = [e for e in range(p_top + 1) if x_missing or e != p_top - g]
+    qe = [e for e in range(q_top + 1) if not x_missing or e != q_top - g]
+    return [[MultiPoly.const(n, node_list[i] ** e) for e in pe]
+            + [MultiPoly.variable(n, i) * -node_list[i] ** e for e in qe]
             for i in rows]
 
 
 @pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
 @pytest.mark.parametrize("n", range(3, 7))
 def test_leading_minors_are_the_cofactor_determinants(n, node_class):
-    # Every D_i (rows without i, size l) and E_jk (rows without j and k,
-    # size l - 1) at every order with k, l >= 1, and Q_l as the minor over
-    # all rows, against the cofactor expansion.
+    # The one numeric writer against the cofactor expansion, on all rows,
+    # the rows without i (D_i at size l, g = 0) and the rows without j and k
+    # (E_jk at size l - 1, g = 0), at every size, with the spare column in
+    # either block and every g; and Q_l as the minor over all rows.
     node_list = _PLUCKER_NODES[node_class][:n]
     for k in range(1, n - 1):
         l = n - 1 - k
         q_top = signed_minors(WebSpec.numeric(n, k, l, node_list), (n,))[0]
-        assert _leading_minor(node_list, range(n), l) == q_top
-        for drop, size in ([((i,), l) for i in range(n)]
-                           + [(pair, l - 1) for pair in combinations(range(n), 2)]):
-            rows = [r for r in range(n) if r not in drop]
-            minor = _leading_minor(node_list, rows, size)
-            assert minor == cofactor_determinant(_row_matrix_minor(node_list, rows, size))
-            assert len(minor.terms) == comb(len(rows), size)
+        assert MultiPoly(n, _numeric_block(node_list, range(n), l, (0,), True)[0]) == q_top
+    for drop in [()] + [(i,) for i in range(n)] + list(combinations(range(n), 2)):
+        rows = [r for r in range(n) if r not in drop]
+        for size in range(len(rows) + 1):
+            for x_missing in (False, True):
+                spare = size if x_missing else len(rows) - size
+                minors = _numeric_block(node_list, rows, size, range(spare + 1), x_missing)
+                for g, terms in minors.items():
+                    matrix = _row_matrix_minor(node_list, rows, size, g, x_missing)
+                    assert MultiPoly(n, terms) == cofactor_determinant(matrix), (rows, size, g)
+                assert len(minors[0]) == comb(len(rows), size)
 
 
 @pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
