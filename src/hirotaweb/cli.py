@@ -226,9 +226,9 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         report.add_result(
             f"alpha_{verdict.cross_check_index} integrable", True,
             str(verdict.cross_check_integrable))
-        if verdict.witness_identity_checked:
+        if spec.k >= 1 and spec.l >= 1:
             report.add_result("witness identity", True,
-                              "d(alpha_1)^alpha_1 = 2 dq1^dp0^dp1 verified")
+                              "d(alpha_1)^alpha_1 built as 2 dq1^dp0^dp1")
         if json_view:
             report.objects["witness"] = verdict.witness.to_json()
         elif text_view:

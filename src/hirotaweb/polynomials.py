@@ -38,6 +38,8 @@ has, the interpolation row matrix, has its minors in closed form
 
 Values entering from callers (coefficients, constants, evaluation points)
 must be exact: a float raises InexactNumberError instead of being converted.
+Exponents and variable indices must be ints, exponents nonnegative: a float
+is refused as inexact and any other value raises DimensionError.
 """
 
 from __future__ import annotations
@@ -67,16 +69,18 @@ def _exact(value: Scalar) -> Fraction:
     return Fraction(value)
 
 
-def _check_count(name: str, value, least: Optional[int] = None, too_small: str = "") -> None:
+def _check_count(name: str, value, least: Optional[int] = None, too_small: str = "",
+                 error: type = WebSpecError) -> None:
     """Refuse a count that is not an int: a float as inexact, any other
-    non-int (a bool included) as a spec error; with ``least``, a smaller
-    int too, as a spec error with the message ``too_small``."""
+    non-int (a bool included) as ``error`` (a spec error, or a dimension
+    error for an index or an exponent); with ``least``, a smaller int too,
+    as ``error`` with the message ``too_small``."""
     if isinstance(value, float):
         raise InexactNumberError(f"float {name} {value!r}; pass an int")
     if not isinstance(value, int) or isinstance(value, bool):
-        raise WebSpecError(f"{name} must be an int, got {value!r}")
+        raise error(f"{name} must be an int, got {value!r}")
     if least is not None and value < least:
-        raise WebSpecError(too_small)
+        raise error(too_small)
 
 
 def _tighten(value: Scalar) -> Scalar:
@@ -191,6 +195,9 @@ class MultiPoly:
                 if len(exps) != n_vars:
                     raise DimensionError(
                         f"exponent tuple {exps} does not match n_vars={n_vars}")
+                for e in exps:
+                    _check_count("exponent", e, 0, f"negative exponent in {exps}",
+                                 DimensionError)
                 c = _tighten(_exact(coeff))
                 if c:
                     clean[tuple(exps)] = c
@@ -216,6 +223,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, n_vars: int, index: int) -> "MultiPoly":
         """The polynomial consisting of the single variable with this 0-based index."""
+        _check_count("variable index", index, error=DimensionError)
         if not 0 <= index < n_vars:
             raise DimensionError(f"variable index {index} out of range for n_vars={n_vars}")
         exps = [0] * n_vars
@@ -363,6 +371,7 @@ class MultiPoly:
 
     def derivative(self, var: int) -> "MultiPoly":
         """Formal partial derivative with respect to the 0-based variable ``var``."""
+        _check_count("variable index", var, error=DimensionError)
         if not 0 <= var < self.n_vars:
             raise DimensionError(f"variable index {var} out of range")
         out: dict[Exponents, Scalar] = {}
@@ -547,10 +556,13 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 
 def poly_from_json(data: Mapping) -> MultiPoly:
-    n_vars = int(data["nvars"])
-    terms = {tuple(int(x) for x in item["e"]): Fraction(item["c"])
-             for item in data["terms"]}
-    return MultiPoly(n_vars, terms)
+    """The polynomial that ``poly_to_json`` wrote, read exactly: ``nvars``
+    and every exponent must be ints (the exponents nonnegative, as the
+    constructor checks), and each coefficient goes through ``_exact``, so a
+    JSON float is refused rather than read as its binary expansion."""
+    n_vars = data["nvars"]
+    _check_count("nvars", n_vars, 0, f"negative nvars {n_vars}", DimensionError)
+    return MultiPoly(n_vars, {tuple(item["e"]): item["c"] for item in data["terms"]})
 
 
 # A matrix is a sequence of equal-length rows of exact numbers (int or

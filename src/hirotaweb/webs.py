@@ -41,7 +41,9 @@ certifies everything checkable about it in exact arithmetic:
   every parameter value is the residual verdict (``veronese_form``);
 * the coframe of parameter-power coefficient 1-forms and the flatness
   dichotomy, certified through the integrability of the degree-1 coframe
-  element with the closed-form witness identity checked alongside;
+  element and of its mirror element n-2: each 3-form d(beta) wedge beta is
+  one sum of six products per component, built from the gradients of four
+  minors, with no exterior algebra;
 * restriction of a solution to a coordinate hyperplane and composition with
   Mobius transformations, both of which produce new solutions.
 
@@ -669,38 +671,44 @@ def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
     return total
 
 
-def _witness_identity_holds(w1: DifferentialForm, p0: MultiPoly, p1: MultiPoly,
-                            q0: MultiPoly, q1: MultiPoly) -> bool:
-    """Whether the polynomial 3-form w1 (denominator 1) equals 2R, see
-    flatness_check.
+def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
+                first_only: bool = False) -> dict[tuple[int, int, int], MultiPoly]:
+    """The nonzero components of d(beta) wedge beta for the polynomial
+    1-form beta = A dB - B dA + C dD - D dC, any four polynomials.
 
-    R_abc is the 4 x 4 jet determinant of the rows Q0, Q1, P0, P1 over the
-    columns (value, d_a, d_b, d_c).  Its Laplace expansion along the rows
-    (Q0, Q1 | P0, P1) has six 2 x 2 parts,
+    d(beta) = 2 (dA^dB + dC^dD), and dA^dB^(A dB - B dA) = 0, so
 
-        R_abc = g_a w_bc - g_b w_ac + g_c w_ab - k_ab p_c + k_ac p_b - k_bc p_a,
+        d(beta) ^ beta = 2 [dA^dB^(C dD - D dC) + dC^dD^(A dB - B dA)].
 
-    with g = Q0 dQ1 - Q1 dQ0, p = P0 dP1 - P1 dP0, w = dP0 wedge dP1 and
-    k = dQ1 wedge dQ0.  For every a < b < c the six parts of -2R and the
-    w1 component go into one sum of products, which must vanish; no 3-form
-    is built.
+    Each pair gives n one-form pieces (A dB - B dA)_v = A B_v - B A_v (the
+    N_v of ``_first_factors`` for B over A) and C(n, 2) two-form pieces
+    (dA^dB)_uv = A_u B_v - A_v B_u, and the (a, b, c) component is one sum
+    of six products of them,
+    2 (w_ab g_c - w_ac g_b + w_bc g_a + k_ab p_c - k_ac p_b + k_bc p_a)
+    with w, p from (A, B) and k, g from (C, D).  With ``first_only`` it
+    stops at the first nonzero component.
     """
-    dp0, dp1, dq0, dq1 = (_gradient_form(a) for a in (p0, p1, q0, q1))
-    g = (dq1.scale(q0) - dq0.scale(q1)).components
-    p = (dp1.scale(p0) - dp0.scale(p1)).components
-    w = dp0.wedge(dp1).components
-    k = dq1.wedge(dq0).components
-    n = w1.n_vars
-    one = MultiPoly.one(n)
-    for a, b, c in combinations(range(n), 3):
-        parts = [(g.get((a,)), w.get((b, c)), -2), (g.get((b,)), w.get((a, c)), 2),
-                 (g.get((c,)), w.get((a, b)), -2), (k.get((a, b)), p.get((c,)), 2),
-                 (k.get((a, c)), p.get((b,)), -2), (k.get((b, c)), p.get((a,)), 2),
-                 (w1.components.get((a, b, c)), one, 1)]
-        if _sum_of_products(n, [part for part in parts
-                                if part[0] is not None and part[1] is not None]):
-            return False
-    return True
+    n = a.n_vars
+
+    def pieces(x: MultiPoly, y: MultiPoly) -> tuple[list, dict]:
+        dx, dy = ([z.derivative(v) for v in range(n)] for z in (x, y))
+        one = _first_factors((y, dy, None), (x, dx, None))
+        two = {(u, v): _sum_of_products(n, [(dx[u], dy[v], 1), (dx[v], dy[u], -1)])
+               for u, v in combinations(range(n), 2)}
+        return one, two
+
+    p, w = pieces(a, b)
+    g, k = pieces(c, d)
+    out = {}
+    for i, j, m in combinations(range(n), 3):
+        value = _sum_of_products(n, [
+            (w[i, j], g[m], 2), (w[i, m], g[j], -2), (w[j, m], g[i], 2),
+            (k[i, j], p[m], 2), (k[i, m], p[j], -2), (k[j, m], p[i], 2)])
+        if value:
+            out[i, j, m] = value
+            if first_only:
+                break
+    return out
 
 
 def coframe(spec: WebSpec) -> LambdaForm:
@@ -742,7 +750,6 @@ class FlatnessVerdict:
     cross_check_index: int            # the mirror element n-2
     alpha1_integrable: bool
     cross_check_integrable: bool
-    witness_identity_checked: bool
 
     @property
     def is_flat(self) -> bool:
@@ -761,65 +768,57 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     d(beta_1) wedge beta_1 over the denominator (c Q0)^4, which renders the
     same as the unscaled quotient.
 
-    For k, l >= 1 the closed-form witness identity
+    beta_m is the sum over i + j = m of Q_i dP_j - P_j dQ_i, with P_0..P_k
+    and Q_0..Q_l the minors (k + l = n - 1), and a minor the order lacks is
+    the zero polynomial.  So beta_1 = A dB - B dA + C dD - D dC with
+    (A, B, C, D) = (Q0, P1, Q1, P0).  For the mirror, i <= l, j <= k and
+    i + j = n - 2 = k + l - 1 leave only the pairs (l, k-1) and (l-1, k):
+    (A, B, C, D) = (Q_l, P_(k-1), Q_(l-1), P_k).  At n = 3 the two tuples
+    give the same form.  Both 3-forms come from one formula
+    (``_self_wedge``): the witness keeps every nonzero component, and the
+    mirror test stops at its first.
+
+    For beta_1 the formula is the witness identity
 
         d(alpha_1) wedge alpha_1 = 2 dq_1 wedge dp_0 wedge dp_1
 
-    (normalized coefficients q_1 = Q1/Q0, p_j = Pj/Q0) is checked as an exact
-    identity of polynomial 3-forms.  With gamma_a = Q0 dA - A dQ0 it reads
+    (normalized coefficients q_1 = Q1/Q0, p_j = Pj/Q0) with no quotient
+    formed.  With gamma_a = Q0 dA - A dQ0 the identity times Q0^6 reads
     d(beta_1) wedge beta_1 Q0^2 = 2 gamma_Q1 wedge gamma_P0 wedge gamma_P1,
-    and since dQ0 wedge dQ0 = 0 the right side is Q0^2 times
+    and since dQ0 wedge dQ0 = 0 the right side is Q0^2 times 2R,
 
         R = (Q0 dQ1 - Q1 dQ0) wedge dP0 wedge dP1
-            - dQ1 wedge dQ0 wedge (P0 dP1 - P1 dP0).
+            - dQ1 wedge dQ0 wedge (P0 dP1 - P1 dP0),
 
-    Q0 is nonzero and polynomials have no zero divisors, so the identity
-    holds exactly when d(beta_1) wedge beta_1 = 2R, which is what is checked.
-    Both sides are built from the same P0, P1, Q0, Q1, and the identity holds
-    for any four polynomials: it cross-checks the exterior algebra (signs of
-    d and of the wedge), not the determinant data.
-
-    Expanding R term by term shows that its (a, b, c) component is a 4 x 4
-    jet determinant: the rows are Q0, Q1, P0, P1 and the columns are the
-    value, d_a, d_b and d_c of each.  Along the value column,
+    the formula's bracket for (Q0, P1, Q1, P0) with its terms regrouped.
+    Like the formula, the identity holds for any four polynomials; the
+    tests check both against the exterior algebra.  Expanding R term by
+    term shows that its (a, b, c) component is a 4 x 4 jet determinant: the
+    rows are Q0, Q1, P0, P1 and the columns are the value, d_a, d_b and d_c
+    of each.  Along the value column,
 
         R = Q0 J(Q1, P0, P1) - Q1 J(Q0, P0, P1) + P0 J(Q0, Q1, P1)
             - P1 J(Q0, Q1, P0),   J(A, B, C) = dA wedge dB wedge dC,
 
     so each component of the witness at a point needs only the values and
-    gradients of the four minors there.  The check expands it along the
-    rows (Q0, Q1 | P0, P1) instead and zero-tests each component of
-    d(beta_1) wedge beta_1 - 2R as one sum of products.
+    gradients of the four minors there.
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
     if spec.n < 3:
         raise WebSpecError("flatness certification needs dimension at least 3")
     minors = _without_denominators(signed_minors(spec))
-    p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
-    q0 = q_list[0]
-    if q0.is_zero:
+    k, l = spec.k, spec.l
+    p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
+    if q[0].is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
+    zero = MultiPoly.zero(spec.n_vars)
 
-    beta1 = _coframe_element(p_list, q_list, 1)
-    w1_poly = beta1.exterior_derivative().wedge(beta1)
-    second = spec.n - 2
-    if second == 1:
-        cross_ok = w1_poly.is_zero
-    else:
-        mirror = _coframe_element(p_list, q_list, second)
-        groups = mirror.exterior_derivative()._wedge_parts(mirror).values()
-        cross_ok = not any(_sum_of_products(spec.n_vars, group) for group in groups)
-
-    identity_checked = False
-    if spec.k >= 1 and spec.l >= 1:
-        if not _witness_identity_holds(w1_poly, p_list[0], p_list[1], q0, q_list[1]):
-            raise HirotaWebError(
-                "internal inconsistency: the coframe witness identity failed")
-        identity_checked = True
-
-    witness = DifferentialForm(spec.n_vars, 3, w1_poly.components, w1_poly.den * q0 ** 4)
-    alpha1_ok = w1_poly.is_zero
+    w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
+    mirror = _self_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k],
+                         first_only=True)
+    witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)
+    alpha1_ok, cross_ok = not w1, not mirror
     if not alpha1_ok:
         status = "nonflat-certified"
     elif cross_ok:
@@ -827,8 +826,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     else:
         raise HirotaWebError(
             "inconsistent certificates: alpha_1 integrable but the mirror element is not")
-    return FlatnessVerdict(status, witness, second, alpha1_ok, cross_ok,
-                           identity_checked)
+    return FlatnessVerdict(status, witness, spec.n - 2, alpha1_ok, cross_ok)
 
 
 # -- restriction and transformation -----------------------------------------------

@@ -108,15 +108,15 @@ def test_criterion_05_structural_properties():
 
 
 def test_criterion_06_flatness_dichotomy():
-    with criterion(6, "nonflat certificates with the witness identity for "
-                      "k, l >= 1 (n <= 5); flat certificates for k = 0 or "
-                      "l = 0 (n <= 6)", 120):
+    with criterion(6, "nonflat certificates with a nonzero witness and a "
+                      "nonintegrable mirror for k, l >= 1 (n <= 5); flat "
+                      "certificates for k = 0 or l = 0 (n <= 6)", 120):
         for n in (3, 4, 5):
             for k, l in orders(n):
                 if k >= 1 and l >= 1:
                     verdict = flatness_check(WebSpec.numeric(n, k, l))
                     assert verdict.status == "nonflat-certified", (n, k, l)
-                    assert verdict.witness_identity_checked, (n, k, l)
+                    assert not verdict.cross_check_integrable, (n, k, l)
                     assert not verdict.witness.is_zero
         for n in range(3, 7):
             for k, l in orders(n):

@@ -43,7 +43,7 @@ WITNESSES = [
     "flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
     "flatness --n 5 --k 2 --l 2 --lambdas=1/2,-2/3,3/4,5/3,-7/5",
 ]
-# Flatness with rational nodes at n = 4, at both orders that check the
+# Flatness with rational nodes at n = 4, at both orders that print the
 # witness identity: the certificate is computed on minors cleared of node
 # denominators, and its rendering is pinned here.
 RATIONAL_FLATNESS = [

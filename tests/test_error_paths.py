@@ -7,8 +7,9 @@ import pytest
 from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
                        WebSpecError, build_solution, cauchy_interpolant,
-                       evaluate_interpolant, flatness_check, restrict,
-                       transform, verify_hirota, veronese_form)
+                       evaluate_interpolant, flatness_check, poly_from_json,
+                       poly_to_json, restrict, transform, verify_hirota,
+                       veronese_form)
 from reference_polynomials import exact_div
 
 
@@ -32,6 +33,45 @@ def test_polynomial_error_paths():
         exact_div(x1, MultiPoly.zero(2))
     with pytest.raises(DimensionError):
         x1.eliminate({2: 0})  # no such variable
+
+
+def test_exponents_and_indices_must_be_ints():
+    # A float exponent is inexact; a negative one or any other non-int
+    # (a bool or a string included) is out of the ring.
+    for exponent, error in ((1.5, InexactNumberError), (2.0, InexactNumberError),
+                            (-1, DimensionError), (True, DimensionError),
+                            ("1", DimensionError), (Fraction(1), DimensionError)):
+        with pytest.raises(error):
+            MultiPoly(1, {(exponent,): 1})
+        with pytest.raises(error):
+            MultiPoly(2, {(0, exponent): 1})
+    x1 = MultiPoly.variable(2, 0)
+    for index, error in ((0.0, InexactNumberError), (1.5, InexactNumberError),
+                         ("0", DimensionError), (False, DimensionError)):
+        with pytest.raises(error):
+            MultiPoly.variable(2, index)
+        with pytest.raises(error):
+            x1.derivative(index)
+
+
+def test_poly_from_json_reads_only_exact_input():
+    x1, x2 = (MultiPoly.variable(2, i) for i in range(2))
+    p = Fraction(-3, 4) * x1 ** 2 * x2 + 5
+    assert poly_from_json(poly_to_json(p)) == p
+    term = {"c": "1/2", "e": [1, 0]}
+    assert poly_from_json({"nvars": 2, "terms": [term]}) == Fraction(1, 2) * x1
+    for data, error in (
+            ({"nvars": 2, "terms": [{"c": 0.1, "e": [1, 0]}]}, InexactNumberError),
+            ({"nvars": 1.9, "terms": []}, InexactNumberError),
+            ({"nvars": 1.0, "terms": []}, InexactNumberError),
+            ({"nvars": "2", "terms": []}, DimensionError),
+            ({"nvars": -1, "terms": []}, DimensionError),
+            ({"nvars": 1, "terms": [{"c": "1", "e": [1.5]}]}, InexactNumberError),
+            ({"nvars": 1, "terms": [{"c": "1", "e": [-1]}]}, DimensionError),
+            ({"nvars": 1, "terms": [{"c": "1", "e": ["1"]}]}, DimensionError),
+            ({"nvars": 2, "terms": [{"c": "1", "e": [1]}]}, DimensionError)):
+        with pytest.raises(error):
+            poly_from_json(data)
 
 
 def test_rational_function_conveniences():

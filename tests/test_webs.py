@@ -21,8 +21,8 @@ from hirotaweb.polynomials import poly_to_json
 from hirotaweb.interpolation import _numeric_block
 from hirotaweb.webs import (_coframe_element, _degree_bound, _derivative_degrees,
                             _minor_degrees, _polynomial_jet, _residual,
-                            _residual_factors, _sampled_factors, _spec_factors,
-                            _without_denominators, _witness_identity_holds)
+                            _residual_factors, _sampled_factors, _self_wedge,
+                            _spec_factors, _without_denominators)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_polynomials import cofactor_determinant
@@ -710,9 +710,9 @@ def test_frobenius_rejects_non_solution_pencil():
 
 
 _NODE_CLASSES = {
-    "integer": nodes(2, -1, 3, 5, -4),
-    "zero": nodes(0, 2, -3, 1, 4),
-    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5"),
+    "integer": nodes(2, -1, 3, 5, -4, 7),
+    "zero": nodes(0, 2, -3, 1, 4, -5),
+    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5", "2/7"),
 }
 
 
@@ -844,17 +844,17 @@ def test_coframe_proportional_to_veronese_pencil(spec):
 # -- flatness --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, k", [(4, 1), (5, 2), (6, 2)])
-def test_flatness_check_builds_only_the_two_coframe_elements_it_tests(n, k, monkeypatch):
-    built = []
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 0), (5, 2), (6, 2), (6, 5)])
+def test_flatness_check_takes_no_exterior_derivative_or_wedge(n, k, monkeypatch):
+    # Both 3-forms come from one formula on gradients: the exterior algebra
+    # stays out of flatness_check, nonflat and flat orders alike.
+    def refused(*args):
+        raise AssertionError("flatness_check used the exterior algebra")
 
-    def counted(p_list, q_list, m):
-        built.append(m)
-        return _coframe_element(p_list, q_list, m)
-
-    monkeypatch.setattr(webs, "_coframe_element", counted)
-    flatness_check(WebSpec.numeric(n, k, n - 1 - k))
-    assert sorted(built) == sorted({1, n - 2})
+    monkeypatch.setattr(DifferentialForm, "exterior_derivative", refused)
+    monkeypatch.setattr(DifferentialForm, "wedge", refused)
+    verdict = flatness_check(WebSpec.numeric(n, k, n - 1 - k))
+    assert verdict.is_flat == (k == 0 or k == n - 1)
 
 
 def test_flatness_three_nodes_nonflat_with_witness_identity():
@@ -862,7 +862,6 @@ def test_flatness_three_nodes_nonflat_with_witness_identity():
     verdict = flatness_check(spec)
     assert verdict.status == "nonflat-certified"
     assert not verdict.is_flat
-    assert verdict.witness_identity_checked
     assert not verdict.witness.is_zero
     # independent recomputation of both sides from normalized coefficients
     p, q = _normalized_coefficients(spec)
@@ -923,13 +922,13 @@ def test_reduced_witness_identity_agrees_with_the_gamma_product(n, k, node_class
     spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
     verdict = flatness_check(spec)
     oracle = inflated_witness(spec)
-    assert verdict.witness_identity_checked == (oracle.holds is not None)
+    assert (oracle.holds is not None) == (k >= 1 and n - 1 - k >= 1)
     assert oracle.holds in (None, True)
-    if verdict.witness_identity_checked:
-        # on the minors as they come: w1 = 2R, and with the oracle's
-        # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
-        assert _witness_identity_holds(oracle.w1, *oracle.coefficients)
-        assert jet_determinant(*oracle.coefficients).scale(2) == oracle.w1
+    # on the minors as they come: w1 = 2R, and with the oracle's
+    # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
+    p0, p1, q0, q1 = oracle.coefficients
+    assert DifferentialForm(n, 3, _self_wedge(q0, p1, q1, p0)) == oracle.w1
+    assert jet_determinant(*oracle.coefficients).scale(2) == oracle.w1
     # cleared denominators leave every rendered witness component unchanged
     witness = verdict.witness
     assert witness.to_json() == oracle.witness.to_json()
@@ -949,14 +948,19 @@ _small_polys = st.dictionaries(
     max_size=4).map(lambda terms: MultiPoly(4, terms))
 
 
+def _witness_form(p0, p1, q0, q1):
+    """d(beta_1) wedge beta_1 by the library's one formula, as a 3-form."""
+    return DifferentialForm(q0.n_vars, 3, _self_wedge(q0, p1, q1, p0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(_small_polys, _small_polys, _small_polys, _small_polys))
 def test_reduced_witness_identity_holds_for_any_four_polynomials(polys):
-    # An identity of the exterior algebra: it pins every sign and term of R
-    # whatever the minors are, and corrupting a minor cannot break it.
+    # An identity of the exterior algebra: it pins every sign and term of the
+    # formula whatever the minors are.
     p0, p1, q0, q1 = polys
     w1 = self_wedge(raw_alpha1(p0, p1, q0, q1))
-    assert _witness_identity_holds(w1, p0, p1, q0, q1)
+    assert _witness_form(p0, p1, q0, q1) == w1
     assert w1.scale(q0 * q0) == gamma_product(p0, p1, q0, q1)
 
 
@@ -965,42 +969,31 @@ def test_reduced_witness_identity_holds_for_any_four_polynomials(polys):
 def test_witness_right_side_is_twice_the_jet_determinant(polys):
     # R_abc = det of the rows Q0, Q1, P0, P1 over the columns (value, d_a,
     # d_b, d_c).  Adding a multiple of one row to another leaves R as it is,
-    # so the check that the oracle sees a change scales a row instead.
+    # so the check that the formula sees a change scales a row instead.
     p0, p1, q0, q1 = polys
     r = jet_determinant(p0, p1, q0, q1)
-    assert _witness_identity_holds(r.scale(2), p0, p1, q0, q1)
+    assert _witness_form(p0, p1, q0, q1) == r.scale(2)
     if not r.is_zero:
-        assert not _witness_identity_holds(r.scale(2), p0 * 3, p1, q0, q1)
+        assert _witness_form(p0 * 3, p1, q0, q1) != r.scale(2)
 
 
-def _four_minors(n, k):
-    spec = WebSpec.numeric(n, k, n - 1 - k, nodes("1/2", -1, 3, 5, -4)[:n])
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5, 6) for k in range(n)])
+def test_mirror_formula_is_the_exterior_algebra_self_wedge(n, k, node_class):
+    # The formula on (Q_l, P_(k-1), Q_(l-1), P_k), a missing minor zero, is
+    # d(beta_(n-2)) wedge beta_(n-2) of the whole mirror element, in full.
+    l = n - 1 - k
+    spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
     minors = _without_denominators(signed_minors(spec))
-    return minors[0], minors[1], minors[k + 1], minors[k + 2]
-
-
-def _two_variable_polys():
-    # Polynomials in x1 and x2 of a ring of four: every 3-form built from
-    # their differentials is zero, w1 and R alike.
-    x1, x2 = MultiPoly.variable(4, 0), MultiPoly.variable(4, 1)
-    return x1 * x2 + 3, x1 - x2 * x2, x2 + 2, x1 * x1 * x2 - 1
-
-
-@pytest.mark.parametrize("polys", [_four_minors(4, 1), _four_minors(4, 2),
-                                   _four_minors(5, 2), _two_variable_polys()],
-                         ids=["n4k1", "n4k2", "n5k2", "w1-zero"])
-def test_witness_identity_fails_on_one_perturbed_component(polys):
-    # Adding x1 to any single component of d(beta_1) wedge beta_1, a zero
-    # one included, breaks the identity at that component.
-    n = polys[0].n_vars
-    w1 = self_wedge(raw_alpha1(*polys))
-    assert _witness_identity_holds(w1, *polys)
-    x1 = MultiPoly.variable(n, 0)
-    for idx in combinations(range(n), 3):
-        components = dict(w1.components)
-        components[idx] = components.get(idx, MultiPoly.zero(n)) + x1
-        perturbed = DifferentialForm(n, 3, components)
-        assert not _witness_identity_holds(perturbed, *polys), idx
+    p_list, q_list = minors[:k + 1], minors[k + 1:]
+    zero = MultiPoly.zero(n)
+    formula = _self_wedge(q_list[l], p_list[k - 1] if k else zero,
+                          q_list[l - 1] if l else zero, p_list[k])
+    assert DifferentialForm(n, 3, formula) == self_wedge(_coframe_element(p_list, q_list, n - 2))
+    # the mirror test's first nonzero component is the formula's first
+    first = _self_wedge(q_list[l], p_list[k - 1] if k else zero,
+                        q_list[l - 1] if l else zero, p_list[k], first_only=True)
+    assert list(first.items()) == list(formula.items())[:1]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1036,19 +1029,6 @@ def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkey
         x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
     with pytest.raises(HirotaWebError, match="inconsistent certificates"):
         flatness_check(WebSpec.numeric(7, 3, 3))
-
-
-def test_flatness_witness_identity_catches_a_wrong_exterior_derivative(monkeypatch):
-    # d of a 1-form doubled: d(beta_1) wedge beta_1 doubles, 2R does not
-    genuine = DifferentialForm.exterior_derivative
-
-    def doubled(form):
-        result = genuine(form)
-        return result.scale(2) if form.degree == 1 else result
-
-    monkeypatch.setattr(DifferentialForm, "exterior_derivative", doubled)
-    with pytest.raises(HirotaWebError, match="witness identity failed"):
-        flatness_check(WebSpec.numeric(4, 1, 2, nodes("1/2", -1, 3, 5)))
 
 
 # -- restriction -----------------------------------------------------------------------
