@@ -4,6 +4,17 @@ Subcommands: generate, verify, flatness, restrict, properties, oracle.
 Output formats: text (default), json, latex.  Exit codes: 0 when every
 check passed, 1 when a mathematical check failed, 2 on input or
 configuration errors (including degenerate data).
+
+The JSON report is byte for byte ``json.dumps(payload, indent=2,
+sort_keys=True)`` of the payload with every polynomial replaced by its
+``poly_to_json`` dict and every form by its ``to_json`` dict, but it is
+written by ``_json_text``.  ``Report.objects`` holds the library values
+themselves (P_k and Q_l, the restricted quotient, the flatness witness),
+and the writer formats their terms straight into the text: one template
+per depth, each exponent list's text written once per depth, each distinct
+denominator scaling of a form written once, and the coefficient and
+exponent types checked at C speed first, so no per-term dict is built or
+inspected.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactNumberError,
                      WebSpecError)
 from .interpolation import WebSpec, random_numeric_instances
-from .polynomials import _check_count, poly_text, poly_to_json
+from .forms import DifferentialForm
+from .polynomials import MultiPoly, _check_count, poly_text
 from .webs import (HirotaSolution, VerificationReport, _bound_text, build_solution,
                    flatness_check, restrict, restricted_nodes, structural_properties,
                    verify_hirota)
@@ -52,7 +64,7 @@ class Report:
     command: str
     spec: WebSpec
     results: list[dict] = field(default_factory=list)
-    objects: dict = field(default_factory=dict)
+    objects: dict = field(default_factory=dict)   # name -> MultiPoly or DifferentialForm
     lines: list[str] = field(default_factory=list)
     exit_code: int = EXIT_OK
     solution: Optional[HirotaSolution] = None   # set by generate, for the LaTeX view
@@ -190,8 +202,8 @@ def execute(config: RunConfig, solution_override=None) -> Report:
     if config.command == "generate":
         sol = report.solution = solution()
         if json_view:
-            report.objects["P_k"] = poly_to_json(sol.p_top)
-            report.objects["Q_l"] = poly_to_json(sol.q_top)
+            report.objects["P_k"] = sol.p_top
+            report.objects["Q_l"] = sol.q_top
         elif text_view:
             p_text, q_text = poly_text(sol.p_top, names), poly_text(sol.q_top, names)
             report.lines.append(f"P_k = {p_text}")
@@ -224,13 +236,13 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         report.add_result(
             "alpha_1 integrable", True, str(verdict.alpha1_integrable))
         report.add_result(
-            f"alpha_{verdict.cross_check_index} integrable", True,
+            f"alpha_{spec.n - 2} integrable", True,
             str(verdict.cross_check_integrable))
         if spec.k >= 1 and spec.l >= 1:
             report.add_result("witness identity", True,
                               "d(alpha_1)^alpha_1 built as 2 dq1^dp0^dp1")
         if json_view:
-            report.objects["witness"] = verdict.witness.to_json()
+            report.objects["witness"] = verdict.witness
         elif text_view:
             report.lines.append(f"verdict: {verdict.status}")
             report.lines.append(
@@ -245,8 +257,8 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         restricted = restrict(sol, coordinate, value)
         nodes = restricted_nodes(spec, coordinate)
         if json_view:
-            report.objects["restricted_num"] = poly_to_json(restricted.num)
-            report.objects["restricted_den"] = poly_to_json(restricted.den)
+            report.objects["restricted_num"] = restricted.num
+            report.objects["restricted_den"] = restricted.den
         elif text_view:
             report.lines.append(
                 f"f with x{coordinate} = {value}, remaining coordinates reindexed:")
@@ -286,55 +298,99 @@ def _latex_names(spec: WebSpec) -> list[str]:
     return out
 
 
-_TERM_KEYS = frozenset(("c", "e"))
+_COEFFICIENTS, _EXPONENTS = frozenset((int, Fraction)), frozenset((int,))
 
 
-def _is_term(item) -> bool:
-    """A polynomial term as ``poly_to_json`` makes it: ``{"c": str, "e":
-    [int, ...]}`` with a non-empty exponent list (its ints checked apart)."""
-    return (type(item) is dict and item.keys() == _TERM_KEYS
-            and type(item["c"]) is str and type(item["e"]) is list and bool(item["e"]))
+def _refuse(types: set, allowed: frozenset) -> None:
+    """The stdlib encoder's TypeError for a value of a type outside ``allowed``."""
+    unwritable = types - allowed
+    if unwritable:
+        name = min(kind.__name__ for kind in unwritable)
+        raise TypeError(f"Object of type {name} is not JSON serializable")
 
 
-def _json_list(value: list, nl: str, out: list[str], written: dict) -> None:
-    """A non-empty list; a list of polynomial terms is written with one join
-    over a per-depth template, every item and exponent checked first.  That
-    string is kept in ``written`` under ``(id(value), nl)``, so a term list
-    that recurs at the same depth is appended again, not rewritten."""
-    known = written.get((id(value), nl))
-    if known is not None:
-        out.append(known)
+class _PolyLayout:
+    """The fixed text of a polynomial written at one depth (``nl``, see
+    ``_json_value``): one template per part, and the text of each exponent
+    list met at that depth, written once."""
+
+    __slots__ = ("head", "open", "sep", "close", "term", "exps_open", "exps_sep",
+                 "exps_close", "exps")
+
+    def __init__(self, nl: str):
+        inner = nl + "  "
+        item = inner + "  "
+        field = item + "  "
+        self.head = "{" + inner + '"nvars": %d,' + inner + '"terms": '
+        self.open, self.sep, self.close = "[" + item, "," + item, inner + "]" + nl + "}"
+        self.term = "{" + field + '"c": "%s",' + field + '"e": %s' + item + "}"
+        self.exps_open, self.exps_sep = "[" + field + "  ", "," + field + "  "
+        self.exps_close = field + "]"
+        self.exps: dict[tuple, str] = {}
+
+    def exponents(self, exps: tuple) -> str:
+        if not exps:
+            return "[]"
+        return self.exps_open + self.exps_sep.join(map(int.__repr__, exps)) + self.exps_close
+
+
+def _poly_json(poly: MultiPoly, nl: str, out: list[str], layouts: dict) -> None:
+    """Append ``poly_to_json(poly)`` as ``_json_value`` writes it, from the
+    terms themselves: every coefficient must be an int or a Fraction and
+    every exponent an int, checked at C speed before anything is written."""
+    terms = poly.terms
+    _refuse(set(map(type, terms.values())), _COEFFICIENTS)
+    _refuse(set(map(type, chain.from_iterable(terms))), _EXPONENTS)
+    layout = layouts.get(nl)
+    if layout is None:
+        layout = layouts[nl] = _PolyLayout(nl)
+    out.append(layout.head % poly.n_vars)
+    if not terms:
+        out.append("[]" + nl + "}")
         return
+    template, known = layout.term, layout.exps
+    texts = []
+    for _, exps, coeff in poly.sorted_terms():
+        text = known.get(exps)
+        if text is None:
+            text = known[exps] = layout.exponents(exps)
+        texts.append(template % (coeff, text))
+    out += layout.open, layout.sep.join(texts), layout.close
+
+
+def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -> None:
+    """Append ``form.to_json()`` as ``_json_value`` writes it: each distinct
+    denominator scaling is written once, keyed by its (g, m)."""
     inner = nl + "  "
-    sep = "," + inner
-    if all(map(_is_term, value)) and {int}.issuperset(
-            map(type, chain.from_iterable(item["e"] for item in value))):
-        entry = inner + "  "
-        template = ("{" + entry + '"c": %s,' + entry + '"e": [' + entry + "  %s"
-                    + entry + "]" + inner + "}")
-        exponent_sep = "," + entry + "  "
-        text = written[id(value), nl] = "[" + inner + sep.join(
-            template % (encode_basestring_ascii(item["c"]),
-                        exponent_sep.join(map(int.__repr__, item["e"])))
-            for item in value) + nl + "]"
-        out.append(text)
-        return
-    out.append("[" + inner)
-    for position, item in enumerate(value):
-        if position:
-            out.append(sep)
-        _json_value(item, inner, out, written)
-    out.append(nl + "]")
+    item = inner + "  "
+    field = item + "  "
+    dens, entries = form._normalized()
+    den_text = {}
+    for key, den in dens.items():
+        text: list[str] = []
+        _poly_json(den, field, text, layouts)
+        den_text[key] = "".join(text)
+    out.append("{" + inner + '"components": ')
+    for position, (idx, num, key) in enumerate(entries):
+        out += ("," if position else "[", item + "{" + field + '"den": ', den_text[key],
+                "," + field + '"idx": ')
+        _json_value([i + 1 for i in idx], field, out, layouts)
+        out.append("," + field + '"num": ')
+        _poly_json(num, field, out, layouts)
+        out.append(item + "}")
+    out.append((inner + "]," if entries else "[],") + inner + '"degree": '
+               + int.__repr__(form.degree) + nl + "}")
 
 
-def _json_value(value, nl: str, out: list[str], written: dict) -> None:
+def _json_value(value, nl: str, out: list[str], layouts: dict) -> None:
     """Append ``value`` as the stdlib's JSON encoder writes it with
     ``indent=2, sort_keys=True``, continuing lines with ``nl`` (a newline
     plus the indent of the line ``value`` starts on).  Only str, int, bool,
-    None, list and dict with str keys are accepted: anything else, floats
-    included, is a TypeError.  ``written`` holds the term lists already
-    written in this call (see ``_json_list``); the payload keeps their ids
-    alive until the call ends."""
+    None, list, dict with str keys, MultiPoly and DifferentialForm are
+    accepted: anything else, floats included, is a TypeError.  A MultiPoly
+    is written as its ``poly_to_json`` dict and a DifferentialForm as its
+    ``to_json`` dict, straight from their terms; ``layouts`` keeps the
+    polynomial templates of each depth for the whole call."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:
@@ -346,10 +402,16 @@ def _json_value(value, nl: str, out: list[str], written: dict) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, list):
-        if value:
-            _json_list(value, nl, out, written)
-        else:
+        if not value:
             out.append("[]")
+            return
+        inner = nl + "  "
+        out.append("[" + inner)
+        for position, item in enumerate(value):
+            if position:
+                out.append("," + inner)
+            _json_value(item, inner, out, layouts)
+        out.append(nl + "]")
     elif isinstance(value, dict):
         if not value:
             out.append("{}")
@@ -360,15 +422,20 @@ def _json_value(value, nl: str, out: list[str], written: dict) -> None:
             if position:
                 out.append("," + inner)
             out.append(encode_basestring_ascii(key) + ": ")
-            _json_value(value[key], inner, out, written)
+            _json_value(value[key], inner, out, layouts)
         out.append(nl + "}")
+    elif isinstance(value, MultiPoly):
+        _poly_json(value, nl, out, layouts)
+    elif isinstance(value, DifferentialForm):
+        _form_json(value, nl, out, layouts)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _json_text(payload) -> str:
     """The report exactly as the stdlib's JSON encoder writes it with
-    ``indent=2, sort_keys=True``, without that encoder's per-token generators."""
+    ``indent=2, sort_keys=True`` (polynomials and forms as their JSON
+    dicts), without that encoder's per-token generators."""
     out: list[str] = []
     _json_value(payload, "\n", out, {})
     return "".join(out)

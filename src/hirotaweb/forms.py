@@ -5,7 +5,9 @@ to polynomial numerators (zero components are never stored; the degree-0
 form has the single key ()) and carries one nonzero polynomial denominator
 for all of them (1 for polynomial forms).  Nothing is normalized: equality
 cross-multiplies, and a component becomes a RationalFunction, whose
-normalization is canonical, only when it is read or rendered.  Wedge
+normalization is canonical, only when it is read or rendered: ``to_json``
+and the CLI's JSON writer read the normalized components from one method,
+``_normalized``, which scales each distinct denominator once.  Wedge
 products use merge-inversion signs, and the exterior derivative
 differentiates every ring variable, so forms should be built over rings
 whose variables are all genuine coordinates (numeric-node mode).
@@ -259,25 +261,36 @@ class DifferentialForm:
     def __repr__(self) -> str:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
-    def to_json(self) -> dict:
+    def _normalized(self) -> tuple[dict[tuple[int, int], MultiPoly],
+                                   list[tuple[Index, MultiPoly, tuple[int, int]]]]:
         """Each component as its normalized quotient, scaled as
-        RationalFunction scales it.  The shared denominator's content and
-        leading sign are read once; per component only the numerator's
-        content is, and each distinct scaling of the denominator is
-        converted once, its dict shared by every component that has it."""
+        RationalFunction scales it: the denominator scalings, keyed by their
+        (g, m), and per component in index order (idx, numerator, (g, m)).
+        The shared denominator's content and leading sign are read once and
+        per component only the numerator's content is, so each distinct
+        scaling of the denominator is computed once."""
         den_content = _content(self.den)
         den_negative = self.den.leading_term()[1] < 0
-        dens: dict[tuple[int, int], dict] = {}
+        dens: dict[tuple[int, int], MultiPoly] = {}
         entries = []
         for idx in sorted(self.components):
             num = self.components[idx]
-            g, m = _normalizer(num, den_content, den_negative)
-            den = dens.get((g, m))
-            if den is None:
-                den = dens[g, m] = poly_to_json(_scaled(self.den, m, g))
-            entries.append({"idx": [i + 1 for i in idx],
-                            "num": poly_to_json(_scaled(num, m, g)), "den": den})
-        return {"degree": self.degree, "components": entries}
+            g, m = key = _normalizer(num, den_content, den_negative)
+            if key not in dens:
+                dens[key] = _scaled(self.den, m, g)
+            entries.append((idx, _scaled(num, m, g), key))
+        return dens, entries
+
+    def to_json(self) -> dict:
+        """JSON form: ``{"degree": g, "components": [{"idx": [1-based
+        indices], "num": ..., "den": ...}, ...]}`` in index order, each
+        component its normalized quotient as two ``poly_to_json`` dicts.
+        Components with one denominator scaling share its dict."""
+        dens, entries = self._normalized()
+        den_json = {key: poly_to_json(den) for key, den in dens.items()}
+        return {"degree": self.degree, "components": [
+            {"idx": [i + 1 for i in idx], "num": poly_to_json(num), "den": den_json[key]}
+            for idx, num, key in entries]}
 
 
 class LambdaForm:

@@ -83,6 +83,12 @@ def _check_count(name: str, value, least: Optional[int] = None, too_small: str =
         raise error(too_small)
 
 
+def _check_n_vars(n_vars) -> None:
+    """A ring size is a nonnegative int: a float is inexact, any other
+    non-int (a bool included) and a negative int a DimensionError."""
+    _check_count("n_vars", n_vars, 0, f"negative variable count {n_vars}", DimensionError)
+
+
 def _tighten(value: Scalar) -> Scalar:
     """Integral rationals are stored as plain ints: they compare, hash, and
     combine interchangeably with Fraction, and int arithmetic is several
@@ -182,13 +188,13 @@ class MultiPoly:
 
     def __init__(self, n_vars: int, terms: Optional[Mapping[Exponents, Scalar]] = None,
                  *, _canonical: bool = False):
-        if n_vars < 0:
-            raise DimensionError(f"negative variable count {n_vars}")
         self.n_vars = n_vars
+        if _canonical:
+            self.terms: dict[Exponents, Scalar] = {} if terms is None else dict(terms)
+            return
+        _check_n_vars(n_vars)
         if terms is None:
-            self.terms: dict[Exponents, Scalar] = {}
-        elif _canonical:
-            self.terms = dict(terms)
+            self.terms = {}
         else:
             clean: dict[Exponents, Scalar] = {}
             for exps, coeff in terms.items():
@@ -207,10 +213,12 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, n_vars: int) -> "MultiPoly":
+        _check_n_vars(n_vars)
         return cls(n_vars, None, _canonical=True)
 
     @classmethod
     def const(cls, n_vars: int, value: Scalar) -> "MultiPoly":
+        _check_n_vars(n_vars)
         c = _tighten(_exact(value))
         if not c:
             return cls.zero(n_vars)
@@ -223,6 +231,7 @@ class MultiPoly:
     @classmethod
     def variable(cls, n_vars: int, index: int) -> "MultiPoly":
         """The polynomial consisting of the single variable with this 0-based index."""
+        _check_n_vars(n_vars)
         _check_count("variable index", index, error=DimensionError)
         if not 0 <= index < n_vars:
             raise DimensionError(f"variable index {index} out of range for n_vars={n_vars}")
@@ -484,10 +493,12 @@ class MultiPoly:
 
     # -- output -------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
-        """Terms in descending graded-lex order (leading term first)."""
-        return sorted(self.terms.items(), key=lambda item: grlex_key(item[0]),
-                      reverse=True)
+    def sorted_terms(self) -> list[tuple[int, Exponents, Scalar]]:
+        """(total degree, exponents, coefficient) per term, in descending
+        graded-lex order (leading term first).  The exponent tuples are
+        distinct, so the sort never compares two coefficients."""
+        terms = self.terms
+        return sorted(zip(map(sum, terms), terms, terms.values()), reverse=True)
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:
         """Canonical text form, e.g. ``x1x2 - 2x1x3 + x2x3``."""
@@ -526,7 +537,7 @@ def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
         return "0"
     names = default_names(p.n_vars) if names is None else list(names)
     pieces: list[str] = []
-    for position, (exps, coeff) in enumerate(p.sorted_terms()):
+    for position, (_, exps, coeff) in enumerate(p.sorted_terms()):
         mono = _monomial_text(exps, names, latex)
         mag = abs(coeff)
         if latex and mag.denominator != 1:
@@ -551,18 +562,16 @@ def poly_to_json(p: MultiPoly) -> dict:
     with terms in descending graded-lex order."""
     return {
         "nvars": p.n_vars,
-        "terms": [{"c": str(c), "e": list(e)} for e, c in p.sorted_terms()],
+        "terms": [{"c": str(c), "e": list(e)} for _, e, c in p.sorted_terms()],
     }
 
 
 def poly_from_json(data: Mapping) -> MultiPoly:
     """The polynomial that ``poly_to_json`` wrote, read exactly: ``nvars``
-    and every exponent must be ints (the exponents nonnegative, as the
-    constructor checks), and each coefficient goes through ``_exact``, so a
-    JSON float is refused rather than read as its binary expansion."""
-    n_vars = data["nvars"]
-    _check_count("nvars", n_vars, 0, f"negative nvars {n_vars}", DimensionError)
-    return MultiPoly(n_vars, {tuple(item["e"]): item["c"] for item in data["terms"]})
+    and every exponent must be nonnegative ints, as the constructor checks,
+    and each coefficient goes through ``_exact``, so a JSON float is refused
+    rather than read as its binary expansion."""
+    return MultiPoly(data["nvars"], {tuple(item["e"]): item["c"] for item in data["terms"]})
 
 
 # A matrix is a sequence of equal-length rows of exact numbers (int or

@@ -61,7 +61,7 @@ from functools import cache, partial
 from itertools import combinations
 from math import lcm
 from operator import add, sub
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
@@ -685,16 +685,24 @@ def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     (dA^dB)_uv = A_u B_v - A_v B_u, and the (a, b, c) component is one sum
     of six products of them,
     2 (w_ab g_c - w_ac g_b + w_bc g_a + k_ab p_c - k_ac p_b + k_bc p_a)
-    with w, p from (A, B) and k, g from (C, D).  With ``first_only`` it
-    stops at the first nonzero component.
+    with w, p from (A, B) and k, g from (C, D).  Every derivative and piece
+    is built when a component first reads it, once.  With ``first_only`` it
+    stops at the first nonzero component, having built only what the
+    components up to it read.
     """
     n = a.n_vars
 
-    def pieces(x: MultiPoly, y: MultiPoly) -> tuple[list, dict]:
-        dx, dy = ([z.derivative(v) for v in range(n)] for z in (x, y))
-        one = _first_factors((y, dy, None), (x, dx, None))
-        two = {(u, v): _sum_of_products(n, [(dx[u], dy[v], 1), (dx[v], dy[u], -1)])
-               for u, v in combinations(range(n), 2)}
+    def pieces(x: MultiPoly, y: MultiPoly) -> tuple[Callable, Callable]:
+        dx, dy = cache(x.derivative), cache(y.derivative)
+
+        @cache
+        def one(v: int) -> MultiPoly:
+            return _sum_of_products(n, [(dy(v), x, 1), (y, dx(v), -1)])
+
+        @cache
+        def two(u: int, v: int) -> MultiPoly:
+            return _sum_of_products(n, [(dx(u), dy(v), 1), (dx(v), dy(u), -1)])
+
         return one, two
 
     p, w = pieces(a, b)
@@ -702,8 +710,8 @@ def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     out = {}
     for i, j, m in combinations(range(n), 3):
         value = _sum_of_products(n, [
-            (w[i, j], g[m], 2), (w[i, m], g[j], -2), (w[j, m], g[i], 2),
-            (k[i, j], p[m], 2), (k[i, m], p[j], -2), (k[j, m], p[i], 2)])
+            (w(i, j), g(m), 2), (w(i, m), g(j), -2), (w(j, m), g(i), 2),
+            (k(i, j), p(m), 2), (k(i, m), p(j), -2), (k(j, m), p(i), 2)])
         if value:
             out[i, j, m] = value
             if first_only:
@@ -747,7 +755,6 @@ class FlatnessVerdict:
 
     status: str                       # "nonflat-certified" | "flat-certified"
     witness: DifferentialForm
-    cross_check_index: int            # the mirror element n-2
     alpha1_integrable: bool
     cross_check_integrable: bool
 
@@ -826,7 +833,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     else:
         raise HirotaWebError(
             "inconsistent certificates: alpha_1 integrable but the mirror element is not")
-    return FlatnessVerdict(status, witness, spec.n - 2, alpha1_ok, cross_ok)
+    return FlatnessVerdict(status, witness, alpha1_ok, cross_ok)
 
 
 # -- restriction and transformation -----------------------------------------------

@@ -1,12 +1,16 @@
 """The JSON report writer: byte for byte ``json.dumps(x, indent=2,
-sort_keys=True)``, which stays here as the oracle and nowhere in the library."""
+sort_keys=True)``, which stays here as the oracle and nowhere in the library.
+Polynomials and forms are written from their terms, and must come out as
+the dumps of their ``poly_to_json`` and ``to_json`` dicts."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hirotaweb import DifferentialForm, MultiPoly, WebSpec, flatness_check, poly_to_json
 from hirotaweb.cli import RunConfig, _json_text, execute, render
 
 from test_cli_golden import GOLDEN
@@ -20,8 +24,9 @@ _ints = st.integers() | st.integers(-10 ** 40, 10 ** 40)
 # Quotes, backslashes, control characters and non-ASCII (BMP and astral).
 _text = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t/aZ é€ 😀') | st.characters())
 _leaves = st.none() | st.booleans() | _ints | _text
-# Term-shaped dicts, also with an extra key, an empty "e" or a bool in "e",
-# which must leave the fast path.
+# Dicts shaped like polynomial terms, also with an extra key, an empty "e" or
+# a bool in "e": the writer has no special case for them, so each is written
+# as any other dict.
 _terms = st.fixed_dictionaries(
     {"c": _text, "e": st.lists(_ints | st.booleans(), max_size=4)},
     optional={"x": _leaves})
@@ -63,8 +68,8 @@ def test_writer_matches_json_dumps_on_shared_subtrees(tree):
     assert _json_text(tree) == dumps(tree)
 
 
-# One term-list object twice at one depth and once at another, as a shared
-# denominator recurs in a witness, next to an equal but distinct list.
+# One term-list object twice at one depth and once at another, next to an
+# equal but distinct list: a shared object is written in full each time.
 _TERMS = [{"c": "-3/4", "e": [2, 0, 1]}, {"c": "5", "e": [0, 1, 1]}]
 _SHARED = {"components": [{"den": {"nvars": 3, "terms": _TERMS},
                            "num": {"nvars": 3, "terms": list(_TERMS)}},
@@ -111,13 +116,89 @@ def test_golden_json_reports_are_json_dumps_output():
         assert dumps(json.loads(text)) == text
 
 
-def test_nonflat_witness_report_matches_json_dumps():
-    nodes = tuple(Fraction(v) for v in ("1/2", "-2/3", "3/4", "5/3", "-7/5"))
-    report = execute(RunConfig("flatness", 5, 2, 2, nodes, format="json"))
+@pytest.mark.parametrize("n,k,nodes", [
+    (5, 2, ("1/2", "-2/3", "3/4", "5/3", "-7/5")),
+    (6, 2, ("0", "2", "3", "5", "7", "9")),
+])
+def test_nonflat_witness_report_matches_json_dumps(n, k, nodes):
+    nodes = tuple(Fraction(v) for v in nodes)
+    report = execute(RunConfig("flatness", n, k, n - 1 - k, nodes, format="json"))
     text = render(report, "json")
     payload = json.loads(text)
     assert payload["results"] == report.results
     assert payload["results"][0]["detail"] == "nonflat-certified"
-    assert payload["objects"] == report.objects
-    assert report.objects["witness"]["components"]
+    witness = flatness_check(WebSpec.numeric(n, k, n - 1 - k, nodes)).witness
+    assert payload["objects"] == {"witness": witness.to_json()}
+    assert payload["objects"]["witness"]["components"]
     assert text == dumps(payload)
+
+
+# Polynomials and forms as the library builds them: int and Fraction
+# coefficients, the zero polynomial and the 0-variable ring, the empty form,
+# and components whose normalized denominators repeat and differ (each
+# numerator is a drawn one times a scale from a small set).
+_coefficients = (st.integers(-9, 9) | st.integers(-10 ** 30, 10 ** 30)
+                 | st.fractions(max_denominator=12))
+
+
+def _polys(n_vars: int, min_size: int = 0):
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    return st.dictionaries(exponents, _coefficients, min_size=min_size, max_size=5).map(
+        lambda terms: MultiPoly(n_vars, terms)).filter(lambda p: min_size == 0 or p)
+
+
+@st.composite
+def _forms(draw):
+    degree = draw(st.integers(0, 3))
+    n_vars = draw(st.integers(degree, 4))
+    indices = st.sampled_from(sorted(combinations(range(n_vars), degree)))
+    scales = st.sampled_from((1, 1, 2, -3, Fraction(1, 2), Fraction(-4, 9)))
+    base = draw(_polys(n_vars))
+    components = draw(st.dictionaries(
+        indices, st.tuples(_polys(n_vars), scales, st.booleans()), max_size=4))
+    den = draw(_polys(n_vars, min_size=1))
+    return DifferentialForm(n_vars, degree, {
+        idx: (base if reuse else own) * scale
+        for idx, (own, scale, reuse) in components.items()}, den)
+
+
+_library_values = st.integers(0, 4).flatmap(_polys) | _forms()
+
+
+def _as_json(value):
+    return value.to_json() if isinstance(value, DifferentialForm) else poly_to_json(value)
+
+
+def _nested(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_library_values, st.integers(0, 4))
+def test_writer_writes_library_values_as_their_json_dicts(value, depth):
+    assert _json_text(_nested(value, depth)) == dumps(_nested(_as_json(value), depth))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_library_values, min_size=1, max_size=3), st.integers(0, 2))
+def test_writer_shares_nothing_between_values_but_their_layout(values, depth):
+    # The values at one depth and again one deeper, in one call: exponent
+    # texts and denominators met before must be written as the dicts say.
+    tree = {"a": _nested(values, depth), "b": [values, _nested(values, depth)]}
+    as_json = [_as_json(value) for value in values]
+    assert _json_text(tree) == dumps(
+        {"a": _nested(as_json, depth), "b": [as_json, _nested(as_json, depth)]})
+
+
+@pytest.mark.parametrize("poly", [
+    MultiPoly(1, {(1,): 0.5}, _canonical=True),
+    MultiPoly(2, {(1, 0): 1, (0, 1): 2.0}, _canonical=True),
+    MultiPoly(1, {(1,): True}, _canonical=True),
+    MultiPoly(1, {(1.0,): 1}, _canonical=True),
+    MultiPoly(2, {(1, True): 1}, _canonical=True),
+])
+def test_writer_refuses_an_inexact_term_smuggled_past_the_constructor(poly):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text({"p": poly})

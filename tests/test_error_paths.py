@@ -54,6 +54,23 @@ def test_exponents_and_indices_must_be_ints():
             x1.derivative(index)
 
 
+def test_variable_counts_must_be_ints():
+    # A float ring size is inexact; a negative one or any other non-int (a
+    # bool included) is a DimensionError, on every constructor but the
+    # kernel's own canonical path.
+    builds = (lambda n: MultiPoly(n, {(1, 0): 1}), lambda n: MultiPoly(n),
+              MultiPoly.zero, lambda n: MultiPoly.const(n, 3), MultiPoly.one,
+              lambda n: MultiPoly.variable(n, 0))
+    for n_vars, error in ((2.0, InexactNumberError), (1.5, InexactNumberError),
+                          (True, DimensionError), (False, DimensionError),
+                          ("2", DimensionError), (Fraction(2), DimensionError),
+                          (-1, DimensionError)):
+        for build in builds:
+            with pytest.raises(error):
+                build(n_vars)
+    assert MultiPoly.zero(0).is_zero and MultiPoly.const(0, 5).constant_value() == 5
+
+
 def test_poly_from_json_reads_only_exact_input():
     x1, x2 = (MultiPoly.variable(2, i) for i in range(2))
     p = Fraction(-3, 4) * x1 ** 2 * x2 + 5
