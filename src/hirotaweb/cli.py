@@ -360,10 +360,15 @@ def _poly_json(poly: MultiPoly, nl: str, out: list[str], layouts: dict) -> None:
 
 def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -> None:
     """Append ``form.to_json()`` as ``_json_value`` writes it: each distinct
-    denominator scaling is written once, keyed by its (g, m)."""
+    denominator scaling is written once, keyed by its (g, m).  The
+    coefficient types are checked before normalizing, which would turn a
+    bool into an int and fail on a float."""
     inner = nl + "  "
     item = inner + "  "
     field = item + "  "
+    _refuse(set(chain.from_iterable(map(type, poly.terms.values())
+                                    for poly in (form.den, *form.components.values()))),
+            _COEFFICIENTS)
     dens, entries = form._normalized()
     den_text = {}
     for key, den in dens.items():

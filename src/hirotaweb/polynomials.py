@@ -495,10 +495,13 @@ class MultiPoly:
 
     def sorted_terms(self) -> list[tuple[int, Exponents, Scalar]]:
         """(total degree, exponents, coefficient) per term, in descending
-        graded-lex order (leading term first).  The exponent tuples are
-        distinct, so the sort never compares two coefficients."""
+        graded-lex order (leading term first): a lex sort of the exponent
+        tuples, then a stable sort on the degree, which compares one int per
+        pair where a sort of (degree, exponents) pairs compares tuples."""
         terms = self.terms
-        return sorted(zip(map(sum, terms), terms, terms.values()), reverse=True)
+        order = sorted(terms, reverse=True)
+        order.sort(key=sum, reverse=True)
+        return [(sum(exps), exps, terms[exps]) for exps in order]
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:
         """Canonical text form, e.g. ``x1x2 - 2x1x3 + x2x3``."""

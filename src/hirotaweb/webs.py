@@ -43,7 +43,15 @@ certifies everything checkable about it in exact arithmetic:
   dichotomy, certified through the integrability of the degree-1 coframe
   element and of its mirror element n-2: each 3-form d(beta) wedge beta is
   one sum of six products per component, built from the gradients of four
-  minors, with no exterior algebra;
+  minors, with no exterior algebra.  For numeric nodes and k, l >= 1 the
+  witness d(beta_1) wedge beta_1 factors instead: beta_1's dx_v coefficient
+  is kappa_v D_v^2 (Lagrange interpolation in the parameter, the Veronese
+  coframe being q(node_v)^2 dx_v at node_v), and with the three-term
+  Grassmann-Pluecker relation each component is kappa_abc D_a D_b D_c F_abc,
+  F_abc the minor of size n-3 on the rows without a, b and c.  The two
+  families of identities behind it, (i) for the kappa_v and (ii) for the
+  constants rho^v_pq of D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc, are
+  zero-tested in full per run (``flatness_check``);
 * restriction of a solution to a coordinate hyperplane and composition with
   Mobius transformations, both of which produce new solutions.
 
@@ -314,6 +322,14 @@ def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
     return c
 
 
+def _minor(nodes: Sequence[int], rows: Sequence[int], size: int) -> MultiPoly:
+    """The row matrix's minor at int nodes over the 0-based increasing
+    ``rows`` and the leading columns of each block, with an x-block of
+    ``size`` columns: ``_numeric_block`` at g = 0."""
+    return MultiPoly(len(nodes), _numeric_block(nodes, rows, size, (0,), False)[0],
+                     _canonical=True)
+
+
 def _factored_proof(f: RationalFunction, nodes: Sequence[int],
                     l: int) -> set[tuple[int, int, int]]:
     """The 1-based triples whose Q B the factored identities prove zero, for
@@ -321,13 +337,8 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     for some index, since then the factors do not describe f."""
     num, den = f.num, f.den
     n = len(nodes)
-
-    def minor(rows, size):
-        """The rows' minor over the leading columns of each block (g = 0)."""
-        return MultiPoly(n, _numeric_block(nodes, rows, size, (0,), False)[0], _canonical=True)
-
     others = [[r for r in range(n) if r != i] for i in range(n)]
-    d = [minor(rows, l) for rows in others]
+    d = [_minor(nodes, rows, l) for rows in others]
     d_num = [num.derivative(v) for v in range(n)]
     d_den = [den.derivative(v) for v in range(n)]
     a = []
@@ -337,7 +348,7 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
             return set()
     e, b = {}, {}
     for j, k in combinations(range(n), 2):                     # (B)
-        e[j, k] = minor([r for r in others[j] if r != k], l - 1)
+        e[j, k] = _minor(nodes, [r for r in others[j] if r != k], l - 1)
         b[j, k] = _proportion([(den, d[j].derivative(k), 1), (d[j], d_den[k], -1)],
                               d[k], e[j, k])
         if b[j, k] is None:
@@ -719,6 +730,64 @@ def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     return out
 
 
+def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
+                      nodes: Sequence[int], l: int
+                      ) -> Optional[dict[tuple[int, int, int], MultiPoly]]:
+    """``_self_wedge(a, b, c, d)`` for (A, B, C, D) = (Q0, P1, Q1, P0) of a
+    spec with int nodes and k, l >= 1, each nonzero component written as
+    kappa_abc (D_a D_b)(D_c F_abc) from minors of size n-1 and n-3
+    (``flatness_check``).  Two families are zero-tested in full, each
+    constant read off one coefficient first (``_proportion``):
+    (i) h_v = A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2 for
+    every v;
+    (ii) W^v_pq = D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc for the
+    three splits of each triple {a, b, c} into v and p < q.
+    None when a check fails, a D or F is zero or a component's division
+    leaves a remainder: the caller then takes ``_self_wedge``."""
+    n = len(nodes)
+    indices = range(n)
+    minors = [_minor(nodes, [r for r in indices if r != v], l) for v in indices]
+    if not all(minors):
+        return None
+    kappa = []
+    for v in indices:                                           # (i)
+        kappa.append(_proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
+                                  (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
+                                 minors[v], minors[v]))
+        if kappa[v] is None:
+            return None
+    slopes = [[minors[q].derivative(v) for v in indices] for q in indices]
+    out = {}
+    for i, j in combinations(indices, 2):
+        pair = None
+        for m in range(j + 1, n):
+            f = _minor(nodes, [r for r in indices if r not in (i, j, m)], l - 1)
+            if not f:
+                return None
+            rho = []
+            for v, p, q in ((i, j, m), (j, i, m), (m, i, j)):     # (ii)
+                rho.append(_proportion([(minors[p], slopes[q][v], 1),
+                                        (minors[q], slopes[p][v], -1)], minors[v], f))
+                if rho[-1] is None:
+                    return None
+            rho_i, rho_j, rho_m = rho
+            constant = 2 * (kappa[i] * kappa[m] * rho_j - kappa[i] * kappa[j] * rho_m
+                            - kappa[j] * kappa[m] * rho_i)
+            if not constant:
+                continue
+            if pair is None:
+                pair = minors[i] * minors[j]
+            value = _sum_of_products(n, [(pair, minors[m] * f, constant.numerator)])
+            scale = constant.denominator
+            if scale != 1:
+                if any(x % scale for x in value.terms.values()):
+                    return None
+                value = MultiPoly(n, {e: x // scale for e, x in value.terms.items()},
+                                  _canonical=True)
+            out[i, j, m] = value
+    return out
+
+
 def coframe(spec: WebSpec) -> LambdaForm:
     """The annihilating parameter polynomial of coefficient 1-forms, built
     from the determinant data.
@@ -781,9 +850,10 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     (A, B, C, D) = (Q0, P1, Q1, P0).  For the mirror, i <= l, j <= k and
     i + j = n - 2 = k + l - 1 leave only the pairs (l, k-1) and (l-1, k):
     (A, B, C, D) = (Q_l, P_(k-1), Q_(l-1), P_k).  At n = 3 the two tuples
-    give the same form.  Both 3-forms come from one formula
+    give the same form.  Both 3-forms can come from one formula
     (``_self_wedge``): the witness keeps every nonzero component, and the
-    mirror test stops at its first.
+    mirror test stops at its first.  For k, l >= 1 the witness is factored
+    instead (below), and the formula remains its fallback.
 
     For beta_1 the formula is the witness identity
 
@@ -809,6 +879,73 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
     so each component of the witness at a point needs only the values and
     gradients of the four minors there.
+
+    For k, l >= 1 the witness is built from smaller minors instead
+    (``_factored_witness``).  With the nodes scaled to ints, D_v is the row
+    matrix's minor on the rows without v and F_abc the one on the rows
+    without a, b and c, over the leading columns of each block with x-blocks
+    of l and l-1 columns: C(n-1, l) and C(n-3, l-1) terms, both from
+    ``_numeric_block`` at g = 0, D as in ``verify_hirota``.  Then
+
+        w1_abc = kappa_abc (D_a D_b)(D_c F_abc),
+        kappa_abc = 2 (kappa_a kappa_c rho^b_ac - kappa_a kappa_b rho^c_ab
+                       - kappa_b kappa_c rho^a_bc),
+
+    with the constants of two families of identities, each zero-tested in
+    full per run:
+    (i) h_v := A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2 for
+    every v, h_v being the dx_v coefficient of beta_1;
+    (ii) W^v_pq := D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc for the
+    three ways to split {a, b, c} into v and p < q.
+    Why they hold (Lagrange and Vandermonde on the Veronese coframe,
+    Zakharevich 2000; the three-term Grassmann-Pluecker relation, Sato 1981):
+    1. beta(t) = q dp - p dq = sum_m beta_m t^m, p(t) = sum P_j t^j and
+       q(t) = sum Q_i t^i, has t-degree <= n-1.  Differentiating
+       p(node_i) = x_i q(node_i) gives beta(node_i) = q(node_i)^2 dx_i, so by
+       Lagrange interpolation beta_1 = sum_i q(node_i)^2 [t^1]L_i(t) dx_i,
+       L_i(t) = prod_{m != i} (t - node_m) / c_i, c_i = prod_{m != i}
+       (node_i - node_m).
+    2. q(node_i) is the row matrix bordered by the row (0 | N_i), N_i =
+       (1, node_i, node_i^2, ...), since the Q_j are its cofactors along
+       that row; adding x_i times it to row i leaves (N_i | 0).  In the
+       Laplace expansion along the x-columns, (0 | N_i) joins every x-row
+       subset S and (N_i | 0) every complement, and V(node_S, node_i) =
+       V(node_S) prod_{m in S} (node_i - node_m), so term by term
+       q(node_i) = +-c_i D_i.  Hence h_i = kappa_i D_i^2 with kappa_i =
+       s c_i [t^1] prod_{m != i} (t - node_m), one scalar s per spec (s = 1
+       for integer nodes).
+    3. The Frobenius component h_a (d_b h_c - d_c h_b) - h_b (d_a h_c -
+       d_c h_a) + h_c (d_a h_b - d_b h_a), grouped by the differentiated
+       variable, is 2 kappa_a kappa_c D_a D_c W^b_ac - 2 kappa_a kappa_b
+       D_a D_b W^c_ab - 2 kappa_b kappa_c D_b D_c W^a_bc, which (ii) turns
+       into the formula above.
+    4. For v != q, row v of D_q is u + x_v w with u = (N_v | 0) and
+       w = (0 | -N_v) cut to D's columns, so D is affine in x_v.  With K the
+       rows not in {p, q, v}, r_p and r_q rows p and q, and [...] the
+       determinant of the listed rows, W^v_pq = [K r_q u][K r_p w] -
+       [K r_p u][K r_q w]: the x_v terms cancel.  The three-term Pluecker
+       relation makes this [K r_q r_p][K u w] = +-D_v [K u w], and step 2's
+       expansion gives [K u w] = +-prod_{m in K} (node_v - node_m) F.  So
+       rho^v_pq = +-prod_{m not in {p,q,v}} (node_v - node_m) over the int
+       nodes, with the sign (-1)^(l+1+i), i the number of p, q below v
+       (measured on every order with k, l >= 1 up to n = 7 and pinned by
+       the tests).
+    The verdict rests on no unchecked identity: (i) and (ii) are computed,
+    and steps 1-4 only say why they pass.  A failed check, a zero D or F,
+    or a component whose division by kappa_abc's denominator leaves a
+    remainder sends the whole witness back to ``_self_wedge``, so a
+    corrupted or substituted minor gives the witness it gave before.  A
+    component with kappa_abc = 0 is absent, as ``_self_wedge`` leaves a zero
+    component out.  D and F are nonzero, so the witness is nonzero exactly
+    when some kappa_abc is.  With integer nodes the constants combine to
+    kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in {a,b,c}} node_m)^2
+    (measured on every order with k, l >= 1 up to n = 6 and pinned by the
+    tests): distinct nodes include at most one zero, so a triple holding it
+    has kappa_abc != 0.  With nodes 1..n and k = (n-1)//2 a check takes
+    0.04-0.07 s at n = 6, 0.34-0.55 s at n = 7 and 2.3-3.6 s at n = 8
+    (135 MB), against 0.12-0.16, 1.6-2.2 and 17.3 s through
+    ``_self_wedge`` (2 vCPUs, Python 3.11, the range of single in-process
+    runs on a host whose speed drifts).
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
@@ -821,7 +958,13 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
         raise DegenerateInterpolantError("denominator constant term vanishes")
     zero = MultiPoly.zero(spec.n_vars)
 
-    w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
+    w1 = None
+    if k >= 1 and l >= 1:
+        scale = _denominator_lcm(spec.lambdas)
+        w1 = _factored_witness(q[0], p[1], q[1], p[0],
+                               [_tighten(v * scale) for v in spec.lambdas], l)
+    if w1 is None:
+        w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
     mirror = _self_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k],
                          first_only=True)
     witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)

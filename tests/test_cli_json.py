@@ -202,3 +202,18 @@ def test_writer_shares_nothing_between_values_but_their_layout(values, depth):
 def test_writer_refuses_an_inexact_term_smuggled_past_the_constructor(poly):
     with pytest.raises(TypeError, match="is not JSON serializable"):
         _json_text({"p": poly})
+
+
+_x = MultiPoly.variable(2, 0)
+
+
+@pytest.mark.parametrize("form", [
+    DifferentialForm(2, 1, {(0,): MultiPoly(2, {(1, 0): 0.5}, _canonical=True)}),
+    DifferentialForm(2, 1, {(1,): _x}, MultiPoly(2, {(0, 0): 2.0}, _canonical=True)),
+    DifferentialForm(2, 1, {(0,): _x, (1,): MultiPoly(2, {(0, 1): True}, _canonical=True)}),
+])
+def test_writer_refuses_an_inexact_form_term_before_normalizing(form):
+    # The stdlib encoder's TypeError, not an AttributeError from the
+    # normalization, and a bool is refused before it could become an int.
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        _json_text({"w": form})

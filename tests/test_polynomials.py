@@ -290,6 +290,21 @@ def test_text_rendering_graded_lex_descending():
     assert poly_text(x1 ** 2 * x2 + const(3, 5)) == "x1^2x2 + 5"
 
 
+@st.composite
+def _many_terms(draw):
+    n_vars = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 4)] * n_vars)
+    return MultiPoly(n_vars, draw(st.dictionaries(exponents, st.integers(-9, 9), max_size=40)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_many_terms())
+def test_sorted_terms_is_the_descending_grlex_order(poly):
+    # The lex-then-stable-degree sort against one sort on grlex_key.
+    expected = sorted(poly.terms, key=polynomials.grlex_key, reverse=True)
+    assert [(sum(e), e, poly.terms[e]) for e in expected] == poly.sorted_terms()
+
+
 def test_mixed_integer_and_fractional_coefficients():
     # integral coefficients are stored as ints, fractional ones as Fraction;
     # the two mix transparently and never produce floats

@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,10 +19,12 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
 from hirotaweb.interpolation import _numeric_block
-from hirotaweb.webs import (_coframe_element, _degree_bound, _derivative_degrees,
-                            _minor_degrees, _polynomial_jet, _residual,
-                            _residual_factors, _sampled_factors, _self_wedge,
-                            _spec_factors, _without_denominators)
+from hirotaweb.cli import RunConfig, run as cli_run
+from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
+                            _derivative_degrees, _factored_witness, _minor_degrees,
+                            _polynomial_jet, _residual, _residual_factors,
+                            _sampled_factors, _self_wedge, _spec_factors,
+                            _without_denominators)
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_polynomials import cofactor_determinant
@@ -1029,6 +1031,140 @@ def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkey
         x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
     with pytest.raises(HirotaWebError, match="inconsistent certificates"):
         flatness_check(WebSpec.numeric(7, 3, 3))
+
+
+# -- the factored witness ---------------------------------------------------------------
+
+_WITNESS_ORDERS = [(n, k) for n in range(3, 7) for k in range(1, n - 1)]
+
+
+def _witness_pieces(spec):
+    """(Q0, P1, Q1, P0) with denominators cleared, as flatness_check takes
+    them, and the nodes scaled to ints."""
+    minors = _without_denominators(signed_minors(spec))
+    p, q = minors[:spec.k + 1], minors[spec.k + 1:]
+    scale = _denominator_lcm(spec.lambdas)
+    return (q[0], p[1], q[1], p[0]), [int(v * scale) for v in spec.lambdas]
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", _WITNESS_ORDERS)
+def test_factored_witness_is_the_self_wedge(n, k, node_class):
+    # Every component, in the same order, and every zero component absent.
+    spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
+    pieces, int_nodes = _witness_pieces(spec)
+    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    assert factored is not None
+    assert list(factored.items()) == list(_self_wedge(*pieces).items())
+
+
+def test_factored_witness_is_the_self_wedge_at_n7():
+    spec = WebSpec.numeric(7, 2, 4, nodes(3, -1, 4, "1/5", 9, -2, 6))
+    pieces, int_nodes = _witness_pieces(spec)
+    assert list(_factored_witness(*pieces, int_nodes, 4).items()) == list(
+        _self_wedge(*pieces).items())
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", _WITNESS_ORDERS)
+def test_witness_constants_have_closed_forms(n, k, node_class):
+    # kappa_v = s c_v [t^1] prod_{m != v} (t - node_m), with one scalar s per
+    # spec (s = 1 for integer nodes), and, over the int nodes,
+    # rho^v_pq = (-1)^(l + 1 + i) prod_{m not in {p, q, v}} (node_v - node_m),
+    # i the number of p, q below v (flatness_check's docstring).  With s = 1
+    # they combine to kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in
+    # {a, b, c}} node_m)^2.
+    l = n - 1 - k
+    node_list = _NODE_CLASSES[node_class][:n]
+    spec = WebSpec.numeric(n, k, l, node_list)
+    (a, b, c, d), int_nodes = _witness_pieces(spec)
+    everyone = range(n)
+    minors = [webs._minor(int_nodes, [r for r in everyone if r != v], l) for v in everyone]
+    spans = [prod(node_list[v] - node_list[m] for m in everyone if m != v)
+             for v in everyone]
+    kappa, scalars = [], set()
+    for v in everyone:
+        kappa.append(webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
+                                       (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
+                                      minors[v], minors[v]))
+        closed = spans[v] * _linear_product(node_list[:v] + node_list[v + 1:])[1]
+        if closed:
+            scalars.add(kappa[v] / closed)
+        else:
+            assert kappa[v] == 0
+    assert len(scalars) == 1
+    assert node_class == "rational" or scalars == {1}
+    for triple in combinations(everyone, 3):
+        f = webs._minor(int_nodes, [r for r in everyone if r not in triple], l - 1)
+        rho = []
+        for below, v in enumerate(triple):
+            p, q = (t for t in triple if t != v)
+            rho.append(webs._proportion([(minors[p], minors[q].derivative(v), 1),
+                                         (minors[q], minors[p].derivative(v), -1)],
+                                        minors[v], f))
+            closed = prod(int_nodes[v] - int_nodes[m] for m in everyone if m not in triple)
+            assert rho[-1] == (-1) ** (l + 1 + below) * closed, (triple, v)
+        if node_class != "rational":
+            i, j, m = triple
+            constant = 2 * (kappa[i] * kappa[m] * rho[1] - kappa[i] * kappa[j] * rho[2]
+                            - kappa[j] * kappa[m] * rho[0])
+            outside = prod(node_list[r] for r in everyone if r not in triple)
+            assert constant == (-1) ** l * 2 * spans[i] * spans[j] * spans[m] * outside ** 2
+
+
+def _corrupt_p0(monkeypatch):
+    """P0 + x1^2 in place of P0, so check (i) fails at v = 1."""
+    genuine = webs.signed_minors
+
+    def corrupted(spec):
+        minors = genuine(spec)
+        minors[0] = minors[0] + MultiPoly.variable(spec.n_vars, 0) ** 2
+        return minors
+
+    monkeypatch.setattr(webs, "signed_minors", corrupted)
+
+
+@pytest.mark.parametrize("lambdas", [(3, 1, 7, 2, 9), (0, "1/2", -3, 2, 5)])
+def test_a_failed_witness_check_falls_back_to_the_self_wedge(lambdas, monkeypatch):
+    # The whole witness, and so every output byte, is then _self_wedge's.
+    cfg = RunConfig(command="flatness", n=5, k=2, l=2,
+                    lambdas=tuple(Fraction(v) for v in lambdas), format="json")
+    _corrupt_p0(monkeypatch)
+    returned = []
+    factored = webs._factored_witness
+    monkeypatch.setattr(webs, "_factored_witness",
+                        lambda *args: returned.append(factored(*args)) or returned[-1])
+    code, text = cli_run(cfg)
+    assert returned == [None]
+    monkeypatch.setattr(webs, "_factored_witness", lambda *args: None)
+    assert cli_run(cfg) == (code, text)
+
+
+def test_a_division_with_a_remainder_falls_back_to_the_self_wedge(monkeypatch):
+    # Constants off by a factor 7 leave a remainder in the components'
+    # division, so the witness is _self_wedge's, not a rounded one.
+    spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
+    expected = flatness_check(spec).witness
+    pieces, int_nodes = _witness_pieces(spec)
+    proportion = webs._proportion
+    monkeypatch.setattr(webs, "_proportion", lambda *args: proportion(*args) / 7)
+    assert _factored_witness(*pieces, int_nodes, 2) is None
+    assert flatness_check(spec).witness == expected
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(3, 1, 1), WebSpec.numeric(5, 2, 2),
+                                  WebSpec.numeric(5, 1, 3, (0, 2, -3, 1, 4)),
+                                  WebSpec.numeric(6, 3, 2, _NODE_CLASSES["rational"]),
+                                  WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0)])
+def test_a_nonflat_witness_never_takes_the_self_wedge(spec, monkeypatch):
+    # k, l >= 1: only the mirror's first component comes from _self_wedge;
+    # k = 0 or l = 0: the witness does, as a whole.
+    calls = []
+    wedge = webs._self_wedge
+    monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
+        first_only) or wedge(*args, first_only=first_only))
+    verdict = flatness_check(spec)
+    assert calls == ([True] if not verdict.is_flat else [False, True])
 
 
 # -- restriction -----------------------------------------------------------------------
