@@ -15,14 +15,21 @@ output, and JSON output.
 
 One packed route, ``_sum_of_products``, computes sums of scaled products
 sum scale * a * b, keying monomials by one packed int instead of an
-exponent tuple (Kronecker substitution): each variable gets a bit field wide
-enough for the largest sum of the two operands' largest exponents in it, so
-adding two packed keys multiplies the monomials without carries.  All the
-products of one sum collect in one map and only the surviving terms are
-unpacked, so a sum that cancels builds no intermediate product.  A single
-product of two polynomials is a sum of one, except when an operand has one
-term: that product only shifts the other operand's monomials, which stay
-distinct, so it is one pass over them with nothing to collect.
+exponent tuple (Kronecker substitution): variable v takes W bits at bit
+offset v * W, W being the smallest width with top_a + top_b < 2**W for
+every part of the sum, top a polynomial's largest exponent, so adding two
+packed keys multiplies the monomials without carries.  The width is in
+bits, not bytes, so that the keys of the certificates' products (up to
+about ten variables, exponents below 8) stay below 2**30, where CPython
+adds and hashes ints on its one-digit fast path.  Every polynomial keeps
+its packed map, so it is packed at most once, and is re-keyed (without
+building exponent tuples) only when a sum needs another width.  All the
+products of one sum collect in one map, and the result keeps just that
+map, with a bound on its top: its exponent tuples are unpacked only when
+a caller reads ``terms``, so a product that feeds the next product, a zero
+test or a term count is never unpacked, and a sum that cancels builds no
+intermediate product.  Every product of two polynomials, one-term
+operands included, is a sum of one.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -119,82 +126,107 @@ def _tightened(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
             for e, c in terms.items() if c}
 
 
+def _pack(n_vars: int, terms: Mapping[Exponents, Scalar], width: int) -> dict[int, Scalar]:
+    """The terms keyed by packed ints: variable v takes the ``width`` bits
+    at bit offset v * width.  Every exponent must be below 2**width."""
+    shifts = range(0, width * n_vars, width)
+    lshift = operator.lshift
+    return {sum(map(lshift, e, shifts)): c for e, c in terms.items()}
+
+
+def _unpack(n_vars: int, packed: Mapping[int, Scalar], width: int) -> dict[Exponents, Scalar]:
+    """The exponent-tuple terms of a packed map, in its order."""
+    shifts = range(0, width * n_vars, width)
+    mask = (1 << width) - 1
+    return {tuple([key >> shift & mask for shift in shifts]): c for key, c in packed.items()}
+
+
+def _repack(n_vars: int, packed: Mapping[int, Scalar], width: int, new: int
+            ) -> dict[int, Scalar]:
+    """A packed map re-keyed from ``width`` to another width, in its order,
+    with no exponent tuple kept."""
+    shifts = range(0, width * n_vars, width)
+    mask = (1 << width) - 1
+    targets = range(0, new * n_vars, new)
+    lshift = operator.lshift
+    return {sum(map(lshift, [key >> shift & mask for shift in shifts], targets)): c
+            for key, c in packed.items()}
+
+
 def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
                      ) -> "MultiPoly":
     """sum of scale * a * b over the (a, b, scale) parts, collected in one map.
 
-    Every monomial is packed into one int (Kronecker substitution) under a
-    layout shared by all the parts: variable v occupies a bit field as wide
-    as the bit length of the largest max_a(e_v) + max_b(e_v) over the parts,
-    so no exponent of any product overflows its field and the sum of two
-    packed keys is the packed key of the product.  Each scale is folded into
-    the smaller operand's coefficients once, every term pair adds into the
-    one map, and only the keys whose coefficients survive are unpacked and
-    tightened: a sum that cancels, such as a residual of a genuine solution,
-    unpacks nothing.
+    Every operand's packed map is taken at one bit width W shared by all
+    the parts, the smallest with top_a + top_b < 2**W for each part, so no
+    exponent of any product carries into the next variable's bits and the
+    sum of two packed keys is the packed key of the product.  Each scale is
+    folded into the smaller operand's coefficients once, every term pair
+    adds into the one map, and the survivors are tightened into the
+    result's packed map, unpacked only when a caller reads ``terms``: a sum
+    that cancels, such as a residual of a genuine solution, unpacks nothing,
+    and neither does a product that only feeds the next one.
     """
     work = []
-    tops = [0] * n_vars
+    top = 0
     for a, b, scale in parts:
         if a.n_vars != n_vars or b.n_vars != n_vars:
             raise DimensionError(f"mixed rings: {a.n_vars} and {b.n_vars} variables "
                                  f"in a sum over {n_vars}")
         if scale.__class__ is not int:
             scale = _tighten(_exact(scale))
-        if not scale or not a.terms or not b.terms:
+        if not scale or not a or not b:
             continue
-        a, b = a.terms, b.terms
         if len(a) > len(b):
             a, b = b, a
-        tops = list(map(max, tops, map(operator.add, map(max, zip(*a)), map(max, zip(*b)))))
+        top = max(top, a._top_exponent() + b._top_exponent())
         work.append((a, b, scale))
-    shifts: list[int] = []
-    masks: list[int] = []
-    width = 0
-    for top in tops:
-        bits = top.bit_length()
-        shifts.append(width)
-        masks.append((1 << bits) - 1)
-        width += bits
-    lshift = operator.lshift
+    width = max(top.bit_length(), 1)
     sums: dict[int, Scalar] = {}
     get = sums.get
     for a, b, scale in work:
-        packed_b = [(sum(map(lshift, e, shifts)), c) for e, c in b.items()]
-        for ea, ca in a.items():
-            ka = sum(map(lshift, ea, shifts))
+        packed_b = list(b._packed_at(width).items())
+        for ka, ca in a._packed_at(width).items():
             if scale != 1:
                 ca = ca * scale
             for kb, cb in packed_b:
                 key = ka + kb
                 cur = get(key)
                 sums[key] = ca * cb if cur is None else cur + ca * cb
-    fields = list(zip(shifts, masks))
-    return MultiPoly(n_vars, {
-        tuple([(key >> shift) & mask for shift, mask in fields]):
-            c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
-        for key, c in sums.items() if c}, _canonical=True)
+    return MultiPoly._from_packed(n_vars, {
+        key: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for key, c in sums.items() if c}, width, top)
 
 
 class MultiPoly:
     """A sparse exact-coefficient polynomial; immutable by convention.
 
     ``terms`` maps exponent tuples to nonzero exact rationals (int or
-    Fraction; no floats anywhere).  Do not mutate the dict after
-    construction: every operation returns a fresh polynomial.
+    Fraction; no floats anywhere).  Mutating it was never allowed: every
+    operation returns a fresh polynomial, and a polynomial also caches its
+    packed monomial map (``_sum_of_products``), which an edited ``terms``
+    would leave stale.  A polynomial that a product built holds only the
+    packed map until ``terms`` is first read; ``len``, truth and zero tests
+    count its terms without unpacking them, and ``==`` between two packed
+    polynomials compares their maps at the wider of their widths.
     """
 
-    __slots__ = ("n_vars", "terms")
+    # ``_terms`` is the exponent-tuple map, or None until a polynomial built
+    # packed is first read; ``_packed`` is the packed map (or None) at bit
+    # width ``_width``; ``_top`` bounds every exponent (None until needed).
+    # At least one of the two maps is always there.
+    __slots__ = ("n_vars", "_terms", "_packed", "_width", "_top")
 
     def __init__(self, n_vars: int, terms: Optional[Mapping[Exponents, Scalar]] = None,
                  *, _canonical: bool = False):
         self.n_vars = n_vars
+        self._packed = self._top = None
         if _canonical:
-            self.terms: dict[Exponents, Scalar] = {} if terms is None else dict(terms)
+            self._terms = {} if terms is None else dict(terms)
             return
         _check_n_vars(n_vars)
         if terms is None:
-            self.terms = {}
+            self._terms = {}
         else:
             clean: dict[Exponents, Scalar] = {}
             for exps, coeff in terms.items():
@@ -207,7 +239,46 @@ class MultiPoly:
                 c = _tighten(_exact(coeff))
                 if c:
                     clean[tuple(exps)] = c
-            self.terms = clean
+            self._terms = clean
+
+    @classmethod
+    def _from_packed(cls, n_vars: int, packed: dict[int, Scalar], width: int,
+                     top: int) -> "MultiPoly":
+        """A polynomial held as its canonical packed map only."""
+        poly = cls.__new__(cls)
+        poly.n_vars, poly._terms = n_vars, None
+        poly._packed, poly._width, poly._top = packed, width, top
+        return poly
+
+    @property
+    def terms(self) -> dict[Exponents, Scalar]:
+        """The map from exponent tuples to coefficients; a polynomial built
+        packed unpacks it on first read and keeps it."""
+        terms = self._terms
+        if terms is None:
+            terms = self._terms = _unpack(self.n_vars, self._packed, self._width)
+        return terms
+
+    def _top_exponent(self) -> int:
+        """The largest exponent, or a bound on it for a product's result."""
+        top = self._top
+        if top is None:
+            terms = self.terms
+            top = self._top = max(map(max, terms)) if terms and self.n_vars else 0
+        return top
+
+    def _packed_at(self, width: int) -> dict[int, Scalar]:
+        """The packed map at this bit width, packed once and kept; a map
+        kept at another width is re-keyed and replaced.  2**width must
+        exceed every exponent."""
+        packed = self._packed
+        if packed is None or self._width != width:
+            if self._terms is None:
+                packed = _repack(self.n_vars, packed, self._width, width)
+            else:
+                packed = _pack(self.n_vars, self._terms, width)
+            self._packed, self._width = packed, width
+        return packed
 
     # -- constructors ------------------------------------------------------
 
@@ -241,9 +312,14 @@ class MultiPoly:
 
     # -- predicates and inspection -----------------------------------------
 
+    def __len__(self) -> int:
+        """The number of terms, counted without unpacking."""
+        packed = self._packed
+        return len(self._terms if packed is None else packed)
+
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.__len__()
 
     @property
     def is_constant(self) -> bool:
@@ -290,12 +366,17 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.n_vars == other.n_vars and self.terms == other.terms
+        if self.n_vars != other.n_vars:
+            return False
+        if self._packed is not None and other._packed is not None:
+            width = max(self._width, other._width)
+            return self._packed_at(width) == other._packed_at(width)
+        return self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; identity-style hashing would mislead
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return self.__len__() != 0
 
     # -- ring arithmetic ----------------------------------------------------
 
@@ -347,34 +428,24 @@ class MultiPoly:
                 out = _tightened(out)
             return MultiPoly(self.n_vars, out, _canonical=True)
         self._check_ring(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        if len(a) != 1:
-            return _sum_of_products(self.n_vars, ((self, other, 1),))
-        # One term shifts the other operand's monomials: distinct monomials
-        # stay distinct, so nothing accumulates.
-        (ea, ca), = a.items()
-        add = operator.add
-        out = {tuple(map(add, ea, eb)): ca * cb for eb, cb in b.items()}
-        if _has_fraction(out):
-            out = _tightened(out)
-        return MultiPoly(self.n_vars, out, _canonical=True)
+        return _sum_of_products(self.n_vars, ((self, other, 1),))
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
+        """Binary powering from the first factor: p ** 4 is two squarings."""
         _check_count("exponent", exponent, 0, "negative power of a polynomial")
-        result = MultiPoly.one(self.n_vars)
-        base = self
-        e = exponent
-        while e:
+        if not exponent:
+            return MultiPoly.one(self.n_vars)
+        result = None
+        base, e = self, exponent
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     # -- calculus and elimination -------------------------------------------
 

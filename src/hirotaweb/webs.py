@@ -229,9 +229,9 @@ def _degree_bound(p_degrees: _Degrees, q_degrees: _Degrees, n: int,
 # and Q: polynomial jets for the symbolic proof, integer jets at each sampled
 # point.  Each factor and each B is a short sum of scaled products, written as
 # one list of (a, b, scale) parts: polynomial parts collect in one packed map
-# (``_sum_of_products``) and are unpacked once, so the B of a genuine
-# solution, which cancels to zero, never builds its three products; numbers
-# are summed directly.
+# (``_sum_of_products``) that stays packed, since every factor feeds the
+# next sum, so the B of a genuine solution, which cancels to zero, never
+# builds its three products; numbers are summed directly.
 
 _Jet = tuple   # (value, gradient, Hessian) in some of x_1..x_n
 
@@ -255,7 +255,7 @@ def _combine(parts: list):
     numeric = []
     for a, b, s in parts:
         if isinstance(s, MultiPoly):
-            a, b, s = (a * s, b, 1) if len(a.terms) <= len(b.terms) else (a, b * s, 1)
+            a, b, s = (a * s, b, 1) if len(a) <= len(b) else (a, b * s, 1)
         numeric.append((a, b, s))
     return _sum_of_products(parts[0][0].n_vars, numeric)
 
@@ -465,7 +465,9 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
 
     Each triple's residual numerator is Q B, B = N_i G_jk + N_j G_ki + N_k G_ij
     (module docstring).  Symbolic mode proves every B is the zero polynomial,
-    exact since Q is nonzero; a failing triple reports the terms of Q B.
+    exact since Q is nonzero; a failing triple reports the number of terms
+    of Q B, counted on the product's packed map, so neither B nor Q B is
+    unpacked into exponent tuples.
     Sampled mode evaluates each q B exactly at ``trials`` seeded random
     integer points with coordinates in [-bound, bound] and requires exact
     zeros; a nonzero numerator would survive one trial with probability at
@@ -565,7 +567,7 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
                 continue
             bracket = _residual(*factors(), triple)
             detail = ("residual numerator is 0" if bracket.is_zero else "nonzero residual "
-                      f"numerator with {len((f.den * bracket).terms)} term(s)")
+                      f"numerator with {len(f.den * bracket)} term(s)")
             checks.append(TripleCheck(triple, bracket.is_zero, detail))
         return VerificationReport("symbolic", all(c.ok for c in checks), tuple(checks))
 

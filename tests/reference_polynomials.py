@@ -1,10 +1,11 @@
 """Second routes for polynomial arithmetic and determinants: test oracles.
 
-``product_terms`` is the oracle for ``MultiPoly.__mul__``.  The library
-multiplies small operands with exponent-tuple keys and large ones with
-packed-int keys.  This route uses neither: it sums every term pair's
-coefficient as a Fraction under the componentwise sum of the exponent
-tuples, written without any of the library's helpers.
+``product_terms`` is the oracle for ``MultiPoly.__mul__``, and
+``sum_of_products_terms`` for the sums of products behind it, order of
+the terms included.  The library multiplies with packed-int keys; these
+routes sum every term pair's coefficient as a Fraction under the
+componentwise sum of the exponent tuples, written without any of the
+library's helpers.
 
 ``cofactor_determinant`` and ``cofactor_minors`` are the polynomial
 determinant and maximal minors by memoized cofactor expansion; the library
@@ -35,6 +36,26 @@ def product_terms(p: MultiPoly, q: MultiPoly) -> dict:
         for eb, cb in q.terms.items():
             key = tuple(x + y for x, y in zip(ea, eb))
             out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb)
+    return {e: c for e, c in out.items() if c}
+
+
+def sum_of_products_terms(parts: Iterable) -> dict:
+    """The nonzero terms of sum scale * a * b over the (a, b, scale) parts,
+    in the order the library's kernel collects them: part by part, the
+    operand with fewer terms outside (the first on a tie), and each
+    monomial where a term pair first reaches it, even if it cancels and
+    comes back later."""
+    out = {}
+    for a, b, scale in parts:
+        a, b = a.terms, b.terms
+        if not scale or not a or not b:
+            continue
+        if len(a) > len(b):
+            a, b = b, a
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                key = tuple(x + y for x, y in zip(ea, eb))
+                out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb) * scale
     return {e: c for e, c in out.items() if c}
 
 

@@ -16,7 +16,7 @@ from hirotaweb import (DimensionError, HirotaWebError, MultiPoly, RationalFuncti
 from hirotaweb import polynomials
 from reference_interpolation import build_system_matrix, determinant_cofactor_naive
 from reference_polynomials import (_det_bareiss, cofactor_determinant, cofactor_minors,
-                                   exact_div, product_terms)
+                                   exact_div, product_terms, sum_of_products_terms)
 
 
 def var(n, i):
@@ -582,6 +582,151 @@ def test_sum_of_products_scales_rings_and_edges():
         polynomials._sum_of_products(3, [(p, p, 1)])
     with pytest.raises(hirotaweb.InexactNumberError):
         polynomials._sum_of_products(2, [(p, p, 0.5)])
+
+
+# -- packed maps kept with each polynomial ------------------------------------------------
+
+# The bit width grows at each power of two: sums of two of these exponents
+# land on both sides of the switches at 4, 128, 256, 512 and 2^21.
+_width_exponents = st.sampled_from((0, 1, 2, 3, 127, 128, 255, 256, 2 ** 20))
+_STATES = ("terms", "packed", "unpacked", "used")
+
+
+def _in_state(poly, state):
+    """``poly`` as built from its terms, held packed only (a product by one,
+    never read), packed and then read, or built from terms and packed by an
+    earlier product."""
+    if state == "terms":
+        return poly
+    if state == "used":
+        poly * poly
+        return poly
+    packed = poly * MultiPoly.one(poly.n_vars)
+    if state == "unpacked":
+        packed.terms
+    return packed
+
+
+@st.composite
+def _stated_parts(draw):
+    """1 to 3 (a, b, scale) parts in one ring of 0..3 variables, each
+    operand in a drawn state, and sometimes negated or scaled first; half
+    the draws repeat every part with swapped operands and negated scales."""
+    n_vars = draw(st.integers(0, 3))
+    exponents = st.tuples(*[_width_exponents] * n_vars)
+
+    def operand():
+        poly = _in_state(MultiPoly(n_vars, draw(st.dictionaries(exponents, _coefficients,
+                                                                max_size=6))),
+                         draw(st.sampled_from(_STATES)))
+        change = draw(st.sampled_from((None, "neg", "scale")))
+        if change == "neg":
+            return -poly
+        return poly * draw(_scalars) if change == "scale" else poly
+
+    parts = [(operand(), operand(), draw(_part_scales))
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):             # a sum that cancels to exactly zero
+        parts += [(b, a, -s) for a, b, s in parts]
+    return n_vars, parts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stated_parts())
+def test_kernel_results_match_the_ordered_reference(case):
+    n_vars, parts = case
+    result = polynomials._sum_of_products(n_vars, parts)
+    counted = len(result), bool(result), result.is_zero
+    expected = sum_of_products_terms(parts)
+    assert counted == (len(expected), bool(expected), not expected)
+    assert list(result.terms.items()) == list(expected.items())
+    assert _is_tight(result)
+    # A result read once is an operand like any other.
+    again = polynomials._sum_of_products(n_vars, [(result, MultiPoly.one(n_vars), 1)])
+    assert again == result and list(again.terms) == list(expected)
+
+
+def test_carries_stay_inside_each_variable():
+    # Each sum e + e needs one bit more than e, in the lower variable, where
+    # a field too narrow would carry into the next one.
+    x, y = var(2, 0), var(2, 1)
+    for e in (1, 2, 3, 128, 255, 2 ** 16 - 1, 2 ** 31):
+        assert (x ** e * y * x ** e).terms == {(2 * e, 1): 1}
+        assert (y * x ** e * (x ** e * 3)).terms == {(2 * e, 1): 3}
+        assert (x ** e * y * (x + 1)).terms == {(e + 1, 1): 1, (e, 1): 1}
+
+
+def test_counts_and_packed_equality_do_not_unpack(monkeypatch):
+    x, y = var(2, 0), var(2, 1)
+
+    def refuse(*args):
+        raise AssertionError("a product was unpacked")
+
+    monkeypatch.setattr(polynomials, "_unpack", refuse)
+    square = (x + y) * (x - y)          # the xy terms cancel
+    zero = polynomials._sum_of_products(2, [(x + y, x - y, 1), (x, x, -1), (y, y, 1)])
+    counted = [(p, len(p), bool(p), p.is_zero) for p in (square, zero, x * x, square * square)]
+    # square * square repacked square at a wider width than these products.
+    wide = x ** 300 * y
+    compared = [square == (x - y) * (x + y), square == (x - y) * (x - y),
+                (wide * x) * MultiPoly.one(2) == x ** 301 * y, wide * x == x * x]
+    monkeypatch.undo()
+    for p, length, truth, empty in counted:
+        assert (length, truth, empty) == (len(p.terms), bool(p.terms), not p.terms)
+    assert [c[1:] for c in counted] == [(2, True, False), (0, False, True),
+                                        (1, True, False), (3, True, False)]
+    assert compared == [True, False, True, False]
+    # Against a polynomial held as terms, equality compares the terms.
+    assert square == x * x - y * y and square != x * x + y * y
+
+
+def test_terms_keep_the_collection_order():
+    # (x + y)(y + x + 1): x + y has fewer terms and goes outside, and each
+    # monomial sits where a pair first reaches it.
+    x, y = var(2, 0), var(2, 1)
+    assert list(((x + y) * (y + x + 1)).terms) == [(1, 1), (2, 0), (1, 0), (0, 2), (0, 1)]
+
+
+def test_negation_and_scaling_do_not_share_a_packed_map():
+    x, y = var(2, 0), var(2, 1)
+    for p in (x * x + y, (x + 2) * (y + 3)):
+        p * p                           # packs p at the width that p * p takes
+        expected = product_terms(p, p)
+        for changed, factor in ((-p, -1), (p * 3, 3), (3 * p, 3),
+                                (p * Fraction(1, 2), Fraction(1, 2))):
+            assert (changed * p).terms == {e: c * factor for e, c in expected.items()}
+            assert (changed - p * factor).is_zero
+
+
+def test_powers_multiply_from_the_first_factor():
+    x, y = var(2, 0), var(2, 1)
+    for p in (x + y * Fraction(1, 2) - 3, (x - y) * (x + y), x * 7, MultiPoly.zero(2)):
+        assert p ** 0 == MultiPoly.one(2)
+        assert p ** 1 == p
+        assert p ** 4 == p * p * p * p
+        assert p ** 5 == p * p * p * p * p
+        assert (p ** 4).terms == product_terms(p * p * p, p)
+
+
+def test_the_corrupted_control_counts_terms_without_unpacking(monkeypatch):
+    # verify_hirota counts Q B for each failing triple of the corrupted n = 6
+    # control; neither B nor Q B is read term by term.
+    spec = WebSpec.numeric(6, 2, 3, [3, 1, 7, 2, 9, 5])
+    sol = hirotaweb.build_solution(spec)
+    x1 = var(spec.n_vars, 0)
+    p = sol.p_top + x1 * x1
+    corrupted = hirotaweb.HirotaSolution(spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    unpacked = []
+    unpack = polynomials._unpack
+    monkeypatch.setattr(polynomials, "_unpack",
+                        lambda n, packed, width: unpacked.append(len(packed))
+                        or unpack(n, packed, width))
+    report = hirotaweb.verify_hirota(corrupted)
+    assert unpacked == []
+    assert [c.detail for c in report.checks] == [
+        f"nonzero residual numerator with {count} term(s)"
+        for count in (1408, 1417, 1416, 1419, 1411, 1402, 1410, 1412, 1407, 1404,
+                      1170, 1170, 1161, 1173, 1161, 1164, 1173, 1167, 1173, 1160)]
 
 
 # -- ring axioms, JSON and exact division --------------------------------------------
