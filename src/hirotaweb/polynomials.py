@@ -22,14 +22,15 @@ packed keys multiplies the monomials without carries.  The width is in
 bits, not bytes, so that the keys of the certificates' products (up to
 about ten variables, exponents below 8) stay below 2**30, where CPython
 adds and hashes ints on its one-digit fast path.  Every polynomial keeps
-its packed map, so it is packed at most once, and is re-keyed (without
-building exponent tuples) only when a sum needs another width.  All the
-products of one sum collect in one map, and the result keeps just that
-map, with a bound on its top: its exponent tuples are unpacked only when
-a caller reads ``terms``, so a product that feeds the next product, a zero
-test or a term count is never unpacked, and a sum that cancels builds no
-intermediate product.  Every product of two polynomials, one-term
-operands included, is a sum of one.
+its packed map at the width the last sum took it at, and is packed again,
+from its terms, only when a sum needs another width.  All the products of
+one sum collect in one map, and the result keeps just that map, with a
+bound on its top (0 for a sum that cancels): its exponent tuples are
+unpacked only when a caller reads ``terms`` or the map is needed at
+another width, so a product that feeds the next product at its own
+width, a zero test or a term count is never unpacked, and a sum that
+cancels builds no intermediate product.  Every product of two
+polynomials, one-term operands included, is a sum of one.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -141,18 +142,6 @@ def _unpack(n_vars: int, packed: Mapping[int, Scalar], width: int) -> dict[Expon
     return {tuple([key >> shift & mask for shift in shifts]): c for key, c in packed.items()}
 
 
-def _repack(n_vars: int, packed: Mapping[int, Scalar], width: int, new: int
-            ) -> dict[int, Scalar]:
-    """A packed map re-keyed from ``width`` to another width, in its order,
-    with no exponent tuple kept."""
-    shifts = range(0, width * n_vars, width)
-    mask = (1 << width) - 1
-    targets = range(0, new * n_vars, new)
-    lshift = operator.lshift
-    return {sum(map(lshift, [key >> shift & mask for shift in shifts], targets)): c
-            for key, c in packed.items()}
-
-
 def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
                      ) -> "MultiPoly":
     """sum of scale * a * b over the (a, b, scale) parts, collected in one map.
@@ -163,9 +152,10 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
     sum of two packed keys is the packed key of the product.  Each scale is
     folded into the smaller operand's coefficients once, every term pair
     adds into the one map, and the survivors are tightened into the
-    result's packed map, unpacked only when a caller reads ``terms``: a sum
-    that cancels, such as a residual of a genuine solution, unpacks nothing,
-    and neither does a product that only feeds the next one.
+    result's packed map, unpacked only when a caller reads ``terms`` or a
+    later sum takes it at another width: a sum that cancels, such as a
+    residual of a genuine solution, unpacks nothing, and neither does a
+    product that feeds the next one at its own width.
     """
     work = []
     top = 0
@@ -193,9 +183,9 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
                 key = ka + kb
                 cur = get(key)
                 sums[key] = ca * cb if cur is None else cur + ca * cb
-    return MultiPoly._from_packed(n_vars, {
-        key: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
-        for key, c in sums.items() if c}, width, top)
+    packed = {key: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+              for key, c in sums.items() if c}
+    return MultiPoly._from_packed(n_vars, packed, width, top if packed else 0)
 
 
 class MultiPoly:
@@ -207,8 +197,7 @@ class MultiPoly:
     packed monomial map (``_sum_of_products``), which an edited ``terms``
     would leave stale.  A polynomial that a product built holds only the
     packed map until ``terms`` is first read; ``len``, truth and zero tests
-    count its terms without unpacking them, and ``==`` between two packed
-    polynomials compares their maps at the wider of their widths.
+    count its terms without unpacking them.
     """
 
     # ``_terms`` is the exponent-tuple map, or None until a polynomial built
@@ -269,15 +258,12 @@ class MultiPoly:
 
     def _packed_at(self, width: int) -> dict[int, Scalar]:
         """The packed map at this bit width, packed once and kept; a map
-        kept at another width is re-keyed and replaced.  2**width must
-        exceed every exponent."""
+        kept at another width is packed again from ``terms`` and replaced.
+        2**width must exceed every exponent."""
         packed = self._packed
         if packed is None or self._width != width:
-            if self._terms is None:
-                packed = _repack(self.n_vars, packed, self._width, width)
-            else:
-                packed = _pack(self.n_vars, self._terms, width)
-            self._packed, self._width = packed, width
+            packed = self._packed = _pack(self.n_vars, self.terms, width)
+            self._width = width
         return packed
 
     # -- constructors ------------------------------------------------------
@@ -366,12 +352,7 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if self.n_vars != other.n_vars:
-            return False
-        if self._packed is not None and other._packed is not None:
-            width = max(self._width, other._width)
-            return self._packed_at(width) == other._packed_at(width)
-        return self.terms == other.terms
+        return self.n_vars == other.n_vars and self.terms == other.terms
 
     __hash__ = None  # mutable dict inside; identity-style hashing would mislead
 

@@ -466,8 +466,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     Each triple's residual numerator is Q B, B = N_i G_jk + N_j G_ki + N_k G_ij
     (module docstring).  Symbolic mode proves every B is the zero polynomial,
     exact since Q is nonzero; a failing triple reports the number of terms
-    of Q B, counted on the product's packed map, so neither B nor Q B is
-    unpacked into exponent tuples.
+    of Q B, counted on the product's packed map, so Q B is never unpacked
+    into exponent tuples.
     Sampled mode evaluates each q B exactly at ``trials`` seeded random
     integer points with coordinates in [-bound, bound] and requires exact
     zeros; a nonzero numerator would survive one trial with probability at
