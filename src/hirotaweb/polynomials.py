@@ -6,12 +6,12 @@ zero polynomial is the empty map.  All arithmetic is exact, no coefficient
 is ever a float.  Terms are kept canonical: no stored zeros, and a stored
 coefficient is a plain ``int`` whenever it is integral (a ``Fraction`` only
 when its denominator exceeds 1).  Every operation keeps that invariant
-without a type test per term pair: products and derivatives tighten their
-coefficients in the pass that drops zeros, and sums, scalings and
-eliminations scan their result for a ``Fraction`` (only an operand or a
-scalar holding one can leave an integral ``Fraction`` behind) and tighten
-only then.  The graded lexicographic order fixes leading terms, text
-output, and JSON output.
+without a type test per term pair: products, sums, differences,
+negations, scalings and derivatives tighten their coefficients in the pass
+that drops zeros, and eliminations scan their result for a ``Fraction``
+(only a fixed value holding one can leave an integral ``Fraction`` behind)
+and tighten only then.  The graded lexicographic order fixes leading terms,
+text output, and JSON output.
 
 One packed route, ``_sum_of_products``, computes sums of scaled products
 sum scale * a * b, keying monomials by one packed int instead of an
@@ -30,7 +30,9 @@ unpacked only when a caller reads ``terms`` or the map is needed at
 another width, so a product that feeds the next product at its own
 width, a zero test or a term count is never unpacked, and a sum that
 cancels builds no intermediate product.  Every product of two
-polynomials, one-term operands included, is a sum of one.
+polynomials, one-term operands included, is a sum of one, and every other
+linear combination is a sum of products by the constant 1: a + b is
+(a, 1, 1), (b, 1, 1), -a is (a, 1, -1) and c a is (a, 1, c).
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -116,11 +118,6 @@ def _horner(coeffs: Sequence, value: Scalar):
     return total
 
 
-def _has_fraction(terms: Mapping[Exponents, Scalar]) -> bool:
-    """Whether any coefficient is a Fraction (a scan at C speed)."""
-    return Fraction in map(type, terms.values())
-
-
 def _tightened(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     """The nonzero terms, with every integral Fraction turned into an int."""
     return {e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
@@ -195,9 +192,10 @@ class MultiPoly:
     Fraction; no floats anywhere).  Mutating it was never allowed: every
     operation returns a fresh polynomial, and a polynomial also caches its
     packed monomial map (``_sum_of_products``), which an edited ``terms``
-    would leave stale.  A polynomial that a product built holds only the
-    packed map until ``terms`` is first read; ``len``, truth and zero tests
-    count its terms without unpacking them.
+    would leave stale.  A polynomial that the kernel built (every sum,
+    negation and product) holds only the packed map until ``terms`` is
+    first read; ``len``, truth and zero tests count its terms without
+    unpacking them.
     """
 
     # ``_terms`` is the exponent-tuple map, or None until a polynomial built
@@ -366,49 +364,30 @@ class MultiPoly:
             raise DimensionError(
                 f"mixed rings: {self.n_vars} vs {other.n_vars} variables")
 
-    def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
+    def _linear(self, other: Union["MultiPoly", Scalar], sign: int) -> "MultiPoly":
+        """self + sign * other as one kernel call; a number is a constant."""
         if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.n_vars, other)
-        self._check_ring(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            cur = out.get(exps)
-            if cur is None:
-                out[exps] = coeff
-            else:
-                cur = cur + coeff
-                if cur:
-                    out[exps] = cur
-                else:
-                    del out[exps]
-        if _has_fraction(out):
-            out = _tightened(out)
-        return MultiPoly(self.n_vars, out, _canonical=True)
+        one = MultiPoly.one(self.n_vars)
+        return _sum_of_products(self.n_vars, ((self, one, 1), (other, one, sign)))
+
+    def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
+        return self._linear(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()},
-                         _canonical=True)
+        return _sum_of_products(self.n_vars, ((self, MultiPoly.one(self.n_vars), -1),))
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        if isinstance(other, (int, Fraction, float)):
-            other = MultiPoly.const(self.n_vars, other)
-        return self.__add__(other.__neg__())
+        return self._linear(other, -1)
 
     def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return MultiPoly.const(self.n_vars, other).__sub__(self)
+        return MultiPoly.const(self.n_vars, other)._linear(self, -1)
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, (int, Fraction, float)):
-            c = _tighten(_exact(other))
-            if not c:
-                return MultiPoly.zero(self.n_vars)
-            out = {e: k * c for e, k in self.terms.items()}
-            if _has_fraction(out):
-                out = _tightened(out)
-            return MultiPoly(self.n_vars, out, _canonical=True)
-        self._check_ring(other)
+            return _sum_of_products(self.n_vars, ((self, MultiPoly.one(self.n_vars), other),))
         return _sum_of_products(self.n_vars, ((self, other, 1),))
 
     __rmul__ = __mul__
@@ -475,7 +454,7 @@ class MultiPoly:
                     out[key] = cur
                 else:
                     del out[key]
-        if _has_fraction(out):
+        if Fraction in map(type, out.values()):     # a scan at C speed
             out = _tightened(out)
         return MultiPoly(len(keep), out, _canonical=True)
 

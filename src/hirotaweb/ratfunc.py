@@ -18,7 +18,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import PoleError
-from .polynomials import MultiPoly, Scalar, poly_text
+from .polynomials import MultiPoly, Scalar, _sum_of_products, poly_text
 
 
 def _content(poly: MultiPoly) -> tuple[int, int]:
@@ -90,7 +90,8 @@ class RationalFunction:
             return NotImplemented
         if self.den == other.den:
             return self.num == other.num
-        return (self.num * other.den - other.num * self.den).is_zero
+        return not _sum_of_products(self.n_vars, [(self.num, other.den, 1),
+                                                  (other.num, self.den, -1)])
 
     __hash__ = None  # unreduced representatives are not canonical
 

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
-from math import lcm
+from math import lcm, prod
 from operator import add, sub
 from typing import Callable, Optional, Sequence, Union
 
@@ -395,9 +395,15 @@ def _spec_factors(spec: WebSpec, point: Sequence[int]) -> tuple:
         node_vals, p_top.second_order_jet(point[:n]), q_jet))
 
 
-def _check_variables(f: RationalFunction, n: int) -> None:
-    if f.n_vars < n:
-        raise DimensionError(f"function has {f.n_vars} variables but {n} nodes were given")
+def _check_nodes(f: RationalFunction, nodes: Sequence[NodeValue]) -> None:
+    """Refuse more nodes than variables, and a repeated node, numbers and
+    node polynomials alike: the residual's terms carry node differences,
+    so repeated nodes can pass a function that fails at distinct ones."""
+    if f.n_vars < len(nodes):
+        raise DimensionError(
+            f"function has {f.n_vars} variables but {len(nodes)} nodes were given")
+    if any(a == b for a, b in combinations(nodes, 2)):
+        raise WebSpecError("nodes must be pairwise distinct")
 
 
 def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
@@ -405,8 +411,8 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
     """The residual of one triple of the second-order system, as the exact
     rational function Q B / Q^5 with B = N_i G_jk + N_j G_ki + N_k G_ij
     (module docstring), or 0/1 when B is zero, so a genuine solution's
-    triple never builds Q^5.  Triples are 1-based and pairwise distinct."""
-    _check_variables(f, len(nodes))
+    triple never builds Q^5.  Triples and nodes are pairwise distinct."""
+    _check_nodes(f, nodes)
     if len(set(triple)) != 3 or not all(1 <= t <= len(nodes) for t in triple):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
     variables = [t - 1 for t in triple]
@@ -509,9 +515,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against 0.64 s
     and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
 
-    Passing ``nodes`` with a spec or a solution raises WebSpecError (each
-    carries its own); a float node, trial count, bound or seed raises
-    InexactNumberError, and any other non-int count or seed WebSpecError.
+    Passing ``nodes`` with a spec or a solution (each carries its own), or
+    a repeated node, raises WebSpecError; a float node, trial count, bound
+    or seed raises InexactNumberError, and any other non-int count or seed
+    WebSpecError.
     """
     if mode not in ("symbolic", "sampled"):
         raise WebSpecError(f"unknown verification mode {mode!r}")
@@ -540,8 +547,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
             node_list = list(nodes)
             n = len(node_list)
             symbolic = any(isinstance(v, MultiPoly) for v in node_list)
-        _check_variables(f, n)
         node_list = [v if isinstance(v, MultiPoly) else _exact(v) for v in node_list]
+        _check_nodes(f, node_list)
         n_vars = f.n_vars
 
     triples = web_triples(n)
@@ -654,10 +661,6 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
         for m in range(n)])
 
 
-def _gradient_form(p: MultiPoly) -> DifferentialForm:
-    return DifferentialForm.from_function(p).exterior_derivative()
-
-
 def _denominator_lcm(values) -> int:
     """The lcm of the denominators of exact numbers (1 for ints)."""
     return lcm(*(v.denominator for v in values))
@@ -673,15 +676,16 @@ def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
 def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
                      m: int) -> DifferentialForm:
     """The polynomial 1-form beta_m = sum over i + j = m of
-    (Q_i dP_j - P_j dQ_i), from the gradients of the minors it uses; it is
-    Q0^2 times the normalized coframe element alpha_m."""
-    total = DifferentialForm.zero(p_list[0].n_vars, 1)
-    for i, q in enumerate(q_list):
-        j = m - i
-        if 0 <= j < len(p_list):
-            total = (total + _gradient_form(p_list[j]).scale(q)
-                     - _gradient_form(q).scale(p_list[j]))
-    return total
+    (Q_i dP_j - P_j dQ_i): its dx_v component is one sum of the products
+    Q_i d_v P_j - P_j d_v Q_i over those pairs.  beta_m is Q0^2 times the
+    normalized coframe element alpha_m."""
+    n = p_list[0].n_vars
+    pairs = [(q, p_list[m - i]) for i, q in enumerate(q_list) if 0 <= m - i < len(p_list)]
+    return DifferentialForm(n, 1, {
+        (v,): _sum_of_products(n, [part for q, p in pairs
+                                   for part in ((q, p.derivative(v), 1),
+                                                (p, q.derivative(v), -1))])
+        for v in range(n)})
 
 
 def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
@@ -795,9 +799,10 @@ def coframe(spec: WebSpec) -> LambdaForm:
     from the determinant data.
 
     Requires numeric nodes (the forms live on the coordinate space).  The
-    coefficients are normalized: the polynomial forms of the minors are
-    divided by the square of the denominator's constant term Q0, which makes
-    the three-term expression for the degree-1 element hold on the nose.
+    coefficients are normalized: the polynomial forms of the minors, written
+    with no exterior algebra (``_coframe_element``), are divided by the
+    square of the denominator's constant term Q0, which makes the three-term
+    expression for the degree-1 element hold on the nose.
     """
     if spec.is_symbolic:
         raise WebSpecError("coframes need numeric nodes")
@@ -807,8 +812,8 @@ def coframe(spec: WebSpec) -> LambdaForm:
     if q0.is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
     forms = (_coframe_element(p_list, q_list, m) for m in range(spec.n))
-    return LambdaForm([DifferentialForm(spec.n_vars, 1, form.components, form.den * q0 * q0)
-                       for form in forms])
+    den = q0 * q0
+    return LambdaForm([DifferentialForm(spec.n_vars, 1, form.components, den) for form in forms])
 
 
 @dataclass(frozen=True)
@@ -1049,41 +1054,33 @@ def _substitute_mobius(poly: MultiPoly, maps: Sequence[Mobius]
 
     Clearing denominators: with D_v the degree of variable v, each term
     c prod x_v^e_v becomes c prod (a_v x_v + b_v)^e_v (c_v x_v + d_v)^(D_v - e_v)
-    over the common denominator prod (c_v x_v + d_v)^(D_v).
+    over the common denominator prod (c_v x_v + d_v)^(D_v), and the
+    numerator is one sum of those products, each power built once.
     """
     n = poly.n_vars
     if all(m.is_identity for m in maps):
         return poly, MultiPoly.one(n)
-    max_deg = [0] * n
-    for exps in poly.terms:
-        for v, e in enumerate(exps):
-            if e > max_deg[v]:
-                max_deg[v] = e
-    lin_num = [MultiPoly.variable(n, v) * maps[v].a + maps[v].b for v in range(n)]
-    lin_den = [MultiPoly.variable(n, v) * maps[v].c + maps[v].d for v in range(n)]
-    power_cache: dict[tuple[str, int, int], MultiPoly] = {}
+    max_deg = [max(column) for column in zip(*poly.terms)] or [0] * n
+    lin = {"num": [MultiPoly.variable(n, v) * maps[v].a + maps[v].b for v in range(n)],
+           "den": [MultiPoly.variable(n, v) * maps[v].c + maps[v].d for v in range(n)]}
 
+    @cache
     def power(kind: str, v: int, e: int) -> MultiPoly:
-        key = (kind, v, e)
-        if key not in power_cache:
-            base = lin_num[v] if kind == "num" else lin_den[v]
-            power_cache[key] = base ** e
-        return power_cache[key]
+        return lin[kind][v] ** e
 
-    numerator = MultiPoly.zero(n)
+    one = MultiPoly.one(n)
+    parts = []
     for exps, coeff in poly.terms.items():
-        term = MultiPoly.const(n, coeff)
+        term = one
         for v, e in enumerate(exps):
             if e:
                 term = term * power("num", v, e)
             if max_deg[v] - e:
                 term = term * power("den", v, max_deg[v] - e)
-        numerator = numerator + term
-    denominator = MultiPoly.one(n)
-    for v in range(n):
-        if max_deg[v]:
-            denominator = denominator * power("den", v, max_deg[v])
-    return numerator, denominator
+        parts.append((term, one, coeff))
+    numerator = _sum_of_products(n, parts)
+    return numerator, prod((power("den", v, top) for v, top in enumerate(max_deg) if top),
+                           start=one)
 
 
 def transform(f: RationalFunction, outer: Mobius,

@@ -7,7 +7,8 @@ import pytest
 from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
                        WebSpecError, build_solution, cauchy_interpolant,
-                       evaluate_interpolant, flatness_check, poly_from_json,
+                       evaluate_interpolant, flatness_check, hirota_residual,
+                       poly_from_json,
                        poly_to_json, restrict, transform, verify_hirota,
                        veronese_form)
 from reference_polynomials import exact_div
@@ -151,6 +152,22 @@ def test_web_level_error_paths():
         veronese_form(f, [1, 2, 3, 4])
     with pytest.raises(DimensionError):
         transform(f, Mobius.identity(), [Mobius.identity()] * 2)
+
+
+def test_repeated_nodes_are_refused():
+    # Every residual term carries a node difference, so on repeated nodes
+    # a function that fails at distinct nodes would pass.
+    x = [MultiPoly.variable(6, v) for v in range(6)]
+    f = RationalFunction(x[0] ** 2 * x[1] + x[2] ** 3)
+    assert not verify_hirota(f, nodes=[1, 2, 3]).passed
+    assert not verify_hirota(f, nodes=x[3:], mode="sampled").passed
+    for nodes in ([5, 5, 5], [1, 5, Fraction(10, 2)], [x[3], x[4], x[3]],
+                  [x[3], x[3] * 1, x[5]]):
+        for mode in ("symbolic", "sampled"):
+            with pytest.raises(WebSpecError, match="pairwise distinct"):
+                verify_hirota(f, nodes=nodes, mode=mode)
+        with pytest.raises(WebSpecError, match="pairwise distinct"):
+            hirota_residual(f, nodes, (1, 2, 3))
 
 
 def test_floats_rejected_at_value_boundaries():

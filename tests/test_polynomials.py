@@ -632,8 +632,8 @@ def _stated_parts(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_stated_parts())
-def test_kernel_results_match_the_ordered_reference(case):
+@given(_stated_parts(), _part_scales)
+def test_kernel_results_match_the_ordered_reference(case, c):
     n_vars, parts = case
     result = polynomials._sum_of_products(n_vars, parts)
     counted = len(result), bool(result), result.is_zero
@@ -642,8 +642,35 @@ def test_kernel_results_match_the_ordered_reference(case):
     assert list(result.terms.items()) == list(expected.items())
     assert _is_tight(result)
     # A result read once is an operand like any other.
-    again = polynomials._sum_of_products(n_vars, [(result, MultiPoly.one(n_vars), 1)])
+    one = MultiPoly.one(n_vars)
+    again = polynomials._sum_of_products(n_vars, [(result, one, 1)])
     assert again == result and list(again.terms) == list(expected)
+    # Sums, differences, negations and scalings are the kernel on the
+    # constant 1, terms and order alike; a - a cancels to zero.
+    a, b = parts[0][0], parts[-1][1]
+    k = MultiPoly.const(n_vars, c)
+    for combined, linear in ((a + b, [(a, one, 1), (b, one, 1)]),
+                             (a - b, [(a, one, 1), (b, one, -1)]),
+                             (a - a, [(a, one, 1), (a, one, -1)]),
+                             (-a, [(a, one, -1)]), (c * a, [(a, one, c)]),
+                             (a * c, [(a, one, c)]), (c + a, [(a, one, 1), (k, one, 1)]),
+                             (c - a, [(k, one, 1), (a, one, -1)])):
+        assert list(combined.terms.items()) == list(sum_of_products_terms(linear).items())
+        assert _is_tight(combined)
+    assert (a - a).is_zero
+    with pytest.raises(DimensionError):
+        a + MultiPoly.zero(n_vars + 1)
+    with pytest.raises(DimensionError):
+        a - MultiPoly.one(n_vars + 1)
+    with pytest.raises(hirotaweb.InexactNumberError):
+        a * 0.5
+    with pytest.raises(hirotaweb.InexactNumberError):
+        a + 0.5
+    # Quotient equality with unequal denominators is cross-multiplication.
+    if b and result:
+        f, g = RationalFunction(a, b), RationalFunction(result, b * result)
+        assert (f == g) == (product_terms(f.num, g.den) == product_terms(g.num, f.den))
+        assert RationalFunction(a * result, b * result) == f
 
 
 def test_carries_stay_inside_each_variable():
@@ -662,12 +689,16 @@ def test_counts_do_not_unpack(monkeypatch):
     def refuse(*args):
         raise AssertionError("a product was unpacked")
 
+    # x + y and x - y built from terms: a sum is a kernel result, held
+    # packed at width 1, which the width-2 products below would unpack.
+    x_plus_y = MultiPoly(2, {(1, 0): 1, (0, 1): 1})
+    x_minus_y = MultiPoly(2, {(1, 0): 1, (0, 1): -1})
     monkeypatch.setattr(polynomials, "_unpack", refuse)
-    square = (x + y) * (x - y)          # the xy terms cancel
-    zero = polynomials._sum_of_products(2, [(x + y, x - y, 1), (x, x, -1), (y, y, 1)])
+    square = x_plus_y * x_minus_y       # the xy terms cancel
+    zero = polynomials._sum_of_products(2, [(x_plus_y, x_minus_y, 1), (x, x, -1), (y, y, 1)])
     # square * (x + y) takes square at its own width (top 2 + 1 < 2**2).
     counted = [(p, len(p), bool(p), p.is_zero)
-               for p in (square, zero, x * x, square * (x + y))]
+               for p in (square, zero, x * x, square * x_plus_y)]
     monkeypatch.undo()
     for p, length, truth, empty in counted:
         assert (length, truth, empty) == (len(p.terms), bool(p.terms), not p.terms)
@@ -693,6 +724,24 @@ def test_negation_and_scaling_do_not_share_a_packed_map():
                                 (p * Fraction(1, 2), Fraction(1, 2))):
             assert (changed * p).terms == {e: c * factor for e, c in expected.items()}
             assert (changed - p * factor).is_zero
+
+
+def test_each_linear_operation_is_one_kernel_call(monkeypatch):
+    x, y = var(2, 0), var(2, 1)
+    p = x * x + y * 3
+    kernel, calls = polynomials._sum_of_products, []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(polynomials, "_sum_of_products", counted)
+    for operation in (lambda: p + x, lambda: p - x, lambda: 2 + p, lambda: p - 2,
+                      lambda: 2 - p, lambda: -p, lambda: p * 3,
+                      lambda: Fraction(1, 2) * p, lambda: p * 0, lambda: p * x):
+        calls.clear()
+        operation()
+        assert len(calls) == 1
 
 
 def test_powers_multiply_from_the_first_factor():

@@ -846,17 +846,25 @@ def test_coframe_proportional_to_veronese_pencil(spec):
 # -- flatness --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 0), (5, 2), (6, 2), (6, 5)])
-def test_flatness_check_takes_no_exterior_derivative_or_wedge(n, k, monkeypatch):
-    # Both 3-forms come from one formula on gradients: the exterior algebra
-    # stays out of flatness_check, nonflat and flat orders alike.
+@pytest.mark.parametrize("route, n, k", [
+    pytest.param(route, n, k, id=f"{prefix}{n}-{k}")
+    for prefix, route in (("", flatness_check), ("coframe-", coframe))
+    for n, k in ((3, 1), (4, 1), (4, 0), (5, 2), (6, 2), (6, 5))])
+def test_flatness_check_takes_no_exterior_derivative_or_wedge(route, n, k, monkeypatch):
+    # Both 3-forms come from one formula on gradients, and each coframe
+    # component is one sum of products: the exterior algebra stays out of
+    # flatness_check and coframe, nonflat and flat orders alike.
     def refused(*args):
-        raise AssertionError("flatness_check used the exterior algebra")
+        raise AssertionError(f"{route.__name__} used the exterior algebra")
 
-    monkeypatch.setattr(DifferentialForm, "exterior_derivative", refused)
-    monkeypatch.setattr(DifferentialForm, "wedge", refused)
-    verdict = flatness_check(WebSpec.numeric(n, k, n - 1 - k))
-    assert verdict.is_flat == (k == 0 or k == n - 1)
+    for name in ("exterior_derivative", "wedge", "__add__", "__sub__", "scale",
+                 "from_function"):
+        monkeypatch.setattr(DifferentialForm, name, refused)
+    spec = WebSpec.numeric(n, k, n - 1 - k)
+    if route is coframe:
+        assert len(coframe(spec).coefficients) == n
+    else:
+        assert flatness_check(spec).is_flat == (k == 0 or k == n - 1)
 
 
 def test_flatness_three_nodes_nonflat_with_witness_identity():
