@@ -42,12 +42,16 @@ coefficients +-1, in node variables disjoint from the other alternant's:
 each minor is its n! terms, assembled without a product or a cancellation.
 
 At a numeric data point the point is substituted into the row matrix
-before any minor is taken, so the coefficients are plain exact numbers, all
-n+1 read off one fraction-free Gauss-Jordan pass in O(n^3) int operations;
-they are always divided by the denominator's constant term, which either
-succeeds or raises a DegenerateInterpolantError.  ``solve_oracle`` reaches
-the same numbers by an independent integer Gauss-Jordan solve of the
-interpolation conditions.
+before any minor is taken, so the minors are plain exact numbers, ints for
+integer nodes and data, all n+1 read off one fraction-free Gauss-Jordan
+pass in O(n^3) int operations.  A vanishing denominator constant term
+raises a DegenerateInterpolantError, and so does a denominator root at a
+node, tested by Horner's rule on the unnormalized minors: they are the
+normalized denominator times its nonzero constant term, so they have the
+same roots.  Only then are the minors divided by that constant term, and
+these n+1 quotients are the only Fractions the route builds.
+``solve_oracle`` reaches the same numbers by an independent integer
+Gauss-Jordan solve of the interpolation conditions.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -149,32 +153,46 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
     """The shared n x (n+1) data matrix of both full determinants: row i is
     [1, l_i, ..., l_i^k, -x_i, -x_i l_i, ..., -x_i l_i^l].
 
-    Entries are polynomials in the coordinates (and nodes, when symbolic).
-    With ``x_values`` (numeric nodes only) the data point is substituted
-    and every entry is an exact number, a plain int whenever it is integral:
-    integral data values and nodes are turned into ints before any power is
-    formed, so integer data builds no Fraction at all.
+    Entries are polynomials in the coordinates (and nodes, when symbolic),
+    each written down as its one term, with no polynomial arithmetic:
+    l_i^p or -x_i l_i^p, where l_i^p is a monomial in the node variable when
+    the nodes are symbolic and the coefficient otherwise (a zero node leaves
+    no term for p >= 1).  With ``x_values`` (numeric nodes only) the same
+    loop substitutes the data point and every entry is an exact number, a
+    plain int whenever it is integral: integral data values and nodes are
+    turned into ints before any power is formed, so integer data builds no
+    Fraction at all.
     """
-    if x_values is None:
-        n_vars = spec.n_vars
-        unit: Union[MultiPoly, Scalar] = MultiPoly.one(n_vars)
-        xs = [spec.x_poly(i) for i in range(1, spec.n + 1)]
-        nodes = [spec.node(i) for i in range(1, spec.n + 1)]
-    else:
+    n, n_vars = spec.n, spec.n_vars
+    point = x_values is not None
+    if point:
         if spec.is_symbolic:
             raise WebSpecError("numeric data needs numeric nodes")
-        if len(x_values) != spec.n:
-            raise WebSpecError(f"expected {spec.n} data values")
-        unit = 1
+        if len(x_values) != n:
+            raise WebSpecError(f"expected {n} data values")
         xs = [_tighten(_exact(v)) for v in x_values]
-        nodes = [_tighten(lam) for lam in spec.lambdas]
     rows = []
-    for lam, x in zip(nodes, xs):
-        powers = [unit]
-        for _ in range(max(spec.k, spec.l)):
-            powers.append(powers[-1] * lam)
-        row = powers[:spec.k + 1] + [-x * p for p in powers[:spec.l + 1]]
-        rows.append([_tighten(v) for v in row])
+    for i in range(n):
+        lam = 1 if spec.is_symbolic else _tighten(spec.lambdas[i])
+        row = []
+        # Entry p of a block is c l_i^p, c = 1 in the l-block and -x_i in
+        # the x-block; a polynomial entry carries x_i in its monomial.
+        for block, top in ((0, spec.k), (1, spec.l)):
+            c = (-xs[i] if point else -1) if block else 1
+            for p in range(top + 1):
+                if point:
+                    row.append(c)
+                else:
+                    exps = [0] * n_vars
+                    exps[i] = block
+                    if spec.is_symbolic:
+                        exps[n + i] = p
+                    row.append(MultiPoly(n_vars, {tuple(exps): c} if c else None,
+                                         _canonical=True))
+                c *= lam
+        if point and not (lam.__class__ is int and xs[i].__class__ is int):
+            row = [_tighten(v) for v in row]
+        rows.append(row)
     return rows
 
 
@@ -365,10 +383,11 @@ def cauchy_interpolant(spec: WebSpec,
     polynomials in the coordinates.  With ``x_values`` (numeric nodes only)
     the data point is substituted into the row matrix first, so each
     coefficient is one numeric minor, all read off one fraction-free
-    elimination of the numeric matrix, and no polynomial is expanded; the
-    minors are then divided by the denominator's constant term, raising
-    DegenerateInterpolantError when that term vanishes or when the
-    normalized denominator has a root at a node (an unattainable point).
+    elimination of the numeric matrix, and no polynomial is expanded.
+    DegenerateInterpolantError is raised when the denominator's constant
+    term vanishes or when the denominator minors have a root at a node (an
+    unattainable point); otherwise the minors are divided by that constant
+    term, and only these quotients are built as Fractions.
     """
     k = spec.k
     if x_values is None:
@@ -381,15 +400,17 @@ def cauchy_interpolant(spec: WebSpec,
         if not q0:
             raise DegenerateInterpolantError(
                 "denominator constant term vanishes at this data point")
-        coeffs = [Fraction(c, q0) for c in minors]
-        q_coeffs = coeffs[k + 1:]
         # Attainability: a denominator root at a node means the numerator
         # shares it and the interpolation condition silently fails there.
+        # The normalized denominator is the minors' one over q0 != 0, so
+        # both have the same roots.
+        q_minors = minors[k + 1:]
         for i, lam in enumerate(spec.lambdas, 1):
-            if not _horner(q_coeffs, lam):
+            if not _horner(q_minors, _tighten(lam)):
                 raise DegenerateInterpolantError(
                     f"numerator and denominator share a root at node {i}: "
                     "unattainable data point")
+        coeffs = [Fraction(c, q0) for c in minors]
     return CauchyInterpolant(tuple(coeffs[:k + 1]), tuple(coeffs[k + 1:]))
 
 
@@ -433,8 +454,10 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
     for lam, x in zip(map(_tighten, spec.lambdas), xs):
         powers = [lam ** j for j in range(max(k, l) + 1)]
         row = powers[:k + 1] + [-x * p for p in powers[1:l + 1]] + [x]
-        d = math.lcm(*[v.denominator for v in row])
-        rows.append([v.numerator * (d // v.denominator) for v in row])
+        if lam.__class__ is not int or x.__class__ is not int:
+            d = math.lcm(*[v.denominator for v in row])
+            row = [v.numerator * (d // v.denominator) for v in row]
+        rows.append(row)
     # Gauss-Jordan with first-nonzero pivoting, on ints only.
     pivot_cols: list[int] = []
     rank = 0

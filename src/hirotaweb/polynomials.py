@@ -71,12 +71,30 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 
 
 def _exact(value: Scalar) -> Fraction:
-    """Fraction(value) for an exact number; a float is refused, since it holds
-    a binary approximation that Fraction would keep digit for digit."""
+    """Fraction(value) for an exact number, the argument itself when it is a
+    Fraction already; a float is refused, since it holds a binary
+    approximation that Fraction would keep digit for digit."""
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, float):
         raise InexactNumberError(f"float {value!r} given where an exact number "
                                  "is required; pass an int, a Fraction or a string")
     return Fraction(value)
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+
+
+def _check_coefficients(values: Iterable) -> None:
+    """Refuse a coefficient that is neither an int nor a Fraction, a bool
+    included, with one scan of the types at C speed.  The constructor
+    checks every coefficient; this guards the readers of ``terms`` against
+    one that ``_canonical=True`` let past."""
+    kinds = set(map(type, values))
+    if not kinds <= _EXACT_TYPES:
+        name = min(kind.__name__ for kind in kinds - _EXACT_TYPES)
+        raise InexactNumberError(f"{name} coefficient in a polynomial; "
+                                 "coefficients must be ints or Fractions")
 
 
 def _check_count(name: str, value, least: Optional[int] = None, too_small: str = "",
@@ -273,8 +291,9 @@ class MultiPoly:
 
     @classmethod
     def const(cls, n_vars: int, value: Scalar) -> "MultiPoly":
+        """The constant polynomial ``value``; an int is taken as it is."""
         _check_n_vars(n_vars)
-        c = _tighten(_exact(value))
+        c = value if value.__class__ is int else _tighten(_exact(value))
         if not c:
             return cls.zero(n_vars)
         return cls(n_vars, {(0,) * n_vars: c}, _canonical=True)
@@ -569,6 +588,7 @@ def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
     """
     if p.is_zero:
         return "0"
+    _check_coefficients(p.terms.values())
     names = default_names(p.n_vars) if names is None else list(names)
     pieces: list[str] = []
     for position, (_, exps, coeff) in enumerate(p.sorted_terms()):
@@ -594,6 +614,7 @@ def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
 def poly_to_json(p: MultiPoly) -> dict:
     """JSON form: ``{"nvars": N, "terms": [{"c": "a/b", "e": [...]}, ...]}``
     with terms in descending graded-lex order."""
+    _check_coefficients(p.terms.values())
     return {
         "nvars": p.n_vars,
         "terms": [{"c": str(c), "e": list(e)} for _, e, c in p.sorted_terms()],

@@ -18,12 +18,14 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .errors import PoleError
-from .polynomials import MultiPoly, Scalar, _sum_of_products, poly_text
+from .polynomials import MultiPoly, Scalar, _check_coefficients, _sum_of_products, poly_text
 
 
 def _content(poly: MultiPoly) -> tuple[int, int]:
-    """(gcd of the coefficients' numerators, lcm of their denominators)."""
+    """(gcd of the coefficients' numerators, lcm of their denominators);
+    a coefficient that is not an int or a Fraction is refused."""
     values = poly.terms.values()
+    _check_coefficients(values)
     return gcd(*[c.numerator for c in values]), lcm(*[c.denominator for c in values])
 
 

@@ -20,6 +20,13 @@ the library's numeric minors of the substituted row matrix are checked.
 ``solve_oracle_fractions`` is the oracle of the library's elimination
 oracle: forward elimination and back substitution in Fraction arithmetic,
 where ``solve_oracle`` runs Gauss-Jordan on integer rows.
+
+``row_matrix_products`` and ``normalized_interpolant`` are the library's
+earlier routes to the row matrix and to the interpolant at a data point:
+every polynomial entry built by products and negations from the constant 1,
+the coordinate and the node; and every minor divided by the denominator's
+constant term before the attainability test runs Horner's rule on the
+normalized denominator in Fractions.
 """
 
 from __future__ import annotations
@@ -27,9 +34,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from hirotaweb import (DegenerateInterpolantError, MultiPoly, WebSpec, WebSpecError,
-                       signed_minors)
-from hirotaweb.polynomials import Scalar, _exact
+from hirotaweb import (CauchyInterpolant, DegenerateInterpolantError, MultiPoly, WebSpec,
+                       WebSpecError, maximal_minors, signed_minors)
+from hirotaweb.polynomials import Scalar, _exact, _horner, _tighten
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
 
@@ -179,3 +186,46 @@ def solve_oracle_fractions(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[F
         acc = rows[r][n] - sum(rows[r][j] * solution[j] for j in range(col + 1, n))
         solution[col] = acc / rows[r][col]
     return tuple(solution)
+
+
+def row_matrix_products(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
+                        ) -> list[list]:
+    """The row matrix with entry p of each block built as a product of
+    powers: [1, l_i, ..., l_i^k, -x_i, ..., -x_i l_i^l], each entry a
+    polynomial, or an exact number (an int when integral) at a data point."""
+    if x_values is None:
+        unit = MultiPoly.one(spec.n_vars)
+        xs = [spec.x_poly(i) for i in range(1, spec.n + 1)]
+        nodes = [spec.node(i) for i in range(1, spec.n + 1)]
+    else:
+        unit = 1
+        xs = [_tighten(_exact(v)) for v in x_values]
+        nodes = [_tighten(lam) for lam in spec.lambdas]
+    rows = []
+    for lam, x in zip(nodes, xs):
+        powers = [unit]
+        for _ in range(max(spec.k, spec.l)):
+            powers.append(powers[-1] * lam)
+        row = powers[:spec.k + 1] + [-x * p for p in powers[:spec.l + 1]]
+        rows.append([_tighten(v) for v in row])
+    return rows
+
+
+def normalized_interpolant(spec: WebSpec, x_values: Sequence[Scalar]) -> CauchyInterpolant:
+    """The interpolant at a data point with q_0 = 1: the signed minors of
+    the product-built row matrix divided by q_0 first, attainability tested
+    on the normalized denominator; the messages are the library's."""
+    k = spec.k
+    minors = [m if (spec.n + c) % 2 == 0 else -m
+              for c, m in enumerate(maximal_minors(row_matrix_products(spec, x_values)))]
+    q0 = minors[k + 1]
+    if not q0:
+        raise DegenerateInterpolantError(
+            "denominator constant term vanishes at this data point")
+    coeffs = [Fraction(c, q0) for c in minors]
+    for i, lam in enumerate(spec.lambdas, 1):
+        if not _horner(coeffs[k + 1:], lam):
+            raise DegenerateInterpolantError(
+                f"numerator and denominator share a root at node {i}: "
+                "unattainable data point")
+    return CauchyInterpolant(tuple(coeffs[:k + 1]), tuple(coeffs[k + 1:]))

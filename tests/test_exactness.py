@@ -4,10 +4,14 @@ import ast
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import hirotaweb
-from hirotaweb import (Mobius, WebSpec, build_solution, cauchy_interpolant,
-                       coframe, flatness_check, restrict, solve_oracle,
-                       transform, verify_hirota, veronese_form)
+from hirotaweb import (DifferentialForm, InexactNumberError, Mobius, MultiPoly,
+                       RationalFunction, WebSpec, build_solution, cauchy_interpolant,
+                       coframe, flatness_check, poly_text, poly_to_json, restrict,
+                       solve_oracle, transform, verify_hirota, veronese_form)
+from hirotaweb.polynomials import _exact
 
 
 def _assert_exact_poly(poly):
@@ -92,3 +96,54 @@ def test_library_source_makes_one_float():
                   and node.func.id == "float" and id(node) not in allowed):
                 offenders.append(f"{path.name}:{node.lineno}: float() call")
     assert not offenders, offenders
+
+
+# The inexact coefficients that tests/test_cli_json.py smuggles past the
+# constructor with ``_canonical=True``: a float, and a bool, which would
+# otherwise read as the int 1.
+_x = MultiPoly.variable(2, 0)
+_SMUGGLED_POLYS = [
+    MultiPoly(1, {(1,): 0.5}, _canonical=True),
+    MultiPoly(2, {(1, 0): 1, (0, 1): 2.0}, _canonical=True),
+    MultiPoly(1, {(1,): True}, _canonical=True),
+]
+_SMUGGLED_FORMS = [
+    DifferentialForm(2, 1, {(0,): MultiPoly(2, {(1, 0): 0.5}, _canonical=True)}),
+    DifferentialForm(2, 1, {(1,): _x}, MultiPoly(2, {(0, 0): 2.0}, _canonical=True)),
+    DifferentialForm(2, 1, {(0,): _x, (1,): MultiPoly(2, {(0, 1): True}, _canonical=True)}),
+]
+
+
+@pytest.mark.parametrize("poly", _SMUGGLED_POLYS)
+def test_polynomial_readers_refuse_a_smuggled_coefficient(poly):
+    one = MultiPoly.one(poly.n_vars)
+    for read in (poly_text, lambda p: poly_text(p, latex=True), MultiPoly.text, poly_to_json,
+                 RationalFunction, lambda p: RationalFunction(one, p)):
+        with pytest.raises(InexactNumberError, match="coefficients must be ints or Fractions"):
+            read(poly)
+
+
+@pytest.mark.parametrize("form", _SMUGGLED_FORMS)
+def test_form_readers_refuse_a_smuggled_coefficient(form):
+    for read in (DifferentialForm.to_json, DifferentialForm.text, str,
+                 lambda w: [w.component(idx) for idx in ((0,), (1,))]):
+        with pytest.raises(InexactNumberError, match="coefficients must be ints or Fractions"):
+            read(form)
+
+
+def test_exact_keeps_a_fraction_and_refuses_a_float():
+    value = Fraction(3, 7)
+    assert _exact(value) is value
+    assert _exact(3) == 3 and type(_exact(3)) is Fraction
+    with pytest.raises(InexactNumberError):
+        _exact(0.5)
+
+
+def test_constants_keep_ints_and_tighten_everything_else():
+    assert MultiPoly.one(3).terms == {(0, 0, 0): 1}
+    for value, expected in ((5, 5), (Fraction(6, 3), 2), (True, 1), ("3/4", Fraction(3, 4))):
+        (coeff,) = MultiPoly.const(2, value).terms.values()
+        assert coeff == expected and type(coeff) is type(expected)
+    assert MultiPoly.const(2, 0).is_zero
+    with pytest.raises(InexactNumberError):
+        MultiPoly.const(2, 1.0)

@@ -20,7 +20,8 @@ from hirotaweb import (DegenerateInterpolantError, DimensionError, MultiPoly, Po
 from hirotaweb import interpolation
 from hirotaweb.cli import EXIT_CONFIG, EXIT_OK, main
 from reference_forms import closed_form_3d, common_scalar
-from reference_interpolation import (build_system_matrix, point_coefficients,
+from reference_interpolation import (build_system_matrix, normalized_interpolant,
+                                     point_coefficients, row_matrix_products,
                                      solve_oracle_fractions, top_coefficients)
 import reference_polynomials
 from reference_polynomials import cofactor_determinant, cofactor_signed_minors
@@ -591,6 +592,83 @@ def test_numeric_row_matrix_holds_ints_where_integral():
                     [1, Fraction(1, 2), 2, 1],
                     [1, -1, Fraction(-1, 3), Fraction(1, 3)]]
     assert all(type(v) is int for row in rows for v in row if v.denominator == 1)
+
+
+def _interpolant_or_error(route, spec, xs):
+    try:
+        return route(spec, xs)
+    except DegenerateInterpolantError as exc:
+        return str(exc)
+
+
+@st.composite
+def _point_instance(draw):
+    """A spec with n in 2..5 and distinct integer, zero or rational nodes,
+    with integer, zero or rational data; small ranges make both
+    degeneracies frequent."""
+    n = draw(st.integers(2, 5))
+    k = draw(st.integers(0, n - 1))
+    nodes = draw(st.lists(_numbers, min_size=n, max_size=n, unique=True))
+    data = draw(st.lists(_numbers, min_size=n, max_size=n))
+    return WebSpec.numeric(n, k, n - 1 - k, nodes), data
+
+
+@settings(max_examples=300, deadline=None)
+@given(_point_instance())
+@example((WebSpec.numeric(3, 0, 2), [-1, 0, 0]))           # q0 = 0
+@example((WebSpec.numeric(3, 1, 1), [1, 1, 2]))            # unattainable
+def test_point_interpolant_matches_the_normalized_route(instance):
+    # Attainability tested on the unnormalized minors gives the same
+    # coefficients, and the same error with the same message, as the route
+    # that normalizes first.
+    spec, xs = instance
+    ours = _interpolant_or_error(cauchy_interpolant, spec, xs)
+    assert ours == _interpolant_or_error(normalized_interpolant, spec, xs)
+    if not isinstance(ours, str):
+        assert all(type(c) is Fraction for c in ours.p_coeffs + ours.q_coeffs)
+
+
+def test_point_interpolant_degeneracies_keep_their_messages():
+    with pytest.raises(DegenerateInterpolantError,
+                       match="^denominator constant term vanishes at this data point$"):
+        cauchy_interpolant(WebSpec.numeric(3, 0, 2), [-1, 0, 0])
+    with pytest.raises(DegenerateInterpolantError,
+                       match="^numerator and denominator share a root at node 3: "
+                             "unattainable data point$"):
+        cauchy_interpolant(WebSpec.numeric(3, 1, 1), [1, 1, 2])
+
+
+def _assert_tight(entry):
+    terms = entry.terms if isinstance(entry, MultiPoly) else {(): entry}
+    for coeff in terms.values():
+        assert coeff and type(coeff) in (int, Fraction), coeff
+        assert type(coeff) is int or coeff.denominator > 1, coeff
+
+
+@pytest.mark.parametrize("spec", [
+    WebSpec.numeric(4, 1, 2), WebSpec.numeric(4, 2, 1, [0, -3, 5, 2]),
+    WebSpec.numeric(3, 0, 2, [Fraction(1, 2), 0, Fraction(-4, 3)]),
+    WebSpec.numeric(2, 1, 0, [0, 1]), WebSpec.symbolic(3, 1, 1), WebSpec.symbolic(4, 0, 3),
+], ids=WebSpec.describe)
+def test_row_matrix_entries_are_the_product_built_monomials(spec):
+    rows = row_matrix(spec)
+    assert rows == row_matrix_products(spec)
+    for row in rows:
+        for entry in row:
+            assert isinstance(entry, MultiPoly) and len(entry) <= 1
+            _assert_tight(entry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_point_instance())
+def test_row_matrix_at_a_data_point_matches_the_product_built_one(instance):
+    spec, xs = instance
+    rows = row_matrix(spec, xs)
+    assert rows == row_matrix_products(spec, xs)
+    for row in rows:
+        for entry in row:
+            if entry:
+                _assert_tight(entry)
 
 
 def test_oracle_comparison_expands_no_polynomial(monkeypatch):
