@@ -34,12 +34,16 @@ and g = k - c, over S'; for a denominator column c = k + 1 + d,
 qe = {0..l} minus d and pe = {0..k}, so s = l and g = n - c, over S.  P_k
 and Q_l are the case g = 0, the leading columns of each block, and so are
 the minors of size n-1 and n-2 on fewer rows that the factored residual
-proof uses (``webs``).  At numeric nodes one writer, ``_numeric_block``,
-produces all of them, each coefficient a product of numbers, so P_k and Q_l
-have exactly C(n, l+1) and C(n, l) terms.  With symbolic nodes each
-alternant is written out as its Leibniz monomials, all distinct with
-coefficients +-1, in node variables disjoint from the other alternant's:
-each minor is its n! terms, assembled without a product or a cancellation.
+proof uses (``webs``).  One writer, ``_block``, produces all of them at
+either kind of node, over any row subset and with the spare column in
+either block; only the value of an alternant differs.  At numeric nodes it
+is the one number V e_g, so each coefficient is a product of numbers and
+P_k and Q_l have exactly C(n, l+1) and C(n, l) terms.  At symbolic nodes it
+is its Leibniz monomials, all distinct with coefficients +-1, in node
+variables disjoint from the other alternant's: a minor over r rows is its
+r! terms, assembled without a product of polynomials or a cancellation.
+``signed_minors`` maps column c to its g and passes the writer the sign
+(-1)^(n+c) with it, the one place that sign is applied.
 
 At a numeric data point the point is substituted into the row matrix
 before any minor is taken, so the minors are plain exact numbers, ints for
@@ -64,11 +68,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
 from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _horner, _sum_of_products,
-                          _tighten, maximal_minors)
+                          _tighten, _tightened, maximal_minors)
 from .ratfunc import RationalFunction
 
 
@@ -77,14 +81,16 @@ class WebSpec:
     """Dimension, interpolation order and nodes of one web construction.
 
     ``lambdas`` is either None (symbolic nodes) or n pairwise distinct exact
-    numbers.  Public index arguments (nodes, coordinates, triples) are
-    1-based throughout the library, matching the x1..xn naming.
+    numbers, each kept as an int when it is integral and as a Fraction
+    otherwise, so no route converts them again.  Public index arguments
+    (nodes, coordinates, triples) are 1-based throughout the library,
+    matching the x1..xn naming.
     """
 
     n: int
     k: int
     l: int
-    lambdas: Optional[tuple[Fraction, ...]] = None
+    lambdas: Optional[tuple[Scalar, ...]] = None
 
     def __post_init__(self):
         _check_count("n", self.n, 2, f"dimension must be at least 2, got {self.n}")
@@ -94,7 +100,8 @@ class WebSpec:
             raise WebSpecError(
                 f"order mismatch: k + l + 1 = {self.k + self.l + 1} != n = {self.n}")
         if self.lambdas is not None:
-            values = tuple(_exact(v) for v in self.lambdas)
+            values = tuple(v if v.__class__ is int else _tighten(_exact(v))
+                           for v in self.lambdas)
             object.__setattr__(self, "lambdas", values)
             if len(values) != self.n:
                 raise WebSpecError(f"expected {self.n} nodes, got {len(values)}")
@@ -105,9 +112,7 @@ class WebSpec:
     def numeric(cls, n: int, k: int, l: int,
                 lambdas: Optional[Sequence[Scalar]] = None) -> "WebSpec":
         """Numeric-node spec; nodes default to 1, 2, ..., n."""
-        if lambdas is None:
-            lambdas = [Fraction(i) for i in range(1, n + 1)]
-        return cls(n, k, l, tuple(_exact(v) for v in lambdas))
+        return cls(n, k, l, tuple(range(1, n + 1) if lambdas is None else lambdas))
 
     @classmethod
     def symbolic(cls, n: int, k: int, l: int) -> "WebSpec":
@@ -128,7 +133,7 @@ class WebSpec:
             raise DimensionError(f"coordinate index {i} out of range 1..{self.n}")
         return MultiPoly.variable(self.n_vars, i - 1)
 
-    def node(self, i: int) -> Union[Fraction, MultiPoly]:
+    def node(self, i: int) -> Union[Scalar, MultiPoly]:
         """Node value lambda_i (1-based): a number, or a variable when symbolic."""
         if not 1 <= i <= self.n:
             raise DimensionError(f"node index {i} out of range 1..{self.n}")
@@ -173,7 +178,7 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
         xs = [_tighten(_exact(v)) for v in x_values]
     rows = []
     for i in range(n):
-        lam = 1 if spec.is_symbolic else _tighten(spec.lambdas[i])
+        lam = 1 if spec.is_symbolic else spec.lambdas[i]
         row = []
         # Entry p of a block is c l_i^p, c = 1 in the l-block and -x_i in
         # the x-block; a polynomial entry carries x_i in its monomial.
@@ -239,86 +244,68 @@ def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
     return terms
 
 
-def _laplace_parity(rows: int, size: int) -> int:
-    """size + (r-size) + ... + (r-1) for x-row subsets S of that size among
-    r rows: the part of the Laplace sign exponent that does not depend on S."""
-    return size + size * (2 * rows - size - 1) // 2
-
-
-def _numeric_block(nodes: Sequence[Scalar], rows: Sequence[int], size: int,
-                   gs: Sequence[int], x_missing: bool) -> dict[int, dict]:
-    """Minors of the row matrix at numeric nodes, as term maps in x_1..x_n
-    for n = len(nodes), keyed by g in ``gs``: over the r rows ``rows``
-    (0-based, increasing), the x-block has ``size`` columns and the
-    l-block r - size.  One block spares a column: with ``x_missing`` the
-    x-block -x, -x l, ..., -x l^size omits -x l^(size-g) and the l-block is
+def _block(n: int, nodes: Optional[Sequence[Scalar]], rows: Sequence[int], size: int,
+           signs: Mapping[int, int], x_missing: bool) -> dict[int, dict]:
+    """Minors of the row matrix over the r rows ``rows`` (0-based,
+    increasing), keyed by g in ``signs`` and each multiplied by its sign
+    signs[g] = +-1.  The x-block has ``size`` columns and the l-block
+    r - size, and one block spares a column: with ``x_missing`` the x-block
+    -x, -x l, ..., -x l^size omits -x l^(size-g) and the l-block is
     1, l, ..., l^(r-size-1); otherwise the l-block 1, l, ..., l^(r-size)
     omits l^(r-size-g) and the x-block is -x, ..., -x l^(size-1).  g = 0
     omits the top power, leaving the leading columns of each block.  By the
     module docstring the minor is
 
-        sum over S in rows, |S| = size, of  eps x^S V(l_S) V(l_S') e_g,
+        sum over S in rows, |S| = size, of  eps x^S alt(l_S; qe) alt(l_S'; pe),
         eps = (-1)^(size + sum_{p=r-size}^{r-1} p + sum of S's positions in rows),
 
-    with e_g taken over S with ``x_missing`` and over S' otherwise.  Per row
-    subset, V(l_S) V(l_S') and the e values are computed once and serve
-    every g; no e value is computed when ``gs`` is (0,)."""
-    n, r = len(nodes), len(rows)
-    parity = _laplace_parity(r, size)
-    top = max(gs)
-    out: dict[int, dict] = {g: {} for g in gs}
-    for chosen in combinations(range(r), size):
-        picked = [rows[p] for p in chosen]
-        inside = [nodes[i] for i in picked]
-        outside = [nodes[rows[p]] for p in range(r) if p not in chosen]
-        common = _vandermonde(inside) * _vandermonde(outside)
-        if (parity + sum(chosen)) % 2:
-            common = -common
-        e = _elementary(inside if x_missing else outside) if top else (1,)
-        monomial = tuple(1 if i in picked else 0 for i in range(n))
-        for g in gs:
-            coeff = common * e[g]
-            if coeff:
-                out[g][monomial] = _tighten(coeff)
-    return out
-
-
-def _symbolic_block(spec: WebSpec, block: Sequence[int], size: int) -> dict[int, dict]:
-    """The terms of the signed minors at the columns of one block, the
-    numerator columns c <= k (row subsets of size l + 1) or the denominator
-    columns c > k (size l), at symbolic nodes: per row subset S and column,
-    every Leibniz term of one alternant times every term of the other, x^S
-    included, is one distinct monomial of the minor."""
-    n, k, l = spec.n, spec.k, spec.l
-    numerator = block[0] <= k
-    parity = n + _laplace_parity(n, size)
-    n_vars = spec.n_vars
-    cache: dict = {}
-    full_q, full_p = tuple(range(l + 1)), tuple(range(k + 1))
-    out: dict[int, dict] = {c: {} for c in block}
-    for rows in combinations(range(n), size):
-        others = tuple(i for i in range(n) if i not in rows)
-        x_key = sum(1 << 8 * i for i in rows)
-        flip = (parity + sum(rows)) % 2
-        for c in block:
-            if numerator:
-                left = _alternant_terms(n, rows, full_q, cache)
-                right = _alternant_terms(n, others, full_p[:c] + full_p[c + 1:], cache)
+    with qe and pe the powers of the x-block and l-block columns.  Each
+    alternant is a list of (packed monomial, value) terms, a monomial packing
+    the exponent of ring variable v into byte v, and each term of the minor
+    is x^S times one term of either alternant.  At numeric ``nodes`` (n of
+    them; terms in x_1..x_n) an alternant is the one number V e_g, with the
+    e values over the spare block's rows computed once per row subset for
+    every g, and not at all when every g is 0.  With ``nodes`` None (terms
+    in the 2n ring) it is its Leibniz terms in l_1..l_n, from one cache per
+    call."""
+    r = len(rows)
+    # The part of eps's exponent that does not depend on S.
+    parity = size + size * (2 * r - size - 1) // 2
+    if nodes is None:
+        width, cache = 2 * n, {}
+        x_top, l_top = (size, r - size - 1) if x_missing else (size - 1, r - size)
+        powers = {g: (tuple(e for e in range(x_top + 1) if not x_missing or e != x_top - g),
+                      tuple(e for e in range(l_top + 1) if x_missing or e != l_top - g))
+                  for g in signs}
+    else:
+        width, top = n, max(signs)
+    out: dict[int, dict] = {g: {} for g in signs}
+    # Both enumerations run in the same order: positions and rows of each S.
+    for chosen, inside in zip(combinations(range(r), size), combinations(rows, size)):
+        outside = tuple([i for i in rows if i not in inside])
+        x_key = sum([1 << 8 * i for i in inside])
+        eps = -1 if (parity + sum(chosen)) % 2 else 1
+        if nodes is not None:
+            v_in = _vandermonde([nodes[i] for i in inside])
+            v_out = _vandermonde([nodes[i] for i in outside])
+            e = _elementary([nodes[i] for i in (inside if x_missing else outside)]) if top else (1,)
+        for g, sign in signs.items():
+            if nodes is None:
+                left = _alternant_terms(n, inside, powers[g][0], cache)
+                right = _alternant_terms(n, outside, powers[g][1], cache)
+            elif x_missing:
+                left, right = [(0, v_in * e[g])], [(0, v_out)]
             else:
-                d = c - k - 1
-                left = _alternant_terms(n, rows, full_q[:d] + full_q[d + 1:], cache)
-                right = _alternant_terms(n, others, full_p, cache)
-            sign = -1 if (flip + c) % 2 else 1
-            terms = out[c]
-            for key_a, sign_a in left:
+                left, right = [(0, v_in)], [(0, v_out * e[g])]
+            sign *= eps
+            terms = out[g]
+            for key_a, value_a in left:
                 key_a += x_key
-                if sign_a == sign:
-                    for key_b, sign_b in right:
-                        terms[tuple((key_a + key_b).to_bytes(n_vars, "little"))] = sign_b
-                else:
-                    for key_b, sign_b in right:
-                        terms[tuple((key_a + key_b).to_bytes(n_vars, "little"))] = -sign_b
-    return out
+                value_a *= sign
+                for key_b, value_b in right:
+                    terms[tuple((key_a + key_b).to_bytes(width, "little"))] = value_a * value_b
+    # A numeric coefficient may be an integral Fraction, or 0 where e_g is.
+    return out if nodes is None else {g: _tightened(terms) for g, terms in out.items()}
 
 
 def signed_minors(spec: WebSpec,
@@ -333,25 +320,19 @@ def signed_minors(spec: WebSpec,
     """
     n, k, l = spec.n, spec.k, spec.l
     columns = tuple(range(n + 1)) if columns is None else tuple(columns)
+    for c in columns:
+        _check_count("column index", c, error=DimensionError)
     if any(not 0 <= c <= n for c in columns):
         raise DimensionError(f"column index out of range 0..{n}")
-    nodes = None if spec.is_symbolic else [_tighten(v) for v in spec.lambdas]
     terms: dict[int, dict] = {}
     # A numerator column c omits the power l^c = l^(k-g), a denominator
     # column the power -x l^(c-k-1) = -x l^(l-g): g = top - c in both blocks.
-    for block, size, x_missing, top in (
-            (tuple(dict.fromkeys(c for c in columns if c <= k)), l + 1, False, k),
-            (tuple(dict.fromkeys(c for c in columns if c > k)), l, True, n)):
-        if not block:
-            continue
-        if spec.is_symbolic:
-            terms.update(_symbolic_block(spec, block, size))
-        else:
-            minors = _numeric_block(nodes, range(n), size, [top - c for c in block],
-                                    x_missing)
-            for c in block:
-                minor = minors[top - c]
-                terms[c] = {e: -v for e, v in minor.items()} if (n + c) % 2 else minor
+    for block, size, x_missing, top in (({c for c in columns if c <= k}, l + 1, False, k),
+                                        ({c for c in columns if c > k}, l, True, n)):
+        if block:
+            minors = _block(n, spec.lambdas, range(n), size,
+                            {top - c: -1 if (n + c) % 2 else 1 for c in block}, x_missing)
+            terms.update((c, minors[top - c]) for c in block)
     return [MultiPoly(spec.n_vars, terms[c], _canonical=True) for c in columns]
 
 
@@ -406,7 +387,7 @@ def cauchy_interpolant(spec: WebSpec,
         # both have the same roots.
         q_minors = minors[k + 1:]
         for i, lam in enumerate(spec.lambdas, 1):
-            if not _horner(q_minors, _tighten(lam)):
+            if not _horner(q_minors, lam):
                 raise DegenerateInterpolantError(
                     f"numerator and denominator share a root at node {i}: "
                     "unattainable data point")
@@ -451,7 +432,7 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
     xs = [_tighten(_exact(v)) for v in x_values]
     n, k, l = spec.n, spec.k, spec.l
     rows = []
-    for lam, x in zip(map(_tighten, spec.lambdas), xs):
+    for lam, x in zip(spec.lambdas, xs):
         powers = [lam ** j for j in range(max(k, l) + 1)]
         row = powers[:k + 1] + [-x * p for p in powers[1:l + 1]] + [x]
         if lam.__class__ is not int or x.__class__ is not int:

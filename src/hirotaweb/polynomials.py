@@ -57,6 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, HirotaWebError, InexactNumberError, WebSpecError
@@ -387,7 +388,7 @@ class MultiPoly:
         """self + sign * other as one kernel call; a number is a constant."""
         if isinstance(other, (int, Fraction, float)):
             other = MultiPoly.const(self.n_vars, other)
-        one = MultiPoly.one(self.n_vars)
+        one = _unit(self.n_vars)
         return _sum_of_products(self.n_vars, ((self, one, 1), (other, one, sign)))
 
     def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
@@ -396,7 +397,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return _sum_of_products(self.n_vars, ((self, MultiPoly.one(self.n_vars), -1),))
+        return _sum_of_products(self.n_vars, ((self, _unit(self.n_vars), -1),))
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         return self._linear(other, -1)
@@ -406,7 +407,7 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, (int, Fraction, float)):
-            return _sum_of_products(self.n_vars, ((self, MultiPoly.one(self.n_vars), other),))
+            return _sum_of_products(self.n_vars, ((self, _unit(self.n_vars), other),))
         return _sum_of_products(self.n_vars, ((self, other, 1),))
 
     __rmul__ = __mul__
@@ -562,6 +563,15 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.n_vars}, {self.text()!r})"
+
+
+@cache
+def _unit(n_vars: int) -> MultiPoly:
+    """The constant 1 of one ring, built once and shared by the linear
+    combinations (sums, negations, scalar multiples), which pass it to the
+    kernel as a factor; the kernel never changes an operand, so the one
+    polynomial and its packed map serve every call."""
+    return MultiPoly.one(n_vars)
 
 
 def default_names(n_vars: int) -> list[str]:
@@ -732,6 +742,8 @@ def maximal_minors(m: Matrix, columns: Optional[Iterable[int]] = None) -> list[S
     if cols != rows + 1:
         raise DimensionError("maximal minors need an r x (r+1) matrix")
     skips = tuple(range(cols)) if columns is None else tuple(columns)
+    for skip in skips:
+        _check_count("column index", skip, error=DimensionError)
     if any(not 0 <= skip < cols for skip in skips):
         raise DimensionError(f"column index out of range 0..{cols - 1}")
     _refuse_polynomials(m)

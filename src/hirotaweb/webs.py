@@ -74,13 +74,13 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (WebSpec, _elementary, _interpolation_identity, _numeric_block,
+from .interpolation import (WebSpec, _block, _elementary, _interpolation_identity,
                             highest_coefficients, signed_minors)
 from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _sum_of_products,
                           _tighten)
 from .ratfunc import RationalFunction
 
-NodeValue = Union[Fraction, MultiPoly]
+NodeValue = Union[Scalar, MultiPoly]
 
 
 @dataclass(frozen=True)
@@ -325,9 +325,9 @@ def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
 def _minor(nodes: Sequence[int], rows: Sequence[int], size: int) -> MultiPoly:
     """The row matrix's minor at int nodes over the 0-based increasing
     ``rows`` and the leading columns of each block, with an x-block of
-    ``size`` columns: ``_numeric_block`` at g = 0."""
-    return MultiPoly(len(nodes), _numeric_block(nodes, rows, size, (0,), False)[0],
-                     _canonical=True)
+    ``size`` columns: ``interpolation._block`` at g = 0, unsigned."""
+    n = len(nodes)
+    return MultiPoly(n, _block(n, nodes, rows, size, {0: 1}, False)[0], _canonical=True)
 
 
 def _factored_proof(f: RationalFunction, nodes: Sequence[int],
@@ -495,8 +495,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk are
     the row matrix's minors over its leading columns 1, l, ..., -x,
     -x l, ... on the rows without i, or without j and k, written in closed
-    form with C(n-1, l) and C(n-2, l-1) terms by ``_numeric_block``, the
-    writer of every numeric-node minor, at g = 0.  Three families of
+    form with C(n-1, l) and C(n-2, l-1) terms by ``interpolation._block``,
+    the writer of every row-matrix minor, at g = 0.  Three families of
     identities are each zero-tested in full as one sum of products, the
     constants read off one coefficient first:
     (A) N_i = a_i D_i^2 for every i;
@@ -892,7 +892,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     matrix's minor on the rows without v and F_abc the one on the rows
     without a, b and c, over the leading columns of each block with x-blocks
     of l and l-1 columns: C(n-1, l) and C(n-3, l-1) terms, both from
-    ``_numeric_block`` at g = 0, D as in ``verify_hirota``.  Then
+    ``interpolation._block`` at g = 0, D as in ``verify_hirota``.  Then
 
         w1_abc = kappa_abc (D_a D_b)(D_c F_abc),
         kappa_abc = 2 (kappa_a kappa_c rho^b_ac - kappa_a kappa_b rho^c_ab
@@ -1012,7 +1012,7 @@ def restrict(solution: HirotaSolution, coordinate: int,
     return RationalFunction(solution.f.num.eliminate(assignments), denominator)
 
 
-def restricted_nodes(spec: WebSpec, coordinate: int) -> list[Fraction]:
+def restricted_nodes(spec: WebSpec, coordinate: int) -> list[Scalar]:
     """Node list of the lower-dimensional system after fixing x_coordinate."""
     _check_restriction(spec, coordinate)
     return [v for i, v in enumerate(spec.lambdas, start=1) if i != coordinate]

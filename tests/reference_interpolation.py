@@ -156,7 +156,7 @@ def solve_oracle_fractions(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[F
     n, k, l = spec.n, spec.k, spec.l
     rows = []
     for i in range(n):
-        lam = spec.lambdas[i]
+        lam = _exact(spec.lambdas[i])
         powers = [lam ** j for j in range(max(k, l) + 1)]
         row = [powers[j] for j in range(k + 1)]
         row += [-xs[i] * powers[j] for j in range(1, l + 1)]

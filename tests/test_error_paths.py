@@ -8,9 +8,8 @@ from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
                        WebSpecError, build_solution, cauchy_interpolant,
                        evaluate_interpolant, flatness_check, hirota_residual,
-                       poly_from_json,
-                       poly_to_json, restrict, transform, verify_hirota,
-                       veronese_form)
+                       maximal_minors, poly_from_json, poly_to_json, restrict,
+                       signed_minors, transform, verify_hirota, veronese_form)
 from reference_polynomials import exact_div
 
 
@@ -53,6 +52,23 @@ def test_exponents_and_indices_must_be_ints():
             MultiPoly.variable(2, index)
         with pytest.raises(error):
             x1.derivative(index)
+
+    # A column index of signed_minors or maximal_minors likewise.
+    matrix = [[1, 2, 3], [4, 5, 7]]
+    for index, error in ((1.0, InexactNumberError), (0.5, InexactNumberError),
+                         ("1", DimensionError), (True, DimensionError),
+                         (False, DimensionError), (Fraction(1), DimensionError)):
+        for spec in (WebSpec.numeric(3, 1, 1), WebSpec.symbolic(3, 1, 1)):
+            with pytest.raises(error):
+                signed_minors(spec, (index,))
+            with pytest.raises(error):
+                signed_minors(spec, (0, index))
+        with pytest.raises(error):
+            maximal_minors(matrix, (index,))
+    with pytest.raises(DimensionError, match=r"out of range 0\.\.3"):
+        signed_minors(WebSpec.numeric(3, 1, 1), (4,))
+    with pytest.raises(DimensionError, match=r"out of range 0\.\.2"):
+        maximal_minors(matrix, (-1,))
 
 
 def test_variable_counts_must_be_ints():

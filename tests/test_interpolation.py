@@ -36,6 +36,19 @@ def test_spec_validation():
         WebSpec(1, 0, 0)
 
 
+def test_spec_nodes_take_their_number_form_once():
+    # An integral node is kept as an int, any other as a Fraction, so no
+    # route converts the nodes again; value, equality, hash and text are
+    # those of the Fractions given.
+    spec = WebSpec(3, 1, 1, (Fraction(2), "1/2", -3))
+    assert [type(v) for v in spec.lambdas] == [int, Fraction, int]
+    assert spec.lambdas == (2, Fraction(1, 2), -3)
+    assert [type(v) for v in WebSpec.numeric(3, 1, 1).lambdas] == [int] * 3
+    given = WebSpec(3, 1, 1, tuple(map(Fraction, (1, 2, 3))))
+    assert given == WebSpec.numeric(3, 1, 1) and hash(given) == hash(WebSpec.numeric(3, 1, 1))
+    assert spec.describe() == "n=3 k=1 l=1 nodes=2,1/2,-3"
+
+
 def test_denominator_top_matrix_three_nodes():
     spec = WebSpec.numeric(3, 1, 1)
     m = build_system_matrix(spec, "Q-top")
@@ -179,6 +192,23 @@ def test_closed_form_column_choices():
             assert signed_minors(spec, columns) == [every[c] for c in columns]
         with pytest.raises(DimensionError):
             signed_minors(spec, (spec.n + 1,))
+
+
+def test_one_writer_serves_both_node_kinds(monkeypatch):
+    # Every signed minor, at numeric and at symbolic nodes alike, comes from
+    # the one closed-form writer, one call per block of columns: a second
+    # writer for either node kind would leave its count at zero.
+    genuine = interpolation._block
+    calls = {"numeric": 0, "symbolic": 0}
+
+    def counted(n, nodes, *args):
+        calls["symbolic" if nodes is None else "numeric"] += 1
+        return genuine(n, nodes, *args)
+
+    monkeypatch.setattr(interpolation, "_block", counted)
+    for spec in (WebSpec.numeric(4, 1, 2, [3, -1, 0, 5]), WebSpec.symbolic(4, 1, 2)):
+        assert signed_minors(spec) == cofactor_signed_minors(spec)
+    assert calls == {"numeric": 2, "symbolic": 2}
 
 
 def test_lagrange_degeneration():

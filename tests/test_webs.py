@@ -5,7 +5,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +18,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
-from hirotaweb.interpolation import _numeric_block
+from hirotaweb.interpolation import _block
 from hirotaweb.cli import RunConfig, run as cli_run
 from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
                             _derivative_degrees, _factored_witness, _minor_degrees,
@@ -523,42 +523,54 @@ def _corrupted(sol):
     return HirotaSolution(sol.spec, RationalFunction(p, sol.q_top), p, sol.q_top)
 
 
-def _row_matrix_minor(node_list, rows, size, g, x_missing):
-    """The rows' matrix over the columns of ``_numeric_block``'s minor g: the
+def _row_matrix_minor(n, node_list, rows, size, g, x_missing):
+    """The rows' matrix over the columns of ``_block``'s minor g: the
     block that spares a column, l^0..l^(r-size) or, with ``x_missing``,
     -x l^0..-x l^size, omits its power top - g; the other block is
-    l^0..l^(r-size-1) or -x l^0..-x l^(size-1)."""
-    n, r = len(node_list), len(rows)
+    l^0..l^(r-size-1) or -x l^0..-x l^(size-1).  With ``node_list`` None
+    the nodes are the variables l_1..l_n of the 2n ring."""
+    r = len(rows)
+    ring = n if node_list else 2 * n
     p_top, q_top = (r - size - 1, size) if x_missing else (r - size, size - 1)
     pe = [e for e in range(p_top + 1) if x_missing or e != p_top - g]
     qe = [e for e in range(q_top + 1) if not x_missing or e != q_top - g]
-    return [[MultiPoly.const(n, node_list[i] ** e) for e in pe]
-            + [MultiPoly.variable(n, i) * -node_list[i] ** e for e in qe]
-            for i in rows]
+    matrix = []
+    for i in rows:
+        node = (MultiPoly.const(n, node_list[i]) if node_list
+                else MultiPoly.variable(ring, n + i))
+        matrix.append([node ** e for e in pe]
+                      + [MultiPoly.variable(ring, i) * -node ** e for e in qe])
+    return matrix
 
 
-@pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n,node_class",
+                         [(n, c) for c in sorted(_PLUCKER_NODES) for n in range(3, 7)]
+                         + [(n, "symbolic") for n in range(3, 6)])
 def test_leading_minors_are_the_cofactor_determinants(n, node_class):
-    # The one numeric writer against the cofactor expansion, on all rows,
-    # the rows without i (D_i at size l, g = 0) and the rows without j and k
-    # (E_jk at size l - 1, g = 0), at every size, with the spare column in
-    # either block and every g; and Q_l as the minor over all rows.
-    node_list = _PLUCKER_NODES[node_class][:n]
+    # The one writer against the cofactor expansion, at numeric and at
+    # symbolic nodes, on all rows, the rows without i (D_i at size l, g = 0)
+    # and the rows without j and k (E_jk at size l - 1, g = 0), at every
+    # size, with the spare column in either block and every g; and Q_l as
+    # the minor over all rows.  A numeric minor over r rows has one term
+    # per x-row subset, a symbolic one r! distinct terms.
+    node_list = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
+    ring = n if node_list else 2 * n
     for k in range(1, n - 1):
         l = n - 1 - k
-        q_top = signed_minors(WebSpec.numeric(n, k, l, node_list), (n,))[0]
-        assert MultiPoly(n, _numeric_block(node_list, range(n), l, (0,), True)[0]) == q_top
+        q_top = signed_minors(WebSpec(n, k, l, node_list and tuple(node_list)), (n,))[0]
+        assert MultiPoly(ring, _block(n, node_list, range(n), l, {0: 1}, True)[0]) == q_top
     for drop in [()] + [(i,) for i in range(n)] + list(combinations(range(n), 2)):
         rows = [r for r in range(n) if r not in drop]
         for size in range(len(rows) + 1):
             for x_missing in (False, True):
                 spare = size if x_missing else len(rows) - size
-                minors = _numeric_block(node_list, rows, size, range(spare + 1), x_missing)
+                minors = _block(n, node_list, rows, size, dict.fromkeys(range(spare + 1), 1),
+                                x_missing)
                 for g, terms in minors.items():
-                    matrix = _row_matrix_minor(node_list, rows, size, g, x_missing)
-                    assert MultiPoly(n, terms) == cofactor_determinant(matrix), (rows, size, g)
-                assert len(minors[0]) == comb(len(rows), size)
+                    matrix = _row_matrix_minor(n, node_list, rows, size, g, x_missing)
+                    assert MultiPoly(ring, terms) == cofactor_determinant(matrix), (rows, size, g)
+                assert len(minors[0]) == (comb(len(rows), size) if node_list
+                                          else factorial(len(rows)))
 
 
 @pytest.mark.parametrize("node_class", sorted(_PLUCKER_NODES))
