@@ -16,8 +16,9 @@ certifies everything checkable about it in exact arithmetic:
   - 2 (node_j Q_j N_k - node_k Q_k N_j), and times N_i the second part sums
   over the rotations to zero.  So no second derivative of f is formed: N_i
   and G_jk are written once, on second-order jets (value, x-gradient,
-  x-Hessian) of P and Q; the proof zero-tests B on polynomial jets, and
-  sampling takes q B from integer jets, never expanding a factor.  A
+  x-Hessian) of P and Q; sampling takes q B from integer jets, never
+  expanding a factor, and the proof zero-tests B on polynomial jets where
+  one such value at a fixed point has not already refuted it.  A
   solution with numeric nodes and k, l >= 1 (a spec too, once built) is
   proved without forming B: with D_i and E_jk the minors of size n-1 and
   n-2 of the row matrix (rows without i, or without j and k, over the
@@ -379,6 +380,19 @@ def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
         node_vals, f.num.eliminate(rest).second_order_jet(point[:n]), q_jet))
 
 
+def _probe_point(n_vars: int, n: int, symbolic: bool) -> tuple[int, ...]:
+    """The one integer point at which symbolic mode evaluates q B before it
+    builds B: fixed, so the report does not depend on any seed, with
+    coordinates in [-9, 9] from a private generator.  When the nodes are
+    symbolic their coordinates are distinct, drawn from [-9 - n, 9 + n],
+    since equal ones zero the node differences that B carries."""
+    rng = random.Random(0)
+    point = [rng.randint(-9, 9) for _ in range(n_vars)]
+    if symbolic:
+        point[n:2 * n] = rng.sample(range(-9 - n, 10 + n), len(point[n:2 * n]))
+    return tuple(point)
+
+
 def _spec_factors(spec: WebSpec, point: Sequence[int]) -> tuple:
     """Q, the N_i and the G_jk at one integer point for a spec with symbolic
     nodes, in int arithmetic.  The point's node coordinates make it a
@@ -471,9 +485,16 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
 
     Each triple's residual numerator is Q B, B = N_i G_jk + N_j G_ki + N_k G_ij
     (module docstring).  Symbolic mode proves every B is the zero polynomial,
-    exact since Q is nonzero; a failing triple reports the number of terms
-    of Q B, counted on the product's packed map, so Q B is never unpacked
-    into exponent tuples.
+    exact since Q is nonzero.  A triple that the factored proof below leaves
+    open is first refuted at a point: q B is evaluated exactly at one fixed
+    integer point (``_probe_point``, with the nodes as given, from the
+    factor values that sampled mode uses), and a nonzero value proves B
+    nonzero, with no probability in it, so the triple fails with that value
+    and that point, from which anyone can re-check it.  Only a zero value
+    needs the polynomial, since it proves nothing: that triple then
+    zero-tests B in full, and if B is nonzero reports the number of terms
+    of Q B, counted on the product's packed map.  So a triple fails exactly
+    when its B is nonzero, whichever way it is settled.
     Sampled mode evaluates each q B exactly at ``trials`` seeded random
     integer points with coordinates in [-bound, bound] and requires exact
     zeros; a nonzero numerator would survive one trial with probability at
@@ -508,9 +529,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     2 a_j b_jk D_j D_k E_jk; f_jk is symmetric, so one ordering per pair
     serves.  So R = Q B = 2 D_i D_j D_k T, and Q is nonzero.  If (A) or (B)
     fails for any index, the factors do not describe f (a given solution
-    need not be its spec's) and every triple is checked through B, as is
-    a triple with T nonzero, so its detail is B's.  Bare functions,
-    symbolic nodes and k = 0 or l = 0 take the B route.  With nodes 1..n
+    need not be its spec's) and every triple takes the probe, and B where
+    its probe reads 0, as does a triple with T nonzero, so its detail is
+    that of a bare function.  Bare functions, symbolic nodes and k = 0 or
+    l = 0 take the probe and the B route.  With nodes 1..n
     and k = (n-1)//2 the proof takes 0.037 s at n = 7, 0.12 s at n = 8,
     0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against 0.64 s
     and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
@@ -547,30 +569,42 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
             node_list = list(nodes)
             n = len(node_list)
             symbolic = any(isinstance(v, MultiPoly) for v in node_list)
-        node_list = [v if isinstance(v, MultiPoly) else _exact(v) for v in node_list]
+        node_list = [v if v.__class__ is int or isinstance(v, MultiPoly)
+                     else _tighten(_exact(v)) for v in node_list]
         _check_nodes(f, node_list)
         n_vars = f.n_vars
 
     triples = web_triples(n)
 
     if mode == "symbolic":
+        # The probe takes the nodes as given, so its value is the q B that
+        # sampled mode reports at the same point.
+        point = _probe_point(n_vars, n, symbolic)
+        probe = cache(partial(_sampled_factors, f, node_list, point))
         if not symbolic:
             # Each B is linear in the nodes, so scaling every node by the lcm
             # of their denominators scales it by a nonzero int: the zero test
             # and the term count are unchanged, and the products stay in int
             # arithmetic.
             scale = _denominator_lcm(node_list)
-            node_list = [v * scale for v in node_list]
+            if scale != 1:
+                node_list = [_tighten(v * scale) for v in node_list]
         proved = set()
         if (isinstance(subject, HirotaSolution) and not symbolic and f.n_vars == n
                 and subject.spec.k >= 1 and subject.spec.l >= 1):
-            proved = _factored_proof(f, [_tighten(v) for v in node_list], subject.spec.l)
+            proved = _factored_proof(f, node_list, subject.spec.l)
         factors = cache(lambda: _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
                                                   _polynomial_jet(f.den, range(n))))
         checks = []
         for triple in triples:
             if triple in proved:
                 checks.append(TripleCheck(triple, True, "residual numerator is 0"))
+                continue
+            q, first, brackets = probe()
+            value = q * _residual(first, brackets, triple)
+            if value:
+                checks.append(TripleCheck(triple, False, "nonzero residual value "
+                                          f"q*B = {value} at x = {point}"))
                 continue
             bracket = _residual(*factors(), triple)
             detail = ("residual numerator is 0" if bracket.is_zero else "nonzero residual "

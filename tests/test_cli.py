@@ -10,7 +10,8 @@ from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, interpolation, poly_from_json, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
                            main, run)
-from hirotaweb.webs import HirotaSolution
+from hirotaweb.webs import HirotaSolution, web_triples
+from reference_residuals import expanded_factors, expanded_residual_values
 
 
 def config(command="generate", n=3, k=1, l=1, lambdas=(1, 2, 3), **kw):
@@ -176,10 +177,13 @@ def test_corrupted_solution_fails_with_exit_one():
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_corrupted_override_prints_the_expanded_routes_details(fmt, monkeypatch):
-    # The override breaks the factored identities, so every triple is
-    # checked on the expanded route: these term counts were printed before
-    # the factored proof existed, and forcing that route changes no byte.
+def test_corrupted_override_prints_refutations_and_term_counts(fmt, monkeypatch):
+    # The override breaks the factored identities, so no triple is proved
+    # by factors, and forcing that outcome changes no byte.  Each triple is
+    # refuted by its q B at the probe point, the written-out residual's
+    # value there.  With the probe at the origin, where q = Q(0) = 0, every
+    # triple is zero-tested through B instead and prints the term counts
+    # printed before the factored proof and the probe existed.
     lambdas = (3, 1, 7, 2, 9)
     spec = WebSpec.numeric(5, 2, 2, lambdas)
     sol = build_solution(spec)
@@ -189,10 +193,18 @@ def test_corrupted_override_prints_the_expanded_routes_details(fmt, monkeypatch)
     cfg = config("verify", 5, 2, 2, lambdas, mode="symbolic", format=fmt)
     code, text = run(cfg, solution_override=corrupted)
     assert code == EXIT_CHECK_FAILED
-    counts = [int(c) for c in re.findall(r"nonzero residual numerator with (\d+) term", text)]
-    assert counts == [259, 258, 259, 258, 253, 259, 183, 183, 183, 183]
+    refuted = re.findall(r"nonzero residual value q\*B = (-?\d+) at x = \(([-\d, ]+)\)", text)
+    assert len(refuted) == 10 and len({at for _, at in refuted}) == 1
+    point = [int(v) for v in refuted[0][1].split(", ")]
+    assert [int(value) for value, _ in refuted] == expanded_residual_values(
+        lambdas, web_triples(5), point, expanded_factors(corrupted.f, 5))
     monkeypatch.setattr(webs, "_factored_proof", lambda *args: set())
     assert run(cfg, solution_override=corrupted) == (code, text)
+    monkeypatch.setattr(webs, "_probe_point", lambda n_vars, n, symbolic: (0,) * n_vars)
+    code, text = run(cfg, solution_override=corrupted)
+    assert code == EXIT_CHECK_FAILED
+    counts = [int(c) for c in re.findall(r"nonzero residual numerator with (\d+) term", text)]
+    assert counts == [259, 258, 259, 258, 253, 259, 183, 183, 183, 183]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -754,10 +755,13 @@ def test_powers_multiply_from_the_first_factor():
         assert (p ** 4).terms == product_terms(p * p * p, p)
 
 
-def test_the_corrupted_control_counts_terms_without_unpacking(monkeypatch):
-    # verify_hirota counts Q B for each failing triple of the corrupted n = 6
-    # control; Q B is never read term by term (B, a few dozen terms, is
-    # unpacked where Q B takes it at a wider field).
+def test_the_corrupted_control_builds_no_polynomial_jet_and_forms_no_product(monkeypatch):
+    # verify_hirota refutes every triple of the corrupted n = 6 control by
+    # its nonzero q B at one integer point, so no B is built: no polynomial
+    # jet, and no product of polynomials.  With the probe at the origin,
+    # where q = Q(0) = 0, each triple counts the terms of Q B instead, which
+    # is never read term by term (B, a few dozen terms, is unpacked where
+    # Q B takes it at a wider field).
     spec = WebSpec.numeric(6, 2, 3, [3, 1, 7, 2, 9, 5])
     sol = hirotaweb.build_solution(spec)
     x1 = var(spec.n_vars, 0)
@@ -768,12 +772,32 @@ def test_the_corrupted_control_counts_terms_without_unpacking(monkeypatch):
     monkeypatch.setattr(polynomials, "_unpack",
                         lambda n, packed, width: unpacked.append(len(packed))
                         or unpack(n, packed, width))
+    monkeypatch.setattr(hirotaweb.webs, "_probe_point",
+                        lambda n_vars, n, symbolic: (0,) * n_vars)
     report = hirotaweb.verify_hirota(corrupted)
     counts = (1408, 1417, 1416, 1419, 1411, 1402, 1410, 1412, 1407, 1404,
               1170, 1170, 1161, 1173, 1161, 1164, 1173, 1167, 1173, 1160)
     assert max(unpacked, default=0) < min(counts)
     assert [c.detail for c in report.checks] == [
         f"nonzero residual numerator with {count} term(s)" for count in counts]
+    monkeypatch.undo()
+    monkeypatch.setattr(hirotaweb.webs, "_polynomial_jet",
+                        lambda *args: pytest.fail("a polynomial jet was built"))
+    products = []
+    multiply = MultiPoly.__mul__
+
+    def counted(*args):
+        products.append(1)
+        return multiply(*args)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counted)
+    report = hirotaweb.verify_hirota(corrupted)
+    assert products == []
+    assert not report.passed and len(report.checks) == 20
+    assert all(not c.ok and re.fullmatch(
+        r"nonzero residual value q\*B = -?\d+ at x = \(3, 4, -8, -1, 7, 6\)", c.detail)
+        for c in report.checks)
 
 
 # -- ring axioms, JSON and exact division --------------------------------------------

@@ -1,5 +1,6 @@
 """Solutions, residual verification, web geometry, restriction, transforms."""
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -274,12 +275,14 @@ _NODE_KINDS = {
 @pytest.mark.parametrize("n,k,kind", [(n, k, kind) for n in (4, 5) for k in range(n)
                                       for kind in _NODE_KINDS
                                       if n == 4 or kind != "symbolic"])
-def test_fused_residual_matches_the_written_out_sum(n, k, kind):
+def test_fused_residual_matches_the_written_out_sum(n, k, kind, monkeypatch):
     # On corrupted solutions with l >= 1 the residuals are nonzero, so the
     # kernel's sum over the three products must keep exactly the terms that
-    # the written-out products and sums keep, Q times it must be the
-    # written-out residual of the second-derivative route, and verify_hirota
-    # must count that residual's terms.
+    # the written-out products and sums keep, and Q times it must be the
+    # written-out residual of the second-derivative route.  verify_hirota
+    # must print that residual's value at the probe point where it is
+    # nonzero, and count its terms where the value is 0: everywhere once
+    # the probe sits at the origin, where q = Q(0) = 0.
     # hirota_residual builds the jets of its own triple's three variables
     # only, so it is compared on every triple.
     base = _NODE_KINDS[kind](n)
@@ -288,23 +291,34 @@ def test_fused_residual_matches_the_written_out_sum(n, k, kind):
     node_list = [spec.node(i) for i in range(1, n + 1)]
     first, brackets = _library_factors(f, node_list)
     triples = web_triples(n)
-    details = []
-    for triple, written in zip(triples, expanded_residuals(node_list, triples,
-                                                           expanded_factors(f, n))):
+    oracle = expanded_factors(f, n)
+    point = webs._probe_point(f.n_vars, n, kind == "symbolic")
+    values = expanded_residual_values(node_list, triples, point, oracle)
+    details, counted = [], []
+    for triple, written, value in zip(triples, expanded_residuals(node_list, triples, oracle),
+                                      values):
         a, b, c = (t - 1 for t in triple)
         bracket = (first[a] * brackets[b, c] - first[b] * brackets[a, c]
                    + first[c] * brackets[a, b])
         assert _residual(first, brackets, triple) == bracket
         assert f.den * bracket == written
         assert hirota_residual(f, node_list, triple) == RationalFunction(written, f.den ** 5)
-        details.append("residual numerator is 0" if written.is_zero else
-                       f"nonzero residual numerator with {len(written.terms)} term(s)")
+        count = ("residual numerator is 0" if written.is_zero else
+                 f"nonzero residual numerator with {len(written.terms)} term(s)")
+        counted.append(count)
+        details.append(f"nonzero residual value q*B = {value} at x = {point}" if value
+                       else count)
     report = verify_hirota(f, nodes=node_list, mode="symbolic")
     assert [check.detail for check in report.checks] == details
     # At l = 0 the solution is linear, and adding x1^2, which has no mixed
     # second partial, leaves it a solution; at every other order every
     # triple fails.
-    assert sum(not check.ok for check in report.checks) == (0 if k == n - 1 else len(details))
+    failed = 0 if k == n - 1 else len(details)
+    assert sum(not check.ok for check in report.checks) == failed
+    _probe_at_origin(monkeypatch)
+    at_origin = verify_hirota(f, nodes=node_list, mode="symbolic")
+    assert [check.detail for check in at_origin.checks] == counted
+    assert [check.ok for check in at_origin.checks] == [check.ok for check in report.checks]
 
 
 def test_jet_route_handles_zero_coordinates():
@@ -516,6 +530,18 @@ def _refuse_brackets(monkeypatch):
     monkeypatch.setattr(webs, "_residual_factors", refuse)
 
 
+def _probe_at_origin(monkeypatch):
+    """Move the probe to the origin, where q = Q(0) = 0 for every l >= 1, so
+    that each probe there reads 0."""
+    monkeypatch.setattr(webs, "_probe_point", lambda n_vars, n, symbolic: (0,) * n_vars)
+
+
+def _probe_reads_zero(monkeypatch):
+    """Make every probe read 0, so that each open triple takes the full B test."""
+    sampled = webs._sampled_factors
+    monkeypatch.setattr(webs, "_sampled_factors", lambda *args: (0, *sampled(*args)[1:]))
+
+
 def _corrupted(sol):
     """The solution with x1^2 added to its numerator, as the benchmark does."""
     x1 = MultiPoly.variable(sol.spec.n_vars, 0)
@@ -602,7 +628,9 @@ def test_factored_proof_at_n9_expands_no_bracket(monkeypatch):
                                   WebSpec.numeric(3, 1, 1)])
 def test_a_corrupted_solution_falls_back_to_the_expanded_route(spec, monkeypatch):
     # x1^2 added to P breaks (A), so no triple is proved by factors and the
-    # whole report, failing details included, is the expanded route's.
+    # whole report, failing details included, is the bare function's: each
+    # triple is refuted at the probe point, or zero-tested through B once
+    # the probe sits at the origin, where q = Q(0) = 0.
     corrupted = _corrupted(build_solution(spec))
     proved = []
     factored = webs._factored_proof
@@ -612,21 +640,30 @@ def test_a_corrupted_solution_falls_back_to_the_expanded_route(spec, monkeypatch
     assert proved == [set()]
     assert report == verify_hirota(corrupted.f, nodes=corrupted.nodes())
     assert not report.passed
-    assert all(c.detail.startswith("nonzero residual numerator with ")
+    assert all(c.detail.startswith("nonzero residual value q*B = ")
                for c in report.checks if not c.ok)
+    _probe_at_origin(monkeypatch)
+    at_origin = verify_hirota(corrupted)
+    assert at_origin == verify_hirota(corrupted.f, nodes=corrupted.nodes())
+    assert [c.ok for c in at_origin.checks] == [c.ok for c in report.checks]
+    assert all(c.detail.startswith("nonzero residual numerator with ")
+               for c in at_origin.checks if not c.ok)
 
 
 def test_triples_the_factors_leave_open_take_the_expanded_route(monkeypatch):
-    # Triples missing from the factored result are checked on the expanded
-    # route, built once, and give its details.
+    # Triples missing from the factored result are probed at one point,
+    # evaluated once, and then checked on the expanded route, built once
+    # from the polynomial jets of P and Q, and give its details.
     sol = build_solution(WebSpec.numeric(5, 2, 2))
     monkeypatch.setattr(webs, "_factored_proof", lambda *args: {(1, 2, 3), (2, 4, 5)})
-    built = []
-    expanded = webs._residual_factors
-    monkeypatch.setattr(webs, "_residual_factors",
-                        lambda *args: built.append(1) or expanded(*args))
+    probed, jets = [], []
+    sampled, jet = webs._sampled_factors, webs._polynomial_jet
+    monkeypatch.setattr(webs, "_sampled_factors",
+                        lambda *args: probed.append(1) or sampled(*args))
+    monkeypatch.setattr(webs, "_polynomial_jet", lambda *args: jets.append(1) or jet(*args))
     assert verify_hirota(sol) == verify_hirota(sol.f, nodes=sol.nodes())
-    assert len(built) == 2    # once for the solution, once for the bare function
+    assert len(probed) == 2   # once for the solution, once for the bare function
+    assert len(jets) == 4     # P and Q, for each of the two
 
 
 @pytest.mark.parametrize("spec", [WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0),
@@ -773,6 +810,92 @@ def test_pencil_integrability_is_the_residual_bracket(n, k, node_class):
 def test_pencil_identity_holds_for_any_p_q_and_nodes(instance):
     f, node_list, _, _ = instance
     _check_pencil_identity(f, node_list)
+
+
+# -- refutation at a point ------------------------------------------------------------
+
+
+_PROBE_ORDERS = ([(n, k, node_class) for n in (3, 4, 5) for k in range(n)
+                  for node_class in sorted(_NODE_CLASSES)]
+                 + [(6, k, "integer") for k in range(6)]
+                 + [(4, k, "symbolic") for k in range(4)])
+
+
+@pytest.mark.parametrize("n,k,node_class", _PROBE_ORDERS)
+def test_the_probe_keeps_the_full_tests_verdicts_and_exit_codes(n, k, node_class,
+                                                                monkeypatch):
+    # A triple fails exactly when its B is nonzero, so the CLI's statuses
+    # and exit code, for the genuine solution and for the corrupted control,
+    # are those of the full B test, to which every probe that reads 0 (here
+    # every probe) leaves its triple.
+    lambdas = None if node_class == "symbolic" else tuple(_NODE_CLASSES[node_class][:n])
+    cfg = RunConfig(command="verify", n=n, k=k, l=n - 1 - k, lambdas=lambdas, format="json")
+    corrupted = _corrupted(build_solution(WebSpec(n, k, n - 1 - k, lambdas)))
+
+    def outcomes():
+        runs = [cli_run(cfg, solution_override=override) for override in (None, corrupted)]
+        return [(code, [r["status"] for r in json.loads(text)["results"]])
+                for code, text in runs]
+
+    probed = outcomes()
+    _probe_reads_zero(monkeypatch)
+    assert outcomes() == probed
+    assert [code for code, _ in probed] == [0, 0 if k == n - 1 else 1]
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+def test_the_probe_takes_the_nodes_as_given_and_the_polynomial_routes_as_ints(
+        node_class, monkeypatch):
+    # The factored proof and B take the nodes scaled to ints by the lcm of
+    # their denominators (1 for integral nodes, which stay ints); the probe
+    # takes them as given, so its value is the one sampled mode reports.
+    spec = WebSpec.numeric(5, 2, 2, _NODE_CLASSES[node_class][:5])
+    given = list(spec.lambdas)
+    scale = _denominator_lcm(given)
+    seen = []
+    for name, position in (("_factored_proof", 1), ("_sampled_factors", 1),
+                           ("_residual_factors", 0)):
+        def spy(*args, _name=name, _position=position, _real=getattr(webs, name)):
+            seen.append((_name, args[_position]))
+            return _real(*args)
+        monkeypatch.setattr(webs, name, spy)
+    _probe_reads_zero(monkeypatch)
+    assert not verify_hirota(_corrupted(build_solution(spec))).passed
+    routes = {}
+    for name, node_list in seen:
+        routes.setdefault(name, []).append([(type(v), v) for v in node_list])
+    scaled = [(int, v * scale) for v in given]
+    assert routes["_factored_proof"] == [scaled]
+    assert routes["_sampled_factors"] == [[(type(v), v) for v in given]]
+    # once inside the probe, with the given nodes, and once for B
+    assert routes["_residual_factors"] == [[(type(v), v) for v in given], scaled]
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(5, 2, 2, _NODE_CLASSES["rational"][:5]),
+                                  WebSpec.symbolic(3, 1, 1)], ids=["rational", "symbolic"])
+def test_every_symbolic_mode_route_refutes_with_the_written_out_value(spec):
+    # The printed value is q B at the printed point, with the nodes as given:
+    # the written-out residual's value there.  Rational nodes tell it from
+    # the value at the nodes scaled to integers, which is that value times
+    # the lcm of their denominators.
+    corrupted = _corrupted(build_solution(spec))
+    node_list = corrupted.nodes()
+    subjects = [(verify_hirota(corrupted), corrupted.f, node_list),
+                (verify_hirota(corrupted.f, nodes=node_list), corrupted.f, node_list)]
+    if not spec.is_symbolic:
+        restricted = restrict(corrupted, spec.n, Fraction(1, 3))
+        nodes_left = restricted_nodes(spec, spec.n)
+        subjects.append((verify_hirota(restricted, nodes=nodes_left), restricted, nodes_left))
+    for report, f, node_list in subjects:
+        oracle = expanded_factors(f, len(node_list))
+        assert not report.passed
+        for check in report.checks:
+            value, point = re.fullmatch(r"nonzero residual value q\*B = (\S+) at x = \((.*)\)",
+                                        check.detail).groups()
+            point = [int(v) for v in point.split(", ")]
+            assert len(point) == f.n_vars
+            assert Fraction(value) == expanded_residual_values(node_list, [check.triple],
+                                                               point, oracle)[0]
 
 
 # -- coframe ------------------------------------------------------------------------------
