@@ -4,10 +4,9 @@ A degree-g form maps strictly increasing g-tuples of 0-based variable indices
 to polynomial numerators (zero components are never stored; the degree-0
 form has the single key ()) and carries one nonzero polynomial denominator
 for all of them (1 for polynomial forms).  Nothing is normalized: equality
-cross-multiplies, and a component becomes a RationalFunction, whose
-normalization is canonical, only when it is read or rendered: ``to_json``
-and the CLI's JSON writer read the normalized components from one method,
-``_normalized``, which scales each distinct denominator once.  Wedge
+cross-multiplies, and every writer of a form (``text``, ``to_json`` and the
+CLI's JSON writer) reads one normal form, ``_normalized``: each component as
+RationalFunction would normalize it, each denominator scaling once.  Wedge
 products use merge-inversion signs, and the exterior derivative
 differentiates every ring variable, so forms should be built over rings
 whose variables are all genuine coordinates (numeric-node mode).
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
 from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products,
-                          poly_to_json)
+                          poly_text, poly_to_json)
 from .ratfunc import RationalFunction, _content, _normalizer, _scaled
 
 Index = tuple[int, ...]
@@ -243,12 +242,19 @@ class DifferentialForm:
     # -- output -----------------------------------------------------------------------
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:
+        """``body dx1^dx3 + ...`` in index order, "0" for the zero form: each
+        body is its ``_normalized`` quotient ``(num)/(den)``, each denominator
+        scaling rendered once, or over a constant d the numerator times 1/d."""
         if not self.components:
             return "0"
         names = names or [f"x{i + 1}" for i in range(self.n_vars)]
+        dens, entries = self._normalized()
+        den_text = {key: poly_text(den, names) for key, den in dens.items()
+                    if not den.is_constant}
         pieces = []
-        for idx in sorted(self.components):
-            body = self.component(idx).text(names)
+        for idx, num, key in entries:
+            body = (f"({poly_text(num, names)})/({den_text[key]})" if key in den_text
+                    else poly_text(num * (1 / dens[key].constant_value()), names))
             if (" + " in body or " - " in body) and not body.startswith("("):
                 body = f"({body})"
             basis = "^".join(f"d{names[i]}" for i in idx)

@@ -452,6 +452,7 @@ class MultiPoly:
         """
         fixed = {var: _tighten(_exact(v)) for var, v in assignments.items()}
         for var in fixed:
+            _check_count("variable index", var, error=DimensionError)
             if not 0 <= var < self.n_vars:
                 raise DimensionError(f"assigned variable {var} out of range")
         keep = [v for v in range(self.n_vars) if v not in fixed]

@@ -427,6 +427,8 @@ def hirota_residual(f: RationalFunction, nodes: Sequence[NodeValue],
     (module docstring), or 0/1 when B is zero, so a genuine solution's
     triple never builds Q^5.  Triples and nodes are pairwise distinct."""
     _check_nodes(f, nodes)
+    for t in triple:
+        _check_count("triple index", t, error=DimensionError)
     if len(set(triple)) != 3 or not all(1 <= t <= len(nodes) for t in triple):
         raise DimensionError(f"bad triple {triple} for {len(nodes)} nodes")
     variables = [t - 1 for t in triple]
@@ -496,9 +498,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     of Q B, counted on the product's packed map.  So a triple fails exactly
     when its B is nonzero, whichever way it is settled.
     Sampled mode evaluates each q B exactly at ``trials`` seeded random
-    integer points with coordinates in [-bound, bound] and requires exact
-    zeros; a nonzero numerator would survive one trial with probability at
-    most degree/(2*bound + 1).  The points stay Python ints.
+    integer points with coordinates in [-bound, bound], each drawn again
+    where two node values coincide, and requires exact zeros; a nonzero
+    numerator would survive one trial with probability at most
+    degree/(2*bound + 1).  The points stay Python ints.
 
     A ``WebSpec`` with symbolic nodes is sampled without building its
     solution: at each point the numeric-node minors at the point's node
@@ -621,8 +624,12 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     while len(points) < trials:
         point = [rng.randint(-bound, bound) for _ in range(n_vars)]
         if symbolic:
-            node_coords = point[n:2 * n]
-            if len(set(node_coords)) != n:
+            # B needs distinct node values: a spec's symbolic nodes are the
+            # coordinates x_(n+1..2n), a bare function's sit anywhere.
+            values = (point[n:2 * n] if isinstance(subject, (WebSpec, HirotaSolution))
+                      else [v.evaluate(point) if isinstance(v, MultiPoly) else v
+                            for v in node_list])
+            if len(set(values)) != n:
                 continue
         points.append(point)
 
@@ -1024,6 +1031,7 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
 
 def _check_restriction(spec: WebSpec, coordinate: int) -> None:
+    _check_count("coordinate", coordinate, error=DimensionError)
     if spec.is_symbolic:
         raise WebSpecError("restriction needs numeric nodes")
     if not 1 <= coordinate <= spec.n:

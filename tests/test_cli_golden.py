@@ -9,6 +9,7 @@ rewrites an entry that is already there.  To re-record an entry after an
 intended output change, delete it from the file and run the recorder.
 """
 
+import hashlib
 import io
 import json
 import shlex
@@ -161,6 +162,25 @@ def test_golden_file_covers_the_invocations(golden):
 @pytest.mark.parametrize("argv", ARGVS)
 def test_cli_output_matches_golden(argv, golden):
     assert _capture(argv) == golden[argv]
+
+
+# The witness text at the frontier, n = 6 and 7 with nodes 1..n: the sha256
+# of stdout, recorded from the per-component renderer before text was
+# written from the forms' normal form.  Too large for the golden file
+# (1.2 MB and 10.7 MB), so only the digests are kept.
+FRONTIER_TEXT = {
+    "flatness --n 6 --k 2 --l 3 --format text":
+        "1c2cdb00131e15b27de52e88ca137404bb96a728cde4cfcfdc5ae1dc6b582bf4",
+    "flatness --n 7 --k 3 --l 3 --format text":
+        "ad0c6c13f97d75c0547a6086b44352531ddb88b28b6f20c50ad85d09ff5d2663",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FRONTIER_TEXT))
+def test_frontier_witness_text_matches_its_digest(argv):
+    captured = _capture(argv)
+    assert captured["exit"] == 0
+    assert hashlib.sha256(captured["stdout"].encode()).hexdigest() == FRONTIER_TEXT[argv]
 
 
 if __name__ == "__main__":

@@ -9,7 +9,8 @@ from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        WebSpecError, build_solution, cauchy_interpolant,
                        evaluate_interpolant, flatness_check, hirota_residual,
                        maximal_minors, poly_from_json, poly_to_json, restrict,
-                       signed_minors, transform, verify_hirota, veronese_form)
+                       restricted_nodes, signed_minors, transform, verify_hirota,
+                       veronese_form)
 from reference_polynomials import exact_div
 
 
@@ -69,6 +70,27 @@ def test_exponents_and_indices_must_be_ints():
         signed_minors(WebSpec.numeric(3, 1, 1), (4,))
     with pytest.raises(DimensionError, match=r"out of range 0\.\.2"):
         maximal_minors(matrix, (-1,))
+
+    # A triple index of hirota_residual, a coordinate of restrict and
+    # restricted_nodes, and a variable of eliminate likewise.
+    sol = build_solution(WebSpec.numeric(4, 1, 2))
+    for index, error in ((1.0, InexactNumberError), ("1", DimensionError),
+                         (True, DimensionError), (Fraction(1), DimensionError)):
+        with pytest.raises(error):
+            hirota_residual(sol.f, sol.nodes(), (index, 2, 3))
+        with pytest.raises(error):
+            hirota_residual(sol.f, sol.nodes(), (2, 3, index))
+        with pytest.raises(error):
+            restrict(sol, index, 0)
+        with pytest.raises(error):
+            restricted_nodes(sol.spec, index)
+        with pytest.raises(error):
+            x1.eliminate({index: 0})
+        with pytest.raises(error):
+            x1.eliminate({0: 1, index: 0})
+    assert hirota_residual(sol.f, sol.nodes(), (1, 2, 3)).is_zero
+    assert restricted_nodes(sol.spec, 1) == [2, 3, 4]
+    assert x1.eliminate({0: 3}) == MultiPoly.const(1, 3)
 
 
 def test_variable_counts_must_be_ints():

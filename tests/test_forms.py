@@ -5,9 +5,13 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+import hirotaweb.forms
+import hirotaweb.ratfunc
 from hirotaweb import (DifferentialForm, LambdaForm, MultiPoly,
-                       RationalFunction, WebSpec, poly_from_json, signed_minors)
+                       RationalFunction, WebSpec, flatness_check, poly_from_json,
+                       poly_text, signed_minors)
 from reference_frobenius import frobenius_check, pencil_d, pencil_wedge
+from reference_text import form_text
 
 
 def var(n, i):
@@ -135,8 +139,11 @@ def _form_from_json(n_vars, data):
     return DifferentialForm(n_vars, data["degree"], components, den)
 
 
+_forms = st.integers(0, 2).flatmap(_random_form)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2).flatmap(_random_form))
+@given(_forms)
 def test_json_round_trip(form):
     data = json.loads(json.dumps(form.to_json()))
     assert data["degree"] == form.degree
@@ -192,14 +199,73 @@ def test_lambda_form_evaluation_and_convolution_degree():
 
 
 def test_form_text_rendering():
-    x1 = var(3, 0)
-    form = DifferentialForm(3, 2, {(0, 2): x1 * Fraction(2, 3)})
-    assert form.text() == "2/3x1 dx1^dx3"
-    assert DifferentialForm.zero(3, 1).text() == "0"
-    # each component is rendered as its own normalized quotient
-    over = DifferentialForm(3, 1, {(0,): x1, (2,): 2}, 2 * var(3, 1))
-    assert over.text() == "(x1)/(2x2) dx1 + (1)/(x2) dx3"
-    assert DifferentialForm(3, 1, {(0,): 3 * x1}, 6).text() == "1/2x1 dx1"
+    # Each case against a fixed string and the per-component oracle, also
+    # with names that contain spaces and signs.
+    x1, x2, x3 = (var(3, i) for i in range(3))
+    cases = [
+        (DifferentialForm(3, 2, {(0, 2): x1 * Fraction(2, 3)}), "2/3x1 dx1^dx3"),
+        # each component is rendered as its own normalized quotient
+        (DifferentialForm(3, 1, {(0,): x1, (2,): 2}, 2 * x2),
+         "(x1)/(2x2) dx1 + (1)/(x2) dx3"),
+        # constant denominators, an int and a Fraction: the numerator times 1/d
+        (DifferentialForm(3, 1, {(0,): 3 * x1}, 6), "1/2x1 dx1"),
+        (DifferentialForm(3, 1, {(0,): x1 + 1, (2,): 3 * x2 - x3}, 6),
+         "(1/6x1 + 1/6) dx1 + (1/2x2 - 1/6x3) dx3"),
+        (DifferentialForm(3, 2, {(0, 1): x1, (1, 2): Fraction(1, 2) * x3}, Fraction(-2, 3)),
+         "-3/2x1 dx1^dx2 + -3/4x3 dx2^dx3"),
+        # a negative leading coefficient: the normal form flips the sign
+        (DifferentialForm(3, 1, {(1,): x3 + 2}, 3 - 2 * x1 * x2),
+         "(-x3 - 2)/(2x1x2 - 3) dx2"),
+        # three scalings of one denominator, and one scaling shared twice
+        (DifferentialForm(3, 1, {(0,): 2 * x1, (1,): x2, (2,): Fraction(1, 3) * x3 + 4 * x1},
+                          4 * x1 + 2),
+         "(x1)/(2x1 + 1) dx1 + (x2)/(4x1 + 2) dx2 + (12x1 + x3)/(12x1 + 6) dx3"),
+        (DifferentialForm(3, 1, {(0,): 2 * x2, (2,): 4 * x3}, 2 * x1 - 4),
+         "(x2)/(x1 - 2) dx1 + (2x3)/(x1 - 2) dx3"),
+        # a 0-form has no basis part, and a sum over a constant is bracketed
+        (DifferentialForm.from_function(RationalFunction(x1 + 1, x2 - x3)),
+         "(x1 + 1)/(x2 - x3)"),
+        (DifferentialForm(3, 0, {(): x1 - x2}, 2), "(1/2x1 - 1/2x2)"),
+        (DifferentialForm.zero(3, 1), "0"),
+        (DifferentialForm.zero(3, 0), "0"),
+    ]
+    names = ["p q", "r - s", "t"]
+    for form, expected in cases:
+        assert form.text() == form_text(form) == expected
+        assert form.text(names) == form_text(form, names)
+
+
+# Names with spaces, signs and brackets: the bracketing test reads the body's
+# text, so a name may make a one-term body look like a sum.
+_names = st.one_of(st.none(), st.lists(st.text("ab +-()", min_size=1, max_size=4),
+                                       min_size=3, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_forms, _names)
+def test_text_is_the_per_component_text(form, names):
+    assert form.text(names) == form_text(form, names)
+
+
+def test_text_renders_each_denominator_scaling_once(monkeypatch):
+    # The witness at n = 5 over nodes 5, 4, 6, 1, 3 has two denominator
+    # scalings over ten components; a per-component route renders the
+    # shared denominator once per component.
+    witness = flatness_check(WebSpec.numeric(5, 3, 1, [5, 4, 6, 1, 3])).witness
+    dens, entries = witness._normalized()
+    assert len(dens) == 2 and len(entries) == 10
+    expected = form_text(witness)
+    rendered = []
+
+    def spy(poly, *args, **kwargs):
+        rendered.append(poly)
+        return poly_text(poly, *args, **kwargs)
+
+    for module in (hirotaweb.forms, hirotaweb.ratfunc):
+        # raising=False: a module that does not import poly_text never calls it
+        monkeypatch.setattr(module, "poly_text", spy, raising=False)
+    assert witness.text() == expected
+    assert sum(any(poly == den for den in dens.values()) for poly in rendered) == len(dens)
 
 
 @st.composite

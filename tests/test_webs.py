@@ -32,6 +32,7 @@ from reference_polynomials import cofactor_determinant
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
+from reference_text import form_text
 from reference_witness import (gamma_product, inflated_witness, jet_determinant,
                                raw_alpha1, self_wedge)
 
@@ -392,6 +393,39 @@ def test_sampled_bare_function_with_symbolic_nodes():
     corrupted = verify_hirota(_residual_function(spec, True), nodes=sol.nodes(),
                               mode="sampled", seed=3)
     assert not corrupted.passed
+
+
+def test_sampled_bare_function_with_node_polynomials_in_few_variables():
+    # Nodes x4, x5, x4 + x5 + 1 of a 5-variable ring: a point is drawn again
+    # only where two node values coincide, so one trial is found at once.
+    x = [MultiPoly.variable(5, v) for v in range(5)]
+    f = RationalFunction(x[0] * x[1] + x[2])
+    node_list = [x[3], x[4], x[3] + x[4] + 1]
+    sampled = verify_hirota(f, nodes=node_list, mode="sampled", trials=1)
+    symbolic = verify_hirota(f, nodes=node_list)
+    assert not sampled.passed and not symbolic.passed
+    assert [c.ok for c in sampled.checks] == [c.ok for c in symbolic.checks]
+
+
+def test_sampled_points_give_distinct_node_values(monkeypatch):
+    # With nodes x4, x5, x4 + x5 the values coincide where x4 = 0, x5 = 0 or
+    # x4 = x5, although the coordinates x4, x5, x6 are distinct there: the
+    # first point of seed 827 has x4 = 0.  A linear f passes every triple,
+    # so every point is evaluated.
+    x = [MultiPoly.variable(6, v) for v in range(6)]
+    node_list = [x[3], x[4], x[3] + x[4]]
+    seen = []
+    sampled = webs._sampled_factors
+
+    def spy(f, node_list, point):
+        seen.append([v.evaluate(point) for v in node_list])
+        return sampled(f, node_list, point)
+
+    monkeypatch.setattr(webs, "_sampled_factors", spy)
+    report = verify_hirota(RationalFunction(x[0] + x[1] + x[2]), nodes=node_list,
+                           mode="sampled", trials=3, bound=10 ** 3, seed=827)
+    assert report.passed
+    assert len(seen) == 3 and all(len(set(values)) == 3 for values in seen)
 
 
 def test_sampled_rejects_too_few_variables():
@@ -1059,6 +1093,16 @@ def test_flatness_dichotomy_dimension_six():
 def test_flatness_needs_dimension_three():
     with pytest.raises(WebSpecError):
         flatness_check(WebSpec.numeric(2, 1, 0, [0, 1]))
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5, 6) for k in range(n)])
+def test_witness_text_is_the_per_component_text(n, k, node_class):
+    # The library renders the witness from its one normal form; the oracle
+    # renders each component as its own RationalFunction.
+    spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
+    witness = flatness_check(spec).witness
+    assert witness.text() == form_text(witness)
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
