@@ -360,30 +360,29 @@ def _poly_json(poly: MultiPoly, nl: str, out: list[str], layouts: dict) -> None:
 
 def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -> None:
     """Append ``form.to_json()`` as ``_json_value`` writes it: each distinct
-    denominator scaling is written once, keyed by its (g, m).  The
-    coefficient types are checked before normalizing, which would turn a
-    bool into an int and fail on a float."""
+    denominator scaling is written once, on first use, keyed by its (g, m).
+    The coefficient types are checked before normalizing, which would turn
+    a bool into an int and fail on a float."""
     inner = nl + "  "
     item = inner + "  "
     field = item + "  "
     _refuse(set(chain.from_iterable(map(type, poly.terms.values())
                                     for poly in (form.den, *form.components.values()))),
             _COEFFICIENTS)
-    dens, entries = form._normalized()
-    den_text = {}
-    for key, den in dens.items():
-        text: list[str] = []
-        _poly_json(den, field, text, layouts)
-        den_text[key] = "".join(text)
+    den_text: dict[tuple[int, int], str] = {}
     out.append("{" + inner + '"components": ')
-    for position, (idx, num, key) in enumerate(entries):
+    for position, (idx, num, key, den) in enumerate(form._normalized()):
+        if key not in den_text:
+            text: list[str] = []
+            _poly_json(den, field, text, layouts)
+            den_text[key] = "".join(text)
         out += ("," if position else "[", item + "{" + field + '"den": ', den_text[key],
                 "," + field + '"idx": ')
         _json_value([i + 1 for i in idx], field, out, layouts)
         out.append("," + field + '"num": ')
         _poly_json(num, field, out, layouts)
         out.append(item + "}")
-    out.append((inner + "]," if entries else "[],") + inner + '"degree": '
+    out.append((inner + "]," if form.components else "[],") + inner + '"degree": '
                + int.__repr__(form.degree) + nl + "}")
 
 

@@ -18,7 +18,7 @@ it at a number; the pencil's integrability is the residual verdict.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
 from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products,
@@ -248,13 +248,15 @@ class DifferentialForm:
         if not self.components:
             return "0"
         names = names or [f"x{i + 1}" for i in range(self.n_vars)]
-        dens, entries = self._normalized()
-        den_text = {key: poly_text(den, names) for key, den in dens.items()
-                    if not den.is_constant}
+        den_text: dict[tuple[int, int], str] = {}
         pieces = []
-        for idx, num, key in entries:
-            body = (f"({poly_text(num, names)})/({den_text[key]})" if key in den_text
-                    else poly_text(num * (1 / dens[key].constant_value()), names))
+        for idx, num, key, den in self._normalized():
+            if den.is_constant:
+                body = poly_text(num * (1 / den.constant_value()), names)
+            else:
+                if key not in den_text:
+                    den_text[key] = poly_text(den, names)
+                body = f"({poly_text(num, names)})/({den_text[key]})"
             if (" + " in body or " - " in body) and not body.startswith("("):
                 body = f"({body})"
             basis = "^".join(f"d{names[i]}" for i in idx)
@@ -267,36 +269,37 @@ class DifferentialForm:
     def __repr__(self) -> str:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
-    def _normalized(self) -> tuple[dict[tuple[int, int], MultiPoly],
-                                   list[tuple[Index, MultiPoly, tuple[int, int]]]]:
+    def _normalized(self) -> Iterator[tuple[Index, MultiPoly, tuple[int, int], MultiPoly]]:
         """Each component as its normalized quotient, scaled as
-        RationalFunction scales it: the denominator scalings, keyed by their
-        (g, m), and per component in index order (idx, numerator, (g, m)).
-        The shared denominator's content and leading sign are read once and
-        per component only the numerator's content is, so each distinct
-        scaling of the denominator is computed once."""
+        RationalFunction scales it, yielded one at a time in index order as
+        (idx, numerator, (g, m), denominator), so a writer holds one scaled
+        numerator at a time.  The shared denominator's content and leading
+        sign are read once and per component only the numerator's content
+        is, so each distinct scaling (g, m) of the denominator is computed
+        once and yielded as the same object, which a writer renders once."""
         den_content = _content(self.den)
         den_negative = self.den.leading_term()[1] < 0
         dens: dict[tuple[int, int], MultiPoly] = {}
-        entries = []
         for idx in sorted(self.components):
             num = self.components[idx]
             g, m = key = _normalizer(num, den_content, den_negative)
             if key not in dens:
                 dens[key] = _scaled(self.den, m, g)
-            entries.append((idx, _scaled(num, m, g), key))
-        return dens, entries
+            yield idx, _scaled(num, m, g), key, dens[key]
 
     def to_json(self) -> dict:
         """JSON form: ``{"degree": g, "components": [{"idx": [1-based
         indices], "num": ..., "den": ...}, ...]}`` in index order, each
         component its normalized quotient as two ``poly_to_json`` dicts.
         Components with one denominator scaling share its dict."""
-        dens, entries = self._normalized()
-        den_json = {key: poly_to_json(den) for key, den in dens.items()}
-        return {"degree": self.degree, "components": [
-            {"idx": [i + 1 for i in idx], "num": poly_to_json(num), "den": den_json[key]}
-            for idx, num, key in entries]}
+        den_json: dict[tuple[int, int], dict] = {}
+        components = []
+        for idx, num, key, den in self._normalized():
+            if key not in den_json:
+                den_json[key] = poly_to_json(den)
+            components.append({"idx": [i + 1 for i in idx], "num": poly_to_json(num),
+                               "den": den_json[key]})
+        return {"degree": self.degree, "components": components}
 
 
 class LambdaForm:

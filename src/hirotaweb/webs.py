@@ -16,28 +16,22 @@ certifies everything checkable about it in exact arithmetic:
   - 2 (node_j Q_j N_k - node_k Q_k N_j), and times N_i the second part sums
   over the rotations to zero.  So no second derivative of f is formed: N_i
   and G_jk are written once, on second-order jets (value, x-gradient,
-  x-Hessian) of P and Q; sampling takes q B from integer jets, never
-  expanding a factor, and the proof zero-tests B on polynomial jets where
-  one such value at a fixed point has not already refuted it.  A
-  solution with numeric nodes and k, l >= 1 (a spec too, once built) is
-  proved without forming B: with D_i and E_jk the minors of size n-1 and
-  n-2 of the row matrix (rows without i, or without j and k, over the
-  leading columns of each block), the identities (A) N_i = a_i D_i^2 and
-  (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk, with node-only constants a_i and
-  b_jk, give Q B = 2 D_i D_j D_k T for a three-term sum T of products
-  D_p E_qr, a Grassmann-Pluecker relation (Dodgson 1866; Sato 1981 reads
-  Hirota bilinear equations as Pluecker relations).  Every identity is
-  zero-tested in full (``verify_hirota``).  A spec with symbolic nodes is
-  sampled without building f: a point's node coordinates make it a
-  numeric-node spec, whose P_k and Q_l have C(n, l+1) and C(n, l) terms in
-  closed form, and one pass over each reads the jet at the point's
-  x_1..x_n.  These are the symbolic minors with the node
-  variables fixed, since both come from one closed form.  A given solution
-  or function is sampled as given: ``eliminate`` fixes its node coordinates
-  and the jet is read off what is left.  The degree bound comes from the
-  degrees of P, Q and their first and second x-partials: in closed form
-  from (k, l) for a spec, and read off the terms without building any
-  derivative for a function;
+  x-Hessian) of P and Q.  Both modes settle a triple in one order
+  (``verify_hirota``): a factored identity where one applies, then exact
+  values of q B at integer points, read off integer jets and never
+  expanding a factor, where a nonzero value refutes it, then, in symbolic
+  mode only, B zero-tested on polynomial jets.  A solution with numeric
+  nodes and k, l >= 1 (a spec too, once built) is proved without forming
+  B: with D_i and E_jk the minors of size n-1 and n-2 of the row matrix
+  (rows without i, or without j and k, over the leading columns of each
+  block), the identities (A) N_i = a_i D_i^2 and (B) Q d_k D_j - D_j Q_k
+  = b_jk D_k E_jk, with node-only constants a_i and b_jk, give Q B =
+  2 D_i D_j D_k T for a three-term sum T of products D_p E_qr, a
+  Grassmann-Pluecker relation (Dodgson 1866; Sato 1981 reads Hirota
+  bilinear equations as Pluecker relations), each zero-tested in full.  A
+  spec with symbolic nodes is sampled without building f, from the
+  numeric-node minors at each point's node coordinates, and its degree
+  bound comes from (k, l) in closed form;
 * the one-parameter annihilating 1-form, whose Frobenius integrability for
   every parameter value is the residual verdict (``veronese_form``);
 * the coframe of parameter-power coefficient 1-forms and the flatness
@@ -239,9 +233,12 @@ _Jet = tuple   # (value, gradient, Hessian) in some of x_1..x_n
 
 def _polynomial_jet(poly: MultiPoly, variables: Sequence[int]) -> _Jet:
     """poly with its first and second partials in the given 0-based variables,
-    as polynomials: the symbolic counterpart of ``MultiPoly.second_order_jet``."""
+    as polynomials: the symbolic counterpart of ``MultiPoly.second_order_jet``,
+    but with the Hessian built above the diagonal only, where
+    ``_residual_factors`` reads it, and None elsewhere."""
     grad = [poly.derivative(v) for v in variables]
-    return poly, grad, [[g.derivative(v) for v in variables] for g in grad]
+    return poly, grad, [[g.derivative(v) if b > a else None for b, v in enumerate(variables)]
+                        for a, g in enumerate(grad)]
 
 
 def _combine(parts: list):
@@ -366,6 +363,12 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     return proved
 
 
+def _jet_factors(nodes: Sequence, p: MultiPoly, q: MultiPoly, xs: Sequence[int]) -> tuple:
+    """Q, the N_i and the G_jk from the integer jets of P and Q at x_1..x_n = xs."""
+    q_jet = q.second_order_jet(xs)
+    return (q_jet[0], *_residual_factors(nodes, p.second_order_jet(xs), q_jet))
+
+
 def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
                      point: Sequence[int]) -> tuple:
     """Q, the N_i and the G_jk at one integer point, in int arithmetic where
@@ -375,9 +378,7 @@ def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
     rest = {v: point[v] for v in range(n, f.n_vars)}
     node_vals = [_tighten(v.evaluate(point) if isinstance(v, MultiPoly) else v)
                  for v in nodes]
-    q_jet = f.den.eliminate(rest).second_order_jet(point[:n])
-    return (q_jet[0], *_residual_factors(
-        node_vals, f.num.eliminate(rest).second_order_jet(point[:n]), q_jet))
+    return _jet_factors(node_vals, f.num.eliminate(rest), f.den.eliminate(rest), point[:n])
 
 
 def _probe_point(n_vars: int, n: int, symbolic: bool) -> tuple[int, ...]:
@@ -395,18 +396,15 @@ def _probe_point(n_vars: int, n: int, symbolic: bool) -> tuple[int, ...]:
 
 def _spec_factors(spec: WebSpec, point: Sequence[int]) -> tuple:
     """Q, the N_i and the G_jk at one integer point for a spec with symbolic
-    nodes, in int arithmetic.  The point's node coordinates make it a
-    numeric-node spec, whose P_k and Q_l are written in closed form with
-    C(n, l+1) and C(n, l) terms, and the jets are read at its x coordinates.
-    Those minors are the symbolic ones with the node variables fixed, so
+    nodes, in int arithmetic: the point's node coordinates make it a
+    numeric-node spec, whose P_k and Q_l (C(n, l+1) and C(n, l) terms in
+    closed form) are the symbolic minors with the node variables fixed.  So
     these are the values of ``_sampled_factors`` on the built solution, up
     to the one scalar with which ``RationalFunction`` normalizes P and Q."""
     n = spec.n
     node_vals = point[n:2 * n]
-    p_top, q_top = highest_coefficients(WebSpec(n, spec.k, spec.l, node_vals))
-    q_jet = q_top.second_order_jet(point[:n])
-    return (q_jet[0], *_residual_factors(
-        node_vals, p_top.second_order_jet(point[:n]), q_jet))
+    return _jet_factors(node_vals, *highest_coefficients(WebSpec(n, spec.k, spec.l, node_vals)),
+                        point[:n])
 
 
 def _check_nodes(f: RationalFunction, nodes: Sequence[NodeValue]) -> None:
@@ -486,22 +484,25 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     solution, or any function.
 
     Each triple's residual numerator is Q B, B = N_i G_jk + N_j G_ki + N_k G_ij
-    (module docstring).  Symbolic mode proves every B is the zero polynomial,
-    exact since Q is nonzero.  A triple that the factored proof below leaves
-    open is first refuted at a point: q B is evaluated exactly at one fixed
-    integer point (``_probe_point``, with the nodes as given, from the
-    factor values that sampled mode uses), and a nonzero value proves B
-    nonzero, with no probability in it, so the triple fails with that value
-    and that point, from which anyone can re-check it.  Only a zero value
-    needs the polynomial, since it proves nothing: that triple then
-    zero-tests B in full, and if B is nonzero reports the number of terms
-    of Q B, counted on the product's packed map.  So a triple fails exactly
-    when its B is nonzero, whichever way it is settled.
-    Sampled mode evaluates each q B exactly at ``trials`` seeded random
-    integer points with coordinates in [-bound, bound], each drawn again
-    where two node values coincide, and requires exact zeros; a nonzero
-    numerator would survive one trial with probability at most
-    degree/(2*bound + 1).  The points stay Python ints.
+    (module docstring), and Q is nonzero, so a triple fails exactly when its
+    B is nonzero.  Both modes settle each triple in one order:
+    1. proved by the factored identities (symbolic mode, below): pass;
+    2. q B evaluated exactly at integer points, each point's factor values
+       computed when a triple first reaches it: the first nonzero value
+       proves B nonzero, with no probability in it, and the triple fails;
+    3. zero at every point: sampled mode passes it, and symbolic mode
+       zero-tests B in full, from polynomial jets of P and Q built once,
+       and if B is nonzero reports the number of terms of Q B, counted on
+       the product's packed map.
+    Symbolic mode evaluates at one fixed point (``_probe_point``), whose
+    zero value proves nothing, hence step 3; it reports a nonzero value
+    with the point, from which anyone can re-check it.  Sampled mode
+    evaluates at ``trials`` seeded random integer points with coordinates
+    in [-bound, bound], each drawn again where two node values coincide; a
+    nonzero numerator would survive one trial with probability at most
+    degree/(2*bound + 1) (Schwartz 1980, Zippel 1979).  The points stay
+    Python ints, and both modes take the nodes as given there, so the probe
+    reads the q B that sampled mode reports at the same point.
 
     A ``WebSpec`` with symbolic nodes is sampled without building its
     solution: at each point the numeric-node minors at the point's node
@@ -512,16 +513,14 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     spec is verified through ``build_solution``.  A solution or a bare
     function is verified as given, since its f need not be its spec's: at
     each point the jets of what ``eliminate`` leaves of P and Q give the
-    factor values.
+    factor values (``_sampled_factors``).
 
     In symbolic mode a solution with numeric nodes and k, l >= 1, and so
     a numeric-node spec, is proved through factors of size n-1 and n-2
-    (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk are
-    the row matrix's minors over its leading columns 1, l, ..., -x,
-    -x l, ... on the rows without i, or without j and k, written in closed
-    form with C(n-1, l) and C(n-2, l-1) terms by ``interpolation._block``,
-    the writer of every row-matrix minor, at g = 0.  Three families of
-    identities are each zero-tested in full as one sum of products, the
+    (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk
+    (module docstring) are written in closed form with C(n-1, l) and
+    C(n-2, l-1) terms by ``interpolation._block`` at g = 0.  Three families
+    of identities are each zero-tested in full as one sum of products, the
     constants read off one coefficient first:
     (A) N_i = a_i D_i^2 for every i;
     (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k;
@@ -532,58 +531,81 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     2 a_j b_jk D_j D_k E_jk; f_jk is symmetric, so one ordering per pair
     serves.  So R = Q B = 2 D_i D_j D_k T, and Q is nonzero.  If (A) or (B)
     fails for any index, the factors do not describe f (a given solution
-    need not be its spec's) and every triple takes the probe, and B where
-    its probe reads 0, as does a triple with T nonzero, so its detail is
-    that of a bare function.  Bare functions, symbolic nodes and k = 0 or
-    l = 0 take the probe and the B route.  With nodes 1..n
-    and k = (n-1)//2 the proof takes 0.037 s at n = 7, 0.12 s at n = 8,
-    0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against 0.64 s
-    and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
+    need not be its spec's) and every triple goes on to step 2, as does a
+    triple with T nonzero, so its detail is that of a bare function.  Bare
+    functions, symbolic nodes and k = 0 or l = 0 start at step 2.  With
+    nodes 1..n and k = (n-1)//2 the proof takes 0.037 s at n = 7, 0.12 s at
+    n = 8, 0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against
+    0.64 s and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
 
-    Passing ``nodes`` with a spec or a solution (each carries its own), or
-    a repeated node, raises WebSpecError; a float node, trial count, bound
-    or seed raises InexactNumberError, and any other non-int count or seed
-    WebSpecError.
+    ``mode``, ``trials``, ``bound`` and ``seed`` are checked in both modes,
+    before anything is built.  An unknown mode, fewer than one trial, a
+    bound below 10^3, passing ``nodes`` with a spec or a solution (each
+    carries its own), or a repeated node raises WebSpecError; a float node,
+    trial count, bound or seed raises InexactNumberError, and any other
+    non-int count or seed WebSpecError.
     """
     if mode not in ("symbolic", "sampled"):
         raise WebSpecError(f"unknown verification mode {mode!r}")
+    _check_count("trials", trials, 1, "sampled mode needs at least one trial")
+    _check_count("bound", bound, 10 ** 3, "sampling bound must be at least 10^3")
+    _check_count("seed", seed)
+    sampled = mode == "sampled"
     spec = None
     if isinstance(subject, WebSpec):
         if nodes is not None:
             raise WebSpecError("a spec carries its own nodes; pass no nodes")
-        if subject.is_symbolic and mode == "sampled":
+        if subject.is_symbolic and sampled:
             spec = subject
         else:
             subject = build_solution(subject)
     if spec is not None:
         n, symbolic, n_vars = spec.n, True, spec.n_vars
+        point_factors = partial(_spec_factors, spec)
     else:
         if isinstance(subject, HirotaSolution):
             if nodes is not None:
                 raise WebSpecError("a solution carries its own nodes; pass no nodes")
-            f = subject.f
-            node_list = subject.nodes()
-            n = subject.spec.n
+            f, node_list, n = subject.f, subject.nodes(), subject.spec.n
             symbolic = subject.spec.is_symbolic
         else:
             if nodes is None:
                 raise WebSpecError("nodes are required when verifying a bare function")
-            f = subject
-            node_list = list(nodes)
-            n = len(node_list)
-            symbolic = any(isinstance(v, MultiPoly) for v in node_list)
+            f, node_list = subject, list(nodes)
+            n, symbolic = len(node_list), any(isinstance(v, MultiPoly) for v in node_list)
         node_list = [v if v.__class__ is int or isinstance(v, MultiPoly)
                      else _tighten(_exact(v)) for v in node_list]
         _check_nodes(f, node_list)
         n_vars = f.n_vars
+        # The points take the nodes as given, so the probe's value is the
+        # q B that sampled mode reports at the same point.
+        point_factors = partial(_sampled_factors, f, node_list)
 
-    triples = web_triples(n)
-
-    if mode == "symbolic":
-        # The probe takes the nodes as given, so its value is the q B that
-        # sampled mode reports at the same point.
-        point = _probe_point(n_vars, n, symbolic)
-        probe = cache(partial(_sampled_factors, f, node_list, point))
+    proved = set()
+    if sampled:
+        rng = random.Random(seed)
+        points: list[Sequence[int]] = []
+        while len(points) < trials:
+            point = [rng.randint(-bound, bound) for _ in range(n_vars)]
+            if symbolic:
+                # B needs distinct node values: a spec's symbolic nodes are the
+                # coordinates x_(n+1..2n), a bare function's sit anywhere.
+                values = (point[n:2 * n] if isinstance(subject, (WebSpec, HirotaSolution))
+                          else [v.evaluate(point) if isinstance(v, MultiPoly) else v
+                                for v in node_list])
+                if len(set(values)) != n:
+                    continue
+            points.append(point)
+        tables = ((_minor_degrees(spec, spec.l + 1, spec.k),
+                   _minor_degrees(spec, spec.l, spec.l)) if spec is not None
+                  else (_derivative_degrees(f.num, n), _derivative_degrees(f.den, n)))
+        degree_bound = _degree_bound(*tables, n, symbolic)
+        budget = dict(trials=trials, bound=bound, seed=seed, degree_bound=degree_bound,
+                      per_trial_failure_bound=Fraction(degree_bound, 2 * bound + 1))
+        refuted = "nonzero residual value {} at a sampled point"
+    else:
+        points, budget = [_probe_point(n_vars, n, symbolic)], {}
+        refuted = f"nonzero residual value q*B = {{}} at x = {points[0]}"
         if not symbolic:
             # Each B is linear in the nodes, so scaling every node by the lcm
             # of their denominators scales it by a nonzero int: the zero test
@@ -592,73 +614,34 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
             scale = _denominator_lcm(node_list)
             if scale != 1:
                 node_list = [_tighten(v * scale) for v in node_list]
-        proved = set()
         if (isinstance(subject, HirotaSolution) and not symbolic and f.n_vars == n
                 and subject.spec.k >= 1 and subject.spec.l >= 1):
             proved = _factored_proof(f, node_list, subject.spec.l)
-        factors = cache(lambda: _residual_factors(node_list, _polynomial_jet(f.num, range(n)),
-                                                  _polynomial_jet(f.den, range(n))))
-        checks = []
-        for triple in triples:
-            if triple in proved:
-                checks.append(TripleCheck(triple, True, "residual numerator is 0"))
-                continue
-            q, first, brackets = probe()
-            value = q * _residual(first, brackets, triple)
-            if value:
-                checks.append(TripleCheck(triple, False, "nonzero residual value "
-                                          f"q*B = {value} at x = {point}"))
-                continue
-            bracket = _residual(*factors(), triple)
-            detail = ("residual numerator is 0" if bracket.is_zero else "nonzero residual "
-                      f"numerator with {len(f.den * bracket)} term(s)")
-            checks.append(TripleCheck(triple, bracket.is_zero, detail))
-        return VerificationReport("symbolic", all(c.ok for c in checks), tuple(checks))
-
-    _check_count("trials", trials, 1, "sampled mode needs at least one trial")
-    _check_count("bound", bound, 10 ** 3, "sampling bound must be at least 10^3")
-    _check_count("seed", seed)
-
-    rng = random.Random(seed)
-    points: list[list[int]] = []
-    while len(points) < trials:
-        point = [rng.randint(-bound, bound) for _ in range(n_vars)]
-        if symbolic:
-            # B needs distinct node values: a spec's symbolic nodes are the
-            # coordinates x_(n+1..2n), a bare function's sit anywhere.
-            values = (point[n:2 * n] if isinstance(subject, (WebSpec, HirotaSolution))
-                      else [v.evaluate(point) if isinstance(v, MultiPoly) else v
-                            for v in node_list])
-            if len(set(values)) != n:
-                continue
-        points.append(point)
-
-    if spec is not None:
-        degree_bound = _degree_bound(_minor_degrees(spec, spec.l + 1, spec.k),
-                                     _minor_degrees(spec, spec.l, spec.l), n, True)
-        point_factors = partial(_spec_factors, spec)
-    else:
-        degree_bound = _degree_bound(_derivative_degrees(f.num, n),
-                                     _derivative_degrees(f.den, n), n, symbolic)
-        point_factors = partial(_sampled_factors, f, node_list)
-    failure_bound = Fraction(degree_bound, 2 * bound + 1)
+        polynomial_factors = cache(lambda: _residual_factors(
+            node_list, _polynomial_jet(f.num, range(n)), _polynomial_jet(f.den, range(n))))
 
     # A point's factor values are computed when a triple first reaches it: a
     # triple stops at its first nonzero value, so later points may never be
     # needed.
-    factors = cache(lambda t: point_factors(points[t]))
+    at = cache(lambda t: point_factors(points[t]))
     checks = []
-    for triple in triples:
+    for triple in web_triples(n):
+        if triple in proved:
+            checks.append(TripleCheck(triple, True, "residual numerator is 0"))
+            continue
         values = (q * _residual(first, brackets, triple)
-                  for q, first, brackets in map(factors, range(trials)))
+                  for q, first, brackets in map(at, range(len(points))))
         bad = next(filter(None, values), None)
-        checks.append(TripleCheck(triple, bad is None, (
-            f"exact zero at {trials} sampled point(s)" if bad is None
-            else f"nonzero residual value {bad} at a sampled point")))
-    return VerificationReport("sampled", all(c.ok for c in checks), tuple(checks),
-                              trials=trials, bound=bound, seed=seed,
-                              degree_bound=degree_bound,
-                              per_trial_failure_bound=failure_bound)
+        if bad is not None:
+            checks.append(TripleCheck(triple, False, refuted.format(bad)))
+        elif sampled:
+            checks.append(TripleCheck(triple, True, f"exact zero at {trials} sampled point(s)"))
+        else:
+            bracket = _residual(*polynomial_factors(), triple)
+            checks.append(TripleCheck(triple, bracket.is_zero, (
+                "residual numerator is 0" if bracket.is_zero
+                else f"nonzero residual numerator with {len(f.den * bracket)} term(s)")))
+    return VerificationReport(mode, all(c.ok for c in checks), tuple(checks), **budget)
 
 
 # -- annihilating form and coframe ---------------------------------------------
@@ -1044,6 +1027,20 @@ def restrict(solution: HirotaSolution, coordinate: int,
 
     The result lives in n-1 densely reindexed variables and solves the
     lower-dimensional system whose node list omits the matching node.
+
+    At value 0 and k >= 1 the result is a smaller spec's solution with the
+    coordinates scaled, as exact ``RationalFunction`` equality (pinned by
+    the tests on every order with k >= 1 up to n = 6, at every v):
+    f_(n,k,l; nodes) at x_v = 0 is f_(n-1,k-1,l; nodes without node_v) at
+    x_m / (node_m - node_v).  Why: at x_v = 0 row v of the row matrix is
+    [1, node_v, ..., node_v^k, 0, ..., 0].  Subtracting node_v times each
+    node column from the next, from the top power down, leaves row v a
+    single 1, in column 0, and row m's node block (node_m - node_v)
+    [1, ..., node_m^(k-1)] after its column 0.  Expanding along that 1 and
+    dividing row m by node_m - node_v gives the row matrix of the data
+    x_m / (node_m - node_v); the deleted top columns correspond, so P_k
+    and Q_l become the smaller spec's P_(k-1) and Q_l times one common
+    factor, which cancels in f.
     """
     _check_restriction(solution.spec, coordinate)
     assignments = {coordinate - 1: _exact(value)}

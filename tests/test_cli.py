@@ -1,10 +1,13 @@
 """Command-line contract: output formats, determinism, exit codes."""
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, interpolation, poly_from_json, webs)
@@ -401,3 +404,73 @@ def test_latex_generate_renders_the_solution_under_test():
     code, text = run(config(format="latex"), solution_override=override)
     assert code == EXIT_OK
     assert "\\frac{x_{1}^{2} + x_{1}x_{2} - 2x_{1}x_{3} + x_{2}x_{3}}" in text
+
+
+# -- argv fuzz ---------------------------------------------------------------------------
+
+_NODE_TEXTS = ("1.5", "1e3", "1/0", "x", "", "2/4", "-7/5", "0")
+
+
+def _good_or_bad(good, bad):
+    """A value from ``good`` about three times in four, else one from ``bad``."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda ok: good if ok else bad)
+
+
+@st.composite
+def _argv(draw):
+    """argv from the parser's grammar: every command, n <= 4 with orders that
+    may be negative or mismatched, and good and bad values for every option."""
+    command = draw(st.sampled_from(("generate", "verify", "flatness", "restrict",
+                                    "properties", "oracle")))
+    n = draw(_good_or_bad(st.integers(2, 4), st.integers(-1, 1)))
+    k = draw(_good_or_bad(st.integers(0, max(n - 1, 0)), st.integers(-1, 4)))
+    l = draw(_good_or_bad(st.just(n - 1 - k), st.integers(-1, 4)))
+    argv = [command, f"--n={n}", f"--k={k}", f"--l={l}",
+            "--format=" + draw(st.sampled_from(("text", "json", "latex")))]
+    lambdas = draw(_good_or_bad(
+        st.one_of(st.none(), st.just("symbolic"),
+                  st.lists(st.integers(-9, 9), min_size=max(n, 0), max_size=max(n, 0),
+                           unique=True).map(lambda values: ",".join(map(str, values)))),
+        st.lists(st.one_of(st.integers(-3, 3).map(str), st.sampled_from(_NODE_TEXTS)),
+                 max_size=5).map(",".join)))
+    if lambdas is not None:
+        argv.append(f"--lambdas={lambdas}")
+    if command == "verify":
+        argv.append("--mode=" + draw(st.sampled_from(("symbolic", "sampled"))))
+        argv.append("--bound=" + draw(_good_or_bad(
+            st.sampled_from(("1000", "1000000")),
+            st.sampled_from(("999", "0", "-5", "1e6", "x")))))
+    if command in ("verify", "oracle"):
+        # at most a few trials: the oracle runs 100 by default
+        argv.append("--trials=" + draw(_good_or_bad(
+            st.sampled_from(("1", "3")), st.sampled_from(("0", "-1", "1.5", "x")))))
+        argv.append("--seed=" + draw(_good_or_bad(
+            st.sampled_from(("0", "42", "-3")), st.sampled_from(("1.5", "x", "")))))
+    if command == "restrict":
+        argv.append("--fix=" + draw(_good_or_bad(
+            st.builds("x{}={}".format, st.integers(1, 4),
+                      st.sampled_from(("0", "1", "-3/2", "5/7"))),
+            st.sampled_from(("x0=1", "x9=0", "x1=1/0", "x1=0.5", "y1=0", "x1=", "")))))
+    return argv
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of ``main(argv)`` in-process; an argparse
+    refusal exits through SystemExit, any other exception propagates."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly_and_deterministically(argv):
+    code, out, err = _main_output(argv)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG)
+    assert "Traceback" not in err
+    assert _main_output(argv)[1] == out

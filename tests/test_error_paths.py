@@ -180,6 +180,13 @@ def test_web_level_error_paths():
                       mode="sampled", bound=10)
     with pytest.raises(WebSpecError):
         verify_hirota(build_solution(WebSpec.numeric(3, 1, 1)).f)  # no nodes
+    # symbolic mode checks the sampling arguments too, though it draws no point
+    for bad, error in (({"trials": 1.5}, InexactNumberError),
+                       ({"bound": 0.5}, InexactNumberError),
+                       ({"seed": 2.5}, InexactNumberError),
+                       ({"seed": "x"}, WebSpecError)):
+        with pytest.raises(error):
+            verify_hirota(build_solution(WebSpec.numeric(3, 1, 1)), **bad)
     sol = build_solution(WebSpec.symbolic(3, 1, 1))
     with pytest.raises(WebSpecError):
         restrict(sol, 1, 0)

@@ -252,7 +252,8 @@ def test_text_renders_each_denominator_scaling_once(monkeypatch):
     # scalings over ten components; a per-component route renders the
     # shared denominator once per component.
     witness = flatness_check(WebSpec.numeric(5, 3, 1, [5, 4, 6, 1, 3])).witness
-    dens, entries = witness._normalized()
+    entries = list(witness._normalized())
+    dens = {key: den for _, _, key, den in entries}
     assert len(dens) == 2 and len(entries) == 10
     expected = form_text(witness)
     rendered = []

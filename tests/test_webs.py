@@ -1414,6 +1414,21 @@ def test_degenerate_restriction_detected():
         restrict(artificial, 1, 0)
 
 
+@pytest.mark.parametrize("n,k,node_class", [(n, k, node_class) for n in range(3, 7)
+                                            for k in range(1, n)
+                                            for node_class in sorted(_NODE_CLASSES)])
+def test_restriction_to_zero_is_the_smaller_spec_at_scaled_coordinates(n, k, node_class):
+    # (R0) in the restrict docstring: f_(n,k,l) at x_v = 0 is f_(n-1,k-1,l)
+    # over the other nodes at x_m / (node_m - node_v), for every v.
+    lambdas = _NODE_CLASSES[node_class][:n]
+    sol = build_solution(WebSpec.numeric(n, k, n - 1 - k, lambdas))
+    for v in range(1, n + 1):
+        others = [node for i, node in enumerate(lambdas, start=1) if i != v]
+        smaller = build_solution(WebSpec.numeric(n - 1, k - 1, n - 1 - k, others))
+        scaling = [Mobius(1, 0, 0, node - lambdas[v - 1]) for node in others]
+        assert restrict(sol, v, 0) == transform(smaller.f, Mobius.identity(), scaling)
+
+
 # -- transformation ---------------------------------------------------------------------
 
 
