@@ -25,10 +25,12 @@ certifies everything checkable about it in exact arithmetic:
   B: with D_i and E_jk the minors of size n-1 and n-2 of the row matrix
   (rows without i, or without j and k, over the leading columns of each
   block), the identities (A) N_i = a_i D_i^2 and (B) Q d_k D_j - D_j Q_k
-  = b_jk D_k E_jk, with node-only constants a_i and b_jk, give Q B =
-  2 D_i D_j D_k T for a three-term sum T of products D_p E_qr, a
-  Grassmann-Pluecker relation (Dodgson 1866; Sato 1981 reads Hirota
-  bilinear equations as Pluecker relations), each zero-tested in full.  A
+  = b_jk D_k E_jk, with node-only constants a_i and b_jk, each
+  zero-tested in full, give Q B = 2 D_i D_j D_k T for a three-term sum T
+  of products D_p E_qr.  T is settled by the signs of its three weights:
+  when they are (w, -w, w), T is w times the three-term Grassmann-Pluecker
+  relation S_ijk, which is 0 (Sylvester 1851; Sato 1981 reads Hirota
+  bilinear equations as Pluecker relations; ``_factored_proof``).  A
   spec with symbolic nodes is sampled without building f, from the
   numeric-node minors at each point's node coordinates, and its degree
   bound comes from (k, l) in closed form;
@@ -290,8 +292,9 @@ def _residual(first: list, brackets: dict, triple: tuple[int, int, int]):
 #
 # For numeric nodes and k, l >= 1 each triple's Q B is 2 D_i D_j D_k T, with
 # D and E minors of size n-1 and n-2 of the row matrix and T a three-term
-# sum of products D_p E_qr (verify_hirota's docstring).  Every identity
-# behind that is zero-tested in full here; nothing is assumed.
+# sum of products D_p E_qr (verify_hirota's docstring).  The identities (A)
+# and (B) behind that are zero-tested in full here, and T is settled by the
+# signs of its three computed weights and the proved relation S_ijk = 0.
 
 
 def _coefficient(parts: list, monomial: tuple) -> int:
@@ -328,37 +331,90 @@ def _minor(nodes: Sequence[int], rows: Sequence[int], size: int) -> MultiPoly:
     return MultiPoly(n, _block(n, nodes, rows, size, {0: 1}, False)[0], _canonical=True)
 
 
+def _halves(poly: MultiPoly, v: int) -> tuple[MultiPoly, MultiPoly]:
+    """(P', P'') with P = x_v P' + P'' for a polynomial affine in the 0-based
+    variable v, read off its terms in one pass: P' = d_v P and P'' is P at
+    x_v = 0, both in P's ring."""
+    upper, lower = {}, {}
+    for exps, c in poly.terms.items():
+        if exps[v]:
+            upper[exps[:v] + (0,) + exps[v + 1:]] = c
+        else:
+            lower[exps] = c
+    return (MultiPoly(poly.n_vars, upper, _canonical=True),
+            MultiPoly(poly.n_vars, lower, _canonical=True))
+
+
 def _factored_proof(f: RationalFunction, nodes: Sequence[int],
                     l: int) -> set[tuple[int, int, int]]:
     """The 1-based triples whose Q B the factored identities prove zero, for
-    f = P/Q with int nodes and orders k, l >= 1; empty when (A) or (B) fails
-    for some index, since then the factors do not describe f."""
+    f = P/Q with int nodes and orders k, l >= 1.  Empty when an exponent of
+    P or Q exceeds 1, or when (A) or (B) fails for some index, since then
+    the factors do not describe f.
+
+    (A) and (B) (``verify_hirota``) are zero-tested in full on x-halves.
+    P, Q and every D are affine in each x_v: D is a minor with one x per
+    row, and P and Q are checked on their terms before any test.  So with
+    P = x_v P' + P'' (``_halves``), N_i = P'Q'' - P''Q' splitting by x_i,
+    and Q d_k D_j - D_j Q_k = Q''D_j' - D_j''Q' splitting by x_k: each side
+    has about half the term pairs of the unsplit sum.
+
+    A triple i < j < k is then settled by sign, forming no product D E.  Its
+    T is w_1 D_i E_jk + w_2 D_j E_ik + w_3 D_k E_ij with the weights
+    w = (node_q - node_r) a_p a_lo b_lo,hi, and when the computed weights are
+    (w, -w, w), T = w S_ijk with
+
+        S_ijk = D_i E_jk - D_j E_ik + D_k E_ij = 0,
+
+    the three-term Grassmann-Pluecker relation (Sylvester 1851), here in
+    ``_block``'s convention.  Let X be the n x (n-1) matrix of the row
+    matrix's columns 1, t, ..., t^(k-1), -x, -x t, ..., -x t^(l-1), t the
+    row's node, and Y be X without its last column, so D_m is the
+    determinant of X on the rows other than m and E_pq that of Y on the
+    rows other than p and q, rows in increasing order.  With R the n-3
+    rows other than i, j and k, the square block matrix
+    Z = [[X, Y], [0, Y_R]] of size 2n-3 is column-equivalent to
+    [[X, 0], [0, Y_R]] (subtract from each column of Y the column of X that
+    it repeats), whose last n-2 columns live on n-3 rows, so det Z = 0.
+    Laplace's expansion along X's columns keeps the row sets of X's rows
+    but one, m, whose complement m + R repeats a row unless m is i, j or k;
+    its term is (-1)^(m + c) D_m det[Y_m; Y_R], c not depending on m, and
+    moving row m into place among R contributes
+    (-1)^(m - 1 - #{i, j, k below m}).  So the three terms carry the signs
+    +, -, + times one common sign, and det Z = +-S_ijk.  Nothing else is
+    assumed: the pattern is checked on the computed constants, and a triple
+    that breaks it is left out of the set, so the probe and B decide it.
+    The closed forms a_i = s c_i, c_i = prod_{m != i} (node_i - node_m), and
+    b_jk = u prod_{m not in {j, k}} (node_k - node_m), one scalar s and u
+    per f, give w = -s^2 u c_i c_j c_k on every triple, since
+    b_jk = u c_k / (node_k - node_j); the tests pin them."""
     num, den = f.num, f.den
+    if any(e > 1 for poly in (num, den) for exps in poly.terms for e in exps):
+        return set()
     n = len(nodes)
+    den_halves = [_halves(den, v) for v in range(n)]
     others = [[r for r in range(n) if r != i] for i in range(n)]
     d = [_minor(nodes, rows, l) for rows in others]
-    d_num = [num.derivative(v) for v in range(n)]
-    d_den = [den.derivative(v) for v in range(n)]
     a = []
     for i in range(n):                                         # (A)
-        a.append(_proportion([(d_num[i], den, 1), (num, d_den[i], -1)], d[i], d[i]))
+        (p1, p0), (q1, q0) = _halves(num, i), den_halves[i]
+        a.append(_proportion([(p1, q0, 1), (p0, q1, -1)], d[i], d[i]))
         if a[i] is None:
             return set()
-    e, b = {}, {}
+    b = {}
     for j, k in combinations(range(n), 2):                     # (B)
-        e[j, k] = _minor(nodes, [r for r in others[j] if r != k], l - 1)
-        b[j, k] = _proportion([(den, d[j].derivative(k), 1), (d[j], d_den[k], -1)],
-                              d[k], e[j, k])
+        (q1, q0), (d1, d0) = den_halves[k], _halves(d[j], k)
+        b[j, k] = _proportion([(q0, d1, 1), (d0, q1, -1)], d[k],
+                              _minor(nodes, [r for r in others[j] if r != k], l - 1))
         if b[j, k] is None:
             return set()
     proved = set()
-    for triple in combinations(range(n), 3):                   # (C)
-        parts = []
+    for triple in combinations(range(n), 3):                   # (C), by sign
+        w = []
         for p, q, r in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
             lo, hi = min(q, r), max(q, r)
-            parts.append((d[p], e[lo, hi], (nodes[q] - nodes[r]) * a[p] * a[lo] * b[lo, hi]))
-        scale = lcm(*(w.denominator for _, _, w in parts))
-        if not _sum_of_products(n, [(x, y, int(w * scale)) for x, y, w in parts]):
+            w.append((nodes[q] - nodes[r]) * a[p] * a[lo] * b[lo, hi])
+        if w[0] == -w[1] == w[2]:
             proved.add(tuple(t + 1 for t in triple))
     return proved
 
@@ -519,24 +575,33 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     a numeric-node spec, is proved through factors of size n-1 and n-2
     (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk
     (module docstring) are written in closed form with C(n-1, l) and
-    C(n-2, l-1) terms by ``interpolation._block`` at g = 0.  Three families
+    C(n-2, l-1) terms by ``interpolation._block`` at g = 0.  Two families
     of identities are each zero-tested in full as one sum of products, the
     constants read off one coefficient first:
     (A) N_i = a_i D_i^2 for every i;
-    (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k;
-    (C) T = sum over the rotations (p, q, r) of (i, j, k) of w D_p E_lo,hi
-    = 0, w = (node_q - node_r) a_p a_lo b_lo,hi, (lo, hi) the pair {q, r}
-    in order.  Why T = 0 proves the triple: Q^3 f_jk = Q d_k N_j - 2 N_j Q_k,
-    which by (A) is 2 a_j D_j (Q d_k D_j - D_j Q_k) and by (B)
-    2 a_j b_jk D_j D_k E_jk; f_jk is symmetric, so one ordering per pair
-    serves.  So R = Q B = 2 D_i D_j D_k T, and Q is nonzero.  If (A) or (B)
-    fails for any index, the factors do not describe f (a given solution
-    need not be its spec's) and every triple goes on to step 2, as does a
-    triple with T nonzero, so its detail is that of a bare function.  Bare
-    functions, symbolic nodes and k = 0 or l = 0 start at step 2.  With
-    nodes 1..n and k = (n-1)//2 the proof takes 0.037 s at n = 7, 0.12 s at
-    n = 8, 0.44 s at n = 9, 2.6 s at n = 10 and 12.7 s at n = 11, against
-    0.64 s and 10.3 s through B at n = 7 and 8 (2 vCPUs, Python 3.11).
+    (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k.
+    Then Q^3 f_jk = Q d_k N_j - 2 N_j Q_k, which by (A) is
+    2 a_j D_j (Q d_k D_j - D_j Q_k) and by (B) 2 a_j b_jk D_j D_k E_jk; f_jk
+    is symmetric, so one ordering per pair serves.  So R = Q B =
+    2 D_i D_j D_k T with T = sum over the rotations (p, q, r) of (i, j, k) of
+    w D_p E_lo,hi, w = (node_q - node_r) a_p a_lo b_lo,hi and (lo, hi) the
+    pair {q, r} in order, and Q is nonzero.  A triple is proved when its three
+    computed weights are (w, -w, w): then T = w S_ijk, and S_ijk =
+    D_i E_jk - D_j E_ik + D_k E_ij is the three-term Grassmann-Pluecker
+    relation, 0 for every triple (proof in ``_factored_proof``).  So the
+    verdict rests on (A) and (B), computed in full, on the weight pattern,
+    computed, and on S_ijk = 0, proved and pinned by the tests but not
+    recomputed per run: the one identity relied on without a per-run check,
+    the standing the closed form of ``signed_minors`` has too.  If P or Q
+    has an exponent above 1, or (A) or (B) fails for any index, the factors
+    do not describe f (a given solution need not be its spec's) and every
+    triple goes on to step 2, as does a triple whose weights break the
+    pattern, so its detail is that of a bare function.  Bare functions,
+    symbolic nodes and k = 0 or l = 0 start at step 2.  With nodes 1..n and
+    k = (n-1)//2 the proof takes 0.017 s at n = 7, 0.044 s at n = 8, 0.14 s
+    at n = 9, 0.52 s at n = 10, 2.1 s at n = 11, 11.6 s at n = 12 and 62 s
+    at n = 13, against 0.64 s and 10.3 s through B at n = 7 and 8 (2 vCPUs,
+    Python 3.11).
 
     ``mode``, ``trials``, ``bound`` and ``seed`` are checked in both modes,
     before anything is built.  An unknown mode, fewer than one trial, a
@@ -673,8 +738,9 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
     if f.n_vars != n:
         raise DimensionError(
             f"function has {f.n_vars} variables but {n} nodes were given")
-    numerators = _first_factors(_polynomial_jet(f.num, range(n)),
-                                _polynomial_jet(f.den, range(n)))
+    # _first_factors reads values and gradients only, so no Hessian is built.
+    numerators = _first_factors(*[(poly, [poly.derivative(v) for v in range(n)], None)
+                                  for poly in (f.num, f.den)])
     den = f.den * f.den
     # The t^m coefficient of prod_{j != i} (t - node_j) is e_(n-1-m) of the -node_j.
     expansions = [_elementary([-v for j, v in enumerate(values) if j != i])[::-1]
@@ -1041,6 +1107,13 @@ def restrict(solution: HirotaSolution, coordinate: int,
     x_m / (node_m - node_v); the deleted top columns correspond, so P_k
     and Q_l become the smaller spec's P_(k-1) and Q_l times one common
     factor, which cancels in f.
+
+    Shifting every coordinate by c keeps a solution in the family (pinned
+    by the tests on every order with k >= l up to n = 6): f(x + c) = f(x)
+    for k > l, and f(x + c) = f(x) + c for k = l.  Why: if p/q interpolates
+    the data x, then (p + c q)/q interpolates x + c in the same (k, l) class
+    when k >= l, so its leading coefficients are p_k + c q_k and q_l, and
+    q_k = 0 unless k = l.
     """
     _check_restriction(solution.spec, coordinate)
     assignments = {coordinate - 1: _exact(value)}

@@ -29,6 +29,7 @@ from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_polynomials import cofactor_determinant
+from reference_plucker import plucker, triple_sum, unsplit_constants, weights
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
@@ -657,11 +658,119 @@ def test_factored_proof_at_n9_expands_no_bracket(monkeypatch):
     assert {c.detail for c in report.checks} == {"residual numerator is 0"}
 
 
+def _int_nodes(spec):
+    """The nodes scaled to ints, as verify_hirota hands them to the proof."""
+    return [v * _denominator_lcm(spec.lambdas) for v in spec.lambdas]
+
+
+def _spy_proportion(monkeypatch, change=lambda index, value: value):
+    """Record every value ``_proportion`` returns, in call order: in
+    ``_factored_proof`` the n constants of (A), then those of (B) in
+    ``combinations`` order.  ``change`` maps a call's index and value to the
+    value handed back."""
+    returned = []
+    proportion = webs._proportion
+
+    def spy(*args):
+        returned.append(change(len(returned), proportion(*args)))
+        return returned[-1]
+    monkeypatch.setattr(webs, "_proportion", spy)
+    return returned
+
+
+@pytest.mark.parametrize("n,k,node_class",
+                         [(n, k, c) for c in sorted(_PLUCKER_NODES) for n, k in _PLUCKER_ORDERS]
+                         + [(8, k, "1..8") for k in range(1, 7)])
+def test_the_pluecker_relation_and_the_weight_pattern(n, k, node_class, monkeypatch):
+    # S_ijk = D_i E_jk - D_j E_ik + D_k E_ij is 0 for every triple, with D
+    # and E as _block writes them; the constants the halves give are those of
+    # the unsplit (A) and (B), in closed form a_i = s c_i and
+    # b_jk = u prod_{m not in {j, k}} (node_k - node_m); every triple's
+    # weights are (w, -w, w), and T, formed in full, is 0.
+    lambdas = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
+    sol = build_solution(WebSpec.numeric(n, k, n - 1 - k, lambdas))
+    int_nodes = _int_nodes(sol.spec)
+    returned = _spy_proportion(monkeypatch)
+    proved = webs._factored_proof(sol.f, int_nodes, sol.spec.l)
+    others = [[r for r in range(n) if r != i] for i in range(n)]
+    d = [webs._minor(int_nodes, rows, n - 1 - k) for rows in others]
+    e = {(i, j): webs._minor(int_nodes, [r for r in others[i] if r != j], n - 2 - k)
+         for i, j in combinations(range(n), 2)}
+    a, b = unsplit_constants(sol.f, d, e)
+    assert returned == a + list(b.values())
+    s = {a[i] / prod(int_nodes[i] - int_nodes[m] for m in others[i]) for i in range(n)}
+    u = {b[i, j] / prod(int_nodes[j] - int_nodes[m] for m in range(n) if m not in (i, j))
+         for i, j in b}
+    assert len(s) == 1 and len(u) == 1 and s.pop() > 0
+    for triple in combinations(range(n), 3):
+        assert plucker(d, e, triple).is_zero, triple
+        w = weights(int_nodes, a, b, triple)
+        assert w[0] == -w[1] == w[2] != 0, triple
+        assert triple_sum(int_nodes, d, e, a, b, triple).is_zero, triple
+    assert proved == set(web_triples(n))
+
+
+def test_a_weight_that_breaks_the_pattern_leaves_its_triples_to_the_probe_and_b(
+        monkeypatch):
+    # (A) and (B) hold, but b_24 is doubled after its zero test: the weights
+    # of every triple holding 2 and 4 break (w, -w, w) and their T is not 0,
+    # so exactly those triples are left out, and each is probed and then
+    # zero-tested through B, which passes it.
+    sol = build_solution(WebSpec.numeric(6, 2, 3, _PLUCKER_NODES["integer"][:6]))
+    pair = 6 + list(combinations(range(6), 2)).index((1, 3))
+    _spy_proportion(monkeypatch, lambda index, value: 2 * value if index == pair else value)
+    proved, settled = [], []
+    factored, residual = webs._factored_proof, webs._residual
+    monkeypatch.setattr(webs, "_factored_proof",
+                        lambda *args: proved.append(factored(*args)) or proved[-1])
+    monkeypatch.setattr(webs, "_residual", lambda first, brackets, triple: settled.append(
+        (triple, isinstance(first[0], MultiPoly))) or residual(first, brackets, triple))
+    report = verify_hirota(sol)
+    left_out = sorted(t for t in web_triples(6) if {2, 4} <= set(t))
+    assert len(left_out) == 4 and proved == [set(web_triples(6)) - set(left_out)]
+    # each left-out triple: its probe value, then B on polynomial jets
+    assert settled == [(t, on_polynomials) for t in left_out for on_polynomials in (False, True)]
+    assert report.passed and report == verify_hirota(sol.f, nodes=sol.nodes())
+
+
+@pytest.mark.parametrize("spec", [WebSpec.numeric(5, 2, 2), WebSpec.numeric(4, 1, 2,
+                                                                           nodes(0, "1/2", -3, 2))])
+@pytest.mark.parametrize("which,v", [("num", 0), ("num", -1), ("den", 0), ("den", -1)])
+def test_a_squared_variable_skips_the_factored_proof(spec, which, v, monkeypatch):
+    # The halves need f affine in every x_v, so a square in P or Q ends the
+    # proof before any (A) test.
+    f = build_solution(spec).f
+    x = MultiPoly.variable(spec.n, v % spec.n)
+    parts = {"num": f.num, "den": f.den}
+    parts[which] = parts[which] + x * x
+    returned = _spy_proportion(monkeypatch)
+    squared = RationalFunction(parts["num"], parts["den"])
+    assert webs._factored_proof(squared, _int_nodes(spec), spec.l) == set()
+    assert returned == []
+
+
+def test_an_affine_corruption_fails_a_and_falls_back(monkeypatch):
+    # P + x1 x2 stays affine in every x_v, so it passes the guard and fails
+    # (A) at i = 1 in full; no triple is proved, and the report is the bare
+    # function's.
+    sol = build_solution(WebSpec.numeric(5, 2, 2))
+    x = [MultiPoly.variable(5, v) for v in range(5)]
+    p = sol.p_top + x[0] * x[1]
+    corrupted = HirotaSolution(sol.spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    returned = _spy_proportion(monkeypatch)
+    assert webs._factored_proof(corrupted.f, _int_nodes(sol.spec), 2) == set()
+    assert returned == [None]
+    report = verify_hirota(corrupted)
+    assert not report.passed
+    assert report == verify_hirota(corrupted.f, nodes=corrupted.nodes())
+
+
 @pytest.mark.parametrize("spec", [WebSpec.numeric(6, 2, 3, [3, 1, 7, 2, 9, 5]),
                                   WebSpec.numeric(4, 1, 2, nodes(0, "1/2", -3, 2)),
                                   WebSpec.numeric(3, 1, 1)])
 def test_a_corrupted_solution_falls_back_to_the_expanded_route(spec, monkeypatch):
-    # x1^2 added to P breaks (A), so no triple is proved by factors and the
+    # x1^2 added to P ends the factored proof before (A), since f is no
+    # longer affine in x1, so no triple is proved by factors and the
     # whole report, failing details included, is the bare function's: each
     # triple is refuted at the probe point, or zero-tested through B once
     # the probe sits at the origin, where q = Q(0) = 0.
@@ -758,6 +867,17 @@ def test_veronese_leading_coefficient_is_df():
     sol = build_solution(WebSpec.numeric(4, 2, 1))
     pencil = veronese_form(sol.f, [1, 2, 3, 4])
     assert pencil.coefficients[3] == d0(sol.f)
+
+
+def test_veronese_builds_gradients_only(monkeypatch):
+    # N_i reads P, Q and their first partials, so no second partial is built.
+    sol = build_solution(WebSpec.numeric(5, 2, 2))
+    calls = []
+    derivative_of = MultiPoly.derivative
+    monkeypatch.setattr(MultiPoly, "derivative",
+                        lambda poly, v: calls.append(v) or derivative_of(poly, v))
+    veronese_form(sol.f, list(sol.spec.lambdas))
+    assert sorted(calls) == sorted(list(range(5)) * 2)
 
 
 def test_veronese_rejects_repeated_nodes():
@@ -1427,6 +1547,19 @@ def test_restriction_to_zero_is_the_smaller_spec_at_scaled_coordinates(n, k, nod
         smaller = build_solution(WebSpec.numeric(n - 1, k - 1, n - 1 - k, others))
         scaling = [Mobius(1, 0, 0, node - lambdas[v - 1]) for node in others]
         assert restrict(sol, v, 0) == transform(smaller.f, Mobius.identity(), scaling)
+
+
+@pytest.mark.parametrize("n,k,node_class", [(n, k, node_class) for n in range(2, 7)
+                                            for k in range((n + 1) // 2, n)
+                                            for node_class in sorted(_NODE_CLASSES)])
+@pytest.mark.parametrize("c", [3, Fraction(-5, 2)])
+def test_a_shift_of_every_coordinate_keeps_the_family(n, k, node_class, c):
+    # (T) in the restrict docstring: f(x + c) is f for k > l and f + c for k = l.
+    l = n - 1 - k
+    f = build_solution(WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])).f
+    shift = Mobius(1, c, 0, 1)
+    expected = f if k > l else transform(f, shift, [Mobius.identity()] * n)
+    assert transform(f, Mobius.identity(), [shift] * n) == expected
 
 
 # -- transformation ---------------------------------------------------------------------
