@@ -10,11 +10,13 @@ sort_keys=True)`` of the payload with every polynomial replaced by its
 ``poly_to_json`` dict and every form by its ``to_json`` dict, but it is
 written by ``_json_text``.  ``Report.objects`` holds the library values
 themselves (P_k and Q_l, the restricted quotient, the flatness witness),
-and the writer formats their terms straight into the text: one template
-per depth, each exponent list's text written once per depth, each distinct
-denominator scaling of a form written once, and the coefficient and
-exponent types checked at C speed first, so no per-term dict is built or
-inspected.
+and the writer formats their packed maps straight into the text: one
+template per depth, each packed key of a ring and width decoded once per
+call into a graded-lex rank and its exponent list's text, each polynomial
+one sort of its keys by rank, each distinct denominator scaling of a form
+written once, and the coefficient and exponent types checked at C speed
+first, so no per-term dict is built or inspected and a polynomial built
+packed is never unpacked.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      WebSpecError)
 from .interpolation import WebSpec, random_numeric_instances
 from .forms import DifferentialForm
-from .polynomials import MultiPoly, _check_count, poly_text
+from .polynomials import MultiPoly, _check_count, _graded_keys, poly_text
 from .webs import (HirotaSolution, VerificationReport, _bound_text, build_solution,
                    flatness_check, restrict, restricted_nodes, structural_properties,
                    verify_hirota)
@@ -311,11 +313,11 @@ def _refuse(types: set, allowed: frozenset) -> None:
 
 class _PolyLayout:
     """The fixed text of a polynomial written at one depth (``nl``, see
-    ``_json_value``): one template per part, and the text of each exponent
-    list met at that depth, written once."""
+    ``_json_value``): one template per part, and one catalog per ring and
+    packed width met at that depth."""
 
     __slots__ = ("head", "open", "sep", "close", "term", "exps_open", "exps_sep",
-                 "exps_close", "exps")
+                 "exps_close", "catalogs")
 
     def __init__(self, nl: str):
         inner = nl + "  "
@@ -326,36 +328,52 @@ class _PolyLayout:
         self.term = "{" + field + '"c": "%s",' + field + '"e": %s' + item + "}"
         self.exps_open, self.exps_sep = "[" + field + "  ", "," + field + "  "
         self.exps_close = field + "]"
-        self.exps: dict[tuple, str] = {}
+        self.catalogs: dict[tuple[int, int], tuple[dict, dict]] = {}
 
-    def exponents(self, exps: tuple) -> str:
-        if not exps:
-            return "[]"
-        return self.exps_open + self.exps_sep.join(map(int.__repr__, exps)) + self.exps_close
+    def catalog(self, n_vars: int, width: int, keys) -> tuple[dict, dict]:
+        """(rank, text) for the packed keys of one ring and width: rank maps a
+        key to its graded-lex rank (``_graded_keys``) and text to its
+        exponent list as written at this depth.  A key is decoded the first
+        time it is met and kept for the whole call."""
+        catalog = self.catalogs.get((n_vars, width))
+        if catalog is None:
+            catalog = self.catalogs[n_vars, width] = ({}, {})
+        rank, text = catalog
+        unseen = keys - rank.keys()
+        if unseen:
+            unseen, ranks, exps = _graded_keys(n_vars, width, unseen)
+            exps_text = (self.exps_open + self.exps_sep.join(["%d"] * n_vars)
+                         + self.exps_close) if n_vars else "[]"
+            rank.update(zip(unseen, ranks))
+            text.update(zip(unseen, map(exps_text.__mod__, exps)))
+        return catalog
 
 
 def _poly_json(poly: MultiPoly, nl: str, out: list[str], layouts: dict) -> None:
     """Append ``poly_to_json(poly)`` as ``_json_value`` writes it, from the
-    terms themselves: every coefficient must be an int or a Fraction and
-    every exponent an int, checked at C speed before anything is written."""
-    terms = poly.terms
-    _refuse(set(map(type, terms.values())), _COEFFICIENTS)
-    _refuse(set(map(type, chain.from_iterable(terms))), _EXPONENTS)
+    packed map: every coefficient must be an int or a Fraction, checked at
+    C speed before anything is written, and the terms are one sort of the
+    packed keys by their catalog rank, so a polynomial built packed is
+    never unpacked.  One that holds exponent tuples has them checked for
+    int exponents first, and one held as exponent tuples only is packed
+    once."""
+    _refuse(set(map(type, poly._coefficients())), _COEFFICIENTS)
+    terms = poly._terms
+    if terms is not None:
+        _refuse(set(map(type, chain.from_iterable(terms))), _EXPONENTS)
+    packed, width = poly._packed_map()
     layout = layouts.get(nl)
     if layout is None:
         layout = layouts[nl] = _PolyLayout(nl)
     out.append(layout.head % poly.n_vars)
-    if not terms:
+    if not packed:
         out.append("[]" + nl + "}")
         return
-    template, known = layout.term, layout.exps
-    texts = []
-    for _, exps, coeff in poly.sorted_terms():
-        text = known.get(exps)
-        if text is None:
-            text = known[exps] = layout.exponents(exps)
-        texts.append(template % (coeff, text))
-    out += layout.open, layout.sep.join(texts), layout.close
+    rank, text = layout.catalog(poly.n_vars, width, packed.keys())
+    template = layout.term
+    out += layout.open, layout.sep.join([
+        template % (packed[key], text[key])
+        for key in sorted(packed, key=rank.__getitem__, reverse=True)]), layout.close
 
 
 def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -> None:
@@ -366,7 +384,7 @@ def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -
     inner = nl + "  "
     item = inner + "  "
     field = item + "  "
-    _refuse(set(chain.from_iterable(map(type, poly.terms.values())
+    _refuse(set(chain.from_iterable(map(type, poly._coefficients())
                                     for poly in (form.den, *form.components.values()))),
             _COEFFICIENTS)
     den_text: dict[tuple[int, int], str] = {}
@@ -393,8 +411,8 @@ def _json_value(value, nl: str, out: list[str], layouts: dict) -> None:
     None, list, dict with str keys, MultiPoly and DifferentialForm are
     accepted: anything else, floats included, is a TypeError.  A MultiPoly
     is written as its ``poly_to_json`` dict and a DifferentialForm as its
-    ``to_json`` dict, straight from their terms; ``layouts`` keeps the
-    polynomial templates of each depth for the whole call."""
+    ``to_json`` dict, straight from their packed maps; ``layouts`` keeps the
+    polynomial templates and catalogs of each depth for the whole call."""
     if isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif value is None:

@@ -158,6 +158,23 @@ def _unpack(n_vars: int, packed: Mapping[int, Scalar], width: int) -> dict[Expon
     return {tuple([key >> shift & mask for shift in shifts]): c for key, c in packed.items()}
 
 
+def _graded_keys(n_vars: int, width: int, keys: Iterable[int]
+                 ) -> tuple[list[int], list[int], list[Exponents]]:
+    """The packed keys at this width, their ranks and their exponent tuples,
+    decoded one variable at a time over all the keys.  A rank is an int
+    that orders the keys as ``grlex_key`` orders their exponents (total
+    degree, then x1's exponent, x2's, ...), so a sort by rank compares one
+    int per pair."""
+    keys = list(keys)
+    mask, top = (1 << width) - 1, width * n_vars
+    columns = [[key >> shift & mask for key in keys] for shift in range(0, top, width)]
+    lex = [0] * len(keys)
+    for column in columns:
+        lex = [high << width | e for high, e in zip(lex, column)]
+    exps = list(zip(*columns)) if columns else [()] * len(keys)
+    return keys, [d << top | low for d, low in zip(map(sum, exps), lex)], exps
+
+
 def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
                      ) -> "MultiPoly":
     """sum of scale * a * b over the (a, b, scale) parts, collected in one map.
@@ -282,6 +299,20 @@ class MultiPoly:
             packed = self._packed = _pack(self.n_vars, self.terms, width)
             self._width = width
         return packed
+
+    def _packed_map(self) -> tuple[dict[int, Scalar], int]:
+        """The packed map and its width: the map kept, or, for a polynomial
+        held as ``terms`` only, the terms packed once at the smallest width
+        that holds its largest exponent."""
+        if self._packed is None:
+            self._packed_at(max(self._top_exponent().bit_length(), 1))
+        return self._packed, self._width
+
+    def _coefficients(self):
+        """The coefficients, read from the map kept, packed or not, so a
+        polynomial built packed is not unpacked."""
+        packed = self._packed
+        return (self._terms if packed is None else packed).values()
 
     # -- constructors ------------------------------------------------------
 

@@ -22,9 +22,10 @@ from .polynomials import MultiPoly, Scalar, _check_coefficients, _sum_of_product
 
 
 def _content(poly: MultiPoly) -> tuple[int, int]:
-    """(gcd of the coefficients' numerators, lcm of their denominators);
-    a coefficient that is not an int or a Fraction is refused."""
-    values = poly.terms.values()
+    """(gcd of the coefficients' numerators, lcm of their denominators),
+    read from the map the polynomial keeps, packed or not; a coefficient
+    that is not an int or a Fraction is refused."""
+    values = poly._coefficients()
     _check_coefficients(values)
     return gcd(*[c.numerator for c in values]), lcm(*[c.denominator for c in values])
 
@@ -44,13 +45,17 @@ def _normalizer(num: MultiPoly, den_content: tuple[int, int],
 def _scaled(poly: MultiPoly, m: int, g: int) -> MultiPoly:
     """poly * m / g, where m is a multiple of every coefficient's denominator
     and g divides every coefficient times m: the result's coefficients are
-    ints, found by exact integer division."""
+    ints, found by exact integer division.  A polynomial built packed gives
+    a result held packed, at the same width, so neither is unpacked."""
+    packed = poly._packed
+    items = (poly._terms if packed is None else packed).items()
     if m == 1:
-        terms = {e: c // g for e, c in poly.terms.items()}
+        scaled = {e: c // g for e, c in items}
     else:
-        terms = {e: c.numerator * (m // c.denominator) // g
-                 for e, c in poly.terms.items()}
-    return MultiPoly(poly.n_vars, terms, _canonical=True)
+        scaled = {e: c.numerator * (m // c.denominator) // g for e, c in items}
+    if packed is None:
+        return MultiPoly(poly.n_vars, scaled, _canonical=True)
+    return MultiPoly._from_packed(poly.n_vars, scaled, poly._width, poly._top)
 
 
 class RationalFunction:

@@ -40,12 +40,14 @@ certifies everything checkable about it in exact arithmetic:
   dichotomy, certified through the integrability of the degree-1 coframe
   element and of its mirror element n-2: each 3-form d(beta) wedge beta is
   one sum of six products per component, built from the gradients of four
-  minors, with no exterior algebra.  For numeric nodes and k, l >= 1 the
-  witness d(beta_1) wedge beta_1 factors instead: beta_1's dx_v coefficient
-  is kappa_v D_v^2 (Lagrange interpolation in the parameter, the Veronese
-  coframe being q(node_v)^2 dx_v at node_v), and with the three-term
-  Grassmann-Pluecker relation each component is kappa_abc D_a D_b D_c F_abc,
-  F_abc the minor of size n-3 on the rows without a, b and c.  The two
+  minors, with no exterior algebra, and the mirror's is first evaluated at
+  one integer point, where a nonzero value refutes it.  For numeric nodes
+  and k, l >= 1 the witness d(beta_1) wedge beta_1 factors instead:
+  beta_1's dx_v coefficient is kappa_v D_v^2 (Lagrange interpolation in
+  the parameter, the Veronese coframe being q(node_v)^2 dx_v at node_v),
+  and with the three-term Grassmann-Pluecker relation each component is
+  kappa_abc D_a D_b D_c F_abc, F_abc the minor of size n-3 on the rows
+  without a, b and c.  The two
   families of identities behind it, (i) for the kappa_v and (ii) for the
   constants rho^v_pq of D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc, are
   zero-tested in full per run (``flatness_check``);
@@ -439,7 +441,8 @@ def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
 
 def _probe_point(n_vars: int, n: int, symbolic: bool) -> tuple[int, ...]:
     """The one integer point at which symbolic mode evaluates q B before it
-    builds B: fixed, so the report does not depend on any seed, with
+    builds B, and ``flatness_check`` the mirror's components before it
+    builds them: fixed, so the report does not depend on any seed, with
     coordinates in [-9, 9] from a private generator.  When the nodes are
     symbolic their coordinates are distinct, drawn from [-9 - n, 9 + n],
     since equal ones zero the node differences that B carries."""
@@ -778,6 +781,43 @@ def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
         for v in range(n)})
 
 
+def _pair_pieces(x, dx: Callable, y, dy: Callable) -> tuple[Callable, Callable]:
+    """The pieces of one pair (X, Y) of ``_self_wedge``, each built once on
+    first read: one(v) = X d_vY - Y d_vX and two(u, v) = d_uX d_vY - d_vX d_uY,
+    from X and Y with ``dx`` and ``dy`` giving their partials.  These are
+    polynomials, or the pieces' values at a point when X, Y and the
+    partials are numbers there (``_combine`` takes either kind)."""
+
+    @cache
+    def one(v: int):
+        return _combine([(dy(v), x, 1), (y, dx(v), -1)])
+
+    @cache
+    def two(u: int, v: int):
+        return _combine([(dx(u), dy(v), 1), (dx(v), dy(u), -1)])
+
+    return one, two
+
+
+def _wedge_components(ab: tuple[Callable, Callable], cd: tuple[Callable, Callable],
+                      n: int, first_only: bool) -> dict[tuple[int, int, int], object]:
+    """The nonzero (a, b, c) components of ``_self_wedge`` from the pieces of
+    the pairs (A, B) and (C, D), in index order, each one sum of six
+    products; with ``first_only`` only the first nonzero one."""
+    p, w = ab
+    g, k = cd
+    out = {}
+    for i, j, m in combinations(range(n), 3):
+        value = _combine([
+            (w(i, j), g(m), 2), (w(i, m), g(j), -2), (w(j, m), g(i), 2),
+            (k(i, j), p(m), 2), (k(i, m), p(j), -2), (k(j, m), p(i), 2)])
+        if value:
+            out[i, j, m] = value
+            if first_only:
+                break
+    return out
+
+
 def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                 first_only: bool = False) -> dict[tuple[int, int, int], MultiPoly]:
     """The nonzero components of d(beta) wedge beta for the polynomial
@@ -797,33 +837,25 @@ def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     stops at the first nonzero component, having built only what the
     components up to it read.
     """
-    n = a.n_vars
+    return _wedge_components(_pair_pieces(a, cache(a.derivative), b, cache(b.derivative)),
+                             _pair_pieces(c, cache(c.derivative), d, cache(d.derivative)),
+                             a.n_vars, first_only)
 
-    def pieces(x: MultiPoly, y: MultiPoly) -> tuple[Callable, Callable]:
-        dx, dy = cache(x.derivative), cache(y.derivative)
 
-        @cache
-        def one(v: int) -> MultiPoly:
-            return _sum_of_products(n, [(dy(v), x, 1), (y, dx(v), -1)])
-
-        @cache
-        def two(u: int, v: int) -> MultiPoly:
-            return _sum_of_products(n, [(dx(u), dy(v), 1), (dx(v), dy(u), -1)])
-
-        return one, two
-
-    p, w = pieces(a, b)
-    g, k = pieces(c, d)
-    out = {}
-    for i, j, m in combinations(range(n), 3):
-        value = _sum_of_products(n, [
-            (w(i, j), g(m), 2), (w(i, m), g(j), -2), (w(j, m), g(i), 2),
-            (k(i, j), p(m), 2), (k(i, m), p(j), -2), (k(j, m), p(i), 2)])
-        if value:
-            out[i, j, m] = value
-            if first_only:
-                break
-    return out
+def _wedge_at(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
+              point: Sequence[int]) -> dict[tuple[int, int, int], Scalar]:
+    """The first nonzero value at an integer point of a component of
+    ``_self_wedge(a, b, c, d)``, keyed by its index (empty when every
+    component vanishes there): the same six-product formula on the values
+    and gradients of the four polynomials at the point, one jet each.
+    Evaluation commutes with products, sums and partials, so each value is
+    the component's polynomial evaluated there, and a nonzero one proves
+    exactly that the component is not the zero polynomial."""
+    (va, ga, _), (vb, gb, _), (vc, gc, _), (vd, gd, _) = (
+        poly.second_order_jet(point) for poly in (a, b, c, d))
+    return _wedge_components(_pair_pieces(va, ga.__getitem__, vb, gb.__getitem__),
+                             _pair_pieces(vc, gc.__getitem__, vd, gd.__getitem__),
+                             len(point), True)
 
 
 def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
@@ -913,10 +945,11 @@ class FlatnessVerdict:
     ``witness`` is the 3-form d(alpha_1) wedge alpha_1 of the normalized
     coframe; nonflat certification means it has a nonzero component, hence
     is nonvanishing on a dense open set.  The integrability of the mirror
-    element alpha_(n-2) is recorded alongside as a cross-check: an exact
-    zero test of d(beta_(n-2)) wedge beta_(n-2) that ends at its first
-    nonzero component, so a "flat" verdict has computed every component and
-    found each one zero.
+    element alpha_(n-2) is recorded alongside as a cross-check on
+    d(beta_(n-2)) wedge beta_(n-2): a nonzero value of a component at one
+    fixed integer point refutes it exactly, and otherwise an exact zero
+    test ends at its first nonzero component, so a "flat" verdict has
+    computed every component and found each one zero.
     """
 
     status: str                       # "nonflat-certified" | "flat-certified"
@@ -950,7 +983,14 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     give the same form.  Both 3-forms can come from one formula
     (``_self_wedge``): the witness keeps every nonzero component, and the
     mirror test stops at its first.  For k, l >= 1 the witness is factored
-    instead (below), and the formula remains its fallback.
+    instead (below), and the formula remains its fallback.  The mirror is
+    first refuted at a point (``_wedge_at``): the formula on the values and
+    gradients of its four minors at ``_probe_point``, one jet each, gives
+    each component's value there, and a nonzero one proves exactly that
+    the mirror is not integrable, so no polynomial piece is built.  A zero
+    at every component proves nothing and takes the polynomial test.  A
+    nonflat web is refuted at the point (the tests pin this on every order
+    up to n = 6); a flat web's mirror, integrable, takes the full test.
 
     For beta_1 the formula is the witness identity
 
@@ -1062,8 +1102,9 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
                                [_tighten(v * scale) for v in spec.lambdas], l)
     if w1 is None:
         w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
-    mirror = _self_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k],
-                         first_only=True)
+    mirror_minors = (q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
+    mirror = (_wedge_at(*mirror_minors, _probe_point(spec.n_vars, spec.n, False))
+              or _self_wedge(*mirror_minors, first_only=True))
     witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)
     alpha1_ok, cross_ok = not w1, not mirror
     if not alpha1_ok:

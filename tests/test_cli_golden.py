@@ -183,6 +183,32 @@ def test_frontier_witness_text_matches_its_digest(argv):
     assert hashlib.sha256(captured["stdout"].encode()).hexdigest() == FRONTIER_TEXT[argv]
 
 
+# The witness JSON at the frontier, every order with k, l >= 1 at n = 6 and
+# k = l = 3 at n = 7, nodes 1..n: the sha256 of stdout, recorded while the
+# writer still unpacked every polynomial into exponent tuples and the
+# mirror element was tested by building its polynomial pieces.  Up to 83 MB,
+# so only the digests are kept.
+FRONTIER_JSON = {
+    "flatness --n 6 --k 1 --l 4 --format json":
+        "f09b67acfade408c709e6d577a441145b869702adb7623e90bbbff82fab68dcc",
+    "flatness --n 6 --k 2 --l 3 --format json":
+        "b2b226ba96c2134b2f5a3fbdc2056dff0ded50aef27c5c92e886cca5e2f46929",
+    "flatness --n 6 --k 3 --l 2 --format json":
+        "2527ab70901c1db1ceaf0b0ac4b510617cf1c79d746e4f660885d2443ecb0cd9",
+    "flatness --n 6 --k 4 --l 1 --format json":
+        "71f0914ab348c14c4949022c27b21ea943a04a4050dfb5c1e94a473eff2f220e",
+    "flatness --n 7 --k 3 --l 3 --format json":
+        "6b8f6ee2d3d65603787be47fe137c1b209c44f418a8545f6685367bfd9cc7c96",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FRONTIER_JSON))
+def test_frontier_witness_json_matches_its_digest(argv):
+    captured = _capture(argv)
+    assert captured["exit"] == 0
+    assert hashlib.sha256(captured["stdout"].encode()).hexdigest() == FRONTIER_JSON[argv]
+
+
 if __name__ == "__main__":
     record = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     missing = [argv for argv in ARGVS if argv not in record]

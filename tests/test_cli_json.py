@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import DifferentialForm, MultiPoly, WebSpec, flatness_check, poly_to_json
+from hirotaweb import polynomials
 from hirotaweb.cli import RunConfig, _json_text, execute, render
 
 from test_cli_golden import GOLDEN
@@ -217,3 +218,45 @@ def test_writer_refuses_an_inexact_form_term_before_normalizing(form):
     # normalization, and a bool is refused before it could become an int.
     with pytest.raises(TypeError, match="is not JSON serializable"):
         _json_text({"w": form})
+
+
+def test_writer_keeps_rings_and_widths_apart():
+    # One call over polynomials whose packed keys coincide: key 0 in rings
+    # of 0, 1 and 2 variables; key 2 at widths 1 (x2) and 2 (x1^2); key 8 at
+    # widths 2 (x2^2) and 3 (x2, packed wider by a product).  Kernel-built
+    # ones sit beside hand-built ones, which the writer packs itself, and
+    # beside zero polynomials of three kinds.
+    x1, x2 = MultiPoly.variable(2, 0), MultiPoly.variable(2, 1)
+    wide = MultiPoly(2, {(0, 1): 1})
+    assert wide * MultiPoly(2, {(4, 0): 1}) and wide._width == 3
+    kernel = [x2 * 1, x1 * x1, x2 * x2, x1 * x2 - 3 * x2 * x2 + Fraction(1, 2),
+              MultiPoly.const(1, 5) * 1]
+    assert [p._width for p in kernel] == [1, 2, 2, 2, 1]
+    hand = [MultiPoly.const(0, 1), MultiPoly.const(1, 1), MultiPoly.const(2, -7),
+            MultiPoly(2, {(2, 0): 1}), MultiPoly(2, {(0, 1): Fraction(-2, 3), (3, 1): 4}),
+            wide]
+    zeros = [MultiPoly.zero(0), MultiPoly.zero(3), x1 - x1]
+    polys = kernel + hand + zeros
+    text = _json_text({"a": polys, "b": [polys[::-1], {"c": polys}], "d": polys[0]})
+    # the writer read the kernel-built ones from their packed maps
+    assert all(p._terms is None for p in kernel)
+    as_json = [poly_to_json(p) for p in polys]
+    assert text == dumps({"a": as_json, "b": [as_json[::-1], {"c": as_json}],
+                          "d": as_json[0]})
+
+
+def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
+    # n = 6, k = 3: the form's numerators and its scaled denominator are
+    # written from their packed maps; only the shared denominator's leading
+    # term is read from exponent tuples.
+    report = execute(RunConfig("flatness", 6, 3, 2, tuple(map(Fraction, range(1, 7))),
+                               format="json"))
+    unpacked = []
+    unpack = polynomials._unpack
+    monkeypatch.setattr(polynomials, "_unpack", lambda *args: unpacked.append(args[1])
+                        or unpack(*args))
+    text = render(report, "json")
+    assert len(unpacked) <= 1
+    witness = report.objects["witness"]
+    assert text == dumps(json.loads(text))
+    assert json.loads(text)["objects"] == {"witness": witness.to_json()}

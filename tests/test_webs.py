@@ -20,7 +20,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb.polynomials import poly_to_json
 from hirotaweb.interpolation import _block
-from hirotaweb.cli import RunConfig, run as cli_run
+from hirotaweb.cli import RunConfig, build_parser, config_from_args, run as cli_run
 from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
                             _derivative_degrees, _factored_witness, _minor_degrees,
                             _polynomial_jet, _residual, _residual_factors,
@@ -1464,14 +1464,61 @@ def test_a_division_with_a_remainder_falls_back_to_the_self_wedge(monkeypatch):
                                   WebSpec.numeric(6, 3, 2, _NODE_CLASSES["rational"]),
                                   WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0)])
 def test_a_nonflat_witness_never_takes_the_self_wedge(spec, monkeypatch):
-    # k, l >= 1: only the mirror's first component comes from _self_wedge;
-    # k = 0 or l = 0: the witness does, as a whole.
+    # k, l >= 1: the witness is factored and the mirror is refuted at the
+    # probe point, so _self_wedge is never called; k = 0 or l = 0: the
+    # witness comes from it as a whole, and the mirror, zero at the point,
+    # from its full test.
     calls = []
     wedge = webs._self_wedge
     monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
         first_only) or wedge(*args, first_only=first_only))
     verdict = flatness_check(spec)
-    assert calls == ([True] if not verdict.is_flat else [False, True])
+    assert calls == ([] if not verdict.is_flat else [False, True])
+
+
+@pytest.mark.parametrize("argv", ["flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
+                                  "flatness --n 4 --k 1 --l 2 --lambdas=1/2,-2/3,3/4,5/3",
+                                  "flatness --n 6 --k 3 --l 2",
+                                  "flatness --n 3 --k 1 --l 1"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_probe_forced_to_zero_takes_the_full_mirror_test(argv, fmt, monkeypatch):
+    # A zero at the point proves nothing, so the mirror goes to its full
+    # polynomial test, which finds the same verdict: the report is unchanged.
+    args = argv.split() + ["--format", fmt]
+    config = config_from_args(build_parser().parse_args(args))
+    expected = cli_run(config)
+    calls = []
+    wedge = webs._self_wedge
+    monkeypatch.setattr(webs, "_wedge_at", lambda *args: {})
+    monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
+        first_only) or wedge(*args, first_only=first_only))
+    assert cli_run(config) == expected
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5, 6) for k in range(n)])
+def test_the_mirror_probe_is_the_self_wedge_at_the_point(n, k, node_class):
+    # The formula on the minors' jets at the probe point gives every
+    # component's value there, and the probe's one entry is the first that
+    # is nonzero.
+    l = n - 1 - k
+    spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
+    minors = _without_denominators(signed_minors(spec))
+    p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
+    zero = MultiPoly.zero(n)
+    mirror = (q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
+    point = webs._probe_point(n, n, False)
+    components = _self_wedge(*mirror)
+    values = {triple: components[triple].evaluate(point) if triple in components else 0
+              for triple in combinations(range(n), 3)}
+    nonzero = [(triple, value) for triple, value in values.items() if value]
+    jets = [poly.second_order_jet(point) for poly in mirror]
+    pieces = [webs._pair_pieces(x[0], x[1].__getitem__, y[0], y[1].__getitem__)
+              for x, y in (jets[:2], jets[2:])]
+    assert list(webs._wedge_components(*pieces, n, False).items()) == nonzero
+    assert list(webs._wedge_at(*mirror, point).items()) == nonzero[:1]
+    assert bool(nonzero) == bool(components) == (k >= 1 and l >= 1)
 
 
 # -- restriction -----------------------------------------------------------------------
