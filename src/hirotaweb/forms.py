@@ -274,9 +274,11 @@ class DifferentialForm:
         RationalFunction scales it, yielded one at a time in index order as
         (idx, numerator, (g, m), denominator), so a writer holds one scaled
         numerator at a time.  The shared denominator's content and leading
-        sign are read once and per component only the numerator's content
-        is, so each distinct scaling (g, m) of the denominator is computed
-        once and yielded as the same object, which a writer renders once."""
+        sign are read once, off the map it keeps, so a denominator built
+        packed is not unpacked, and per component only the numerator's
+        content is, so each distinct scaling (g, m) of the denominator is
+        computed once and yielded as the same object, which a writer
+        renders once."""
         den_content = _content(self.den)
         den_negative = self.den.leading_term()[1] < 0
         dens: dict[tuple[int, int], MultiPoly] = {}

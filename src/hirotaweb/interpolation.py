@@ -43,7 +43,12 @@ is its Leibniz monomials, all distinct with coefficients +-1, in node
 variables disjoint from the other alternant's: a minor over r rows is its
 r! terms, assembled without a product of polynomials or a cancellation.
 ``signed_minors`` maps column c to its g and passes the writer the sign
-(-1)^(n+c) with it, the one place that sign is applied.
+(-1)^(n+c) with it, the one place that sign is applied.  The writer keys
+each term by its packed monomial at the bit width its caller passes:
+``signed_minors`` asks for byte fields, which it decodes into exponent
+tuples with ``int.to_bytes``, and the factored proofs ask for the
+arithmetic kernel's width for a product of two minors, 2 bits a variable,
+and keep the packed map (``polynomials``).
 
 At a numeric data point the point is substituted into the row matrix
 before any minor is taken, so the minors are plain exact numbers, ints for
@@ -219,13 +224,14 @@ def _vandermonde(values: Sequence[Scalar]) -> Scalar:
 
 
 def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
-                     cache: dict) -> list[tuple[int, int]]:
+                     width: int, cache: dict) -> list[tuple[int, int]]:
     """The Leibniz terms of det[l_r^e] over these rows and exponents, each
     as (packed monomial, +-1).  A monomial packs the exponent of ring
-    variable v into byte v, so adding two keys with disjoint variables
-    multiplies the monomials; every exponent is below n, and n! terms keep n
-    far below 256.  The expansion runs along the first row, and
-    every sub-alternant is cached on (rows, exponents)."""
+    variable v into the ``width`` bits at bit offset v * width, so adding
+    two keys with disjoint variables multiplies the monomials; every
+    exponent is below n, which must stay below 2**width.  The expansion
+    runs along the first row, and every sub-alternant is cached on
+    (rows, exponents)."""
     key = (rows, exponents)
     terms = cache.get(key)
     if terms is not None:
@@ -233,11 +239,12 @@ def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
     if not rows:
         terms = [(0, 1)]
     else:
-        shift = 8 * (n + rows[0])
+        shift = width * (n + rows[0])
         terms = []
         for j, e in enumerate(exponents):
             head = e << shift
-            rest = _alternant_terms(n, rows[1:], exponents[:j] + exponents[j + 1:], cache)
+            rest = _alternant_terms(n, rows[1:], exponents[:j] + exponents[j + 1:], width,
+                                    cache)
             terms += ([(head + sub, -sign) for sub, sign in rest] if j % 2
                       else [(head + sub, sign) for sub, sign in rest])
     cache[key] = terms
@@ -245,7 +252,7 @@ def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
 
 
 def _block(n: int, nodes: Optional[Sequence[Scalar]], rows: Sequence[int], size: int,
-           signs: Mapping[int, int], x_missing: bool) -> dict[int, dict]:
+           signs: Mapping[int, int], x_missing: bool, width: int) -> dict[int, dict[int, Scalar]]:
     """Minors of the row matrix over the r rows ``rows`` (0-based,
     increasing), keyed by g in ``signs`` and each multiplied by its sign
     signs[g] = +-1.  The x-block has ``size`` columns and the l-block
@@ -260,30 +267,32 @@ def _block(n: int, nodes: Optional[Sequence[Scalar]], rows: Sequence[int], size:
         eps = (-1)^(size + sum_{p=r-size}^{r-1} p + sum of S's positions in rows),
 
     with qe and pe the powers of the x-block and l-block columns.  Each
-    alternant is a list of (packed monomial, value) terms, a monomial packing
-    the exponent of ring variable v into byte v, and each term of the minor
-    is x^S times one term of either alternant.  At numeric ``nodes`` (n of
-    them; terms in x_1..x_n) an alternant is the one number V e_g, with the
-    e values over the spare block's rows computed once per row subset for
-    every g, and not at all when every g is 0.  With ``nodes`` None (terms
-    in the 2n ring) it is its Leibniz terms in l_1..l_n, from one cache per
-    call."""
+    minor is a map from packed monomials to coefficients: ring variable v
+    takes the ``width`` bits at bit offset v * width, and 2**width must
+    exceed every exponent, 1 in an x and below n in a node.  Each
+    alternant is a list of (packed monomial, value) terms, and each term
+    of the minor is x^S times one term of either alternant, its key the
+    sum of theirs.  At numeric ``nodes`` (n of them; terms in x_1..x_n) an
+    alternant is the one number V e_g, with the e values over the spare
+    block's rows computed once per row subset for every g, and not at all
+    when every g is 0.  With ``nodes`` None (terms in the 2n ring) it is
+    its Leibniz terms in l_1..l_n, from one cache per call."""
     r = len(rows)
     # The part of eps's exponent that does not depend on S.
     parity = size + size * (2 * r - size - 1) // 2
     if nodes is None:
-        width, cache = 2 * n, {}
+        cache = {}
         x_top, l_top = (size, r - size - 1) if x_missing else (size - 1, r - size)
         powers = {g: (tuple(e for e in range(x_top + 1) if not x_missing or e != x_top - g),
                       tuple(e for e in range(l_top + 1) if x_missing or e != l_top - g))
                   for g in signs}
     else:
-        width, top = n, max(signs)
+        top = max(signs)
     out: dict[int, dict] = {g: {} for g in signs}
     # Both enumerations run in the same order: positions and rows of each S.
     for chosen, inside in zip(combinations(range(r), size), combinations(rows, size)):
         outside = tuple([i for i in rows if i not in inside])
-        x_key = sum([1 << 8 * i for i in inside])
+        x_key = sum([1 << width * i for i in inside])
         eps = -1 if (parity + sum(chosen)) % 2 else 1
         if nodes is not None:
             v_in = _vandermonde([nodes[i] for i in inside])
@@ -291,8 +300,8 @@ def _block(n: int, nodes: Optional[Sequence[Scalar]], rows: Sequence[int], size:
             e = _elementary([nodes[i] for i in (inside if x_missing else outside)]) if top else (1,)
         for g, sign in signs.items():
             if nodes is None:
-                left = _alternant_terms(n, inside, powers[g][0], cache)
-                right = _alternant_terms(n, outside, powers[g][1], cache)
+                left = _alternant_terms(n, inside, powers[g][0], width, cache)
+                right = _alternant_terms(n, outside, powers[g][1], width, cache)
             elif x_missing:
                 left, right = [(0, v_in * e[g])], [(0, v_out)]
             else:
@@ -303,7 +312,7 @@ def _block(n: int, nodes: Optional[Sequence[Scalar]], rows: Sequence[int], size:
                 key_a += x_key
                 value_a *= sign
                 for key_b, value_b in right:
-                    terms[tuple((key_a + key_b).to_bytes(width, "little"))] = value_a * value_b
+                    terms[key_a + key_b] = value_a * value_b
     # A numeric coefficient may be an integral Fraction, or 0 where e_g is.
     return out if nodes is None else {g: _tightened(terms) for g, terms in out.items()}
 
@@ -318,7 +327,7 @@ def signed_minors(spec: WebSpec,
     entry is built term by term from its closed form (see the module
     docstring), with no matrix and no determinant expansion.
     """
-    n, k, l = spec.n, spec.k, spec.l
+    n, k, l, n_vars = spec.n, spec.k, spec.l, spec.n_vars
     columns = tuple(range(n + 1)) if columns is None else tuple(columns)
     for c in columns:
         _check_count("column index", c, error=DimensionError)
@@ -327,13 +336,16 @@ def signed_minors(spec: WebSpec,
     terms: dict[int, dict] = {}
     # A numerator column c omits the power l^c = l^(k-g), a denominator
     # column the power -x l^(c-k-1) = -x l^(l-g): g = top - c in both blocks.
+    # The minors are written with byte fields, which to_bytes decodes into
+    # exponent tuples at C speed.
     for block, size, x_missing, top in (({c for c in columns if c <= k}, l + 1, False, k),
                                         ({c for c in columns if c > k}, l, True, n)):
         if block:
             minors = _block(n, spec.lambdas, range(n), size,
-                            {top - c: -1 if (n + c) % 2 else 1 for c in block}, x_missing)
-            terms.update((c, minors[top - c]) for c in block)
-    return [MultiPoly(spec.n_vars, terms[c], _canonical=True) for c in columns]
+                            {top - c: -1 if (n + c) % 2 else 1 for c in block}, x_missing, 8)
+            terms.update((c, {tuple(key.to_bytes(n_vars, "little")): value
+                              for key, value in minors[top - c].items()}) for c in block)
+    return [MultiPoly(n_vars, terms[c], _canonical=True) for c in columns]
 
 
 def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:

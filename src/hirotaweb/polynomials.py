@@ -22,17 +22,41 @@ packed keys multiplies the monomials without carries.  The width is in
 bits, not bytes, so that the keys of the certificates' products (up to
 about ten variables, exponents below 8) stay below 2**30, where CPython
 adds and hashes ints on its one-digit fast path.  Every polynomial keeps
-its packed map at the width the last sum took it at, and is packed again,
-from its terms, only when a sum needs another width.  All the products of
-one sum collect in one map, and the result keeps just that map, with a
-bound on its top (0 for a sum that cancels): its exponent tuples are
-unpacked only when a caller reads ``terms`` or the map is needed at
-another width, so a product that feeds the next product at its own
-width, a zero test or a term count is never unpacked, and a sum that
-cancels builds no intermediate product.  Every product of two
+its packed map at the width the last sum took it at; a sum that needs
+another width keys that map again, one variable's field at a time over
+all the keys, and packs from exponent tuples only a polynomial that holds
+no map yet.  All the products of one sum collect in one map, and the
+result keeps just that map, with a bound on its top (0 for a sum that
+cancels): its exponent tuples are unpacked only when a caller reads
+``terms``, so a product that feeds the next product, a zero test, a term
+count or a leading term (ranked on the packed keys) never unpacks it, and
+a sum that cancels builds no intermediate product.  Every product of two
 polynomials, one-term operands included, is a sum of one, and every other
 linear combination is a sum of products by the constant 1: a + b is
 (a, 1, 1), (b, 1, 1), -a is (a, 1, -1) and c a is (a, 1, c).
+
+The factored proofs of ``webs`` work on minors of the interpolation row
+matrix at int nodes, which ``interpolation._block`` writes straight into
+packed maps at the kernel's width for a product of two minors: every
+minor is affine in each x_v (one x per row), so a product of two has
+exponents at most 2 and takes 2 bits a variable.  Such a minor is born
+where the kernel reads it and is never held as exponent tuples.
+``signed_minors`` is not: its readers (text, jets, normalization) read
+exponent tuples, which byte fields give at C speed through
+``int.to_bytes``, faster than a decode of bit fields.  Three helpers read
+the proofs' quantities off packed keys at width W, where
+top_a + top_b < 2**W for every part:
+- ``_halves`` splits a polynomial affine in x_v into x_v P' + P'' by the
+  bit of x_v's field;
+- ``_coefficient`` reads one coefficient of a sum of products by looking
+  up monomial - key for every key of a: a difference that borrows has, in
+  its lowest field that borrows, a value of at least 2**W - top_a > top_b,
+  so it is no key of b, and only genuine pairs match;
+- ``_leading_pair`` takes the largest key of each factor.  Packed ints
+  compare as exponents in lex order with the last variable most
+  significant, and a product adds keys without carries, so the sum of
+  the two largest keys is reached by no other pair, and the leading
+  coefficient of a b is the product of theirs, nonzero.
 
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
@@ -175,6 +199,73 @@ def _graded_keys(n_vars: int, width: int, keys: Iterable[int]
     return keys, [d << top | low for d, low in zip(map(sum, exps), lex)], exps
 
 
+def _rekeyed(n_vars: int, packed: Mapping[int, Scalar], old: int, new: int
+             ) -> dict[int, Scalar]:
+    """A packed map at bit width ``old`` keyed again at width ``new``, one
+    variable's field at a time over all the keys, so no exponent tuple is
+    built.  Every exponent must be below 2**new."""
+    keys = list(packed)
+    mask = (1 << old) - 1
+    out = [0] * len(keys)
+    for shift in range(old * (n_vars - 1), -1, -old):
+        out = [high << new | key >> shift & mask for high, key in zip(out, keys)]
+    return dict(zip(out, packed.values()))
+
+
+def _kernel_width(parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]) -> tuple[int, int]:
+    """(top, width) for a sum of products over the (a, b, scale) parts: top
+    = max of top_a + top_b bounds every exponent of every product (0 for
+    no parts), and width, the smallest with top < 2**width (at least 1),
+    is the bit width at which ``_sum_of_products`` packs them."""
+    top = max([a._top_exponent() + b._top_exponent() for a, b, _ in parts], default=0)
+    return top, max(top.bit_length(), 1)
+
+
+def _halves(poly: "MultiPoly", v: int, width: int) -> tuple["MultiPoly", "MultiPoly"]:
+    """(P', P'') with P = x_v P' + P'' for a polynomial affine in the 0-based
+    variable v, split by the bit of x_v's field in the packed map at this
+    width: P' = d_v P and P'' is P at x_v = 0, both in P's ring and held
+    packed at that width."""
+    bit = 1 << v * width
+    items = poly._packed_at(width).items()
+    upper = {key ^ bit: c for key, c in items if key & bit}
+    lower = {key: c for key, c in items if not key & bit}
+    top = poly._top_exponent()
+    return (MultiPoly._from_packed(poly.n_vars, upper, width, top if upper else 0),
+            MultiPoly._from_packed(poly.n_vars, lower, width, top if lower else 0))
+
+
+def _coefficient(parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]], monomial: int,
+                 width: int) -> Scalar:
+    """The coefficient at one packed monomial of sum of scale * a * b over
+    the (a, b, scale) parts, read off the packed maps at this width without
+    forming any product.  Exact when top_a + top_b < 2**width for every
+    part, the kernel's width: a key of a whose subtraction from the
+    monomial borrows leaves, in the lowest field that borrows, at least
+    2**width - top_a > top_b, so the difference is no key of b."""
+    total = 0
+    for a, b, scale in parts:
+        packed_b = b._packed_at(width)
+        for key, c in a._packed_at(width).items():
+            other = packed_b.get(monomial - key)
+            if other is not None:
+                total += scale * c * other
+    return total
+
+
+def _leading_pair(a: "MultiPoly", b: "MultiPoly", width: int) -> tuple[int, Scalar]:
+    """(key, coefficient) of the leading term of a * b in lex order with the
+    last variable most significant, for nonzero a and b with
+    top_a + top_b < 2**width: the sum of the largest packed keys of the
+    two at this width, and the product of their coefficients.  Packed ints
+    compare as exponents in that order, and a product adds keys without
+    carries at this width, so the sum of two keys reaches that of the
+    largest two only from them: the coefficient is nonzero."""
+    packed_a, packed_b = a._packed_at(width), b._packed_at(width)
+    key_a, key_b = max(packed_a), max(packed_b)
+    return key_a + key_b, packed_a[key_a] * packed_b[key_b]
+
+
 def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]
                      ) -> "MultiPoly":
     """sum of scale * a * b over the (a, b, scale) parts, collected in one map.
@@ -191,7 +282,6 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
     product that feeds the next one at its own width.
     """
     work = []
-    top = 0
     for a, b, scale in parts:
         if a.n_vars != n_vars or b.n_vars != n_vars:
             raise DimensionError(f"mixed rings: {a.n_vars} and {b.n_vars} variables "
@@ -202,9 +292,8 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
             continue
         if len(a) > len(b):
             a, b = b, a
-        top = max(top, a._top_exponent() + b._top_exponent())
         work.append((a, b, scale))
-    width = max(top.bit_length(), 1)
+    top, width = _kernel_width(work)
     sums: dict[int, Scalar] = {}
     get = sums.get
     for a, b, scale in work:
@@ -292,12 +381,17 @@ class MultiPoly:
 
     def _packed_at(self, width: int) -> dict[int, Scalar]:
         """The packed map at this bit width, packed once and kept; a map
-        kept at another width is packed again from ``terms`` and replaced.
-        2**width must exceed every exponent."""
+        kept at another width is keyed again at this one (``_rekeyed``) and
+        replaced, so no exponent tuple is built.  2**width must exceed
+        every exponent."""
         packed = self._packed
-        if packed is None or self._width != width:
-            packed = self._packed = _pack(self.n_vars, self.terms, width)
-            self._width = width
+        if packed is None:
+            packed = _pack(self.n_vars, self._terms, width)
+        elif self._width != width:
+            packed = _rekeyed(self.n_vars, packed, self._width, width)
+        else:
+            return packed
+        self._packed, self._width = packed, width
         return packed
 
     def _packed_map(self) -> tuple[dict[int, Scalar], int]:
@@ -392,11 +486,17 @@ class MultiPoly:
         return None
 
     def leading_term(self) -> tuple[Exponents, Scalar]:
-        """Graded-lex leading (exponents, coefficient); undefined on zero."""
-        if not self.terms:
+        """Graded-lex leading (exponents, coefficient); undefined on zero.  A
+        polynomial built packed is not unpacked: its keys are ranked as
+        ``_graded_keys`` ranks them and the largest is read."""
+        if not self:
             raise ValueError("zero polynomial has no leading term")
-        exps = max(self.terms, key=grlex_key)
-        return exps, self.terms[exps]
+        if self._terms is None:
+            keys, ranks, exps = _graded_keys(self.n_vars, self._width, self._packed)
+            lead = ranks.index(max(ranks))
+            return exps[lead], self._packed[keys[lead]]
+        exps = max(self._terms, key=grlex_key)
+        return exps, self._terms[exps]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):

@@ -67,7 +67,6 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from math import lcm, prod
-from operator import add, sub
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
@@ -75,9 +74,9 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (WebSpec, _block, _elementary, _interpolation_identity,
                             highest_coefficients, signed_minors)
-from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _sum_of_products,
-                          _tighten)
-from .ratfunc import RationalFunction
+from .polynomials import (MultiPoly, Scalar, _check_count, _coefficient, _exact, _halves,
+                          _kernel_width, _leading_pair, _sum_of_products, _tighten)
+from .ratfunc import RationalFunction, _scaled
 
 NodeValue = Union[Scalar, MultiPoly]
 
@@ -299,26 +298,21 @@ def _residual(first: list, brackets: dict, triple: tuple[int, int, int]):
 # signs of its three computed weights and the proved relation S_ijk = 0.
 
 
-def _coefficient(parts: list, monomial: tuple) -> int:
-    """The coefficient at one monomial of sum of scale * a * b over the
-    (a, b, scale) parts, read without forming any product."""
-    total = 0
-    for a, b, scale in parts:
-        terms = b.terms
-        for exps, c in a.terms.items():
-            other = terms.get(tuple(map(sub, monomial, exps)))
-            if other is not None:
-                total += scale * c * other
-    return total
+# Every minor is affine in each x_v, so a product of two has exponents at
+# most 2: the kernel's width for it, at which the minors are written.
+_PAIR_WIDTH = (1 + 1).bit_length()
 
 
 def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
     """The constant c with sum of the (x, y, scale) parts = c a b, for nonzero
-    int polynomials: c is read off the coefficient at the leading monomial of
-    a b, then the identity is zero-tested in full as one sum of products.
-    None when it does not hold."""
-    (ea, ca), (eb, cb) = a.leading_term(), b.leading_term()
-    c = Fraction(_coefficient(parts, tuple(map(add, ea, eb))), ca * cb)
+    int polynomials: c is read off the coefficient at the leading monomial
+    of a b, on packed keys at the kernel's width for these products
+    (``_leading_pair``, ``_coefficient``), then the identity is zero-tested
+    in full as one sum of products, at that width too.  None when it does
+    not hold."""
+    _, width = _kernel_width([*parts, (a, b, 1)])
+    monomial, lead = _leading_pair(a, b, width)
+    c = Fraction(_coefficient(parts, monomial, width), lead)
     num, den = c.numerator, c.denominator
     if _sum_of_products(a.n_vars, [(x, y, s * den) for x, y, s in parts] + [(a, b, -num)]):
         return None
@@ -328,23 +322,26 @@ def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
 def _minor(nodes: Sequence[int], rows: Sequence[int], size: int) -> MultiPoly:
     """The row matrix's minor at int nodes over the 0-based increasing
     ``rows`` and the leading columns of each block, with an x-block of
-    ``size`` columns: ``interpolation._block`` at g = 0, unsigned."""
+    ``size`` columns: ``interpolation._block`` at g = 0, unsigned, held as
+    its packed map at the kernel's width for a product of two minors."""
     n = len(nodes)
-    return MultiPoly(n, _block(n, nodes, rows, size, {0: 1}, False)[0], _canonical=True)
+    packed = _block(n, nodes, rows, size, {0: 1}, False, _PAIR_WIDTH)[0]
+    return MultiPoly._from_packed(n, packed, _PAIR_WIDTH, 1)
 
 
-def _halves(poly: MultiPoly, v: int) -> tuple[MultiPoly, MultiPoly]:
-    """(P', P'') with P = x_v P' + P'' for a polynomial affine in the 0-based
-    variable v, read off its terms in one pass: P' = d_v P and P'' is P at
-    x_v = 0, both in P's ring."""
-    upper, lower = {}, {}
-    for exps, c in poly.terms.items():
-        if exps[v]:
-            upper[exps[:v] + (0,) + exps[v + 1:]] = c
-        else:
-            lower[exps] = c
-    return (MultiPoly(poly.n_vars, upper, _canonical=True),
-            MultiPoly(poly.n_vars, lower, _canonical=True))
+def _settled_by_sign(nodes: Sequence[int], a: Sequence[int], b: dict) -> set:
+    """The 1-based triples i < j < k whose weights w = (node_q - node_r)
+    a_p a_lo b_lo,hi over the rotations (p, q, r) are (w, -w, w), (lo, hi)
+    the pair {q, r} in order (``_factored_proof``)."""
+    proved = set()
+    for triple in combinations(range(len(nodes)), 3):
+        w = []
+        for p, q, r in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
+            lo, hi = min(q, r), max(q, r)
+            w.append((nodes[q] - nodes[r]) * a[p] * a[lo] * b[lo, hi])
+        if w[0] == -w[1] == w[2]:
+            proved.add(tuple(t + 1 for t in triple))
+    return proved
 
 
 def _factored_proof(f: RationalFunction, nodes: Sequence[int],
@@ -357,9 +354,13 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     (A) and (B) (``verify_hirota``) are zero-tested in full on x-halves.
     P, Q and every D are affine in each x_v: D is a minor with one x per
     row, and P and Q are checked on their terms before any test.  So with
-    P = x_v P' + P'' (``_halves``), N_i = P'Q'' - P''Q' splitting by x_i,
-    and Q d_k D_j - D_j Q_k = Q''D_j' - D_j''Q' splitting by x_k: each side
-    has about half the term pairs of the unsplit sum.
+    P = x_v P' + P'' (``polynomials._halves``), N_i = P'Q'' - P''Q'
+    splitting by x_i, and Q d_k D_j - D_j Q_k = Q''D_j' - D_j''Q' splitting
+    by x_k: each side has about half the term pairs of the unsplit sum.
+    Every D and E is written as its packed map at the kernel's width for a
+    product of two (``_minor``), and the halves and each constant's one
+    coefficient are read off packed keys at that width, so no minor is
+    decoded into exponent tuples and none is packed again.
 
     A triple i < j < k is then settled by sign, forming no product D E.  Its
     T is w_1 D_i E_jk + w_2 D_j E_ik + w_3 D_k E_ij with the weights
@@ -389,36 +390,37 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     The closed forms a_i = s c_i, c_i = prod_{m != i} (node_i - node_m), and
     b_jk = u prod_{m not in {j, k}} (node_k - node_m), one scalar s and u
     per f, give w = -s^2 u c_i c_j c_k on every triple, since
-    b_jk = u c_k / (node_k - node_j); the tests pin them."""
+    b_jk = u c_k / (node_k - node_j); the tests pin them.
+
+    The weights are computed in ints: every a_i is multiplied by L_a, the
+    lcm of their denominators, and every b_jk by L_b, the lcm of theirs.
+    Each weight is a product of one node difference, two a's and one b, so
+    each is multiplied by the same L_a^2 L_b > 0, and (w, -w, w) holds
+    after the scaling exactly when it held before."""
     num, den = f.num, f.den
     if any(e > 1 for poly in (num, den) for exps in poly.terms for e in exps):
         return set()
     n = len(nodes)
-    den_halves = [_halves(den, v) for v in range(n)]
+    den_halves = [_halves(den, v, _PAIR_WIDTH) for v in range(n)]
     others = [[r for r in range(n) if r != i] for i in range(n)]
     d = [_minor(nodes, rows, l) for rows in others]
     a = []
     for i in range(n):                                         # (A)
-        (p1, p0), (q1, q0) = _halves(num, i), den_halves[i]
+        (p1, p0), (q1, q0) = _halves(num, i, _PAIR_WIDTH), den_halves[i]
         a.append(_proportion([(p1, q0, 1), (p0, q1, -1)], d[i], d[i]))
         if a[i] is None:
             return set()
     b = {}
     for j, k in combinations(range(n), 2):                     # (B)
-        (q1, q0), (d1, d0) = den_halves[k], _halves(d[j], k)
+        (q1, q0), (d1, d0) = den_halves[k], _halves(d[j], k, _PAIR_WIDTH)
         b[j, k] = _proportion([(q0, d1, 1), (d0, q1, -1)], d[k],
                               _minor(nodes, [r for r in others[j] if r != k], l - 1))
         if b[j, k] is None:
             return set()
-    proved = set()
-    for triple in combinations(range(n), 3):                   # (C), by sign
-        w = []
-        for p, q, r in (triple, triple[1:] + triple[:1], triple[2:] + triple[:2]):
-            lo, hi = min(q, r), max(q, r)
-            w.append((nodes[q] - nodes[r]) * a[p] * a[lo] * b[lo, hi])
-        if w[0] == -w[1] == w[2]:
-            proved.add(tuple(t + 1 for t in triple))
-    return proved
+    scale_a, scale_b = _denominator_lcm(a), _denominator_lcm(b.values())
+    a = [c.numerator * (scale_a // c.denominator) for c in a]
+    b = {pair: c.numerator * (scale_b // c.denominator) for pair, c in b.items()}
+    return _settled_by_sign(nodes, a, b)                       # (C), by sign
 
 
 def _jet_factors(nodes: Sequence, p: MultiPoly, q: MultiPoly, xs: Sequence[int]) -> tuple:
@@ -578,9 +580,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     a numeric-node spec, is proved through factors of size n-1 and n-2
     (``_factored_proof``).  The nodes are scaled to ints; D_i and E_jk
     (module docstring) are written in closed form with C(n-1, l) and
-    C(n-2, l-1) terms by ``interpolation._block`` at g = 0.  Two families
-    of identities are each zero-tested in full as one sum of products, the
-    constants read off one coefficient first:
+    C(n-2, l-1) terms by ``interpolation._block`` at g = 0, straight into
+    the packed maps the arithmetic kernel reads.  Two families of
+    identities are each zero-tested in full as one sum of products, the
+    constants read off one coefficient of packed keys first:
     (A) N_i = a_i D_i^2 for every i;
     (B) Q d_k D_j - D_j Q_k = b_jk D_k E_jk for every j < k.
     Then Q^3 f_jk = Q d_k N_j - 2 N_j Q_k, which by (A) is
@@ -601,10 +604,10 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     triple goes on to step 2, as does a triple whose weights break the
     pattern, so its detail is that of a bare function.  Bare functions,
     symbolic nodes and k = 0 or l = 0 start at step 2.  With nodes 1..n and
-    k = (n-1)//2 the proof takes 0.017 s at n = 7, 0.044 s at n = 8, 0.14 s
-    at n = 9, 0.52 s at n = 10, 2.1 s at n = 11, 11.6 s at n = 12 and 62 s
-    at n = 13, against 0.64 s and 10.3 s through B at n = 7 and 8 (2 vCPUs,
-    Python 3.11).
+    k = (n-1)//2 the proof takes 0.008 s at n = 7, 0.025 s at n = 8, 0.12 s
+    at n = 9, 0.36 s at n = 10, 1.6-1.7 s at n = 11, 7.4-7.6 s at n = 12 and
+    43 s at n = 13, against 0.64 s and 10.3 s through B at n = 7 and 8
+    (2 vCPUs, Python 3.11).
 
     ``mode``, ``trials``, ``bound`` and ``seed`` are checked in both modes,
     before anything is built.  An unknown mode, fewer than one trial, a
@@ -869,7 +872,9 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     (i) h_v = A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2 for
     every v;
     (ii) W^v_pq = D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc for the
-    three splits of each triple {a, b, c} into v and p < q.
+    three splits of each triple {a, b, c} into v and p < q, on x-halves as
+    in ``_factored_proof``: every D is affine in x_v, so with
+    D = x_v D' + D'', W^v_pq = D_p''D_q' - D_q''D_p'.
     None when a check fails, a D or F is zero or a component's division
     leaves a remainder: the caller then takes ``_self_wedge``."""
     n = len(nodes)
@@ -884,7 +889,7 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                                  minors[v], minors[v]))
         if kappa[v] is None:
             return None
-    slopes = [[minors[q].derivative(v) for v in indices] for q in indices]
+    halves = [[_halves(minor, v, _PAIR_WIDTH) for v in indices] for minor in minors]
     out = {}
     for i, j in combinations(indices, 2):
         pair = None
@@ -894,8 +899,8 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                 return None
             rho = []
             for v, p, q in ((i, j, m), (j, i, m), (m, i, j)):     # (ii)
-                rho.append(_proportion([(minors[p], slopes[q][v], 1),
-                                        (minors[q], slopes[p][v], -1)], minors[v], f))
+                (p1, p0), (q1, q0) = halves[p][v], halves[q][v]
+                rho.append(_proportion([(p0, q1, 1), (q0, p1, -1)], minors[v], f))
                 if rho[-1] is None:
                     return None
             rho_i, rho_j, rho_m = rho
@@ -908,10 +913,9 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
             value = _sum_of_products(n, [(pair, minors[m] * f, constant.numerator)])
             scale = constant.denominator
             if scale != 1:
-                if any(x % scale for x in value.terms.values()):
+                if any(x % scale for x in value._coefficients()):
                     return None
-                value = MultiPoly(n, {e: x // scale for e, x in value.terms.items()},
-                                  _canonical=True)
+                value = _scaled(value, 1, scale)
             out[i, j, m] = value
     return out
 

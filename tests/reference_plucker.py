@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from hirotaweb import MultiPoly, RationalFunction
 
 
-def _ratio(lhs: MultiPoly, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
+def ratio(lhs: MultiPoly, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
     """The constant c with lhs = c a b, or None when there is none."""
     (exps, coeff), (exps_ab, coeff_ab) = lhs.leading_term(), (a * b).leading_term()
     if exps != exps_ab:
@@ -36,9 +36,9 @@ def unsplit_constants(f: RationalFunction, d: Sequence[MultiPoly], e: dict
     when one of them does not hold."""
     num, den = f.num, f.den
     n = len(d)
-    a = [_ratio(num.derivative(i) * den - num * den.derivative(i), d[i], d[i])
+    a = [ratio(num.derivative(i) * den - num * den.derivative(i), d[i], d[i])
          for i in range(n)]
-    b = {(j, k): _ratio(den * d[j].derivative(k) - d[j] * den.derivative(k), d[k], e[j, k])
+    b = {(j, k): ratio(den * d[j].derivative(k) - d[j] * den.derivative(k), d[k], e[j, k])
          for j, k in combinations(range(n), 2)}
     if None in a or None in b.values():
         return None

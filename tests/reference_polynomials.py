@@ -5,7 +5,9 @@
 the terms included.  The library multiplies with packed-int keys; these
 routes sum every term pair's coefficient as a Fraction under the
 componentwise sum of the exponent tuples, written without any of the
-library's helpers.
+library's helpers.  ``halves``, ``coefficient`` and ``lex_leading`` are
+the exponent-tuple routes of the packed helpers that the factored proofs
+read (``polynomials._halves``, ``_coefficient`` and ``_leading_pair``).
 
 ``cofactor_determinant`` and ``cofactor_minors`` are the polynomial
 determinant and maximal minors by memoized cofactor expansion; the library
@@ -57,6 +59,38 @@ def sum_of_products_terms(parts: Iterable) -> dict:
                 key = tuple(x + y for x, y in zip(ea, eb))
                 out[key] = out.get(key, Fraction(0)) + Fraction(ca) * Fraction(cb) * scale
     return {e: c for e, c in out.items() if c}
+
+
+def halves(poly: MultiPoly, v: int) -> tuple[dict, dict]:
+    """The terms of (P', P'') with P = x_v P' + P'' for a polynomial affine
+    in the 0-based variable v: P' = d_v P and P'' is P at x_v = 0."""
+    upper, lower = {}, {}
+    for exps, c in poly.terms.items():
+        if exps[v]:
+            upper[exps[:v] + (0,) + exps[v + 1:]] = c
+        else:
+            lower[exps] = c
+    return upper, lower
+
+
+def coefficient(parts: Iterable, monomial: Exponents) -> Fraction:
+    """The coefficient at one monomial of sum of scale * a * b over the
+    (a, b, scale) parts, read without forming any product."""
+    total = Fraction(0)
+    for a, b, scale in parts:
+        terms = b.terms
+        for exps, c in a.terms.items():
+            other = terms.get(tuple(map(operator.sub, monomial, exps)))
+            if other is not None:
+                total += scale * c * other
+    return total
+
+
+def lex_leading(poly: MultiPoly) -> tuple[Exponents, Scalar]:
+    """The leading term of a nonzero polynomial in lex order with the last
+    variable most significant."""
+    exps = max(poly.terms, key=lambda e: e[::-1])
+    return exps, poly.terms[exps]
 
 
 def exact_div(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:

@@ -247,8 +247,8 @@ def test_writer_keeps_rings_and_widths_apart():
 
 def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
     # n = 6, k = 3: the form's numerators and its scaled denominator are
-    # written from their packed maps; only the shared denominator's leading
-    # term is read from exponent tuples.
+    # written from their packed maps, and the shared denominator's leading
+    # sign is read off its packed keys: nothing is unpacked.
     report = execute(RunConfig("flatness", 6, 3, 2, tuple(map(Fraction, range(1, 7))),
                                format="json"))
     unpacked = []
@@ -256,7 +256,7 @@ def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
     monkeypatch.setattr(polynomials, "_unpack", lambda *args: unpacked.append(args[1])
                         or unpack(*args))
     text = render(report, "json")
-    assert len(unpacked) <= 1
+    assert unpacked == []
     witness = report.objects["witness"]
     assert text == dumps(json.loads(text))
     assert json.loads(text)["objects"] == {"witness": witness.to_json()}

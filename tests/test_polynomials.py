@@ -16,8 +16,9 @@ from hirotaweb import (DimensionError, HirotaWebError, MultiPoly, RationalFuncti
                        poly_to_json)
 from hirotaweb import polynomials
 from reference_interpolation import build_system_matrix, determinant_cofactor_naive
-from reference_polynomials import (_det_bareiss, cofactor_determinant, cofactor_minors,
-                                   exact_div, product_terms, sum_of_products_terms)
+from reference_polynomials import (_det_bareiss, coefficient, cofactor_determinant,
+                                   cofactor_minors, exact_div, halves, lex_leading,
+                                   product_terms, sum_of_products_terms)
 
 
 def var(n, i):
@@ -682,6 +683,100 @@ def test_carries_stay_inside_each_variable():
         assert (x ** e * y * x ** e).terms == {(2 * e, 1): 1}
         assert (y * x ** e * (x ** e * 3)).terms == {(2 * e, 1): 3}
         assert (x ** e * y * (x + 1)).terms == {(e + 1, 1): 1, (e, 1): 1}
+
+
+@st.composite
+def _rekeyed_case(draw):
+    """A polynomial in 0..4 variables with exponents below 2**bits, and two
+    widths that hold them."""
+    n_vars = draw(st.integers(0, 4))
+    bits = draw(st.integers(1, 21))
+    exponents = st.tuples(*[st.integers(0, 2 ** bits - 1)] * n_vars)
+    poly = MultiPoly(n_vars, draw(st.dictionaries(exponents, _coefficients, max_size=12)))
+    return poly, draw(st.integers(bits, bits + 3)), draw(st.integers(bits, bits + 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rekeyed_case())
+def test_a_map_keyed_again_equals_packing_its_terms(case):
+    # Narrower, wider or the same width, order included; a polynomial held
+    # packed is taken at another width without building exponent tuples.
+    poly, old, new = case
+    n_vars, terms = poly.n_vars, poly.terms
+    packed = polynomials._pack(n_vars, terms, old)
+    expected = list(polynomials._pack(n_vars, terms, new).items())
+    assert list(polynomials._rekeyed(n_vars, packed, old, new).items()) == expected
+    held = MultiPoly._from_packed(n_vars, packed, old, poly._top_exponent())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(polynomials, "_unpack", None)      # any call fails
+        assert list(held._packed_at(new).items()) == expected
+    assert held._terms is None and held == poly
+
+
+_proof_coefficients = st.one_of(st.integers(-9, 9), st.integers(10 ** 29, 10 ** 30 - 1),
+                                st.integers(-10 ** 30 + 1, -10 ** 29),
+                                st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def _affine_parts(draw):
+    """1 to 3 (a, b, scale) parts of polynomials affine in each of 0..6
+    variables (zero and one-term ones included), each held as terms or
+    packed at width 1, 2 or 3, and extra monomials with exponents up to 2."""
+    n_vars = draw(st.integers(0, 6))
+    exponents = st.tuples(*[st.integers(0, 1)] * n_vars)
+
+    def operand():
+        poly = MultiPoly(n_vars, draw(st.dictionaries(exponents, _proof_coefficients,
+                                                      max_size=draw(st.sampled_from((1, 12))))))
+        width = draw(st.sampled_from((None, 1, 2, 3)))
+        if width:
+            poly._packed_at(width)
+        return poly
+
+    parts = [(operand(), operand(), draw(st.integers(-3, 3)))
+             for _ in range(draw(st.integers(1, 3)))]
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 2)] * n_vars), max_size=4))
+    return n_vars, parts, extra
+
+
+def _packed_key(exps, width):
+    return sum(e << v * width for v, e in enumerate(exps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_parts())
+@example((2, [(MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(1, 0): 1, (0, 1): 1}), 1)], [(0, 1)]))
+def test_packed_proof_helpers_match_the_tuple_oracles(case):
+    # The x_v-halves, one coefficient of a sum of products and the leading
+    # pair, read off packed keys at the kernel's width 2 for a product of
+    # two affine polynomials, against their exponent-tuple routes.  The
+    # monomials include every one where m - key borrows for some key of a:
+    # at width 1 the example's x2 - x1 would read as x1, a key of b.
+    n_vars, parts, extra = case
+    width = 2
+    monomials = set(extra)
+    for a, b, _ in parts:
+        for p in (a, b):
+            for v in range(n_vars):
+                upper, lower = polynomials._halves(p, v, width)
+                assert (upper.terms, lower.terms) == halves(p, v)
+        monomials |= set(product_terms(a, b))
+        monomials |= {tuple(0 if e else 1 for e in exps) for exps in a.terms}
+        if a and b:
+            (ea, ca), (eb, cb) = lex_leading(a), lex_leading(b)
+            lead = tuple(x + y for x, y in zip(ea, eb))
+            key, c = polynomials._leading_pair(a, b, width)
+            assert key == _packed_key(lead, width)
+            assert c == ca * cb == product_terms(a, b)[lead] != 0
+        # A polynomial held packed reads its graded-lex leading term
+        # without unpacking.
+        held = a * MultiPoly.one(n_vars)
+        if held:
+            assert held.leading_term() == a.leading_term() and held._terms is None
+    for m in monomials:
+        assert (polynomials._coefficient(parts, _packed_key(m, width), width)
+                == coefficient(parts, m)), m
 
 
 def test_counts_do_not_unpack(monkeypatch):

@@ -9,7 +9,7 @@ from itertools import combinations
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        DifferentialForm, DimensionError, HirotaSolution, HirotaWebError,
@@ -18,7 +18,8 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        build_solution, coframe, flatness_check, hirota_residual, restrict, restricted_nodes,
                        signed_minors, structural_properties, transform,
                        verify_hirota, veronese_form, web_triples, webs)
-from hirotaweb.polynomials import poly_to_json
+from hirotaweb import polynomials
+from hirotaweb.polynomials import _unpack, poly_to_json
 from hirotaweb.interpolation import _block
 from hirotaweb.cli import RunConfig, build_parser, config_from_args, run as cli_run
 from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
@@ -29,7 +30,7 @@ from hirotaweb.webs import (_coframe_element, _degree_bound, _denominator_lcm,
 from reference_forms import closed_form_3d, closed_form_4d, common_scalar
 from reference_frobenius import frobenius_check, pencil_self_wedge
 from reference_polynomials import cofactor_determinant
-from reference_plucker import plucker, triple_sum, unsplit_constants, weights
+from reference_plucker import plucker, ratio, triple_sum, unsplit_constants, weights
 from reference_ratfunc import derivative
 from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
@@ -546,6 +547,12 @@ def test_any_other_spec_is_verified_through_its_built_solution(spec, mode):
 # -- the factored proof ----------------------------------------------------------
 
 
+_NODE_CLASSES = {
+    "integer": nodes(2, -1, 3, 5, -4, 7),
+    "zero": nodes(0, 2, -3, 1, 4, -5),
+    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5", "2/7"),
+}
+
 # Seven nodes per class: positive integers out of order, mixed signs, a zero
 # node, and non-integer rationals (their lcm scales them to ints).
 _PLUCKER_NODES = {
@@ -613,23 +620,27 @@ def test_leading_minors_are_the_cofactor_determinants(n, node_class):
     # and the rows without j and k (E_jk at size l - 1, g = 0), at every
     # size, with the spare column in either block and every g; and Q_l as
     # the minor over all rows.  A numeric minor over r rows has one term
-    # per x-row subset, a symbolic one r! distinct terms.
+    # per x-row subset, a symbolic one r! distinct terms.  Numeric minors
+    # are keyed at 2 bits a variable, as the factored proofs take them, and
+    # symbolic ones at a byte, as signed_minors takes them.
     node_list = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
-    ring = n if node_list else 2 * n
+    ring, width = (n, 2) if node_list else (2 * n, 8)
     for k in range(1, n - 1):
         l = n - 1 - k
         q_top = signed_minors(WebSpec(n, k, l, node_list and tuple(node_list)), (n,))[0]
-        assert MultiPoly(ring, _block(n, node_list, range(n), l, {0: 1}, True)[0]) == q_top
+        q_block = _block(n, node_list, range(n), l, {0: 1}, True, width)[0]
+        assert MultiPoly(ring, _unpack(ring, q_block, width)) == q_top
     for drop in [()] + [(i,) for i in range(n)] + list(combinations(range(n), 2)):
         rows = [r for r in range(n) if r not in drop]
         for size in range(len(rows) + 1):
             for x_missing in (False, True):
                 spare = size if x_missing else len(rows) - size
                 minors = _block(n, node_list, rows, size, dict.fromkeys(range(spare + 1), 1),
-                                x_missing)
+                                x_missing, width)
                 for g, terms in minors.items():
                     matrix = _row_matrix_minor(n, node_list, rows, size, g, x_missing)
-                    assert MultiPoly(ring, terms) == cofactor_determinant(matrix), (rows, size, g)
+                    assert (MultiPoly(ring, _unpack(ring, terms, width))
+                            == cofactor_determinant(matrix)), (rows, size, g)
                 assert len(minors[0]) == (comb(len(rows), size) if node_list
                                           else factorial(len(rows)))
 
@@ -658,9 +669,33 @@ def test_factored_proof_at_n9_expands_no_bracket(monkeypatch):
     assert {c.detail for c in report.checks} == {"residual numerator is 0"}
 
 
+def test_the_factored_routes_build_no_exponent_tuples(monkeypatch):
+    # Every minor is written packed at the kernel's width for a product of
+    # two, and halves and constants are read off packed keys: the proof
+    # packs only Q and P, which signed_minors hands over as exponent
+    # tuples, and neither unpacks nor keys again any map; flatness_check,
+    # the witness's (D_a D_b)(D_c F) products and Q0^4 included, unpacks
+    # nothing.
+    spec = WebSpec.numeric(6, 2, 3, [-2, -5, -6, -9, -8, -3])
+    f = build_solution(spec).f
+    packed, unpacked, rekeyed = [], [], []
+    pack, unpack, rekey = polynomials._pack, polynomials._unpack, polynomials._rekeyed
+    monkeypatch.setattr(polynomials, "_pack", lambda n_vars, terms, width: packed.append(
+        terms) or pack(n_vars, terms, width))
+    monkeypatch.setattr(polynomials, "_unpack", lambda *args: unpacked.append(args)
+                        or unpack(*args))
+    monkeypatch.setattr(polynomials, "_rekeyed", lambda *args: rekeyed.append(args)
+                        or rekey(*args))
+    assert webs._factored_proof(f, list(spec.lambdas), 3) == set(web_triples(6))
+    assert len(packed) == 2 and packed[0] is f.den.terms and packed[1] is f.num.terms
+    assert unpacked == rekeyed == []
+    assert not flatness_check(WebSpec.numeric(6, 3, 2)).is_flat
+    assert unpacked == []
+
+
 def _int_nodes(spec):
     """The nodes scaled to ints, as verify_hirota hands them to the proof."""
-    return [v * _denominator_lcm(spec.lambdas) for v in spec.lambdas]
+    return [int(v * _denominator_lcm(spec.lambdas)) for v in spec.lambdas]
 
 
 def _spy_proportion(monkeypatch, change=lambda index, value: value):
@@ -678,19 +713,60 @@ def _spy_proportion(monkeypatch, change=lambda index, value: value):
     return returned
 
 
+@st.composite
+def _proportion_case(draw):
+    """(parts, a, b) in 1..4 variables with exponents up to 3: parts sum to
+    (p/q) a b, split across two products, and sometimes a third part that
+    may break the proportion."""
+    n_vars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    poly = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(
+        lambda terms: MultiPoly(n_vars, terms))
+    a, b, extra = draw(poly), draw(poly), draw(poly)
+    assume(a and b)
+    p, q = draw(st.integers(-5, 5)), draw(st.integers(1, 4))
+    split = draw(st.sets(st.sampled_from(sorted(a.terms))))
+    a1 = MultiPoly(n_vars, {e: c for e, c in a.terms.items() if e in split})
+    a2 = MultiPoly(n_vars, {e: c for e, c in a.terms.items() if e not in split})
+    parts = [(a1, b, p), (b, a2, p)]
+    if draw(st.booleans()):
+        parts.append((extra, draw(poly), 1))
+    return parts, a * q, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_proportion_case())
+def test_a_proportion_is_read_at_the_kernel_width(case):
+    # Exponents up to 3 need 3 bits a variable in a product: a narrower
+    # width would merge monomials and misread the constant.  The result is
+    # the constant of the full identity, or None when there is none.
+    parts, a, b = case
+    total = polynomials._sum_of_products(a.n_vars, parts)
+    expected = Fraction(0) if total.is_zero else ratio(total, a, b)
+    assert webs._proportion(parts, a, b) == expected
+
+
 @pytest.mark.parametrize("n,k,node_class",
                          [(n, k, c) for c in sorted(_PLUCKER_NODES) for n, k in _PLUCKER_ORDERS]
-                         + [(8, k, "1..8") for k in range(1, 7)])
+                         + [(8, k, "1..8") for k in range(1, 7)]
+                         + [(n, k, f"{c}, six") for c in sorted(_NODE_CLASSES)
+                            for n, k in _PLUCKER_ORDERS if n <= 6])
 def test_the_pluecker_relation_and_the_weight_pattern(n, k, node_class, monkeypatch):
     # S_ijk = D_i E_jk - D_j E_ik + D_k E_ij is 0 for every triple, with D
     # and E as _block writes them; the constants the halves give are those of
     # the unsplit (A) and (B), in closed form a_i = s c_i and
     # b_jk = u prod_{m not in {j, k}} (node_k - node_m); every triple's
-    # weights are (w, -w, w), and T, formed in full, is 0.
-    lambdas = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
+    # weights are (w, -w, w), and T, formed in full, is 0.  The weights are
+    # settled in ints: every a_i times the lcm L_a of their denominators and
+    # every b_jk times L_b, so each weight is L_a^2 L_b times the oracle's.
+    classes = {**_PLUCKER_NODES, **{f"{c}, six": v for c, v in _NODE_CLASSES.items()}}
+    lambdas = classes[node_class][:n] if node_class in classes else None
     sol = build_solution(WebSpec.numeric(n, k, n - 1 - k, lambdas))
     int_nodes = _int_nodes(sol.spec)
     returned = _spy_proportion(monkeypatch)
+    settled, by_sign = [], webs._settled_by_sign
+    monkeypatch.setattr(webs, "_settled_by_sign",
+                        lambda *args: settled.append(args) or by_sign(*args))
     proved = webs._factored_proof(sol.f, int_nodes, sol.spec.l)
     others = [[r for r in range(n) if r != i] for i in range(n)]
     d = [webs._minor(int_nodes, rows, n - 1 - k) for rows in others]
@@ -702,10 +778,16 @@ def test_the_pluecker_relation_and_the_weight_pattern(n, k, node_class, monkeypa
     u = {b[i, j] / prod(int_nodes[j] - int_nodes[m] for m in range(n) if m not in (i, j))
          for i, j in b}
     assert len(s) == 1 and len(u) == 1 and s.pop() > 0
+    [(_, a_int, b_int)] = settled
+    scale_a, scale_b = _denominator_lcm(a), _denominator_lcm(b.values())
+    assert a_int == [x * scale_a for x in a] and b_int == {p: x * scale_b for p, x in b.items()}
+    assert {type(x) for x in [*a_int, *b_int.values(), *int_nodes]} == {int}
     for triple in combinations(range(n), 3):
         assert plucker(d, e, triple).is_zero, triple
         w = weights(int_nodes, a, b, triple)
         assert w[0] == -w[1] == w[2] != 0, triple
+        assert weights(int_nodes, a_int, b_int, triple) == [x * scale_a ** 2 * scale_b
+                                                            for x in w], triple
         assert triple_sum(int_nodes, d, e, a, b, triple).is_zero, triple
     assert proved == set(web_triples(n))
 
@@ -738,12 +820,14 @@ def test_a_weight_that_breaks_the_pattern_leaves_its_triples_to_the_probe_and_b(
 @pytest.mark.parametrize("which,v", [("num", 0), ("num", -1), ("den", 0), ("den", -1)])
 def test_a_squared_variable_skips_the_factored_proof(spec, which, v, monkeypatch):
     # The halves need f affine in every x_v, so a square in P or Q ends the
-    # proof before any (A) test.
+    # proof before any (A) test: it never reaches the packed helpers.
     f = build_solution(spec).f
     x = MultiPoly.variable(spec.n, v % spec.n)
     parts = {"num": f.num, "den": f.den}
     parts[which] = parts[which] + x * x
     returned = _spy_proportion(monkeypatch)
+    for helper in ("_halves", "_coefficient", "_leading_pair"):
+        monkeypatch.setattr(webs, helper, lambda *args: pytest.fail("a helper was reached"))
     squared = RationalFunction(parts["num"], parts["den"])
     assert webs._factored_proof(squared, _int_nodes(spec), spec.l) == set()
     assert returned == []
@@ -912,13 +996,6 @@ def test_frobenius_rejects_non_solution_pencil():
     fake = RationalFunction(x[0] * x[1] + x[2])
     assert not frobenius_check(veronese_form(fake, [1, 2, 3]).coefficients)
     assert not verify_hirota(fake, nodes=nodes(1, 2, 3)).passed
-
-
-_NODE_CLASSES = {
-    "integer": nodes(2, -1, 3, 5, -4, 7),
-    "zero": nodes(0, 2, -3, 1, 4, -5),
-    "rational": nodes("1/2", "-2/3", "3/4", "5/3", "-7/5", "2/7"),
-}
 
 
 def _linear_product(roots):
