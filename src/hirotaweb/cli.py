@@ -8,15 +8,15 @@ configuration errors (including degenerate data).
 The JSON report is byte for byte ``json.dumps(payload, indent=2,
 sort_keys=True)`` of the payload with every polynomial replaced by its
 ``poly_to_json`` dict and every form by its ``to_json`` dict, but it is
-written by ``_json_text``.  ``Report.objects`` holds the library values
+written by ``_json_chunks``.  ``Report.objects`` holds the library values
 themselves (P_k and Q_l, the restricted quotient, the flatness witness),
-and the writer formats their packed maps straight into the text: one
-template per depth, each packed key of a ring and width decoded once per
-call into a graded-lex rank and its exponent list's text, each polynomial
-one sort of its keys by rank, each distinct denominator scaling of a form
-written once, and the coefficient and exponent types checked at C speed
-first, so no per-term dict is built or inspected and a polynomial built
-packed is never unpacked.
+and the writer formats their terms straight into the text through the term
+walk (``polynomials._Catalog``), one catalog per depth and call, with the
+coefficient and exponent types checked at C speed first: each form's
+denominator is walked once and each of its scalings written once, and no
+per-term dict is built.  ``main`` writes the report chunk by chunk as it is
+rendered (a form one component at a time), so the whole text is never held
+at once; ``run`` and ``render`` return the same bytes joined.
 """
 
 from __future__ import annotations
@@ -28,14 +28,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, InexactNumberError,
                      WebSpecError)
 from .interpolation import WebSpec, random_numeric_instances
 from .forms import DifferentialForm
-from .polynomials import MultiPoly, _check_count, _graded_keys, poly_text
+from .polynomials import MultiPoly, _Catalog, _check_count, poly_text
 from .webs import (HirotaSolution, VerificationReport, _bound_text, build_solution,
                    flatness_check, restrict, restricted_nodes, structural_properties,
                    verify_hirota)
@@ -243,12 +243,11 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         if spec.k >= 1 and spec.l >= 1:
             report.add_result("witness identity", True,
                               "d(alpha_1)^alpha_1 built as 2 dq1^dp0^dp1")
-        if json_view:
+        if json_view or text_view:
+            # The text view writes it after its lines (_render_chunks).
             report.objects["witness"] = verdict.witness
-        elif text_view:
+        if text_view:
             report.lines.append(f"verdict: {verdict.status}")
-            report.lines.append(
-                f"witness d(alpha_1)^alpha_1 = {verdict.witness.text(names)}")
         return report
 
     if config.command == "restrict":
@@ -313,157 +312,134 @@ def _refuse(types: set, allowed: frozenset) -> None:
 
 class _PolyLayout:
     """The fixed text of a polynomial written at one depth (``nl``, see
-    ``_json_value``): one template per part, and one catalog per ring and
-    packed width met at that depth."""
+    ``_json_chunks``), and the term walk's catalog for that depth.  A
+    monomial's text runs from the end of its term's "c" to the start of the
+    next term's, and is cut at the last term for the closing of the list."""
 
-    __slots__ = ("head", "open", "sep", "close", "term", "exps_open", "exps_sep",
-                 "exps_close", "catalogs")
+    __slots__ = ("head", "first", "next_term", "close", "empty", "catalog")
 
     def __init__(self, nl: str):
         inner = nl + "  "
         item = inner + "  "
         field = item + "  "
+        lead = "{" + field + '"c": "'
         self.head = "{" + inner + '"nvars": %d,' + inner + '"terms": '
-        self.open, self.sep, self.close = "[" + item, "," + item, inner + "]" + nl + "}"
-        self.term = "{" + field + '"c": "%s",' + field + '"e": %s' + item + "}"
-        self.exps_open, self.exps_sep = "[" + field + "  ", "," + field + "  "
-        self.exps_close = field + "]"
-        self.catalogs: dict[tuple[int, int], tuple[dict, dict]] = {}
+        self.first, self.next_term = "[" + item + lead, "," + item + lead
+        self.close, self.empty = inner + "]" + nl + "}", "[]" + nl + "}"
+        exps, end = '",' + field + '"e": ', item + "}" + self.next_term
+        self.catalog = _Catalog(lambda v, e: int.__repr__(e), "," + field + "  ",
+                                exps + "[" + field + "  ", field + "]" + end, exps + "[]" + end)
 
-    def catalog(self, n_vars: int, width: int, keys) -> tuple[dict, dict]:
-        """(rank, text) for the packed keys of one ring and width: rank maps a
-        key to its graded-lex rank (``_graded_keys``) and text to its
-        exponent list as written at this depth.  A key is decoded the first
-        time it is met and kept for the whole call."""
-        catalog = self.catalogs.get((n_vars, width))
-        if catalog is None:
-            catalog = self.catalogs[n_vars, width] = ({}, {})
-        rank, text = catalog
-        unseen = keys - rank.keys()
-        if unseen:
-            unseen, ranks, exps = _graded_keys(n_vars, width, unseen)
-            exps_text = (self.exps_open + self.exps_sep.join(["%d"] * n_vars)
-                         + self.exps_close) if n_vars else "[]"
-            rank.update(zip(unseen, ranks))
-            text.update(zip(unseen, map(exps_text.__mod__, exps)))
-        return catalog
+    def pieces(self, n_vars: int, coeffs: Sequence, monomials: list[str]) -> list[str]:
+        """A polynomial's text, in pieces, from its walked terms."""
+        if not coeffs:
+            return [self.head % n_vars + self.empty]
+        pieces = [None] * (2 * len(coeffs) + 1)
+        pieces[0] = self.head % n_vars + self.first
+        pieces[1::2] = map(str, coeffs)
+        pieces[2::2] = monomials
+        pieces[-1] = pieces[-1][:-len(self.next_term)] + self.close
+        return pieces
 
 
-def _poly_json(poly: MultiPoly, nl: str, out: list[str], layouts: dict) -> None:
-    """Append ``poly_to_json(poly)`` as ``_json_value`` writes it, from the
-    packed map: every coefficient must be an int or a Fraction, checked at
-    C speed before anything is written, and the terms are one sort of the
-    packed keys by their catalog rank, so a polynomial built packed is
-    never unpacked.  One that holds exponent tuples has them checked for
-    int exponents first, and one held as exponent tuples only is packed
-    once."""
+def _poly_json(poly: MultiPoly, nl: str, layouts: dict) -> list[str]:
+    """``poly_to_json(poly)`` as ``_json_chunks`` writes it, in pieces: every
+    coefficient must be an int or a Fraction, checked at C speed before
+    anything is written, and every exponent held in a tuple an int."""
     _refuse(set(map(type, poly._coefficients())), _COEFFICIENTS)
     terms = poly._terms
     if terms is not None:
         _refuse(set(map(type, chain.from_iterable(terms))), _EXPONENTS)
-    packed, width = poly._packed_map()
-    layout = layouts.get(nl)
-    if layout is None:
-        layout = layouts[nl] = _PolyLayout(nl)
-    out.append(layout.head % poly.n_vars)
-    if not packed:
-        out.append("[]" + nl + "}")
-        return
-    rank, text = layout.catalog(poly.n_vars, width, packed.keys())
-    template = layout.term
-    out += layout.open, layout.sep.join([
-        template % (packed[key], text[key])
-        for key in sorted(packed, key=rank.__getitem__, reverse=True)]), layout.close
+    layout = layouts.get(nl) or layouts.setdefault(nl, _PolyLayout(nl))
+    return layout.pieces(poly.n_vars, *layout.catalog.walk(poly))
 
 
-def _form_json(form: DifferentialForm, nl: str, out: list[str], layouts: dict) -> None:
-    """Append ``form.to_json()`` as ``_json_value`` writes it: each distinct
-    denominator scaling is written once, on first use, keyed by its (g, m).
-    The coefficient types are checked before normalizing, which would turn
-    a bool into an int and fail on a float."""
+def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[str]]:
+    """``form.to_json()`` as ``_json_chunks`` writes it, one chunk per
+    component, each distinct denominator scaling (g, m) written once.  The
+    coefficient types are checked before normalizing, which would turn a
+    bool into an int and fail on a float."""
     inner = nl + "  "
     item = inner + "  "
     field = item + "  "
     _refuse(set(chain.from_iterable(map(type, poly._coefficients())
                                     for poly in (form.den, *form.components.values()))),
             _COEFFICIENTS)
-    den_text: dict[tuple[int, int], str] = {}
-    out.append("{" + inner + '"components": ')
-    for position, (idx, num, key, den) in enumerate(form._normalized()):
-        if key not in den_text:
-            text: list[str] = []
-            _poly_json(den, field, text, layouts)
-            den_text[key] = "".join(text)
-        out += ("," if position else "[", item + "{" + field + '"den": ', den_text[key],
-                "," + field + '"idx": ')
-        _json_value([i + 1 for i in idx], field, out, layouts)
-        out.append("," + field + '"num": ')
-        _poly_json(num, field, out, layouts)
-        out.append(item + "}")
-    out.append((inner + "]," if form.components else "[],") + inner + '"degree": '
-               + int.__repr__(form.degree) + nl + "}")
+    layout = layouts.get(field) or layouts.setdefault(field, _PolyLayout(field))
+    den_pieces: dict[tuple[int, int], list[str]] = {}
+    yield ["{" + inner + '"components": ']
+    for position, (idx, num, den, key) in enumerate(form._normalized(layout.catalog.walk)):
+        if key not in den_pieces:
+            den_pieces[key] = layout.pieces(form.n_vars, *den)
+        yield [("," if position else "[") + item + "{" + field + '"den": ', *den_pieces[key],
+               "," + field + '"idx": ', *_json_pieces([i + 1 for i in idx], field, layouts),
+               "," + field + '"num": ', *layout.pieces(form.n_vars, *num), item + "}"]
+    yield [(inner + "]," if form.components else "[],") + inner + '"degree": '
+           + int.__repr__(form.degree) + nl + "}"]
 
 
-def _json_value(value, nl: str, out: list[str], layouts: dict) -> None:
-    """Append ``value`` as the stdlib's JSON encoder writes it with
-    ``indent=2, sort_keys=True``, continuing lines with ``nl`` (a newline
-    plus the indent of the line ``value`` starts on).  Only str, int, bool,
-    None, list, dict with str keys, MultiPoly and DifferentialForm are
-    accepted: anything else, floats included, is a TypeError.  A MultiPoly
-    is written as its ``poly_to_json`` dict and a DifferentialForm as its
-    ``to_json`` dict, straight from their packed maps; ``layouts`` keeps the
-    polynomial templates and catalogs of each depth for the whole call."""
+def _json_chunks(value, nl: str, layouts: dict) -> Iterator[list[str]]:
+    """``value`` as the stdlib's JSON encoder writes it with ``indent=2,
+    sort_keys=True``, in chunks of text pieces, continuing lines with
+    ``nl`` (a newline plus the indent of the line ``value`` starts on).
+    Only str, int, bool, None, list, dict with str keys, MultiPoly and
+    DifferentialForm are accepted: anything else, floats included, is a
+    TypeError.  A MultiPoly is written as its ``poly_to_json`` dict and a
+    DifferentialForm as its ``to_json`` dict; ``layouts`` keeps the
+    templates and catalogs of each depth for the whole call."""
     if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
+        yield [encode_basestring_ascii(value)]
     elif value is None:
-        out.append("null")
+        yield ["null"]
     elif value is True:
-        out.append("true")
+        yield ["true"]
     elif value is False:
-        out.append("false")
+        yield ["false"]
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        yield [int.__repr__(value)]
     elif isinstance(value, list):
         if not value:
-            out.append("[]")
+            yield ["[]"]
             return
         inner = nl + "  "
-        out.append("[" + inner)
+        yield ["[" + inner]
         for position, item in enumerate(value):
             if position:
-                out.append("," + inner)
-            _json_value(item, inner, out, layouts)
-        out.append(nl + "]")
+                yield ["," + inner]
+            yield from _json_chunks(item, inner, layouts)
+        yield [nl + "]"]
     elif isinstance(value, dict):
         if not value:
-            out.append("{}")
+            yield ["{}"]
             return
         inner = nl + "  "
-        out.append("{" + inner)
+        yield ["{" + inner]
         for position, key in enumerate(sorted(value)):
-            if position:
-                out.append("," + inner)
-            out.append(encode_basestring_ascii(key) + ": ")
-            _json_value(value[key], inner, out, layouts)
-        out.append(nl + "}")
+            yield [("," + inner if position else "") + encode_basestring_ascii(key) + ": "]
+            yield from _json_chunks(value[key], inner, layouts)
+        yield [nl + "}"]
     elif isinstance(value, MultiPoly):
-        _poly_json(value, nl, out, layouts)
+        yield _poly_json(value, nl, layouts)
     elif isinstance(value, DifferentialForm):
-        _form_json(value, nl, out, layouts)
+        yield from _form_json(value, nl, layouts)
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json_pieces(value, nl: str, layouts: dict) -> list[str]:
+    return list(chain.from_iterable(_json_chunks(value, nl, layouts)))
 
 
 def _json_text(payload) -> str:
     """The report exactly as the stdlib's JSON encoder writes it with
     ``indent=2, sort_keys=True`` (polynomials and forms as their JSON
     dicts), without that encoder's per-token generators."""
-    out: list[str] = []
-    _json_value(payload, "\n", out, {})
-    return "".join(out)
+    return "".join(_json_pieces(payload, "\n", {}))
 
 
-def render(report: Report, fmt: str) -> str:
+def _render_chunks(report: Report, fmt: str) -> Iterator[list[str]]:
+    """The rendered report in chunks of text pieces: a form one component
+    at a time."""
     if fmt == "json":
         payload = {
             "command": report.command,
@@ -477,7 +453,8 @@ def render(report: Report, fmt: str) -> str:
             "results": report.results,
             "objects": report.objects,
         }
-        return _json_text(payload)
+        yield from _json_chunks(payload, "\n", {})
+        return
     if fmt == "latex":
         lines = [f"% {report.command} for {report.spec.describe()}"]
         if report.command == "generate":
@@ -493,19 +470,30 @@ def render(report: Report, fmt: str) -> str:
             detail = result["detail"].replace("_", "\\_").replace("^", "\\^{}")
             lines.append(f"\\item {name}: {result['status']} ({detail})")
         lines.append("\\end{itemize}")
-        return "\n".join(lines)
+        yield ["\n".join(lines)]
+        return
     # text
-    lines = [f"{report.command}: {report.spec.describe()}"]
-    lines.extend(report.lines)
-    for result in report.results:
-        lines.append(f"[{result['status'].upper()}] {result['name']}: {result['detail']}")
+    yield [f"{report.command}: {report.spec.describe()}"]
+    for line in report.lines:
+        yield ["\n", line]
+    if "witness" in report.objects:
+        yield ["\nwitness d(alpha_1)^alpha_1 = "]
+        yield from ([piece] for piece in report.objects["witness"]._text_chunks(
+            report.spec.names()))
+    lines = [f"[{result['status'].upper()}] {result['name']}: {result['detail']}"
+             for result in report.results]
     overall = "OK" if report.exit_code == EXIT_OK else "CHECK FAILED"
     lines.append(f"result: {overall} (exit {report.exit_code})")
-    return "\n".join(lines)
+    yield ["\n", "\n".join(lines)]
 
 
-def run(config: RunConfig, solution_override=None) -> tuple[int, str]:
-    """Execute a command and render its report; returns (exit code, text)."""
+def render(report: Report, fmt: str) -> str:
+    return "".join(chain.from_iterable(_render_chunks(report, fmt)))
+
+
+def _outcome(config: RunConfig, solution_override=None) -> tuple[int, Union[Report, str]]:
+    """(exit code, report) of a command, or (exit code, message) when it
+    fails with a library error."""
     try:
         report = execute(config, solution_override=solution_override)
     except (WebSpecError, DimensionError, InexactNumberError,
@@ -513,10 +501,20 @@ def run(config: RunConfig, solution_override=None) -> tuple[int, str]:
         return EXIT_CONFIG, f"error: {exc}"
     except HirotaWebError as exc:
         return EXIT_CHECK_FAILED, f"mathematical check failed: {exc}"
-    return report.exit_code, render(report, config.format)
+    return report.exit_code, report
+
+
+def run(config: RunConfig, solution_override=None) -> tuple[int, str]:
+    """Execute a command and render its report; returns (exit code, text)."""
+    code, outcome = _outcome(config, solution_override)
+    return code, outcome if isinstance(outcome, str) else render(outcome, config.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """The command line: ``run``'s text and a newline to stdout, and with
+    ``--out`` to a file too, written chunk by chunk as it is rendered: the
+    file is opened with the first chunk and closed however the writing
+    ends."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -524,18 +522,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WebSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    code, text = run(config)
+    code, outcome = _outcome(config)
     if code == EXIT_CONFIG:
-        print(text, file=sys.stderr)
+        print(outcome, file=sys.stderr)
         return code
-    print(text)
-    if config.out:
-        try:
-            with open(config.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write --out file: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    chunks = ([outcome] if isinstance(outcome, str)
+              else map("".join, _render_chunks(outcome, config.format)))
+    handle = failure = None
+    try:
+        for chunk in chain(chunks, ["\n"]):
+            sys.stdout.write(chunk)
+            if config.out and failure is None:
+                try:
+                    handle = handle or open(config.out, "w", encoding="utf-8")
+                    handle.write(chunk)
+                except OSError as exc:
+                    failure = exc
+    finally:
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError as exc:
+                failure = failure or exc
+    if failure is not None:
+        print(f"error: cannot write --out file: {failure}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

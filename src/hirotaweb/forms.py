@@ -5,8 +5,9 @@ to polynomial numerators (zero components are never stored; the degree-0
 form has the single key ()) and carries one nonzero polynomial denominator
 for all of them (1 for polynomial forms).  Nothing is normalized: equality
 cross-multiplies, and every writer of a form (``text``, ``to_json`` and the
-CLI's JSON writer) reads one normal form, ``_normalized``: each component as
-RationalFunction would normalize it, each denominator scaling once.  Wedge
+CLI's JSON writer) reads one normal form, ``_normalized``: each component
+with the scaling that normalizes it as RationalFunction would, applied as
+the terms are written, each denominator scaling written once.  Wedge
 products use merge-inversion signs, and the exterior derivative
 differentiates every ring variable, so forms should be built over rings
 whose variables are all genuine coordinates (numeric-node mode).
@@ -18,12 +19,13 @@ it at a number; the pencil's integrability is the residual verdict.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from fractions import Fraction
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
-from .polynomials import (MultiPoly, Scalar, _exact, _horner, _sum_of_products,
-                          poly_text, poly_to_json)
-from .ratfunc import RationalFunction, _content, _normalizer, _scaled
+from .polynomials import (MultiPoly, Scalar, _Catalog, _exact, _horner, _json_terms,
+                          _signed_text, _sum_of_products, _text_catalog, default_names)
+from .ratfunc import RationalFunction, _content, _normalizer, _scaled_values
 
 Index = tuple[int, ...]
 Numerator = Union[MultiPoly, Scalar]
@@ -243,25 +245,31 @@ class DifferentialForm:
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:
         """``body dx1^dx3 + ...`` in index order, "0" for the zero form: each
-        body is its ``_normalized`` quotient ``(num)/(den)``, each denominator
-        scaling rendered once, or over a constant d the numerator times 1/d."""
+        body is its ``_normalized`` quotient ``(num)/(den)``, the
+        denominator walked once and each of its scalings written once, or
+        over a constant d the numerator times 1/d."""
+        return "".join(self._text_chunks(names))
+
+    def _text_chunks(self, names: Optional[Sequence[str]] = None) -> Iterator[str]:
+        """``text`` one component at a time."""
         if not self.components:
-            return "0"
-        names = names or [f"x{i + 1}" for i in range(self.n_vars)]
+            yield "0"
+            return
+        names = names or default_names(self.n_vars)
+        constant = self.den.is_constant
         den_text: dict[tuple[int, int], str] = {}
-        pieces = []
-        for idx, num, key, den in self._normalized():
-            if den.is_constant:
-                body = poly_text(num * (1 / den.constant_value()), names)
+        for position, (idx, (coeffs, monomials), den, key) in enumerate(
+                self._normalized(_text_catalog(names, False).walk)):
+            if constant:
+                body = _signed_text([Fraction(c, den[0][0]) for c in coeffs], monomials, False)
             else:
                 if key not in den_text:
-                    den_text[key] = poly_text(den, names)
-                body = f"({poly_text(num, names)})/({den_text[key]})"
+                    den_text[key] = _signed_text(*den, False)
+                body = f"({_signed_text(coeffs, monomials, False)})/({den_text[key]})"
             if (" + " in body or " - " in body) and not body.startswith("("):
                 body = f"({body})"
             basis = "^".join(f"d{names[i]}" for i in idx)
-            pieces.append(f"{body} {basis}".strip())
-        return " + ".join(pieces)
+            yield (" + " if position else "") + f"{body} {basis}".strip()
 
     def __str__(self) -> str:
         return self.text()
@@ -269,25 +277,30 @@ class DifferentialForm:
     def __repr__(self) -> str:
         return f"DifferentialForm(degree={self.degree}, {self.text()!r})"
 
-    def _normalized(self) -> Iterator[tuple[Index, MultiPoly, tuple[int, int], MultiPoly]]:
-        """Each component as its normalized quotient, scaled as
-        RationalFunction scales it, yielded one at a time in index order as
-        (idx, numerator, (g, m), denominator), so a writer holds one scaled
-        numerator at a time.  The shared denominator's content and leading
-        sign are read once, off the map it keeps, so a denominator built
-        packed is not unpacked, and per component only the numerator's
-        content is, so each distinct scaling (g, m) of the denominator is
-        computed once and yielded as the same object, which a writer
-        renders once."""
-        den_content = _content(self.den)
-        den_negative = self.den.leading_term()[1] < 0
-        dens: dict[tuple[int, int], MultiPoly] = {}
+    def _normalized(self, walk: Callable[[MultiPoly], tuple[list, list]]
+                    ) -> Iterator[tuple[Index, tuple[list, list], tuple[list, list],
+                                        tuple[int, int]]]:
+        """Each component as its quotient normalized as RationalFunction
+        normalizes it (num * m / g over den * m / g), in index order, as
+        (idx, numerator, denominator, (g, m)): each polynomial as its terms
+        from the writer's term walk ``walk``, (coefficients, monomials),
+        the coefficients scaled as lists, so no scaled polynomial is built.
+        The denominator is walked once and its content and leading sign read
+        once; each of its scalings is yielded as the same pair every time,
+        for a writer to write once.  Each numerator's content is read off
+        the map it keeps, which refuses an inexact coefficient."""
+        if not self.components:
+            return
+        den_coeffs, den_monomials = walk(self.den)
+        den_content, den_negative = _content(den_coeffs), den_coeffs[0] < 0
+        dens: dict[tuple[int, int], tuple[list, list]] = {}
         for idx in sorted(self.components):
             num = self.components[idx]
             g, m = key = _normalizer(num, den_content, den_negative)
             if key not in dens:
-                dens[key] = _scaled(self.den, m, g)
-            yield idx, _scaled(num, m, g), key, dens[key]
+                dens[key] = _scaled_values(den_coeffs, m, g), den_monomials
+            coeffs, monomials = walk(num)
+            yield idx, (_scaled_values(coeffs, m, g), monomials), dens[key], key
 
     def to_json(self) -> dict:
         """JSON form: ``{"degree": g, "components": [{"idx": [1-based
@@ -296,10 +309,11 @@ class DifferentialForm:
         Components with one denominator scaling share its dict."""
         den_json: dict[tuple[int, int], dict] = {}
         components = []
-        for idx, num, key, den in self._normalized():
+        for idx, num, den, key in self._normalized(_Catalog().walk):
             if key not in den_json:
-                den_json[key] = poly_to_json(den)
-            components.append({"idx": [i + 1 for i in idx], "num": poly_to_json(num),
+                den_json[key] = {"nvars": self.n_vars, "terms": _json_terms(*den)}
+            components.append({"idx": [i + 1 for i in idx],
+                               "num": {"nvars": self.n_vars, "terms": _json_terms(*num)},
                                "den": den_json[key]})
         return {"degree": self.degree, "components": components}
 

@@ -58,6 +58,11 @@ top_a + top_b < 2**W for every part:
   the two largest keys is reached by no other pair, and the leading
   coefficient of a b is the product of theirs, nonzero.
 
+Every writer (text, LaTeX and JSON, of polynomials and of forms) reads
+the terms through one term walk, ``_Catalog``, which decodes each packed
+key once into its graded-lex rank and its monomial in one format, and
+sorts the keys by rank: no writer packs or unpacks a map.
+
 Variable-naming convention used throughout the library: in a ring of size n
 the variables are the coordinates x1..xn; in a ring of size 2n the second
 half holds the interpolation nodes l1..ln.
@@ -82,7 +87,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError, HirotaWebError, InexactNumberError, WebSpecError
 
@@ -182,21 +187,22 @@ def _unpack(n_vars: int, packed: Mapping[int, Scalar], width: int) -> dict[Expon
     return {tuple([key >> shift & mask for shift in shifts]): c for key, c in packed.items()}
 
 
-def _graded_keys(n_vars: int, width: int, keys: Iterable[int]
-                 ) -> tuple[list[int], list[int], list[Exponents]]:
-    """The packed keys at this width, their ranks and their exponent tuples,
-    decoded one variable at a time over all the keys.  A rank is an int
-    that orders the keys as ``grlex_key`` orders their exponents (total
-    degree, then x1's exponent, x2's, ...), so a sort by rank compares one
-    int per pair."""
-    keys = list(keys)
-    mask, top = (1 << width) - 1, width * n_vars
-    columns = [[key >> shift & mask for key in keys] for shift in range(0, top, width)]
-    lex = [0] * len(keys)
+def _columns(n_vars: int, width: int, keys: Sequence[int]) -> list[list[int]]:
+    """The exponents of the packed keys at this width, one list per variable."""
+    mask = (1 << width) - 1
+    return [[key >> shift & mask for key in keys] for shift in range(0, width * n_vars, width)]
+
+
+def _ranks(columns: Sequence[Sequence[int]], width: int, count: int) -> list[int]:
+    """The graded-lex rank of each of ``count`` monomials given by their
+    exponent columns (every exponent below 2**width): an int that orders
+    them as ``grlex_key`` does, so a sort by rank compares one int a pair."""
+    lex = [0] * count
     for column in columns:
         lex = [high << width | e for high, e in zip(lex, column)]
-    exps = list(zip(*columns)) if columns else [()] * len(keys)
-    return keys, [d << top | low for d, low in zip(map(sum, exps), lex)], exps
+    top = width * len(columns)
+    degrees = map(sum, zip(*columns)) if columns else [0] * count
+    return [d << top | low for d, low in zip(degrees, lex)]
 
 
 def _rekeyed(n_vars: int, packed: Mapping[int, Scalar], old: int, new: int
@@ -219,6 +225,23 @@ def _kernel_width(parts: Iterable[tuple["MultiPoly", "MultiPoly", Scalar]]) -> t
     is the bit width at which ``_sum_of_products`` packs them."""
     top = max([a._top_exponent() + b._top_exponent() for a, b, _ in parts], default=0)
     return top, max(top.bit_length(), 1)
+
+
+def _affine(*polys: "MultiPoly") -> bool:
+    """Whether no exponent of the polynomials exceeds 1, read off the map
+    each keeps: its largest exponent (a bound, for a kernel's result), and
+    when that exceeds 1, whether a packed key sets a field's higher bits.
+    A polynomial held as exponent tuples only has its exact top."""
+    for poly in polys:
+        if poly._top_exponent() > 1:
+            packed = poly._packed
+            if packed is None:
+                return False
+            width = poly._width
+            high = sum([((1 << width) - 2) << v * width for v in range(poly.n_vars)])
+            if any(key & high for key in packed):
+                return False
+    return True
 
 
 def _halves(poly: "MultiPoly", v: int, width: int) -> tuple["MultiPoly", "MultiPoly"]:
@@ -275,7 +298,9 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
     exponent of any product carries into the next variable's bits and the
     sum of two packed keys is the packed key of the product.  Each scale is
     folded into the smaller operand's coefficients once, every term pair
-    adds into the one map, and the survivors are tightened into the
+    adds into the one map (a square, a part whose two operands are one
+    polynomial, forms each pair of distinct terms once, doubled: about half
+    the pairs), and the survivors are tightened into the
     result's packed map, unpacked only when a caller reads ``terms`` or a
     later sum takes it at another width: a sum that cancels, such as a
     residual of a genuine solution, unpacks nothing, and neither does a
@@ -298,10 +323,19 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
     get = sums.get
     for a, b, scale in work:
         packed_b = list(b._packed_at(width).items())
-        for ka, ca in a._packed_at(width).items():
+        for i, (ka, ca) in enumerate(a._packed_at(width).items()):
             if scale != 1:
                 ca = ca * scale
-            for kb, cb in packed_b:
+            row = packed_b
+            if a is b:
+                # A square: term i with itself once, then with the later
+                # terms doubled; each monomial still enters the map where
+                # the full product first meets it.
+                key, c = ka + ka, ca * packed_b[i][1]
+                cur = get(key)
+                sums[key] = c if cur is None else cur + c
+                row, ca = packed_b[i + 1:], ca + ca
+            for kb, cb in row:
                 key = ka + kb
                 cur = get(key)
                 sums[key] = ca * cb if cur is None else cur + ca * cb
@@ -394,14 +428,6 @@ class MultiPoly:
         self._packed, self._width = packed, width
         return packed
 
-    def _packed_map(self) -> tuple[dict[int, Scalar], int]:
-        """The packed map and its width: the map kept, or, for a polynomial
-        held as ``terms`` only, the terms packed once at the smallest width
-        that holds its largest exponent."""
-        if self._packed is None:
-            self._packed_at(max(self._top_exponent().bit_length(), 1))
-        return self._packed, self._width
-
     def _coefficients(self):
         """The coefficients, read from the map kept, packed or not, so a
         polynomial built packed is not unpacked."""
@@ -452,7 +478,11 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        """Read from the map kept: the one packed key of a constant is 0."""
+        packed = self._packed
+        if packed is not None:
+            return not any(packed)
+        return all(not any(e) for e in self._terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (0 for the zero polynomial);
@@ -461,7 +491,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(next(iter(self._coefficients())))
 
     def degree(self, variables: Optional[Iterable[int]] = None) -> int:
         """Max total degree over the given variable subset (all variables by
@@ -487,14 +517,12 @@ class MultiPoly:
 
     def leading_term(self) -> tuple[Exponents, Scalar]:
         """Graded-lex leading (exponents, coefficient); undefined on zero.  A
-        polynomial built packed is not unpacked: its keys are ranked as
-        ``_graded_keys`` ranks them and the largest is read."""
+        polynomial built packed is not unpacked: the term walk reads it."""
         if not self:
             raise ValueError("zero polynomial has no leading term")
         if self._terms is None:
-            keys, ranks, exps = _graded_keys(self.n_vars, self._width, self._packed)
-            lead = ranks.index(max(ranks))
-            return exps[lead], self._packed[keys[lead]]
+            coeffs, exps = _Catalog().walk(self)
+            return exps[0], coeffs[0]
         exps = max(self._terms, key=grlex_key)
         return exps, self._terms[exps]
 
@@ -676,16 +704,6 @@ class MultiPoly:
 
     # -- output -------------------------------------------------------------
 
-    def sorted_terms(self) -> list[tuple[int, Exponents, Scalar]]:
-        """(total degree, exponents, coefficient) per term, in descending
-        graded-lex order (leading term first): a lex sort of the exponent
-        tuples, then a stable sort on the degree, which compares one int per
-        pair where a sort of (degree, exponents) pairs compares tuples."""
-        terms = self.terms
-        order = sorted(terms, reverse=True)
-        order.sort(key=sum, reverse=True)
-        return [(sum(exps), exps, terms[exps]) for exps in order]
-
     def text(self, names: Optional[Sequence[str]] = None) -> str:
         """Canonical text form, e.g. ``x1x2 - 2x1x3 + x2x3``."""
         return poly_text(self, names)
@@ -710,19 +728,98 @@ def default_names(n_vars: int) -> list[str]:
     return [f"x{i + 1}" for i in range(n_vars)]
 
 
-def _monomial_text(exps: Exponents, names: Sequence[str], latex: bool) -> str:
-    parts = []
-    for var, e in enumerate(exps):
-        if e == 1:
-            parts.append(names[var])
-        elif e > 1:
-            parts.append(f"{names[var]}^{{{e}}}" if latex else f"{names[var]}^{e}")
-    return "".join(parts)
+# -- output: one term walk for every format ----------------------------------
+
+
+class _Catalog:
+    """The term walk: a polynomial's coefficients in descending graded-lex
+    order with their monomials in one format, written as ``opening``, the
+    pieces ``piece(v, e_v)`` joined by ``sep`` and ``closing`` (``empty``
+    in a ring without variables), or, with no ``piece``, as exponent tuples.
+
+    A packed key of one ring and width is decoded the first time any
+    polynomial walked through the catalog holds it, column by column, into
+    its rank (``_ranks``) and its monomial, and both are kept, so the
+    numerators and the denominator of a form share one decode per key, and
+    the terms are one sort of the keys by rank.  A polynomial held as
+    exponent tuples only is sorted and written from them, never packed."""
+
+    __slots__ = ("piece", "sep", "opening", "closing", "empty", "maps")
+
+    def __init__(self, piece: Optional[Callable[[int, int], str]] = None, sep: str = "",
+                 opening: str = "", closing: str = "", empty: str = ""):
+        self.piece, self.sep, self.opening, self.closing = piece, sep, opening, closing
+        self.empty = empty
+        self.maps: dict[tuple[int, int], tuple[dict, dict]] = {}
+
+    def _monomials(self, columns: Sequence[Sequence[int]], count: int) -> list:
+        """The monomials of ``count`` terms given by their exponent columns."""
+        if self.piece is None:
+            return list(zip(*columns)) if columns else [()] * count
+        if not columns:
+            return [self.empty] * count
+        piece, last, parts = self.piece, len(columns) - 1, []
+        for v, column in enumerate(columns):
+            head = self.opening if v == 0 else ""
+            tail = self.closing if v == last else ""
+            table = {e: head + piece(v, e) + tail for e in set(column)}
+            parts.append(list(map(table.__getitem__, column)))
+        return list(map(self.sep.join, zip(*parts)))
+
+    def walk(self, poly: MultiPoly) -> tuple[list[Scalar], list]:
+        """(coefficients, monomials) of the terms, leading term first."""
+        packed = poly._packed
+        if packed is None:
+            # A lex sort of the exponent tuples, then a stable sort on the
+            # degree, which compares one int per pair.
+            terms = poly._terms
+            order = sorted(terms, reverse=True)
+            order.sort(key=sum, reverse=True)
+            return list(map(terms.__getitem__, order)), self._monomials(list(zip(*order)),
+                                                                         len(order))
+        n_vars, width = poly.n_vars, poly._width
+        maps = self.maps.get((n_vars, width))
+        if maps is None:
+            maps = self.maps[n_vars, width] = ({}, {})
+        rank, monomial = maps
+        unseen = [key for key in packed if key not in rank]
+        if unseen:
+            columns = _columns(n_vars, width, unseen)
+            rank.update(zip(unseen, _ranks(columns, width, len(unseen))))
+            monomial.update(zip(unseen, self._monomials(columns, len(unseen))))
+        order = sorted(packed, key=rank.__getitem__, reverse=True)
+        return list(map(packed.__getitem__, order)), list(map(monomial.__getitem__, order))
+
+
+def _text_catalog(names: Sequence[str], latex: bool) -> _Catalog:
+    """Monomials as ``poly_text`` writes them: ``x1^2x3``, exponents braced
+    in LaTeX, a first power bare and a zeroth one left out."""
+    def piece(v: int, e: int) -> str:
+        if e > 1:
+            return f"{names[v]}^{{{e}}}" if latex else f"{names[v]}^{e}"
+        return names[v] if e == 1 else ""
+    return _Catalog(piece)
+
+
+def _signed_text(coeffs: Sequence[Scalar], monomials: Sequence[str], latex: bool) -> str:
+    """The text of the terms in their order (``poly_text``), "0" for none."""
+    if not coeffs:
+        return "0"
+    pieces = []
+    for c, mono in zip(coeffs, monomials):
+        mag = -c if c < 0 else c
+        if latex and mag.denominator != 1:
+            text = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        else:
+            text = str(mag)
+        pieces.append((" - " if c < 0 else " + ") + (mono if mono and mag == 1 else text + mono))
+    pieces[0] = ("-" if coeffs[0] < 0 else "") + pieces[0][3:]
+    return "".join(pieces)
 
 
 def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
               latex: bool = False) -> str:
-    """Render with terms in descending graded-lex order.
+    """Render with terms in descending graded-lex order (``_Catalog``).
 
     Coefficients print as ``a/b`` with ``/1`` omitted; unit coefficients are
     dropped in front of a nonempty monomial.  With ``latex`` exponents are
@@ -730,37 +827,20 @@ def poly_text(p: MultiPoly, names: Optional[Sequence[str]] = None,
     """
     if p.is_zero:
         return "0"
-    _check_coefficients(p.terms.values())
+    _check_coefficients(p._coefficients())
     names = default_names(p.n_vars) if names is None else list(names)
-    pieces: list[str] = []
-    for position, (_, exps, coeff) in enumerate(p.sorted_terms()):
-        mono = _monomial_text(exps, names, latex)
-        mag = abs(coeff)
-        if latex and mag.denominator != 1:
-            mag_text = f"\\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        else:
-            mag_text = str(mag)
-        if not mono:
-            body = mag_text
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag_text}{mono}"
-        if position == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(pieces)
+    return _signed_text(*_text_catalog(names, latex).walk(p), latex)
+
+
+def _json_terms(coeffs: Sequence[Scalar], exps: Sequence[Exponents]) -> list[dict]:
+    return [{"c": str(c), "e": list(e)} for c, e in zip(coeffs, exps)]
 
 
 def poly_to_json(p: MultiPoly) -> dict:
     """JSON form: ``{"nvars": N, "terms": [{"c": "a/b", "e": [...]}, ...]}``
-    with terms in descending graded-lex order."""
-    _check_coefficients(p.terms.values())
-    return {
-        "nvars": p.n_vars,
-        "terms": [{"c": str(c), "e": list(e)} for _, e, c in p.sorted_terms()],
-    }
+    with terms in descending graded-lex order, from the term walk."""
+    _check_coefficients(p._coefficients())
+    return {"nvars": p.n_vars, "terms": _json_terms(*_Catalog().walk(p))}
 
 
 def poly_from_json(data: Mapping) -> MultiPoly:

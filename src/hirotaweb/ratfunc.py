@@ -15,18 +15,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import PoleError
 from .polynomials import MultiPoly, Scalar, _check_coefficients, _sum_of_products, poly_text
 
 
-def _content(poly: MultiPoly) -> tuple[int, int]:
-    """(gcd of the coefficients' numerators, lcm of their denominators),
-    read from the map the polynomial keeps, packed or not; a coefficient
-    that is not an int or a Fraction is refused."""
-    values = poly._coefficients()
+def _content(values: Collection[Scalar]) -> tuple[int, int]:
+    """(gcd of the coefficients' numerators, lcm of their denominators) of
+    the values a polynomial's map keeps, packed or not (one gcd over the
+    values when they are all ints); a coefficient that is not an int or a
+    Fraction is refused."""
     _check_coefficients(values)
+    if Fraction not in map(type, values):     # a scan at C speed
+        return gcd(*values), 1
     return gcd(*[c.numerator for c in values]), lcm(*[c.denominator for c in values])
 
 
@@ -37,22 +39,26 @@ def _normalizer(num: MultiPoly, den_content: tuple[int, int],
     leading coefficient is negative.  The denominator enters by its content
     and sign, so a caller with one denominator for many numerators reads
     them once."""
-    num_gcd, num_lcm = _content(num)
+    num_gcd, num_lcm = _content(num._coefficients())
     g, m = gcd(num_gcd, den_content[0]), lcm(num_lcm, den_content[1])
     return (-g if den_negative else g), m
 
 
-def _scaled(poly: MultiPoly, m: int, g: int) -> MultiPoly:
-    """poly * m / g, where m is a multiple of every coefficient's denominator
-    and g divides every coefficient times m: the result's coefficients are
-    ints, found by exact integer division.  A polynomial built packed gives
-    a result held packed, at the same width, so neither is unpacked."""
-    packed = poly._packed
-    items = (poly._terms if packed is None else packed).items()
+def _scaled_values(values: Collection[Scalar], m: int, g: int) -> Collection[int]:
+    """c * m / g for each coefficient c, where m is a multiple of every
+    denominator and g divides every c * m: ints, found by exact integer
+    division, the values themselves when m = g = 1."""
     if m == 1:
-        scaled = {e: c // g for e, c in items}
-    else:
-        scaled = {e: c.numerator * (m // c.denominator) // g for e, c in items}
+        return values if g == 1 else [c // g for c in values]
+    return [c.numerator * (m // c.denominator) // g for c in values]
+
+
+def _scaled(poly: MultiPoly, m: int, g: int) -> MultiPoly:
+    """poly * m / g (``_scaled_values``).  A polynomial built packed gives a
+    result held packed, at the same width, so neither is unpacked."""
+    packed = poly._packed
+    held = poly._terms if packed is None else packed
+    scaled = dict(zip(held, _scaled_values(list(held.values()), m, g)))
     if packed is None:
         return MultiPoly(poly.n_vars, scaled, _canonical=True)
     return MultiPoly._from_packed(poly.n_vars, scaled, poly._width, poly._top)
@@ -69,7 +75,7 @@ class RationalFunction:
         num._check_ring(den)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator polynomial")
-        g, m = _normalizer(num, _content(den), den.leading_term()[1] < 0)
+        g, m = _normalizer(num, _content(den._coefficients()), den.leading_term()[1] < 0)
         if m == 1 and g == 1:
             self.num, self.den = num, den
         else:

@@ -74,8 +74,8 @@ from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
 from .forms import DifferentialForm, LambdaForm
 from .interpolation import (WebSpec, _block, _elementary, _interpolation_identity,
                             highest_coefficients, signed_minors)
-from .polynomials import (MultiPoly, Scalar, _check_count, _coefficient, _exact, _halves,
-                          _kernel_width, _leading_pair, _sum_of_products, _tighten)
+from .polynomials import (MultiPoly, Scalar, _affine, _check_count, _coefficient, _exact,
+                          _halves, _kernel_width, _leading_pair, _sum_of_products, _tighten)
 from .ratfunc import RationalFunction, _scaled
 
 NodeValue = Union[Scalar, MultiPoly]
@@ -398,7 +398,7 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     each is multiplied by the same L_a^2 L_b > 0, and (w, -w, w) holds
     after the scaling exactly when it held before."""
     num, den = f.num, f.den
-    if any(e > 1 for poly in (num, den) for exps in poly.terms for e in exps):
+    if not _affine(num, den):
         return set()
     n = len(nodes)
     den_halves = [_halves(den, v, _PAIR_WIDTH) for v in range(n)]
@@ -872,11 +872,17 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     (i) h_v = A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2 for
     every v;
     (ii) W^v_pq = D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc for the
-    three splits of each triple {a, b, c} into v and p < q, on x-halves as
-    in ``_factored_proof``: every D is affine in x_v, so with
-    D = x_v D' + D'', W^v_pq = D_p''D_q' - D_q''D_p'.
-    None when a check fails, a D or F is zero or a component's division
-    leaves a remainder: the caller then takes ``_self_wedge``."""
+    three splits of each triple {a, b, c} into v and p < q.
+    Both run on x-halves, as in ``_factored_proof``: every D is affine in
+    each x_v, and so are A, B, C and D once their exponents are checked
+    (``_affine``), so with X = x_v X' + X'' the x_v terms cancel, and
+    h_v = A''B' - B''A' + C''D' - D''C' and W^v_pq = D_p''D_q' - D_q''D_p':
+    no partial is built.
+    None when a check fails, an exponent of A, B, C or D exceeds 1, a D or
+    F is zero or a component's division leaves a remainder: the caller
+    then takes ``_self_wedge``."""
+    if not _affine(a, b, c, d):
+        return None
     n = len(nodes)
     indices = range(n)
     minors = [_minor(nodes, [r for r in indices if r != v], l) for v in indices]
@@ -884,8 +890,9 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
         return None
     kappa = []
     for v in indices:                                           # (i)
-        kappa.append(_proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
-                                  (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
+        (a1, a0), (b1, b0), (c1, c0), (d1, d0) = (_halves(poly, v, _PAIR_WIDTH)
+                                                  for poly in (a, b, c, d))
+        kappa.append(_proportion([(a0, b1, 1), (b0, a1, -1), (c0, d1, 1), (d0, c1, -1)],
                                  minors[v], minors[v]))
         if kappa[v] is None:
             return None

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, interpolation, poly_from_json, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
-                           main, run)
+                           build_parser, config_from_args, main, run)
 from hirotaweb.webs import HirotaSolution, web_triples
 from reference_residuals import expanded_factors, expanded_residual_values
 
@@ -292,6 +292,31 @@ def test_main_unwritable_out_path_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_main_closes_the_out_file_when_rendering_fails(tmp_path, capsys, monkeypatch):
+    # The file is opened with the first piece, and a render that fails
+    # after it leaves that piece on stdout and in the file, closed.
+    import hirotaweb.cli as cli
+
+    def failing(report, fmt):
+        yield ["first piece"]
+        raise RuntimeError("render failed")
+
+    opened = []
+
+    def spy(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(cli, "_render_chunks", failing)
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    out = tmp_path / "report.txt"
+    with pytest.raises(RuntimeError, match="render failed"):
+        main(["generate", "--n", "3", "--k", "1", "--l", "1", "--out", str(out)])
+    assert len(opened) == 1 and opened[0].closed
+    assert out.read_text() == "first piece"
+    assert capsys.readouterr().out == "first piece"
+
+
 def test_main_rejects_bad_order(capsys):
     code = main(["generate", "--n", "3", "--k", "2", "--l", "2"])
     assert code == EXIT_CONFIG
@@ -474,3 +499,46 @@ def test_fuzzed_argv_exits_cleanly_and_deterministically(argv):
     assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG)
     assert "Traceback" not in err
     assert _main_output(argv)[1] == out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_main_writes_the_report_as_it_is_rendered(fmt, tmp_path, monkeypatch):
+    # main streams the chunks of the report to stdout and to --out without
+    # joining them (render is never called), and writes run's text and a
+    # newline to both.
+    import hirotaweb.cli as cli
+    argv = ["flatness", "--n", "5", "--k", "2", "--l", "2", "--format", fmt]
+    code, text = run(config_from_args(build_parser().parse_args(argv)))
+    monkeypatch.setattr(cli, "render", lambda *args: pytest.fail("the report was joined"))
+    out = tmp_path / "report"
+    assert _main_output(argv + ["--out", str(out)]) == (code, text + "\n", "")
+    assert out.read_text(encoding="utf-8") == text + "\n"
+
+
+@pytest.mark.parametrize("written", [0, 1])
+def test_main_closes_the_out_file_when_rendering_fails(written, tmp_path, monkeypatch):
+    # Rendering that raises after `written` chunks propagates; the --out
+    # file is opened only with the first chunk (a failure before it leaves
+    # an existing file untouched), and is closed, holding what stdout got.
+    import hirotaweb.cli as cli
+    opened = []
+    real_open = open
+
+    def spy_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    def failing(report, fmt):
+        yield from [["first chunk"]][:written]
+        raise RuntimeError("rendering failed")
+
+    monkeypatch.setattr(cli, "_render_chunks", failing)
+    monkeypatch.setattr("builtins.open", spy_open)
+    out = tmp_path / "report"
+    out.write_text("kept", encoding="utf-8")
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), pytest.raises(RuntimeError, match="rendering failed"):
+        main(["generate", "--n", "3", "--k", "1", "--l", "1", "--out", str(out)])
+    assert stdout.getvalue() == "first chunk" * written
+    assert len(opened) == written and all(handle.closed for handle in opened)
+    assert out.read_text(encoding="utf-8") == ("first chunk" if written else "kept")

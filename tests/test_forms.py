@@ -6,10 +6,10 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 import hirotaweb.forms
-import hirotaweb.ratfunc
 from hirotaweb import (DifferentialForm, LambdaForm, MultiPoly,
                        RationalFunction, WebSpec, flatness_check, poly_from_json,
-                       poly_text, signed_minors)
+                       signed_minors)
+from hirotaweb.polynomials import _Catalog
 from reference_frobenius import frobenius_check, pencil_d, pencil_wedge
 from reference_text import form_text
 
@@ -250,23 +250,23 @@ def test_text_is_the_per_component_text(form, names):
 def test_text_renders_each_denominator_scaling_once(monkeypatch):
     # The witness at n = 5 over nodes 5, 4, 6, 1, 3 has two denominator
     # scalings over ten components; a per-component route renders the
-    # shared denominator once per component.
+    # shared denominator once per component.  The text writes each
+    # numerator once and the denominator's walked terms once per scaling.
     witness = flatness_check(WebSpec.numeric(5, 3, 1, [5, 4, 6, 1, 3])).witness
-    entries = list(witness._normalized())
-    dens = {key: den for _, _, key, den in entries}
-    assert len(dens) == 2 and len(entries) == 10
+    keys = {key for *_, key in witness._normalized(_Catalog().walk)}
+    assert len(keys) == 2 and len(witness.components) == 10
     expected = form_text(witness)
-    rendered = []
+    written = []
+    signed = hirotaweb.forms._signed_text
 
-    def spy(poly, *args, **kwargs):
-        rendered.append(poly)
-        return poly_text(poly, *args, **kwargs)
+    def spy(coeffs, monomials, latex):
+        written.append(monomials)
+        return signed(coeffs, monomials, latex)
 
-    for module in (hirotaweb.forms, hirotaweb.ratfunc):
-        # raising=False: a module that does not import poly_text never calls it
-        monkeypatch.setattr(module, "poly_text", spy, raising=False)
+    monkeypatch.setattr(hirotaweb.forms, "_signed_text", spy)
     assert witness.text() == expected
-    assert sum(any(poly == den for den in dens.values()) for poly in rendered) == len(dens)
+    # each numerator's monomials once, the denominator's twice
+    assert sorted(sum(m is other for other in written) for m in written) == [1] * 10 + [2, 2]
 
 
 @st.composite

@@ -19,6 +19,7 @@ from reference_interpolation import build_system_matrix, determinant_cofactor_na
 from reference_polynomials import (_det_bareiss, coefficient, cofactor_determinant,
                                    cofactor_minors, exact_div, halves, lex_leading,
                                    product_terms, sum_of_products_terms)
+from reference_text import sorted_terms
 
 
 def var(n, i):
@@ -302,9 +303,12 @@ def _many_terms(draw):
 @settings(max_examples=200, deadline=None)
 @given(_many_terms())
 def test_sorted_terms_is_the_descending_grlex_order(poly):
-    # The lex-then-stable-degree sort against one sort on grlex_key.
+    # The oracle's lex-then-stable-degree sort, and the term walk's sort by
+    # rank, against one sort on grlex_key.
     expected = sorted(poly.terms, key=polynomials.grlex_key, reverse=True)
-    assert [(sum(e), e, poly.terms[e]) for e in expected] == poly.sorted_terms()
+    assert [(sum(e), e, poly.terms[e]) for e in expected] == sorted_terms(poly)
+    walked = polynomials._Catalog().walk(poly * 1)
+    assert walked == ([poly.terms[e] for e in expected], expected)
 
 
 def test_mixed_integer_and_fractional_coefficients():
@@ -565,6 +569,73 @@ def test_sum_of_products_matches_the_scaled_tuple_references(case):
     assert _is_tight(result)
     if cancel:
         assert result.is_zero
+
+
+@st.composite
+def _square_parts(draw):
+    """1 to 3 parts in one ring of 0..3 variables, each a square (a, a,
+    scale) or a product of two, the operands held packed at a bit width of
+    1 to 3 (exponents up to 3), or as exponent tuples: int and Fraction
+    coefficients and scales, one-term and zero operands."""
+    n_vars = draw(st.integers(0, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+
+    def operand():
+        terms = draw(st.dictionaries(exponents, _coefficients, max_size=draw(
+            st.sampled_from((0, 1, 1, 8)))))
+        poly = MultiPoly(n_vars, terms)
+        top = poly._top_exponent()
+        width = draw(st.integers(max(top.bit_length(), 1), 3) | st.none())
+        if width is None:
+            return poly
+        return MultiPoly._from_packed(n_vars, polynomials._pack(n_vars, poly.terms, width),
+                                      width, top if poly else 0)
+
+    parts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = operand()
+        parts.append((a, a if draw(st.booleans()) else operand(), draw(_part_scales)))
+    return n_vars, parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_parts())
+def test_squares_sum_each_pair_of_terms_once(case):
+    # A square sums the pairs i <= j of its terms, the off-diagonal ones
+    # doubled: the terms, their order and their int or Fraction types are
+    # the tuple product's.
+    n_vars, parts = case
+    result = polynomials._sum_of_products(n_vars, parts)
+    assert list(result.terms.items()) == list(sum_of_products_terms(parts).items())
+    assert _is_tight(result)
+
+
+def test_a_square_forms_half_the_term_pairs():
+    # Each term is multiplied by itself and by the later terms only: for
+    # Q0 at n = 6, k = 3, n (n + 1) / 2 coefficient products for n terms,
+    # where the product of two distinct operands forms n^2.  Q0^4 is two
+    # such squarings.
+    pairs = []
+
+    class Counted(int):
+        def __mul__(self, other):
+            pairs.append(1)
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    q0 = hirotaweb.signed_minors(WebSpec.numeric(6, 3, 2))[4]
+    counted = MultiPoly(q0.n_vars, {e: Counted(c) for e, c in q0.terms.items()},
+                        _canonical=True)
+    square = polynomials._sum_of_products(q0.n_vars, [(counted, counted, 1)])
+    n = len(q0)
+    assert len(pairs) == n * (n + 1) // 2 and n > 10
+    pairs.clear()
+    assert polynomials._sum_of_products(q0.n_vars, [(counted, MultiPoly(
+        q0.n_vars, dict(counted.terms), _canonical=True), 1)]) == square
+    assert len(pairs) == n * n
+    assert square == MultiPoly(q0.n_vars, product_terms(q0, q0))
+    assert q0 ** 4 == square * square
 
 
 def test_sum_of_products_scales_rings_and_edges():

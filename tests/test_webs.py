@@ -818,19 +818,40 @@ def test_a_weight_that_breaks_the_pattern_leaves_its_triples_to_the_probe_and_b(
 @pytest.mark.parametrize("spec", [WebSpec.numeric(5, 2, 2), WebSpec.numeric(4, 1, 2,
                                                                            nodes(0, "1/2", -3, 2))])
 @pytest.mark.parametrize("which,v", [("num", 0), ("num", -1), ("den", 0), ("den", -1)])
-def test_a_squared_variable_skips_the_factored_proof(spec, which, v, monkeypatch):
+@pytest.mark.parametrize("tuple_held", [False, True])
+def test_a_squared_variable_skips_the_factored_proof(spec, which, v, tuple_held, monkeypatch):
     # The halves need f affine in every x_v, so a square in P or Q ends the
-    # proof before any (A) test: it never reaches the packed helpers.
+    # proof before any (A) test: it never reaches the packed helpers.  The
+    # square is found in a polynomial held packed and in one held as
+    # exponent tuples only, which has no packed map to read.
     f = build_solution(spec).f
     x = MultiPoly.variable(spec.n, v % spec.n)
     parts = {"num": f.num, "den": f.den}
     parts[which] = parts[which] + x * x
+    if tuple_held:
+        parts[which] = MultiPoly(spec.n, dict(parts[which].terms))
+        assert parts[which]._packed is None
     returned = _spy_proportion(monkeypatch)
     for helper in ("_halves", "_coefficient", "_leading_pair"):
         monkeypatch.setattr(webs, helper, lambda *args: pytest.fail("a helper was reached"))
     squared = RationalFunction(parts["num"], parts["den"])
     assert webs._factored_proof(squared, _int_nodes(spec), spec.l) == set()
     assert returned == []
+
+
+def test_a_tuple_held_square_falls_back_to_the_expanded_route():
+    # P with x1^2 built from exponent tuples, never packed: the guard reads
+    # its exact top exponent, and the report is the bare function's.
+    sol = build_solution(WebSpec.numeric(5, 2, 2))
+    square = (2,) + (0,) * 4
+    terms = dict(sol.p_top.terms)
+    terms[square] = terms.get(square, 0) + 1
+    p = MultiPoly(5, terms)
+    assert p._packed is None
+    corrupted = HirotaSolution(sol.spec, RationalFunction(p, sol.q_top), p, sol.q_top)
+    report = verify_hirota(corrupted)
+    assert not report.passed
+    assert report == verify_hirota(corrupted.f, nodes=corrupted.nodes())
 
 
 def test_an_affine_corruption_fails_a_and_falls_back(monkeypatch):
@@ -1522,6 +1543,62 @@ def test_a_failed_witness_check_falls_back_to_the_self_wedge(lambdas, monkeypatc
     assert returned == [None]
     monkeypatch.setattr(webs, "_factored_witness", lambda *args: None)
     assert cli_run(cfg) == (code, text)
+
+
+def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
+    # P1 + 3 x1^2 Q0 in place of P1.  The x-halves of (i) split it wrongly
+    # at x1 (x1^2 Q0 lands in both halves so that its terms cancel in h_1,
+    # and h_v changes at no other v, since the new term is Q0 times a
+    # function of x1), so without the exponent guard (i) passes with the
+    # genuine constants and the witness of the genuine minors comes out;
+    # the guard sends it to _self_wedge, which computes the true one.
+    genuine = webs.signed_minors
+    spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
+    genuine_witness = flatness_check(spec).witness
+
+    def corrupted(spec):
+        minors = genuine(spec)
+        x1 = MultiPoly.variable(spec.n_vars, 0)
+        minors[1] = minors[1] + 3 * x1 * x1 * minors[spec.k + 1]
+        return minors
+
+    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    minors = _without_denominators(webs.signed_minors(spec))
+    pieces = (minors[spec.k + 1], minors[1], minors[spec.k + 2], minors[0])
+    assert _factored_witness(*pieces, list(spec.lambdas), spec.l) is None
+    witness = flatness_check(spec).witness
+    assert witness == DifferentialForm(spec.n_vars, 3, _self_wedge(*pieces), pieces[0] ** 4)
+    assert witness != genuine_witness
+
+
+def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
+    # (i) takes h_v from the x-halves of (Q0, P1, Q1, P0), as (ii) does: no
+    # derivative is taken, and each of the four, which signed_minors hands
+    # over as exponent tuples, is packed once; nothing is unpacked.
+    spec = WebSpec.numeric(6, 3, 2)
+    (a, b, c, d), _ = _witness_pieces(spec)
+    expected = list(_self_wedge(a, b, c, d).items())
+    # kappa_v off the unsplit h_v, with its partials
+    kappa = [webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
+                               (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
+                              *[webs._minor(list(spec.lambdas), [r for r in range(6) if r != v],
+                                            spec.l)] * 2) for v in range(6)]
+    pieces, int_nodes = _witness_pieces(spec)
+    returned = _spy_proportion(monkeypatch)
+    packed, unpacked, derived = [], [], []
+    pack, unpack, derivative = polynomials._pack, polynomials._unpack, MultiPoly.derivative
+    monkeypatch.setattr(polynomials, "_pack", lambda n_vars, terms, width: packed.append(
+        terms) or pack(n_vars, terms, width))
+    monkeypatch.setattr(polynomials, "_unpack", lambda *args: unpacked.append(args)
+                        or unpack(*args))
+    monkeypatch.setattr(MultiPoly, "derivative", lambda self, v: derived.append(v)
+                        or derivative(self, v))
+    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    assert derived == [] and unpacked == []
+    assert list(factored.items()) == expected and factored
+    assert returned[:6] == kappa and all(kappa)
+    assert len(packed) == 4 and all(any(terms is poly.terms for poly in pieces)
+                                    for terms in packed[:4])
 
 
 def test_a_division_with_a_remainder_falls_back_to_the_self_wedge(monkeypatch):
