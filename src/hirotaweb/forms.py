@@ -1,4 +1,5 @@
-"""Exterior algebra with polynomial components over one denominator per form.
+"""The witness container: alternating forms with polynomial components over
+one denominator per form.
 
 A degree-g form maps strictly increasing g-tuples of 0-based variable indices
 to polynomial numerators (zero components are never stored; the degree-0
@@ -7,14 +8,17 @@ for all of them (1 for polynomial forms).  Nothing is normalized: equality
 cross-multiplies, and every writer of a form (``text``, ``to_json`` and the
 CLI's JSON writer) reads one normal form, ``_normalized``: each component
 with the scaling that normalizes it as RationalFunction would, applied as
-the terms are written, each denominator scaling written once.  Wedge
-products use merge-inversion signs, and the exterior derivative
-differentiates every ring variable, so forms should be built over rings
-whose variables are all genuine coordinates (numeric-node mode).
+the terms are written, each denominator scaling written once.  Of the
+exterior algebra, only the operations that the benchmark's trace names stay:
+wedge products with merge-inversion signs, the exterior derivative (one sum
+of products per component, differentiating every ring variable, so forms
+should be built over rings whose variables are all genuine coordinates) and
+scaling.  Sums, coordinate forms and evaluation of a pencil live with the
+tests, as their oracle.
 
 LambdaForm holds forms of one ring and degree as the coefficients of a
-polynomial in a spectral parameter, pencil and coframe alike, and evaluates
-it at a number; the pencil's integrability is the residual verdict.
+polynomial in a spectral parameter: the annihilating pencil of
+``veronese_form``, whose integrability is the residual verdict.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DimensionError
-from .polynomials import (MultiPoly, Scalar, _Catalog, _exact, _horner, _json_terms,
-                          _signed_text, _sum_of_products, _text_catalog, default_names)
+from .polynomials import (MultiPoly, Scalar, _Catalog, _check_count, _check_n_vars,
+                          _json_terms, _signed_text, _sum_of_products, _text_catalog,
+                          default_names)
 from .ratfunc import RationalFunction, _content, _normalizer, _scaled_values
 
 Index = tuple[int, ...]
@@ -34,11 +39,6 @@ Coefficient = Union[RationalFunction, MultiPoly, Scalar]
 
 def _poly(value: Numerator, n_vars: int) -> MultiPoly:
     return value if isinstance(value, MultiPoly) else MultiPoly.const(n_vars, value)
-
-
-def _accumulate(out: dict[Index, MultiPoly], idx: Index, piece: MultiPoly) -> None:
-    cur = out.get(idx)
-    out[idx] = piece if cur is None else cur + piece
 
 
 def _merge_indices(left: Index, right: Index) -> Optional[tuple[int, Index]]:
@@ -71,8 +71,8 @@ class DifferentialForm:
     def __init__(self, n_vars: int, degree: int,
                  components: Optional[Mapping[Index, Numerator]] = None,
                  den: Numerator = 1):
-        if degree < 0:
-            raise DimensionError("negative form degree")
+        _check_n_vars(n_vars)
+        _check_count("form degree", degree, 0, "negative form degree", DimensionError)
         self.n_vars = n_vars
         self.degree = degree
         self.den = _poly(den, n_vars)
@@ -85,6 +85,8 @@ class DifferentialForm:
             idx = tuple(idx)
             if len(idx) != degree:
                 raise DimensionError(f"component {idx} has wrong arity for degree {degree}")
+            for i in idx:
+                _check_count("component index", i, error=DimensionError)
             if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
                 raise DimensionError(f"component index {idx} is not strictly increasing")
             if idx and (idx[0] < 0 or idx[-1] >= n_vars):
@@ -96,30 +98,6 @@ class DifferentialForm:
                 raise DimensionError("component coefficient from a different ring")
             clean[idx] = coeff
         self.components = clean
-
-    # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, n_vars: int, degree: int) -> "DifferentialForm":
-        return cls(n_vars, degree)
-
-    @classmethod
-    def from_function(cls, value: Coefficient, n_vars: Optional[int] = None) -> "DifferentialForm":
-        """Wrap a scalar/polynomial/rational function as a 0-form."""
-        if isinstance(value, RationalFunction):
-            return cls(value.n_vars, 0, {(): value.num}, value.den)
-        if isinstance(value, MultiPoly):
-            n_vars = value.n_vars
-        elif n_vars is None:
-            raise DimensionError("n_vars required for a scalar 0-form")
-        return cls(n_vars, 0, {(): value})
-
-    @classmethod
-    def dx(cls, n_vars: int, var: int) -> "DifferentialForm":
-        """The coordinate 1-form for the 0-based variable ``var``."""
-        if not 0 <= var < n_vars:
-            raise DimensionError(f"variable index {var} out of range")
-        return cls(n_vars, 1, {(var,): 1})
 
     # -- predicates --------------------------------------------------------------
 
@@ -145,38 +123,7 @@ class DifferentialForm:
 
     __hash__ = None
 
-    # -- linear structure ----------------------------------------------------------
-
-    def _check_compatible(self, other: "DifferentialForm") -> None:
-        if self.n_vars != other.n_vars:
-            raise DimensionError("forms over different rings")
-        if self.degree != other.degree:
-            raise DimensionError("forms of different degree")
-
-    def __add__(self, other: "DifferentialForm") -> "DifferentialForm":
-        self._check_compatible(other)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        if self.den == other.den:
-            out, den = dict(self.components), self.den
-            for idx, coeff in other.components.items():
-                _accumulate(out, idx, coeff)
-        else:
-            out = {idx: c * other.den for idx, c in self.components.items()}
-            for idx, coeff in other.components.items():
-                _accumulate(out, idx, coeff * self.den)
-            den = self.den * other.den
-        return DifferentialForm(self.n_vars, self.degree, out, den)
-
-    def __neg__(self) -> "DifferentialForm":
-        return DifferentialForm(self.n_vars, self.degree,
-                                {idx: -c for idx, c in self.components.items()},
-                                self.den)
-
-    def __sub__(self, other: "DifferentialForm") -> "DifferentialForm":
-        return self.__add__(other.__neg__())
+    # -- exterior algebra --------------------------------------------------------------
 
     def scale(self, factor: Coefficient) -> "DifferentialForm":
         """Multiply every component by a function (0-form scaling)."""
@@ -187,13 +134,6 @@ class DifferentialForm:
         return DifferentialForm(self.n_vars, self.degree,
                                 {idx: c * factor for idx, c in self.components.items()},
                                 den)
-
-    def __mul__(self, factor: Coefficient) -> "DifferentialForm":
-        return self.scale(factor)
-
-    __rmul__ = __mul__
-
-    # -- exterior algebra --------------------------------------------------------------
 
     def _wedge_parts(self, other: "DifferentialForm") -> dict[Index, list]:
         """The numerator products of ``self ^ other``, grouped by output
@@ -217,29 +157,31 @@ class DifferentialForm:
                                 self.den * other.den)
 
     def exterior_derivative(self) -> "DifferentialForm":
-        """d(f dx_I) summed over the numerators: each variable differentiates
-        f and wedges in from the left with the appropriate shuffle sign.  A
-        nonconstant denominator h then takes the quotient rule
-        d(w/h) = (h dw - dh^w)/h^2."""
-        n, degree = self.n_vars, self.degree
-        out: dict[Index, MultiPoly] = {}
+        """d(w/h) as one sum of products per output index J: with
+        s = (-1)^#{i in J minus v : i < v} for each v in J, the quotient rule
+        d(w/h) = (h dw - dh^w)/h^2 gives the parts (h, d_v w_(J minus v), s)
+        and (d_v h, w_(J minus v), -s) over h^2, and a constant h the parts
+        (d_v w_(J minus v), 1, s) over h."""
+        n, h = self.n_vars, self.den
+        constant = h.is_constant
+        if constant:
+            one = MultiPoly.one(n)
+        else:
+            partials_h = [h.derivative(v) for v in range(n)]
+        parts: dict[Index, list] = {}
         for idx, coeff in self.components.items():
-            for var in range(n):
-                if var in idx:
+            for v in range(n):
+                if v in idx:
                     continue
-                partial = coeff.derivative(var)
-                if partial.is_zero:
-                    continue
-                position = sum(1 for i in idx if i < var)
-                _accumulate(out, tuple(sorted(idx + (var,))),
-                            -partial if position % 2 else partial)
-        h = self.den
-        if h.is_constant:
-            return DifferentialForm(n, degree + 1, out, h)
-        dh = DifferentialForm.from_function(h).exterior_derivative()
-        top = (DifferentialForm(n, degree + 1, out).scale(h)
-               - dh.wedge(DifferentialForm(n, degree, self.components)))
-        return DifferentialForm(n, degree + 1, top.components, h * h)
+                sign = -1 if sum(1 for i in idx if i < v) % 2 else 1
+                group = parts.setdefault(tuple(sorted(idx + (v,))), [])
+                if constant:
+                    group.append((coeff.derivative(v), one, sign))
+                else:
+                    group.append((h, coeff.derivative(v), sign))
+                    group.append((partials_h[v], coeff, -sign))
+        out = {idx: _sum_of_products(n, group) for idx, group in parts.items()}
+        return DifferentialForm(n, self.degree + 1, out, h if constant else h * h)
 
     # -- output -----------------------------------------------------------------------
 
@@ -330,7 +272,3 @@ class LambdaForm:
         if any((form.n_vars, form.degree) != shape for form in coefficients):
             raise DimensionError("LambdaForm coefficients must match in ring and degree")
         self.coefficients = tuple(coefficients)
-
-    def at(self, value: Scalar) -> DifferentialForm:
-        """Evaluate the parameter polynomial at an exact number."""
-        return _horner(self.coefficients, _exact(value))

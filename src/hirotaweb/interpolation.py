@@ -132,12 +132,6 @@ class WebSpec:
         """Ring size: n for numeric nodes, 2n when the nodes are symbolic."""
         return self.n if self.lambdas is not None else 2 * self.n
 
-    def x_poly(self, i: int) -> MultiPoly:
-        """The coordinate x_i (1-based) as a polynomial."""
-        if not 1 <= i <= self.n:
-            raise DimensionError(f"coordinate index {i} out of range 1..{self.n}")
-        return MultiPoly.variable(self.n_vars, i - 1)
-
     def node(self, i: int) -> Union[Scalar, MultiPoly]:
         """Node value lambda_i (1-based): a number, or a variable when symbolic."""
         if not 1 <= i <= self.n:
@@ -507,8 +501,13 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
     Integer nodes and data in [-bound, bound], rejection-sampled until the
     nodes are distinct and the interpolation system is solvable.  Each
     instance comes with its ``interpolant_matches_oracle`` verdict, so each
-    route runs once per accepted instance.
+    route runs once per accepted instance.  ``n``, ``count``, ``seed`` and
+    ``bound`` must be ints, and ``bound`` nonnegative, checked as the first
+    instance is drawn.
     """
+    for name, value in (("n", n), ("count", count), ("seed", seed)):
+        _check_count(name, value)
+    _check_count("bound", bound, 0, f"negative sampling bound {bound}")
     if n > 2 * bound + 1:
         raise WebSpecError(f"cannot draw {n} distinct nodes from the "
                            f"{2 * bound + 1} integers in [-{bound}, {bound}]")

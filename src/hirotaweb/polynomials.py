@@ -158,8 +158,8 @@ def _tighten(value: Scalar) -> Scalar:
 
 def _horner(coeffs: Sequence, value: Scalar):
     """sum_j coeffs[j] * value**j by Horner's rule.  The coefficients may be
-    numbers, polynomials or forms alike; callers pass ``value`` through
-    ``_exact`` first, since a single coefficient is never multiplied."""
+    numbers or polynomials alike; callers pass ``value`` through ``_exact``
+    first, since a single coefficient is never multiplied."""
     total = coeffs[-1]
     for c in reversed(coeffs[:-1]):
         total = total * value + c
@@ -492,16 +492,6 @@ class MultiPoly:
         if not self.is_constant:
             raise ValueError("polynomial is not constant")
         return Fraction(next(iter(self._coefficients())))
-
-    def degree(self, variables: Optional[Iterable[int]] = None) -> int:
-        """Max total degree over the given variable subset (all variables by
-        default); the zero polynomial reports 0."""
-        if not self.terms:
-            return 0
-        if variables is None:
-            return max(sum(e) for e in self.terms)
-        idx = tuple(variables)
-        return max(sum(e[i] for i in idx) for e in self.terms)
 
     def homogeneous_degree(self, variables: Optional[Iterable[int]] = None) -> Optional[int]:
         """The common total degree of all terms over the given variables, or
@@ -841,14 +831,6 @@ def poly_to_json(p: MultiPoly) -> dict:
     with terms in descending graded-lex order, from the term walk."""
     _check_coefficients(p._coefficients())
     return {"nvars": p.n_vars, "terms": _json_terms(*_Catalog().walk(p))}
-
-
-def poly_from_json(data: Mapping) -> MultiPoly:
-    """The polynomial that ``poly_to_json`` wrote, read exactly: ``nvars``
-    and every exponent must be nonnegative ints, as the constructor checks,
-    and each coefficient goes through ``_exact``, so a JSON float is refused
-    rather than read as its binary expansion."""
-    return MultiPoly(data["nvars"], {tuple(item["e"]): item["c"] for item in data["terms"]})
 
 
 # A matrix is a sequence of equal-length rows of exact numbers (int or

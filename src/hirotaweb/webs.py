@@ -36,13 +36,14 @@ certifies everything checkable about it in exact arithmetic:
   bound comes from (k, l) in closed form;
 * the one-parameter annihilating 1-form, whose Frobenius integrability for
   every parameter value is the residual verdict (``veronese_form``);
-* the coframe of parameter-power coefficient 1-forms and the flatness
-  dichotomy, certified through the integrability of the degree-1 coframe
-  element and of its mirror element n-2: each 3-form d(beta) wedge beta is
-  one sum of six products per component, built from the gradients of four
-  minors, with no exterior algebra, and the mirror's is first evaluated at
-  one integer point, where a nonzero value refutes it.  For numeric nodes
-  and k, l >= 1 the witness d(beta_1) wedge beta_1 factors instead:
+* the flatness dichotomy, certified through the integrability of two of
+  the coframe's parameter-power coefficient 1-forms, the degree-1 element
+  and its mirror element n-2, neither of them built as a form: each 3-form
+  d(beta) wedge beta is one sum of six products per component, built from
+  the gradients of four minors, with no exterior algebra, and the mirror's
+  is first evaluated at one integer point, where a nonzero value refutes
+  it.  For numeric nodes and k, l >= 1 the witness d(beta_1) wedge beta_1
+  factors instead:
   beta_1's dx_v coefficient is kappa_v D_v^2 (Lagrange interpolation in
   the parameter, the Veronese coframe being q(node_v)^2 dx_v at node_v),
   and with the three-term Grassmann-Pluecker relation each component is
@@ -54,7 +55,7 @@ certifies everything checkable about it in exact arithmetic:
 * restriction of a solution to a coordinate hyperplane and composition with
   Mobius transformations, both of which produce new solutions.
 
-Geometry (forms, coframes, flatness, restriction) requires numeric nodes;
+Geometry (the pencil, flatness, restriction) requires numeric nodes;
 residual verification also runs in fully symbolic node mode, where the nodes
 are ring variables and the identities hold in all of them at once.
 """
@@ -91,11 +92,6 @@ class HirotaSolution:
     p_top: MultiPoly
     q_top: MultiPoly
 
-    @property
-    def is_degenerate_order(self) -> bool:
-        """True for k = 0 or l = 0: the web is flat in those cases."""
-        return self.spec.k == 0 or self.spec.l == 0
-
     def nodes(self) -> list[NodeValue]:
         return [self.spec.node(i) for i in range(1, self.spec.n + 1)]
 
@@ -110,6 +106,7 @@ def build_solution(spec: WebSpec) -> HirotaSolution:
 
 def web_triples(n: int) -> list[tuple[int, int, int]]:
     """All index triples 1 <= i < j < k <= n."""
+    _check_count("n", n)
     return list(combinations(range(1, n + 1), 3))
 
 
@@ -715,7 +712,7 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     return VerificationReport(mode, all(c.ok for c in checks), tuple(checks), **budget)
 
 
-# -- annihilating form and coframe ---------------------------------------------
+# -- annihilating form and flatness ---------------------------------------------
 
 
 def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
@@ -767,21 +764,6 @@ def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
     so that every coefficient is an int."""
     scale = _denominator_lcm(c for poly in polys for c in poly.terms.values())
     return polys if scale == 1 else [poly * scale for poly in polys]
-
-
-def _coframe_element(p_list: Sequence[MultiPoly], q_list: Sequence[MultiPoly],
-                     m: int) -> DifferentialForm:
-    """The polynomial 1-form beta_m = sum over i + j = m of
-    (Q_i dP_j - P_j dQ_i): its dx_v component is one sum of the products
-    Q_i d_v P_j - P_j d_v Q_i over those pairs.  beta_m is Q0^2 times the
-    normalized coframe element alpha_m."""
-    n = p_list[0].n_vars
-    pairs = [(q, p_list[m - i]) for i, q in enumerate(q_list) if 0 <= m - i < len(p_list)]
-    return DifferentialForm(n, 1, {
-        (v,): _sum_of_products(n, [part for q, p in pairs
-                                   for part in ((q, p.derivative(v), 1),
-                                                (p, q.derivative(v), -1))])
-        for v in range(n)})
 
 
 def _pair_pieces(x, dx: Callable, y, dy: Callable) -> tuple[Callable, Callable]:
@@ -925,28 +907,6 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                 value = _scaled(value, 1, scale)
             out[i, j, m] = value
     return out
-
-
-def coframe(spec: WebSpec) -> LambdaForm:
-    """The annihilating parameter polynomial of coefficient 1-forms, built
-    from the determinant data.
-
-    Requires numeric nodes (the forms live on the coordinate space).  The
-    coefficients are normalized: the polynomial forms of the minors, written
-    with no exterior algebra (``_coframe_element``), are divided by the
-    square of the denominator's constant term Q0, which makes the three-term
-    expression for the degree-1 element hold on the nose.
-    """
-    if spec.is_symbolic:
-        raise WebSpecError("coframes need numeric nodes")
-    minors = signed_minors(spec)
-    p_list, q_list = minors[:spec.k + 1], minors[spec.k + 1:]
-    q0 = q_list[0]
-    if q0.is_zero:
-        raise DegenerateInterpolantError("denominator constant term vanishes")
-    forms = (_coframe_element(p_list, q_list, m) for m in range(spec.n))
-    den = q0 * q0
-    return LambdaForm([DifferentialForm(spec.n_vars, 1, form.components, den) for form in forms])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from hirotaweb import DifferentialForm
+from reference_exterior import add, zero
 
 Coefficients = Sequence[DifferentialForm]
 
@@ -27,7 +28,7 @@ def pencil_wedge(left: Coefficients, right: Coefficients) -> tuple[DifferentialF
     """Coefficient-wise convolution of the two parameter polynomials."""
     n_vars = left[0].n_vars
     degree = left[0].degree + right[0].degree
-    out = [DifferentialForm.zero(n_vars, degree)
+    out = [zero(n_vars, degree)
            for _ in range(len(left) + len(right) - 1)]
     for i, a in enumerate(left):
         if a.is_zero:
@@ -35,7 +36,7 @@ def pencil_wedge(left: Coefficients, right: Coefficients) -> tuple[DifferentialF
         for j, b in enumerate(right):
             if b.is_zero:
                 continue
-            out[i + j] = out[i + j] + a.wedge(b)
+            out[i + j] = add(out[i + j], a.wedge(b))
     return tuple(out)
 
 

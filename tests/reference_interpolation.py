@@ -37,6 +37,7 @@ from typing import Optional, Sequence
 from hirotaweb import (CauchyInterpolant, DegenerateInterpolantError, MultiPoly, WebSpec,
                        WebSpecError, maximal_minors, signed_minors)
 from hirotaweb.polynomials import Scalar, _exact, _horner, _tighten
+from reference_exterior import x_poly
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
 
@@ -195,7 +196,7 @@ def row_matrix_products(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = No
     polynomial, or an exact number (an int when integral) at a data point."""
     if x_values is None:
         unit = MultiPoly.one(spec.n_vars)
-        xs = [spec.x_poly(i) for i in range(1, spec.n + 1)]
+        xs = [x_poly(spec, i) for i in range(1, spec.n + 1)]
         nodes = [spec.node(i) for i in range(1, spec.n + 1)]
     else:
         unit = 1

@@ -19,6 +19,7 @@ from itertools import combinations
 from typing import Sequence
 
 from hirotaweb import MultiPoly, RationalFunction
+from reference_exterior import degree
 
 
 def expanded_factors(f: RationalFunction, n: int
@@ -75,17 +76,17 @@ def expanded_residual_values(nodes: Sequence, triples: Sequence[tuple[int, int, 
 def expanded_degree_bound(f: RationalFunction, factors: tuple, nodes_symbolic: bool,
                           triples: Sequence[tuple[int, int, int]]) -> int:
     """Degree bound from the expanded factors; a zero polynomial counts as
-    degree 0, as ``MultiPoly.degree`` reports it."""
+    degree 0, as ``reference_exterior.degree`` reports it."""
     first, dn, _, den_partials = factors
     diff_deg = 1 if nodes_symbolic else 0
-    q_deg = f.den.degree()
+    q_deg = degree(f.den)
     best = 0
     for triple in triples:
         for i, j, k in ((triple[0], triple[1], triple[2]),
                         (triple[1], triple[2], triple[0]),
                         (triple[2], triple[0], triple[1])):
             vi, vj, vk = i - 1, j - 1, k - 1
-            m_deg = max(dn[vj, vk].degree() + q_deg,
-                        first[vj].degree() + den_partials[vk].degree())
-            best = max(best, diff_deg + first[vi].degree() + m_deg)
+            m_deg = max(degree(dn[vj, vk]) + q_deg,
+                        degree(first[vj]) + degree(den_partials[vk]))
+            best = max(best, diff_deg + degree(first[vi]) + m_deg)
     return best

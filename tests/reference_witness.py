@@ -20,15 +20,12 @@ from itertools import combinations, permutations
 from typing import Optional
 
 from hirotaweb import DifferentialForm, MultiPoly, WebSpec, signed_minors
-
-
-def gradient(a: MultiPoly) -> DifferentialForm:
-    return DifferentialForm.from_function(a).exterior_derivative()
+from reference_exterior import d0 as gradient, neg, sub, total
 
 
 def gamma(a: MultiPoly, q0: MultiPoly) -> DifferentialForm:
     """Q0 dA - A dQ0, the numerator of d(A/Q0) times Q0^2."""
-    return gradient(a).scale(q0) - gradient(q0).scale(a)
+    return sub(gradient(a).scale(q0), gradient(q0).scale(a))
 
 
 def gamma_product(p0: MultiPoly, p1: MultiPoly,
@@ -40,8 +37,8 @@ def gamma_product(p0: MultiPoly, p1: MultiPoly,
 def raw_alpha1(p0: MultiPoly, p1: MultiPoly,
                q0: MultiPoly, q1: MultiPoly) -> DifferentialForm:
     """The degree-1 element of the unnormalized coframe."""
-    return (gradient(p1).scale(q0) - gradient(q0).scale(p1)
-            + gradient(p0).scale(q1) - gradient(q1).scale(p0))
+    return total([gradient(p1).scale(q0), neg(gradient(q0).scale(p1)),
+                  gradient(p0).scale(q1), neg(gradient(q1).scale(p0))])
 
 
 def jet_determinant(p0: MultiPoly, p1: MultiPoly,

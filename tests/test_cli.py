@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
-                       highest_coefficients, interpolation, poly_from_json, webs)
+                       highest_coefficients, interpolation, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
                            build_parser, config_from_args, main, run)
 from hirotaweb.webs import HirotaSolution, web_triples
+from reference_exterior import poly_from_json
 from reference_residuals import expanded_factors, expanded_residual_values
 
 

@@ -8,9 +8,10 @@ from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
                        LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
                        WebSpecError, build_solution, cauchy_interpolant,
                        evaluate_interpolant, flatness_check, hirota_residual,
-                       maximal_minors, poly_from_json, poly_to_json, restrict,
+                       maximal_minors, poly_to_json, random_numeric_instances, restrict,
                        restricted_nodes, signed_minors, transform, verify_hirota,
-                       veronese_form)
+                       veronese_form, web_triples)
+from reference_exterior import poly_from_json
 from reference_polynomials import exact_div
 
 
@@ -151,22 +152,59 @@ def test_form_validation():
         DifferentialForm(3, 2, {(1, 1): x1})      # not strictly increasing
     with pytest.raises(DimensionError):
         DifferentialForm(3, 1, {(5,): x1})        # out of range
-    with pytest.raises(DimensionError):
-        DifferentialForm.dx(3, 0) + DifferentialForm.dx(3, 0).wedge(
-            DifferentialForm.dx(3, 1))            # degree mismatch
     with pytest.raises(ZeroDivisionError):
         DifferentialForm(3, 1, {(0,): x1}, 0)     # zero denominator
     with pytest.raises(DimensionError):
         DifferentialForm(3, 1, {(0,): x1}, MultiPoly.variable(2, 0))
     with pytest.raises(InexactNumberError):
-        DifferentialForm.dx(3, 0).scale(0.5)
-    zero = DifferentialForm.zero(3, 1)
+        DifferentialForm(3, 1, {(0,): 1}).scale(0.5)
+    zero = DifferentialForm(3, 1)
     assert zero.component((0,)).is_zero
     with pytest.raises(DimensionError):
         LambdaForm([])                            # no coefficient
-    for other in (DifferentialForm.dx(2, 0), DifferentialForm.zero(3, 2)):
+    for other in (DifferentialForm(2, 1, {(0,): 1}), DifferentialForm(3, 2)):
         with pytest.raises(DimensionError):       # another ring or degree
             LambdaForm([zero, other])
+    # The ring size, the degree and every component index are ints: a float
+    # is inexact, any other non-int (a bool included) a DimensionError.  A
+    # float degree would otherwise reach the JSON writer, a bool index would
+    # read as dx1 or dx2, and a float index would fail only at render.
+    one = MultiPoly.one(1)
+    for value, error in ((1.0, InexactNumberError), (0.5, InexactNumberError),
+                         (True, DimensionError), ("1", DimensionError),
+                         (Fraction(1), DimensionError)):
+        with pytest.raises(error):
+            DifferentialForm(3, value, {(0,): x1})
+        with pytest.raises(error):
+            DifferentialForm(3, 1, {(value,): x1})
+        with pytest.raises(error):
+            DifferentialForm(3, 2, {(0, value): x1})
+        with pytest.raises(error):
+            DifferentialForm(value, 0, {}, one)
+    with pytest.raises(DimensionError):
+        DifferentialForm(3, -1)                   # negative degree
+    form = DifferentialForm(3, 1, {(1,): x1})
+    assert form.to_json()["degree"] == 1 and form.text() == "x1 dx2"
+
+
+def test_public_counts_must_be_ints():
+    # The counts of random_numeric_instances (checked as the first instance
+    # is drawn) and of web_triples: a float is inexact, any other non-int (a
+    # bool included) a spec error, and so is a negative sampling bound.
+    good = {"n": 3, "k": 1, "l": 1, "count": 1, "seed": 1, "bound": 20}
+    for name in ("n", "count", "seed", "bound"):
+        for value, error in ((1.0, InexactNumberError), (1.5, InexactNumberError),
+                             (True, WebSpecError), ("1", WebSpecError)):
+            with pytest.raises(error):
+                next(random_numeric_instances(**{**good, name: value}))
+    with pytest.raises(WebSpecError, match="negative sampling bound -1"):
+        next(random_numeric_instances(**{**good, "bound": -1}))
+    for value, error in ((4.0, InexactNumberError), (True, WebSpecError),
+                         (Fraction(4), WebSpecError)):
+        with pytest.raises(error):
+            web_triples(value)
+    assert len(list(random_numeric_instances(**good))) == 1
+    assert web_triples(4) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
 
 def test_web_level_error_paths():
@@ -243,8 +281,6 @@ def test_floats_rejected_at_value_boundaries():
     for interp in (cauchy_interpolant(spec, x_values=[1, 2, 5]), cauchy_interpolant(spec)):
         with pytest.raises(InexactNumberError):
             evaluate_interpolant(interp, 0.5)
-    with pytest.raises(InexactNumberError):
-        LambdaForm([DifferentialForm.dx(3, 0)]).at(0.5)
     # Dimensions, orders, seeds and exponents are ints: a float is inexact,
     # any other non-int (a bool included) a spec error.
     for bad in ((4.0, 1, 2), (3, 1.0, 1), (3, 1, 1.0)):

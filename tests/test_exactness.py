@@ -9,7 +9,7 @@ import pytest
 import hirotaweb
 from hirotaweb import (DifferentialForm, InexactNumberError, Mobius, MultiPoly,
                        RationalFunction, WebSpec, build_solution, cauchy_interpolant,
-                       coframe, flatness_check, poly_text, poly_to_json, restrict,
+                       flatness_check, poly_text, poly_to_json, restrict,
                        solve_oracle, transform, verify_hirota, veronese_form)
 from hirotaweb.polynomials import _exact
 
@@ -39,8 +39,6 @@ def test_pipeline_stays_exact():
     for value in solve_oracle(spec, [Fraction(1, 3), 2, -5, Fraction(7, 2)]):
         assert isinstance(value, Fraction)
 
-    for alpha in coframe(spec).coefficients:
-        _assert_exact_form(alpha)
     for form in veronese_form(sol.f, spec.lambdas).coefficients:
         _assert_exact_form(form)
     _assert_exact_form(flatness_check(spec).witness)
@@ -66,7 +64,7 @@ def test_numeric_solution_has_only_int_coefficients():
 
 
 def test_rational_node_flatness_witness_has_only_int_coefficients():
-    # The minors are cleared of node denominators before the coframe is
+    # The minors are cleared of node denominators before the witness is
     # built, so the witness numerators and its denominator hold ints only.
     spec = WebSpec.numeric(5, 2, 2, [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4),
                                      Fraction(5, 3), Fraction(-7, 5)])

@@ -1,15 +1,21 @@
-"""Wedge products, exterior derivatives, and the graded-algebra laws."""
+"""Wedge products, exterior derivatives, and the graded-algebra laws.
+
+Sums, coordinate forms and pencil evaluation come from the oracle module
+``reference_exterior``, and the library's derivative is matched against the
+quotient-rule route kept there."""
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hirotaweb.forms
 from hirotaweb import (DifferentialForm, LambdaForm, MultiPoly,
-                       RationalFunction, WebSpec, flatness_check, poly_from_json,
-                       signed_minors)
+                       RationalFunction, WebSpec, flatness_check, signed_minors)
 from hirotaweb.polynomials import _Catalog
+from reference_exterior import (add, at, dx, from_function, neg, poly_from_json,
+                                quotient_rule_d, sub, total, zero)
 from reference_frobenius import frobenius_check, pencil_d, pencil_wedge
 from reference_text import form_text
 
@@ -19,12 +25,12 @@ def var(n, i):
 
 
 def dform0(value):
-    return DifferentialForm.from_function(value)
+    return from_function(value)
 
 
 def test_wedge_of_coordinate_forms():
-    dx1 = DifferentialForm.dx(3, 0)
-    dx2 = DifferentialForm.dx(3, 1)
+    dx1 = dx(3, 0)
+    dx2 = dx(3, 1)
     w = dx1.wedge(dx2)
     assert w.degree == 2
     assert list(w.components) == [(0, 1)]
@@ -32,14 +38,14 @@ def test_wedge_of_coordinate_forms():
 
 
 def test_wedge_alternation():
-    dx1 = DifferentialForm.dx(3, 0)
+    dx1 = dx(3, 0)
     assert dx1.wedge(dx1).is_zero
 
 
 def test_wedge_bilinearity_with_function_coefficient():
     x1 = var(3, 0)
     a = DifferentialForm(3, 1, {(1,): x1})
-    b = DifferentialForm.dx(3, 2)
+    b = dx(3, 2)
     w = a.wedge(b)
     assert w == DifferentialForm(3, 2, {(1, 2): x1})
 
@@ -57,9 +63,9 @@ def test_exterior_derivative_of_x1_dx1_vanishes():
 
 
 def test_zero_form_checks():
-    assert DifferentialForm.zero(3, 2).is_zero
-    dx1x2 = DifferentialForm.dx(3, 0).wedge(DifferentialForm.dx(3, 1))
-    assert (dx1x2 - dx1x2).is_zero
+    assert zero(3, 2).is_zero
+    dx1x2 = dx(3, 0).wedge(dx(3, 1))
+    assert sub(dx1x2, dx1x2).is_zero
 
 
 _coefficients = st.one_of(st.integers(-3, 3),
@@ -89,6 +95,35 @@ def test_d_squared_is_zero(a):
     assert a.exterior_derivative().exterior_derivative().is_zero
 
 
+@st.composite
+def _derivative_case(draw):
+    """A form over three variables of degree 0 to 3 (the top degree), any of
+    its components possibly absent (the zero form included), over a
+    constant or a nonconstant denominator."""
+    degree = draw(st.integers(0, 3))
+    components = {key: draw(_polys) for key in combinations(range(3), degree)
+                  if draw(st.booleans())}
+    den = draw(st.one_of(st.sampled_from([1, 2, Fraction(-3, 2)]),
+                         _dens.filter(lambda p: not p.is_constant)))
+    return DifferentialForm(3, degree, components, den)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_derivative_case())
+@example(DifferentialForm(3, 1, {}, var(3, 0) + 1))
+@example(DifferentialForm(3, 3, {(0, 1, 2): var(3, 1)}, var(3, 0) * var(3, 2)))
+@example(DifferentialForm(3, 0, {(): var(3, 0)}, var(3, 1)))
+def test_exterior_derivative_matches_the_quotient_rule_oracle(form):
+    # One sum of products per component against the quotient rule built
+    # from sums, scalings and a wedge: the same numerators under the same
+    # denominator, not only equal quotients.
+    got, oracle = form.exterior_derivative(), quotient_rule_d(form)
+    assert got.degree == oracle.degree == form.degree + 1
+    assert got.components == oracle.components
+    assert got.den == oracle.den
+    assert got.text() == oracle.text()
+
+
 _degree_pairs = st.tuples(st.integers(0, 2), st.integers(0, 2))
 
 
@@ -108,8 +143,8 @@ def test_leibniz_rule(data):
         a = data.draw(_random_form(da))
         b = data.draw(_random_form(db))
         lhs = a.wedge(b).exterior_derivative()
-        rhs = (a.exterior_derivative().wedge(b)
-               + a.wedge(b.exterior_derivative()).scale(_sign(a.degree)))
+        rhs = add(a.exterior_derivative().wedge(b),
+                  a.wedge(b.exterior_derivative()).scale(_sign(a.degree)))
         assert lhs == rhs
 
 
@@ -118,8 +153,8 @@ def test_leibniz_rule(data):
 def test_sum_then_difference_over_different_denominators(pair):
     a, b = pair
     assume(a.den != b.den)
-    assert (a + b) - b == a
-    assert (a + b) - a == b
+    assert sub(add(a, b), b) == a
+    assert sub(add(a, b), a) == b
 
 
 def _form_from_json(n_vars, data):
@@ -153,7 +188,7 @@ def test_json_round_trip(form):
 def test_quotient_rule_on_a_zero_form():
     # d(x1/x2) = dx1/x2 - x1 dx2/x2^2 over the one denominator x2^2
     x1, x2 = var(3, 0), var(3, 1)
-    form = DifferentialForm.from_function(RationalFunction(x1, x2))
+    form = from_function(RationalFunction(x1, x2))
     d = form.exterior_derivative()
     assert d.den == x2 * x2
     assert d == DifferentialForm(3, 1, {(0,): x2, (1,): -x1}, x2 * x2)
@@ -179,7 +214,7 @@ def test_coefficient_one_form_derivative_identity():
     dp0 = dform0(p0).exterior_derivative()
     dp1 = dform0(p1).exterior_derivative()
     dq1 = dform0(q1).exterior_derivative()
-    alpha1 = dp1 + dp0.scale(q1) - dq1.scale(p0)
+    alpha1 = total([dp1, dp0.scale(q1), neg(dq1.scale(p0))])
     lhs = alpha1.exterior_derivative()
     rhs = dq1.wedge(dp0).scale(MultiPoly.const(3, 2))
     assert lhs == rhs
@@ -188,11 +223,11 @@ def test_coefficient_one_form_derivative_identity():
 
 
 def test_lambda_form_evaluation_and_convolution_degree():
-    dx1 = DifferentialForm.dx(2, 0)
-    dx2 = DifferentialForm.dx(2, 1)
-    pencil = LambdaForm([-dx1, dx1 + dx2])  # (t-1) dx1 + t dx2
-    at2 = pencil.at(2)
-    assert at2 == dx1 + dx2.scale(MultiPoly.const(2, 2))
+    dx1 = dx(2, 0)
+    dx2 = dx(2, 1)
+    pencil = LambdaForm([neg(dx1), add(dx1, dx2)])  # (t-1) dx1 + t dx2
+    at2 = at(pencil, 2)
+    assert at2 == add(dx1, dx2.scale(MultiPoly.const(2, 2)))
     wedge = pencil_wedge(pencil_d(pencil.coefficients), pencil.coefficients)
     assert len(wedge) == 3
     assert all(form.is_zero for form in wedge)
@@ -223,11 +258,11 @@ def test_form_text_rendering():
         (DifferentialForm(3, 1, {(0,): 2 * x2, (2,): 4 * x3}, 2 * x1 - 4),
          "(x2)/(x1 - 2) dx1 + (2x3)/(x1 - 2) dx3"),
         # a 0-form has no basis part, and a sum over a constant is bracketed
-        (DifferentialForm.from_function(RationalFunction(x1 + 1, x2 - x3)),
+        (from_function(RationalFunction(x1 + 1, x2 - x3)),
          "(x1 + 1)/(x2 - x3)"),
         (DifferentialForm(3, 0, {(): x1 - x2}, 2), "(1/2x1 - 1/2x2)"),
-        (DifferentialForm.zero(3, 1), "0"),
-        (DifferentialForm.zero(3, 0), "0"),
+        (zero(3, 1), "0"),
+        (zero(3, 0), "0"),
     ]
     names = ["p q", "r - s", "t"]
     for form, expected in cases:
@@ -276,7 +311,7 @@ def _pencil(draw):
     random 1-forms in general is not."""
     integrable = draw(st.booleans())
     if integrable:
-        g = DifferentialForm.from_function(draw(_polys))
+        g = from_function(draw(_polys))
         coefficients = [dform0(draw(_polys)).exterior_derivative().wedge(g)
                         for _ in range(2)]
     else:
@@ -308,5 +343,5 @@ def test_frobenius_of_closed_and_contact_pencils():
     # closed numerators over different denominators: dx1 + t dx2/x3 is not
     # integrable, since the t^1 coefficient of d(alpha)^alpha is
     # dx1^dx2^dx3/x3^2
-    split = [DifferentialForm.dx(3, 0), DifferentialForm(3, 1, {(1,): 1}, x3)]
+    split = [dx(3, 0), DifferentialForm(3, 1, {(1,): 1}, x3)]
     assert not frobenius_check(split)
