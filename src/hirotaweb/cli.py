@@ -356,7 +356,8 @@ def _poly_json(poly: MultiPoly, nl: str, layouts: dict) -> list[str]:
 
 def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[str]]:
     """``form.to_json()`` as ``_json_chunks`` writes it, one chunk per
-    component, each distinct denominator scaling (g, m) written once.  The
+    component, each distinct denominator scaling (g, m) joined into one
+    string once and spliced into every chunk that reads it.  The
     coefficient types are checked before normalizing, which would turn a
     bool into an int and fail on a float."""
     inner = nl + "  "
@@ -366,12 +367,12 @@ def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[
                                     for poly in (form.den, *form.components.values()))),
             _COEFFICIENTS)
     layout = layouts.get(field) or layouts.setdefault(field, _PolyLayout(field))
-    den_pieces: dict[tuple[int, int], list[str]] = {}
+    den_text: dict[tuple[int, int], str] = {}
     yield ["{" + inner + '"components": ']
     for position, (idx, num, den, key) in enumerate(form._normalized(layout.catalog.walk)):
-        if key not in den_pieces:
-            den_pieces[key] = layout.pieces(form.n_vars, *den)
-        yield [("," if position else "[") + item + "{" + field + '"den": ', *den_pieces[key],
+        if key not in den_text:
+            den_text[key] = "".join(layout.pieces(form.n_vars, *den))
+        yield [("," if position else "[") + item + "{" + field + '"den": ', den_text[key],
                "," + field + '"idx": ', *_json_pieces([i + 1 for i in idx], field, layouts),
                "," + field + '"num": ', *layout.pieces(form.n_vars, *num), item + "}"]
     yield [(inner + "]," if form.components else "[],") + inner + '"degree": '

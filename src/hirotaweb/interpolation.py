@@ -502,26 +502,31 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
     nodes are distinct and the interpolation system is solvable.  Each
     instance comes with its ``interpolant_matches_oracle`` verdict, so each
     route runs once per accepted instance.  ``n``, ``count``, ``seed`` and
-    ``bound`` must be ints, and ``bound`` nonnegative, checked as the first
-    instance is drawn.
+    ``bound`` must be ints, ``count`` and ``bound`` nonnegative, checked by
+    the call itself, before any instance is drawn.
     """
-    for name, value in (("n", n), ("count", count), ("seed", seed)):
+    for name, value in (("n", n), ("seed", seed)):
         _check_count(name, value)
+    _check_count("count", count, 0, f"negative instance count {count}")
     _check_count("bound", bound, 0, f"negative sampling bound {bound}")
     if n > 2 * bound + 1:
         raise WebSpecError(f"cannot draw {n} distinct nodes from the "
                            f"{2 * bound + 1} integers in [-{bound}, {bound}]")
-    rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        lambdas = [rng.randint(-bound, bound) for _ in range(n)]
-        if len(set(lambdas)) != n:
-            continue
-        xs = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
-        spec = WebSpec.numeric(n, k, l, lambdas)
-        try:
-            matched = interpolant_matches_oracle(spec, xs)
-        except DegenerateInterpolantError:
-            continue
-        produced += 1
-        yield spec, xs, matched
+
+    def instances() -> Iterator[tuple[WebSpec, list[Fraction], bool]]:
+        rng = random.Random(seed)
+        produced = 0
+        while produced < count:
+            lambdas = [rng.randint(-bound, bound) for _ in range(n)]
+            if len(set(lambdas)) != n:
+                continue
+            xs = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+            spec = WebSpec.numeric(n, k, l, lambdas)
+            try:
+                matched = interpolant_matches_oracle(spec, xs)
+            except DegenerateInterpolantError:
+                continue
+            produced += 1
+            yield spec, xs, matched
+
+    return instances()

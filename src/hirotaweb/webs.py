@@ -832,12 +832,13 @@ def _wedge_at(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     """The first nonzero value at an integer point of a component of
     ``_self_wedge(a, b, c, d)``, keyed by its index (empty when every
     component vanishes there): the same six-product formula on the values
-    and gradients of the four polynomials at the point, one jet each.
-    Evaluation commutes with products, sums and partials, so each value is
-    the component's polynomial evaluated there, and a nonzero one proves
+    and gradients of the four int polynomials at the point, one term pass
+    each and no Hessian (``MultiPoly._value_and_gradient``).  Evaluation
+    commutes with products, sums and partials, so each value is the
+    component's polynomial evaluated there, and a nonzero one proves
     exactly that the component is not the zero polynomial."""
-    (va, ga, _), (vb, gb, _), (vc, gc, _), (vd, gd, _) = (
-        poly.second_order_jet(point) for poly in (a, b, c, d))
+    (va, ga), (vb, gb), (vc, gc), (vd, gd) = (
+        poly._value_and_gradient(point) for poly in (a, b, c, d))
     return _wedge_components(_pair_pieces(va, ga.__getitem__, vb, gb.__getitem__),
                              _pair_pieces(vc, gc.__getitem__, vd, gd.__getitem__),
                              len(point), True)
@@ -919,8 +920,10 @@ class FlatnessVerdict:
     element alpha_(n-2) is recorded alongside as a cross-check on
     d(beta_(n-2)) wedge beta_(n-2): a nonzero value of a component at one
     fixed integer point refutes it exactly, and otherwise an exact zero
-    test ends at its first nonzero component, so a "flat" verdict has
-    computed every component and found each one zero.
+    test ends at its first nonzero component.  A "flat" verdict (k = 0 or
+    l = 0) is proved by the one-pair identity d(A dB - B dA) wedge
+    (A dB - B dA) = 0, pinned by ``test_flat_elements_have_zero_self_wedge``,
+    and computes no component.
     """
 
     status: str                       # "nonflat-certified" | "flat-certified"
@@ -951,17 +954,26 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     (A, B, C, D) = (Q0, P1, Q1, P0).  For the mirror, i <= l, j <= k and
     i + j = n - 2 = k + l - 1 leave only the pairs (l, k-1) and (l-1, k):
     (A, B, C, D) = (Q_l, P_(k-1), Q_(l-1), P_k).  At n = 3 the two tuples
-    give the same form.  Both 3-forms can come from one formula
-    (``_self_wedge``): the witness keeps every nonzero component, and the
-    mirror test stops at its first.  For k, l >= 1 the witness is factored
-    instead (below), and the formula remains its fallback.  The mirror is
-    first refuted at a point (``_wedge_at``): the formula on the values and
-    gradients of its four minors at ``_probe_point``, one jet each, gives
-    each component's value there, and a nonzero one proves exactly that
-    the mirror is not integrable, so no polynomial piece is built.  A zero
-    at every component proves nothing and takes the polynomial test.  A
-    nonflat web is refuted at the point (the tests pin this on every order
-    up to n = 6); a flat web's mirror, integrable, takes the full test.
+    give the same form.
+
+    For k = 0 or l = 0 the web is flat, proved and not computed: P_1 = 0
+    when k = 0 and Q_1 = 0 when l = 0, likewise P_(k-1) or Q_(l-1) for the
+    mirror, so each beta has one pair, and d(A dB - B dA) wedge
+    (A dB - B dA) = 2 dA wedge dB wedge (A dB - B dA) = 0 for any A and B.
+    No component is built or evaluated, and the witness is the zero 3-form
+    over (c Q0)^4 (the tests compare it with the formula's on every such
+    order up to n = 6).
+
+    For k, l >= 1 both 3-forms can come from one formula (``_self_wedge``):
+    the witness keeps every nonzero component, and the mirror test stops
+    at its first.  The witness is factored instead (below), and the
+    formula remains its fallback.  The mirror is first refuted at a point
+    (``_wedge_at``): the formula on the values and gradients of its four
+    minors at ``_probe_point``, one term pass each, gives each component's
+    value there, and a nonzero one proves exactly that the mirror is not
+    integrable, so no polynomial piece is built.  A zero at every component
+    proves nothing and takes the polynomial test (the tests pin the
+    refutation at the point on every such order up to n = 6).
 
     For beta_1 the formula is the witness identity
 
@@ -1061,21 +1073,20 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
         raise WebSpecError("flatness certification needs dimension at least 3")
     minors = _without_denominators(signed_minors(spec))
     k, l = spec.k, spec.l
-    p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
+    p, q = minors[:k + 1], minors[k + 1:]
     if q[0].is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
-    zero = MultiPoly.zero(spec.n_vars)
-
-    w1 = None
-    if k >= 1 and l >= 1:
+    if k == 0 or l == 0:
+        w1 = mirror = {}
+    else:
         scale = _denominator_lcm(spec.lambdas)
         w1 = _factored_witness(q[0], p[1], q[1], p[0],
                                [_tighten(v * scale) for v in spec.lambdas], l)
-    if w1 is None:
-        w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
-    mirror_minors = (q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
-    mirror = (_wedge_at(*mirror_minors, _probe_point(spec.n_vars, spec.n, False))
-              or _self_wedge(*mirror_minors, first_only=True))
+        if w1 is None:
+            w1 = _self_wedge(q[0], p[1], q[1], p[0])
+        mirror_minors = (q[l], p[k - 1], q[l - 1], p[k])
+        mirror = (_wedge_at(*mirror_minors, _probe_point(spec.n_vars, spec.n, False))
+                  or _self_wedge(*mirror_minors, first_only=True))
     witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)
     alpha1_ok, cross_ok = not w1, not mirror
     if not alpha1_ok:

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hirotaweb
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, interpolation, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
@@ -280,6 +285,18 @@ def test_main_exit_codes_and_out_file(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == EXIT_OK
     assert out.read_text().strip() == captured.out.strip()
+
+
+def test_python_m_hirotaweb_runs_main(capsys):
+    # A checkout without the installed script runs the same command line.
+    argv = ["flatness", "--n", "4", "--k", "3", "--l", "0", "--lambdas", "1,2,3,4"]
+    src = Path(hirotaweb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "hirotaweb", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert main(argv) == EXIT_OK
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, capsys.readouterr().out, "")
 
 
 def test_main_unwritable_out_path_is_config_error(tmp_path, capsys):

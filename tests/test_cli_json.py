@@ -5,13 +5,13 @@ the dumps of their ``poly_to_json`` and ``to_json`` dicts."""
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hirotaweb import DifferentialForm, MultiPoly, WebSpec, flatness_check, poly_to_json
-from hirotaweb import polynomials
+from hirotaweb import cli, polynomials
 from hirotaweb.cli import RunConfig, _json_text, execute, render
 
 from test_cli_golden import GOLDEN
@@ -260,3 +260,26 @@ def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
     witness = report.objects["witness"]
     assert text == dumps(json.loads(text))
     assert json.loads(text)["objects"] == {"witness": witness.to_json()}
+
+
+def test_each_witness_denominator_scaling_is_written_once(monkeypatch):
+    # n = 6, k = 3: 20 components share two scalings of (c Q0)^4.  Each
+    # scaling's pieces are built and joined once, and every component's
+    # chunk splices the one string of its own scaling.
+    witness = flatness_check(WebSpec.numeric(6, 3, 2)).witness
+    layout = cli._PolyLayout("\n      ")
+    rows = list(witness._normalized(layout.catalog.walk))
+    own = {key: "".join(layout.pieces(6, *den)) for _, _, den, key in rows}
+    assert len(rows) == 20 and len(own) == 2
+    built = []
+    pieces = cli._PolyLayout.pieces
+    monkeypatch.setattr(cli._PolyLayout, "pieces",
+                        lambda self, *args: built.append(args) or pieces(self, *args))
+    chunks = list(cli._form_json(witness, "\n", {}))
+    assert len(built) == len(rows) + len(own)
+    dens = [chunk[1] for chunk in chunks[1:-1]]
+    assert dens == [own[key] for _, _, _, key in rows]
+    first = {}
+    for (*_, key), den in zip(rows, dens):
+        assert den is first.setdefault(key, den)
+    assert json.loads("".join(chain.from_iterable(chunks))) == witness.to_json()

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hirotaweb import (DegenerateInterpolantError, DimensionError, MultiPoly, PoleError,
+from hirotaweb import (DegenerateInterpolantError, DimensionError, InexactNumberError,
+                       MultiPoly, PoleError,
                        RationalFunction, WebSpec, WebSpecError,
                        cauchy_interpolant, evaluate_interpolant,
                        highest_coefficients, interpolant_matches_oracle,
@@ -401,15 +402,31 @@ def test_point_minors_never_expand_cofactors(monkeypatch):
 
 def test_oracle_refuses_more_nodes_than_the_sampling_range_holds(capsys):
     # Distinct nodes are drawn from the 2 * bound + 1 integers in
-    # [-bound, bound]; more nodes than that could never be drawn.
+    # [-bound, bound]; more nodes than that could never be drawn, and the
+    # call itself refuses, before any instance is drawn.
     with pytest.raises(WebSpecError, match="41 integers"):
-        next(random_numeric_instances(42, 20, 21, 1, seed=0))
+        random_numeric_instances(42, 20, 21, 1, seed=0)
     with pytest.raises(WebSpecError, match="5 integers"):
-        next(random_numeric_instances(6, 2, 3, 1, seed=0, bound=2))
+        random_numeric_instances(6, 2, 3, 1, seed=0, bound=2)
     start = time.perf_counter()
     assert main(["oracle", "--n", "42", "--k", "20", "--l", "21"]) == EXIT_CONFIG
     assert time.perf_counter() - start < 0.5
     assert "41 integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count, bound, error, match", [
+    (1, 2.0, InexactNumberError, "float bound"),
+    (1.5, 20, InexactNumberError, "float count"),
+    (-1, 20, WebSpecError, "negative instance count -1"),
+])
+def test_random_instances_refuse_bad_arguments_at_the_call(count, bound, error, match):
+    # The call itself checks, before any instance is drawn: no next() needed.
+    with pytest.raises(error, match=match):
+        random_numeric_instances(3, 1, 1, count, seed=0, bound=bound)
+
+
+def test_random_instances_of_count_zero_draw_nothing():
+    assert list(random_numeric_instances(3, 1, 1, 0, seed=0)) == []
 
 
 def test_evaluate_interpolant():

@@ -1214,8 +1214,8 @@ def test_coframe_proportional_to_veronese_pencil(spec):
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 1), (4, 0), (5, 2), (6, 2), (6, 5)])
 def test_flatness_check_takes_no_exterior_derivative_or_wedge(n, k, monkeypatch):
-    # Both 3-forms come from one formula on gradients: the exterior algebra
-    # stays out of flatness_check, nonflat and flat orders alike.
+    # The exterior algebra stays out of flatness_check, nonflat orders
+    # (one formula on gradients) and flat ones (the one-pair identity) alike.
     def refused(*args):
         raise AssertionError("flatness_check used the exterior algebra")
 
@@ -1384,7 +1384,8 @@ def test_flat_elements_have_zero_self_wedge(a, b):
     assert beta.exterior_derivative().wedge(beta).is_zero
 
 
-def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
+def _zero_q0(monkeypatch):
+    """Make ``signed_minors`` hand ``flatness_check`` a zero Q0."""
     genuine = webs.signed_minors
 
     def zero_q0(spec):
@@ -1393,8 +1394,54 @@ def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
         return minors
 
     monkeypatch.setattr(webs, "signed_minors", zero_q0)
+
+
+def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
+    _zero_q0(monkeypatch)
     with pytest.raises(DegenerateInterpolantError):
         flatness_check(WebSpec.numeric(4, 2, 1, nodes("1/2", -1, 3, 5)))
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_a_flat_order_refuses_a_corrupted_vanishing_q0(k, monkeypatch):
+    # The one-pair identity settles the verdict, not the minors' validity.
+    _zero_q0(monkeypatch)
+    with pytest.raises(DegenerateInterpolantError):
+        flatness_check(WebSpec.numeric(4, k, 3 - k, nodes("1/2", -1, 3, 5)))
+
+
+_FLAT_ORDERS = [(n, k) for n in range(3, 7) for k in (0, n - 1)]
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", _FLAT_ORDERS)
+def test_a_flat_verdict_is_the_one_pair_identity(n, k, node_class, monkeypatch):
+    # k = 0 or l = 0 leaves one pair in beta_1 and in beta_(n-2), so both
+    # 3-forms are zero for any minors: flatness_check writes them as {} and
+    # builds and evaluates none.  The verdict is the one the six-product
+    # formula gives on the same minors, field by field.
+    l = n - 1 - k
+    spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
+    minors = _without_denominators(signed_minors(spec))
+    p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
+    zero = MultiPoly.zero(n)
+    w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
+    mirror = _self_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
+    expected = DifferentialForm(n, 3, w1, q[0] ** 4)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a flat order built or evaluated a 3-form")
+
+    monkeypatch.setattr(webs, "_self_wedge", refused)
+    monkeypatch.setattr(webs, "_wedge_at", refused)
+    monkeypatch.setattr(MultiPoly, "second_order_jet", refused)
+    monkeypatch.setattr(MultiPoly, "_value_and_gradient", refused)
+    verdict = flatness_check(spec)
+    assert verdict.status == "flat-certified"
+    assert (verdict.alpha1_integrable, verdict.cross_check_integrable) == (not w1, not mirror)
+    assert verdict.witness == expected
+    assert verdict.witness.components == expected.components == {}
+    assert verdict.witness.den == expected.den
 
 
 def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkeypatch):
@@ -1588,17 +1635,16 @@ def test_a_division_with_a_remainder_falls_back_to_the_self_wedge(monkeypatch):
                                   WebSpec.numeric(5, 1, 3, (0, 2, -3, 1, 4)),
                                   WebSpec.numeric(6, 3, 2, _NODE_CLASSES["rational"]),
                                   WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0)])
-def test_a_nonflat_witness_never_takes_the_self_wedge(spec, monkeypatch):
+def test_flatness_check_never_takes_the_self_wedge(spec, monkeypatch):
     # k, l >= 1: the witness is factored and the mirror is refuted at the
-    # probe point, so _self_wedge is never called; k = 0 or l = 0: the
-    # witness comes from it as a whole, and the mirror, zero at the point,
-    # from its full test.
+    # probe point; k = 0 or l = 0: both 3-forms are zero by the one-pair
+    # identity.  So _self_wedge is never called, flat or nonflat.
     calls = []
     wedge = webs._self_wedge
     monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
         first_only) or wedge(*args, first_only=first_only))
-    verdict = flatness_check(spec)
-    assert calls == ([] if not verdict.is_flat else [False, True])
+    flatness_check(spec)
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", ["flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
