@@ -2,8 +2,9 @@
 
 Subcommands: generate, verify, flatness, restrict, properties, oracle.
 Output formats: text (default), json, latex.  Exit codes: 0 when every
-check passed, 1 when a mathematical check failed, 2 on input or
-configuration errors (including degenerate data).
+check passed, 1 when a mathematical check failed or stdout was closed
+early, 2 on input or configuration errors (including degenerate data) and
+when memory ran out.
 
 The JSON report is byte for byte ``json.dumps(payload, indent=2,
 sort_keys=True)`` of the payload with every polynomial replaced by its
@@ -22,6 +23,7 @@ at once; ``run`` and ``render`` return the same bytes joined.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -356,8 +358,8 @@ def _poly_json(poly: MultiPoly, nl: str, layouts: dict) -> list[str]:
 
 def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[str]]:
     """``form.to_json()`` as ``_json_chunks`` writes it, one chunk per
-    component, each distinct denominator scaling (g, m) joined into one
-    string once and spliced into every chunk that reads it.  The
+    component, the pieces of each distinct denominator scaling (g, m) built
+    once and spliced into every chunk that reads it.  The
     coefficient types are checked before normalizing, which would turn a
     bool into an int and fail on a float."""
     inner = nl + "  "
@@ -367,12 +369,12 @@ def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[
                                     for poly in (form.den, *form.components.values()))),
             _COEFFICIENTS)
     layout = layouts.get(field) or layouts.setdefault(field, _PolyLayout(field))
-    den_text: dict[tuple[int, int], str] = {}
+    den_pieces: dict[tuple[int, int], list[str]] = {}
     yield ["{" + inner + '"components": ']
     for position, (idx, num, den, key) in enumerate(form._normalized(layout.catalog.walk)):
-        if key not in den_text:
-            den_text[key] = "".join(layout.pieces(form.n_vars, *den))
-        yield [("," if position else "[") + item + "{" + field + '"den": ', den_text[key],
+        if key not in den_pieces:
+            den_pieces[key] = layout.pieces(form.n_vars, *den)
+        yield [("," if position else "[") + item + "{" + field + '"den": ', *den_pieces[key],
                "," + field + '"idx": ', *_json_pieces([i + 1 for i in idx], field, layouts),
                "," + field + '"num": ', *layout.pieces(form.n_vars, *num), item + "}"]
     yield [(inner + "]," if form.components else "[],") + inner + '"degree": '
@@ -515,7 +517,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """The command line: ``run``'s text and a newline to stdout, and with
     ``--out`` to a file too, written chunk by chunk as it is rendered: the
     file is opened with the first chunk and closed however the writing
-    ends."""
+    ends.  A reader that closes stdout early ends the command with exit 1,
+    and running out of memory with one line to stderr and exit 2, neither
+    with a traceback."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -523,14 +527,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (WebSpecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    code, outcome = _outcome(config)
-    if code == EXIT_CONFIG:
-        print(outcome, file=sys.stderr)
-        return code
-    chunks = ([outcome] if isinstance(outcome, str)
-              else map("".join, _render_chunks(outcome, config.format)))
     handle = failure = None
     try:
+        code, outcome = _outcome(config)
+        if code == EXIT_CONFIG:
+            print(outcome, file=sys.stderr)
+            return code
+        chunks = ([outcome] if isinstance(outcome, str)
+                  else map("".join, _render_chunks(outcome, config.format)))
         for chunk in chain(chunks, ["\n"]):
             sys.stdout.write(chunk)
             if config.out and failure is None:
@@ -539,6 +543,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     handle.write(chunk)
                 except OSError as exc:
                     failure = exc
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Point stdout at devnull, as the Python docs advise for SIGPIPE, so
+        # that the flush at exit raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CHECK_FAILED
+    except MemoryError:
+        hint = ("; --mode sampled needs far less"
+                if config.command == "verify" and config.mode == "symbolic" else "")
+        print(f"error: out of memory{hint}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         if handle is not None:
             try:

@@ -38,20 +38,16 @@ certifies everything checkable about it in exact arithmetic:
   every parameter value is the residual verdict (``veronese_form``);
 * the flatness dichotomy, certified through the integrability of two of
   the coframe's parameter-power coefficient 1-forms, the degree-1 element
-  and its mirror element n-2, neither of them built as a form: each 3-form
-  d(beta) wedge beta is one sum of six products per component, built from
-  the gradients of four minors, with no exterior algebra, and the mirror's
-  is first evaluated at one integer point, where a nonzero value refutes
-  it.  For numeric nodes and k, l >= 1 the witness d(beta_1) wedge beta_1
-  factors instead:
-  beta_1's dx_v coefficient is kappa_v D_v^2 (Lagrange interpolation in
+  and its mirror element n-2, neither of them built as a form.  A flat
+  order (k = 0 or l = 0) is proved by a one-pair identity.  Otherwise
+  each beta's dx_v coefficient is kappa_v D_v^2 (Lagrange interpolation in
   the parameter, the Veronese coframe being q(node_v)^2 dx_v at node_v),
-  and with the three-term Grassmann-Pluecker relation each component is
-  kappa_abc D_a D_b D_c F_abc, F_abc the minor of size n-3 on the rows
-  without a, b and c.  The two
-  families of identities behind it, (i) for the kappa_v and (ii) for the
-  constants rho^v_pq of D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc, are
-  zero-tested in full per run (``flatness_check``);
+  and with the three-term Grassmann-Pluecker relation each component of
+  d(beta) wedge beta is kappa_abc D_a D_b D_c F_abc, F_abc the minor of
+  size n-3 on the rows without a, b and c.  The two families of identities
+  behind it are zero-tested in full per run, and a failed one is an error.
+  The mirror is first evaluated at one integer point, where a nonzero
+  value refutes it (``flatness_check``);
 * restriction of a solution to a coordinate hyperplane and composition with
   Mobius transformations, both of which produce new solutions.
 
@@ -68,7 +64,7 @@ from fractions import Fraction
 from functools import cache, partial
 from itertools import combinations
 from math import lcm, prod
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
@@ -766,89 +762,42 @@ def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
     return polys if scale == 1 else [poly * scale for poly in polys]
 
 
-def _pair_pieces(x, dx: Callable, y, dy: Callable) -> tuple[Callable, Callable]:
-    """The pieces of one pair (X, Y) of ``_self_wedge``, each built once on
-    first read: one(v) = X d_vY - Y d_vX and two(u, v) = d_uX d_vY - d_vX d_uY,
-    from X and Y with ``dx`` and ``dy`` giving their partials.  These are
-    polynomials, or the pieces' values at a point when X, Y and the
-    partials are numbers there (``_combine`` takes either kind)."""
-
-    @cache
-    def one(v: int):
-        return _combine([(dy(v), x, 1), (y, dx(v), -1)])
-
-    @cache
-    def two(u: int, v: int):
-        return _combine([(dx(u), dy(v), 1), (dx(v), dy(u), -1)])
-
-    return one, two
-
-
-def _wedge_components(ab: tuple[Callable, Callable], cd: tuple[Callable, Callable],
-                      n: int, first_only: bool) -> dict[tuple[int, int, int], object]:
-    """The nonzero (a, b, c) components of ``_self_wedge`` from the pieces of
-    the pairs (A, B) and (C, D), in index order, each one sum of six
-    products; with ``first_only`` only the first nonzero one."""
-    p, w = ab
-    g, k = cd
+def _wedge_at(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
+              point: Sequence[int]) -> dict[tuple[int, int, int], int]:
+    """The nonzero values at an integer point of the components of
+    d(beta) wedge beta, beta = A dB - B dA + C dD - D dC for any four int
+    polynomials, keyed by index in index order.  As dA^dB^(A dB - B dA)
+    = 0, d(beta) ^ beta = 2 [dA^dB^(C dD - D dC) + dC^dD^(A dB - B dA)],
+    so with the pieces p_v = (A dB - B dA)_v and w_uv = (dA^dB)_uv of
+    (A, B), and g and k likewise of (C, D), the (a, b, c) component is
+    2 (w_ab g_c - w_ac g_b + w_bc g_a + k_ab p_c - k_ac p_b + k_bc p_a).
+    Here the pieces are ints, from the values and gradients at the point
+    (``MultiPoly._value_and_gradient``, one term pass each).  Evaluation
+    commutes with products, sums and partials, so a nonzero value proves
+    exactly that its component is not the zero polynomial."""
+    (va, ga), (vb, gb), (vc, gc), (vd, gd) = (
+        poly._value_and_gradient(point) for poly in (a, b, c, d))
+    indices = range(len(point))
+    p = [va * gb[v] - vb * ga[v] for v in indices]
+    g = [vc * gd[v] - vd * gc[v] for v in indices]
+    w = {(u, v): ga[u] * gb[v] - ga[v] * gb[u] for u, v in combinations(indices, 2)}
+    k = {(u, v): gc[u] * gd[v] - gc[v] * gd[u] for u, v in combinations(indices, 2)}
     out = {}
-    for i, j, m in combinations(range(n), 3):
-        value = _combine([
-            (w(i, j), g(m), 2), (w(i, m), g(j), -2), (w(j, m), g(i), 2),
-            (k(i, j), p(m), 2), (k(i, m), p(j), -2), (k(j, m), p(i), 2)])
+    for i, j, m in combinations(indices, 3):
+        value = 2 * (w[i, j] * g[m] - w[i, m] * g[j] + w[j, m] * g[i]
+                     + k[i, j] * p[m] - k[i, m] * p[j] + k[j, m] * p[i])
         if value:
             out[i, j, m] = value
-            if first_only:
-                break
     return out
 
 
-def _self_wedge(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
-                first_only: bool = False) -> dict[tuple[int, int, int], MultiPoly]:
-    """The nonzero components of d(beta) wedge beta for the polynomial
-    1-form beta = A dB - B dA + C dD - D dC, any four polynomials.
-
-    d(beta) = 2 (dA^dB + dC^dD), and dA^dB^(A dB - B dA) = 0, so
-
-        d(beta) ^ beta = 2 [dA^dB^(C dD - D dC) + dC^dD^(A dB - B dA)].
-
-    Each pair gives n one-form pieces (A dB - B dA)_v = A B_v - B A_v (the
-    N_v of ``_first_factors`` for B over A) and C(n, 2) two-form pieces
-    (dA^dB)_uv = A_u B_v - A_v B_u, and the (a, b, c) component is one sum
-    of six products of them,
-    2 (w_ab g_c - w_ac g_b + w_bc g_a + k_ab p_c - k_ac p_b + k_bc p_a)
-    with w, p from (A, B) and k, g from (C, D).  Every derivative and piece
-    is built when a component first reads it, once.  With ``first_only`` it
-    stops at the first nonzero component, having built only what the
-    components up to it read.
-    """
-    return _wedge_components(_pair_pieces(a, cache(a.derivative), b, cache(b.derivative)),
-                             _pair_pieces(c, cache(c.derivative), d, cache(d.derivative)),
-                             a.n_vars, first_only)
-
-
-def _wedge_at(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
-              point: Sequence[int]) -> dict[tuple[int, int, int], Scalar]:
-    """The first nonzero value at an integer point of a component of
-    ``_self_wedge(a, b, c, d)``, keyed by its index (empty when every
-    component vanishes there): the same six-product formula on the values
-    and gradients of the four int polynomials at the point, one term pass
-    each and no Hessian (``MultiPoly._value_and_gradient``).  Evaluation
-    commutes with products, sums and partials, so each value is the
-    component's polynomial evaluated there, and a nonzero one proves
-    exactly that the component is not the zero polynomial."""
-    (va, ga), (vb, gb), (vc, gc), (vd, gd) = (
-        poly._value_and_gradient(point) for poly in (a, b, c, d))
-    return _wedge_components(_pair_pieces(va, ga.__getitem__, vb, gb.__getitem__),
-                             _pair_pieces(vc, gc.__getitem__, vd, gd.__getitem__),
-                             len(point), True)
-
-
 def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
-                      nodes: Sequence[int], l: int
-                      ) -> Optional[dict[tuple[int, int, int], MultiPoly]]:
-    """``_self_wedge(a, b, c, d)`` for (A, B, C, D) = (Q0, P1, Q1, P0) of a
-    spec with int nodes and k, l >= 1, each nonzero component written as
+                      nodes: Sequence[int], l: int) -> dict[tuple[int, int, int], MultiPoly]:
+    """The nonzero components of d(beta) wedge beta for
+    beta = A dB - B dA + C dD - D dC, (A, B, C, D) four coefficient minors
+    of a spec with int nodes and k, l >= 1 whose dx_v coefficients are
+    kappa_v D_v^2 (the witness's (Q0, P1, Q1, P0) or the mirror's
+    (Q_l, P_(k-1), Q_(l-1), P_k)), each written as
     kappa_abc (D_a D_b)(D_c F_abc) from minors of size n-1 and n-3
     (``flatness_check``).  Two families are zero-tested in full, each
     constant read off one coefficient first (``_proportion``):
@@ -861,38 +810,40 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     (``_affine``), so with X = x_v X' + X'' the x_v terms cancel, and
     h_v = A''B' - B''A' + C''D' - D''C' and W^v_pq = D_p''D_q' - D_q''D_p':
     no partial is built.
-    None when a check fails, an exponent of A, B, C or D exceeds 1, a D or
-    F is zero or a component's division leaves a remainder: the caller
-    then takes ``_self_wedge``."""
+    A failed check is an error (``HirotaWebError``, naming it): an exponent
+    of A, B, C or D above 1, a zero D or F, (i) or (ii) not holding, or a
+    component's division leaving a remainder."""
     if not _affine(a, b, c, d):
-        return None
+        raise HirotaWebError("factored witness: a minor of beta has an exponent above 1")
     n = len(nodes)
     indices = range(n)
     minors = [_minor(nodes, [r for r in indices if r != v], l) for v in indices]
-    if not all(minors):
-        return None
     kappa = []
     for v in indices:                                           # (i)
+        if not minors[v]:
+            raise HirotaWebError(f"factored witness: the minor D_{v + 1} is zero")
         (a1, a0), (b1, b0), (c1, c0), (d1, d0) = (_halves(poly, v, _PAIR_WIDTH)
                                                   for poly in (a, b, c, d))
         kappa.append(_proportion([(a0, b1, 1), (b0, a1, -1), (c0, d1, 1), (d0, c1, -1)],
                                  minors[v], minors[v]))
         if kappa[v] is None:
-            return None
+            raise HirotaWebError(f"factored witness: check (i) fails at v = {v + 1}")
     halves = [[_halves(minor, v, _PAIR_WIDTH) for v in indices] for minor in minors]
     out = {}
     for i, j in combinations(indices, 2):
         pair = None
         for m in range(j + 1, n):
+            triple = (i + 1, j + 1, m + 1)
             f = _minor(nodes, [r for r in indices if r not in (i, j, m)], l - 1)
             if not f:
-                return None
+                raise HirotaWebError(f"factored witness: the minor F_abc is zero at {triple}")
             rho = []
             for v, p, q in ((i, j, m), (j, i, m), (m, i, j)):     # (ii)
                 (p1, p0), (q1, q0) = halves[p][v], halves[q][v]
                 rho.append(_proportion([(p0, q1, 1), (q0, p1, -1)], minors[v], f))
                 if rho[-1] is None:
-                    return None
+                    raise HirotaWebError(
+                        f"factored witness: check (ii) fails at v = {v + 1} in {triple}")
             rho_i, rho_j, rho_m = rho
             constant = 2 * (kappa[i] * kappa[m] * rho_j - kappa[i] * kappa[j] * rho_m
                             - kappa[j] * kappa[m] * rho_i)
@@ -904,7 +855,8 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
             scale = constant.denominator
             if scale != 1:
                 if any(x % scale for x in value._coefficients()):
-                    return None
+                    raise HirotaWebError(f"factored witness: component {triple} "
+                                         f"leaves a remainder on division by {scale}")
                 value = _scaled(value, 1, scale)
             out[i, j, m] = value
     return out
@@ -919,11 +871,11 @@ class FlatnessVerdict:
     is nonvanishing on a dense open set.  The integrability of the mirror
     element alpha_(n-2) is recorded alongside as a cross-check on
     d(beta_(n-2)) wedge beta_(n-2): a nonzero value of a component at one
-    fixed integer point refutes it exactly, and otherwise an exact zero
-    test ends at its first nonzero component.  A "flat" verdict (k = 0 or
-    l = 0) is proved by the one-pair identity d(A dB - B dA) wedge
-    (A dB - B dA) = 0, pinned by ``test_flat_elements_have_zero_self_wedge``,
-    and computes no component.
+    fixed integer point refutes it exactly, and otherwise the mirror is
+    factored in full as the witness is; a failed check on either is an
+    error, not a verdict.  A "flat" verdict (k = 0 or l = 0) is proved by
+    the one-pair identity d(A dB - B dA) wedge (A dB - B dA) = 0, which the
+    tests pin for any A and B, and computes no component.
     """
 
     status: str                       # "nonflat-certified" | "flat-certified"
@@ -964,18 +916,17 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     over (c Q0)^4 (the tests compare it with the formula's on every such
     order up to n = 6).
 
-    For k, l >= 1 both 3-forms can come from one formula (``_self_wedge``):
-    the witness keeps every nonzero component, and the mirror test stops
-    at its first.  The witness is factored instead (below), and the
-    formula remains its fallback.  The mirror is first refuted at a point
-    (``_wedge_at``): the formula on the values and gradients of its four
-    minors at ``_probe_point``, one term pass each, gives each component's
-    value there, and a nonzero one proves exactly that the mirror is not
-    integrable, so no polynomial piece is built.  A zero at every component
-    proves nothing and takes the polynomial test (the tests pin the
-    refutation at the point on every such order up to n = 6).
+    For k, l >= 1 each 3-form has one route, and a failed check on it is
+    an error.  The witness is factored (``_factored_witness``, below).  The
+    mirror is first refuted at a point (``_wedge_at``): the six-product
+    formula on the values and gradients of its four minors at
+    ``_probe_point`` gives each component's value there, and a nonzero one
+    proves exactly that the mirror is not integrable.  A zero at every
+    component proves nothing, and the mirror is then factored in full as
+    the witness is, which is exact and complete (the tests pin both routes
+    against the formula on polynomials on every such order up to n = 6).
 
-    For beta_1 the formula is the witness identity
+    For beta_1 the six-product formula is the witness identity
 
         d(alpha_1) wedge alpha_1 = 2 dq_1 wedge dp_0 wedge dp_1
 
@@ -1000,12 +951,13 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     so each component of the witness at a point needs only the values and
     gradients of the four minors there.
 
-    For k, l >= 1 the witness is built from smaller minors instead
-    (``_factored_witness``).  With the nodes scaled to ints, D_v is the row
-    matrix's minor on the rows without v and F_abc the one on the rows
-    without a, b and c, over the leading columns of each block with x-blocks
-    of l and l-1 columns: C(n-1, l) and C(n-3, l-1) terms, both from
-    ``interpolation._block`` at g = 0, D as in ``verify_hirota``.  Then
+    For k, l >= 1 the witness, and the mirror when it is factored, is
+    built from smaller minors (``_factored_witness``).  With the nodes
+    scaled to ints, D_v is the row matrix's minor on the rows without v and
+    F_abc the one on the rows without a, b and c, over the leading columns
+    of each block with x-blocks of l and l-1 columns: C(n-1, l) and
+    C(n-3, l-1) terms, both from ``interpolation._block`` at g = 0, D as in
+    ``verify_hirota``.  Then
 
         w1_abc = kappa_abc (D_a D_b)(D_c F_abc),
         kappa_abc = 2 (kappa_a kappa_c rho^b_ac - kappa_a kappa_b rho^c_ab
@@ -1038,7 +990,11 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
        d_c h_a) + h_c (d_a h_b - d_b h_a), grouped by the differentiated
        variable, is 2 kappa_a kappa_c D_a D_c W^b_ac - 2 kappa_a kappa_b
        D_a D_b W^c_ab - 2 kappa_b kappa_c D_b D_c W^a_bc, which (ii) turns
-       into the formula above.
+       into the formula above.  It reads nothing but h_v = kappa_v D_v^2,
+       so it holds for any (A, B, C, D) of that form.  The mirror's
+       beta_(n-2) is one: step 1 with [t^(n-2)] in place of [t^1] and
+       step 2 as it stands give its kappa_v, which vanishes where the
+       nodes other than v sum to 0.  So the mirror takes the same route.
     4. For v != q, row v of D_q is u + x_v w with u = (N_v | 0) and
        w = (0 | -N_v) cut to D's columns, so D is affine in x_v.  With K the
        rows not in {p, q, v}, r_p and r_q rows p and q, and [...] the
@@ -1051,21 +1007,21 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
        (measured on every order with k, l >= 1 up to n = 7 and pinned by
        the tests).
     The verdict rests on no unchecked identity: (i) and (ii) are computed,
-    and steps 1-4 only say why they pass.  A failed check, a zero D or F,
-    or a component whose division by kappa_abc's denominator leaves a
-    remainder sends the whole witness back to ``_self_wedge``, so a
-    corrupted or substituted minor gives the witness it gave before.  A
-    component with kappa_abc = 0 is absent, as ``_self_wedge`` leaves a zero
-    component out.  D and F are nonzero, so the witness is nonzero exactly
-    when some kappa_abc is.  With integer nodes the constants combine to
+    and steps 1-4 only say why they pass.  A failed check, an exponent of
+    A, B, C or D above 1, a zero D or F, or a component whose division by
+    kappa_abc's denominator leaves a remainder is an error
+    (``HirotaWebError``) that names it; no second route recomputes the
+    form.  A component with kappa_abc = 0 is absent, as the six-product
+    formula leaves a zero component out.  D and F are nonzero, so the
+    witness is nonzero exactly when some kappa_abc is.  With integer nodes the constants combine to
     kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in {a,b,c}} node_m)^2
     (measured on every order with k, l >= 1 up to n = 6 and pinned by the
     tests): distinct nodes include at most one zero, so a triple holding it
     has kappa_abc != 0.  With nodes 1..n and k = (n-1)//2 a check takes
     0.04-0.07 s at n = 6, 0.34-0.55 s at n = 7 and 2.3-3.6 s at n = 8
-    (135 MB), against 0.12-0.16, 1.6-2.2 and 17.3 s through
-    ``_self_wedge`` (2 vCPUs, Python 3.11, the range of single in-process
-    runs on a host whose speed drifts).
+    (135 MB), against 0.12-0.16, 1.6-2.2 and 17.3 s through the
+    six-product formula on polynomials (2 vCPUs, Python 3.11, the range of
+    single in-process runs on a host whose speed drifts).
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
@@ -1080,13 +1036,11 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
         w1 = mirror = {}
     else:
         scale = _denominator_lcm(spec.lambdas)
-        w1 = _factored_witness(q[0], p[1], q[1], p[0],
-                               [_tighten(v * scale) for v in spec.lambdas], l)
-        if w1 is None:
-            w1 = _self_wedge(q[0], p[1], q[1], p[0])
+        int_nodes = [_tighten(v * scale) for v in spec.lambdas]
+        w1 = _factored_witness(q[0], p[1], q[1], p[0], int_nodes, l)
         mirror_minors = (q[l], p[k - 1], q[l - 1], p[k])
         mirror = (_wedge_at(*mirror_minors, _probe_point(spec.n_vars, spec.n, False))
-                  or _self_wedge(*mirror_minors, first_only=True))
+                  or _factored_witness(*mirror_minors, int_nodes, l))
     witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)
     alpha1_ok, cross_ok = not w1, not mirror
     if not alpha1_ok:

@@ -299,6 +299,47 @@ def test_python_m_hirotaweb_runs_main(capsys):
     assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, capsys.readouterr().out, "")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(fmt):
+    # The n = 6 witness is megabytes, far past a pipe's buffer.
+    argv = ["flatness", "--n", "6", "--k", "3", "--l", "2", "--format", fmt]
+    src = Path(hirotaweb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.Popen([sys.executable, "-m", "hirotaweb", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == EXIT_CHECK_FAILED
+    assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.parametrize("argv, hint", [
+    (["flatness", "--n", "5", "--k", "2", "--l", "2"], ""),
+    (["verify", "--n", "4", "--k", "2", "--l", "1"], "; --mode sampled needs far less"),
+    (["verify", "--n", "4", "--k", "2", "--l", "1", "--mode", "sampled"], "")])
+@pytest.mark.parametrize("where", ["_outcome", "_render_chunks"])
+def test_running_out_of_memory_is_one_line_and_exit_2(argv, hint, where, monkeypatch):
+    # Raised while the command runs, or after its report has streamed out.
+    import hirotaweb.cli as cli
+    streamed = run(config_from_args(build_parser().parse_args(argv)))[1]
+    genuine = getattr(cli, where)
+
+    def exhausted(*args):
+        raise MemoryError
+
+    def exhausted_after(*args):
+        yield from genuine(*args)
+        raise MemoryError
+
+    monkeypatch.setattr(cli, where, exhausted if where == "_outcome" else exhausted_after)
+    code, out, err = _main_output(argv)
+    assert code == EXIT_CONFIG
+    assert err == f"error: out of memory{hint}\n"
+    assert out == ("" if where == "_outcome" else streamed)
+
+
 def test_main_unwritable_out_path_is_config_error(tmp_path, capsys):
     out = tmp_path / "missing" / "dir" / "report.txt"
     code = main(["generate", "--n", "3", "--k", "1", "--l", "1",

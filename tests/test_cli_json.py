@@ -4,6 +4,7 @@ Polynomials and forms are written from their terms, and must come out as
 the dumps of their ``poly_to_json`` and ``to_json`` dicts."""
 
 import json
+import operator
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -264,22 +265,25 @@ def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
 
 def test_each_witness_denominator_scaling_is_written_once(monkeypatch):
     # n = 6, k = 3: 20 components share two scalings of (c Q0)^4.  Each
-    # scaling's pieces are built and joined once, and every component's
-    # chunk splices the one string of its own scaling.
+    # scaling's pieces are built once, and every component's chunk splices
+    # the very pieces of its own scaling; no scaling is joined into one
+    # string that lives for the whole form.
     witness = flatness_check(WebSpec.numeric(6, 3, 2)).witness
     layout = cli._PolyLayout("\n      ")
     rows = list(witness._normalized(layout.catalog.walk))
-    own = {key: "".join(layout.pieces(6, *den)) for _, _, den, key in rows}
+    own = {key: layout.pieces(6, *den) for _, _, den, key in rows}
     assert len(rows) == 20 and len(own) == 2
     built = []
     pieces = cli._PolyLayout.pieces
     monkeypatch.setattr(cli._PolyLayout, "pieces",
-                        lambda self, *args: built.append(args) or pieces(self, *args))
+                        lambda self, *args: built.append(pieces(self, *args)) or built[-1])
     chunks = list(cli._form_json(witness, "\n", {}))
     assert len(built) == len(rows) + len(own)
-    dens = [chunk[1] for chunk in chunks[1:-1]]
-    assert dens == [own[key] for _, _, _, key in rows]
     first = {}
-    for (*_, key), den in zip(rows, dens):
-        assert den is first.setdefault(key, den)
+    for (*_, key), chunk in zip(rows, chunks[1:-1]):
+        den = chunk[1:1 + len(own[key])]
+        assert den == own[key]
+        assert all(a is b for a, b in zip(den, first.setdefault(key, den)))
+    assert all(any(len(listed) == len(den) and all(map(operator.is_, listed, den))
+                   for listed in built) for den in first.values())
     assert json.loads("".join(chain.from_iterable(chunks))) == witness.to_json()

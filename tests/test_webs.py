@@ -25,7 +25,7 @@ from hirotaweb.cli import RunConfig, build_parser, config_from_args, run as cli_
 from hirotaweb.webs import (_degree_bound, _denominator_lcm,
                             _derivative_degrees, _factored_witness, _minor_degrees,
                             _polynomial_jet, _residual, _residual_factors,
-                            _sampled_factors, _self_wedge, _spec_factors,
+                            _sampled_factors, _spec_factors,
                             _without_denominators)
 from reference_exterior import (add, at, coframe, coframe_element, d0, degree, dx,
                                 is_degenerate_order, neg, sub, total)
@@ -38,7 +38,8 @@ from reference_residuals import (expanded_degree_bound, expanded_factors,
                                  expanded_residual_values, expanded_residuals)
 from reference_text import form_text
 from reference_witness import (gamma_product, inflated_witness, jet_determinant,
-                               raw_alpha1, self_wedge)
+                               pair_pieces, raw_alpha1, self_wedge, six_product_wedge,
+                               wedge_components)
 
 
 def nodes(*values):
@@ -1305,7 +1306,7 @@ def test_reduced_witness_identity_agrees_with_the_gamma_product(n, k, node_class
     # on the minors as they come: w1 = 2R, and with the oracle's
     # w1 Q0^2 = gamma product, 2R Q0^2 = gamma product
     p0, p1, q0, q1 = oracle.coefficients
-    assert DifferentialForm(n, 3, _self_wedge(q0, p1, q1, p0)) == oracle.w1
+    assert DifferentialForm(n, 3, six_product_wedge(q0, p1, q1, p0)) == oracle.w1
     assert jet_determinant(*oracle.coefficients).scale(2) == oracle.w1
     # cleared denominators leave every rendered witness component unchanged
     witness = verdict.witness
@@ -1327,8 +1328,8 @@ _small_polys = st.dictionaries(
 
 
 def _witness_form(p0, p1, q0, q1):
-    """d(beta_1) wedge beta_1 by the library's one formula, as a 3-form."""
-    return DifferentialForm(q0.n_vars, 3, _self_wedge(q0, p1, q1, p0))
+    """d(beta_1) wedge beta_1 by the six-product formula, as a 3-form."""
+    return DifferentialForm(q0.n_vars, 3, six_product_wedge(q0, p1, q1, p0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -1365,12 +1366,12 @@ def test_mirror_formula_is_the_exterior_algebra_self_wedge(n, k, node_class):
     minors = _without_denominators(signed_minors(spec))
     p_list, q_list = minors[:k + 1], minors[k + 1:]
     zero = MultiPoly.zero(n)
-    formula = _self_wedge(q_list[l], p_list[k - 1] if k else zero,
-                          q_list[l - 1] if l else zero, p_list[k])
+    formula = six_product_wedge(q_list[l], p_list[k - 1] if k else zero,
+                                q_list[l - 1] if l else zero, p_list[k])
     assert DifferentialForm(n, 3, formula) == self_wedge(coframe_element(p_list, q_list, n - 2))
-    # the mirror test's first nonzero component is the formula's first
-    first = _self_wedge(q_list[l], p_list[k - 1] if k else zero,
-                        q_list[l - 1] if l else zero, p_list[k], first_only=True)
+    # the formula's first nonzero component is its first in index order
+    first = six_product_wedge(q_list[l], p_list[k - 1] if k else zero,
+                              q_list[l - 1] if l else zero, p_list[k], first_only=True)
     assert list(first.items()) == list(formula.items())[:1]
 
 
@@ -1418,21 +1419,21 @@ _FLAT_ORDERS = [(n, k) for n in range(3, 7) for k in (0, n - 1)]
 def test_a_flat_verdict_is_the_one_pair_identity(n, k, node_class, monkeypatch):
     # k = 0 or l = 0 leaves one pair in beta_1 and in beta_(n-2), so both
     # 3-forms are zero for any minors: flatness_check writes them as {} and
-    # builds and evaluates none.  The verdict is the one the six-product
-    # formula gives on the same minors, field by field.
+    # builds and evaluates none: neither route runs.  The verdict is the one
+    # the six-product formula gives on the same minors, field by field.
     l = n - 1 - k
     spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
     minors = _without_denominators(signed_minors(spec))
     p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
     zero = MultiPoly.zero(n)
-    w1 = _self_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
-    mirror = _self_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
+    w1 = six_product_wedge(q[0], p.get(1, zero), q.get(1, zero), p[0])
+    mirror = six_product_wedge(q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
     expected = DifferentialForm(n, 3, w1, q[0] ** 4)
 
     def refused(*args, **kwargs):
         raise AssertionError("a flat order built or evaluated a 3-form")
 
-    monkeypatch.setattr(webs, "_self_wedge", refused)
+    monkeypatch.setattr(webs, "_factored_witness", refused)
     monkeypatch.setattr(webs, "_wedge_at", refused)
     monkeypatch.setattr(MultiPoly, "second_order_jet", refused)
     monkeypatch.setattr(MultiPoly, "_value_and_gradient", refused)
@@ -1461,13 +1462,16 @@ def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkey
 _WITNESS_ORDERS = [(n, k) for n in range(3, 7) for k in range(1, n - 1)]
 
 
-def _witness_pieces(spec):
-    """(Q0, P1, Q1, P0) with denominators cleared, as flatness_check takes
-    them, and the nodes scaled to ints."""
+def _witness_pieces(spec, mirror=False):
+    """(Q0, P1, Q1, P0), or with ``mirror`` (Q_l, P_(k-1), Q_(l-1), P_k),
+    with denominators cleared, as flatness_check takes them, and the nodes
+    scaled to ints."""
     minors = _without_denominators(signed_minors(spec))
-    p, q = minors[:spec.k + 1], minors[spec.k + 1:]
+    k, l = spec.k, spec.l
+    p, q = minors[:k + 1], minors[k + 1:]
     scale = _denominator_lcm(spec.lambdas)
-    return (q[0], p[1], q[1], p[0]), [int(v * scale) for v in spec.lambdas]
+    pieces = (q[l], p[k - 1], q[l - 1], p[k]) if mirror else (q[0], p[1], q[1], p[0])
+    return pieces, [int(v * scale) for v in spec.lambdas]
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
@@ -1477,15 +1481,36 @@ def test_factored_witness_is_the_self_wedge(n, k, node_class):
     spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
     pieces, int_nodes = _witness_pieces(spec)
     factored = _factored_witness(*pieces, int_nodes, spec.l)
-    assert factored is not None
-    assert list(factored.items()) == list(_self_wedge(*pieces).items())
+    assert list(factored.items()) == list(six_product_wedge(*pieces).items())
+
+
+@pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
+@pytest.mark.parametrize("n, k", _WITNESS_ORDERS)
+def test_factored_mirror_is_the_self_wedge(n, k, node_class):
+    # The mirror's dx_v coefficients are kappa_v D_v^2 too, so the factored
+    # route gives its 3-form in full.  Its kappa_v vanishes where the other
+    # nodes sum to 0, as for the integer class at n = 5 and the zero class
+    # at n = 4 and 5.
+    spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
+    pieces, int_nodes = _witness_pieces(spec, mirror=True)
+    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    assert list(factored.items()) == list(six_product_wedge(*pieces).items())
+    assert factored
 
 
 def test_factored_witness_is_the_self_wedge_at_n7():
     spec = WebSpec.numeric(7, 2, 4, nodes(3, -1, 4, "1/5", 9, -2, 6))
     pieces, int_nodes = _witness_pieces(spec)
     assert list(_factored_witness(*pieces, int_nodes, 4).items()) == list(
-        _self_wedge(*pieces).items())
+        six_product_wedge(*pieces).items())
+    # The factored mirror, against its values at the probe point.
+    pieces, int_nodes = _witness_pieces(spec, mirror=True)
+    mirror = _factored_witness(*pieces, int_nodes, 4)
+    point = webs._probe_point(7, 7, False)
+    at_point = {triple: value.evaluate(point) for triple, value in mirror.items()}
+    assert {triple: value for triple, value in at_point.items() if value} == webs._wedge_at(
+        *pieces, point)
+    assert len(mirror) == 35
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
@@ -1536,31 +1561,42 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
 
 
 def _corrupt_p0(monkeypatch):
-    """P0 + x1^2 in place of P0, so check (i) fails at v = 1."""
+    """P0 + x1 x2 in place of P0: every exponent stays at most 1, and check
+    (i) fails at v = 1."""
     genuine = webs.signed_minors
 
     def corrupted(spec):
         minors = genuine(spec)
-        minors[0] = minors[0] + MultiPoly.variable(spec.n_vars, 0) ** 2
+        x = [MultiPoly.variable(spec.n_vars, v) for v in (0, 1)]
+        minors[0] = minors[0] + x[0] * x[1]
         return minors
 
     monkeypatch.setattr(webs, "signed_minors", corrupted)
 
 
-@pytest.mark.parametrize("lambdas", [(3, 1, 7, 2, 9), (0, "1/2", -3, 2, 5)])
-def test_a_failed_witness_check_falls_back_to_the_self_wedge(lambdas, monkeypatch):
-    # The whole witness, and so every output byte, is then _self_wedge's.
-    cfg = RunConfig(command="flatness", n=5, k=2, l=2,
-                    lambdas=tuple(Fraction(v) for v in lambdas), format="json")
-    _corrupt_p0(monkeypatch)
-    returned = []
+def _refused_as_a_check(spec, match, monkeypatch):
+    """flatness_check raises a HirotaWebError matching ``match``, once, from
+    its one ``_factored_witness`` call, and the CLI exits 1 on it with one
+    line to stdout, in text and in JSON."""
+    calls = []
     factored = webs._factored_witness
     monkeypatch.setattr(webs, "_factored_witness",
-                        lambda *args: returned.append(factored(*args)) or returned[-1])
-    code, text = cli_run(cfg)
-    assert returned == [None]
-    monkeypatch.setattr(webs, "_factored_witness", lambda *args: None)
-    assert cli_run(cfg) == (code, text)
+                        lambda *args: calls.append(args) or factored(*args))
+    with pytest.raises(HirotaWebError, match=match) as caught:
+        flatness_check(spec)
+    assert type(caught.value) is HirotaWebError and len(calls) == 1
+    for fmt in ("text", "json"):
+        config = RunConfig(command="flatness", n=spec.n, k=spec.k, l=spec.l,
+                           lambdas=tuple(spec.lambdas), format=fmt)
+        assert cli_run(config) == (1, f"mathematical check failed: {caught.value}")
+
+
+@pytest.mark.parametrize("lambdas", [(3, 1, 7, 2, 9), (0, "1/2", -3, 2, 5)])
+def test_a_failed_witness_check_is_an_error(lambdas, monkeypatch):
+    # A corrupted minor stops the run: no second route computes a witness.
+    _corrupt_p0(monkeypatch)
+    spec = WebSpec.numeric(5, 2, 2, nodes(*lambdas))
+    _refused_as_a_check(spec, r"check \(i\) fails at v = 1$", monkeypatch)
 
 
 def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
@@ -1568,8 +1604,8 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
     # at x1 (x1^2 Q0 lands in both halves so that its terms cancel in h_1,
     # and h_v changes at no other v, since the new term is Q0 times a
     # function of x1), so without the exponent guard (i) passes with the
-    # genuine constants and the witness of the genuine minors comes out;
-    # the guard sends it to _self_wedge, which computes the true one.
+    # genuine constants and the witness of the genuine minors comes out,
+    # while the corrupted minors have another; the guard refuses them.
     genuine = webs.signed_minors
     spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
     genuine_witness = flatness_check(spec).witness
@@ -1583,10 +1619,11 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
     monkeypatch.setattr(webs, "signed_minors", corrupted)
     minors = _without_denominators(webs.signed_minors(spec))
     pieces = (minors[spec.k + 1], minors[1], minors[spec.k + 2], minors[0])
-    assert _factored_witness(*pieces, list(spec.lambdas), spec.l) is None
-    witness = flatness_check(spec).witness
-    assert witness == DifferentialForm(spec.n_vars, 3, _self_wedge(*pieces), pieces[0] ** 4)
-    assert witness != genuine_witness
+    with pytest.raises(HirotaWebError, match="exponent above 1"):
+        _factored_witness(*pieces, list(spec.lambdas), spec.l)
+    true_witness = DifferentialForm(spec.n_vars, 3, six_product_wedge(*pieces), pieces[0] ** 4)
+    assert true_witness != genuine_witness
+    _refused_as_a_check(spec, "exponent above 1", monkeypatch)
 
 
 def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
@@ -1595,7 +1632,7 @@ def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
     # over as exponent tuples, is packed once; nothing is unpacked.
     spec = WebSpec.numeric(6, 3, 2)
     (a, b, c, d), _ = _witness_pieces(spec)
-    expected = list(_self_wedge(a, b, c, d).items())
+    expected = list(six_product_wedge(a, b, c, d).items())
     # kappa_v off the unsplit h_v, with its partials
     kappa = [webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
                                (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
@@ -1619,32 +1656,47 @@ def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
                                     for terms in packed[:4])
 
 
-def test_a_division_with_a_remainder_falls_back_to_the_self_wedge(monkeypatch):
+def test_a_division_with_a_remainder_is_an_error(monkeypatch):
     # Constants off by a factor 7 leave a remainder in the components'
-    # division, so the witness is _self_wedge's, not a rounded one.
+    # division, so no witness comes out, not a rounded one.
     spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
-    expected = flatness_check(spec).witness
     pieces, int_nodes = _witness_pieces(spec)
     proportion = webs._proportion
     monkeypatch.setattr(webs, "_proportion", lambda *args: proportion(*args) / 7)
-    assert _factored_witness(*pieces, int_nodes, 2) is None
-    assert flatness_check(spec).witness == expected
+    with pytest.raises(HirotaWebError, match=r"component \(1, 2, 3\) leaves a remainder"):
+        _factored_witness(*pieces, int_nodes, 2)
+    _refused_as_a_check(spec, "leaves a remainder on division by 343", monkeypatch)
+
+
+def _spy_routes(monkeypatch, probe=None):
+    """Record the arguments of every ``_factored_witness`` and ``_wedge_at``
+    call; ``probe``, when given, replaces what ``_wedge_at`` returns."""
+    calls = []
+    factored, wedge_at = webs._factored_witness, webs._wedge_at
+    monkeypatch.setattr(webs, "_factored_witness", lambda *args: calls.append(
+        ("factored", args)) or factored(*args))
+    monkeypatch.setattr(webs, "_wedge_at", lambda *args: calls.append(
+        ("probe", args)) or (wedge_at(*args) if probe is None else probe))
+    return calls
 
 
 @pytest.mark.parametrize("spec", [WebSpec.numeric(3, 1, 1), WebSpec.numeric(5, 2, 2),
                                   WebSpec.numeric(5, 1, 3, (0, 2, -3, 1, 4)),
                                   WebSpec.numeric(6, 3, 2, _NODE_CLASSES["rational"]),
                                   WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0)])
-def test_flatness_check_never_takes_the_self_wedge(spec, monkeypatch):
+def test_each_flatness_three_form_takes_one_route(spec, monkeypatch):
     # k, l >= 1: the witness is factored and the mirror is refuted at the
     # probe point; k = 0 or l = 0: both 3-forms are zero by the one-pair
-    # identity.  So _self_wedge is never called, flat or nonflat.
-    calls = []
-    wedge = webs._self_wedge
-    monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
-        first_only) or wedge(*args, first_only=first_only))
+    # identity, and neither route runs.
+    calls = _spy_routes(monkeypatch)
     flatness_check(spec)
-    assert calls == []
+    if spec.k and spec.l:
+        witness, _ = _witness_pieces(spec)
+        mirror, int_nodes = _witness_pieces(spec, mirror=True)
+        assert calls == [("factored", (*witness, int_nodes, spec.l)),
+                         ("probe", (*mirror, webs._probe_point(spec.n, spec.n, False)))]
+    else:
+        assert calls == []
 
 
 @pytest.mark.parametrize("argv", ["flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
@@ -1653,26 +1705,24 @@ def test_flatness_check_never_takes_the_self_wedge(spec, monkeypatch):
                                   "flatness --n 3 --k 1 --l 1"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_probe_forced_to_zero_takes_the_full_mirror_test(argv, fmt, monkeypatch):
-    # A zero at the point proves nothing, so the mirror goes to its full
-    # polynomial test, which finds the same verdict: the report is unchanged.
+    # A zero at the point proves nothing, so the mirror is factored in full,
+    # which finds the same verdict: the report is unchanged.
     args = argv.split() + ["--format", fmt]
     config = config_from_args(build_parser().parse_args(args))
     expected = cli_run(config)
-    calls = []
-    wedge = webs._self_wedge
-    monkeypatch.setattr(webs, "_wedge_at", lambda *args: {})
-    monkeypatch.setattr(webs, "_self_wedge", lambda *args, first_only=False: calls.append(
-        first_only) or wedge(*args, first_only=first_only))
+    calls = _spy_routes(monkeypatch, probe={})
     assert cli_run(config) == expected
-    assert calls == [True]
+    mirror, int_nodes = _witness_pieces(WebSpec(config.n, config.k, config.l, config.lambdas),
+                                        mirror=True)
+    assert [name for name, _ in calls] == ["factored", "probe", "factored"]
+    assert calls[2][1] == (*mirror, int_nodes, config.l)
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
 @pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5, 6) for k in range(n)])
 def test_the_mirror_probe_is_the_self_wedge_at_the_point(n, k, node_class):
     # The formula on the minors' jets at the probe point gives every
-    # component's value there, and the probe's one entry is the first that
-    # is nonzero.
+    # component's value there, and the probe gives each one that is nonzero.
     l = n - 1 - k
     spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
     minors = _without_denominators(signed_minors(spec))
@@ -1680,15 +1730,15 @@ def test_the_mirror_probe_is_the_self_wedge_at_the_point(n, k, node_class):
     zero = MultiPoly.zero(n)
     mirror = (q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
     point = webs._probe_point(n, n, False)
-    components = _self_wedge(*mirror)
+    components = six_product_wedge(*mirror)
     values = {triple: components[triple].evaluate(point) if triple in components else 0
               for triple in combinations(range(n), 3)}
     nonzero = [(triple, value) for triple, value in values.items() if value]
     jets = [poly.second_order_jet(point) for poly in mirror]
-    pieces = [webs._pair_pieces(x[0], x[1].__getitem__, y[0], y[1].__getitem__)
+    pieces = [pair_pieces(x[0], x[1].__getitem__, y[0], y[1].__getitem__)
               for x, y in (jets[:2], jets[2:])]
-    assert list(webs._wedge_components(*pieces, n, False).items()) == nonzero
-    assert list(webs._wedge_at(*mirror, point).items()) == nonzero[:1]
+    assert list(wedge_components(*pieces, n, False).items()) == nonzero
+    assert list(webs._wedge_at(*mirror, point).items()) == nonzero
     assert bool(nonzero) == bool(components) == (k >= 1 and l >= 1)
 
 
