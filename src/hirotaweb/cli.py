@@ -508,7 +508,8 @@ def _outcome(config: RunConfig, solution_override=None) -> tuple[int, Union[Repo
 
 
 def run(config: RunConfig, solution_override=None) -> tuple[int, str]:
-    """Execute a command and render its report; returns (exit code, text)."""
+    """Execute a command and render its report; returns (exit code, text).
+    The interpreter's int-to-str digit limit is left as it is."""
     code, outcome = _outcome(config, solution_override)
     return code, outcome if isinstance(outcome, str) else render(outcome, config.format)
 
@@ -519,7 +520,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     file is opened with the first chunk and closed however the writing
     ends.  A reader that closes stdout early ends the command with exit 1,
     and running out of memory with one line to stderr and exit 2, neither
-    with a traceback."""
+    with a traceback.  It lifts the interpreter's int-to-str digit limit
+    first, so exact values of any length print whole."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -69,7 +69,7 @@ from typing import Optional, Sequence, Union
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (WebSpec, _block, _elementary, _interpolation_identity,
+from .interpolation import (WebSpec, _Alternants, _block, _elementary, _interpolation_identity,
                             highest_coefficients, signed_minors)
 from .polynomials import (MultiPoly, Scalar, _affine, _check_count, _coefficient, _exact,
                           _halves, _kernel_width, _leading_pair, _sum_of_products, _tighten)
@@ -312,13 +312,14 @@ def _proportion(parts: list, a: MultiPoly, b: MultiPoly) -> Optional[Fraction]:
     return c
 
 
-def _minor(nodes: Sequence[int], rows: Sequence[int], size: int) -> MultiPoly:
-    """The row matrix's minor at int nodes over the 0-based increasing
-    ``rows`` and the leading columns of each block, with an x-block of
-    ``size`` columns: ``interpolation._block`` at g = 0, unsigned, held as
-    its packed map at the kernel's width for a product of two minors."""
-    n = len(nodes)
-    packed = _block(n, nodes, rows, size, {0: 1}, False, _PAIR_WIDTH)[0]
+def _minor(table: _Alternants, rows: Sequence[int], size: int) -> MultiPoly:
+    """The row matrix's minor at the int nodes of ``table`` over the 0-based
+    increasing ``rows`` and the leading columns of each block, with an
+    x-block of ``size`` columns: ``interpolation._block`` at g = 0,
+    unsigned, held as its packed map at the kernel's width for a product of
+    two minors."""
+    n = len(table.nodes)
+    packed = _block(n, table, rows, size, {0: 1}, False, _PAIR_WIDTH)[0]
     return MultiPoly._from_packed(n, packed, _PAIR_WIDTH, 1)
 
 
@@ -396,7 +397,8 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     n = len(nodes)
     den_halves = [_halves(den, v, _PAIR_WIDTH) for v in range(n)]
     others = [[r for r in range(n) if r != i] for i in range(n)]
-    d = [_minor(nodes, rows, l) for rows in others]
+    table = _Alternants(nodes, True)
+    d = [_minor(table, rows, l) for rows in others]
     a = []
     for i in range(n):                                         # (A)
         (p1, p0), (q1, q0) = _halves(num, i, _PAIR_WIDTH), den_halves[i]
@@ -407,7 +409,7 @@ def _factored_proof(f: RationalFunction, nodes: Sequence[int],
     for j, k in combinations(range(n), 2):                     # (B)
         (q1, q0), (d1, d0) = den_halves[k], _halves(d[j], k, _PAIR_WIDTH)
         b[j, k] = _proportion([(q0, d1, 1), (d0, q1, -1)], d[k],
-                              _minor(nodes, [r for r in others[j] if r != k], l - 1))
+                              _minor(table, [r for r in others[j] if r != k], l - 1))
         if b[j, k] is None:
             return set()
     scale_a, scale_b = _denominator_lcm(a), _denominator_lcm(b.values())
@@ -563,8 +565,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     coordinates give the jets (``_spec_factors``), and the degree bound
     comes from (k, l) in closed form.  With k = (n-1)//2 that takes 0.009 s
     and 18 MB at n = 8, against 0.51 s and 37 MB through the built solution,
-    0.13 s at n = 12 and 2.9 s at n = 16 (2 vCPUs, Python 3.11).  Any other
-    spec is verified through ``build_solution``.  A solution or a bare
+    0.11-0.19 s at n = 12 and 2.8-3.1 s at n = 16 (2 vCPUs, Python 3.11).
+    Any other spec is verified through ``build_solution``.  A solution or a bare
     function is verified as given, since its f need not be its spec's: at
     each point the jets of what ``eliminate`` leaves of P and Q give the
     factor values (``_sampled_factors``).
@@ -597,10 +599,8 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     triple goes on to step 2, as does a triple whose weights break the
     pattern, so its detail is that of a bare function.  Bare functions,
     symbolic nodes and k = 0 or l = 0 start at step 2.  With nodes 1..n and
-    k = (n-1)//2 the proof takes 0.008 s at n = 7, 0.025 s at n = 8, 0.12 s
-    at n = 9, 0.36 s at n = 10, 1.6-1.7 s at n = 11, 7.4-7.6 s at n = 12 and
-    43 s at n = 13, against 0.64 s and 10.3 s through B at n = 7 and 8
-    (2 vCPUs, Python 3.11).
+    k = (n-1)//2 the proof takes 1.4-1.5 s at n = 11 and 5.8-5.9 s at
+    n = 12 (2 vCPUs, Python 3.11; the README has the table).
 
     ``mode``, ``trials``, ``bound`` and ``seed`` are checked in both modes,
     before anything is built.  An unknown mode, fewer than one trial, a
@@ -817,7 +817,8 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
         raise HirotaWebError("factored witness: a minor of beta has an exponent above 1")
     n = len(nodes)
     indices = range(n)
-    minors = [_minor(nodes, [r for r in indices if r != v], l) for v in indices]
+    table = _Alternants(nodes, True)
+    minors = [_minor(table, [r for r in indices if r != v], l) for v in indices]
     kappa = []
     for v in indices:                                           # (i)
         if not minors[v]:
@@ -834,7 +835,7 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
         pair = None
         for m in range(j + 1, n):
             triple = (i + 1, j + 1, m + 1)
-            f = _minor(nodes, [r for r in indices if r not in (i, j, m)], l - 1)
+            f = _minor(table, [r for r in indices if r not in (i, j, m)], l - 1)
             if not f:
                 raise HirotaWebError(f"factored witness: the minor F_abc is zero at {triple}")
             rho = []

@@ -21,6 +21,12 @@ the library's numeric minors of the substituted row matrix are checked.
 oracle: forward elimination and back substitution in Fraction arithmetic,
 where ``solve_oracle`` runs Gauss-Jordan on integer rows.
 
+``closed_form_block`` is the library's earlier numeric-node writer of the
+row matrix's minors: every coefficient a product of Vandermonde values and
+an elementary symmetric value, each computed afresh from its node subset,
+with no table shared between terms, minors or calls.
+``closed_form_signed_minors`` reads the interpolant's signed minors off it.
+
 ``row_matrix_products`` and ``normalized_interpolant`` are the library's
 earlier routes to the row matrix and to the interpolant at a data point:
 every polynomial entry built by products and negations from the constant 1,
@@ -32,11 +38,13 @@ normalized denominator in Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Mapping, Optional, Sequence
 
 from hirotaweb import (CauchyInterpolant, DegenerateInterpolantError, MultiPoly, WebSpec,
                        WebSpecError, maximal_minors, signed_minors)
-from hirotaweb.polynomials import Scalar, _exact, _horner, _tighten
+from hirotaweb.interpolation import _elementary
+from hirotaweb.polynomials import Scalar, _exact, _horner, _tighten, _tightened
 from reference_exterior import x_poly
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
@@ -230,3 +238,54 @@ def normalized_interpolant(spec: WebSpec, x_values: Sequence[Scalar]) -> CauchyI
                 f"numerator and denominator share a root at node {i}: "
                 "unattainable data point")
     return CauchyInterpolant(tuple(coeffs[:k + 1]), tuple(coeffs[k + 1:]))
+
+
+def vandermonde(values: Sequence[Scalar]) -> Scalar:
+    """prod over a < b of (values[b] - values[a])."""
+    out: Scalar = 1
+    for b, high in enumerate(values):
+        for low in values[:b]:
+            out *= high - low
+    return out
+
+
+def closed_form_block(nodes: Sequence[Scalar], rows: Sequence[int], size: int,
+                      signs: Mapping[int, int], x_missing: bool,
+                      width: int) -> dict[int, dict[int, Scalar]]:
+    """The minors of the row matrix at numeric ``nodes`` over ``rows``, in
+    the library's ``_block`` convention (sizes, spare block, g, signs and
+    packed keys): the term of each x-row subset S is x^S with coefficient
+    signs[g] eps V(S) V(S') e_g, every V and e computed from its own node
+    values."""
+    r = len(rows)
+    parity = size + size * (2 * r - size - 1) // 2
+    top = max(signs)
+    out: dict[int, dict] = {g: {} for g in signs}
+    for chosen, inside in zip(combinations(range(r), size), combinations(rows, size)):
+        outside = [i for i in rows if i not in inside]
+        x_key = sum([1 << width * i for i in inside])
+        eps = -1 if (parity + sum(chosen)) % 2 else 1
+        v_in = vandermonde([nodes[i] for i in inside])
+        v_out = vandermonde([nodes[i] for i in outside])
+        e = _elementary([nodes[i] for i in (inside if x_missing else outside)]) if top else (1,)
+        for g, sign in signs.items():
+            out[g][x_key] = sign * eps * v_in * v_out * e[g]
+    return {g: _tightened(terms) for g, terms in out.items()}
+
+
+def closed_form_signed_minors(spec: WebSpec) -> list[MultiPoly]:
+    """All n+1 signed minors of a numeric-node spec from
+    ``closed_form_block``: numerator column c at g = k - c over an x-block
+    of l + 1 columns, denominator column c at g = n - c with the x-block
+    sparing a column, each with the sign (-1)^(n+c)."""
+    n, k, l = spec.n, spec.k, spec.l
+    out = []
+    for block, size, x_missing, top in ((range(k + 1), l + 1, False, k),
+                                        (range(k + 1, n + 1), l, True, n)):
+        minors = closed_form_block(spec.lambdas, range(n), size,
+                                   {top - c: -1 if (n + c) % 2 else 1 for c in block},
+                                   x_missing, 8)
+        out += [MultiPoly(n, {tuple(key.to_bytes(n, "little")): value
+                              for key, value in minors[top - c].items()})
+                for c in block]
+    return out

@@ -315,6 +315,23 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(fmt):
     assert "Traceback" not in err and "Error" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--k", "1", "--l", "1", "--lambdas", "1,2,1e5000"],
+    ["generate", "--n", "3", "--k", "1", "--l", "1", "--lambdas", "1,2,1e5000",
+     "--format", "json"]])
+def test_a_node_past_the_int_to_str_limit_is_printed_whole(argv):
+    # 10^5000 has 5,001 digits, past the interpreter's default limit of
+    # 4,300 for converting an int to str; the command line lifts it.
+    src = Path(hirotaweb.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-m", "hirotaweb", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_OK
+    assert "Traceback" not in done.stderr
+    assert "1" + "0" * 5000 in done.stdout
+
+
 @pytest.mark.parametrize("argv, hint", [
     (["flatness", "--n", "5", "--k", "2", "--l", "2"], ""),
     (["verify", "--n", "4", "--k", "2", "--l", "1"], "; --mode sampled needs far less"),

@@ -20,7 +20,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb import polynomials
 from hirotaweb.polynomials import _unpack, poly_to_json
-from hirotaweb.interpolation import _block
+from hirotaweb.interpolation import _Alternants, _block
 from hirotaweb.cli import RunConfig, build_parser, config_from_args, run as cli_run
 from hirotaweb.webs import (_degree_bound, _denominator_lcm,
                             _derivative_degrees, _factored_witness, _minor_degrees,
@@ -624,17 +624,18 @@ def test_leading_minors_are_the_cofactor_determinants(n, node_class):
     # symbolic ones at a byte, as signed_minors takes them.
     node_list = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
     ring, width = (n, 2) if node_list else (2 * n, 8)
+    table = node_list and _Alternants(node_list, True)
     for k in range(1, n - 1):
         l = n - 1 - k
         q_top = signed_minors(WebSpec(n, k, l, node_list and tuple(node_list)), (n,))[0]
-        q_block = _block(n, node_list, range(n), l, {0: 1}, True, width)[0]
+        q_block = _block(n, table, range(n), l, {0: 1}, True, width)[0]
         assert MultiPoly(ring, _unpack(ring, q_block, width)) == q_top
     for drop in [()] + [(i,) for i in range(n)] + list(combinations(range(n), 2)):
         rows = [r for r in range(n) if r not in drop]
         for size in range(len(rows) + 1):
             for x_missing in (False, True):
                 spare = size if x_missing else len(rows) - size
-                minors = _block(n, node_list, rows, size, dict.fromkeys(range(spare + 1), 1),
+                minors = _block(n, table, rows, size, dict.fromkeys(range(spare + 1), 1),
                                 x_missing, width)
                 for g, terms in minors.items():
                     matrix = _row_matrix_minor(n, node_list, rows, size, g, x_missing)
@@ -768,8 +769,9 @@ def test_the_pluecker_relation_and_the_weight_pattern(n, k, node_class, monkeypa
                         lambda *args: settled.append(args) or by_sign(*args))
     proved = webs._factored_proof(sol.f, int_nodes, sol.spec.l)
     others = [[r for r in range(n) if r != i] for i in range(n)]
-    d = [webs._minor(int_nodes, rows, n - 1 - k) for rows in others]
-    e = {(i, j): webs._minor(int_nodes, [r for r in others[i] if r != j], n - 2 - k)
+    table = _Alternants(int_nodes, True)
+    d = [webs._minor(table, rows, n - 1 - k) for rows in others]
+    e = {(i, j): webs._minor(table, [r for r in others[i] if r != j], n - 2 - k)
          for i, j in combinations(range(n), 2)}
     a, b = unsplit_constants(sol.f, d, e)
     assert returned == a + list(b.values())
@@ -1527,7 +1529,8 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
     spec = WebSpec.numeric(n, k, l, node_list)
     (a, b, c, d), int_nodes = _witness_pieces(spec)
     everyone = range(n)
-    minors = [webs._minor(int_nodes, [r for r in everyone if r != v], l) for v in everyone]
+    table = _Alternants(int_nodes, True)
+    minors = [webs._minor(table, [r for r in everyone if r != v], l) for v in everyone]
     spans = [prod(node_list[v] - node_list[m] for m in everyone if m != v)
              for v in everyone]
     kappa, scalars = [], set()
@@ -1543,7 +1546,7 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
     assert len(scalars) == 1
     assert node_class == "rational" or scalars == {1}
     for triple in combinations(everyone, 3):
-        f = webs._minor(int_nodes, [r for r in everyone if r not in triple], l - 1)
+        f = webs._minor(table, [r for r in everyone if r not in triple], l - 1)
         rho = []
         for below, v in enumerate(triple):
             p, q = (t for t in triple if t != v)
@@ -1636,8 +1639,9 @@ def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
     # kappa_v off the unsplit h_v, with its partials
     kappa = [webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
                                (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
-                              *[webs._minor(list(spec.lambdas), [r for r in range(6) if r != v],
-                                            spec.l)] * 2) for v in range(6)]
+                              *[webs._minor(_Alternants(spec.lambdas, True),
+                                            [r for r in range(6) if r != v], spec.l)] * 2)
+             for v in range(6)]
     pieces, int_nodes = _witness_pieces(spec)
     returned = _spy_proportion(monkeypatch)
     packed, unpacked, derived = [], [], []
