@@ -3,10 +3,11 @@
 
 The annihilating one-form pencil alpha^t = alpha_0 + t alpha_1 + ... has the
 coefficient forms as a coframe; the web is flat exactly when alpha_1 (or its
-mirror alpha_(n-2)) is Frobenius integrable.  Each 3-form d(beta) ^ beta
-is built from the values and gradients of four determinant minors by one
-formula, with no exterior algebra.  For k, l >= 1 the witness
-d(alpha_1) ^ alpha_1, built as 2 dq1 ^ dp0 ^ dp1, is a nonzero 3-form, so
+mirror alpha_(n-2)) is Frobenius integrable.  Each component of a 3-form
+d(beta) ^ beta is a constant times four smaller determinant minors, with
+no exterior algebra: the witness is written out, and the mirror is
+settled by its constants alone.  For k, l >= 1 the witness
+d(alpha_1) ^ alpha_1, equal to 2 dq1 ^ dp0 ^ dp1, is a nonzero 3-form, so
 those webs are nonflat on a dense open set; at k = 0 or l = 0 the
 construction degenerates to polynomial interpolation and the webs are flat.
 

@@ -294,7 +294,10 @@ def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
     exceed every exponent, 1 in an x and below n in a node.  At numeric
     nodes, given by their ``table`` (terms in x_1..x_n), the term of S is
     signs[g] eps V(S) V(S') e_g x^S, e over the spare block's rows (S if it
-    is the x-block), and e is not read when every g is 0.  With ``table``
+    is the x-block), and e is not read when every g is 0.  Integral
+    Fractions become ints and zero terms are dropped, except at int nodes
+    with every g 0, where no coefficient is either (distinct nodes give
+    V != 0) and the map is returned as written.  With ``table``
     None (terms in the 2n ring) each alternant is its Leibniz terms in
     l_1..l_n, from one cache per call, and a term is x^S times one term of
     either alternant, its key the sum of theirs."""
@@ -316,8 +319,9 @@ def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
             x_key = sum(x_bits)
             for g, sign in signs.items():
                 out[g][x_key] = sign * value * e[g]
-        # A coefficient may be an integral Fraction, or 0 where e_g is.
-        return {g: _tightened(terms) for g, terms in out.items()}
+        if spare or any(v.__class__ is not int for v in table.nodes):
+            out = {g: _tightened(terms) for g, terms in out.items()}
+        return out
     cache = {}
     x_top, l_top = (size, r - size - 1) if x_missing else (size - 1, r - size)
     powers = {g: (tuple(e for e in range(x_top + 1) if not x_missing or e != x_top - g),

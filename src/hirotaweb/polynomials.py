@@ -692,31 +692,6 @@ class MultiPoly:
                 hess[a][b] = hess[b][a]
         return value, grad, hess
 
-    def _value_and_gradient(self, point: Sequence[int]) -> tuple[int, list[int]]:
-        """``second_order_jet(point)[:2]`` for an int point and int
-        coefficients, in one pass over the terms without the Hessian: the
-        same prefix and suffix products, so zero coordinates need no special
-        case, and plain ints throughout."""
-        powers = [[1, v] for v in point]
-        value, grad = 0, [0] * len(point)
-        for exps, coeff in self.terms.items():
-            support = [(var, e) for var, e in enumerate(exps) if e]
-            # suffix[a] is the product of the powers of support[a:].
-            suffix = [1] * (len(support) + 1)
-            for a in range(len(support) - 1, -1, -1):
-                var, e = support[a]
-                table = powers[var]
-                while len(table) <= e:
-                    table.append(table[-1] * point[var])
-                suffix[a] = suffix[a + 1] * table[e]
-            value += coeff * suffix[0]
-            prefix = coeff   # coefficient times the powers of support[:a]
-            for a, (var, e) in enumerate(support):
-                table = powers[var]
-                grad[var] += prefix * e * table[e - 1] * suffix[a + 1]
-                prefix *= table[e]
-        return value, grad
-
     # -- output -------------------------------------------------------------
 
     def text(self, names: Optional[Sequence[str]] = None) -> str:

@@ -46,8 +46,9 @@ certifies everything checkable about it in exact arithmetic:
   d(beta) wedge beta is kappa_abc D_a D_b D_c F_abc, F_abc the minor of
   size n-3 on the rows without a, b and c.  The two families of identities
   behind it are zero-tested in full per run, and a failed one is an error.
-  The mirror is first evaluated at one integer point, where a nonzero
-  value refutes it (``flatness_check``);
+  The second family reads only the minors, so the mirror shares it and is
+  settled by its constants kappa_abc alone, no component multiplied out
+  (``flatness_check``);
 * restriction of a solution to a coordinate hyperplane and composition with
   Mobius transformations, both of which produce new solutions.
 
@@ -438,8 +439,7 @@ def _sampled_factors(f: RationalFunction, nodes: Sequence[NodeValue],
 
 def _probe_point(n_vars: int, n: int, symbolic: bool) -> tuple[int, ...]:
     """The one integer point at which symbolic mode evaluates q B before it
-    builds B, and ``flatness_check`` the mirror's components before it
-    builds them: fixed, so the report does not depend on any seed, with
+    builds B: fixed, so the report does not depend on any seed, with
     coordinates in [-9, 9] from a private generator.  When the nodes are
     symbolic their coordinates are distinct, drawn from [-9 - n, 9 + n],
     since equal ones zero the node differences that B carries."""
@@ -762,59 +762,50 @@ def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
     return polys if scale == 1 else [poly * scale for poly in polys]
 
 
-def _wedge_at(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
-              point: Sequence[int]) -> dict[tuple[int, int, int], int]:
-    """The nonzero values at an integer point of the components of
-    d(beta) wedge beta, beta = A dB - B dA + C dD - D dC for any four int
-    polynomials, keyed by index in index order.  As dA^dB^(A dB - B dA)
-    = 0, d(beta) ^ beta = 2 [dA^dB^(C dD - D dC) + dC^dD^(A dB - B dA)],
-    so with the pieces p_v = (A dB - B dA)_v and w_uv = (dA^dB)_uv of
-    (A, B), and g and k likewise of (C, D), the (a, b, c) component is
-    2 (w_ab g_c - w_ac g_b + w_bc g_a + k_ab p_c - k_ac p_b + k_bc p_a).
-    Here the pieces are ints, from the values and gradients at the point
-    (``MultiPoly._value_and_gradient``, one term pass each).  Evaluation
-    commutes with products, sums and partials, so a nonzero value proves
-    exactly that its component is not the zero polynomial."""
-    (va, ga), (vb, gb), (vc, gc), (vd, gd) = (
-        poly._value_and_gradient(point) for poly in (a, b, c, d))
-    indices = range(len(point))
-    p = [va * gb[v] - vb * ga[v] for v in indices]
-    g = [vc * gd[v] - vd * gc[v] for v in indices]
-    w = {(u, v): ga[u] * gb[v] - ga[v] * gb[u] for u, v in combinations(indices, 2)}
-    k = {(u, v): gc[u] * gd[v] - gc[v] * gd[u] for u, v in combinations(indices, 2)}
-    out = {}
-    for i, j, m in combinations(indices, 3):
-        value = 2 * (w[i, j] * g[m] - w[i, m] * g[j] + w[j, m] * g[i]
-                     + k[i, j] * p[m] - k[i, m] * p[j] + k[j, m] * p[i])
-        if value:
-            out[i, j, m] = value
-    return out
+def _kappa(name: str, beta: Sequence[MultiPoly], minor: MultiPoly, v: int) -> Fraction:
+    """kappa_v of check (i) on the quadruple ``beta``, D_v = ``minor``
+    (``_factored_witness``), or an error naming the 3-form ``name``."""
+    (a1, a0), (b1, b0), (c1, c0), (d1, d0) = (_halves(poly, v, _PAIR_WIDTH) for poly in beta)
+    kappa = _proportion([(a0, b1, 1), (b0, a1, -1), (c0, d1, 1), (d0, c1, -1)], minor, minor)
+    if kappa is None:
+        raise HirotaWebError(f"factored {name}: check (i) fails at v = {v + 1}")
+    return kappa
 
 
-def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
-                      nodes: Sequence[int], l: int) -> dict[tuple[int, int, int], MultiPoly]:
-    """The nonzero components of d(beta) wedge beta for
+def _triple_constant(kappa, rho: Sequence[Fraction], i: int, j: int, m: int) -> Fraction:
+    """kappa_abc of the triple (i, j, m), rho listed by v (``flatness_check``)."""
+    return 2 * (kappa[i] * kappa[m] * rho[1] - kappa[i] * kappa[j] * rho[2]
+                - kappa[j] * kappa[m] * rho[0])
+
+
+def _factored_witness(witness: Sequence[MultiPoly], mirror: Sequence[MultiPoly],
+                      nodes: Sequence[int], l: int
+                      ) -> tuple[dict[tuple[int, int, int], MultiPoly], bool]:
+    """The nonzero components of d(beta) wedge beta for the ``witness``
+    quadruple, and whether that 3-form is zero for the ``mirror`` one, for
     beta = A dB - B dA + C dD - D dC, (A, B, C, D) four coefficient minors
     of a spec with int nodes and k, l >= 1 whose dx_v coefficients are
-    kappa_v D_v^2 (the witness's (Q0, P1, Q1, P0) or the mirror's
-    (Q_l, P_(k-1), Q_(l-1), P_k)), each written as
-    kappa_abc (D_a D_b)(D_c F_abc) from minors of size n-1 and n-3
-    (``flatness_check``).  Two families are zero-tested in full, each
-    constant read off one coefficient first (``_proportion``):
-    (i) h_v = A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2 for
-    every v;
+    kappa_v D_v^2 ((Q0, P1, Q1, P0) and (Q_l, P_(k-1), Q_(l-1), P_k)).
+    Each component is kappa_abc (D_a D_b)(D_c F_abc) from minors of size
+    n-1 and n-3 (``flatness_check``).  Two families are zero-tested in
+    full, each constant read off one coefficient first (``_proportion``):
+    (i) h_v = A d_v B - B d_v A + C d_v D - D d_v C = kappa_v D_v^2, for
+    the witness at every v and for the mirror only at the v of the triples
+    read, up to the first with kappa'_abc != 0;
     (ii) W^v_pq = D_p d_v D_q - D_q d_v D_p = rho^v_pq D_v F_abc for the
-    three splits of each triple {a, b, c} into v and p < q.
+    three splits of each triple {a, b, c} into v and p < q, one rho for
+    both 3-forms.
     Both run on x-halves, as in ``_factored_proof``: every D is affine in
     each x_v, and so are A, B, C and D once their exponents are checked
     (``_affine``), so with X = x_v X' + X'' the x_v terms cancel, and
     h_v = A''B' - B''A' + C''D' - D''C' and W^v_pq = D_p''D_q' - D_q''D_p':
     no partial is built.
-    A failed check is an error (``HirotaWebError``, naming it): an exponent
-    of A, B, C or D above 1, a zero D or F, (i) or (ii) not holding, or a
-    component's division leaving a remainder."""
-    if not _affine(a, b, c, d):
-        raise HirotaWebError("factored witness: a minor of beta has an exponent above 1")
+    A failed check is an error (``HirotaWebError``, naming it and the
+    3-form): an exponent of A, B, C or D above 1, a zero D or F, (i) or
+    (ii) not holding, or a component's division leaving a remainder."""
+    for name, beta in (("witness", witness), ("mirror", mirror)):
+        if not _affine(*beta):
+            raise HirotaWebError(f"factored {name}: a minor of beta has an exponent above 1")
     n = len(nodes)
     indices = range(n)
     table = _Alternants(nodes, True)
@@ -823,12 +814,8 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
     for v in indices:                                           # (i)
         if not minors[v]:
             raise HirotaWebError(f"factored witness: the minor D_{v + 1} is zero")
-        (a1, a0), (b1, b0), (c1, c0), (d1, d0) = (_halves(poly, v, _PAIR_WIDTH)
-                                                  for poly in (a, b, c, d))
-        kappa.append(_proportion([(a0, b1, 1), (b0, a1, -1), (c0, d1, 1), (d0, c1, -1)],
-                                 minors[v], minors[v]))
-        if kappa[v] is None:
-            raise HirotaWebError(f"factored witness: check (i) fails at v = {v + 1}")
+        kappa.append(_kappa("witness", witness, minors[v], v))
+    mirror_kappa, mirror_integrable = {}, True
     halves = [[_halves(minor, v, _PAIR_WIDTH) for v in indices] for minor in minors]
     out = {}
     for i, j in combinations(indices, 2):
@@ -845,9 +832,11 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                 if rho[-1] is None:
                     raise HirotaWebError(
                         f"factored witness: check (ii) fails at v = {v + 1} in {triple}")
-            rho_i, rho_j, rho_m = rho
-            constant = 2 * (kappa[i] * kappa[m] * rho_j - kappa[i] * kappa[j] * rho_m
-                            - kappa[j] * kappa[m] * rho_i)
+            if mirror_integrable:
+                for v in [u for u in (i, j, m) if u not in mirror_kappa]:
+                    mirror_kappa[v] = _kappa("mirror", mirror, minors[v], v)
+                mirror_integrable = not _triple_constant(mirror_kappa, rho, i, j, m)
+            constant = _triple_constant(kappa, rho, i, j, m)
             if not constant:
                 continue
             if pair is None:
@@ -860,7 +849,7 @@ def _factored_witness(a: MultiPoly, b: MultiPoly, c: MultiPoly, d: MultiPoly,
                                          f"leaves a remainder on division by {scale}")
                 value = _scaled(value, 1, scale)
             out[i, j, m] = value
-    return out
+    return out, mirror_integrable
 
 
 @dataclass(frozen=True)
@@ -871,10 +860,9 @@ class FlatnessVerdict:
     coframe; nonflat certification means it has a nonzero component, hence
     is nonvanishing on a dense open set.  The integrability of the mirror
     element alpha_(n-2) is recorded alongside as a cross-check on
-    d(beta_(n-2)) wedge beta_(n-2): a nonzero value of a component at one
-    fixed integer point refutes it exactly, and otherwise the mirror is
-    factored in full as the witness is; a failed check on either is an
-    error, not a verdict.  A "flat" verdict (k = 0 or l = 0) is proved by
+    d(beta_(n-2)) wedge beta_(n-2), settled exactly by its constants in
+    the witness's pass; a failed check on either is an error, not a
+    verdict.  A "flat" verdict (k = 0 or l = 0) is proved by
     the one-pair identity d(A dB - B dA) wedge (A dB - B dA) = 0, which the
     tests pin for any A and B, and computes no component.
     """
@@ -917,15 +905,11 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     over (c Q0)^4 (the tests compare it with the formula's on every such
     order up to n = 6).
 
-    For k, l >= 1 each 3-form has one route, and a failed check on it is
-    an error.  The witness is factored (``_factored_witness``, below).  The
-    mirror is first refuted at a point (``_wedge_at``): the six-product
-    formula on the values and gradients of its four minors at
-    ``_probe_point`` gives each component's value there, and a nonzero one
-    proves exactly that the mirror is not integrable.  A zero at every
-    component proves nothing, and the mirror is then factored in full as
-    the witness is, which is exact and complete (the tests pin both routes
-    against the formula on polynomials on every such order up to n = 6).
+    For k, l >= 1 one ``_factored_witness`` pass (below) writes the
+    witness and settles the mirror from its constants kappa'_abc alone; a
+    failed check on either is an error.  The tests pin both on every such
+    order up to n = 6 against the six-product formula on polynomials,
+    d(beta) wedge beta = 2 [dA^dB^(C dD - D dC) + dC^dD^(A dB - B dA)].
 
     For beta_1 the six-product formula is the witness identity
 
@@ -941,19 +925,11 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
 
     the formula's bracket for (Q0, P1, Q1, P0) with its terms regrouped.
     Like the formula, the identity holds for any four polynomials; the
-    tests check both against the exterior algebra.  Expanding R term by
-    term shows that its (a, b, c) component is a 4 x 4 jet determinant: the
-    rows are Q0, Q1, P0, P1 and the columns are the value, d_a, d_b and d_c
-    of each.  Along the value column,
+    tests check both against the exterior algebra, and R's (a, b, c)
+    component against the 4 x 4 jet determinant of Q0, Q1, P0 and P1.
 
-        R = Q0 J(Q1, P0, P1) - Q1 J(Q0, P0, P1) + P0 J(Q0, Q1, P1)
-            - P1 J(Q0, Q1, P0),   J(A, B, C) = dA wedge dB wedge dC,
-
-    so each component of the witness at a point needs only the values and
-    gradients of the four minors there.
-
-    For k, l >= 1 the witness, and the mirror when it is factored, is
-    built from smaller minors (``_factored_witness``).  With the nodes
+    For k, l >= 1 the witness is built, and the mirror settled, from
+    smaller minors (``_factored_witness``).  With the nodes
     scaled to ints, D_v is the row matrix's minor on the rows without v and
     F_abc the one on the rows without a, b and c, over the leading columns
     of each block with x-blocks of l and l-1 columns: C(n-1, l) and
@@ -994,8 +970,12 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
        into the formula above.  It reads nothing but h_v = kappa_v D_v^2,
        so it holds for any (A, B, C, D) of that form.  The mirror's
        beta_(n-2) is one: step 1 with [t^(n-2)] in place of [t^1] and
-       step 2 as it stands give its kappa_v, which vanishes where the
-       nodes other than v sum to 0.  So the mirror takes the same route.
+       step 2 as it stands give its kappa'_v = -s c_v sum_{m != v} node_m,
+       which vanishes where the nodes other than v sum to 0.  (ii) does
+       not read (A, B, C, D), so its component (a, b, c) is kappa'_abc
+       D_a D_b D_c F_abc, kappa'_abc the formula above with kappa', and
+       reads only h_a, h_b and h_c: a triple with kappa'_abc != 0 proves
+       the mirror not integrable, with no component multiplied out.
     4. For v != q, row v of D_q is u + x_v w with u = (N_v | 0) and
        w = (0 | -N_v) cut to D's columns, so D is affine in x_v.  With K the
        rows not in {p, q, v}, r_p and r_q rows p and q, and [...] the
@@ -1013,16 +993,18 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     kappa_abc's denominator leaves a remainder is an error
     (``HirotaWebError``) that names it; no second route recomputes the
     form.  A component with kappa_abc = 0 is absent, as the six-product
-    formula leaves a zero component out.  D and F are nonzero, so the
-    witness is nonzero exactly when some kappa_abc is.  With integer nodes the constants combine to
-    kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in {a,b,c}} node_m)^2
-    (measured on every order with k, l >= 1 up to n = 6 and pinned by the
-    tests): distinct nodes include at most one zero, so a triple holding it
-    has kappa_abc != 0.  With nodes 1..n and k = (n-1)//2 a check takes
-    0.04-0.07 s at n = 6, 0.34-0.55 s at n = 7 and 2.3-3.6 s at n = 8
-    (135 MB), against 0.12-0.16, 1.6-2.2 and 17.3 s through the
-    six-product formula on polynomials (2 vCPUs, Python 3.11, the range of
-    single in-process runs on a host whose speed drifts).
+    formula leaves a zero component out.  D and F are nonzero, so each
+    3-form is nonzero exactly when some constant of its own is.  With
+    integer nodes the witness's constants combine to
+    kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in {a,b,c}} node_m)^2,
+    and the mirror's to kappa'_abc = (-1)^l 2 c_a c_b c_c (measured on every
+    order with k, l >= 1 up to n = 6 and pinned by the tests): distinct
+    nodes include at most one zero, so a triple holding it has kappa_abc
+    != 0, and the mirror is settled at the first triple.  With nodes 1..n
+    and k = (n-1)//2 a check takes 0.013-0.016 s at n = 6, 0.13-0.15 s at
+    n = 7 and 1.2 s at n = 8 (74 MB), against 0.07, 0.9 and 9.7 s (95 MB)
+    for the witness alone through the six-product formula on polynomials
+    (2 vCPUs, Python 3.11.7, in-process runs).
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
@@ -1034,16 +1016,14 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     if q[0].is_zero:
         raise DegenerateInterpolantError("denominator constant term vanishes")
     if k == 0 or l == 0:
-        w1 = mirror = {}
+        w1, cross_ok = {}, True
     else:
         scale = _denominator_lcm(spec.lambdas)
         int_nodes = [_tighten(v * scale) for v in spec.lambdas]
-        w1 = _factored_witness(q[0], p[1], q[1], p[0], int_nodes, l)
-        mirror_minors = (q[l], p[k - 1], q[l - 1], p[k])
-        mirror = (_wedge_at(*mirror_minors, _probe_point(spec.n_vars, spec.n, False))
-                  or _factored_witness(*mirror_minors, int_nodes, l))
+        w1, cross_ok = _factored_witness((q[0], p[1], q[1], p[0]),
+                                         (q[l], p[k - 1], q[l - 1], p[k]), int_nodes, l)
     witness = DifferentialForm(spec.n_vars, 3, w1, q[0] ** 4)
-    alpha1_ok, cross_ok = not w1, not mirror
+    alpha1_ok = not w1
     if not alpha1_ok:
         status = "nonflat-certified"
     elif cross_ok:

@@ -13,8 +13,9 @@ check and for the witness.  ``jet_determinant`` writes R out as one 4 x 4
 determinant of values and partials per component, with no wedge product.
 
 ``six_product_wedge`` is the six-product formula for d(beta) wedge beta on
-polynomials (``webs._wedge_at`` runs it on values at a point); the tests
-compare the factored 3-forms of ``webs._factored_witness`` with it.
+polynomials, and ``wedge_components`` on ``pair_pieces`` runs it on values
+at a point; the tests compare the factored 3-forms of
+``webs._factored_witness`` and the mirror's verdict with it.
 """
 
 from __future__ import annotations

@@ -86,6 +86,31 @@ def test_block_matches_the_closed_form(case, width, keep_reads):
                 == closed_form_block(nodes, rows, size, signs, x_missing, width))
 
 
+def test_a_minor_at_int_nodes_and_g_zero_is_returned_as_written(monkeypatch):
+    # With every node an int and every g 0, no coefficient can be an
+    # integral Fraction or 0, so the written map is returned without the
+    # tightening copy: the proofs' D, E and F minors and the leading
+    # coefficients.  Integral Fraction nodes or a g above 0 still take it.
+    copied = []
+    tightened = interpolation._tightened
+    monkeypatch.setattr(interpolation, "_tightened",
+                        lambda terms: copied.append(terms) or tightened(terms))
+    ints = [3, 1, 7, 0, -2, 9]
+    for nodes, signs, copies in ((ints, {0: 1}, 0), ([Fraction(v) for v in ints], {0: 1}, 1),
+                                 (ints, {0: 1, 1: -1}, 2), (ints, {0: -1}, 0)):
+        for x_missing in (False, True):
+            copied.clear()
+            out = _block(6, _Alternants(nodes, True), range(6), 3, signs, x_missing, 8)
+            assert out == closed_form_block(nodes, range(6), 3, signs, x_missing, 8)
+            assert all(type(c) is int and c for terms in out.values() for c in terms.values())
+            assert len(copied) == copies
+    copied.clear()
+    spec = WebSpec.numeric(6, 2, 3, ints)
+    expected = closed_form_signed_minors(spec)
+    assert interpolation.highest_coefficients(spec) == (expected[2], expected[6])
+    assert copied == []
+
+
 def _point_matrix(nodes, xs, rows, size, g, x_missing):
     """The substituted rows over the columns of ``_block``'s minor g."""
     r = len(rows)

@@ -399,6 +399,18 @@ def test_main_rejects_bad_order(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", ["generate --n 0 --k 0 --l 0", "flatness --n -3 --k 0 --l 0",
+                                  "verify --n 1 --k 0 --l 0"])
+def test_main_reports_a_small_dimension_with_default_nodes(argv, capsys):
+    # The default nodes 1..n are numbers, not a node list to parse, so a
+    # dimension below 2 meets the dimension check, not the parser.
+    n = argv.split()[2]
+    assert main(argv.split()) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension must be at least 2, got {n}\n"
+
+
 def test_main_rejects_repeated_nodes(capsys):
     code = main(["generate", "--n", "3", "--k", "1", "--l", "1",
                  "--lambdas", "1,1,2"])

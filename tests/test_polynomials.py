@@ -361,27 +361,6 @@ def test_second_order_jet_matches_derivatives(case):
             assert hess[a][b] == pa.derivative(b).evaluate(point)
 
 
-@st.composite
-def _int_poly_and_point(draw):
-    n_vars = draw(st.integers(1, 4))
-    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
-    terms = draw(st.dictionaries(exponents, st.integers(-9, 9), max_size=6))
-    point = draw(st.lists(st.integers(-3, 3), min_size=n_vars, max_size=n_vars))
-    return MultiPoly(n_vars, terms), point
-
-
-@settings(max_examples=200, deadline=None)
-@given(_int_poly_and_point())
-@example((MultiPoly(3, {(2, 1, 0): 3, (0, 1, 1): -2, (1, 0, 0): 5}), [0, 2, 0]))
-def test_value_and_gradient_is_the_jet_without_its_hessian(case):
-    # The mirror probe's one term pass: the value and gradient of the jet,
-    # zero coordinates included, in plain ints.
-    p, point = case
-    value, grad = p._value_and_gradient(point)
-    assert (value, grad) == tuple(p.second_order_jet(point)[:2])
-    assert all(type(v) is int for v in [value, *grad])
-
-
 def test_second_order_jet_stays_integral_and_checks_sizes():
     x, y, z = (var(3, i) for i in range(3))
     p = x * x * y + 3 * y * z * z - z + 4

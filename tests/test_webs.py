@@ -1421,8 +1421,9 @@ _FLAT_ORDERS = [(n, k) for n in range(3, 7) for k in (0, n - 1)]
 def test_a_flat_verdict_is_the_one_pair_identity(n, k, node_class, monkeypatch):
     # k = 0 or l = 0 leaves one pair in beta_1 and in beta_(n-2), so both
     # 3-forms are zero for any minors: flatness_check writes them as {} and
-    # builds and evaluates none: neither route runs.  The verdict is the one
-    # the six-product formula gives on the same minors, field by field.
+    # builds, tests and evaluates none: the factored route does not run.
+    # The verdict is the one the six-product formula gives on the same
+    # minors, field by field.
     l = n - 1 - k
     spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
     minors = _without_denominators(signed_minors(spec))
@@ -1435,10 +1436,11 @@ def test_a_flat_verdict_is_the_one_pair_identity(n, k, node_class, monkeypatch):
     def refused(*args, **kwargs):
         raise AssertionError("a flat order built or evaluated a 3-form")
 
-    monkeypatch.setattr(webs, "_factored_witness", refused)
-    monkeypatch.setattr(webs, "_wedge_at", refused)
+    for name in ("_factored_witness", "_kappa", "_triple_constant", "_proportion",
+                 "_sum_of_products"):
+        monkeypatch.setattr(webs, name, refused)
     monkeypatch.setattr(MultiPoly, "second_order_jet", refused)
-    monkeypatch.setattr(MultiPoly, "_value_and_gradient", refused)
+    monkeypatch.setattr(MultiPoly, "evaluate", refused)
     verdict = flatness_check(spec)
     assert verdict.status == "flat-certified"
     assert (verdict.alpha1_integrable, verdict.cross_check_integrable) == (not w1, not mirror)
@@ -1448,15 +1450,36 @@ def test_a_flat_verdict_is_the_one_pair_identity(n, k, node_class, monkeypatch):
 
 
 def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkeypatch):
+    # The genuine minors at n = 7 with P1 = Q1 = 0: alpha_1 vanishes, with
+    # kappa_v = 0 at every v, so it is integrable, while the mirror element
+    # Q3 dP2 - P2 dQ3 + Q2 dP3 - P3 dQ2 keeps its genuine minors and is not.
+    spec = WebSpec.numeric(7, 3, 3)
+    genuine = webs.signed_minors
+
+    def corrupted(spec):
+        minors = genuine(spec)
+        minors[1] = minors[spec.k + 2] = MultiPoly.zero(spec.n_vars)
+        return minors
+
+    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    (a, b, c, d), _ = _witness_pieces(spec)
+    assert b.is_zero and c.is_zero and not six_product_wedge(a, b, c, d)
+    assert six_product_wedge(*_witness_pieces(spec, mirror=True)[0], first_only=True)
+    _refused_as_a_check(spec, "^inconsistent certificates: alpha_1 integrable but the mirror "
+                              "element is not$", monkeypatch)
+
+
+def test_stand_in_mirror_minors_fail_check_i(monkeypatch):
     # Small stand-in minors P0..P3, Q0..Q3 at n = 7 with P1 = Q1 = 0: alpha_1
-    # vanishes, so it is integrable, while the mirror element
-    # Q2 dP3 - P3 dQ2 + Q3 dP2 - P2 dQ3 is not.
+    # vanishes, but the mirror's (Q3, P2, Q2, P3) = (x6, x2, x5, x3) give
+    # h_2 = x6, no multiple of D_2^2, so the mirror's check (i) refuses them
+    # at the first triple's second index rather than reading a verdict.
     x = [MultiPoly.variable(7, i) for i in range(7)]
     zero = MultiPoly.zero(7)
     monkeypatch.setattr(webs, "signed_minors", lambda spec: [
         x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
-    with pytest.raises(HirotaWebError, match="inconsistent certificates"):
-        flatness_check(WebSpec.numeric(7, 3, 3))
+    _refused_as_a_check(WebSpec.numeric(7, 3, 3), r"^factored mirror: check \(i\) fails at v = 2$",
+                        monkeypatch)
 
 
 # -- the factored witness ---------------------------------------------------------------
@@ -1466,9 +1489,10 @@ _WITNESS_ORDERS = [(n, k) for n in range(3, 7) for k in range(1, n - 1)]
 
 def _witness_pieces(spec, mirror=False):
     """(Q0, P1, Q1, P0), or with ``mirror`` (Q_l, P_(k-1), Q_(l-1), P_k),
-    with denominators cleared, as flatness_check takes them, and the nodes
-    scaled to ints."""
-    minors = _without_denominators(signed_minors(spec))
+    with denominators cleared, as flatness_check takes them from
+    ``webs.signed_minors`` (a test may patch it), and the nodes scaled to
+    ints."""
+    minors = _without_denominators(webs.signed_minors(spec))
     k, l = spec.k, spec.l
     p, q = minors[:k + 1], minors[k + 1:]
     scale = _denominator_lcm(spec.lambdas)
@@ -1476,43 +1500,57 @@ def _witness_pieces(spec, mirror=False):
     return pieces, [int(v * scale) for v in spec.lambdas]
 
 
+def _factored(spec, mirror=False):
+    """``_factored_witness`` as flatness_check calls it, or with ``mirror``
+    with the roles of the two quadruples swapped."""
+    first, int_nodes = _witness_pieces(spec, mirror)
+    second, _ = _witness_pieces(spec, not mirror)
+    return _factored_witness(first, second, int_nodes, spec.l)
+
+
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
 @pytest.mark.parametrize("n, k", _WITNESS_ORDERS)
 def test_factored_witness_is_the_self_wedge(n, k, node_class):
     # Every component, in the same order, and every zero component absent.
     spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
-    pieces, int_nodes = _witness_pieces(spec)
-    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    pieces, _ = _witness_pieces(spec)
+    factored, mirror_integrable = _factored(spec)
     assert list(factored.items()) == list(six_product_wedge(*pieces).items())
+    assert mirror_integrable is False
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
 @pytest.mark.parametrize("n, k", _WITNESS_ORDERS)
 def test_factored_mirror_is_the_self_wedge(n, k, node_class):
-    # The mirror's dx_v coefficients are kappa_v D_v^2 too, so the factored
-    # route gives its 3-form in full.  Its kappa_v vanishes where the other
+    # The mirror's dx_v coefficients are kappa'_v D_v^2 too, so with the
+    # roles swapped the factored route gives its 3-form in full, and the
+    # witness's verdict beside it.  Its kappa'_v vanishes where the other
     # nodes sum to 0, as for the integer class at n = 5 and the zero class
     # at n = 4 and 5.
     spec = WebSpec.numeric(n, k, n - 1 - k, _NODE_CLASSES[node_class][:n])
-    pieces, int_nodes = _witness_pieces(spec, mirror=True)
-    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    pieces, _ = _witness_pieces(spec, mirror=True)
+    factored, witness_integrable = _factored(spec, mirror=True)
     assert list(factored.items()) == list(six_product_wedge(*pieces).items())
-    assert factored
+    assert factored and witness_integrable is False
 
 
 def test_factored_witness_is_the_self_wedge_at_n7():
     spec = WebSpec.numeric(7, 2, 4, nodes(3, -1, 4, "1/5", 9, -2, 6))
-    pieces, int_nodes = _witness_pieces(spec)
-    assert list(_factored_witness(*pieces, int_nodes, 4).items()) == list(
-        six_product_wedge(*pieces).items())
-    # The factored mirror, against its values at the probe point.
-    pieces, int_nodes = _witness_pieces(spec, mirror=True)
-    mirror = _factored_witness(*pieces, int_nodes, 4)
-    point = webs._probe_point(7, 7, False)
+    pieces, _ = _witness_pieces(spec)
+    witness, mirror_integrable = _factored(spec)
+    assert list(witness.items()) == list(six_product_wedge(*pieces).items())
+    assert mirror_integrable is False
+    # The mirror, factored with the roles swapped, against the six-product
+    # formula on its minors' values and gradients at one integer point.
+    pieces, _ = _witness_pieces(spec, mirror=True)
+    mirror, witness_integrable = _factored(spec, mirror=True)
+    point = (2, -3, 5, 1, -1, 4, 3)
     at_point = {triple: value.evaluate(point) for triple, value in mirror.items()}
-    assert {triple: value for triple, value in at_point.items() if value} == webs._wedge_at(
-        *pieces, point)
-    assert len(mirror) == 35
+    jets = [poly.second_order_jet(point) for poly in pieces]
+    expected = wedge_components(*[pair_pieces(x[0], x[1].__getitem__, y[0], y[1].__getitem__)
+                                  for x, y in (jets[:2], jets[2:])], 7, False)
+    assert {triple: value for triple, value in at_point.items() if value} == expected
+    assert len(mirror) == len(expected) == 35 and witness_integrable is False
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
@@ -1523,7 +1561,9 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
     # rho^v_pq = (-1)^(l + 1 + i) prod_{m not in {p, q, v}} (node_v - node_m),
     # i the number of p, q below v (flatness_check's docstring).  With s = 1
     # they combine to kappa_abc = (-1)^l 2 c_a c_b c_c (prod_{m not in
-    # {a, b, c}} node_m)^2.
+    # {a, b, c}} node_m)^2.  The mirror's kappa'_v = -s c_v sum_{m != v}
+    # node_m, with the same s, and with s = 1 its kappa'_abc = (-1)^l 2 c_a
+    # c_b c_c, never 0.
     l = n - 1 - k
     node_list = _NODE_CLASSES[node_class][:n]
     spec = WebSpec.numeric(n, k, l, node_list)
@@ -1533,11 +1573,16 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
     minors = [webs._minor(table, [r for r in everyone if r != v], l) for v in everyone]
     spans = [prod(node_list[v] - node_list[m] for m in everyone if m != v)
              for v in everyone]
+    mirror, _ = _witness_pieces(spec, mirror=True)
+
+    def unsplit_kappa(a, b, c, d, v):
+        return webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
+                                 (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
+                                minors[v], minors[v])
+
     kappa, scalars = [], set()
     for v in everyone:
-        kappa.append(webs._proportion([(a, b.derivative(v), 1), (b, a.derivative(v), -1),
-                                       (c, d.derivative(v), 1), (d, c.derivative(v), -1)],
-                                      minors[v], minors[v]))
+        kappa.append(unsplit_kappa(a, b, c, d, v))
         closed = spans[v] * _linear_product(node_list[:v] + node_list[v + 1:])[1]
         if closed:
             scalars.add(kappa[v] / closed)
@@ -1545,6 +1590,10 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
             assert kappa[v] == 0
     assert len(scalars) == 1
     assert node_class == "rational" or scalars == {1}
+    (s,) = scalars
+    mirror_kappa = [unsplit_kappa(*mirror, v) for v in everyone]
+    assert mirror_kappa == [-s * spans[v] * sum(node_list[m] for m in everyone if m != v)
+                            for v in everyone]
     for triple in combinations(everyone, 3):
         f = webs._minor(table, [r for r in everyone if r not in triple], l - 1)
         rho = []
@@ -1561,6 +1610,8 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
                             - kappa[j] * kappa[m] * rho[0])
             outside = prod(node_list[r] for r in everyone if r not in triple)
             assert constant == (-1) ** l * 2 * spans[i] * spans[j] * spans[m] * outside ** 2
+            assert webs._triple_constant(mirror_kappa, rho, i, j, m) == (
+                (-1) ** l * 2 * spans[i] * spans[j] * spans[m])
 
 
 def _corrupt_p0(monkeypatch):
@@ -1609,9 +1660,13 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
     # function of x1), so without the exponent guard (i) passes with the
     # genuine constants and the witness of the genuine minors comes out,
     # while the corrupted minors have another; the guard refuses them.
+    # P1 is in the mirror's quadruple too, and the guard names the 3-form
+    # whose minor fails it.
     genuine = webs.signed_minors
     spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
     genuine_witness = flatness_check(spec).witness
+    genuine_pieces, int_nodes = _witness_pieces(spec)
+    genuine_mirror, _ = _witness_pieces(spec, mirror=True)
 
     def corrupted(spec):
         minors = genuine(spec)
@@ -1620,10 +1675,11 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
         return minors
 
     monkeypatch.setattr(webs, "signed_minors", corrupted)
-    minors = _without_denominators(webs.signed_minors(spec))
-    pieces = (minors[spec.k + 1], minors[1], minors[spec.k + 2], minors[0])
-    with pytest.raises(HirotaWebError, match="exponent above 1"):
-        _factored_witness(*pieces, list(spec.lambdas), spec.l)
+    pieces, mirror = _witness_pieces(spec)[0], _witness_pieces(spec, mirror=True)[0]
+    with pytest.raises(HirotaWebError, match="^factored witness: .* exponent above 1$"):
+        _factored_witness(pieces, genuine_mirror, int_nodes, spec.l)
+    with pytest.raises(HirotaWebError, match="^factored mirror: .* exponent above 1$"):
+        _factored_witness(genuine_pieces, mirror, int_nodes, spec.l)
     true_witness = DifferentialForm(spec.n_vars, 3, six_product_wedge(*pieces), pieces[0] ** 4)
     assert true_witness != genuine_witness
     _refused_as_a_check(spec, "exponent above 1", monkeypatch)
@@ -1632,7 +1688,8 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
 def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
     # (i) takes h_v from the x-halves of (Q0, P1, Q1, P0), as (ii) does: no
     # derivative is taken, and each of the four, which signed_minors hands
-    # over as exponent tuples, is packed once; nothing is unpacked.
+    # over as exponent tuples, is packed once; nothing is unpacked.  So is
+    # each of the mirror's (Q2, P2, Q1, P3), which its (i) reads.
     spec = WebSpec.numeric(6, 3, 2)
     (a, b, c, d), _ = _witness_pieces(spec)
     expected = list(six_product_wedge(a, b, c, d).items())
@@ -1643,6 +1700,7 @@ def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
                                             [r for r in range(6) if r != v], spec.l)] * 2)
              for v in range(6)]
     pieces, int_nodes = _witness_pieces(spec)
+    mirror, _ = _witness_pieces(spec, mirror=True)
     returned = _spy_proportion(monkeypatch)
     packed, unpacked, derived = [], [], []
     pack, unpack, derivative = polynomials._pack, polynomials._unpack, MultiPoly.derivative
@@ -1652,55 +1710,86 @@ def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
                         or unpack(*args))
     monkeypatch.setattr(MultiPoly, "derivative", lambda self, v: derived.append(v)
                         or derivative(self, v))
-    factored = _factored_witness(*pieces, int_nodes, spec.l)
+    factored, mirror_integrable = _factored_witness(pieces, mirror, int_nodes, spec.l)
     assert derived == [] and unpacked == []
-    assert list(factored.items()) == expected and factored
+    assert list(factored.items()) == expected and factored and mirror_integrable is False
     assert returned[:6] == kappa and all(kappa)
-    assert len(packed) == 4 and all(any(terms is poly.terms for poly in pieces)
+    assert len(packed) == 8 and all(any(terms is poly.terms for poly in pieces)
                                     for terms in packed[:4])
+    assert all(any(terms is poly.terms for poly in mirror) for terms in packed[4:])
 
 
 def test_a_division_with_a_remainder_is_an_error(monkeypatch):
     # Constants off by a factor 7 leave a remainder in the components'
     # division, so no witness comes out, not a rounded one.
     spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
-    pieces, int_nodes = _witness_pieces(spec)
     proportion = webs._proportion
     monkeypatch.setattr(webs, "_proportion", lambda *args: proportion(*args) / 7)
     with pytest.raises(HirotaWebError, match=r"component \(1, 2, 3\) leaves a remainder"):
-        _factored_witness(*pieces, int_nodes, 2)
+        _factored(spec)
     _refused_as_a_check(spec, "leaves a remainder on division by 343", monkeypatch)
 
 
-def _spy_routes(monkeypatch, probe=None):
-    """Record the arguments of every ``_factored_witness`` and ``_wedge_at``
-    call; ``probe``, when given, replaces what ``_wedge_at`` returns."""
-    calls = []
-    factored, wedge_at = webs._factored_witness, webs._wedge_at
-    monkeypatch.setattr(webs, "_factored_witness", lambda *args: calls.append(
-        ("factored", args)) or factored(*args))
-    monkeypatch.setattr(webs, "_wedge_at", lambda *args: calls.append(
-        ("probe", args)) or (wedge_at(*args) if probe is None else probe))
-    return calls
+def _spy_routes(monkeypatch, constants=None):
+    """Record every ``_factored_witness`` call, the name of each ``_kappa``
+    test and every component ``_sum_of_products`` multiplies out (one
+    (pair, D_c F, scale) part; ``_proportion``'s sums have more), and in
+    ``constants``, when given, every triple constant in call order."""
+    calls, tested, expanded = [], [], []
+    factored, kappa, products = webs._factored_witness, webs._kappa, webs._sum_of_products
+    monkeypatch.setattr(webs, "_factored_witness", lambda *args: calls.append(args)
+                        or factored(*args))
+    monkeypatch.setattr(webs, "_kappa", lambda name, *args: tested.append(name)
+                        or kappa(name, *args))
+    if constants is not None:
+        constant = webs._triple_constant
+        monkeypatch.setattr(webs, "_triple_constant", lambda *args: constants.append(
+            constant(*args)) or constants[-1])
+
+    def spy(n_vars, parts):
+        value = products(n_vars, parts)
+        if len(parts) == 1:
+            expanded.append(value)
+        return value
+
+    monkeypatch.setattr(webs, "_sum_of_products", spy)
+    return calls, tested, expanded
 
 
 @pytest.mark.parametrize("spec", [WebSpec.numeric(3, 1, 1), WebSpec.numeric(5, 2, 2),
                                   WebSpec.numeric(5, 1, 3, (0, 2, -3, 1, 4)),
+                                  WebSpec.numeric(5, 2, 2, _NODE_CLASSES["zero"][:5]),
                                   WebSpec.numeric(6, 3, 2, _NODE_CLASSES["rational"]),
                                   WebSpec.numeric(5, 0, 4), WebSpec.numeric(5, 4, 0)])
 def test_each_flatness_three_form_takes_one_route(spec, monkeypatch):
-    # k, l >= 1: the witness is factored and the mirror is refuted at the
-    # probe point; k = 0 or l = 0: both 3-forms are zero by the one-pair
-    # identity, and neither route runs.
-    calls = _spy_routes(monkeypatch)
-    flatness_check(spec)
+    # k, l >= 1: one _factored_witness call takes both quadruples; it tests
+    # (i) for the witness at every v and for the mirror at the first
+    # triple's three indices, where kappa'_abc != 0 stops it (also for the
+    # zero class, whose kappa'_5 vanishes), and it multiplies out the
+    # witness's components only.  At int nodes the constants are the
+    # mirror's kappa'_123 = (-1)^l 2 c_1 c_2 c_3, then the witness's
+    # kappa_abc in triple order.  k = 0 or l = 0: both 3-forms are zero by
+    # the one-pair identity, and the route does not run.
+    constants = []
+    calls, tested, expanded = _spy_routes(monkeypatch, constants)
+    verdict = flatness_check(spec)
+    n, l, node_list = spec.n, spec.l, spec.lambdas
     if spec.k and spec.l:
-        witness, _ = _witness_pieces(spec)
-        mirror, int_nodes = _witness_pieces(spec, mirror=True)
-        assert calls == [("factored", (*witness, int_nodes, spec.l)),
-                         ("probe", (*mirror, webs._probe_point(spec.n, spec.n, False)))]
+        witness, int_nodes = _witness_pieces(spec)
+        mirror, _ = _witness_pieces(spec, mirror=True)
+        assert calls == [(witness, mirror, int_nodes, spec.l)]
+        assert tested == ["witness"] * spec.n + ["mirror"] * 3
+        assert len(expanded) == len(verdict.witness.components)
+        assert verdict.status == "nonflat-certified" and not verdict.cross_check_integrable
+        if all(type(v) is int for v in node_list):
+            spans = [prod(node_list[v] - node_list[m] for m in range(n) if m != v)
+                     for v in range(n)]
+            assert constants == [(-1) ** l * 2 * prod(spans[:3])] + [
+                (-1) ** l * 2 * prod(spans[v] for v in triple)
+                * prod(node_list[m] for m in range(n) if m not in triple) ** 2
+                for triple in combinations(range(n), 3)]
     else:
-        assert calls == []
+        assert calls == tested == expanded == constants == []
 
 
 @pytest.mark.parametrize("argv", ["flatness --n 5 --k 2 --l 2 --lambdas=-1,0,2,3,5",
@@ -1708,42 +1797,69 @@ def test_each_flatness_three_form_takes_one_route(spec, monkeypatch):
                                   "flatness --n 6 --k 3 --l 2",
                                   "flatness --n 3 --k 1 --l 1"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_a_probe_forced_to_zero_takes_the_full_mirror_test(argv, fmt, monkeypatch):
-    # A zero at the point proves nothing, so the mirror is factored in full,
-    # which finds the same verdict: the report is unchanged.
-    args = argv.split() + ["--format", fmt]
-    config = config_from_args(build_parser().parse_args(args))
-    expected = cli_run(config)
-    calls = _spy_routes(monkeypatch, probe={})
-    assert cli_run(config) == expected
-    mirror, int_nodes = _witness_pieces(WebSpec(config.n, config.k, config.l, config.lambdas),
-                                        mirror=True)
-    assert [name for name, _ in calls] == ["factored", "probe", "factored"]
-    assert calls[2][1] == (*mirror, int_nodes, config.l)
+def test_the_cli_reports_the_mirror_verdict_of_the_self_wedge(argv, fmt, monkeypatch):
+    # The report's mirror line is the six-product formula's verdict on the
+    # mirror's minors, read off the one factored pass with no mirror
+    # component multiplied out.
+    config = config_from_args(build_parser().parse_args(argv.split() + ["--format", fmt]))
+    spec = WebSpec(config.n, config.k, config.l, config.lambdas)
+    mirror, int_nodes = _witness_pieces(spec, mirror=True)
+    integrable = not six_product_wedge(*mirror, first_only=True)
+    witness = six_product_wedge(*_witness_pieces(spec)[0])
+    calls, tested, expanded = _spy_routes(monkeypatch)
+    code, text = cli_run(config)
+    assert code == 0 and len(calls) == 1 and calls[0][1:] == (mirror, int_nodes, config.l)
+    assert tested.count("mirror") == 3 and len(expanded) == len(witness)
+    line = f"alpha_{config.n - 2} integrable"
+    if fmt == "text":
+        assert f"[PASS] {line}: {integrable}" in text.splitlines()
+    else:
+        assert {"detail": str(integrable), "name": line, "status": "pass"} in json.loads(
+            text)["results"]
 
 
 @pytest.mark.parametrize("node_class", sorted(_NODE_CLASSES))
 @pytest.mark.parametrize("n, k", [(n, k) for n in (3, 4, 5, 6) for k in range(n)])
-def test_the_mirror_probe_is_the_self_wedge_at_the_point(n, k, node_class):
-    # The formula on the minors' jets at the probe point gives every
-    # component's value there, and the probe gives each one that is nonzero.
+def test_the_mirror_verdict_is_the_self_wedge(n, k, node_class):
+    # The mirror's verdict is that of the six-product formula on its minors,
+    # flat orders and the classes whose kappa'_v vanish at some v included.
+    # At one integer point the formula on the minors' values and gradients
+    # gives each nonzero component's value there.
     l = n - 1 - k
     spec = WebSpec.numeric(n, k, l, _NODE_CLASSES[node_class][:n])
     minors = _without_denominators(signed_minors(spec))
     p, q = dict(enumerate(minors[:k + 1])), dict(enumerate(minors[k + 1:]))
     zero = MultiPoly.zero(n)
     mirror = (q[l], p.get(k - 1, zero), q.get(l - 1, zero), p[k])
-    point = webs._probe_point(n, n, False)
     components = six_product_wedge(*mirror)
+    assert flatness_check(spec).cross_check_integrable is not bool(components)
+    assert bool(components) == (k >= 1 and l >= 1)
+    point = (2, -3, 5, 1, -1, 4)[:n]
     values = {triple: components[triple].evaluate(point) if triple in components else 0
               for triple in combinations(range(n), 3)}
-    nonzero = [(triple, value) for triple, value in values.items() if value]
     jets = [poly.second_order_jet(point) for poly in mirror]
     pieces = [pair_pieces(x[0], x[1].__getitem__, y[0], y[1].__getitem__)
               for x, y in (jets[:2], jets[2:])]
-    assert list(wedge_components(*pieces, n, False).items()) == nonzero
-    assert list(webs._wedge_at(*mirror, point).items()) == nonzero
-    assert bool(nonzero) == bool(components) == (k >= 1 and l >= 1)
+    assert list(wedge_components(*pieces, n, False).items()) == [
+        (triple, value) for triple, value in values.items() if value]
+
+
+@pytest.mark.parametrize("lambdas", [(3, 1, 7, 2, 9), (0, "1/2", -3, 2, 5)])
+def test_a_failed_mirror_check_is_an_error(lambdas, monkeypatch):
+    # P2 + x1 x2 in place of P2, a minor of the mirror's quadruple only at
+    # k = l = 2: the witness passes, and the mirror's check (i) fails at
+    # the first index it reads, so no verdict comes out.
+    genuine = webs.signed_minors
+
+    def corrupted(spec):
+        minors = genuine(spec)
+        x = [MultiPoly.variable(spec.n_vars, v) for v in (0, 1)]
+        minors[2] = minors[2] + x[0] * x[1]
+        return minors
+
+    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    _refused_as_a_check(WebSpec.numeric(5, 2, 2, nodes(*lambdas)),
+                        r"^factored mirror: check \(i\) fails at v = 1$", monkeypatch)
 
 
 # -- restriction -----------------------------------------------------------------------
