@@ -80,27 +80,30 @@ class Report:
             self.exit_code = EXIT_CHECK_FAILED
 
 
+def _parse_number(text: str, context: str) -> Fraction:
+    """One exact number as Fraction reads it: an int, a ratio such as -3/2
+    or a decimal such as 1.5 or 1e3, with an optional sign; nan, inf and a
+    zero denominator are refused as ``cannot parse <context>``."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise WebSpecError(f"cannot parse {context}: {exc}") from exc
+
+
 def _parse_lambdas(text: str, n: int) -> Optional[tuple[Fraction, ...]]:
     if text == "symbolic":
         return None
-    try:
-        values = tuple(Fraction(part) for part in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise WebSpecError(f"cannot parse node list {text!r}: {exc}") from exc
+    values = tuple(_parse_number(part, f"node list {text!r}") for part in text.split(","))
     if len(values) != n:
         raise WebSpecError(f"expected {n} nodes, got {len(values)}")
     return values
 
 
 def _parse_fix(text: str) -> tuple[int, Fraction]:
-    match = re.fullmatch(r"x(\d+)=(-?\d+(?:/\d+)?)", text.strip())
+    match = re.fullmatch(r"x(\d+)=(.*)", text.strip())
     if not match:
         raise WebSpecError(f"cannot parse --fix {text!r}; expected e.g. x4=0 or x2=-3/2")
-    try:
-        value = Fraction(match.group(2))
-    except ZeroDivisionError as exc:
-        raise WebSpecError(f"cannot parse --fix {text!r}: {exc}") from exc
-    return int(match.group(1)), value
+    return int(match.group(1)), _parse_number(match.group(2), f"--fix {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -57,10 +57,15 @@ pass in O(n^3) int operations.  A vanishing denominator constant term
 raises a DegenerateInterpolantError, and so does a denominator root at a
 node, tested by Horner's rule on the unnormalized minors: they are the
 normalized denominator times its nonzero constant term, so they have the
-same roots.  Only then are the minors divided by that constant term, and
-these n+1 quotients are the only Fractions the route builds.
-``solve_oracle`` reaches the same numbers by an independent integer
-Gauss-Jordan solve of the interpolation conditions.
+same roots.  ``cauchy_interpolant`` then divides the minors by that
+constant term, and these n+1 returned quotients are the only Fractions it
+builds.  ``solve_oracle`` reaches the same numbers by an independent
+integer Gauss-Jordan solve of the interpolation conditions, which ends
+with one (numerator, pivot) int pair per unknown; it turns the pairs into
+the Fractions it returns.  ``interpolant_matches_oracle`` compares the two
+routes by cross-multiplying, minor * pivot == numerator * q0, so at integer
+nodes and data the verdict compares ints, and a Fraction is built only
+where a public function returns one.
 
 Ring layout: variables 0..n-1 are the values x1..xn; in symbolic-node mode
 variables n..2n-1 are the nodes l1..ln.
@@ -76,8 +81,8 @@ from itertools import combinations
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
-from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _horner, _sum_of_products,
-                          _tighten, _tightened, maximal_minors)
+from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _exact_number, _horner,
+                          _numeric_minors, _sum_of_products, _tighten, _tightened)
 from .ratfunc import RationalFunction
 
 
@@ -105,8 +110,7 @@ class WebSpec:
             raise WebSpecError(
                 f"order mismatch: k + l + 1 = {self.k + self.l + 1} != n = {self.n}")
         if self.lambdas is not None:
-            values = tuple(v if v.__class__ is int else _tighten(_exact(v))
-                           for v in self.lambdas)
+            values = tuple(map(_exact_number, self.lambdas))
             object.__setattr__(self, "lambdas", values)
             if len(values) != self.n:
                 raise WebSpecError(f"expected {self.n} nodes, got {len(values)}")
@@ -174,7 +178,7 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
             raise WebSpecError("numeric data needs numeric nodes")
         if len(x_values) != n:
             raise WebSpecError(f"expected {n} data values")
-        xs = [_tighten(_exact(v)) for v in x_values]
+        xs = [_exact_number(v) for v in x_values]
     rows = []
     for i in range(n):
         lam = 1 if spec.is_symbolic else spec.lambdas[i]
@@ -411,31 +415,46 @@ def cauchy_interpolant(spec: WebSpec,
     DegenerateInterpolantError is raised when the denominator's constant
     term vanishes or when the denominator minors have a root at a node (an
     unattainable point); otherwise the minors are divided by that constant
-    term, and only these quotients are built as Fractions.
+    term, and at integer nodes and data these returned quotients are the
+    only Fractions the call builds.
     """
     k = spec.k
     if x_values is None:
         coeffs = signed_minors(spec)
     else:
-        # Entry c is (-1)^(n+c) times the minor without column c.
-        minors = [m if (spec.n + c) % 2 == 0 else -m
-                  for c, m in enumerate(maximal_minors(row_matrix(spec, x_values)))]
+        minors = _point_minors(spec, x_values)
         q0 = minors[k + 1]
-        if not q0:
-            raise DegenerateInterpolantError(
-                "denominator constant term vanishes at this data point")
-        # Attainability: a denominator root at a node means the numerator
-        # shares it and the interpolation condition silently fails there.
-        # The normalized denominator is the minors' one over q0 != 0, so
-        # both have the same roots.
-        q_minors = minors[k + 1:]
-        for i, lam in enumerate(spec.lambdas, 1):
-            if not _horner(q_minors, lam):
-                raise DegenerateInterpolantError(
-                    f"numerator and denominator share a root at node {i}: "
-                    "unattainable data point")
         coeffs = [Fraction(c, q0) for c in minors]
     return CauchyInterpolant(tuple(coeffs[:k + 1]), tuple(coeffs[k + 1:]))
+
+
+def _point_minors(spec: WebSpec, x_values: Sequence[Scalar]) -> list[Scalar]:
+    """The n+1 signed minors at a data point, unnormalized: ints for integer
+    nodes and data, from one fraction-free pass over the row matrix.
+
+    DegenerateInterpolantError is raised when the denominator's constant
+    term q0 (entry k+1) vanishes, or when the denominator minors have a
+    root at a node.
+    """
+    k = spec.k
+    # Entry c is (-1)^(n+c) times the minor without column c.
+    minors = [m if (spec.n + c) % 2 == 0 else -m
+              for c, m in enumerate(_numeric_minors(row_matrix(spec, x_values),
+                                                    range(spec.n + 1)))]
+    if not minors[k + 1]:
+        raise DegenerateInterpolantError(
+            "denominator constant term vanishes at this data point")
+    # Attainability: a denominator root at a node means the numerator
+    # shares it and the interpolation condition silently fails there.
+    # The normalized denominator is the minors' one over q0 != 0, so
+    # both have the same roots.
+    q_minors = minors[k + 1:]
+    for i, lam in enumerate(spec.lambdas, 1):
+        if not _horner(q_minors, lam):
+            raise DegenerateInterpolantError(
+                f"numerator and denominator share a root at node {i}: "
+                "unattainable data point")
+    return minors
 
 
 def interpolation_check(spec: WebSpec) -> bool:
@@ -460,19 +479,31 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
     """Independent route: solve the interpolation conditions by exact
     Gauss-Jordan elimination, returning (p_0..p_k, q_1..q_l) with q_0 = 1.
 
+    The elimination (``_oracle_pairs``) runs on ints only; each unknown's
+    numerator and pivot become one returned Fraction here.  A rank-deficient
+    but consistent system (constant data, say) resolves by setting the free
+    unknowns to zero; an inconsistent one raises.
+    """
+    return tuple(Fraction(a, b) for a, b in _oracle_pairs(spec, x_values))
+
+
+def _oracle_pairs(spec: WebSpec, x_values: Sequence[Scalar]) -> list[tuple[int, int]]:
+    """The elimination behind ``solve_oracle``: one int pair (a, b), b != 0,
+    per unknown p_0..p_k, q_1..q_l, whose value is a / b; a free unknown
+    is (0, 1).  No unknown is free where q0 != 0, since q0 is, up to sign,
+    the determinant of the unscaled system.
+
     Each row is scaled to ints by the lcm of its denominators.  A row update
     cross-multiplies, r <- p r - r_c s for pivot row s with pivot p, and
     divides the result by its gcd; no division by an earlier pivot is used,
     so this route shares nothing with the fraction-free minors of
-    ``maximal_minors``.  A rank-deficient but consistent system (constant
-    data, say) resolves by setting the free unknowns to zero; an
-    inconsistent one raises.
+    ``_numeric_minors``.
     """
     if spec.is_symbolic:
         raise WebSpecError("the elimination oracle needs numeric nodes")
     if len(x_values) != spec.n:
         raise WebSpecError(f"expected {spec.n} data values")
-    xs = [_tighten(_exact(v)) for v in x_values]
+    xs = [_exact_number(v) for v in x_values]
     n, k, l = spec.n, spec.k, spec.l
     rows = []
     for lam, x in zip(spec.lambdas, xs):
@@ -502,10 +533,10 @@ def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, .
         rank += 1
     if any(rows[r][n] for r in range(rank, n)):
         raise DegenerateInterpolantError("singular interpolation system")
-    solution = [Fraction(0)] * n
+    pairs = [(0, 1)] * n
     for r, col in enumerate(pivot_cols):
-        solution[col] = Fraction(rows[r][n], rows[r][col])
-    return tuple(solution)
+        pairs[col] = (rows[r][n], rows[r][col])
+    return pairs
 
 
 def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar
@@ -525,9 +556,21 @@ def evaluate_interpolant(interp: CauchyInterpolant, at: Scalar
 
 
 def interpolant_matches_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> bool:
-    """Determinant route vs elimination route on one numeric instance."""
-    interp = cauchy_interpolant(spec, x_values=x_values)
-    return interp.p_coeffs + interp.q_coeffs[1:] == solve_oracle(spec, x_values)
+    """Determinant route vs elimination route on one numeric instance.
+
+    Each coefficient p_j or q_j (j >= 1) of ``cauchy_interpolant`` is its
+    signed minor m over q0, and the same unknown of ``solve_oracle`` is
+    a / b, so the two agree when m * b == a * q0, with q0 and every pivot b
+    nonzero: at integer nodes and data the verdict compares ints and builds
+    no Fraction.  The degeneracies raise as in those two functions, the
+    determinant route's first.
+    """
+    minors = _point_minors(spec, x_values)
+    pairs = _oracle_pairs(spec, x_values)
+    k = spec.k
+    q0 = minors[k + 1]
+    return all(m * b == a * q0
+               for m, (a, b) in zip(minors[:k + 1] + minors[k + 2:], pairs))
 
 
 def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
@@ -537,10 +580,11 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
 
     Integer nodes and data in [-bound, bound], rejection-sampled until the
     nodes are distinct and the interpolation system is solvable.  Each
-    instance comes with its ``interpolant_matches_oracle`` verdict, so each
-    route runs once per accepted instance.  ``n``, ``count``, ``seed`` and
-    ``bound`` must be ints, ``count`` and ``bound`` nonnegative, checked by
-    the call itself, before any instance is drawn.
+    instance comes with its ``interpolant_matches_oracle`` verdict, which
+    compares ints and builds no Fraction; the data are drawn as ints, and
+    only an accepted instance's are returned as Fractions.  ``n``,
+    ``count``, ``seed`` and ``bound`` must be ints, ``count`` and ``bound``
+    nonnegative, checked by the call itself, before any instance is drawn.
     """
     for name, value in (("n", n), ("seed", seed)):
         _check_count(name, value)
@@ -557,13 +601,13 @@ def random_numeric_instances(n: int, k: int, l: int, count: int, seed: int,
             lambdas = [rng.randint(-bound, bound) for _ in range(n)]
             if len(set(lambdas)) != n:
                 continue
-            xs = [Fraction(rng.randint(-bound, bound)) for _ in range(n)]
+            xs = [rng.randint(-bound, bound) for _ in range(n)]
             spec = WebSpec.numeric(n, k, l, lambdas)
             try:
                 matched = interpolant_matches_oracle(spec, xs)
             except DegenerateInterpolantError:
                 continue
             produced += 1
-            yield spec, xs, matched
+            yield spec, [Fraction(x) for x in xs], matched
 
     return instances()

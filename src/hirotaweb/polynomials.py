@@ -156,6 +156,12 @@ def _tighten(value: Scalar) -> Scalar:
     return value
 
 
+def _exact_number(value: Scalar) -> Scalar:
+    """An exact number as an int when integral and a Fraction otherwise; an
+    int is returned as it is, without a round trip through Fraction."""
+    return value if value.__class__ is int else _tighten(_exact(value))
+
+
 def _horner(coeffs: Sequence, value: Scalar):
     """sum_j coeffs[j] * value**j by Horner's rule.  The coefficients may be
     numbers or polynomials alike; callers pass ``value`` through ``_exact``

@@ -149,10 +149,13 @@ def test_oracle_command():
     assert "20/20" in text
 
 
-def test_oracle_runs_each_route_once_per_instance(monkeypatch):
-    # Seed 42 rejects no instance at this order, so 10 trials are 10 calls.
+def test_oracle_runs_each_private_route_once_per_instance(monkeypatch):
+    # Seed 42 rejects no instance at this order, so 10 trials are 10 calls
+    # of the point minors and of the elimination; the verdict calls neither
+    # public Fraction-returning function.
     import hirotaweb.interpolation as interpolation
-    calls = {"solve_oracle": 0, "cauchy_interpolant": 0}
+    calls = dict.fromkeys(("_point_minors", "_oracle_pairs",
+                           "cauchy_interpolant", "solve_oracle"), 0)
     for name in calls:
         original = getattr(interpolation, name)
 
@@ -164,7 +167,8 @@ def test_oracle_runs_each_route_once_per_instance(monkeypatch):
     code, text = run(config("oracle", n=4, k=1, l=2, lambdas=(1, 2, 3, 4),
                             trials=10))
     assert code == EXIT_OK and "10/10" in text
-    assert calls == {"solve_oracle": 10, "cauchy_interpolant": 10}
+    assert calls == {"_point_minors": 10, "_oracle_pairs": 10,
+                     "cauchy_interpolant": 0, "solve_oracle": 0}
 
 
 def test_determinism_byte_identical():
@@ -418,12 +422,38 @@ def test_main_rejects_repeated_nodes(capsys):
 
 
 def test_main_rejects_bad_fix(capsys):
-    # a malformed assignment and a zero denominator are both bad input,
-    # reported in one line without a traceback
-    for fix in ("y4=0", "x2=3/0"):
+    # a malformed assignment, a zero denominator, a missing value and a
+    # value that is not a finite number are all bad input, reported in one
+    # line without a traceback
+    for fix in ("y4=0", "x2=3/0", "x1=1/0", "x1=nan", "x1=inf", "x1=-inf", "x1=", "x1=0x10"):
         code = main(["restrict", "--n", "4", "--k", "2", "--l", "1", "--fix", fix])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith(f"error: cannot parse --fix {fix!r}")
+
+
+def test_main_rejects_non_finite_nodes(capsys):
+    for nodes in ("nan,2,3", "1,inf,3", "1,2,1/0"):
+        code = main(["generate", "--n", "3", "--k", "1", "--l", "1", "--lambdas", nodes])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: cannot parse node list {nodes!r}")
+
+
+@pytest.mark.parametrize("written, exact", [
+    (["--lambdas=1.5,2,3", "--fix", "x1=1"], ["--lambdas=3/2,2,3", "--fix", "x1=1"]),
+    (["--lambdas=1e3,2,3", "--fix", "x1=1"], ["--lambdas=1000,2,3", "--fix", "x1=1"]),
+    (["--fix", "x1=1.5"], ["--fix", "x1=3/2"]),
+    (["--fix", "x1=+2"], ["--fix", "x1=2"]),
+    (["--fix", "x2=-2.5e-1"], ["--fix", "x2=-1/4"]),
+])
+def test_nodes_and_fixed_values_share_one_exact_reader(written, exact, capsys):
+    # --lambdas and --fix read a decimal, an exponent or a sign as the exact
+    # value it names, so the report is byte for byte the one for that value
+    # written as an int or a ratio.
+    outputs = []
+    for extra in (written, exact):
+        code = main(["restrict", "--n", "3", "--k", "1", "--l", "1", *extra])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[0][0] == EXIT_OK
 
 
 def test_main_rejects_out_of_range_coordinate(capsys):
@@ -563,8 +593,9 @@ def _argv(draw):
     if command == "restrict":
         argv.append("--fix=" + draw(_good_or_bad(
             st.builds("x{}={}".format, st.integers(1, 4),
-                      st.sampled_from(("0", "1", "-3/2", "5/7"))),
-            st.sampled_from(("x0=1", "x9=0", "x1=1/0", "x1=0.5", "y1=0", "x1=", "")))))
+                      st.sampled_from(("0", "1", "-3/2", "5/7", "0.5", "+2", "1e1"))),
+            st.sampled_from(("x0=1", "x9=0", "x1=1/0", "x1=nan", "x1=inf", "y1=0", "x1=",
+                             "")))))
     return argv
 
 

@@ -373,6 +373,87 @@ def test_integer_oracle_covers_consistent_and_inconsistent_singular_systems():
     assert solve_oracle_fractions(spec, [c] * 4) == (c, 0, 0, 0)
 
 
+def _fraction_verdict(spec, xs, oracle_xs):
+    """``cauchy_interpolant`` at ``xs`` compared with the Fraction
+    elimination at ``oracle_xs``, or the message of the first degeneracy,
+    the determinant route's first."""
+    try:
+        interp = cauchy_interpolant(spec, xs)
+        expected = solve_oracle_fractions(spec, oracle_xs)
+    except DegenerateInterpolantError as exc:
+        return str(exc)
+    return interp.p_coeffs + interp.q_coeffs[1:] == expected
+
+
+def _integer_verdict(spec, xs):
+    try:
+        return interpolant_matches_oracle(spec, xs)
+    except DegenerateInterpolantError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_instance())
+@example((WebSpec.numeric(3, 0, 2), [-1, 0, 0]))           # q0 = 0
+@example((WebSpec.numeric(3, 1, 1), [1, 1, 2]))            # unattainable
+@example((WebSpec.numeric(2, 0, 1, [1, 2]), [2, 1]))       # q0 = 0, inconsistent
+@example((WebSpec.numeric(4, 1, 2, [0, Fraction(1, 2), -3, 5]),
+          [Fraction(-7, 4)] * 4))                          # constant data, q0 = 0
+@example((WebSpec.numeric(5, 2, 2, [0, -1, 2, -3, 4]), [3, -2, 0, 5, -1]))
+def test_integer_verdict_equals_the_fraction_comparison(instance):
+    # Cross-multiplying the point minors with the elimination's int pairs
+    # gives the verdict of comparing the two routes' Fractions, and a
+    # degenerate point raises the same error with the same message.
+    spec, xs = instance
+    assert _integer_verdict(spec, xs) == _fraction_verdict(spec, xs, xs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_instance(), st.data())
+def test_integer_verdict_sees_a_disagreement(instance, data):
+    # With the elimination fed other data of the same length (often
+    # constant, so some unknowns are free), or with one minor other than q0
+    # moved by one, the verdict is the Fraction comparison of the two
+    # routes, False wherever the values differ.
+    spec, xs = instance
+    other = data.draw(st.one_of(
+        st.just(xs), st.lists(_oracle_numbers, min_size=spec.n, max_size=spec.n),
+        _oracle_numbers.map(lambda c: [c] * spec.n)))
+    bump = data.draw(st.one_of(st.none(), st.integers(0, spec.n).filter(
+        lambda c: c != spec.k + 1)))
+    eliminate, minors = interpolation._oracle_pairs, interpolation._point_minors
+
+    def bumped(spec, xs):
+        out = minors(spec, xs)
+        if bump is not None:
+            out[bump] += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(interpolation, "_oracle_pairs",
+                      lambda spec, _xs: eliminate(spec, other))
+        patch.setattr(interpolation, "_point_minors", bumped)
+        assert _integer_verdict(spec, xs) == _fraction_verdict(spec, xs, other)
+
+
+def test_the_integer_verdict_builds_no_fraction(monkeypatch):
+    # At integer nodes and data neither route nor the comparison builds a
+    # Fraction, constant data included; solve_oracle still returns
+    # Fractions, built from the same pairs.
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    instances = [(WebSpec.numeric(5, k, 4 - k, [3, -1, 0, 7, -5]), data)
+                 for k in range(5) for data in ([2, -3, 5, 1, 9], [4] * 5)]
+    expected = [_fraction_verdict(spec, xs, xs) for spec, xs in instances]
+    assert expected.count(True) == 7     # constant data makes q0 vanish for k = 1..3
+    with monkeypatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(refuse))
+        assert [_integer_verdict(spec, xs) for spec, xs in instances] == expected
+        with pytest.raises(AssertionError, match="a Fraction was built"):
+            solve_oracle(*instances[0])
+
+
 def test_point_minors_never_expand_cofactors(monkeypatch):
     # No library module expands cofactors: the cofactor expansion lives in
     # the tests as an oracle, and the library refuses polynomial matrices.
