@@ -241,9 +241,10 @@ def execute(config: RunConfig, solution_override=None) -> Report:
         report.add_result("flatness", True, verdict.status)
         report.add_result(
             "alpha_1 integrable", True, str(verdict.alpha1_integrable))
-        report.add_result(
-            f"alpha_{spec.n - 2} integrable", True,
-            str(verdict.cross_check_integrable))
+        if spec.n > 3:      # at n = 3 the mirror alpha_(n-2) is alpha_1 itself
+            report.add_result(
+                f"alpha_{spec.n - 2} integrable", True,
+                str(verdict.cross_check_integrable))
         if spec.k >= 1 and spec.l >= 1:
             report.add_result("witness identity", True,
                               "d(alpha_1)^alpha_1 built as 2 dq1^dp0^dp1")
@@ -359,9 +360,10 @@ def _poly_json(poly: MultiPoly, nl: str, layouts: dict) -> list[str]:
 
 
 def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[str]]:
-    """``form.to_json()`` as ``_json_chunks`` writes it, one chunk per
-    component, the pieces of each distinct denominator scaling (g, m) built
-    once and spliced into every chunk that reads it.  The
+    """``form.to_json()`` as ``_json_chunks`` writes it, three chunks per
+    component, the pieces of each denominator scaling (g, m) built once and
+    the current one's text joined where the scaling switches, as a chunk of
+    its own, which a join returns uncopied.  The
     coefficient types are checked before normalizing, which would turn a
     bool into an int and fail on a float."""
     inner = nl + "  "
@@ -372,12 +374,17 @@ def _form_json(form: DifferentialForm, nl: str, layouts: dict) -> Iterator[list[
             _COEFFICIENTS)
     layout = layouts.get(field) or layouts.setdefault(field, _PolyLayout(field))
     den_pieces: dict[tuple[int, int], list[str]] = {}
+    current = den_text = None
     yield ["{" + inner + '"components": ']
     for position, (idx, num, den, key) in enumerate(form._normalized(layout.catalog.walk)):
-        if key not in den_pieces:
-            den_pieces[key] = layout.pieces(form.n_vars, *den)
-        yield [("," if position else "[") + item + "{" + field + '"den": ', *den_pieces[key],
-               "," + field + '"idx": ', *_json_pieces([i + 1 for i in idx], field, layouts),
+        if key != current:
+            if key not in den_pieces:
+                den_pieces[key] = layout.pieces(form.n_vars, *den)
+            den_text = None     # freed before the next is joined
+            current, den_text = key, "".join(den_pieces[key])
+        yield [("," if position else "[") + item + "{" + field + '"den": ']
+        yield [den_text]
+        yield ["," + field + '"idx": ', *_json_pieces([i + 1 for i in idx], field, layouts),
                "," + field + '"num": ', *layout.pieces(form.n_vars, *num), item + "}"]
     yield [(inner + "]," if form.components else "[],") + inner + '"degree": '
            + int.__repr__(form.degree) + nl + "}"]

@@ -44,10 +44,11 @@ k = (n-1)//2, against 0.25-0.29 s with each V computed afresh.  At symbolic node
 is its Leibniz monomials, all distinct with coefficients +-1, in node
 variables disjoint from the other alternant's: a minor over r rows is its
 r! terms, assembled without a product of polynomials or a cancellation.
-``signed_minors`` maps column c to its g and passes the writer the sign
+``_minor_maps`` maps column c to its g and passes the writer the sign
 (-1)^(n+c) with it, the one place that sign is applied.  The writer keys
 each term by its packed monomial at its caller's bit width: a byte for
-``signed_minors``, which decodes them with ``int.to_bytes``, and 2 bits a
+``_minor_maps``, whose maps only ``signed_minors`` decodes (``int.to_bytes``)
+while the readers that print no minor take them as they are, and 2 bits a
 variable for the factored proofs, which keep the packed map.
 
 At a numeric data point the point is substituted into the row matrix
@@ -82,7 +83,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
 from .polynomials import (MultiPoly, Scalar, _check_count, _exact, _exact_number, _horner,
-                          _numeric_minors, _sum_of_products, _tighten, _tightened)
+                          _numeric_minors, _tighten, _tightened)
 from .ratfunc import RationalFunction
 
 
@@ -278,7 +279,8 @@ def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
 
 
 def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
-           signs: Mapping[int, int], x_missing: bool, width: int) -> dict[int, dict[int, Scalar]]:
+           signs: Mapping[int, int], x_missing: bool, width: int,
+           cache: Optional[dict] = None) -> dict[int, dict[int, Scalar]]:
     """Minors of the row matrix over the r rows ``rows`` (0-based,
     increasing), keyed by g in ``signs`` and each multiplied by its sign
     signs[g] = +-1.  The x-block has ``size`` columns and the l-block
@@ -303,8 +305,9 @@ def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
     with every g 0, where no coefficient is either (distinct nodes give
     V != 0) and the map is returned as written.  With ``table``
     None (terms in the 2n ring) each alternant is its Leibniz terms in
-    l_1..l_n, from one cache per call, and a term is x^S times one term of
-    either alternant, its key the sum of theirs."""
+    l_1..l_n, from ``cache`` (one per call if None; calls at one n and
+    width may share one), and a term is x^S times one term of either
+    alternant, its key the sum of theirs."""
     r = len(rows)
     # The part of eps's exponent that does not depend on S.
     parity = size + size * (2 * r - size - 1) // 2
@@ -326,7 +329,7 @@ def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
         if spare or any(v.__class__ is not int for v in table.nodes):
             out = {g: _tightened(terms) for g, terms in out.items()}
         return out
-    cache = {}
+    cache = {} if cache is None else cache
     x_top, l_top = (size, r - size - 1) if x_missing else (size - 1, r - size)
     powers = {g: (tuple(e for e in range(x_top + 1) if not x_missing or e != x_top - g),
                   tuple(e for e in range(l_top + 1) if x_missing or e != l_top - g))
@@ -349,6 +352,39 @@ def _block(n: int, table: Optional[_Alternants], rows: Sequence[int], size: int,
     return out
 
 
+# A byte a variable: the interpolation identity's sums of keys reach
+# exponents 2 in an x and 2(n-1) in a node, below 256 for n <= 128.
+_BYTE = 8
+
+
+def _minor_maps(spec: WebSpec, columns: Optional[Sequence[int]] = None
+                ) -> list[dict[int, Scalar]]:
+    """The signed minors at ``columns`` (all n+1 by default) as ``_block``
+    writes them, maps from packed monomials to coefficients, with one
+    ``_Alternants`` table or one Leibniz cache for both blocks."""
+    n, k, l = spec.n, spec.k, spec.l
+    columns = range(n + 1) if columns is None else columns
+    packed: dict[int, dict] = {}
+    # A numerator column c omits the power l^c = l^(k-g), a denominator
+    # column the power -x l^(c-k-1) = -x l^(l-g): g = top - c in both blocks.
+    table = None if spec.is_symbolic else _Alternants(spec.lambdas, False)
+    cache: dict = {}
+    for block, size, x_missing, top in (({c for c in columns if c <= k}, l + 1, False, k),
+                                        ({c for c in columns if c > k}, l, True, n)):
+        if block:
+            minors = _block(n, table, range(n), size,
+                            {top - c: -1 if (n + c) % 2 else 1 for c in block}, x_missing,
+                            _BYTE, cache)
+            packed.update((c, minors.pop(top - c)) for c in block)
+    return [packed[c] for c in columns]
+
+
+def _decoded(n_vars: int, packed: Mapping[int, Scalar]) -> MultiPoly:
+    """A map of ``_minor_maps`` held as exponent tuples, read by ``int.to_bytes``."""
+    return MultiPoly(n_vars, {tuple(key.to_bytes(n_vars, "little")): value
+                              for key, value in packed.items()}, _canonical=True)
+
+
 def signed_minors(spec: WebSpec,
                   columns: Optional[Sequence[int]] = None) -> list[MultiPoly]:
     """Coefficients of the interpolant's two determinants.
@@ -357,30 +393,18 @@ def signed_minors(spec: WebSpec,
     the numerator coefficients, entries k+1..n the denominator coefficients.
     With ``columns`` only those entries are computed, in that order.  Every
     entry is built term by term from its closed form (see the module
-    docstring), with no matrix and no determinant expansion.
+    docstring) by ``_minor_maps``, with no matrix and no determinant expansion.
     """
-    n, k, l, n_vars = spec.n, spec.k, spec.l, spec.n_vars
+    n = spec.n
     columns = tuple(range(n + 1)) if columns is None else tuple(columns)
     for c in columns:
         _check_count("column index", c, error=DimensionError)
     if any(not 0 <= c <= n for c in columns):
         raise DimensionError(f"column index out of range 0..{n}")
-    packed: dict[int, dict] = {}
-    # A numerator column c omits the power l^c = l^(k-g), a denominator
-    # column the power -x l^(c-k-1) = -x l^(l-g): g = top - c in both blocks.
-    # One table serves both blocks and is dropped before the minors, in
-    # byte fields, are decoded into exponent tuples by to_bytes.
-    table = None if spec.is_symbolic else _Alternants(spec.lambdas, False)
-    for block, size, x_missing, top in (({c for c in columns if c <= k}, l + 1, False, k),
-                                        ({c for c in columns if c > k}, l, True, n)):
-        if block:
-            minors = _block(n, table, range(n), size,
-                            {top - c: -1 if (n + c) % 2 else 1 for c in block}, x_missing, 8)
-            packed.update((c, minors.pop(top - c)) for c in block)
-    del table
-    for c, minor in packed.items():
-        packed[c] = {tuple(key.to_bytes(n_vars, "little")): value for key, value in minor.items()}
-    return [MultiPoly(n_vars, packed[c], _canonical=True) for c in columns]
+    minors = _minor_maps(spec, columns)
+    for i, packed in enumerate(minors):
+        minors[i] = _decoded(spec.n_vars, packed)
+    return minors
 
 
 def highest_coefficients(spec: WebSpec) -> tuple[MultiPoly, MultiPoly]:
@@ -463,16 +487,27 @@ def interpolation_check(spec: WebSpec) -> bool:
     This is the defining interpolation property, checked as an exact
     polynomial identity in the coordinates (and nodes, when symbolic).
     """
-    return _interpolation_identity(spec, signed_minors(spec))
+    return _interpolation_identity(spec, _minor_maps(spec))
 
 
-def _interpolation_identity(spec: WebSpec, minors: Sequence[MultiPoly]) -> bool:
-    """The interpolation property for all n+1 signed minors: for row i of the
-    row matrix, sum_c row_i[c] * minors[c] is P(node_i) - x_i Q(node_i) term
-    for term, collected as one sum of products per row."""
-    return all(_sum_of_products(spec.n_vars, [(entry, minor, 1)
-                                              for entry, minor in zip(row, minors)]).is_zero
-               for row in row_matrix(spec))
+def _interpolation_identity(spec: WebSpec, minors: Sequence[Mapping[int, Scalar]]) -> bool:
+    """The interpolation property for the n+1 maps of ``_minor_maps``: for
+    row i of the row matrix, sum_c row_i[c] * minors[c] is P(node_i) -
+    x_i Q(node_i) term for term.  An entry is one term (or none), read as
+    one byte key and one coefficient, so a row adds the shifted and scaled
+    maps into one map, with no product formed and no minor decoded."""
+    for row in row_matrix(spec):
+        sums: dict[int, Scalar] = {}
+        get = sums.get
+        for entry, minor in zip(row, minors):
+            for exps, c in entry.terms.items():
+                shift = int.from_bytes(bytes(exps), "little")
+                for key, value in minor.items():
+                    key += shift
+                    sums[key] = get(key, 0) + c * value
+        if any(sums.values()):
+            return False
+    return True
 
 
 def solve_oracle(spec: WebSpec, x_values: Sequence[Scalar]) -> tuple[Fraction, ...]:

@@ -172,6 +172,13 @@ def _horner(coeffs: Sequence, value: Scalar):
     return total
 
 
+def _picker(indices: Sequence[int]) -> Callable[[Exponents], Exponents]:
+    """An exponent tuple's entries at ``indices``, as a tuple, by itemgetter."""
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    return lambda exps: tuple([exps[i] for i in indices])
+
+
 def _tightened(terms: dict[Exponents, Scalar]) -> dict[Exponents, Scalar]:
     """The nonzero terms, with every integral Fraction turned into an int."""
     return {e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
@@ -503,10 +510,11 @@ class MultiPoly:
         """The common total degree of all terms over the given variables, or
         None if the terms disagree.  The zero polynomial reports 0; use
         ``is_zero`` to tell it apart from a nonzero constant."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return 0
         idx = tuple(variables) if variables is not None else tuple(range(self.n_vars))
-        degs = {sum(e[i] for i in idx) for e in self.terms}
+        degs = set(map(sum, map(_picker(idx), terms)))
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -611,16 +619,19 @@ class MultiPoly:
             if not 0 <= var < self.n_vars:
                 raise DimensionError(f"assigned variable {var} out of range")
         keep = [v for v in range(self.n_vars) if v not in fixed]
+        pick = _picker(keep)
+        # A variable fixed at 1 scales no term.
+        scaling = [(var, value) for var, value in fixed.items() if value != 1]
         out: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
             scale = coeff
-            for var, value in fixed.items():
+            for var, value in scaling:
                 e = exps[var]
                 if e:
                     scale *= value ** e
             if not scale:
                 continue
-            key = tuple(exps[v] for v in keep)
+            key = pick(exps)
             cur = out.get(key)
             if cur is None:
                 out[key] = scale

@@ -62,16 +62,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from itertools import combinations
 from math import lcm, prod
+from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (WebSpec, _Alternants, _block, _elementary, _interpolation_identity,
-                            highest_coefficients, signed_minors)
+from .interpolation import (_BYTE, WebSpec, _Alternants, _block, _decoded, _elementary,
+                            _interpolation_identity, _minor_maps, highest_coefficients)
 from .polynomials import (MultiPoly, Scalar, _affine, _check_count, _coefficient, _exact,
                           _halves, _kernel_width, _leading_pair, _sum_of_products, _tighten)
 from .ratfunc import RationalFunction, _scaled
@@ -757,8 +758,8 @@ def _denominator_lcm(values) -> int:
 
 def _without_denominators(polys: list[MultiPoly]) -> list[MultiPoly]:
     """The polynomials times the lcm of all their coefficient denominators,
-    so that every coefficient is an int."""
-    scale = _denominator_lcm(c for poly in polys for c in poly.terms.values())
+    so that every coefficient is an int, read off the maps they keep."""
+    scale = _denominator_lcm(c for poly in polys for c in poly._coefficients())
     return polys if scale == 1 else [poly * scale for poly in polys]
 
 
@@ -887,7 +888,9 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     d(beta_m) wedge beta_m equals (c Q0)^4 (d(alpha_m) wedge alpha_m), so
     either side vanishes exactly when the other does, and the witness is
     d(beta_1) wedge beta_1 over the denominator (c Q0)^4, which renders the
-    same as the unscaled quotient.
+    same as the unscaled quotient.  The minors are held as the byte-keyed
+    maps of ``interpolation._minor_maps``: none is decoded, and
+    ``_factored_witness`` keys them again field by field, packing none.
 
     beta_m is the sum over i + j = m of Q_i dP_j - P_j dQ_i, with P_0..P_k
     and Q_0..Q_l the minors (k + l = n - 1), and a minor the order lacks is
@@ -1010,7 +1013,11 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
         raise WebSpecError("flatness certification needs numeric nodes")
     if spec.n < 3:
         raise WebSpecError("flatness certification needs dimension at least 3")
-    minors = _without_denominators(signed_minors(spec))
+    # A top of the largest byte of the keys' bitwise or is 1 for genuine
+    # minors, and above 1 for a square, which the exponent guard reads.
+    minors = _without_denominators([
+        MultiPoly._from_packed(spec.n, m, _BYTE, max(reduce(or_, m, 0).to_bytes(spec.n, "little")))
+        for m in _minor_maps(spec)])
     k, l = spec.k, spec.l
     p, q = minors[:k + 1], minors[k + 1:]
     if q[0].is_zero:
@@ -1195,10 +1202,11 @@ def structural_properties(spec: WebSpec) -> list[PropertyCheck]:
        column dependence does not exist and the sums are nonzero);
     4. the signed minors interpolate (``interpolation_check``).
 
-    One pass takes all n+1 signed minors; P_k and Q_l are two of them.
+    One pass writes all n+1 signed minors (``_minor_maps``), which the
+    identity reads as they are; only P_k and Q_l are decoded.
     """
-    minors = signed_minors(spec)
-    p_top, q_top = minors[spec.k], minors[spec.n]
+    maps = _minor_maps(spec)
+    p_top, q_top = (_decoded(spec.n_vars, maps[c]) for c in (spec.k, spec.n))
     x_vars = range(spec.n)
     checks = []
 
@@ -1232,6 +1240,6 @@ def structural_properties(spec: WebSpec) -> list[PropertyCheck]:
         f"numerator sum {p_sum.text(node_names)} (expected {p_claim}), "
         f"denominator sum {q_sum.text(node_names)} (expected {q_claim})"))
     checks.append(PropertyCheck(
-        "interpolation-identity", _interpolation_identity(spec, minors),
+        "interpolation-identity", _interpolation_identity(spec, maps),
         "P(node_i) - x_i Q(node_i) = 0 for all i"))
     return checks

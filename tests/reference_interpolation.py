@@ -33,6 +33,10 @@ every polynomial entry built by products and negations from the constant 1,
 the coordinate and the node; and every minor divided by the denominator's
 constant term before the attainability test runs Horner's rule on the
 normalized denominator in Fractions.
+
+``kernel_identity`` is the library's earlier interpolation identity: the
+minors decoded into polynomials, and each row of the row matrix times them
+collected as one sum of products by the polynomial kernel.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ from typing import Mapping, Optional, Sequence
 
 from hirotaweb import (CauchyInterpolant, DegenerateInterpolantError, MultiPoly, WebSpec,
                        WebSpecError, maximal_minors, signed_minors)
-from hirotaweb.interpolation import _elementary
-from hirotaweb.polynomials import Scalar, _exact, _horner, _tighten, _tightened
+from hirotaweb.interpolation import _elementary, row_matrix
+from hirotaweb.polynomials import (Scalar, _exact, _horner, _sum_of_products, _tighten,
+                                   _tightened)
 from reference_exterior import x_poly
 
 KINDS = ("P-full", "Q-full", "P-top", "Q-top")
@@ -289,3 +294,12 @@ def closed_form_signed_minors(spec: WebSpec) -> list[MultiPoly]:
                               for key, value in minors[top - c].items()})
                 for c in block]
     return out
+
+
+def kernel_identity(spec: WebSpec, minors: Sequence[MultiPoly]) -> bool:
+    """Whether sum_c row_i[c] * minors[c] is zero for every row i of
+    ``row_matrix(spec)``, each row one ``_sum_of_products`` over the n+1
+    entry-minor products."""
+    return all(_sum_of_products(spec.n_vars, [(entry, minor, 1)
+                                              for entry, minor in zip(row, minors)]).is_zero
+               for row in row_matrix(spec))

@@ -17,7 +17,7 @@ import hirotaweb
 from hirotaweb import (MultiPoly, RationalFunction, WebSpec, build_solution,
                        highest_coefficients, interpolation, webs)
 from hirotaweb.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, RunConfig,
-                           build_parser, config_from_args, main, run)
+                           build_parser, config_from_args, execute, main, run)
 from hirotaweb.webs import HirotaSolution, web_triples
 from reference_exterior import poly_from_json
 from reference_residuals import expanded_factors, expanded_residual_values
@@ -124,6 +124,26 @@ def test_flatness_verdicts():
     code, text = run(config("flatness", n=3, k=1, l=1))
     assert code == EXIT_OK
     assert "nonflat-certified" in text and "witness" in text
+
+
+_EXTRA_OPTIONS = {"generate": {}, "verify": {}, "flatness": {},
+                  "restrict": {"fix": (1, Fraction(-2))}, "properties": {},
+                  "oracle": {"trials": 2}}
+
+
+@pytest.mark.parametrize("command", sorted(_EXTRA_OPTIONS))
+def test_no_report_names_two_results_alike(command):
+    # At n = 3 the flatness mirror alpha_(n-2) is alpha_1 itself, whose
+    # integrability is reported once.
+    for n in range(3, 6):
+        for k in range(n):
+            report = execute(config(command, n=n, k=k, l=n - 1 - k,
+                                    lambdas=range(1, n + 1), **_EXTRA_OPTIONS[command]))
+            names = [result["name"] for result in report.results]
+            assert len(names) == len(set(names)), (n, k, names)
+            if command == "flatness":
+                assert ("alpha_1 integrable" in names
+                        and (f"alpha_{n - 2} integrable" in names))
 
 
 def test_restrict_command():

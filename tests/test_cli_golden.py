@@ -132,12 +132,15 @@ PROOFS_8 = [
     ("verify --n 8 --k 3 --l 4 --mode symbolic", "text"),
     ("verify --n 8 --k 3 --l 4 --mode symbolic --lambdas=0,-2,3,1/2,5,7,-1,4", "json"),
 ]
+# Flatness at n = 3, where the mirror element alpha_(n-2) is alpha_1 itself
+# and its integrability is reported once.
+FLATNESS_3 = ["flatness --n 3 --k 1 --l 1"]
 ARGVS = ([f"{invocation} --format {fmt}"
           for fmt in ("text", "json", "latex") for invocation in INVOCATIONS]
          + [f"{argv} --format {fmt}"
             for fmt in ("text", "json")
             for argv in (WITNESSES + EXACTNESS + RATIONAL_FLATNESS + ORACLE
-                         + DIMENSION_8 + PROOFS_6 + SAMPLED)]
+                         + DIMENSION_8 + PROOFS_6 + SAMPLED + FLATNESS_3)]
          + [f"{argv} --format text" for argv in ORACLE_LARGE + PROOFS_7]
          + [f"{argv} --format json" for argv in WITNESS_SCALES + SAMPLED_FRONTIER]
          + [f"{argv} --format {fmt}" for argv, fmt in SYMBOLIC_MINORS + PROOFS_8])

@@ -112,7 +112,7 @@ def test_golden_json_reports_are_json_dumps_output():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     reports = [entry["stdout"] for argv, entry in golden.items()
                if argv.endswith("--format json")]
-    assert len(reports) == 35
+    assert len(reports) == 36
     for stdout in reports:
         text = stdout.removesuffix("\n")
         assert dumps(json.loads(text)) == text
@@ -265,9 +265,11 @@ def test_rendering_a_witness_unpacks_at_most_its_denominator(monkeypatch):
 
 def test_each_witness_denominator_scaling_is_written_once(monkeypatch):
     # n = 6, k = 3: 20 components share two scalings of (c Q0)^4.  Each
-    # scaling's pieces are built once, and every component's chunk splices
-    # the very pieces of its own scaling; no scaling is joined into one
-    # string that lives for the whole form.
+    # scaling's pieces are built once, and a component's second chunk is
+    # the text of its scaling alone, one string: joined where the scaling
+    # switches and shared by the components up to the next switch, so only
+    # the current scaling's text is held joined, and joining the chunk
+    # returns that string uncopied.
     witness = flatness_check(WebSpec.numeric(6, 3, 2)).witness
     layout = cli._PolyLayout("\n      ")
     rows = list(witness._normalized(layout.catalog.walk))
@@ -279,11 +281,14 @@ def test_each_witness_denominator_scaling_is_written_once(monkeypatch):
                         lambda self, *args: built.append(pieces(self, *args)) or built[-1])
     chunks = list(cli._form_json(witness, "\n", {}))
     assert len(built) == len(rows) + len(own)
-    first = {}
-    for (*_, key), chunk in zip(rows, chunks[1:-1]):
-        den = chunk[1:1 + len(own[key])]
-        assert den == own[key]
-        assert all(a is b for a, b in zip(den, first.setdefault(key, den)))
-    assert all(any(len(listed) == len(den) and all(map(operator.is_, listed, den))
-                   for listed in built) for den in first.values())
+    keys = [key for *_, key in rows]
+    assert len(chunks) == 3 * len(rows) + 2
+    texts = [chunk[0] for chunk in chunks[2:-1:3]]
+    assert all(len(chunk) == 1 for chunk in chunks[2:-1:3])
+    assert all("".join(chunk) is chunk[0] for chunk in chunks[2:-1:3])
+    assert texts == ["".join(own[key]) for key in keys]
+    switches = sum(a != b for a, b in zip(keys, keys[1:]))
+    assert switches and len({id(text) for text in texts}) == switches + 1
+    assert all((text is before) == (key == key_before) for text, before, key, key_before
+               in zip(texts[1:], texts, keys[1:], keys))
     assert json.loads("".join(chain.from_iterable(chunks))) == witness.to_json()

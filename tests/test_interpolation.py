@@ -20,10 +20,12 @@ from hirotaweb import (DegenerateInterpolantError, DimensionError, InexactNumber
                        solve_oracle)
 from hirotaweb import interpolation
 from hirotaweb.cli import EXIT_CONFIG, EXIT_OK, main
+from hirotaweb.polynomials import _tighten
 from reference_forms import closed_form_3d, common_scalar
 from reference_interpolation import (build_system_matrix, normalized_interpolant,
                                      point_coefficients, row_matrix_products,
                                      solve_oracle_fractions, top_coefficients)
+import reference_interpolation
 import reference_polynomials
 from reference_polynomials import cofactor_determinant, cofactor_signed_minors
 
@@ -284,19 +286,21 @@ def test_interpolation_identity(spec):
     WebSpec.symbolic(5, 0, 4),
 ], ids=WebSpec.describe)
 def test_interpolation_identity_fails_on_a_minor_off_by_one_term(spec):
-    # Each row is one sum of products over all n + 1 minors: dropping one
-    # term of one minor, doubling it, or adding a term it lacks leaves that
-    # term times a nonzero row entry uncancelled.
-    minors = signed_minors(spec)
+    # Each row is one pass over all n + 1 maps: dropping one term of one
+    # minor, doubling it, adding a term it lacks or flipping the minor's
+    # sign leaves that term (or the minor) times a nonzero row entry
+    # uncancelled.
+    minors = interpolation._minor_maps(spec)
     assert interpolation._interpolation_identity(spec, minors)
     rng = random.Random(spec.describe())
     for column, minor in enumerate(minors):
-        exps, coeff = rng.choice(sorted(minor.terms.items()))
-        term = MultiPoly(spec.n_vars, {exps: coeff})
+        key, coeff = rng.choice(sorted(minor.items()))
         absent = next(e for e in itertools.product(range(3), repeat=spec.n_vars)
-                      if e not in minor.terms)
-        for perturbed_minor in (minor - term, minor + term,
-                                minor + MultiPoly(spec.n_vars, {absent: 1})):
+                      if int.from_bytes(bytes(e), "little") not in minor)
+        dropped = {other: c for other, c in minor.items() if other != key}
+        for perturbed_minor in (dropped, {**minor, key: 2 * coeff},
+                                {**minor, int.from_bytes(bytes(absent), "little"): 1},
+                                {other: -c for other, c in minor.items()}):
             perturbed = minors[:column] + [perturbed_minor] + minors[column + 1:]
             assert not interpolation._interpolation_identity(spec, perturbed), column
 
@@ -307,13 +311,60 @@ def test_interpolation_identity_fails_on_a_minor_off_by_one_term(spec):
     + [WebSpec.symbolic(3, k, 2 - k) for k in range(3)],
     ids=WebSpec.describe)
 def test_interpolation_check_rejects_a_perturbed_minor(spec, monkeypatch):
-    minors = signed_minors(spec)
+    # interpolation_check reads the maps of the one writer: the minor plus 1
+    # (its constant key 0 raised by 1) fails the identity.
+    minors = interpolation._minor_maps(spec)
     for column in range(spec.n + 1):
         perturbed = list(minors)
-        perturbed[column] = perturbed[column] + MultiPoly.one(spec.n_vars)
-        monkeypatch.setattr(interpolation, "signed_minors",
+        perturbed[column] = {**minors[column], 0: minors[column].get(0, 0) + 1}
+        monkeypatch.setattr(interpolation, "_minor_maps",
                             lambda _spec, minors=perturbed: minors)
         assert not interpolation_check(spec), column
+
+
+_IDENTITY_NODES = {"integer": [3, -1, 4, 1, 5, 9], "zero": [0, 2, -3, 1, 5, -4],
+                   "rational": [Fraction(1, 2), -2, Fraction(3, 4), 5, Fraction(-7, 5), 2]}
+
+
+@pytest.mark.parametrize("node_class", [None] + sorted(_IDENTITY_NODES))
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 7) for k in range(n)])
+def test_interpolation_identity_is_the_kernel_identity(n, k, node_class):
+    # The identity on the writer's maps and the kernel's sums of products
+    # on the decoded minors give one verdict, a pass, on every order with
+    # n <= 6 at every node class; the decoded maps are signed_minors'.
+    lambdas = None if node_class is None else tuple(_IDENTITY_NODES[node_class][:n])
+    spec = WebSpec(n, k, n - 1 - k, lambdas)
+    minors = interpolation._minor_maps(spec)
+    decoded = [interpolation._decoded(spec.n_vars, m) for m in minors]
+    assert decoded == signed_minors(spec)
+    assert interpolation._interpolation_identity(spec, minors) is True
+    assert reference_interpolation.kernel_identity(spec, decoded) is True
+
+
+_identity_specs = st.sampled_from(
+    [WebSpec(n, k, n - 1 - k, lambdas) for n in (2, 3, 4) for k in range(n)
+     for lambdas in (None, tuple(_IDENTITY_NODES["zero"][:n]),
+                     tuple(_IDENTITY_NODES["rational"][:n]))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_identity_specs, st.data())
+def test_interpolation_identity_matches_the_kernel_on_drawn_maps(spec, data):
+    # Each minor's map with drawn coefficients added at drawn keys, of
+    # exponents up to 2 in every variable (a sum of 0 drops the key): the
+    # two identities give one verdict, True where every change cancels.
+    coefficients = st.one_of(st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+    exponents = st.lists(st.integers(0, 2), min_size=spec.n_vars, max_size=spec.n_vars)
+    minors = []
+    for minor in interpolation._minor_maps(spec):
+        minor = dict(minor)
+        for exps, coeff in data.draw(st.lists(st.tuples(exponents, coefficients), max_size=3)):
+            key = int.from_bytes(bytes(exps), "little")
+            minor[key] = minor.get(key, 0) + coeff
+        minors.append({key: _tighten(c) for key, c in minor.items() if c})
+    decoded = [interpolation._decoded(spec.n_vars, m) for m in minors]
+    assert (interpolation._interpolation_identity(spec, minors)
+            == reference_interpolation.kernel_identity(spec, decoded))
 
 
 def test_solve_oracle_examples():

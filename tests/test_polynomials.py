@@ -133,6 +133,48 @@ def test_zero_polynomial_degree_convention():
     assert z.is_zero
 
 
+@st.composite
+def _poly_and_chosen_variables(draw):
+    """A polynomial in 0..4 variables with int and Fraction coefficients,
+    a set of its variables (none, all, or drawn), and a value for each:
+    0, 1 (an int or a Fraction), an int or a Fraction."""
+    n_vars = draw(st.integers(0, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * n_vars)
+    poly = MultiPoly(n_vars, draw(st.dictionaries(
+        exponents, st.one_of(st.integers(-9, 9), st.fractions(-3, 3, max_denominator=4)),
+        max_size=8)))
+    which = draw(st.sampled_from(["none", "all", "drawn"]))
+    chosen = ([] if which == "none" else list(range(n_vars)) if which == "all"
+              else [v for v in range(n_vars) if draw(st.booleans())])
+    values = st.one_of(st.just(0), st.just(1), st.just(Fraction(1)), st.integers(-3, 3),
+                       st.fractions(-2, 2, max_denominator=3))
+    return poly, {v: draw(values) for v in chosen}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_and_chosen_variables())
+def test_eliminate_and_homogeneous_degree_match_a_tuple_loop(case):
+    # Both against one loop over exponent tuples and variable indices, on
+    # the chosen variables and on all of them.
+    poly, values = case
+    keep = [v for v in range(poly.n_vars) if v not in values]
+    expected: dict = {}
+    for exps, coeff in poly.terms.items():
+        for v, value in values.items():
+            coeff = coeff * Fraction(value) ** exps[v]
+        key = tuple(exps[v] for v in keep)
+        expected[key] = expected.get(key, 0) + coeff
+    eliminated = poly.eliminate(values)
+    assert eliminated.n_vars == len(keep)
+    assert eliminated.terms == {key: c for key, c in expected.items() if c}
+    assert all(type(c) is int or c.denominator != 1 for c in eliminated.terms.values())
+    for variables in (list(values), None):
+        indices = range(poly.n_vars) if variables is None else variables
+        degrees = {sum(exps[v] for v in indices) for exps in poly.terms}
+        assert poly.homogeneous_degree(variables) == (
+            0 if not degrees else degrees.pop() if len(degrees) == 1 else None)
+
+
 # -- determinants -------------------------------------------------------------------
 # The library takes the determinants of numeric matrices only; the tests of
 # polynomial matrices below pin the cofactor oracle that the closed-form

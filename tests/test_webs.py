@@ -20,7 +20,7 @@ from hirotaweb import (DegenerateInterpolantError, DegenerateRestrictionError,
                        verify_hirota, veronese_form, web_triples, webs)
 from hirotaweb import polynomials
 from hirotaweb.polynomials import _unpack, poly_to_json
-from hirotaweb.interpolation import _Alternants, _block
+from hirotaweb.interpolation import _Alternants, _block, _decoded, _minor_maps
 from hirotaweb.cli import RunConfig, build_parser, config_from_args, run as cli_run
 from hirotaweb.webs import (_degree_bound, _denominator_lcm,
                             _derivative_degrees, _factored_witness, _minor_degrees,
@@ -621,7 +621,7 @@ def test_leading_minors_are_the_cofactor_determinants(n, node_class):
     # the minor over all rows.  A numeric minor over r rows has one term
     # per x-row subset, a symbolic one r! distinct terms.  Numeric minors
     # are keyed at 2 bits a variable, as the factored proofs take them, and
-    # symbolic ones at a byte, as signed_minors takes them.
+    # symbolic ones at a byte, as _minor_maps writes them.
     node_list = _PLUCKER_NODES[node_class][:n] if node_class in _PLUCKER_NODES else None
     ring, width = (n, 2) if node_list else (2 * n, 8)
     table = node_list and _Alternants(node_list, True)
@@ -674,8 +674,9 @@ def test_the_factored_routes_build_no_exponent_tuples(monkeypatch):
     # two, and halves and constants are read off packed keys: the proof
     # packs only Q and P, which signed_minors hands over as exponent
     # tuples, and neither unpacks nor keys again any map; flatness_check,
-    # the witness's (D_a D_b)(D_c F) products and Q0^4 included, unpacks
-    # nothing.
+    # the witness's (D_a D_b)(D_c F) products and Q0^4 included, reads its
+    # minors as the writer keys them, so it packs and unpacks nothing and
+    # only keys maps again field by field.
     spec = WebSpec.numeric(6, 2, 3, [-2, -5, -6, -9, -8, -3])
     f = build_solution(spec).f
     packed, unpacked, rekeyed = [], [], []
@@ -690,7 +691,7 @@ def test_the_factored_routes_build_no_exponent_tuples(monkeypatch):
     assert len(packed) == 2 and packed[0] is f.den.terms and packed[1] is f.num.terms
     assert unpacked == rekeyed == []
     assert not flatness_check(WebSpec.numeric(6, 3, 2)).is_flat
-    assert unpacked == []
+    assert len(packed) == 2 and unpacked == [] and rekeyed
 
 
 def _int_nodes(spec):
@@ -1387,16 +1388,29 @@ def test_flat_elements_have_zero_self_wedge(a, b):
     assert beta.exterior_derivative().wedge(beta).is_zero
 
 
+def _inject(monkeypatch, change):
+    """Make ``webs._minor_maps``, where ``flatness_check`` takes its minors,
+    hand over ``change(spec, minors)``, minors the genuine ones decoded into
+    polynomials, each keyed again at a byte a variable as the writer keys
+    it."""
+    genuine = webs._minor_maps
+
+    def injected(spec):
+        minors = [_decoded(spec.n_vars, m) for m in genuine(spec)]
+        return [polynomials._pack(spec.n_vars, poly.terms, 8) for poly in change(spec, minors)]
+
+    monkeypatch.setattr(webs, "_minor_maps", injected)
+
+
+def _replaced(minors, changes):
+    """The minors with the entries of ``changes`` (column: polynomial) in place."""
+    return [changes.get(c, minor) for c, minor in enumerate(minors)]
+
+
 def _zero_q0(monkeypatch):
-    """Make ``signed_minors`` hand ``flatness_check`` a zero Q0."""
-    genuine = webs.signed_minors
-
-    def zero_q0(spec):
-        minors = genuine(spec)
-        minors[spec.k + 1] = MultiPoly.zero(spec.n_vars)
-        return minors
-
-    monkeypatch.setattr(webs, "signed_minors", zero_q0)
+    """Make ``webs._minor_maps`` hand ``flatness_check`` a zero Q0."""
+    _inject(monkeypatch, lambda spec, minors: _replaced(
+        minors, {spec.k + 1: MultiPoly.zero(spec.n_vars)}))
 
 
 def test_flatness_refuses_a_corrupted_vanishing_q0(monkeypatch):
@@ -1454,14 +1468,8 @@ def test_flatness_refuses_corrupted_minors_with_inconsistent_certificates(monkey
     # kappa_v = 0 at every v, so it is integrable, while the mirror element
     # Q3 dP2 - P2 dQ3 + Q2 dP3 - P3 dQ2 keeps its genuine minors and is not.
     spec = WebSpec.numeric(7, 3, 3)
-    genuine = webs.signed_minors
-
-    def corrupted(spec):
-        minors = genuine(spec)
-        minors[1] = minors[spec.k + 2] = MultiPoly.zero(spec.n_vars)
-        return minors
-
-    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    zero = MultiPoly.zero(spec.n_vars)
+    _inject(monkeypatch, lambda spec, minors: _replaced(minors, {1: zero, spec.k + 2: zero}))
     (a, b, c, d), _ = _witness_pieces(spec)
     assert b.is_zero and c.is_zero and not six_product_wedge(a, b, c, d)
     assert six_product_wedge(*_witness_pieces(spec, mirror=True)[0], first_only=True)
@@ -1476,8 +1484,7 @@ def test_stand_in_mirror_minors_fail_check_i(monkeypatch):
     # at the first triple's second index rather than reading a verdict.
     x = [MultiPoly.variable(7, i) for i in range(7)]
     zero = MultiPoly.zero(7)
-    monkeypatch.setattr(webs, "signed_minors", lambda spec: [
-        x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
+    _inject(monkeypatch, lambda spec, minors: [x[0], zero, x[1], x[2], x[3] + 1, zero, x[4], x[5]])
     _refused_as_a_check(WebSpec.numeric(7, 3, 3), r"^factored mirror: check \(i\) fails at v = 2$",
                         monkeypatch)
 
@@ -1489,10 +1496,10 @@ _WITNESS_ORDERS = [(n, k) for n in range(3, 7) for k in range(1, n - 1)]
 
 def _witness_pieces(spec, mirror=False):
     """(Q0, P1, Q1, P0), or with ``mirror`` (Q_l, P_(k-1), Q_(l-1), P_k),
-    with denominators cleared, as flatness_check takes them from
-    ``webs.signed_minors`` (a test may patch it), and the nodes scaled to
-    ints."""
-    minors = _without_denominators(webs.signed_minors(spec))
+    the minors flatness_check takes from ``webs._minor_maps`` (a test may
+    patch it), decoded and with denominators cleared, and the nodes scaled
+    to ints."""
+    minors = _without_denominators([_decoded(spec.n, m) for m in webs._minor_maps(spec)])
     k, l = spec.k, spec.l
     p, q = minors[:k + 1], minors[k + 1:]
     scale = _denominator_lcm(spec.lambdas)
@@ -1617,15 +1624,11 @@ def test_witness_constants_have_closed_forms(n, k, node_class):
 def _corrupt_p0(monkeypatch):
     """P0 + x1 x2 in place of P0: every exponent stays at most 1, and check
     (i) fails at v = 1."""
-    genuine = webs.signed_minors
-
-    def corrupted(spec):
-        minors = genuine(spec)
+    def corrupted(spec, minors):
         x = [MultiPoly.variable(spec.n_vars, v) for v in (0, 1)]
-        minors[0] = minors[0] + x[0] * x[1]
-        return minors
+        return _replaced(minors, {0: minors[0] + x[0] * x[1]})
 
-    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    _inject(monkeypatch, corrupted)
 
 
 def _refused_as_a_check(spec, match, monkeypatch):
@@ -1662,19 +1665,16 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
     # while the corrupted minors have another; the guard refuses them.
     # P1 is in the mirror's quadruple too, and the guard names the 3-form
     # whose minor fails it.
-    genuine = webs.signed_minors
     spec = WebSpec.numeric(5, 2, 2, (3, 1, 7, 2, 9))
     genuine_witness = flatness_check(spec).witness
     genuine_pieces, int_nodes = _witness_pieces(spec)
     genuine_mirror, _ = _witness_pieces(spec, mirror=True)
 
-    def corrupted(spec):
-        minors = genuine(spec)
+    def corrupted(spec, minors):
         x1 = MultiPoly.variable(spec.n_vars, 0)
-        minors[1] = minors[1] + 3 * x1 * x1 * minors[spec.k + 1]
-        return minors
+        return _replaced(minors, {1: minors[1] + 3 * x1 * x1 * minors[spec.k + 1]})
 
-    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    _inject(monkeypatch, corrupted)
     pieces, mirror = _witness_pieces(spec)[0], _witness_pieces(spec, mirror=True)[0]
     with pytest.raises(HirotaWebError, match="^factored witness: .* exponent above 1$"):
         _factored_witness(pieces, genuine_mirror, int_nodes, spec.l)
@@ -1687,8 +1687,8 @@ def test_a_square_in_a_witness_minor_fails_the_exponent_guard(monkeypatch):
 
 def test_witness_check_i_reads_halves_and_builds_no_partial(monkeypatch):
     # (i) takes h_v from the x-halves of (Q0, P1, Q1, P0), as (ii) does: no
-    # derivative is taken, and each of the four, which signed_minors hands
-    # over as exponent tuples, is packed once; nothing is unpacked.  So is
+    # derivative is taken, and each of the four, held here as exponent
+    # tuples, is packed once; nothing is unpacked.  So is
     # each of the mirror's (Q2, P2, Q1, P3), which its (i) reads.
     spec = WebSpec.numeric(6, 3, 2)
     (a, b, c, d), _ = _witness_pieces(spec)
@@ -1849,15 +1849,11 @@ def test_a_failed_mirror_check_is_an_error(lambdas, monkeypatch):
     # P2 + x1 x2 in place of P2, a minor of the mirror's quadruple only at
     # k = l = 2: the witness passes, and the mirror's check (i) fails at
     # the first index it reads, so no verdict comes out.
-    genuine = webs.signed_minors
-
-    def corrupted(spec):
-        minors = genuine(spec)
+    def corrupted(spec, minors):
         x = [MultiPoly.variable(spec.n_vars, v) for v in (0, 1)]
-        minors[2] = minors[2] + x[0] * x[1]
-        return minors
+        return _replaced(minors, {2: minors[2] + x[0] * x[1]})
 
-    monkeypatch.setattr(webs, "signed_minors", corrupted)
+    _inject(monkeypatch, corrupted)
     _refused_as_a_check(WebSpec.numeric(5, 2, 2, nodes(*lambdas)),
                         r"^factored mirror: check \(i\) fails at v = 1$", monkeypatch)
 
@@ -2045,22 +2041,27 @@ def test_structural_properties_nondegenerate():
 
 
 def test_structural_properties_take_the_minors_once(monkeypatch):
-    # The leading pair and the interpolation identity read one list of minors,
-    # so a perturbed minor shows in the fourth check.
-    spec = WebSpec.numeric(4, 1, 2)
-    minors = signed_minors(spec)
-    perturbed = list(minors)
-    perturbed[0] = perturbed[0] + MultiPoly.one(spec.n_vars)
-    calls = []
-
-    def counted(_spec, *args):
-        calls.append(args)
-        return perturbed
-
-    monkeypatch.setattr(webs, "signed_minors", counted)
-    checks = structural_properties(spec)
-    assert calls == [()]
-    assert [c.ok for c in checks] == [True, True, True, False]
+    # The leading pair and the interpolation identity read one list of maps,
+    # written once, so a perturbed minor (P0 + 1) shows in the fourth check;
+    # only P_k and Q_l are decoded, and they are the polynomials
+    # signed_minors returns.
+    decode = webs._decoded
+    for spec in (WebSpec.numeric(4, 1, 2), WebSpec.symbolic(4, 2, 1)):
+        minors = _minor_maps(spec)
+        perturbed = list(minors)
+        perturbed[0] = {**minors[0], 0: minors[0].get(0, 0) + 1}
+        calls, decoded = [], []
+        monkeypatch.setattr(webs, "_minor_maps", lambda _spec, *args: calls.append(args)
+                            or perturbed)
+        monkeypatch.setattr(webs, "_decoded", lambda n_vars, packed: decoded.append(packed)
+                            or decode(n_vars, packed))
+        checks = structural_properties(spec)
+        assert calls == [()]
+        assert len(decoded) == 2
+        assert decoded[0] is perturbed[spec.k] and decoded[1] is perturbed[spec.n]
+        assert [c.ok for c in checks] == [True, True, True, False]
+        assert ([decode(spec.n_vars, m) for m in decoded]
+                == signed_minors(spec, (spec.k, spec.n)))
 
 
 def test_structural_properties_degenerate_orders():
