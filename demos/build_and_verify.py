@@ -10,7 +10,8 @@ determinants of the interpolation matrices.
 
 from fractions import Fraction
 
-from hirotaweb import WebSpec, build_solution, verify_hirota, web_triples
+from hirotaweb import (WebSpec, build_solution, hirota_residual, verify_hirota, veronese_form,
+                       web_triples)
 
 
 def banner(title):
@@ -28,6 +29,10 @@ print(f"denominator Q = {sol.q_top}")
 print(f"solution    f = P/Q")
 report = verify_hirota(sol)
 print(f"residual system over {web_triples(3)}: {report.summary()}")
+pencil = veronese_form(sol.f, sol.nodes())
+print(f"annihilating pencil, t^1 coefficient: {pencil.coefficients[1]}")
+print(f"residual of the triple (1, 2, 3): {hirota_residual(sol.f, sol.nodes(), (1, 2, 3))}")
+print("the pencil is Frobenius integrable exactly when the residual vanishes")
 
 banner("Dimension 4, orders [2/1], fully symbolic nodes")
 spec4 = WebSpec.symbolic(4, 2, 1)

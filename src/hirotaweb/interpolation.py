@@ -39,17 +39,17 @@ either kind of node, over any row subset and with the spare column in
 either block; only the value of an alternant differs.  At numeric nodes it
 is the one number V e_g, read off one table per node list (``_Alternants``),
 so the coefficient of x^S is +-V(S) V(S') e_g and P_k and Q_l have exactly
-C(n, l+1) and C(n, l) terms: 0.12-0.13 s at n = 16 with nodes 1..n and
-k = (n-1)//2, against 0.25-0.29 s with each V computed afresh.  At symbolic nodes it
-is its Leibniz monomials, all distinct with coefficients +-1, in node
-variables disjoint from the other alternant's: a minor over r rows is its
-r! terms, assembled without a product of polynomials or a cancellation.
-``_minor_maps`` maps column c to its g and passes the writer the sign
-(-1)^(n+c) with it, the one place that sign is applied.  The writer keys
-each term by its packed monomial at its caller's bit width: a byte for
-``_minor_maps``, whose maps only ``signed_minors`` decodes (``int.to_bytes``)
-while the readers that print no minor take them as they are, and 2 bits a
-variable for the factored proofs, which keep the packed map.
+C(n, l+1) and C(n, l) terms.  At symbolic nodes it is its Leibniz sum,
+one monomial per permutation of its powers, signed as the permutation, in
+node variables disjoint from the other alternant's: a minor over r rows is
+its r! terms, assembled without a product of polynomials or a
+cancellation.  The sign (-1)^(n+c) of signed minor c is applied by
+``_minor_maps``, which maps column c to its g and passes the writer both,
+and by ``_point_minors`` at a data point.  The writer keys each term by
+its packed monomial at its caller's bit width: a byte for ``_minor_maps``,
+whose maps are decoded (``_decoded``) only where a caller reads a minor's
+terms, read as they are by the interpolation identity and held packed by
+the flatness witness (``_held``); 2 bits a variable for the factored proofs.
 
 At a numeric data point the point is substituted into the row matrix
 before any minor is taken, so the minors are plain exact numbers, ints for
@@ -78,7 +78,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import cache, reduce
+from itertools import combinations, permutations
+from operator import lshift, or_
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import DegenerateInterpolantError, DimensionError, PoleError, WebSpecError
@@ -205,20 +207,13 @@ def row_matrix(spec: WebSpec, x_values: Optional[Sequence[Scalar]] = None
     return rows
 
 
-def _elementary(values: Sequence[Scalar]) -> list[Scalar]:
-    """e_0, ..., e_m of m numbers: the coefficients of prod (1 + v t)."""
-    e: list[Scalar] = [1]
-    for v in values:
-        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
-    return e
-
-
 class _Alternants(dict):
     """V(S) (``vandermonde``) and e_0..e_|S| (``elementary``) of the nodes
     in row bitmask S, each one step from a smaller value, t the top row of
-    S: V(S) = V(S - t) prod_{i in S - t} (nodes[t] - nodes[i]).  It keeps
-    every e and every V a step reads, and with ``keep_reads`` every V read.
-    One table per node list and call."""
+    S: V(S) = V(S - t) prod_{i in S - t} (nodes[t] - nodes[i]), and e(S),
+    prod_{i in S} (1 + nodes[i] z), is e(S - t) times (1 + nodes[t] z).  It
+    keeps every e and every V a step reads, and with ``keep_reads`` every V
+    read.  One table per node list and call, the pencil's included."""
 
     def __init__(self, nodes: Sequence[Scalar], keep_reads: bool):
         super().__init__({0: 1})
@@ -250,31 +245,31 @@ class _Alternants(dict):
         return e
 
 
+@cache
+def _permutation_signs(r: int) -> tuple[int, ...]:
+    """The sign of each permutation of r items in ``permutations`` order:
+    item j in front, moved there by j transpositions, then the rest's."""
+    if not r:
+        return (1,)
+    rest = _permutation_signs(r - 1)
+    return tuple([-sign if j % 2 else sign for j in range(r) for sign in rest])
+
+
 def _alternant_terms(n: int, rows: tuple[int, ...], exponents: tuple[int, ...],
                      width: int, cache: dict) -> list[tuple[int, int]]:
     """The Leibniz terms of det[l_r^e] over these rows and exponents, each
-    as (packed monomial, +-1).  A monomial packs the exponent of ring
-    variable v into the ``width`` bits at bit offset v * width, so adding
-    two keys with disjoint variables multiplies the monomials; every
-    exponent is below n, which must stay below 2**width.  The expansion
-    runs along the first row, and every sub-alternant is cached on
-    (rows, exponents)."""
-    key = (rows, exponents)
-    terms = cache.get(key)
-    if terms is not None:
-        return terms
-    if not rows:
-        terms = [(0, 1)]
-    else:
-        shift = width * (n + rows[0])
-        terms = []
-        for j, e in enumerate(exponents):
-            head = e << shift
-            rest = _alternant_terms(n, rows[1:], exponents[:j] + exponents[j + 1:], width,
-                                    cache)
-            terms += ([(head + sub, -sign) for sub, sign in rest] if j % 2
-                      else [(head + sub, sign) for sub, sign in rest])
-    cache[key] = terms
+    as (packed monomial, sign of its permutation): row r takes the exponent
+    that the permutation puts at its position.  A monomial packs the
+    exponent of ring variable v into the ``width`` bits at bit offset
+    v * width, so adding two keys with disjoint variables multiplies the
+    monomials; every exponent is below n, which must stay below
+    2**width.  The terms are kept in ``cache`` on (rows, exponents)."""
+    terms = cache.get((rows, exponents))
+    if terms is None:
+        shifts = [width * (n + row) for row in rows]
+        terms = cache[rows, exponents] = [
+            (sum(map(lshift, powers, shifts)), sign)
+            for powers, sign in zip(permutations(exponents), _permutation_signs(len(rows)))]
     return terms
 
 
@@ -383,6 +378,13 @@ def _decoded(n_vars: int, packed: Mapping[int, Scalar]) -> MultiPoly:
     """A map of ``_minor_maps`` held as exponent tuples, read by ``int.to_bytes``."""
     return MultiPoly(n_vars, {tuple(key.to_bytes(n_vars, "little")): value
                               for key, value in packed.items()}, _canonical=True)
+
+
+def _held(n_vars: int, packed: dict[int, Scalar]) -> MultiPoly:
+    """A map of ``_minor_maps`` held as it is; its top, the largest byte of
+    the keys' bitwise or, is 1 for genuine minors and above 1 for a square."""
+    top = max(reduce(or_, packed, 0).to_bytes(n_vars, "little"))
+    return MultiPoly._from_packed(n_vars, packed, _BYTE, top)
 
 
 def signed_minors(spec: WebSpec,

@@ -76,7 +76,9 @@ has, the interpolation row matrix, has its minors in closed form
 (``interpolation.signed_minors``).
 
 Values entering from callers (coefficients, constants, evaluation points)
-must be exact: a float raises InexactNumberError instead of being converted.
+must be exact: a float raises InexactNumberError instead of being converted,
+as does a value of no numeric type, and a string that reads as no number
+raises WebSpecError (``_exact``).
 Exponents and variable indices must be ints, exponents nonnegative: a float
 is refused as inexact and any other value raises DimensionError.
 """
@@ -103,13 +105,20 @@ def grlex_key(exponents: Exponents) -> tuple[int, Exponents]:
 def _exact(value: Scalar) -> Fraction:
     """Fraction(value) for an exact number, the argument itself when it is a
     Fraction already; a float is refused, since it holds a binary
-    approximation that Fraction would keep digit for digit."""
+    approximation that Fraction would keep digit for digit.  Any other
+    value Fraction refuses raises InexactNumberError for a wrong type (None,
+    a polynomial) and WebSpecError for a wrong value ("a", "1/0", inf)."""
     if value.__class__ is Fraction:
         return value
     if isinstance(value, float):
         raise InexactNumberError(f"float {value!r} given where an exact number "
                                  "is required; pass an int, a Fraction or a string")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except TypeError as err:
+        raise InexactNumberError(f"{value!r} is not an exact number") from err
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
+        raise WebSpecError(f"{value!r} is not an exact number") from err
 
 
 _EXACT_TYPES = frozenset((int, Fraction))
@@ -325,7 +334,7 @@ def _sum_of_products(n_vars: int, parts: Iterable[tuple["MultiPoly", "MultiPoly"
             raise DimensionError(f"mixed rings: {a.n_vars} and {b.n_vars} variables "
                                  f"in a sum over {n_vars}")
         if scale.__class__ is not int:
-            scale = _tighten(_exact(scale))
+            scale = _exact_number(scale)
         if not scale or not a or not b:
             continue
         if len(a) > len(b):
@@ -395,7 +404,7 @@ class MultiPoly:
                 for e in exps:
                     _check_count("exponent", e, 0, f"negative exponent in {exps}",
                                  DimensionError)
-                c = _tighten(_exact(coeff))
+                c = _exact_number(coeff)
                 if c:
                     clean[tuple(exps)] = c
             self._terms = clean
@@ -458,7 +467,7 @@ class MultiPoly:
     def const(cls, n_vars: int, value: Scalar) -> "MultiPoly":
         """The constant polynomial ``value``; an int is taken as it is."""
         _check_n_vars(n_vars)
-        c = value if value.__class__ is int else _tighten(_exact(value))
+        c = _exact_number(value)
         if not c:
             return cls.zero(n_vars)
         return cls(n_vars, {(0,) * n_vars: c}, _canonical=True)
@@ -613,7 +622,7 @@ class MultiPoly:
         symbolic nodes, restricts a coordinate to a constant, fixes the node
         coordinates before a jet is read, and evaluates.
         """
-        fixed = {var: _tighten(_exact(v)) for var, v in assignments.items()}
+        fixed = {var: _exact_number(v) for var, v in assignments.items()}
         for var in fixed:
             _check_count("variable index", var, error=DimensionError)
             if not 0 <= var < self.n_vars:
@@ -668,7 +677,7 @@ class MultiPoly:
         if len(values) != self.n_vars:
             raise DimensionError(
                 f"expected {self.n_vars} coordinates, got {len(values)}")
-        vals = [_tighten(_exact(v)) for v in values]
+        vals = [_exact_number(v) for v in values]
         powers: list[list[Scalar]] = [[1, v] for v in vals]
 
         def power(var: int, e: int) -> Scalar:

@@ -62,19 +62,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, partial
 from itertools import combinations
 from math import lcm, prod
-from operator import or_
 from typing import Optional, Sequence, Union
 
 from .errors import (DegenerateInterpolantError, DegenerateRestrictionError,
                      DimensionError, HirotaWebError, WebSpecError)
 from .forms import DifferentialForm, LambdaForm
-from .interpolation import (_BYTE, WebSpec, _Alternants, _block, _decoded, _elementary,
+from .interpolation import (WebSpec, _Alternants, _block, _decoded, _held,
                             _interpolation_identity, _minor_maps, highest_coefficients)
 from .polynomials import (MultiPoly, Scalar, _affine, _check_count, _coefficient, _exact,
-                          _halves, _kernel_width, _leading_pair, _sum_of_products, _tighten)
+                          _exact_number, _halves, _kernel_width, _leading_pair,
+                          _sum_of_products, _tighten)
 from .ratfunc import RationalFunction, _scaled
 
 NodeValue = Union[Scalar, MultiPoly]
@@ -564,13 +564,11 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     A ``WebSpec`` with symbolic nodes is sampled without building its
     solution: at each point the numeric-node minors at the point's node
     coordinates give the jets (``_spec_factors``), and the degree bound
-    comes from (k, l) in closed form.  With k = (n-1)//2 that takes 0.009 s
-    and 18 MB at n = 8, against 0.51 s and 37 MB through the built solution,
-    0.11-0.19 s at n = 12 and 2.8-3.1 s at n = 16 (2 vCPUs, Python 3.11).
-    Any other spec is verified through ``build_solution``.  A solution or a bare
-    function is verified as given, since its f need not be its spec's: at
-    each point the jets of what ``eliminate`` leaves of P and Q give the
-    factor values (``_sampled_factors``).
+    comes from (k, l) in closed form.  Any other spec is verified through
+    ``build_solution``.  A solution or a bare function is verified as
+    given, since its f need not be its spec's: at each point the jets of
+    what ``eliminate`` leaves of P and Q give the factor values
+    (``_sampled_factors``).
 
     In symbolic mode a solution with numeric nodes and k, l >= 1, and so
     a numeric-node spec, is proved through factors of size n-1 and n-2
@@ -599,9 +597,7 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
     do not describe f (a given solution need not be its spec's) and every
     triple goes on to step 2, as does a triple whose weights break the
     pattern, so its detail is that of a bare function.  Bare functions,
-    symbolic nodes and k = 0 or l = 0 start at step 2.  With nodes 1..n and
-    k = (n-1)//2 the proof takes 1.4-1.5 s at n = 11 and 5.8-5.9 s at
-    n = 12 (2 vCPUs, Python 3.11; the README has the table).
+    symbolic nodes and k = 0 or l = 0 start at step 2.
 
     ``mode``, ``trials``, ``bound`` and ``seed`` are checked in both modes,
     before anything is built.  An unknown mode, fewer than one trial, a
@@ -638,8 +634,7 @@ def verify_hirota(subject: Union[WebSpec, HirotaSolution, RationalFunction],
                 raise WebSpecError("nodes are required when verifying a bare function")
             f, node_list = subject, list(nodes)
             n, symbolic = len(node_list), any(isinstance(v, MultiPoly) for v in node_list)
-        node_list = [v if v.__class__ is int or isinstance(v, MultiPoly)
-                     else _tighten(_exact(v)) for v in node_list]
+        node_list = [v if isinstance(v, MultiPoly) else _exact_number(v) for v in node_list]
         _check_nodes(f, node_list)
         n_vars = f.n_vars
         # The points take the nodes as given, so the probe's value is the
@@ -743,8 +738,8 @@ def veronese_form(f: RationalFunction, lambdas: Sequence[Scalar]) -> LambdaForm:
                                   for poly in (f.num, f.den)])
     den = f.den * f.den
     # The t^m coefficient of prod_{j != i} (t - node_j) is e_(n-1-m) of the -node_j.
-    expansions = [_elementary([-v for j, v in enumerate(values) if j != i])[::-1]
-                  for i in range(n)]
+    table, full = _Alternants([-v for v in values], False), (1 << n) - 1
+    expansions = [table.elementary(full ^ 1 << i)[::-1] for i in range(n)]
     return LambdaForm([
         DifferentialForm(n, 1, {(i,): numerators[i] * expansions[i][m]
                                 for i in range(n)}, den)
@@ -889,8 +884,9 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     either side vanishes exactly when the other does, and the witness is
     d(beta_1) wedge beta_1 over the denominator (c Q0)^4, which renders the
     same as the unscaled quotient.  The minors are held as the byte-keyed
-    maps of ``interpolation._minor_maps``: none is decoded, and
-    ``_factored_witness`` keys them again field by field, packing none.
+    maps of ``interpolation._minor_maps`` (``interpolation._held``): none is
+    decoded, and ``_factored_witness`` keys them again field by field,
+    packing none.
 
     beta_m is the sum over i + j = m of Q_i dP_j - P_j dQ_i, with P_0..P_k
     and Q_0..Q_l the minors (k + l = n - 1), and a minor the order lacks is
@@ -1003,21 +999,13 @@ def flatness_check(spec: WebSpec) -> FlatnessVerdict:
     and the mirror's to kappa'_abc = (-1)^l 2 c_a c_b c_c (measured on every
     order with k, l >= 1 up to n = 6 and pinned by the tests): distinct
     nodes include at most one zero, so a triple holding it has kappa_abc
-    != 0, and the mirror is settled at the first triple.  With nodes 1..n
-    and k = (n-1)//2 a check takes 0.013-0.016 s at n = 6, 0.13-0.15 s at
-    n = 7 and 1.2 s at n = 8 (74 MB), against 0.07, 0.9 and 9.7 s (95 MB)
-    for the witness alone through the six-product formula on polynomials
-    (2 vCPUs, Python 3.11.7, in-process runs).
+    != 0, and the mirror is settled at the first triple.
     """
     if spec.is_symbolic:
         raise WebSpecError("flatness certification needs numeric nodes")
     if spec.n < 3:
         raise WebSpecError("flatness certification needs dimension at least 3")
-    # A top of the largest byte of the keys' bitwise or is 1 for genuine
-    # minors, and above 1 for a square, which the exponent guard reads.
-    minors = _without_denominators([
-        MultiPoly._from_packed(spec.n, m, _BYTE, max(reduce(or_, m, 0).to_bytes(spec.n, "little")))
-        for m in _minor_maps(spec)])
+    minors = _without_denominators([_held(spec.n, m) for m in _minor_maps(spec)])
     k, l = spec.k, spec.l
     p, q = minors[:k + 1], minors[k + 1:]
     if q[0].is_zero:

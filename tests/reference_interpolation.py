@@ -47,7 +47,7 @@ from typing import Mapping, Optional, Sequence
 
 from hirotaweb import (CauchyInterpolant, DegenerateInterpolantError, MultiPoly, WebSpec,
                        WebSpecError, maximal_minors, signed_minors)
-from hirotaweb.interpolation import _elementary, row_matrix
+from hirotaweb.interpolation import row_matrix
 from hirotaweb.polynomials import (Scalar, _exact, _horner, _sum_of_products, _tighten,
                                    _tightened)
 from reference_exterior import x_poly
@@ -254,6 +254,14 @@ def vandermonde(values: Sequence[Scalar]) -> Scalar:
     return out
 
 
+def elementary(values: Sequence[Scalar]) -> list[Scalar]:
+    """e_0, ..., e_m of m numbers: the coefficients of prod (1 + v t)."""
+    e: list[Scalar] = [1]
+    for v in values:
+        e = [a + v * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
 def closed_form_block(nodes: Sequence[Scalar], rows: Sequence[int], size: int,
                       signs: Mapping[int, int], x_missing: bool,
                       width: int) -> dict[int, dict[int, Scalar]]:
@@ -272,7 +280,7 @@ def closed_form_block(nodes: Sequence[Scalar], rows: Sequence[int], size: int,
         eps = -1 if (parity + sum(chosen)) % 2 else 1
         v_in = vandermonde([nodes[i] for i in inside])
         v_out = vandermonde([nodes[i] for i in outside])
-        e = _elementary([nodes[i] for i in (inside if x_missing else outside)]) if top else (1,)
+        e = elementary([nodes[i] for i in (inside if x_missing else outside)]) if top else (1,)
         for g, sign in signs.items():
             out[g][x_key] = sign * eps * v_in * v_out * e[g]
     return {g: _tightened(terms) for g, terms in out.items()}

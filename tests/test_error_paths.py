@@ -1,16 +1,17 @@
 """Typed-error contracts across the library surface."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from hirotaweb import (DifferentialForm, DimensionError, InexactNumberError,
+from hirotaweb import (DifferentialForm, DimensionError, HirotaWebError, InexactNumberError,
                        LambdaForm, Mobius, MultiPoly, RationalFunction, WebSpec,
-                       WebSpecError, build_solution, cauchy_interpolant,
+                       WebSpecError, build_solution, cauchy_interpolant, determinant,
                        evaluate_interpolant, flatness_check, hirota_residual,
                        maximal_minors, poly_to_json, random_numeric_instances, restrict,
-                       restricted_nodes, signed_minors, transform, verify_hirota,
-                       veronese_form, web_triples)
+                       restricted_nodes, signed_minors, solve_oracle, transform,
+                       verify_hirota, veronese_form, web_triples)
 from reference_exterior import poly_from_json
 from reference_polynomials import exact_div
 
@@ -305,3 +306,39 @@ def test_floats_rejected_at_value_boundaries():
     assert WebSpec.numeric(3, 1, 1, ["1/2", Fraction(3, 2), 2]).lambdas == (
         Fraction(1, 2), Fraction(3, 2), Fraction(2))
     assert x1.evaluate([Fraction(1, 3), 7]) == Fraction(1, 3)
+
+
+_SPEC = WebSpec.numeric(3, 1, 1)
+# Each entry point reads one exact number from its argument.
+_READERS = {
+    "WebSpec": lambda bad: WebSpec(3, 1, 1, (1, 2, bad)),
+    "restrict": lambda bad: restrict(build_solution(_SPEC), 1, bad),
+    "Mobius": lambda bad: Mobius(bad, 0, 0, 1),
+    "cauchy_interpolant": lambda bad: cauchy_interpolant(_SPEC, x_values=[bad, 1, 2]),
+    "evaluate_interpolant": lambda bad: evaluate_interpolant(cauchy_interpolant(_SPEC), bad),
+    "determinant": lambda bad: determinant([[bad]]),
+    "MultiPoly.evaluate": lambda bad: MultiPoly.variable(2, 1).evaluate([bad, 1]),
+    "solve_oracle": lambda bad: solve_oracle(_SPEC, [1, 2, bad]),
+}
+
+
+@pytest.mark.parametrize("bad, error", [("a", WebSpecError), ("1/0", WebSpecError),
+                                        (Decimal("Infinity"), WebSpecError),
+                                        (None, InexactNumberError)])
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_a_value_that_is_no_number_raises_a_typed_error(reader, bad, error):
+    # A string or a number that names no rational is a bad value, anything
+    # else that Fraction refuses a bad type; the builtin bases stay catchable.
+    with pytest.raises(error, match="is not an exact number") as info:
+        _READERS[reader](bad)
+    assert isinstance(info.value, HirotaWebError)
+    assert isinstance(info.value, ValueError if error is WebSpecError else TypeError)
+    assert info.value.__cause__ is not None
+
+
+def test_veronese_form_refuses_symbolic_nodes_as_inexact():
+    # The pencil needs numeric nodes; a symbolic solution's are polynomials.
+    nodes = build_solution(WebSpec.symbolic(3, 1, 1)).nodes()
+    with pytest.raises(InexactNumberError, match="is not an exact number") as info:
+        veronese_form(build_solution(_SPEC).f, nodes)
+    assert isinstance(info.value.__cause__, TypeError)

@@ -24,8 +24,6 @@ KEPT = {
     "FlatnessVerdict": "the result type of flatness_check",
     "PropertyCheck": "the result type of structural_properties' checks",
     "TripleCheck": "the result type of verify_hirota's per-triple checks",
-    "hirota_residual": "the paper's residual of one triple",
-    "veronese_form": "the paper's annihilating pencil of the web",
     "interpolant_matches_oracle": "the verdict the oracle command reads off each instance",
     "row_matrix": "the interpolation matrix whose maximal minors are the paper's determinants",
     "poly_to_json": "the documented JSON form of one polynomial",

@@ -892,6 +892,25 @@ def test_packed_proof_helpers_match_the_tuple_oracles(case):
                 == coefficient(parts, m)), m
 
 
+def _one_plus(n_vars, v):
+    return MultiPoly(n_vars, {tuple(int(u == v) for u in range(n_vars)): 1, (0,) * n_vars: 1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_affine_parts().filter(lambda case: case[0] >= 1))
+@example((2, [(_one_plus(2, 0), _one_plus(2, 1), 1)], []))
+@example((1, [(_one_plus(1, 0), _one_plus(1, 0), 1)], []))
+def test_affine_reads_the_exponents_under_the_kernels_top_bound(case):
+    # A kernel result bounds its top by top_a + top_b, even across distinct
+    # variables: (x1 + 1)(x2 + 1) is held with top 2 yet affine, and
+    # (x1 + 1)^2 is not.  ``_affine`` reads the keys past that bound.
+    n_vars, parts, _ = case
+    held = [p for a, b, _ in parts for p in (a, b, a * b, a + b)]
+    held.append(polynomials._sum_of_products(n_vars, parts))
+    verdicts = [polynomials._affine(p) for p in held]
+    assert verdicts == [all(e <= 1 for exps in p.terms for e in exps) for p in held]
+
+
 def test_counts_do_not_unpack(monkeypatch):
     x, y = var(2, 0), var(2, 1)
 
